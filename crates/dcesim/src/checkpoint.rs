@@ -22,7 +22,7 @@
 //! the exact crashing scenario with no access to the original command
 //! line.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
@@ -38,7 +38,7 @@ use crate::batch::{BatchConfig, NetBatchConfig, NetSeedOutcome, SeedOutcome};
 use crate::cp::{CpConfig, FbQuant};
 use crate::faults::{splitmix64, FaultConfig, FaultCounts};
 use crate::frame::CpId;
-use crate::metrics::SimMetrics;
+use crate::metrics::{SimMetrics, TimeSeries};
 use crate::net::{Endpoint, FlowStats, NetConfig, NetReport};
 use crate::qcn::{QcnCpConfig, QcnRpConfig};
 use crate::rp::RpConfig;
@@ -429,22 +429,68 @@ fn get_split_u64(fields: &Fields, key: &str) -> Result<u64, CheckpointError> {
     Ok((hi << 32) | lo)
 }
 
-fn pack_f64s(vals: &[f64]) -> String {
-    let mut out = String::new();
+/// Width of one packed `f64`: 16 lowercase hex digits of its bit
+/// pattern.
+const HEX_DIGITS: usize = 16;
+
+/// Appends `vals` as comma-separated fixed-width hex of each value's
+/// bit pattern (`f64::to_bits`). Every `f64` — NaN payloads, ±0.0 and
+/// ±inf included — round-trips exactly with no special tokens, and
+/// neither direction formats or parses a decimal float.
+fn push_f64_bits(out: &mut String, vals: &[f64]) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(vals.len() * (HEX_DIGITS + 1));
     for (i, v) in vals.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&fmt_num(*v));
+        let bits = v.to_bits();
+        let mut digits = [0u8; HEX_DIGITS];
+        for (k, d) in digits.iter_mut().enumerate() {
+            *d = HEX[((bits >> (60 - 4 * k)) & 0xf) as usize];
+        }
+        out.push_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"));
     }
-    out
 }
 
-fn unpack_f64s(packed: &str, what: &str) -> Result<Vec<f64>, CheckpointError> {
-    if packed.is_empty() {
+/// Decodes an array written by [`push_f64_bits`]. A field of the wrong
+/// width, a missing separator, or a byte outside `0-9a-f` is a
+/// [`CheckpointError::Format`].
+fn parse_f64_bits(packed: &str, what: &str) -> Result<Vec<f64>, CheckpointError> {
+    let bytes = packed.as_bytes();
+    if bytes.is_empty() {
         return Ok(Vec::new());
     }
-    packed.split(',').map(|tok| parse_num(tok, what)).collect()
+    if !(bytes.len() + 1).is_multiple_of(HEX_DIGITS + 1) {
+        return Err(CheckpointError::Format(format!(
+            "{what}: {} bytes is not a whole number of {HEX_DIGITS}-digit hex fields",
+            bytes.len()
+        )));
+    }
+    let mut vals = Vec::with_capacity((bytes.len() + 1) / (HEX_DIGITS + 1));
+    for chunk in bytes.chunks(HEX_DIGITS + 1) {
+        let (digits, sep) = chunk.split_at(HEX_DIGITS);
+        if !matches!(sep, [] | [b',']) {
+            return Err(CheckpointError::Format(format!(
+                "{what}: expected `,` after a {HEX_DIGITS}-digit hex field"
+            )));
+        }
+        let mut bits = 0u64;
+        for &b in digits {
+            let d = match b {
+                b'0'..=b'9' => b - b'0',
+                b'a'..=b'f' => b - b'a' + 10,
+                _ => {
+                    return Err(CheckpointError::Format(format!(
+                        "{what}: byte {b:#04x} is not a lowercase hex digit"
+                    )));
+                }
+            };
+            bits = (bits << 4) | u64::from(d);
+        }
+        vals.push(f64::from_bits(bits));
+    }
+    Ok(vals)
 }
 
 fn pack_u64s(vals: &[u64]) -> String {
@@ -469,17 +515,6 @@ fn unpack_u64s(packed: &str, what: &str) -> Result<Vec<u64>, CheckpointError> {
                 .map_err(|_| CheckpointError::Format(format!("bad count `{tok}` in {what}")))
         })
         .collect()
-}
-
-fn parse_num(tok: &str, what: &str) -> Result<f64, CheckpointError> {
-    match tok {
-        "NaN" => Ok(f64::NAN),
-        "inf" => Ok(f64::INFINITY),
-        "-inf" => Ok(f64::NEG_INFINITY),
-        _ => tok
-            .parse::<f64>()
-            .map_err(|_| CheckpointError::Format(format!("bad number `{tok}` in {what}"))),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -689,9 +724,10 @@ pub fn decode_sim_config<'a, I: Iterator<Item = &'a str>>(
             return Err(CheckpointError::Format(format!("unknown control `{other}`")));
         }
     };
-    let n_flows = get_u64(&head, "flows")? as usize;
-    let mut flows = Vec::with_capacity(n_flows);
-    for _ in 0..n_flows {
+    // Counts read from the file size no allocation up front: a damaged
+    // count runs out of lines (a typed error) instead of aborting.
+    let mut flows = Vec::new();
+    for _ in 0..get_u64(&head, "flows")? {
         let f = next_record(lines, "`flow` record")?;
         expect_type(&f, "flow")?;
         flows.push(FlowSpec {
@@ -795,10 +831,11 @@ pub fn encode_seed_outcome(seed: u64, outcome: &SeedOutcome, out: &mut String) {
         put_samples(out, "final_rates", &report.final_rates);
         put_samples(out, "per_source_bits", &m.per_source_bits);
         put_samples(out, "queueing_delay", m.queueing_delay.values());
-        put_series(out, "queue", None, &m.queue);
-        put_series(out, "aggregate_rate", None, &m.aggregate_rate);
+        let mut grid = None;
+        put_series(out, &mut grid, "queue", None, &m.queue);
+        put_series(out, &mut grid, "aggregate_rate", None, &m.aggregate_rate);
         for (i, s) in m.per_source_rate.iter().enumerate() {
-            put_series(out, "rate", Some(i), s);
+            put_series(out, &mut grid, "rate", Some(i), s);
         }
     }
     if let Some(t) = tel {
@@ -807,7 +844,9 @@ pub fn encode_seed_outcome(seed: u64, outcome: &SeedOutcome, out: &mut String) {
 }
 
 fn put_samples(out: &mut String, name: &str, vals: &[f64]) {
-    let _ = writeln!(out, r#"{{"type":"samples","name":"{name}","values":"{}"}}"#, pack_f64s(vals));
+    let _ = write!(out, r#"{{"type":"sample_bits","name":"{name}","values":""#);
+    push_f64_bits(out, vals);
+    out.push_str("\"}\n");
 }
 
 fn put_fault_counts(out: &mut String, f: &FaultCounts) {
@@ -842,16 +881,34 @@ fn take_fault_counts<'a, I: Iterator<Item = &'a str>>(
     })
 }
 
-fn put_series(out: &mut String, name: &str, entity: Option<usize>, s: &crate::metrics::TimeSeries) {
-    let mut line = format!(r#"{{"type":"sim_series","name":"{name}""#);
+/// Appends one `series_bits` record. The first series of a shard
+/// always carries its `times` and becomes the shard's `grid`; a later
+/// series whose times are bitwise-equal to the grid omits them (every
+/// recorded series shares the record grid, so the grid is written once
+/// rather than once per series), and any other series writes its own.
+fn put_series<'a>(
+    out: &mut String,
+    grid: &mut Option<&'a [f64]>,
+    name: &str,
+    entity: Option<usize>,
+    s: &'a TimeSeries,
+) {
+    let _ = write!(out, r#"{{"type":"series_bits","name":"{name}""#);
     if let Some(e) = entity {
-        let _ = write!(line, r#","entity":{e}"#);
+        let _ = write!(out, r#","entity":{e}"#);
     }
-    let _ =
-        write!(line, r#","times":"{}","values":"{}""#, pack_f64s(s.times()), pack_f64s(s.values()));
-    line.push('}');
-    out.push_str(&line);
-    out.push('\n');
+    let on_grid = grid.is_some_and(|g| {
+        g.len() == s.len() && g.iter().zip(s.times()).all(|(a, b)| a.to_bits() == b.to_bits())
+    });
+    if !on_grid {
+        out.push_str(r#","times":""#);
+        push_f64_bits(out, s.times());
+        out.push('"');
+        grid.get_or_insert(s.times());
+    }
+    out.push_str(r#","values":""#);
+    push_f64_bits(out, s.values());
+    out.push_str("\"}\n");
 }
 
 /// Decodes one seed's outcome block written by [`encode_seed_outcome`],
@@ -881,11 +938,12 @@ pub fn decode_seed_outcome<'a, I: Iterator<Item = &'a str>>(
             let final_rates = take_samples(lines, "final_rates")?;
             let per_source_bits = take_samples(lines, "per_source_bits")?;
             let delay_vals = take_samples(lines, "queueing_delay")?;
-            let queue = take_series(lines, "queue")?;
-            let aggregate_rate = take_series(lines, "aggregate_rate")?;
-            let mut per_source_rate = Vec::with_capacity(sources);
+            let mut grid = None;
+            let queue = take_series(lines, &mut grid, "queue")?;
+            let aggregate_rate = take_series(lines, &mut grid, "aggregate_rate")?;
+            let mut per_source_rate = Vec::new();
             for _ in 0..sources {
-                per_source_rate.push(take_series(lines, "rate")?);
+                per_source_rate.push(take_series(lines, &mut grid, "rate")?);
             }
             let mut queueing_delay = crate::metrics::SampleSet::new();
             for v in delay_vals {
@@ -928,27 +986,36 @@ fn take_samples<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
     name: &str,
 ) -> Result<Vec<f64>, CheckpointError> {
-    let r = next_record(lines, "`samples` record")?;
-    expect_type(&r, "samples")?;
+    let r = next_record(lines, "`sample_bits` record")?;
+    expect_type(&r, "sample_bits")?;
     let found = get_str(&r, "name")?;
     if found != name {
         return Err(CheckpointError::Format(format!("expected samples `{name}`, found `{found}`")));
     }
-    unpack_f64s(get_str(&r, "values")?, name)
+    parse_f64_bits(get_str(&r, "values")?, name)
 }
 
+/// Decodes one record written by [`put_series`]. `grid` is the shard's
+/// first series' times; a record without `times` is restored on it.
 fn take_series<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
+    grid: &mut Option<Vec<f64>>,
     name: &str,
-) -> Result<crate::metrics::TimeSeries, CheckpointError> {
-    let r = next_record(lines, "`sim_series` record")?;
-    expect_type(&r, "sim_series")?;
+) -> Result<TimeSeries, CheckpointError> {
+    let r = next_record(lines, "`series_bits` record")?;
+    expect_type(&r, "series_bits")?;
     let found = get_str(&r, "name")?;
     if found != name {
         return Err(CheckpointError::Format(format!("expected series `{name}`, found `{found}`")));
     }
-    let times = unpack_f64s(get_str(&r, "times")?, name)?;
-    let values = unpack_f64s(get_str(&r, "values")?, name)?;
+    let own = match field(&r, "times") {
+        Ok(t) => Some(parse_f64_bits(t.as_str("times")?, name)?),
+        Err(_) => None,
+    };
+    let values = parse_f64_bits(get_str(&r, "values")?, name)?;
+    let times = own.as_deref().or(grid.as_deref()).ok_or_else(|| {
+        CheckpointError::Format(format!("series `{name}` omits its times before any grid"))
+    })?;
     if times.len() != values.len() {
         return Err(CheckpointError::Format(format!(
             "series `{name}`: {} times vs {} values",
@@ -956,9 +1023,13 @@ fn take_series<'a, I: Iterator<Item = &'a str>>(
             values.len()
         )));
     }
-    let mut s = crate::metrics::TimeSeries::new();
-    for (t, v) in times.into_iter().zip(values) {
+    let mut s = TimeSeries::new();
+    s.reserve(times.len());
+    for (&t, v) in times.iter().zip(values) {
         s.push_secs(t, v);
+    }
+    if grid.is_none() {
+        *grid = own;
     }
     Ok(s)
 }
@@ -1009,8 +1080,9 @@ pub fn encode_net_seed_outcome(seed: u64, outcome: &NetSeedOutcome, out: &mut St
         let rates: Vec<f64> = report.flows.iter().map(|f| f.final_rate).collect();
         put_samples(out, "delivered_bits", &delivered);
         put_samples(out, "final_rate", &rates);
+        let mut grid = None;
         for (i, s) in report.switch_queues.iter().enumerate() {
-            put_series(out, "switch_queue", Some(i), s);
+            put_series(out, &mut grid, "switch_queue", Some(i), s);
         }
     }
     if let Some(t) = tel {
@@ -1064,9 +1136,10 @@ pub fn decode_net_seed_outcome<'a, I: Iterator<Item = &'a str>>(
                     final_rate,
                 })
                 .collect();
-            let mut switch_queues = Vec::with_capacity(n_switches);
+            let mut grid = None;
+            let mut switch_queues = Vec::new();
             for _ in 0..n_switches {
-                switch_queues.push(take_series(lines, "switch_queue")?);
+                switch_queues.push(take_series(lines, &mut grid, "switch_queue")?);
             }
             let telemetry = if has_tel { Some(snapshot_from_jsonl(lines)?) } else { None };
             NetSeedOutcome::Completed(Box::new(NetReport {
@@ -1142,31 +1215,8 @@ impl BatchCheckpoint {
     }
 
     fn open(dir: &Path, cfg: &BatchConfig) -> Result<Self, CheckpointError> {
-        fs::create_dir_all(dir)?;
-        let digest = batch_config_digest(cfg);
-        let path = dir.join(MANIFEST_FILE);
-        let mut restored = BTreeMap::new();
-        if path.exists() {
-            let text = fs::read_to_string(&path)?;
-            for seed in parse_manifest(&text, digest)? {
-                if !cfg.seeds.contains(&seed) {
-                    continue;
-                }
-                if let Some(outcome) = load_shard(dir, seed) {
-                    restored.insert(seed, outcome);
-                }
-            }
-        } else {
-            let mut text = schema_header();
-            text.push('\n');
-            let mut line = String::from(r#"{"type":"batch_manifest""#);
-            let _ = write!(line, r#","digest":{digest},"seeds":{}"#, cfg.seeds.len());
-            line.push('}');
-            text.push_str(&line);
-            text.push('\n');
-            write_atomic(&path, &text)?;
-        }
-        let manifest = fs::OpenOptions::new().append(true).open(&path)?;
+        let (manifest, restored) =
+            open_journal(dir, batch_config_digest(cfg), &cfg.seeds, |l| decode_seed_outcome(l))?;
         Ok(Self {
             dir: dir.to_path_buf(),
             manifest: Mutex::new(manifest),
@@ -1195,22 +1245,90 @@ impl BatchCheckpoint {
     /// Fails on I/O errors; the batch runner surfaces the first one and
     /// aborts rather than silently running uncheckpointed.
     pub fn record(&self, seed: u64, outcome: &SeedOutcome) -> Result<(), CheckpointError> {
-        let mut text = schema_header();
-        text.push('\n');
-        encode_seed_outcome(seed, outcome, &mut text);
-        write_atomic(&self.dir.join(shard_name(seed)), &text)?;
-        let mut line = String::from(r#"{"type":"done""#);
-        put_split_u64(&mut line, "seed", seed);
-        line.push_str("}\n");
-        let mut f = self.manifest.lock().expect("manifest lock");
-        f.write_all(line.as_bytes())?;
-        f.sync_data()?;
-        Ok(())
+        commit_shard(&self.dir, &self.manifest, seed, |text| {
+            encode_seed_outcome(seed, outcome, text);
+        })
     }
 }
 
 fn shard_name(seed: u64) -> String {
     format!("seed-{seed}.jsonl")
+}
+
+/// Opens the journal in `dir` for either checkpoint kind. With a
+/// manifest present it checks the digest, then decodes every
+/// acknowledged shard of a seed in `seeds` with `decode`, spread over
+/// the configured `parkit` width; the map is keyed by seed, so what is
+/// restored does not depend on the width. Without one it writes a
+/// fresh manifest. Returns the manifest opened for appending.
+fn open_journal<T: Send>(
+    dir: &Path,
+    digest: u64,
+    seeds: &[u64],
+    decode: impl Fn(&mut std::str::Lines<'_>) -> Result<(u64, T), CheckpointError> + Sync,
+) -> Result<(fs::File, BTreeMap<u64, T>), CheckpointError> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(MANIFEST_FILE);
+    let restored = if path.exists() {
+        let text = fs::read_to_string(&path)?;
+        let wanted: BTreeSet<u64> = seeds.iter().copied().collect();
+        let acked: BTreeSet<u64> =
+            parse_manifest(&text, digest)?.into_iter().filter(|s| wanted.contains(s)).collect();
+        let acked: Vec<u64> = acked.into_iter().collect();
+        let loaded = parkit::par_map(&acked, |&seed| {
+            let text = fs::read_to_string(dir.join(shard_name(seed))).ok()?;
+            decode_shard(&text, seed, &decode)
+        });
+        acked.into_iter().zip(loaded).filter_map(|(s, o)| Some((s, o?))).collect()
+    } else {
+        let mut text = schema_header();
+        text.push('\n');
+        let _ = writeln!(
+            text,
+            r#"{{"type":"batch_manifest","digest":{digest},"seeds":{}}}"#,
+            seeds.len()
+        );
+        write_atomic(&path, &text)?;
+        BTreeMap::new()
+    };
+    Ok((fs::OpenOptions::new().append(true).open(&path)?, restored))
+}
+
+/// Decodes a shard file's text: the schema header, then one outcome
+/// block, which must belong to `seed`. Any failure (torn or
+/// version-skewed content, seed mismatch) yields `None` so the seed
+/// re-runs.
+fn decode_shard<T>(
+    text: &str,
+    seed: u64,
+    decode: impl Fn(&mut std::str::Lines<'_>) -> Result<(u64, T), CheckpointError>,
+) -> Option<T> {
+    let mut lines = text.lines();
+    check_schema_header(lines.next()?).ok()?;
+    let (found, outcome) = decode(&mut lines).ok()?;
+    (found == seed).then_some(outcome)
+}
+
+/// Persists one finished seed for either checkpoint kind: writes the
+/// shard `encode` fills atomically, then appends and fsyncs the
+/// manifest acknowledgement.
+fn commit_shard(
+    dir: &Path,
+    manifest: &Mutex<fs::File>,
+    seed: u64,
+    encode: impl FnOnce(&mut String),
+) -> Result<(), CheckpointError> {
+    let mut text = schema_header();
+    text.push('\n');
+    encode(&mut text);
+    write_atomic(&dir.join(shard_name(seed)), &text)?;
+    let mut line = String::from(r#"{"type":"done""#);
+    put_split_u64(&mut line, "seed", seed);
+    line.push_str("}\n");
+    let mut f = manifest.lock().expect("manifest lock");
+    f.write_all(line.as_bytes())?;
+    f.sync_data()?;
+    Ok(())
 }
 
 /// Parses the manifest: schema header, `batch_manifest` record (digest
@@ -1239,17 +1357,6 @@ fn parse_manifest(text: &str, expected: u64) -> Result<Vec<u64>, CheckpointError
         }
     }
     Ok(done)
-}
-
-/// Loads one acknowledged shard; any failure (missing file, torn or
-/// version-skewed content, seed mismatch) yields `None` so the seed
-/// re-runs.
-fn load_shard(dir: &Path, seed: u64) -> Option<SeedOutcome> {
-    let text = fs::read_to_string(dir.join(shard_name(seed))).ok()?;
-    let mut lines = text.lines();
-    check_schema_header(lines.next()?).ok()?;
-    let (found, outcome) = decode_seed_outcome(&mut lines).ok()?;
-    (found == seed).then_some(outcome)
 }
 
 /// The [`BatchCheckpoint`] counterpart for network batches
@@ -1292,31 +1399,10 @@ impl NetBatchCheckpoint {
     }
 
     fn open(dir: &Path, cfg: &NetBatchConfig) -> Result<Self, CheckpointError> {
-        fs::create_dir_all(dir)?;
-        let digest = net_batch_config_digest(cfg);
-        let path = dir.join(MANIFEST_FILE);
-        let mut restored = BTreeMap::new();
-        if path.exists() {
-            let text = fs::read_to_string(&path)?;
-            for seed in parse_manifest(&text, digest)? {
-                if !cfg.seeds.contains(&seed) {
-                    continue;
-                }
-                if let Some(outcome) = load_net_shard(dir, seed) {
-                    restored.insert(seed, outcome);
-                }
-            }
-        } else {
-            let mut text = schema_header();
-            text.push('\n');
-            let mut line = String::from(r#"{"type":"batch_manifest""#);
-            let _ = write!(line, r#","digest":{digest},"seeds":{}"#, cfg.seeds.len());
-            line.push('}');
-            text.push_str(&line);
-            text.push('\n');
-            write_atomic(&path, &text)?;
-        }
-        let manifest = fs::OpenOptions::new().append(true).open(&path)?;
+        let (manifest, restored) =
+            open_journal(dir, net_batch_config_digest(cfg), &cfg.seeds, |l| {
+                decode_net_seed_outcome(l)
+            })?;
         Ok(Self {
             dir: dir.to_path_buf(),
             manifest: Mutex::new(manifest),
@@ -1342,28 +1428,10 @@ impl NetBatchCheckpoint {
     ///
     /// Fails on I/O errors; the batch runner aborts on the first one.
     pub fn record(&self, seed: u64, outcome: &NetSeedOutcome) -> Result<(), CheckpointError> {
-        let mut text = schema_header();
-        text.push('\n');
-        encode_net_seed_outcome(seed, outcome, &mut text);
-        write_atomic(&self.dir.join(shard_name(seed)), &text)?;
-        let mut line = String::from(r#"{"type":"done""#);
-        put_split_u64(&mut line, "seed", seed);
-        line.push_str("}\n");
-        let mut f = self.manifest.lock().expect("manifest lock");
-        f.write_all(line.as_bytes())?;
-        f.sync_data()?;
-        Ok(())
+        commit_shard(&self.dir, &self.manifest, seed, |text| {
+            encode_net_seed_outcome(seed, outcome, text);
+        })
     }
-}
-
-/// Loads one acknowledged network shard; any failure yields `None` so
-/// the seed re-runs.
-fn load_net_shard(dir: &Path, seed: u64) -> Option<NetSeedOutcome> {
-    let text = fs::read_to_string(dir.join(shard_name(seed))).ok()?;
-    let mut lines = text.lines();
-    check_schema_header(lines.next()?).ok()?;
-    let (found, outcome) = decode_net_seed_outcome(&mut lines).ok()?;
-    (found == seed).then_some(outcome)
 }
 
 /// Writes `contents` to `path` atomically: temp file, fsync, rename,
@@ -1774,5 +1842,282 @@ mod tests {
         text.push('\n');
         let err = replay_spec_from_postmortem(&text).unwrap_err();
         assert!(matches!(err, CheckpointError::Format(m) if m.contains("replay")));
+    }
+
+    #[test]
+    fn packed_arrays_preserve_every_bit_pattern() {
+        let vals = [
+            f64::from_bits(0x7ff8_0000_dead_beef), // quiet NaN with a payload
+            f64::from_bits(0xfff0_0000_0000_0001), // negative signalling NaN
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1), // smallest subnormal
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            -1.5e-300,
+        ];
+        let mut packed = String::new();
+        push_f64_bits(&mut packed, &vals);
+        assert_eq!(packed.len(), vals.len() * 17 - 1);
+        assert!(packed.starts_with("7ff80000deadbeef,fff0000000000001,0000000000000000,"));
+        let back = parse_f64_bits(&packed, "test").expect("decode");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&vals));
+        assert!(parse_f64_bits("", "test").expect("empty").is_empty());
+        for bad in [
+            "1.5",                                // a decimal float, not bits
+            "7ff80000deadbee",                    // one digit short
+            "7ff80000deadbeef0",                  // one digit long
+            "7FF80000DEADBEEF",                   // uppercase
+            "7ff80000deadbeeg",                   // non-hex byte
+            "7ff80000deadbeef;0000000000000000",  // wrong separator
+            "7ff80000deadbeef,",                  // dangling separator
+            "7ff80000deadbeef,,000000000000000",  // empty field
+            "0000000000000000,0000000000000000,", // dangling separator
+        ] {
+            assert!(
+                matches!(parse_f64_bits(bad, "test"), Err(CheckpointError::Format(_))),
+                "`{bad}` must be rejected"
+            );
+        }
+    }
+
+    /// One completed seed of a 16-flow incast on the full 4000-mark
+    /// record grid.
+    fn incast_outcome() -> (u64, SeedOutcome) {
+        let mut params = crate::sim::fluid_validation_params();
+        params.n_flows = 16;
+        let mut base = SimConfig::from_fluid(&params, 8_000.0, Duration::from_secs(2e-6), 0.01);
+        base.flows = crate::workload::incast(16, base.capacity / 4.0, 300.0 * base.frame_bits);
+        let cfg = BatchConfig { level: TelemetryLevel::Off, ..BatchConfig::quick(base, 1) };
+        let report = run_batch(&cfg);
+        let outcome = report.outcomes.into_iter().next().expect("one seed");
+        assert!(matches!(outcome, SeedOutcome::Completed(_)));
+        (report.seeds[0], outcome)
+    }
+
+    fn completed(outcome: &SeedOutcome) -> &SimReport {
+        match outcome {
+            SeedOutcome::Completed(r) => r,
+            other => panic!("expected a completed outcome, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn incast_shard_round_trips_byte_exactly_with_one_time_grid() {
+        let (seed, outcome) = incast_outcome();
+        let report = completed(&outcome);
+        assert_eq!(report.metrics.per_source_rate.len(), 16);
+        assert!(report.metrics.queue.len() >= 4000, "{} marks", report.metrics.queue.len());
+        let mut text = String::new();
+        encode_seed_outcome(seed, &outcome, &mut text);
+        assert_eq!(text.lines().filter(|l| l.contains(r#""type":"series_bits""#)).count(), 18);
+        assert_eq!(text.matches(r#""times":"#).count(), 1, "the grid is written once");
+        let mut lines = text.lines();
+        let (dseed, decoded) = decode_seed_outcome(&mut lines).expect("decode");
+        assert_eq!(lines.next(), None);
+        assert_eq!((dseed, completed(&decoded)), (seed, report));
+        let mut re = String::new();
+        encode_seed_outcome(dseed, &decoded, &mut re);
+        assert_eq!(re, text, "round trip not byte-exact");
+    }
+
+    #[test]
+    fn series_off_the_shared_grid_keep_their_own_times() {
+        let (seed, mut outcome) = incast_outcome();
+        let SeedOutcome::Completed(report) = &mut outcome else { unreachable!() };
+        let rate = &mut report.metrics.per_source_rate[3];
+        let mut shifted = TimeSeries::new();
+        for (&t, &v) in rate.times().iter().zip(rate.values()) {
+            shifted.push_secs(t + 1e-9, v);
+        }
+        *rate = shifted;
+        let mut text = String::new();
+        encode_seed_outcome(seed, &outcome, &mut text);
+        assert_eq!(text.matches(r#""times":"#).count(), 2);
+        let (_, decoded) = decode_seed_outcome(&mut text.lines()).expect("decode");
+        assert_eq!(completed(&decoded), completed(&outcome));
+        let mut re = String::new();
+        encode_seed_outcome(seed, &decoded, &mut re);
+        assert_eq!(re, text);
+    }
+
+    /// A completed seed-1 shard as the decimal-float codec wrote it: the
+    /// grid repeated per series, `{:?}` floats, old record names.
+    const DECIMAL_SHARD: &str = concat!(
+        r#"{"type":"seed","seed_hi":0,"seed_lo":1,"outcome":"completed","retries":0,"events":0,"has_telemetry":false,"cause":""}"#,
+        "\n",
+        r#"{"type":"sim_counters","delivered_frames":2,"dropped_frames":0,"feedback_messages":0,"pause_events":0,"delivered_bits":16000.0,"sources":1}"#,
+        "\n",
+        r#"{"type":"fault_counts","feedback_dropped":0,"feedback_corrupted":0,"feedback_corrupt_lost":0,"feedback_delayed":0,"feedback_reordered":0,"data_frames_lost":0,"link_flap_deferrals":0,"pause_storms":0}"#,
+        "\n",
+        r#"{"type":"samples","name":"final_rates","values":"1000000000.0"}"#,
+        "\n",
+        r#"{"type":"samples","name":"per_source_bits","values":"16000.0"}"#,
+        "\n",
+        r#"{"type":"samples","name":"queueing_delay","values":""}"#,
+        "\n",
+        r#"{"type":"sim_series","name":"queue","times":"0.0,0.000125","values":"0.0,8000.0"}"#,
+        "\n",
+        r#"{"type":"sim_series","name":"aggregate_rate","times":"0.0,0.000125","values":"1000000000.0,1000000000.0"}"#,
+        "\n",
+        r#"{"type":"sim_series","name":"rate","entity":0,"times":"0.0,0.000125","values":"1000000000.0,1000000000.0"}"#,
+        "\n",
+    );
+
+    #[test]
+    fn decimal_float_shards_are_rejected_and_their_seeds_rerun() {
+        let err = decode_seed_outcome(&mut DECIMAL_SHARD.lines()).unwrap_err();
+        assert!(matches!(&err, CheckpointError::Format(m) if m.contains("samples")), "{err}");
+
+        let dir = scratch("decimal");
+        let cfg = faulty_batch(2);
+        let ck = BatchCheckpoint::create(&dir, &cfg).expect("create");
+        let report = run_batch(&cfg);
+        ck.record(0, &report.outcomes[0]).expect("record seed 0");
+        commit_shard(&dir, &ck.manifest, 1, |t| t.push_str(DECIMAL_SHARD)).expect("ack seed 1");
+        drop(ck);
+        let ck = BatchCheckpoint::resume(&dir, &cfg).expect("resume");
+        assert_eq!(ck.restored_seeds(), vec![0], "the decimal-float shard must not restore");
+        let resumed = crate::batch::run_batch_checkpointed(&cfg, &ck).expect("resumed run");
+        assert_eq!(resumed.supervisor.resumed, 1);
+        let fresh: Vec<_> = report.completed().collect();
+        assert_eq!(resumed.completed().collect::<Vec<_>>(), fresh, "seed 1 re-ran identically");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One way of damaging a shard file.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        /// Keep only the first `n` lines (a cut at a line boundary).
+        KeepLines(usize),
+        /// Cut at byte offset `h % len`.
+        Cut(u64),
+        /// XOR the byte at `h % len` with a non-zero mask.
+        Flip(u64, u8),
+    }
+
+    /// Truncation at every line boundary of an `n_lines`-line shard, at
+    /// 64 splitmix64-chosen byte offsets, and 64 single-byte flips.
+    fn damages(n_lines: usize, salt: u64) -> Vec<Damage> {
+        let draw = |k: u64| splitmix64(salt ^ splitmix64(k));
+        let mut all: Vec<Damage> = (0..=n_lines).map(Damage::KeepLines).collect();
+        all.extend((0..64).map(|k| Damage::Cut(draw(k))));
+        all.extend((64..128).map(|k| {
+            let h = draw(k);
+            Damage::Flip(h, (h >> 56) as u8 | 1)
+        }));
+        all
+    }
+
+    fn damage(text: &str, d: Damage) -> Vec<u8> {
+        let bytes = text.as_bytes();
+        match d {
+            Damage::KeepLines(n) => {
+                text.split_inclusive('\n').take(n).flat_map(str::bytes).collect()
+            }
+            Damage::Cut(h) => bytes[..(h % bytes.len() as u64) as usize].to_vec(),
+            Damage::Flip(h, mask) => {
+                let mut out = bytes.to_vec();
+                out[(h % bytes.len() as u64) as usize] ^= mask;
+                out
+            }
+        }
+    }
+
+    /// Decodes every damaged variant of `shard` with `decode` (which
+    /// must return rather than panic) and returns how many decoded.
+    fn decode_damaged<T>(
+        shard: &str,
+        salt: u64,
+        decode: impl Fn(&mut std::str::Lines<'_>) -> Result<(u64, T), CheckpointError>,
+    ) -> usize {
+        let variants = damages(shard.lines().count(), salt);
+        let ok = variants
+            .iter()
+            .filter(|&&d| {
+                let text = String::from_utf8_lossy(&damage(shard, d)).into_owned();
+                let mut lines = text.lines();
+                lines.next().is_some() && decode(&mut lines).is_ok()
+            })
+            .count();
+        assert!(ok >= 1 && ok < variants.len(), "{ok} of {} variants decoded", variants.len());
+        ok
+    }
+
+    /// A completed, telemetry-carrying seed small enough to damage a
+    /// few hundred ways.
+    fn small_batch() -> BatchConfig {
+        BatchConfig { level: TelemetryLevel::Summary, ..faulty_batch(1) }
+    }
+
+    fn shard_text(encode: impl FnOnce(&mut String)) -> String {
+        let mut text = schema_header();
+        text.push('\n');
+        encode(&mut text);
+        text
+    }
+
+    #[test]
+    fn decoders_never_panic_on_damaged_shards() {
+        let report = run_batch(&small_batch());
+        assert!(matches!(report.outcomes[0], SeedOutcome::Completed(_)));
+        let sim = shard_text(|t| encode_seed_outcome(0, &report.outcomes[0], t));
+        assert!(sim.contains(r#""type":"telemetry""#), "the shard carries a snapshot");
+        decode_damaged(&sim, 1, |l| decode_seed_outcome(l));
+
+        let net = crate::batch::run_net_batch(&net_faulty_batch(1));
+        let net_shard = shard_text(|t| encode_net_seed_outcome(0, &net.outcomes[0], t));
+        decode_damaged(&net_shard, 2, |l| decode_net_seed_outcome(l));
+
+        // A count at the 2^53 limit must run out of lines, not size an
+        // allocation.
+        let huge = |text: &str, key: &str| {
+            let at = text.find(key).expect("count field") + key.len();
+            let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).expect("digits end");
+            format!("{}9007199254740992{}", &text[..at], &text[end..])
+        };
+        let sim = huge(&sim, r#""sources":"#);
+        assert!(decode_seed_outcome(&mut sim.lines().skip(1)).is_err());
+        let net_shard = huge(&net_shard, r#""switches":"#);
+        assert!(decode_net_seed_outcome(&mut net_shard.lines().skip(1)).is_err());
+    }
+
+    #[test]
+    fn resume_restores_exactly_the_damaged_shards_that_decode() {
+        let base = small_batch();
+        let outcome = run_batch(&base).outcomes.remove(0);
+        let intact = shard_text(|t| encode_seed_outcome(0, &outcome, t));
+        let variants = damages(intact.lines().count(), 3);
+        let cfg = BatchConfig { seeds: (0..variants.len() as u64).collect(), ..base };
+        let dir = scratch("damaged");
+        drop(BatchCheckpoint::create(&dir, &cfg).expect("create"));
+        let mut acks = String::new();
+        let mut want = Vec::new();
+        for (seed, &d) in (0u64..).zip(&variants) {
+            let bytes = damage(&shard_text(|t| encode_seed_outcome(seed, &outcome, t)), d);
+            let decodes = std::str::from_utf8(&bytes)
+                .ok()
+                .and_then(|t| decode_shard(t, seed, |l| decode_seed_outcome(l)))
+                .is_some();
+            if decodes {
+                want.push(seed);
+            }
+            fs::write(dir.join(shard_name(seed)), &bytes).expect("write shard");
+            let mut line = String::from(r#"{"type":"done""#);
+            put_split_u64(&mut line, "seed", seed);
+            acks.push_str(&line);
+            acks.push_str("}\n");
+        }
+        let mut manifest =
+            fs::OpenOptions::new().append(true).open(dir.join(MANIFEST_FILE)).expect("manifest");
+        manifest.write_all(acks.as_bytes()).expect("append acks");
+        drop(manifest);
+        let ck = BatchCheckpoint::resume(&dir, &cfg).expect("resume");
+        assert_eq!(ck.restored_seeds(), want);
+        assert!(want.len() > 1 && want.len() < variants.len(), "{} restored", want.len());
+        let _ = fs::remove_dir_all(&dir);
     }
 }

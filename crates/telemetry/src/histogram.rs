@@ -18,6 +18,8 @@ pub const SUB_PER_OCTAVE: usize = 1 << SUB_BITS;
 const MIN_EXP: i32 = -128;
 /// Highest tracked binary exponent (`2^127 ≈ 1.7e38`).
 const MAX_EXP: i32 = 127;
+/// Number of buckets a histogram can ever use.
+pub(crate) const BUCKET_COUNT: usize = (MAX_EXP - MIN_EXP + 1) as usize * SUB_PER_OCTAVE;
 
 /// A log-linear histogram over non-negative finite samples.
 ///

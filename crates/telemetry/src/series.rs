@@ -13,6 +13,8 @@
 //! switch, rate per flow, Fb per source — and merges across worker
 //! shards like the histogram registry does.
 
+use std::collections::BTreeMap;
+
 /// Default number of points a series retains.
 ///
 /// 512 points is enough to draw a 760-px-wide timeline lane without
@@ -20,7 +22,7 @@
 pub const SERIES_CAPACITY: usize = 512;
 
 /// What quantity a series tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SeriesKind {
     /// Queue occupancy (bits), keyed by switch/queue index.
     QueueDepth,
@@ -183,13 +185,15 @@ impl TimeSeries {
 
 /// A set of [`TimeSeries`] keyed by `(kind, entity)`.
 ///
-/// Lookup is a linear scan: banks hold one series per switch, flow, or
-/// source, so entries stay in the single digits and a scan beats a hash
-/// on the hot path. Iteration follows first-record order, which the
-/// seed-ordered batch merge keeps deterministic across thread counts.
+/// Lookup goes through an ordered index, so recording stays cheap when a
+/// fabric run keeps one series per flow for thousands of flows.
+/// Iteration follows first-record order, which the seed-ordered batch
+/// merge keeps deterministic across thread counts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SeriesBank {
     entries: Vec<(SeriesKind, u32, TimeSeries)>,
+    /// Position in `entries` of each key's first series.
+    index: BTreeMap<(SeriesKind, u32), usize>,
 }
 
 impl SeriesBank {
@@ -203,21 +207,18 @@ impl SeriesBank {
     /// [`SERIES_CAPACITY`] on first use.
     #[inline]
     pub fn record(&mut self, kind: SeriesKind, entity: u32, t: f64, v: f64) {
-        if let Some((_, _, s)) =
-            self.entries.iter_mut().find(|(k, e, _)| *k == kind && *e == entity)
-        {
-            s.record(t, v);
-        } else {
-            let mut s = TimeSeries::default();
-            s.record(t, v);
-            self.entries.push((kind, entity, s));
+        let next = self.entries.len();
+        let i = *self.index.entry((kind, entity)).or_insert(next);
+        if i == next {
+            self.entries.push((kind, entity, TimeSeries::default()));
         }
+        self.entries[i].2.record(t, v);
     }
 
     /// The series for `(kind, entity)`, if any samples were recorded.
     #[must_use]
     pub fn get(&self, kind: SeriesKind, entity: u32) -> Option<&TimeSeries> {
-        self.entries.iter().find(|(k, e, _)| *k == kind && *e == entity).map(|(_, _, s)| s)
+        self.index.get(&(kind, entity)).map(|&i| &self.entries[i].2)
     }
 
     /// Iterates `(kind, entity, series)` in first-record order.
@@ -241,6 +242,7 @@ impl SeriesBank {
     /// restore; insertion order must follow the snapshot to reproduce
     /// first-record iteration order).
     pub(crate) fn insert(&mut self, kind: SeriesKind, entity: u32, series: TimeSeries) {
+        self.index.entry((kind, entity)).or_insert(self.entries.len());
         self.entries.push((kind, entity, series));
     }
 
@@ -248,12 +250,10 @@ impl SeriesBank {
     /// point-wise, unmatched shard series are appended.
     pub fn merge(&mut self, other: &SeriesBank) {
         for (kind, entity, shard) in other.iter() {
-            if let Some((_, _, s)) =
-                self.entries.iter_mut().find(|(k, e, _)| *k == kind && *e == entity)
-            {
-                s.merge(shard);
+            if let Some(&i) = self.index.get(&(kind, entity)) {
+                self.entries[i].2.merge(shard);
             } else {
-                self.entries.push((kind, entity, shard.clone()));
+                self.insert(kind, entity, shard.clone());
             }
         }
     }

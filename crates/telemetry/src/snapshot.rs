@@ -22,6 +22,7 @@
 //! bases stay far below that, and the decoder rejects anything bigger
 //! rather than silently rounding.
 
+use crate::histogram::BUCKET_COUNT;
 use crate::jsonl::{fmt_num, parse_scalars, JsonlError, Scalar};
 use crate::series::TimeSeries;
 use crate::trace::EventTrace;
@@ -179,6 +180,9 @@ pub fn snapshot_from_jsonl<'a, I: Iterator<Item = &'a str>>(
     let level: TelemetryLevel =
         field(&header, "level")?.as_str("level")?.parse().map_err(JsonlError)?;
     let capacity = field(&header, "trace_capacity")?.as_u64("trace_capacity")? as usize;
+    if capacity == 0 {
+        return Err(JsonlError("snapshot trace capacity must be positive".into()));
+    }
     let overwritten = field(&header, "trace_overwritten")?.as_u64("trace_overwritten")?;
     let next_span_id = field(&header, "next_span_id")?.as_u64("next_span_id")?;
     let n_counters = field(&header, "counters")?.as_u64("counters")?;
@@ -188,7 +192,9 @@ pub fn snapshot_from_jsonl<'a, I: Iterator<Item = &'a str>>(
     let n_spans = field(&header, "open_spans")?.as_u64("open_spans")?;
     let n_events = field(&header, "events")?.as_u64("events")?;
 
-    let mut tel = Telemetry::with_trace_capacity(level, capacity);
+    // The ring is rebuilt at `capacity` below; building the sink with a
+    // one-slot ring keeps a damaged capacity from reserving memory.
+    let mut tel = Telemetry::with_trace_capacity(level, 1);
     // Registering in snapshot order reproduces the original registration
     // order exactly: the core ids laid down by the constructor are a
     // prefix of every snapshot taken by this build, and any custom
@@ -219,6 +225,9 @@ pub fn snapshot_from_jsonl<'a, I: Iterator<Item = &'a str>>(
         expect_type(&rec, "histogram")?;
         let name = field(&rec, "name")?.as_str("name")?.to_string();
         let bucket_len = field(&rec, "bucket_len")?.as_u64("bucket_len")? as usize;
+        if bucket_len > BUCKET_COUNT {
+            return Err(JsonlError(format!("histogram `{name}`: {bucket_len} buckets")));
+        }
         let mut buckets = vec![0u64; bucket_len];
         let packed = field(&rec, "buckets")?.as_str("buckets")?;
         for pair in packed.split(',').filter(|p| !p.is_empty()) {
@@ -258,8 +267,12 @@ pub fn snapshot_from_jsonl<'a, I: Iterator<Item = &'a str>>(
                 .ok_or_else(|| JsonlError(format!("bad series point `{pair}`")))?;
             points.push((parse_num(t, "series time")?, parse_num(v, "series value")?));
         }
+        let series_capacity = field(&rec, "capacity")?.as_u64("capacity")? as usize;
+        if series_capacity < 2 {
+            return Err(JsonlError(format!("series capacity {series_capacity} is below 2")));
+        }
         let series = TimeSeries::from_parts(
-            field(&rec, "capacity")?.as_u64("capacity")? as usize,
+            series_capacity,
             field(&rec, "stride")?.as_u64("stride")?,
             field(&rec, "offered")?.as_u64("offered")?,
             points,
@@ -413,5 +426,17 @@ mod tests {
         // A non-snapshot first record is rejected.
         let mut lines = std::iter::once(r#"{"type":"schema","version":2}"#);
         assert!(snapshot_from_jsonl(&mut lines).is_err());
+        // Sizes no sink can have are rejected before anything is built
+        // or allocated from them.
+        for (key, v) in [
+            (r#""trace_capacity":"#, "0"),
+            (r#""bucket_len":"#, "9007199254740992"),
+            (r#""capacity":"#, "1"),
+        ] {
+            let at = doc.find(key).expect("field present") + key.len();
+            let end = at + doc[at..].find(|c: char| !c.is_ascii_digit()).expect("digits end");
+            let bad = format!("{}{v}{}", &doc[..at], &doc[end..]);
+            assert!(snapshot_from_jsonl(&mut bad.lines()).is_err(), "accepted {key}{v}");
+        }
     }
 }

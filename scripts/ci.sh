@@ -198,6 +198,30 @@ out=$(./target/release/dcebcn batch $kr_flags --checkpoint-dir "$kr_dir/ckpt" \
 echo "$out" | grep -q "supervision: 48 seed(s) restored from checkpoint"
 cmp "$kr_dir/clean.csv" "$kr_dir/resumed2.csv"
 
+echo "== fabric kill-and-resume smoke (net shards, byte-identical artifact) =="
+# The same check on a leaf-spine incast batch, whose shards go through
+# the network-outcome codec.
+fk_dir=$(mktemp -d)
+fk_flags="--topo leaf-spine:leaves=4,spines=2,hosts-per-leaf=8 --traffic incast:senders=16
+  --seeds 64 --t-end 0.1 --faults feedback-loss=0.1,seed=9"
+./target/release/dcebcn batch $fk_flags --out "$fk_dir/clean.csv" >/dev/null
+./target/release/dcebcn batch $fk_flags --checkpoint-dir "$fk_dir/ckpt" \
+  --out "$fk_dir/killed.csv" >/dev/null 2>&1 &
+fk_pid=$!
+sleep 0.3
+kill -9 "$fk_pid" 2>/dev/null || true
+wait "$fk_pid" 2>/dev/null || true
+./target/release/dcebcn batch $fk_flags --checkpoint-dir "$fk_dir/ckpt" \
+  --resume --out "$fk_dir/resumed.csv" >/dev/null
+cmp "$fk_dir/clean.csv" "$fk_dir/resumed.csv"
+out=$(./target/release/dcebcn batch $fk_flags --checkpoint-dir "$fk_dir/ckpt" \
+  --resume --out "$fk_dir/resumed2.csv")
+echo "$out" | grep -q "supervision: 64 seed(s) restored from checkpoint"
+cmp "$fk_dir/clean.csv" "$fk_dir/resumed2.csv"
+
+echo "== perfbench build (the benchmark still compiles against the public API) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== replay smoke (postmortem dumps re-run deterministically) =="
 # The quarantine smoke's postmortem embeds the seeded config and fault
 # plan; replay must re-run it and reproduce the recorded panic.
