@@ -237,7 +237,8 @@ impl SaturatingFluid {
     ///
     /// # Panics
     ///
-    /// Panics if `dt` or `t_end` are non-positive, or `record_every` is 0.
+    /// Panics if `dt` or `t_end` are non-positive, `t_end` is not finite,
+    /// or `record_every` is 0.
     #[must_use]
     pub fn run(
         &self,
@@ -247,15 +248,11 @@ impl SaturatingFluid {
         dt: f64,
         record_every: usize,
     ) -> SaturatingRun {
-        assert!(dt > 0.0 && t_end > 0.0, "time step and horizon must be positive");
+        let n_steps = step_count(t_end, dt);
         assert!(record_every > 0, "record_every must be at least 1");
-        let p = &self.params;
-        let b_total = p.buffer;
-        let cap = p.capacity;
-        let k = p.k();
-        let n_steps = (t_end / dt).ceil() as usize;
+        let r = Recurrence::new(&self.params, self.linearity);
 
-        let mut q = q_init.clamp(0.0, b_total);
+        let mut q = q_init.clamp(0.0, r.buffer);
         let mut rate = rate_init.max(0.0);
         let mut dropped = 0.0;
         let mut idle = 0.0;
@@ -271,38 +268,13 @@ impl SaturatingFluid {
         rates.push(rate);
 
         for step in 1..=n_steps {
-            // Unclamped queue drift and its saturated (physical) version.
-            let drift = rate - cap;
-            let q_dot = if (q <= 0.0 && drift < 0.0) || (q >= b_total && drift > 0.0) {
-                0.0
-            } else {
-                drift
-            };
-            // Congestion measure from the *observed* queue dynamics.
-            let sigma = (p.q0 - q) - k * q_dot;
-            // Rate law (Eq. 7), scaled to the aggregate rate R = N r:
-            // dR/dt = a sigma (increase) or b sigma R (decrease).
-            let rate_dot = if sigma > 0.0 {
-                p.a() * sigma
-            } else {
-                p.b()
-                    * sigma
-                    * match self.linearity {
-                        Linearity::FullNonlinear => rate,
-                        Linearity::Linearized => cap,
-                    }
-            };
-
-            // Accounting.
-            if q >= b_total && drift > 0.0 {
-                dropped += drift * dt;
-            }
-            if q <= 0.0 && drift < 0.0 {
-                idle += -drift * dt;
-            }
-
-            q = (q + q_dot * dt).clamp(0.0, b_total);
-            rate = (rate + rate_dot * dt).max(0.0);
+            let s = r.step(q, rate, dt);
+            // Both increments are +0.0 off the walls, which leaves the
+            // non-negative sums bitwise unchanged.
+            dropped += s.dropped;
+            idle += s.idle;
+            q = s.q;
+            rate = s.rate;
             if q > 0.0 {
                 started = true;
             }
@@ -333,11 +305,188 @@ impl SaturatingFluid {
     /// region's rotation period.
     #[must_use]
     pub fn run_canonical(&self, t_end: f64) -> SaturatingRun {
-        let p = &self.params;
-        let beta_fast = (p.a().max(p.b() * p.capacity)).sqrt();
-        let dt = (0.002 / beta_fast).min(t_end / 1000.0);
+        let dt = canonical_dt(&self.params, t_end);
         let record_every = ((t_end / dt / 4000.0).ceil() as usize).max(1);
-        self.run(0.0, p.capacity, t_end, dt, record_every)
+        self.run(0.0, self.params.capacity, t_end, dt, record_every)
+    }
+}
+
+/// The Euler step [`SaturatingFluid::run_canonical`] takes over a
+/// `t_end` horizon.
+fn canonical_dt(p: &BcnParams, t_end: f64) -> f64 {
+    let beta_fast = (p.a().max(p.b() * p.capacity)).sqrt();
+    (0.002 / beta_fast).min(t_end / 1000.0)
+}
+
+/// The number of Euler steps of size `dt` that cover `t_end`.
+///
+/// # Panics
+///
+/// Panics if `dt` or `t_end` are non-positive or `t_end` is not finite
+/// (an infinite horizon would saturate the count and never return).
+fn step_count(t_end: f64, dt: f64) -> usize {
+    assert!(
+        dt > 0.0 && t_end > 0.0 && t_end.is_finite(),
+        "time step and horizon must be positive and finite"
+    );
+    (t_end / dt).ceil() as usize
+}
+
+/// The coefficients of the saturating model's forward-Euler recurrence,
+/// read out of [`BcnParams`] once per run rather than once per step.
+#[derive(Debug, Clone, Copy, Default)]
+struct Recurrence {
+    buffer: f64,
+    cap: f64,
+    q0: f64,
+    k: f64,
+    a: f64,
+    b: f64,
+    linearity: Linearity,
+}
+
+/// One Euler step: the next state and the step's drop and idle volumes
+/// (`+0.0` unless the queue sits on the matching wall).
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    q: f64,
+    rate: f64,
+    dropped: f64,
+    idle: f64,
+}
+
+impl Recurrence {
+    fn new(p: &BcnParams, linearity: Linearity) -> Self {
+        Self {
+            buffer: p.buffer,
+            cap: p.capacity,
+            q0: p.q0,
+            k: p.k(),
+            a: p.a(),
+            b: p.b(),
+            linearity,
+        }
+    }
+
+    /// The recurrence itself — the one definition both
+    /// [`SaturatingFluid::run`] and [`drop_verdicts_lockstep`] step.
+    #[inline]
+    fn step(&self, q: f64, rate: f64, dt: f64) -> Step {
+        // Unclamped queue drift and its saturated (physical) version.
+        let drift = rate - self.cap;
+        let full = q >= self.buffer && drift > 0.0;
+        let empty = q <= 0.0 && drift < 0.0;
+        let q_dot = if full || empty { 0.0 } else { drift };
+        // Congestion measure from the *observed* queue dynamics.
+        let sigma = (self.q0 - q) - self.k * q_dot;
+        // Rate law (Eq. 7), scaled to the aggregate rate R = N r:
+        // dR/dt = a sigma (increase) or b sigma R (decrease).
+        let rate_dot = if sigma > 0.0 {
+            self.a * sigma
+        } else {
+            self.b
+                * sigma
+                * match self.linearity {
+                    Linearity::FullNonlinear => rate,
+                    Linearity::Linearized => self.cap,
+                }
+        };
+        Step {
+            q: (q + q_dot * dt).clamp(0.0, self.buffer),
+            rate: (rate + rate_dot * dt).max(0.0),
+            dropped: if full { drift * dt } else { 0.0 },
+            idle: if empty { -drift * dt } else { 0.0 },
+        }
+    }
+}
+
+/// Cells [`drop_verdicts_lockstep`] steps side by side. Each step is a
+/// serial `rate -> sigma -> rate` dependency chain; interleaving four
+/// independent chains lets the core overlap their latencies.
+const LANES: usize = 4;
+
+/// Steps the lanes take between checks for a drop or a finished horizon.
+/// A lane may run up to this many steps past its first drop; the verdict
+/// is already settled then, so the cost is bounded and the answer exact.
+const BLOCK: usize = 256;
+
+/// One kernel lane: a cell's state while it is being stepped. The
+/// all-zero default is an idle lane; stepping it keeps every value zero.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    r: Recurrence,
+    q: f64,
+    rate: f64,
+    dt: f64,
+    /// Steps left in the cell's horizon; 0 marks an idle lane.
+    left: usize,
+    dropped: bool,
+    cell: usize,
+}
+
+impl Lane {
+    /// Loads `cell` at the canonical start of [`SaturatingFluid::run_canonical`].
+    fn start(model: &SaturatingFluid, t_end: f64, cell: usize) -> Self {
+        let p = &model.params;
+        let dt = canonical_dt(p, t_end);
+        let r = Recurrence::new(p, model.linearity);
+        Self {
+            left: step_count(t_end, dt),
+            q: 0.0_f64.clamp(0.0, r.buffer),
+            rate: p.capacity.max(0.0),
+            r,
+            dt,
+            dropped: false,
+            cell,
+        }
+    }
+}
+
+/// Whether `cells[i].0.run_canonical(cells[i].1)` drops bits, for every
+/// `i`, without building the trajectories.
+///
+/// Dropped bits only accumulate, so a cell's verdict is settled at its
+/// first step with a positive drop volume; the kernel retires the cell
+/// there, or at the end of its horizon, and refills the lane with the
+/// next cell. Each lane runs exactly the step sequence of
+/// [`SaturatingFluid::run`], so the verdicts equal `has_drops()` bit for
+/// bit.
+///
+/// # Panics
+///
+/// Panics like [`SaturatingFluid::run_canonical`] on a non-positive or
+/// non-finite horizon.
+pub(crate) fn drop_verdicts_lockstep(cells: &[(SaturatingFluid, f64)]) -> Vec<bool> {
+    let mut out = vec![false; cells.len()];
+    let mut next = 0;
+    let mut lanes = [Lane::default(); LANES];
+    loop {
+        for lane in &mut lanes {
+            if lane.left == 0 && next < cells.len() {
+                let (model, t_end) = &cells[next];
+                *lane = Lane::start(model, *t_end, next);
+                next += 1;
+            }
+        }
+        let Some(block) = lanes.iter().filter(|l| l.left > 0).map(|l| l.left.min(BLOCK)).min()
+        else {
+            return out;
+        };
+        for _ in 0..block {
+            for lane in &mut lanes {
+                let s = lane.r.step(lane.q, lane.rate, lane.dt);
+                lane.q = s.q;
+                lane.rate = s.rate;
+                lane.dropped |= s.dropped > 0.0;
+            }
+        }
+        for lane in lanes.iter_mut().filter(|l| l.left > 0) {
+            lane.left -= block;
+            if lane.dropped || lane.left == 0 {
+                out[lane.cell] = lane.dropped;
+                *lane = Lane::default();
+            }
+        }
     }
 }
 
@@ -515,5 +664,95 @@ mod tests {
     fn rejects_bad_step() {
         let p = params();
         let _ = SaturatingFluid::new(p).run(0.0, 1.0, -1.0, 1e-3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive")]
+    fn rejects_infinite_horizon() {
+        // An infinite horizon used to saturate the step count and loop
+        // without end.
+        let _ = SaturatingFluid::new(params()).run_canonical(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive")]
+    fn kernel_rejects_infinite_horizon() {
+        let model = SaturatingFluid::linearized(params());
+        let _ = stability::fluid_drop_verdicts(&[(model, f64::INFINITY)]);
+    }
+
+    /// The reference verdict: the full trajectory's drop count.
+    fn oracle(cells: &[(SaturatingFluid, f64)]) -> Vec<bool> {
+        cells.iter().map(|(m, h)| m.run_canonical(*h).has_drops()).collect()
+    }
+
+    /// Gain pairs around the defaults at a tight and a roomy buffer, some
+    /// of which drop and some of which do not, with uneven horizons so
+    /// lanes finish out of step.
+    fn mixed_cells(linearity: Linearity) -> Vec<(SaturatingFluid, f64)> {
+        let mut cells = Vec::new();
+        for (i, buffer) in [p_tight(), 3.0e5].into_iter().enumerate() {
+            for (j, scale) in [0.25, 1.0, 4.0].into_iter().enumerate() {
+                let p = params().with_buffer(buffer).with_gi(params().gi * scale);
+                let model = SaturatingFluid { params: p, linearity };
+                cells.push((model, 0.2 + 0.15 * (i + 2 * j) as f64));
+            }
+        }
+        cells
+    }
+
+    #[test]
+    fn drop_kernel_matches_full_runs_for_both_linearities() {
+        for linearity in [Linearity::Linearized, Linearity::FullNonlinear] {
+            let cells = mixed_cells(linearity);
+            let expected = oracle(&cells);
+            assert!(expected.contains(&true) && expected.contains(&false), "{expected:?}");
+            assert_eq!(stability::fluid_drop_verdicts(&cells), expected, "{linearity:?}");
+        }
+    }
+
+    #[test]
+    fn drop_kernel_refills_lanes_at_every_batch_length() {
+        // 0 and 1 leave lanes idle; 3 never fills them; 5 and 9 refill
+        // lanes and end on a short tail.
+        let pool = mixed_cells(Linearity::Linearized);
+        let pool = [pool.clone(), pool].concat();
+        let expected = oracle(&pool);
+        for len in [0, 1, 3, 5, 9] {
+            let cells = &pool[pool.len() - len..];
+            let want = &expected[pool.len() - len..];
+            assert_eq!(drop_verdicts_lockstep(cells), want, "batch of {len}");
+            assert_eq!(stability::fluid_drop_verdicts(cells), want, "batch of {len}");
+        }
+    }
+
+    #[test]
+    fn drop_kernel_horizon_cut_at_the_first_drop_step() {
+        // A slow increase law takes well over 1000 steps to reach the
+        // tight buffer, so the canonical step is the same for every cut.
+        let p = params().with_buffer(p_tight()).with_gi(params().gi * 0.25);
+        let model = SaturatingFluid::linearized(p.clone());
+        let dt = canonical_dt(&p, 4.0);
+        // A horizon of `n - 0.5` steps rounds up to exactly `n` steps.
+        let horizon = |n: usize| (n as f64 - 0.5) * dt;
+        let drops = |n: usize| model.run_canonical(horizon(n)).has_drops();
+        // Bisect for the first step with dropped bits: no drops in `lo`
+        // steps, drops in `hi`.
+        let (mut lo, mut hi) = (1001, step_count(4.0, dt));
+        assert!(!drops(lo) && drops(hi), "cell must first drop after step {lo}");
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if drops(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        for (n, want) in [(hi, true), (hi - 1, false)] {
+            assert_eq!(canonical_dt(&p, horizon(n)), dt);
+            assert_eq!(step_count(horizon(n), dt), n);
+            let cells = [(model.clone(), horizon(n))];
+            assert_eq!(stability::fluid_drop_verdicts(&cells), [want], "horizon of {n} steps");
+        }
     }
 }

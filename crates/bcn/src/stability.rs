@@ -15,7 +15,8 @@
 //!
 //! Alongside the criteria this module provides [`exact_verdict`], the
 //! ground-truth check obtained by tracing the actual switched trajectory,
-//! used by the criterion-tightness experiments.
+//! and [`fluid_drop_verdicts`], the drop check of the buffer-saturating
+//! fluid model; the criterion-tightness experiments use both.
 
 use crate::cases::RegionShape;
 use crate::cases::{classify_params, region_shape, CaseId};
@@ -24,6 +25,7 @@ use crate::model::Region;
 use crate::params::BcnParams;
 use crate::propagate::Propagator;
 use crate::rounds::{first_round, trace_legs, trace_legs_into, FirstRound, Leg};
+use crate::simulate::{drop_verdicts_lockstep, SaturatingFluid};
 
 /// Why the criterion declares a system strongly stable.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -355,6 +357,30 @@ pub fn exact_verdicts(params_list: &[BcnParams], max_legs: usize) -> Vec<ExactVe
         let p = &params_list[i];
         exact_verdict_scratch(p, &Propagator::for_params(p), max_legs, legs)
     })
+}
+
+/// Cells one worker hands to the lockstep drop kernel at a time: enough
+/// to keep its lanes refilled past a long cell, few enough that the
+/// `parkit` deal still balances the workers.
+const DROP_CHUNK: usize = 32;
+
+/// Whether each cell's saturating fluid run drops bits: verdict `i` is
+/// `cells[i].0.run_canonical(cells[i].1).has_drops()`, bit for bit.
+///
+/// This is the buffer-overflow ground truth the criterion atlases audit
+/// Theorem 1 against. Only the drop bit is needed, so no trajectory is
+/// built: each cell stops at its first dropped bit, and within a chunk
+/// the cells are stepped four at a time in lockstep. Chunks fan out
+/// across the configured `parkit` worker count; every verdict is a pure
+/// function of its cell, so the output is identical at any width.
+///
+/// # Panics
+///
+/// Panics if a horizon is non-positive or not finite.
+#[must_use]
+pub fn fluid_drop_verdicts(cells: &[(SaturatingFluid, f64)]) -> Vec<bool> {
+    let chunks: Vec<_> = cells.chunks(DROP_CHUNK).collect();
+    parkit::par_map(&chunks, |chunk| drop_verdicts_lockstep(chunk)).concat()
 }
 
 #[cfg(test)]

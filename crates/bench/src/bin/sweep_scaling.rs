@@ -1,10 +1,9 @@
 //! Parallel-sweep scaling check for the atlas engine.
 //!
-//! Times [`compute_atlas`] at 1/2/4/8 worker threads, verifies the
+//! Times [`compute_atlas`] at 1/2/4/8 worker threads and verifies the
 //! rendered CSV is byte-identical at every width (the `parkit`
-//! determinism contract), and quantifies what hoisting the per-cell
-//! `BcnParams` allocation saves. Results land in `BENCH_sweeps.json`
-//! under the usual results directory.
+//! determinism contract). Results land in `BENCH_sweeps.json` under the
+//! usual results directory.
 //!
 //! Speedup is hardware-bound: on an M-core machine the atlas cannot
 //! scale past M, so the wall-clock table is informational — the run
@@ -17,7 +16,6 @@
 //! Environment knobs: `DCE_BCN_SWEEP_GRID` (atlas side length, default
 //! 64), `DCE_BCN_SWEEP_REPS` (timing repetitions, default 3).
 
-use std::hint::black_box;
 use std::time::Instant;
 
 use bcn::BcnParams;
@@ -73,29 +71,6 @@ fn time_atlas(base: &BcnParams, grid: usize, threads: usize, reps: usize) -> (f6
     (best, cells)
 }
 
-/// Per-cell parameter-construction cost: the builder chain the atlas
-/// used to run (one clone per cell) vs the hoisted scratch mutation it
-/// runs now. Returns (chain_ns, scratch_ns) per cell.
-fn param_construction_delta(base: &BcnParams, cells: usize) -> (f64, f64) {
-    let gis: Vec<f64> = (0..cells).map(|i| base.gi * (1.0 + 1e-6 * i as f64)).collect();
-    let t0 = Instant::now();
-    for &gi in &gis {
-        black_box(base.clone().with_gi(gi).with_gd(base.gd));
-    }
-    let chain = t0.elapsed().as_secs_f64();
-    let mut scratch = base.clone();
-    let t0 = Instant::now();
-    for &gi in &gis {
-        scratch.gi = gi;
-        scratch.gd = base.gd;
-        black_box(&scratch);
-    }
-    let scratch_t = t0.elapsed().as_secs_f64();
-    let per = 1e9 / cells as f64;
-    (chain * per, scratch_t * per)
-}
-
-#[allow(clippy::too_many_lines)]
 fn main() {
     let grid = env_usize("DCE_BCN_SWEEP_GRID", 64);
     let reps = env_usize("DCE_BCN_SWEEP_REPS", 3);
@@ -133,13 +108,6 @@ fn main() {
         eprintln!("FAIL: atlas CSV differs across thread counts — determinism contract broken");
     }
 
-    let (chain_ns, scratch_ns) = param_construction_delta(&base, (grid * grid).max(10_000));
-    println!(
-        "per-cell parameter setup: builder chain {chain_ns:.1} ns vs hoisted scratch \
-         {scratch_ns:.1} ns ({:.1}x cheaper)",
-        chain_ns / scratch_ns.max(1e-9)
-    );
-
     // Hand-rolled JSON (the workspace has no serde): flat and stable.
     let times_json: Vec<String> = THREAD_COUNTS
         .iter()
@@ -162,7 +130,6 @@ fn main() {
     let json = format!(
         "{{\n  \"grid\": {grid},\n  \"reps\": {reps},\n  \"cores\": {cores},\n  \
          \"runs\": [{}],\n  \"csv_identical\": {csv_identical},\n  \
-         \"param_setup_ns\": {{\"builder_chain\": {chain_ns:.2}, \"hoisted_scratch\": {scratch_ns:.2}}},\n  \
          \"note\": \"{note}\"\n}}\n",
         times_json.join(", ")
     );

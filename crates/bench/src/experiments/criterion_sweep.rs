@@ -19,7 +19,7 @@ use std::path::Path;
 
 use bcn::cases::classify_params;
 use bcn::simulate::SaturatingFluid;
-use bcn::stability::{criterion, exact_verdict, theorem1_holds};
+use bcn::stability::{criterion, exact_verdict, fluid_drop_verdicts, theorem1_holds};
 use bcn::{linear_baseline, BcnParams};
 use plotkit::{Csv, Table};
 
@@ -76,13 +76,14 @@ pub fn atlas_params(base: &BcnParams, n: usize) -> Vec<BcnParams> {
 
 /// Computes the atlas on an `n x n` log-spaced gain grid.
 ///
-/// Cells are classified in parallel across the configured `parkit`
-/// worker count, each worker reusing one scratch [`BcnParams`] instead
-/// of rebuilding the parameter struct per cell; every cell is a pure
-/// function of its grid index, so the atlas is identical (bitwise) at
-/// any thread count. The exact verdict runs on the semi-analytic
-/// propagator (`bcn::propagate`), so per-cell cost is dominated by the
-/// saturating-fluid drop check rather than trajectory integration.
+/// The saturating-fluid drop check runs first, as one batch through
+/// [`bcn::stability::fluid_drop_verdicts`], which stops each cell at its
+/// first dropped bit and steps cells in lockstep. The remaining verdicts
+/// (case, baseline, Theorem 1, case criterion and the exact verdict on
+/// the semi-analytic propagator) then fill the cells in parallel across
+/// the configured `parkit` worker count. Every cell is a pure function
+/// of its grid index, so the atlas is identical (bitwise) at any thread
+/// count.
 ///
 /// # Panics
 ///
@@ -96,39 +97,34 @@ pub fn compute_atlas(base: &BcnParams, n: usize) -> Vec<Cell> {
         n >= 2,
         "atlas grid must be at least 2x2 (got n = {n}); evaluate the base point directly instead"
     );
-    // Gi from 0.05x to 20x the base; Gd likewise (capped at 1).
-    let gis = gain_axis(base.gi, n);
-    let gds: Vec<f64> = gain_axis(base.gd, n).into_iter().map(|g| g.min(1.0)).collect();
-    parkit::par_map_init(
-        n * n,
-        || base.clone(),
-        |scratch, idx| {
-            let (i, j) = (idx / n, idx % n);
-            let (gi, gd) = (gis[i], gds[j]);
-            scratch.gi = gi;
-            scratch.gd = gd;
-            let p = &*scratch;
-            let case_no = match classify_params(p).case {
-                bcn::CaseId::Case1 => 1,
-                bcn::CaseId::Case2 => 2,
-                bcn::CaseId::Case3 => 3,
-                bcn::CaseId::Case4 => 4,
-                bcn::CaseId::Case5 => 5,
-            };
-            let exact = exact_verdict(p, 40);
-            let run = SaturatingFluid::linearized(p.clone()).run_canonical(fluid_horizon(p));
-            Cell {
-                gi,
-                gd,
-                case_no,
-                baseline: linear_baseline::analyze(p).overall_stable,
-                theorem1: theorem1_holds(p),
-                case_criterion: criterion(p).is_guaranteed(),
-                exact: exact.strongly_stable,
-                fluid_drops: run.has_drops(),
-            }
-        },
-    )
+    let fluid: Vec<(SaturatingFluid, f64)> = atlas_params(base, n)
+        .into_iter()
+        .map(|p| {
+            let horizon = fluid_horizon(&p);
+            (SaturatingFluid::linearized(p), horizon)
+        })
+        .collect();
+    let drops = fluid_drop_verdicts(&fluid);
+    parkit::par_map_indexed(fluid.len(), |idx| {
+        let p = fluid[idx].0.params();
+        let case_no = match classify_params(p).case {
+            bcn::CaseId::Case1 => 1,
+            bcn::CaseId::Case2 => 2,
+            bcn::CaseId::Case3 => 3,
+            bcn::CaseId::Case4 => 4,
+            bcn::CaseId::Case5 => 5,
+        };
+        Cell {
+            gi: p.gi,
+            gd: p.gd,
+            case_no,
+            baseline: linear_baseline::analyze(p).overall_stable,
+            theorem1: theorem1_holds(p),
+            case_criterion: criterion(p).is_guaranteed(),
+            exact: exact_verdict(p, 40).strongly_stable,
+            fluid_drops: drops[idx],
+        }
+    })
 }
 
 /// Simulation horizon for one cell: a few rounds of the slowest
@@ -176,7 +172,15 @@ pub fn run(out: &Path) -> ExpResult {
     csv.save(out.join("exp_criterion_sweep.csv"))?;
     println!("wrote {}", out.join("exp_criterion_sweep.csv").display());
 
-    // Aggregate shape checks.
+    print!("{}", summary_table(&cells));
+    if cells.iter().any(|c| (c.case_criterion || c.theorem1) && !c.exact) {
+        return Err("criterion approved an unstable cell — soundness violation".into());
+    }
+    Ok(())
+}
+
+/// The aggregate shape checks [`run`] prints, one row per metric.
+fn summary_table(cells: &[Cell]) -> Table {
     let total = cells.len();
     let count = |f: &dyn Fn(&Cell) -> bool| cells.iter().filter(|c| f(c)).count();
     let baseline_ok = count(&|c| c.baseline);
@@ -186,7 +190,8 @@ pub fn run(out: &Path) -> ExpResult {
     let unsound_crit = count(&|c| c.case_criterion && !c.exact);
     let unsound_thm1 = count(&|c| c.theorem1 && !c.exact);
     let baseline_false_pos = count(&|c| c.baseline && !c.exact);
-    let drops_agree = count(&|c| c.exact != c.fluid_drops);
+    // Agreement: strongly stable exactly when the buffer never overflows.
+    let exact_fluid_agree = count(&|c| c.exact != c.fluid_drops);
 
     let mut table = Table::new(&["metric", "count", "of"]);
     table.row(&["baseline [4] approves".into(), baseline_ok.to_string(), total.to_string()]);
@@ -202,15 +207,10 @@ pub fn run(out: &Path) -> ExpResult {
     ]);
     table.row(&[
         "exact verdict == fluid no-drop".into(),
-        (total - drops_agree).to_string(),
+        exact_fluid_agree.to_string(),
         total.to_string(),
     ]);
-    print!("{table}");
-
-    if unsound_crit > 0 || unsound_thm1 > 0 {
-        return Err("criterion approved an unstable cell — soundness violation".into());
-    }
-    Ok(())
+    table
 }
 
 /// Runs with the default output directory.
@@ -299,5 +299,70 @@ mod tests {
             "fluid/exact disagreement on {mismatches}/{} cells",
             cells.len()
         );
+    }
+
+    #[test]
+    fn summary_prints_the_exact_fluid_agreement_count() {
+        // Regression: the row once printed the disagreement count.
+        let stable = Cell {
+            gi: 1.0,
+            gd: 0.01,
+            case_no: 1,
+            baseline: true,
+            theorem1: true,
+            case_criterion: true,
+            exact: true,
+            fluid_drops: false,
+        };
+        let cells = [
+            stable,
+            Cell { exact: false, fluid_drops: true, ..stable },
+            Cell { fluid_drops: true, ..stable },
+        ];
+        let agree = cells.iter().filter(|c| c.exact != c.fluid_drops).count();
+        assert_eq!(agree, 2);
+        let table = summary_table(&cells).to_string();
+        let row = table
+            .lines()
+            .find(|l| l.contains("exact verdict == fluid no-drop"))
+            .expect("agreement row is printed");
+        let cols: Vec<&str> = row.split('|').map(str::trim).collect();
+        assert_eq!(cols[2], agree.to_string(), "{row}");
+        assert_eq!(cols[3], cells.len().to_string(), "{row}");
+    }
+
+    /// Drop verdicts of the full saturating trajectories, one per cell.
+    fn full_run_drops(cells: &[(SaturatingFluid, f64)]) -> Vec<bool> {
+        parkit::par_map(cells, |(m, h)| m.run_canonical(*h).has_drops())
+    }
+
+    fn atlas_cells(base: &BcnParams, n: usize) -> Vec<(SaturatingFluid, f64)> {
+        atlas_params(base, n)
+            .into_iter()
+            .map(|p| {
+                let h = fluid_horizon(&p);
+                (SaturatingFluid::linearized(p), h)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn drop_verdicts_equal_full_runs_on_every_atlas_cell() {
+        // The committed 13x13 atlas, and the repository benchmark's
+        // 16x16 atlas at its seeded buffers 1.5e5 * (1 + 0.05 u).
+        let mut atlases = vec![(1.5e5, 13)];
+        for seed in 1..=3 {
+            let u = (dcesim::faults::splitmix64(seed) >> 11) as f64 / (1u64 << 53) as f64;
+            atlases.push((1.5e5 * (1.0 + 0.05 * u), 16));
+        }
+        for (buffer, n) in atlases {
+            let base = BcnParams::test_defaults().with_buffer(buffer);
+            let cells = atlas_cells(&base, n);
+            let expected = full_run_drops(&cells);
+            assert!(expected.contains(&true) && expected.contains(&false));
+            assert_eq!(fluid_drop_verdicts(&cells), expected, "buffer {buffer}, {n}x{n}");
+            let atlas: Vec<bool> = compute_atlas(&base, n).iter().map(|c| c.fluid_drops).collect();
+            assert_eq!(atlas, expected, "buffer {buffer}, {n}x{n}");
+        }
     }
 }

@@ -32,6 +32,13 @@ echo "== fluid engine smoke (analytic vs DOPRI5 agreement) =="
 DCE_BCN_QUICK=1 DCE_BCN_RESULTS=$(mktemp -d) \
   cargo run --release -p bench --bin fluid_engine
 
+echo "== criterion atlas artifact gate (regenerates byte-identically) =="
+# The atlas is deterministic; any change to a verdict path that moves a
+# committed cell shows up as a byte diff.
+atlas_dir=$(mktemp -d)
+DCE_BCN_RESULTS="$atlas_dir" cargo run --release -p bench --bin exp_criterion_sweep
+cmp "$atlas_dir/exp_criterion_sweep.csv" results/exp_criterion_sweep.csv
+
 echo "== fault-injection smoke (Theorem 1 degradation gap + campaign resume) =="
 # Quick mode writes a reduced grid; keep it out of the committed results/.
 # Run once journalling every grid point, then resume from the populated
