@@ -671,6 +671,12 @@ pub struct NetBatchConfig {
     pub panic_seeds: Vec<u64>,
     /// Watchdog event budget per seed, counted in dispatched events so
     /// the verdict is deterministic. `None` disables it.
+    ///
+    /// A PAUSE assertion counts as one dispatched event per distinct
+    /// propagation delay among the asserting switch's incoming links
+    /// (one per assertion on a generated fabric), not one per paused
+    /// link; [`NetSim::events_popped`] and the `scheduler.*` telemetry
+    /// counters count the same way.
     pub max_events_per_seed: Option<u64>,
     /// Watchdog wall-clock deadline per seed in milliseconds (host
     /// dependent; backstop only). `None` disables it.

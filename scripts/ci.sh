@@ -39,6 +39,13 @@ atlas_dir=$(mktemp -d)
 DCE_BCN_RESULTS="$atlas_dir" cargo run --release -p bench --bin exp_criterion_sweep
 cmp "$atlas_dir/exp_criterion_sweep.csv" results/exp_criterion_sweep.csv
 
+echo "== fabric engine artifact gate (PAUSE HOL regenerates byte-identically) =="
+# exp_pause_hol is the only committed artifact the network engine
+# produces; any change to NetSim that moves an output bit shows up here.
+hol_dir=$(mktemp -d)
+DCE_BCN_RESULTS="$hol_dir" cargo run --release -p bench --bin exp_pause_hol
+cmp "$hol_dir/exp_pause_hol.csv" results/exp_pause_hol.csv
+
 echo "== fault-injection smoke (Theorem 1 degradation gap + campaign resume) =="
 # Quick mode writes a reduced grid; keep it out of the committed results/.
 # Run once journalling every grid point, then resume from the populated
