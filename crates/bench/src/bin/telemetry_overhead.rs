@@ -1,10 +1,9 @@
 //! Offline telemetry-overhead check.
 //!
-//! The Criterion benches (`benches/solvers.rs`) need a network fetch,
-//! so this binary provides the no-dependency version of the same
-//! guarantee: it integrates the paper's worked example repeatedly with
-//! (a) no telemetry argument, (b) an `Off` sink, (c) a `Summary` sink,
-//! and (d) a `Full` sink, and reports median wall times.
+//! A no-dependency timing check: it integrates the paper's worked
+//! example repeatedly with (a) no telemetry argument, (b) an `Off` sink,
+//! (c) a `Summary` sink, and (d) a `Full` sink, and reports median wall
+//! times.
 //!
 //! All four configurations are pinned to the Dopri5 engine: the default
 //! dispatch hands uninstrumented linearized runs to the closed-form

@@ -267,6 +267,19 @@ if [ "$code" != "10" ]; then
   exit 1
 fi
 
+echo "== fabric watchdog smoke (--topo demotion, typed exit 10) =="
+# The --topo path shares the batch command's fail-fast tail, so a
+# demoted fabric batch must map to the same exit code.
+fw_flags="--topo leaf-spine:leaves=4,spines=2,hosts-per-leaf=8 --traffic incast:senders=16
+  --seeds 4 --t-end 0.01 --max-seed-events 200"
+./target/release/dcebcn batch $fw_flags | grep -q "watchdog demoted 4 of 4 seeds"
+code=0
+./target/release/dcebcn batch $fw_flags --fail-fast >/dev/null 2>&1 || code=$?
+if [ "$code" != "10" ]; then
+  echo "fabric watchdog fail-fast exited with code $code, expected 10" >&2
+  exit 1
+fi
+
 echo "== query streaming smoke (malformed lines become error records) =="
 printf '%s\n' '{"type":"schema","version":2}' \
   '{"type":"query","gi":2.0}' \
