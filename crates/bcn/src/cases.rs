@@ -17,11 +17,8 @@
 
 use std::fmt;
 
-use phaseplane::{classify, FixedPointKind};
-
 use crate::model::Region;
 use crate::params::BcnParams;
-use crate::propagate::Propagator;
 
 /// Local trajectory shape of one control region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,16 +182,6 @@ pub fn classify_params(params: &BcnParams) -> CaseAnalysis {
     }
 }
 
-/// Sanity bridge to the generic classifier: the paper's regions are always
-/// *stable* foci/nodes (Proposition 1), never saddles or unstable points.
-///
-/// The Jacobian comes from the memo-cached [`Propagator`] decomposition,
-/// so repeated classification inside a sweep does not rebuild it.
-#[must_use]
-pub fn fixed_point_kind(params: &BcnParams, region: Region) -> FixedPointKind {
-    classify(&Propagator::for_params(params).flow(region).jacobian())
-}
-
 /// Convenience: parameter sets exhibiting each case, derived from a base
 /// set by scaling the gains across the thresholds. Used by the figure
 /// generators and tests.
@@ -231,6 +218,8 @@ pub fn exemplar_case5_decrease(base: &BcnParams) -> BcnParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::propagate::Propagator;
+    use phaseplane::classify;
 
     #[test]
     fn paper_defaults_are_case1() {
@@ -273,7 +262,7 @@ mod tests {
             exemplar(&BcnParams::test_defaults(), CaseId::Case4),
         ] {
             for r in [Region::Increase, Region::Decrease] {
-                let kind = fixed_point_kind(&p, r);
+                let kind = classify(&Propagator::for_params(&p).flow(r).jacobian());
                 assert!(kind.is_attracting(), "{r:?} of {p:?} gave {kind}");
             }
         }

@@ -227,13 +227,6 @@ impl RegionFlow {
     pub fn time_to_switching_line(&self, z0: [f64; 2], k: f64, t_max: f64) -> Option<f64> {
         self.first_zero(z0, |z| z[0] + k * z[1], t_max)
     }
-
-    /// First positive time at which `y = dx/dt` vanishes — i.e. the first
-    /// queue extremum (paper's `t*`).
-    #[must_use]
-    pub fn time_to_extremum(&self, z0: [f64; 2], t_max: f64) -> Option<f64> {
-        self.first_zero(z0, |z| z[1], t_max)
-    }
 }
 
 /// Bisects a bracketed sign change of `eval` down to floating-point
@@ -338,24 +331,6 @@ impl SpiralForm {
         let x = self.a_coef * e * cos;
         let y = self.a_coef * e * (self.alpha * cos - self.beta * sin);
         [x, y]
-    }
-
-    /// The logarithmic-spiral radius at winding angle `theta` (paper
-    /// Eq. 17): `r(theta) = sqrt(c1) e^{(alpha/beta) theta}` with
-    /// `r^2 = (beta x)^2 + (alpha x - y)^2`.
-    #[must_use]
-    pub fn radius_at_angle(&self, theta: f64) -> f64 {
-        // r(phi) corresponds to t = (theta - phi)/beta.
-        self.a_coef * self.beta * ((self.alpha / self.beta) * (theta - self.phi)).exp()
-    }
-
-    /// The polar radius of a state `(x, y)` in this region's spiral
-    /// coordinates.
-    #[must_use]
-    pub fn radius_of(&self, z: [f64; 2]) -> f64 {
-        let u = self.beta * z[0];
-        let v = self.alpha * z[0] - z[1];
-        (u * u + v * v).sqrt()
     }
 }
 
@@ -549,11 +524,12 @@ mod tests {
         let f = RegionFlow::from_mn(2.0, 10.0);
         let Spectrum::Focus { alpha, beta } = f.spectrum() else { panic!() };
         let z0 = [-1.0, 0.0];
-        let s = SpiralForm::new(alpha, beta, z0);
+        // Eq. 17's polar radius: r^2 = (beta x)^2 + (alpha x - y)^2.
+        let radius = |z: [f64; 2]| (beta * z[0]).hypot(alpha * z[0] - z[1]);
         // After one full revolution the radius shrinks by e^{2 pi alpha/beta}.
         let t_rev = std::f64::consts::TAU / beta;
-        let r0 = s.radius_of(f.at(0.0, z0));
-        let r1 = s.radius_of(f.at(t_rev, z0));
+        let r0 = radius(f.at(0.0, z0));
+        let r1 = radius(f.at(t_rev, z0));
         let expect = (alpha / beta * std::f64::consts::TAU).exp();
         assert!((r1 / r0 - expect).abs() < 1e-9, "ratio {} vs {expect}", r1 / r0);
     }
@@ -579,15 +555,6 @@ mod tests {
         let z0 = [1.0, l2 * 1.0];
         let hit = f.first_zero(z0, |z| z[1] - l1 * z[0], 50.0);
         assert!(hit.is_none());
-    }
-
-    #[test]
-    fn time_to_extremum_matches_derivative_zero() {
-        let f = RegionFlow::from_mn(2.0, 10.0);
-        let z0 = [-1.0, 2.0];
-        let t = f.time_to_extremum(z0, 10.0).expect("extremum");
-        let z = f.at(t, z0);
-        assert!(z[1].abs() < 1e-8, "y at extremum {z:?}");
     }
 
     #[test]

@@ -158,21 +158,6 @@ impl DelayedBcn {
         let tail_amp = states[tail_start..].iter().map(amp).fold(0.0_f64, f64::max);
         DelayRun { times, states, max_x, min_x, contracting: tail_amp < initial_amp }
     }
-
-    /// Convenience sweep: the largest queue deviation `max x` for each
-    /// delay in `taus`, all starting from the canonical point.
-    #[must_use]
-    pub fn overshoot_vs_delay(params: &BcnParams, taus: &[f64], t_end: f64) -> Vec<(f64, f64)> {
-        taus.iter()
-            .map(|&tau| {
-                let dt_base = 0.002 / (params.a().max(params.b() * params.capacity)).sqrt();
-                let dt = if tau > 0.0 { dt_base.min(tau / 8.0) } else { dt_base };
-                let run =
-                    DelayedBcn::new(params.clone(), tau).run(params.initial_point(), t_end, dt);
-                (tau, run.max_x)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -245,17 +230,6 @@ mod tests {
             run.max_x,
             fr.max1_x
         );
-    }
-
-    #[test]
-    fn overshoot_sweep_is_monotone_ish() {
-        let params = p();
-        let period = std::f64::consts::TAU / params.a().sqrt();
-        let taus = [0.0, period / 100.0, period / 10.0, period / 3.0];
-        let sweep = DelayedBcn::overshoot_vs_delay(&params, &taus, 2.0);
-        assert_eq!(sweep.len(), 4);
-        // The largest tested delay must hurt more than the zero-delay run.
-        assert!(sweep[3].1 > sweep[0].1, "{sweep:?}");
     }
 
     #[test]

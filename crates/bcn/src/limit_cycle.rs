@@ -9,10 +9,10 @@
 //!
 //! The *full nonlinear* decrease law breaks homogeneity — the round map's
 //! local ratio depends on amplitude — so isolated limit cycles become
-//! possible, and are found here with a Poincaré return map on the
-//! switching line.
+//! possible; [`nonlinear_round_ratio`] measures that ratio with a Poincaré
+//! return map on the switching line.
 
-use phaseplane::poincare::{find_limit_cycle, LimitCycle, PoincareError, ReturnMap};
+use phaseplane::poincare::{PoincareError, ReturnMap};
 
 use crate::model::BcnFluid;
 use crate::params::BcnParams;
@@ -23,13 +23,6 @@ use crate::rounds::round_ratio;
 #[must_use]
 pub fn distance_to_limit_cycle(params: &BcnParams) -> Option<f64> {
     round_ratio(params).map(|rho| (rho - 1.0).abs())
-}
-
-/// Whether the linearised system is (numerically) in the limit-cycle
-/// regime: `|rho - 1| < tol`.
-#[must_use]
-pub fn linearized_has_limit_cycle(params: &BcnParams, tol: f64) -> bool {
-    distance_to_limit_cycle(params).is_some_and(|d| d < tol)
 }
 
 /// Searches for the sigma weight `w` at which the linearised round ratio
@@ -85,23 +78,6 @@ pub fn nonlinear_round_ratio(sys: &BcnFluid, s: f64) -> Result<f64, PoincareErro
     map.contraction_ratio(s)
 }
 
-/// Searches the full nonlinear system for an isolated limit cycle with
-/// switching-line coordinate in `[s_lo, s_hi]`.
-///
-/// # Errors
-///
-/// Propagates [`PoincareError`] from the underlying integrations.
-pub fn find_nonlinear_limit_cycle(
-    sys: &BcnFluid,
-    s_lo: f64,
-    s_hi: f64,
-) -> Result<Option<LimitCycle>, PoincareError> {
-    let map = ReturnMap::new(sys, sys.switching_line())
-        .with_horizon(nonlinear_horizon(sys))
-        .with_tol(1e-10);
-    find_limit_cycle(&map, s_lo, s_hi)
-}
-
 fn nonlinear_horizon(sys: &BcnFluid) -> f64 {
     // A round takes ~pi/beta per region; allow 20 rounds of slack.
     let p = sys.params();
@@ -120,7 +96,6 @@ mod tests {
 
     #[test]
     fn defaults_are_not_a_limit_cycle() {
-        assert!(!linearized_has_limit_cycle(&p(), 1e-3));
         let d = distance_to_limit_cycle(&p()).unwrap();
         assert!(d > 1e-3, "distance {d}");
     }
@@ -155,17 +130,5 @@ mod tests {
             (rho_nl - rho_lin).abs() < 0.05 * rho_lin,
             "nonlinear {rho_nl} vs linear {rho_lin}"
         );
-    }
-
-    #[test]
-    fn no_spurious_nonlinear_cycle_for_defaults() {
-        // For the contracting defaults the nonlinear system should not
-        // report an isolated cycle in a moderate amplitude window.
-        let params = p();
-        let sys = BcnFluid::new(params.clone());
-        let s1 = -0.05 * params.q0;
-        let s2 = -0.5 * params.q0;
-        let found = find_nonlinear_limit_cycle(&sys, s2.min(s1), s2.max(s1)).unwrap();
-        assert!(found.is_none(), "unexpected cycle {found:?}");
     }
 }

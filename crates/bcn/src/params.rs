@@ -272,20 +272,6 @@ impl BcnParams {
         self.capacity / f64::from(self.n_flows)
     }
 
-    /// Converts a deviation-coordinates point `(x, y)` back to physical
-    /// `(queue bits, aggregate rate bit/s)`.
-    #[must_use]
-    pub fn to_physical(&self, p: [f64; 2]) -> [f64; 2] {
-        [p[0] + self.q0, p[1] + self.capacity]
-    }
-
-    /// Converts a physical `(queue bits, aggregate rate bit/s)` point to
-    /// deviation coordinates `(x, y)`.
-    #[must_use]
-    pub fn to_deviation(&self, p: [f64; 2]) -> [f64; 2] {
-        [p[0] - self.q0, p[1] - self.capacity]
-    }
-
     /// The canonical initial point of the phase-plane analysis,
     /// `(x, y) = (-q0, 0)`: queue empty, aggregate rate equal to capacity
     /// (reached at the end of the warm-up stage; paper Section IV-C).
@@ -367,20 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn coordinate_transforms_roundtrip() {
-        let p = BcnParams::paper_defaults();
-        let dev = [-p.q0, 1.0e8];
-        let phys = p.to_physical(dev);
-        assert_eq!(phys[0], 0.0);
-        assert_eq!(phys[1], p.capacity + 1.0e8);
-        assert_eq!(p.to_deviation(phys), dev);
-    }
-
-    #[test]
     fn initial_point_is_empty_queue_at_capacity() {
         let p = BcnParams::paper_defaults();
-        let phys = p.to_physical(p.initial_point());
-        assert_eq!(phys[0], 0.0);
-        assert_eq!(phys[1], p.capacity);
+        // Deviation coordinates: queue x + q0, aggregate rate y + C.
+        let [x, y] = p.initial_point();
+        assert_eq!(x + p.q0, 0.0);
+        assert_eq!(y + p.capacity, p.capacity);
     }
 }

@@ -12,8 +12,6 @@ pub const MBIT: f64 = 1e6;
 /// One gigabit in bits.
 pub const GBIT: f64 = 1e9;
 
-/// One kilobit per second in bit/s.
-pub const KBPS: f64 = 1e3;
 /// One megabit per second in bit/s.
 pub const MBPS: f64 = 1e6;
 /// One gigabit per second in bit/s.

@@ -45,41 +45,6 @@ pub fn warmup_duration(params: &BcnParams, mu: f64) -> Result<f64, BcnError> {
     Ok((params.capacity - aggregate) / (params.a() * params.q0))
 }
 
-/// A sampled warm-up ramp.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmupRamp {
-    /// Sample times from 0 to `T0`.
-    pub times: Vec<f64>,
-    /// Aggregate rate at each sample (linear ramp ending exactly at `C`).
-    pub aggregate_rate: Vec<f64>,
-    /// The warm-up duration `T0`.
-    pub t0: f64,
-}
-
-/// Samples the (exactly linear) warm-up ramp at `n_samples >= 2` points.
-///
-/// # Errors
-///
-/// Same as [`warmup_duration`].
-///
-/// # Panics
-///
-/// Panics if `n_samples < 2`.
-pub fn warmup_ramp(params: &BcnParams, mu: f64, n_samples: usize) -> Result<WarmupRamp, BcnError> {
-    assert!(n_samples >= 2, "need at least two samples");
-    let t0 = warmup_duration(params, mu)?;
-    let agg0 = mu * f64::from(params.n_flows);
-    let slope = params.a() * params.q0;
-    let mut times = Vec::with_capacity(n_samples);
-    let mut rates = Vec::with_capacity(n_samples);
-    for i in 0..n_samples {
-        let t = t0 * i as f64 / (n_samples - 1) as f64;
-        times.push(t);
-        rates.push(agg0 + slope * t);
-    }
-    Ok(WarmupRamp { times, aggregate_rate: rates, t0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,20 +67,6 @@ mod tests {
         let t_large = warmup_duration(&p.clone().with_q0(4.0e6), 0.0).unwrap();
         assert!(t_large < t_small);
         assert!((t_small / t_large - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ramp_ends_at_capacity() {
-        let p = BcnParams::test_defaults();
-        let mu = 0.3 * p.fair_share();
-        let ramp = warmup_ramp(&p, mu, 11).unwrap();
-        assert_eq!(ramp.times.len(), 11);
-        let last = *ramp.aggregate_rate.last().unwrap();
-        assert!((last - p.capacity).abs() < 1e-9 * p.capacity, "ends at {last}");
-        // Ramp is monotone increasing.
-        for w in ramp.aggregate_rate.windows(2) {
-            assert!(w[1] > w[0]);
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! 1. **Bit-identity** — `SimMetrics` + final rates match byte for byte
 //!    across schedulers on both scenarios (faults off *and* on), the
-//!    multi-switch [`NetReport`] matches across schedulers, and a batch
+//!    multi-switch [`dcesim::net::NetReport`] matches across schedulers, and a batch
 //!    run matches across schedulers *and* worker counts (1 vs 4).
 //! 2. **Zero steady-state allocations** — with a warm
 //!    [`SimWorkspace`], the wheel engine performs no heap allocations

@@ -235,20 +235,6 @@ pub fn scheduler_choice(flags: &Flags) -> Result<Scheduler, CliError> {
     }
 }
 
-/// Resolves the global `--threads <n>` flag: the requested parallel
-/// worker count, or `None` to keep the `DCE_BCN_THREADS` /
-/// auto-detected default.
-///
-/// # Errors
-///
-/// Rejects zero and non-integers (a sweep needs at least one worker).
-pub fn thread_count(flags: &Flags) -> Result<Option<usize>, CliError> {
-    match flags.get_usize("threads")? {
-        Some(0) => Err(CliError::Usage("--threads must be at least 1".into())),
-        other => Ok(other),
-    }
-}
-
 /// Parses the `--faults key=value,key=value` specification into a
 /// [`FaultConfig`] plus the `panic-seed` list (batch-only test hook).
 ///
@@ -514,18 +500,6 @@ mod tests {
         assert_eq!(scheduler_choice(&f).unwrap(), Scheduler::Wheel);
         let f = Flags::parse(&argv("--scheduler calendar")).unwrap();
         assert!(scheduler_choice(&f).is_err());
-    }
-
-    #[test]
-    fn thread_count_parses_and_rejects_zero() {
-        let f = Flags::parse(&argv("--threads 4")).unwrap();
-        assert_eq!(thread_count(&f).unwrap(), Some(4));
-        let f = Flags::parse(&argv("")).unwrap();
-        assert_eq!(thread_count(&f).unwrap(), None);
-        let f = Flags::parse(&argv("--threads 0")).unwrap();
-        assert!(thread_count(&f).is_err());
-        let f = Flags::parse(&argv("--threads many")).unwrap();
-        assert!(thread_count(&f).is_err());
     }
 
     #[test]

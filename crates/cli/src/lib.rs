@@ -11,17 +11,16 @@
 //! ```
 //!
 //! Every subcommand starts from the paper's default parameterisation and
-//! overrides fields from flags (see [`flags::PARAM_FLAGS`]). The library
-//! half of the crate (this module tree) carries all logic so it is
-//! testable without spawning processes; the `dcebcn` binary is a thin
-//! wrapper.
+//! overrides fields from flags (listed in [`usage`]). The library half
+//! of the crate carries all logic behind [`run`], so it is testable
+//! without spawning processes; the `dcebcn` binary is a thin wrapper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod commands;
-pub mod flags;
-pub mod report;
+mod commands;
+mod flags;
+mod report;
 
 use std::fmt;
 

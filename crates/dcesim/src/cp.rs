@@ -240,7 +240,7 @@ mod tests {
             assert!(cp.on_arrival(&frame(i, None), 30_000.0).is_none());
         }
         let msg = cp.on_arrival(&frame(9, None), 30_000.0).expect("sampled");
-        assert!(!msg.is_positive());
+        assert!(msg.sigma < 0.0);
         assert_eq!(msg.dst, SourceId(9));
         assert_eq!(msg.cpid, CpId(7));
         assert_eq!(cp.samples_taken(), 1);
@@ -253,7 +253,7 @@ mod tests {
         // q = 5000 < q0 = 10000: sigma = (10000 - 5000) - 2*1000 = 3000.
         let msg = cp.on_arrival(&frame(1, Some(CpId(7))), 5_000.0).expect("sampled");
         assert!((msg.sigma - 3_000.0).abs() < 1e-9);
-        assert!(msg.is_positive());
+        assert!(msg.sigma > 0.0);
     }
 
     #[test]
@@ -281,7 +281,7 @@ mod tests {
         // Matching tag, low queue: positive message.
         let mut cp = mk();
         let msg = cp.on_arrival(&frame(1, Some(CpId(7))), 1_000.0);
-        assert!(msg.expect("positive").is_positive());
+        assert!(msg.expect("positive").sigma > 0.0);
     }
 
     #[test]
@@ -322,7 +322,7 @@ mod tests {
         let mut cp =
             CongestionPoint::new(CpConfig { sample_every: 1, gate_positive: false, ..cfg() });
         let msg = cp.on_arrival(&frame(1, None), 1_000.0).expect("ungated positive");
-        assert!(msg.is_positive());
+        assert!(msg.sigma > 0.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Frames on the wire: data, BCN messages, PAUSE.
+//! Frames on the wire: data and BCN messages.
 
 /// Identifier of a source / reaction point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,33 +39,9 @@ pub struct BcnMessage {
     pub sigma: f64,
 }
 
-impl BcnMessage {
-    /// Whether this is a positive (rate-increase) notification.
-    #[must_use]
-    pub fn is_positive(&self) -> bool {
-        self.sigma > 0.0
-    }
-}
-
-/// An IEEE 802.3x PAUSE indication (sent when the queue exceeds the
-/// severe-congestion threshold `q_sc`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PauseFrame {
-    /// How long the receiver must hold off transmission.
-    pub hold: crate::time::Duration,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bcn_message_polarity() {
-        let m = BcnMessage { dst: SourceId(0), cpid: CpId(1), sigma: 2.0 };
-        assert!(m.is_positive());
-        let m = BcnMessage { sigma: -2.0, ..m };
-        assert!(!m.is_positive());
-    }
 
     #[test]
     fn ids_are_ordered_and_hashable() {

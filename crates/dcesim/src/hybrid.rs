@@ -19,7 +19,7 @@
 //!   (`eq_frac`) it walks up to `max_legs` analytic legs per step, so
 //!   the terminal spiral — which straddles the line forever — can still
 //!   be fast-forwarded.
-//! * **Guards.** Structural guards ([`Simulation::hybrid_quiescent`])
+//! * **Guards.** Structural guards (`Simulation::hybrid_quiescent`)
 //!   require fluid-calibrated BCN control, no faults, no PAUSE asserted
 //!   or in flight, and steady homogeneous flows. Dynamic guards keep
 //!   the queue inside `(q_margin_frac * q0, (1 - q_margin_frac) * qsc)`
@@ -31,7 +31,7 @@
 //!   record grid, credits delivery at capacity (the guards imply
 //!   `0 < q` throughout, so the server never idles), and re-seeds the
 //!   packet state from the fluid endpoint
-//!   ([`Simulation::reseed_fluid`]): regulator rates at the fair share,
+//!   (`Simulation::reseed_fluid`): regulator rates at the fair share,
 //!   the FIFO rebuilt to exactly `q` bits, the event set re-populated
 //!   through the stats-preserving scheduler clear. The rate-clamp
 //!   residue is carried so an immediate packet→fluid extraction

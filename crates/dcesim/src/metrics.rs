@@ -87,25 +87,6 @@ impl TimeSeries {
             .map(|(_, v)| *v)
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// Time-weighted mean value over the recorded span (trapezoidal).
-    #[must_use]
-    pub fn time_weighted_mean(&self) -> f64 {
-        if self.times.len() < 2 {
-            return self.values.first().copied().unwrap_or(0.0);
-        }
-        let mut area = 0.0;
-        for i in 1..self.times.len() {
-            let dt = self.times[i] - self.times[i - 1];
-            area += 0.5 * (self.values[i] + self.values[i - 1]) * dt;
-        }
-        let span = self.times.last().unwrap() - self.times[0];
-        if span > 0.0 {
-            area / span
-        } else {
-            self.values[0]
-        }
-    }
 }
 
 /// Jain's fairness index of a set of allocations:
@@ -273,8 +254,6 @@ mod tests {
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.min_after(0.5), 0.0);
         assert_eq!(s.min_after(0.999), 0.0);
-        // Triangle: mean = 5.
-        assert!((s.time_weighted_mean() - 5.0).abs() < 1e-12);
     }
 
     #[test]

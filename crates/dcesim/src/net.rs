@@ -577,6 +577,13 @@ impl NetSim {
         self.events.schedule(time, ev);
     }
 
+    /// Emits a fault-injection telemetry event (counter + trace).
+    fn note_fault(&mut self, class: FaultClass, target: u32) {
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.fault_injected(self.now.as_secs(), class, target);
+        }
+    }
+
     fn flow_rate(&self, fi: usize) -> f64 {
         match &self.rps[fi] {
             Some(rp) => rp.rate(),
@@ -742,9 +749,7 @@ impl NetSim {
     fn on_arrive(&mut self, link: usize, frame: NetFrame) {
         // Per-link wire loss: a multi-hop frame faces one draw per hop.
         if self.faults.is_active() && self.faults.data_frame_lost() {
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.fault_injected(self.now.as_secs(), FaultClass::DataLoss, link as u32);
-            }
+            self.note_fault(FaultClass::DataLoss, link as u32);
             return;
         }
         match self.cfg.links[link].to {
@@ -801,6 +806,9 @@ impl NetSim {
         if let Some(msg) = feedback {
             let mut injected = std::mem::take(&mut self.fault_scratch);
             let fate = self.faults.feedback_fate_into(&msg, &mut injected);
+            for &class in &injected {
+                self.note_fault(class, msg.dst.0);
+            }
             injected.clear();
             self.fault_scratch = injected;
             if let FeedbackFate::Deliver { msg, extra } = fate {
@@ -840,7 +848,10 @@ impl NetSim {
         self.switches[si].last_pause = Some(self.now);
         // Pause every link that terminates at this switch (precomputed
         // in `new` — this path allocates nothing).
-        let (hold, _stormed) = self.faults.pause_hold(self.cfg.pause.hold);
+        let (hold, stormed) = self.faults.pause_hold(self.cfg.pause.hold);
+        if stormed {
+            self.note_fault(FaultClass::PauseStorm, si as u32);
+        }
         for k in self.incoming_off[si] as usize..self.incoming_off[si + 1] as usize {
             let li = self.incoming_links[k] as usize;
             self.pause_counts[li] += 1;
@@ -917,6 +928,7 @@ impl NetSim {
         let mut start = self.now;
         if self.faults.is_active() {
             if let Some(up) = self.faults.link_up_at(self.now) {
+                self.note_fault(FaultClass::LinkFlap, link as u32);
                 start = up;
             }
         }
@@ -1656,5 +1668,79 @@ mod tests {
         assert_eq!(a.flows, b.flows);
         assert_eq!(a.faults, b.faults);
         assert!(a.faults.total() > 0, "faults were actually injected");
+    }
+
+    /// Every injected fault reaches telemetry on both engines: at
+    /// `Summary`, each `faults.<class>` counter equals the run's
+    /// `FaultCounts` tally for that class, and every class fires.
+    #[test]
+    fn fault_telemetry_counters_match_fault_counts_on_both_engines() {
+        use crate::sim::{Control, SimConfig, Simulation};
+        use telemetry::TelemetryLevel;
+        fn check(engine: &str, tel: &Telemetry, counts: &FaultCounts) {
+            for class in FaultClass::ALL {
+                let tally = match class {
+                    FaultClass::FeedbackDrop => counts.feedback_dropped,
+                    FaultClass::FeedbackCorrupt => {
+                        counts.feedback_corrupted + counts.feedback_corrupt_lost
+                    }
+                    FaultClass::FeedbackDelay => counts.feedback_delayed,
+                    FaultClass::FeedbackReorder => counts.feedback_reordered,
+                    FaultClass::DataLoss => counts.data_frames_lost,
+                    FaultClass::LinkFlap => counts.link_flap_deferrals,
+                    FaultClass::PauseStorm => counts.pause_storms,
+                };
+                let name = format!("faults.{}", class.name());
+                assert!(tally > 0, "{engine}: no {name} fault fired");
+                assert_eq!(tel.metrics.counter_by_name(&name), Some(tally), "{engine}: {name}");
+            }
+        }
+        let faults = FaultConfig {
+            seed: 11,
+            feedback_loss: 0.2,
+            feedback_corrupt: 0.2,
+            feedback_extra_delay: Duration::from_secs(1e-6),
+            feedback_reorder: 0.2,
+            reorder_window: Duration::from_secs(1e-5),
+            data_loss: 0.01,
+            data_burst_len: 2,
+            link_flap_period: Duration::from_secs(0.01),
+            link_flap_down: Duration::from_secs(0.001),
+            pause_storm: 0.5,
+            pause_storm_factor: 2.0,
+        };
+
+        // Dumbbell: sources start at a third of capacity each and the
+        // PAUSE threshold sits just above q0, so PAUSE fires.
+        let mut cfg = SimConfig::fluid_validation_default();
+        for f in &mut cfg.flows {
+            f.initial_rate = cfg.capacity / 3.0;
+        }
+        if let Control::Bcn { cp, .. } = &mut cfg.control {
+            cp.qsc_bits = cp.q0_bits * 1.5;
+        }
+        cfg.t_end = Time::from_secs(0.2);
+        cfg.faults = faults.clone();
+        let report = Simulation::with_telemetry(cfg, Telemetry::new(TelemetryLevel::Summary)).run();
+        check("dumbbell", report.telemetry.as_ref().unwrap(), &report.metrics.faults);
+
+        let pause = PauseConfig {
+            enabled: true,
+            hold: Duration::from_secs(40.0 * FRAME / TRUNK),
+            per_priority: false,
+        };
+        let (mut cfg, _) = victim_topology(
+            4,
+            TRUNK,
+            FRAME,
+            Duration::from_secs(1e-6),
+            0.1,
+            pause,
+            Some(bcn_pair()),
+        );
+        cfg.faults = faults;
+        let report =
+            NetSim::new(cfg).with_telemetry_sink(Telemetry::new(TelemetryLevel::Summary)).run();
+        check("fabric", report.telemetry.as_ref().unwrap(), &report.faults);
     }
 }

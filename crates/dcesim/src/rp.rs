@@ -85,9 +85,6 @@ pub struct ReactionPoint {
     cfg: RpConfig,
     rate: f64,
     associated: Option<CpId>,
-    increases: u64,
-    decreases: u64,
-    ignored: u64,
 }
 
 impl ReactionPoint {
@@ -100,7 +97,7 @@ impl ReactionPoint {
     pub fn new(cfg: RpConfig, initial_rate: f64) -> Self {
         cfg.assert_valid();
         let rate = initial_rate.clamp(cfg.r_min, cfg.r_max);
-        Self { cfg, rate, associated: None, increases: 0, decreases: 0, ignored: 0 }
+        Self { cfg, rate, associated: None }
     }
 
     /// Current sending rate in bit/s.
@@ -124,10 +121,9 @@ impl ReactionPoint {
 
     /// Applies a received BCN message (paper Eq. 2). A message whose FB
     /// field does not decode to a finite value (corrupted wire frames)
-    /// is counted and ignored rather than poisoning the rate.
+    /// is ignored rather than poisoning the rate.
     pub fn on_bcn(&mut self, msg: &BcnMessage) {
         if !msg.sigma.is_finite() {
-            self.ignored += 1;
             return;
         }
         let sigma = msg.sigma * self.cfg.gain_scale;
@@ -135,33 +131,13 @@ impl ReactionPoint {
             // Positive feedback only reaches us when tagged (the CP
             // enforces that); apply the additive increase.
             self.rate += self.cfg.gi * self.cfg.ru * sigma;
-            self.increases += 1;
         } else if msg.sigma < 0.0 {
             self.associated = Some(msg.cpid);
             let factor = 1.0 + self.cfg.gd * sigma;
             // A severely negative sigma must not turn the rate negative.
             self.rate *= factor.max(0.0);
-            self.decreases += 1;
         }
         self.rate = self.rate.clamp(self.cfg.r_min, self.cfg.r_max);
-    }
-
-    /// Number of additive increases applied.
-    #[must_use]
-    pub fn increase_count(&self) -> u64 {
-        self.increases
-    }
-
-    /// Number of multiplicative decreases applied.
-    #[must_use]
-    pub fn decrease_count(&self) -> u64 {
-        self.decreases
-    }
-
-    /// Number of non-finite (corrupted) messages discarded.
-    #[must_use]
-    pub fn ignored_count(&self) -> u64 {
-        self.ignored
     }
 }
 
@@ -190,7 +166,6 @@ mod tests {
         let mut rp = ReactionPoint::new(cfg(), 10_000.0);
         rp.on_bcn(&msg(3.0));
         assert!((rp.rate() - 13_000.0).abs() < 1e-9);
-        assert_eq!(rp.increase_count(), 1);
     }
 
     #[test]
@@ -201,7 +176,6 @@ mod tests {
         // factor = 1 - 16/64 = 0.75.
         assert!((rp.rate() - 48_000.0).abs() < 1e-9);
         assert_eq!(rp.associated_cp(), Some(CpId(42)));
-        assert_eq!(rp.decrease_count(), 1);
     }
 
     #[test]
@@ -229,7 +203,7 @@ mod tests {
         let mut rp = ReactionPoint::new(cfg(), 10_000.0);
         rp.on_bcn(&msg(0.0));
         assert_eq!(rp.rate(), 10_000.0);
-        assert_eq!(rp.increase_count() + rp.decrease_count(), 0);
+        assert!(rp.associated_cp().is_none());
     }
 
     #[test]
@@ -261,7 +235,6 @@ mod tests {
         rp.on_bcn(&msg(f64::INFINITY));
         rp.on_bcn(&msg(f64::NEG_INFINITY));
         assert_eq!(rp.rate(), 10_000.0, "corrupted feedback must not move the rate");
-        assert_eq!(rp.ignored_count(), 3);
         assert!(rp.associated_cp().is_none());
     }
 }

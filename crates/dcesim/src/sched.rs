@@ -21,7 +21,7 @@
 //! run is bit-identical under either scheduler (`cargo test` enforces
 //! this here and in `tests/scheduler_equivalence.rs`). The argument:
 //!
-//! * Levels have [`LEVEL_BITS`]-bit slots; an event lands at the level
+//! * Levels have `LEVEL_BITS`-bit slots; an event lands at the level
 //!   of the highest bit of `t ^ cur` (the cursor), so everything at
 //!   level `l` is strictly later than everything at level `l - 1`.
 //! * Level-0 slots are 1 ns wide. Since time is integer nanoseconds,

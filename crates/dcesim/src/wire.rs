@@ -164,9 +164,9 @@ mod tests {
     #[test]
     fn polarity_survives_quantization_for_meaningful_sigma() {
         let m = msg(-700.0);
-        assert!(!decode(&encode(&m)).unwrap().is_positive());
+        assert!(decode(&encode(&m)).unwrap().sigma <= 0.0);
         let m = msg(700.0);
-        assert!(decode(&encode(&m)).unwrap().is_positive());
+        assert!(decode(&encode(&m)).unwrap().sigma > 0.0);
     }
 
     #[test]
@@ -272,7 +272,7 @@ mod tests {
                 assert_eq!(rt.dst, m.dst);
                 assert_eq!(rt.cpid, m.cpid);
                 assert!((rt.sigma - m.sigma).abs() <= FB_UNIT_BITS / 2.0);
-                assert_eq!(rt.is_positive(), m.is_positive());
+                assert_eq!(rt.sigma > 0.0, m.sigma > 0.0);
             }
         }
         assert!(produced >= 2, "expected multiple messages, got {produced}");

@@ -29,12 +29,6 @@ impl FlowSpec {
     pub fn immediate(initial_rate: f64) -> Self {
         Self { start: Time::ZERO, stop: None, initial_rate, volume_bits: None }
     }
-
-    /// Whether the flow is active at time `t`.
-    #[must_use]
-    pub fn active_at(&self, t: Time) -> bool {
-        t >= self.start && self.stop.is_none_or(|s| t < s)
-    }
 }
 
 /// `n` homogeneous flows all starting at time zero at the given rate —
@@ -103,7 +97,6 @@ mod tests {
         for f in &flows {
             assert_eq!(f.start, Time::ZERO);
             assert!(f.stop.is_none());
-            assert!(f.active_at(Time::from_secs(100.0)));
         }
     }
 
@@ -113,8 +106,6 @@ mod tests {
         assert_eq!(flows[0].start, Time::ZERO);
         assert_eq!(flows[1].start, Time::from_secs(0.5));
         assert_eq!(flows[2].start, Time::from_secs(1.0));
-        assert!(!flows[2].active_at(Time::from_secs(0.9)));
-        assert!(flows[2].active_at(Time::from_secs(1.0)));
     }
 
     #[test]
@@ -132,7 +123,6 @@ mod tests {
         let flows = with_departures(4, 2, 1_000.0, 1.0);
         assert!(flows[0].stop.is_some() && flows[1].stop.is_some());
         assert!(flows[2].stop.is_none());
-        assert!(!flows[0].active_at(Time::from_secs(1.0)));
-        assert!(flows[0].active_at(Time::from_secs(0.99)));
+        assert_eq!(flows[0].stop, Some(Time::from_secs(1.0)));
     }
 }

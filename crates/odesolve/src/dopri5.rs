@@ -1,6 +1,5 @@
 //! Adaptive Dormand–Prince 5(4) embedded Runge–Kutta pair.
 
-use crate::stepper::{StepOutcome, Stepper};
 use crate::vecn::{all_finite, axpy_mut, error_norm};
 use crate::{Ode, SolveError};
 
@@ -29,6 +28,20 @@ const E: [f64; 7] = [
     22.0 / 525.0,
     -1.0 / 40.0,
 ];
+
+/// Result of one accepted step from `(t, y)`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StepOutcome<const N: usize> {
+    /// Time at the end of the accepted step.
+    pub(crate) t_new: f64,
+    /// State at the end of the accepted step.
+    pub(crate) y_new: [f64; N],
+    /// Derivative `f(t_new, y_new)` at the end of the step (FSAL), used
+    /// for Hermite dense output.
+    pub(crate) f_new: [f64; N],
+    /// Step size the controller suggests for the next attempt.
+    pub(crate) h_next: f64,
+}
 
 /// Adaptive Dormand–Prince 5(4) stepper with a PI step-size controller.
 ///
@@ -97,18 +110,6 @@ impl Dopri5 {
         }
     }
 
-    /// The absolute tolerance.
-    #[must_use]
-    pub fn atol(&self) -> f64 {
-        self.atol
-    }
-
-    /// The relative tolerance.
-    #[must_use]
-    pub fn rtol(&self) -> f64 {
-        self.rtol
-    }
-
     /// One trial step; returns `(y_new, f_last_stage, err_norm)`.
     fn try_step<const N: usize>(
         &self,
@@ -144,16 +145,18 @@ impl Dopri5 {
         let en = error_norm(&err, y, &y_new, self.atol, self.rtol);
         (y_new, k[6], en)
     }
-}
 
-impl Default for Dopri5 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const N: usize> Stepper<N> for Dopri5 {
-    fn step(
+    /// Advances by one *accepted* step of size at most `h`, starting from
+    /// `(t, y)` with known derivative `f = rhs(t, y)`. Rejected trials are
+    /// retried with smaller sizes until the local error estimate passes;
+    /// the step taken is `outcome.t_new - t`, which is `<= h` and `> 0`.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::StepSizeUnderflow`] if no acceptable step exists
+    /// above the floating-point resolution, [`SolveError::NonFiniteState`]
+    /// if the RHS produced NaN/inf.
+    pub(crate) fn step<const N: usize>(
         &mut self,
         ode: &dyn Ode<N>,
         t: f64,
@@ -202,21 +205,34 @@ impl<const N: usize> Stepper<N> for Dopri5 {
         Err(SolveError::StepSizeUnderflow { t, h: h_try })
     }
 
-    fn reset(&mut self) {
+    /// Clears the controller memory (the vector field changed
+    /// discontinuously, e.g. after a hybrid-mode switch).
+    pub(crate) fn reset(&mut self) {
         self.prev_err = 1.0;
         self.last_en = f64::NAN;
     }
 
-    fn take_rejections(&mut self) -> u32 {
+    /// Trial steps rejected since the last call; resets the counter.
+    pub(crate) fn take_rejections(&mut self) -> u32 {
         std::mem::take(&mut self.rejections)
     }
 
-    fn last_error_estimate(&self) -> f64 {
+    /// Scaled error norm of the most recent accepted step (`<= 1` passed
+    /// the tolerance test).
+    pub(crate) fn last_error_estimate(&self) -> f64 {
         self.last_en
     }
 
-    fn initial_step(&self, t0: f64, y0: &[f64; N], f0: &[f64; N], t_end: f64) -> f64 {
-        // Algorithm from Hairer et al. II.4: balance |y|/|f| scaled by tol.
+    /// An initial step-size guess for a run from `(t0, y0)` with derivative
+    /// `f0` towards `t_end`: Hairer et al. II.4, balancing `|y|/|f|` scaled
+    /// by the tolerances.
+    pub(crate) fn initial_step<const N: usize>(
+        &self,
+        t0: f64,
+        y0: &[f64; N],
+        f0: &[f64; N],
+        t_end: f64,
+    ) -> f64 {
         let span = (t_end - t0).abs();
         if span == 0.0 {
             return f64::MIN_POSITIVE;
@@ -233,10 +249,15 @@ impl<const N: usize> Stepper<N> for Dopri5 {
     }
 }
 
+impl Default for Dopri5 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stepper::Stepper;
 
     fn drive<const N: usize>(
         ode: impl Fn(f64, &[f64; N]) -> [f64; N],
@@ -246,7 +267,7 @@ mod tests {
         st: &mut Dopri5,
     ) -> [f64; N] {
         let mut f = ode(t, &y);
-        let mut h = <Dopri5 as Stepper<N>>::initial_step(st, t, &y, &f, t_end);
+        let mut h = st.initial_step(t, &y, &f, t_end);
         while t < t_end {
             h = h.min(t_end - t);
             let out = st.step(&ode, t, &y, &f, h).unwrap();
@@ -284,7 +305,7 @@ mod tests {
         let ode = |_t: f64, y: &[f64; 1]| [-2.0 * y[0]];
         let mut st = Dopri5::new();
         let f0 = ode(0.0, &[1.0]);
-        let out = <Dopri5 as Stepper<1>>::step(&mut st, &ode, 0.0, &[1.0], &f0, 0.05).unwrap();
+        let out = st.step(&ode, 0.0, &[1.0], &f0, 0.05).unwrap();
         let f_direct = ode(out.t_new, &out.y_new);
         assert!((out.f_new[0] - f_direct[0]).abs() < 1e-14);
     }

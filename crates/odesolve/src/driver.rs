@@ -3,8 +3,7 @@
 use crate::event::{locate_zero_counted, EventOccurrence, EventSpec};
 use crate::interp::CubicHermite;
 use crate::solution::Solution;
-use crate::stepper::Stepper;
-use crate::{Ode, SolveError};
+use crate::{Dopri5, Ode, SolveError};
 use telemetry::Telemetry;
 
 /// Driver-level configuration shared by all integration runs.
@@ -12,8 +11,6 @@ use telemetry::Telemetry;
 pub struct Options {
     /// Hard cap on the number of accepted steps.
     pub max_steps: usize,
-    /// Upper bound on any single step (0 disables the bound).
-    pub max_step: f64,
     /// If set, accepted points are recorded no further apart than this
     /// (extra points come from the dense-output interpolant), giving
     /// uniform-looking traces for plotting. `None` records only accepted
@@ -23,7 +20,7 @@ pub struct Options {
 
 impl Default for Options {
     fn default() -> Self {
-        Self { max_steps: 1_000_000, max_step: 0.0, record_dt: None }
+        Self { max_steps: 1_000_000, record_dt: None }
     }
 }
 
@@ -32,13 +29,6 @@ impl Options {
     #[must_use]
     pub fn with_max_steps(mut self, max_steps: usize) -> Self {
         self.max_steps = max_steps;
-        self
-    }
-
-    /// Sets the maximum allowed step size.
-    #[must_use]
-    pub fn with_max_step(mut self, max_step: f64) -> Self {
-        self.max_step = max_step;
         self
     }
 
@@ -55,7 +45,7 @@ impl Options {
 ///
 /// # Errors
 ///
-/// Propagates stepper failures ([`SolveError::StepSizeUnderflow`],
+/// Propagates DOPRI5 failures ([`SolveError::StepSizeUnderflow`],
 /// [`SolveError::NonFiniteState`]) and returns
 /// [`SolveError::MaxStepsExceeded`] when the budget runs out, or
 /// [`SolveError::BadInput`] when `t_end < t0` or the inputs are non-finite.
@@ -64,7 +54,7 @@ pub fn integrate<const N: usize>(
     t0: f64,
     y0: [f64; N],
     t_end: f64,
-    stepper: &mut dyn Stepper<N>,
+    stepper: &mut Dopri5,
     opts: &Options,
 ) -> Result<Solution<N>, SolveError> {
     integrate_with_events(ode, t0, y0, t_end, stepper, &[], opts)
@@ -84,7 +74,7 @@ pub fn integrate_with_events<const N: usize>(
     t0: f64,
     y0: [f64; N],
     t_end: f64,
-    stepper: &mut dyn Stepper<N>,
+    stepper: &mut Dopri5,
     events: &[EventSpec<'_, N>],
     opts: &Options,
 ) -> Result<Solution<N>, SolveError> {
@@ -107,7 +97,7 @@ pub fn integrate_with_events_telemetry<const N: usize>(
     t0: f64,
     y0: [f64; N],
     t_end: f64,
-    stepper: &mut dyn Stepper<N>,
+    stepper: &mut Dopri5,
     events: &[EventSpec<'_, N>],
     opts: &Options,
     mut tel: Option<&mut Telemetry>,
@@ -132,15 +122,9 @@ pub fn integrate_with_events_telemetry<const N: usize>(
     let mut f = ode.rhs(t, &y);
     let mut g: Vec<f64> = events.iter().map(|e| e.guard.guard(t, &y)).collect();
     let mut h = stepper.initial_step(t, &y, &f, t_end);
-    if opts.max_step > 0.0 {
-        h = h.min(opts.max_step);
-    }
 
     for _ in 0..opts.max_steps {
         h = h.min(t_end - t);
-        if opts.max_step > 0.0 {
-            h = h.min(opts.max_step);
-        }
         let out = stepper.step(ode, t, &y, &f, h)?;
         if let Some(tel) = tel.as_deref_mut() {
             let rejected = stepper.take_rejections();
@@ -232,7 +216,6 @@ fn record_dense<const N: usize>(
 mod tests {
     use super::*;
     use crate::event::Direction;
-    use crate::{Dopri5, Rk4};
 
     #[test]
     fn reaches_end_time() {
@@ -371,26 +354,10 @@ mod tests {
             0.0,
             [1.0],
             100.0,
-            &mut Rk4::with_step(1e-4),
+            &mut Dopri5::with_tolerances(1e-12, 1e-12),
             &Options::default().with_max_steps(10),
         )
         .unwrap_err();
         assert!(matches!(err, SolveError::MaxStepsExceeded { .. }));
-    }
-
-    #[test]
-    fn max_step_bound_is_respected() {
-        let sol = integrate(
-            &|_t: f64, y: &[f64; 1]| [-y[0]],
-            0.0,
-            [1.0],
-            1.0,
-            &mut Dopri5::with_tolerances(1e-3, 1e-3),
-            &Options::default().with_max_step(0.05),
-        )
-        .unwrap();
-        for w in sol.times().windows(2) {
-            assert!(w[1] - w[0] <= 0.05 + 1e-12);
-        }
     }
 }

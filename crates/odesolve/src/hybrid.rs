@@ -14,8 +14,7 @@
 use crate::driver::{integrate_with_events_telemetry, Options};
 use crate::event::{Direction, EventSpec};
 use crate::solution::Solution;
-use crate::stepper::Stepper;
-use crate::SolveError;
+use crate::{Dopri5, SolveError};
 use telemetry::{SpanKind, Telemetry};
 
 /// A piecewise-smooth dynamical system with a finite set of modes.
@@ -93,7 +92,7 @@ pub fn integrate_hybrid<const N: usize, S: HybridSystem<N>>(
     y0: [f64; N],
     t_end: f64,
     max_switches: usize,
-    stepper: &mut dyn Stepper<N>,
+    stepper: &mut Dopri5,
     opts: &Options,
 ) -> Result<HybridSolution<N>, SolveError> {
     integrate_hybrid_telemetry(sys, t0, y0, t_end, max_switches, stepper, opts, None)
@@ -112,7 +111,7 @@ pub fn integrate_hybrid_telemetry<const N: usize, S: HybridSystem<N>>(
     y0: [f64; N],
     t_end: f64,
     max_switches: usize,
-    stepper: &mut dyn Stepper<N>,
+    stepper: &mut Dopri5,
     opts: &Options,
     mut tel: Option<&mut Telemetry>,
 ) -> Result<HybridSolution<N>, SolveError> {
@@ -182,7 +181,6 @@ pub fn integrate_hybrid_telemetry<const N: usize, S: HybridSystem<N>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Dopri5;
 
     /// A bouncing ball: mode 0 is free fall; the guard is the height; the
     /// transition reflects the velocity with restitution 0.5.

@@ -3,7 +3,7 @@
 /// Cubic Hermite interpolant over one accepted step `[t0, t1]`.
 ///
 /// Built from the state and derivative at both step endpoints, which every
-/// [`crate::Stepper`] provides; third-order accurate, which is ample for
+/// [`crate::Dopri5`] step provides; third-order accurate, which is ample for
 /// event location and plotting (the step itself already satisfies the error
 /// tolerance).
 #[derive(Debug, Clone, PartialEq)]
@@ -58,23 +58,6 @@ impl<const N: usize> CubicHermite<N> {
         }
         out
     }
-
-    /// Evaluates the interpolated derivative `dy/dt` at `t`.
-    #[must_use]
-    pub fn eval_deriv(&self, t: f64) -> [f64; N] {
-        let h = self.t1 - self.t0;
-        let s = ((t - self.t0) / h).clamp(0.0, 1.0);
-        let s2 = s * s;
-        let dh00 = (6.0 * s2 - 6.0 * s) / h;
-        let dh10 = 3.0 * s2 - 4.0 * s + 1.0;
-        let dh01 = (-6.0 * s2 + 6.0 * s) / h;
-        let dh11 = 3.0 * s2 - 2.0 * s;
-        let mut out = [0.0; N];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = dh00 * self.y0[i] + dh10 * self.f0[i] + dh01 * self.y1[i] + dh11 * self.f1[i];
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -86,8 +69,6 @@ mod tests {
         let h = CubicHermite::new(1.0, [2.0], [0.5], 3.0, [4.0], [-0.5]);
         assert!((h.eval(1.0)[0] - 2.0).abs() < 1e-14);
         assert!((h.eval(3.0)[0] - 4.0).abs() < 1e-14);
-        assert!((h.eval_deriv(1.0)[0] - 0.5).abs() < 1e-13);
-        assert!((h.eval_deriv(3.0)[0] + 0.5).abs() < 1e-13);
     }
 
     #[test]
@@ -99,7 +80,6 @@ mod tests {
         for k in 0..=20 {
             let t = 0.1 * k as f64;
             assert!((h.eval(t)[0] - p(t)).abs() < 1e-12, "t = {t}");
-            assert!((h.eval_deriv(t)[0] - dp(t)).abs() < 1e-11, "t = {t}");
         }
     }
 

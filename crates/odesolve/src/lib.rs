@@ -14,10 +14,8 @@
 //!
 //! * [`Ode`] — the right-hand-side trait, generic over the (const) state
 //!   dimension. Implemented for plain closures.
-//! * [`Rk4`] — classical fixed-step fourth-order Runge–Kutta.
-//! * [`Dopri5`] — adaptive Dormand–Prince 5(4) with PI step-size control.
-//! * [`Bs23`] — adaptive Bogacki–Shampine 3(2) for loose tolerances and
-//!   independent cross-checking.
+//! * [`Dopri5`] — adaptive Dormand–Prince 5(4) with PI step-size control,
+//!   the one integrator every driver runs.
 //! * [`EventFn`] and [`EventSpec`] — scalar guard functions whose
 //!   sign changes are located to high precision (Brent root finding on a
 //!   cubic Hermite interpolant of the accepted step).
@@ -48,27 +46,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bs23;
 mod dopri5;
 mod driver;
 mod error;
 mod event;
 pub mod hybrid;
 mod interp;
-mod rk4;
 mod solution;
-mod stepper;
-pub mod vecn;
+mod vecn;
 
-pub use bs23::Bs23;
 pub use dopri5::Dopri5;
 pub use driver::{integrate, integrate_with_events, integrate_with_events_telemetry, Options};
 pub use error::SolveError;
 pub use event::{locate_zero, locate_zero_counted, Direction, EventFn, EventOccurrence, EventSpec};
 pub use interp::CubicHermite;
-pub use rk4::Rk4;
 pub use solution::Solution;
-pub use stepper::{StepOutcome, Stepper};
 
 /// Right-hand side of an autonomous or non-autonomous ODE
 /// `dy/dt = f(t, y)` with state dimension `N`.

@@ -1,52 +1,8 @@
 //! Small fixed-size vector arithmetic on `[f64; N]`.
 //!
-//! The solvers in this crate work on stack-allocated arrays. These free
-//! functions keep the stepper implementations readable without pulling in a
-//! linear-algebra dependency.
-
-/// Returns `a + b` element-wise.
-#[inline]
-#[must_use]
-pub fn add<const N: usize>(a: &[f64; N], b: &[f64; N]) -> [f64; N] {
-    let mut out = [0.0; N];
-    for i in 0..N {
-        out[i] = a[i] + b[i];
-    }
-    out
-}
-
-/// Returns `a - b` element-wise.
-#[inline]
-#[must_use]
-pub fn sub<const N: usize>(a: &[f64; N], b: &[f64; N]) -> [f64; N] {
-    let mut out = [0.0; N];
-    for i in 0..N {
-        out[i] = a[i] - b[i];
-    }
-    out
-}
-
-/// Returns `s * a` element-wise.
-#[inline]
-#[must_use]
-pub fn scale<const N: usize>(s: f64, a: &[f64; N]) -> [f64; N] {
-    let mut out = [0.0; N];
-    for i in 0..N {
-        out[i] = s * a[i];
-    }
-    out
-}
-
-/// Returns `a + s * b` (axpy).
-#[inline]
-#[must_use]
-pub fn axpy<const N: usize>(a: &[f64; N], s: f64, b: &[f64; N]) -> [f64; N] {
-    let mut out = [0.0; N];
-    for i in 0..N {
-        out[i] = a[i] + s * b[i];
-    }
-    out
-}
+//! The solver works on stack-allocated arrays. These free functions keep
+//! the DOPRI5 stepper readable without pulling in a linear-algebra
+//! dependency.
 
 /// Accumulates `acc += s * b` in place.
 #[inline]
@@ -54,20 +10,6 @@ pub fn axpy_mut<const N: usize>(acc: &mut [f64; N], s: f64, b: &[f64; N]) {
     for i in 0..N {
         acc[i] += s * b[i];
     }
-}
-
-/// Euclidean norm of `a`.
-#[inline]
-#[must_use]
-pub fn norm<const N: usize>(a: &[f64; N]) -> f64 {
-    a.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
-/// Maximum absolute component of `a` (infinity norm).
-#[inline]
-#[must_use]
-pub fn norm_inf<const N: usize>(a: &[f64; N]) -> f64 {
-    a.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
 }
 
 /// Weighted RMS error norm used by adaptive step control:
@@ -102,27 +44,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_sub_roundtrip() {
-        let a = [1.0, -2.0, 3.5];
-        let b = [0.5, 4.0, -1.0];
-        assert_eq!(sub(&add(&a, &b), &b), a);
-    }
-
-    #[test]
     fn axpy_matches_manual() {
         let a = [1.0, 2.0];
         let b = [10.0, -10.0];
-        assert_eq!(axpy(&a, 0.5, &b), [6.0, -3.0]);
         let mut acc = a;
         axpy_mut(&mut acc, 0.5, &b);
         assert_eq!(acc, [6.0, -3.0]);
-    }
-
-    #[test]
-    fn norms() {
-        let a = [3.0, -4.0];
-        assert!((norm(&a) - 5.0).abs() < 1e-15);
-        assert_eq!(norm_inf(&a), 4.0);
     }
 
     #[test]

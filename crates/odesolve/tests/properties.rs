@@ -1,19 +1,17 @@
 //! Property-based tests of the solver substrate: randomized linear and
 //! oscillator problems with known closed forms, tolerance adherence,
-//! event-location accuracy, and cross-stepper agreement.
+//! event-location accuracy and dense output.
 
-use odesolve::{
-    integrate, integrate_with_events, Bs23, Direction, Dopri5, EventSpec, Options, Rk4,
-};
+use odesolve::{integrate, integrate_with_events, Direction, Dopri5, EventSpec, Options};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Scalar linear ODE: every stepper lands on the closed form within
-    /// its tolerance class.
+    /// Scalar linear ODE: DOPRI5 lands on the closed form within its
+    /// tolerance.
     #[test]
-    fn linear_decay_all_steppers(
+    fn linear_decay_meets_closed_form(
         lambda in 0.05f64..4.0,
         y0 in 0.1f64..10.0,
         t_end in 0.1f64..5.0,
@@ -24,14 +22,6 @@ proptest! {
             &mut Dopri5::with_tolerances(1e-10, 1e-10), &Options::default()).unwrap();
         prop_assert!((d5.last_state()[0] - exact).abs() < 1e-7 * y0,
             "dopri5: {} vs {}", d5.last_state()[0], exact);
-        let b23 = integrate(&ode, 0.0, [y0], t_end,
-            &mut Bs23::with_tolerances(1e-9, 1e-9), &Options::default()).unwrap();
-        prop_assert!((b23.last_state()[0] - exact).abs() < 1e-5 * y0,
-            "bs23: {} vs {}", b23.last_state()[0], exact);
-        let rk4 = integrate(&ode, 0.0, [y0], t_end,
-            &mut Rk4::with_step(t_end / 2000.0), &Options::default()).unwrap();
-        prop_assert!((rk4.last_state()[0] - exact).abs() < 1e-6 * y0,
-            "rk4: {} vs {}", rk4.last_state()[0], exact);
     }
 
     /// Harmonic oscillator with random frequency: energy conservation
@@ -77,39 +67,5 @@ proptest! {
             let exact = (-lambda * t).exp();
             prop_assert!((y[0] - exact).abs() < 1e-5, "at t={t}: {} vs {exact}", y[0]);
         }
-    }
-
-    /// Two independent adaptive implementations agree on a random damped
-    /// driven oscillator.
-    #[test]
-    fn cross_stepper_agreement(
-        damping in 0.0f64..1.0,
-        omega in 0.5f64..3.0,
-        y0 in -2.0f64..2.0,
-    ) {
-        let ode = move |t: f64, y: &[f64; 2]| {
-            [y[1], -omega * omega * y[0] - damping * y[1] + (0.7 * t).cos()]
-        };
-        let a = integrate(&ode, 0.0, [y0, 0.0], 8.0,
-            &mut Dopri5::with_tolerances(1e-11, 1e-11), &Options::default()).unwrap();
-        let b = integrate(&ode, 0.0, [y0, 0.0], 8.0,
-            &mut Bs23::with_tolerances(1e-11, 1e-11), &Options::default()).unwrap();
-        for i in 0..2 {
-            prop_assert!((a.last_state()[i] - b.last_state()[i]).abs() < 1e-6,
-                "{:?} vs {:?}", a.last_state(), b.last_state());
-        }
-    }
-
-    /// Time monotonicity and max-step respect hold for every run.
-    #[test]
-    fn recorded_times_are_monotone(max_step in 0.001f64..0.5) {
-        let ode = |_t: f64, y: &[f64; 1]| [-y[0]];
-        let sol = integrate(&ode, 0.0, [1.0], 2.0,
-            &mut Dopri5::new(), &Options::default().with_max_step(max_step)).unwrap();
-        for w in sol.times().windows(2) {
-            prop_assert!(w[1] >= w[0]);
-            prop_assert!(w[1] - w[0] <= max_step + 1e-12);
-        }
-        prop_assert!((sol.last_time() - 2.0).abs() < 1e-12);
     }
 }

@@ -17,7 +17,6 @@
 //!   as used by variable-structure control systems.
 //! * [`poincare`] — Poincaré sections, return maps, and a fixed-point
 //!   finder for locating limit cycles and measuring their stability.
-//! * [`field`] — vector-field grid sampling for quiver-style figures.
 //!
 //! The BCN-specific closed forms (logarithmic spirals, node parabolas,
 //! extrema formulas) live in the `bcn` crate, which builds on this one.
@@ -25,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod field;
 mod linear2d;
 pub mod poincare;
 mod switching;

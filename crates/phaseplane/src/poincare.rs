@@ -174,14 +174,6 @@ pub struct LimitCycle {
     pub multiplier: f64,
 }
 
-impl LimitCycle {
-    /// Whether the cycle attracts nearby trajectories.
-    #[must_use]
-    pub fn is_stable(&self) -> bool {
-        self.multiplier.abs() < 1.0
-    }
-}
-
 /// Searches `[s_lo, s_hi]` for a fixed point of the return map by
 /// bisection on the displacement `P(s) - s`.
 ///
@@ -293,7 +285,7 @@ mod tests {
         let lc = find_limit_cycle(&map, 0.5, 4.0).unwrap().expect("cycle exists");
         // Known amplitude ~2.0 (to a couple of decimals for mu = 1).
         assert!((lc.s.abs() - 2.0).abs() < 0.05, "amplitude {}", lc.s);
-        assert!(lc.is_stable(), "multiplier {}", lc.multiplier);
+        assert!(lc.multiplier.abs() < 1.0, "multiplier {}", lc.multiplier);
         // Known period ~6.66 for mu = 1.
         assert!((lc.period - 6.66).abs() < 0.1, "period {}", lc.period);
     }

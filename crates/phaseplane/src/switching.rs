@@ -91,14 +91,6 @@ impl SwitchingLine {
         let d = self.direction();
         p[0] * d[0] + p[1] * d[1]
     }
-
-    /// Whether the vector field crosses the line transversally at `p`
-    /// (i.e. `f(p)` has a nonzero component along the normal). Sliding
-    /// motion is only possible where this returns `false`.
-    #[must_use]
-    pub fn is_transversal(&self, f_at_p: [f64; 2]) -> bool {
-        self.nx * f_at_p[0] + self.ny * f_at_p[1] != 0.0
-    }
 }
 
 #[cfg(test)]
@@ -130,13 +122,6 @@ mod tests {
             assert!((line.coordinate_of(p) - s).abs() < 1e-12);
             assert!(line.signed_value(p).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn transversality() {
-        let line = SwitchingLine::bcn(1.0); // x + y = 0, normal (1, 1)
-        assert!(line.is_transversal([1.0, 0.0]));
-        assert!(!line.is_transversal([1.0, -1.0])); // tangent to the line
     }
 
     #[test]

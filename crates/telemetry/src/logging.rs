@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// 0 = unset (consult the environment), 1 = loud, 2 = quiet.
 static QUIET: AtomicU8 = AtomicU8::new(0);
 
-/// Mutes (`true`) or unmutes (`false`) [`log_line!`] output process-wide.
+/// Mutes (`true`) or unmutes (`false`) [`crate::log_line!`] output process-wide.
 pub fn set_quiet(quiet: bool) {
     QUIET.store(if quiet { 2 } else { 1 }, Ordering::Relaxed);
 }

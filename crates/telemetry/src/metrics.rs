@@ -109,24 +109,6 @@ impl Registry {
         self.histograms[id.0].record(v);
     }
 
-    /// Current value of a counter.
-    #[must_use]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0]
-    }
-
-    /// Current state of a gauge.
-    #[must_use]
-    pub fn gauge_value(&self, id: GaugeId) -> &Gauge {
-        &self.gauges[id.0]
-    }
-
-    /// Read access to a histogram.
-    #[must_use]
-    pub fn histogram_value(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0]
-    }
-
     /// Looks up a counter's value by name (for tests and summaries).
     #[must_use]
     pub fn counter_by_name(&self, name: &str) -> Option<u64> {
@@ -277,7 +259,7 @@ mod tests {
         r.set_gauge(g, 4.0);
         r.set_gauge(g, -1.0);
         r.set_gauge(g, 2.5);
-        let v = r.gauge_value(g);
+        let v = r.gauge_by_name("q").unwrap();
         assert_eq!(v.last, 2.5);
         assert_eq!(v.min, -1.0);
         assert_eq!(v.max, 4.0);
