@@ -18,6 +18,32 @@
 //!   the derivation (substitute `t* = -(A3 lambda + A4)/(A4 lambda)` into
 //!   `e^{lambda t}`) gives `-(lambda A3 + A4)/A4`. We implement the
 //!   corrected form; see `critical_extremum`.
+//!
+//! # Sign skipping in the spiral bisection
+//!
+//! [`spiral_extremum`] bisects `h(θ) = y0 cos θ + c sin θ` on `[0, π]`
+//! down to adjacent doubles, ~53 steps. Writing `R = √(y0² + c²)` and
+//! `θ*` for the zero of `h` in `(0, π)`, `|h(θ)| = R |sin(θ − θ*)|`.
+//! With `θ*` at least `m` from 0 and π, every `θ` in `[0, π]` at distance
+//! `d` from `θ*` has `|h(θ)| ≥ (2/π) R min(d, m)`. Evaluated in floating
+//! point (two products, one sum, `sin`/`cos` within an ulp), `h` is off by
+//! at most ~`4ε(|y0| + |c|) ≤ 6e-16 R`, plus `2^-1074` where a product
+//! underflows. So the computed sign of `h` is the true one whenever `d`
+//! exceeds ~1e-15 rad and `R` is a normal number; the ambiguous band is
+//! `~2ε(|y0| + |c|)/R ≲ 3e-16` rad wide on each side.
+//!
+//! The closed-form zero `θ̂ = atan2(|y0|, −c sgn y0)` lies within a few
+//! ulps (~1e-15 rad) of `θ*`. A midpoint more than `SIGN_GUARD = 1e-12`
+//! from `θ̂` is therefore more than 1000× the ambiguous band from `θ*`,
+//! and its side is known without evaluating `h`: `lo` moves up below
+//! `θ̂`, `hi` moves down above it. Inside the band `h` is evaluated
+//! exactly as before, so every step, the `h == 0` exit and the returned
+//! `t` and `x` are bit-identical to evaluating `h` at every midpoint. The
+//! guard also makes the result independent of `atan2`'s last ulp. When
+//! `θ̂` is within `ENDPOINT_MARGIN = 1e-6` of 0 or π, or `max(|y0|, |c|)`
+//! is subnormal or not finite, the bound above does not hold with this
+//! margin and every step evaluates `h`. For a zero of order one radian
+//! a call evaluates `h` ~14 times instead of ~53.
 
 use crate::closed_form::{RegionFlow, Spectrum};
 
@@ -30,12 +56,31 @@ pub struct Extremum {
     pub x: f64,
 }
 
+/// Half-width, in radians, of the band around the estimated zero of
+/// `h` inside which [`spiral_extremum`]'s bisection still evaluates `h`.
+/// The floating-point sign of `h` is ambiguous only within ~3e-16 rad of
+/// its zero (see the module header), so this leaves a margin of >1000×.
+const SIGN_GUARD: f64 = 1e-12;
+
+/// Zero estimates closer than this to 0 or π make [`spiral_extremum`]
+/// evaluate `h` at every bisection step (the module header's `m`).
+const ENDPOINT_MARGIN: f64 = 1e-6;
+
 /// First extremum of `x(t)` for a spiral region (`alpha ± i beta`,
 /// `beta > 0`) from `z0`, robust version.
 ///
 /// Returns `None` only for the equilibrium itself. If `y(0) = 0` the
 /// initial point is an extremum; the *next* one (half a rotation later) is
 /// returned, matching the paper's `t* > 0` convention for round analysis.
+///
+/// The extremum angle is found by bisecting `h(θ) = y0 cos θ + c sin θ`
+/// on `[0, π]` down to adjacent doubles. A bisection step whose midpoint
+/// lies more than `SIGN_GUARD` from the closed-form zero `θ̂` (one
+/// `atan2`) takes the side that zero dictates without evaluating `h`;
+/// only steps inside the band evaluate it. The steps taken are the ones
+/// evaluating `h` at every midpoint would take, so the result is the same
+/// to the bit. When `θ̂` is within `ENDPOINT_MARGIN` of 0 or π, or `y0`
+/// and `c` are not finite normal-range numbers, every step evaluates `h`.
 #[must_use]
 pub fn spiral_extremum(alpha: f64, beta: f64, z0: [f64; 2]) -> Option<Extremum> {
     let flow = flow_for_focus(alpha, beta);
@@ -56,6 +101,7 @@ pub fn spiral_extremum(alpha: f64, beta: f64, z0: [f64; 2]) -> Option<Extremum> 
         // h(theta) = y0 cos(theta) + c sin(theta) has exactly one zero in
         // (0, pi]: h(0) = y0 and h(pi) = -y0 straddle it.
         let h = |theta: f64| y0 * theta.cos() + c * theta.sin();
+        let zero = sign_change_estimate(y0, c);
         let mut lo = 0.0_f64;
         let mut hi = std::f64::consts::PI;
         for _ in 0..80 {
@@ -63,13 +109,20 @@ pub fn spiral_extremum(alpha: f64, beta: f64, z0: [f64; 2]) -> Option<Extremum> 
             if mid <= lo || mid >= hi {
                 break;
             }
-            let hm = h(mid);
-            if hm == 0.0 {
-                lo = mid;
-                hi = mid;
-                break;
-            }
-            if hm.signum() == y0.signum() {
+            let before_zero = match zero {
+                Some(z) if mid < z - SIGN_GUARD => true,
+                Some(z) if mid > z + SIGN_GUARD => false,
+                _ => {
+                    let hm = h(mid);
+                    if hm == 0.0 {
+                        lo = mid;
+                        hi = mid;
+                        break;
+                    }
+                    hm.signum() == y0.signum()
+                }
+            };
+            if before_zero {
                 lo = mid;
             } else {
                 hi = mid;
@@ -79,6 +132,20 @@ pub fn spiral_extremum(alpha: f64, beta: f64, z0: [f64; 2]) -> Option<Extremum> 
     };
     let x = flow.at(t_star, z0)[0];
     Some(Extremum { t: t_star, x })
+}
+
+/// Closed-form zero of `h(θ) = y0 cos θ + c sin θ` in `(0, π)` for
+/// `y0 != 0`, or `None` where [`spiral_extremum`] must not trust it to
+/// skip evaluations of `h`.
+fn sign_change_estimate(y0: f64, c: f64) -> Option<f64> {
+    if !(y0.is_finite() && c.is_finite()) || y0.abs().max(c.abs()) < f64::MIN_POSITIVE {
+        return None;
+    }
+    // At the zero (cos θ, sin θ) is parallel to (-c sgn y0, |y0|), whose
+    // second component is positive, so one atan2 lands in (0, π) with no
+    // reduction.
+    let theta = y0.abs().atan2(-c * y0.signum());
+    (ENDPOINT_MARGIN..=std::f64::consts::PI - ENDPOINT_MARGIN).contains(&theta).then_some(theta)
 }
 
 /// First extremum of `x(t)` for a spiral region, paper transcription
@@ -206,6 +273,137 @@ fn flow_for_focus(alpha: f64, beta: f64) -> RegionFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The spiral bisection as it was before sign skipping: `h` evaluated
+    /// at every midpoint. The oracle `spiral_extremum` must match bitwise.
+    fn spiral_extremum_bisect_every_step(alpha: f64, beta: f64, z0: [f64; 2]) -> Option<Extremum> {
+        let flow = flow_for_focus(alpha, beta);
+        let [x0, y0] = z0;
+        if x0 == 0.0 && y0 == 0.0 {
+            return None;
+        }
+        let ydot0 = flow.jacobian().mul_vec(z0)[1];
+        let c = (ydot0 - alpha * y0) / beta;
+        let t_star = if y0 == 0.0 {
+            if c == 0.0 {
+                return None;
+            }
+            std::f64::consts::PI / beta
+        } else {
+            let h = |theta: f64| y0 * theta.cos() + c * theta.sin();
+            let mut lo = 0.0_f64;
+            let mut hi = std::f64::consts::PI;
+            for _ in 0..80 {
+                let mid = 0.5 * (lo + hi);
+                if mid <= lo || mid >= hi {
+                    break;
+                }
+                let hm = h(mid);
+                if hm == 0.0 {
+                    lo = mid;
+                    hi = mid;
+                    break;
+                }
+                if hm.signum() == y0.signum() {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi) / beta
+        };
+        let x = flow.at(t_star, z0)[0];
+        Some(Extremum { t: t_star, x })
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)` from the top 53 bits.
+    fn unit(state: &mut u64) -> f64 {
+        (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// `±10^e` with `e` uniform in `[lo, hi)` and a random sign.
+    fn signed_decades(state: &mut u64, lo: f64, hi: f64) -> f64 {
+        let sign = if splitmix64(state) & 1 == 0 { 1.0 } else { -1.0 };
+        sign * 10f64.powf(lo + (hi - lo) * unit(state))
+    }
+
+    /// The initial point whose `h` has coefficients `(y0, c)` in the
+    /// focus `alpha ± i beta`: inverts `c = (alpha y0 - n x0)/beta`.
+    fn start_with_c(alpha: f64, beta: f64, y0: f64, c: f64) -> [f64; 2] {
+        [(alpha * y0 - beta * c) / (alpha * alpha + beta * beta), y0]
+    }
+
+    fn bits(e: Option<Extremum>) -> Option<(u64, u64)> {
+        e.map(|e| (e.t.to_bits(), e.x.to_bits()))
+    }
+
+    #[test]
+    fn spiral_sign_skipping_matches_full_bisection_bitwise() {
+        use std::f64::consts::PI;
+        let mut cases: Vec<(f64, f64, [f64; 2])> = Vec::new();
+        let mut rng = 0x5eed_f00d_u64;
+        for i in 0..120_000 {
+            // beta over 9 decades, |alpha|/beta over 12, alpha = 0 at times.
+            let beta = 10f64.powf(-3.0 + 9.0 * unit(&mut rng));
+            let alpha =
+                if i % 16 == 0 { 0.0 } else { -beta * 10f64.powf(-6.0 + 12.0 * unit(&mut rng)) };
+            let x0 = signed_decades(&mut rng, -12.0, 12.0);
+            let z0 = match i % 8 {
+                0 => [0.0, signed_decades(&mut rng, -12.0, 12.0)],
+                1 => [x0, -x0 * 10f64.powf(-6.0 + 12.0 * unit(&mut rng))],
+                _ => [x0, signed_decades(&mut rng, -12.0, 12.0)],
+            };
+            cases.push((alpha, beta, z0));
+        }
+        // Zeros of h within 1e-9 of 0 and of pi, down to a few ulps.
+        for k in 0..2_000 {
+            let beta = 10f64.powf(-2.0 + 6.0 * unit(&mut rng));
+            let alpha = -beta * 10f64.powf(-4.0 + 6.0 * unit(&mut rng));
+            let offset = 10f64.powf(-16.0 + 7.0 * unit(&mut rng));
+            let theta = if k % 2 == 0 { offset } else { PI - offset };
+            let y0 = signed_decades(&mut rng, -3.0, 6.0);
+            let c = -y0 * theta.cos() / theta.sin();
+            cases.push((alpha, beta, start_with_c(alpha, beta, y0, c)));
+        }
+        // c = 0 exactly (alpha = 0, x0 = 0), c = 0 approximately, y0 = 0.
+        for _ in 0..200 {
+            let beta = 10f64.powf(-3.0 + 9.0 * unit(&mut rng));
+            let alpha = -beta * unit(&mut rng);
+            let y0 = signed_decades(&mut rng, -6.0, 6.0);
+            cases.push((0.0, beta, [0.0, y0]));
+            cases.push((alpha, beta, start_with_c(alpha, beta, y0, 0.0)));
+            cases.push((alpha, beta, [signed_decades(&mut rng, -6.0, 6.0), 0.0]));
+        }
+        // Subnormal, tiny and huge starts, and extreme alpha/beta.
+        let magnitudes =
+            [f64::from_bits(1), 1e-320, f64::MIN_POSITIVE, 1e-300, 1.0, 1e300, f64::MAX];
+        for &(alpha, beta) in &[(-1.0, 3.0), (-1e-12, 1.0), (-1e12, 1.0), (0.0, 1e6), (-2.0, 316.2)]
+        {
+            for &mx in &magnitudes {
+                for &my in &magnitudes {
+                    for &(sx, sy) in &[(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] {
+                        cases.push((alpha, beta, [sx * mx, sy * my]));
+                    }
+                }
+            }
+        }
+        assert!(cases.len() >= 100_000);
+        for &(alpha, beta, z0) in &cases {
+            assert_eq!(
+                bits(spiral_extremum(alpha, beta, z0)),
+                bits(spiral_extremum_bisect_every_step(alpha, beta, z0)),
+                "alpha {alpha:e}, beta {beta:e}, z0 {z0:?}"
+            );
+        }
+    }
 
     const ALPHA: f64 = -1.0;
     const BETA: f64 = 3.0;
