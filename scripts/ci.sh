@@ -35,19 +35,23 @@ echo "== fluid engine smoke (analytic vs DOPRI5 agreement) =="
 DCE_BCN_QUICK=1 DCE_BCN_RESULTS=$(mktemp -d) \
   cargo run --release -p bench --bin fluid_engine
 
-echo "== criterion atlas artifact gate (regenerates byte-identically) =="
-# The atlas is deterministic; any change to a verdict path that moves a
-# committed cell shows up as a byte diff.
-atlas_dir=$(mktemp -d)
-DCE_BCN_RESULTS="$atlas_dir" cargo run --release -p bench --bin exp_criterion_sweep
-cmp "$atlas_dir/exp_criterion_sweep.csv" results/exp_criterion_sweep.csv
-
-echo "== fabric engine artifact gate (PAUSE HOL regenerates byte-identically) =="
-# exp_pause_hol is the only committed artifact the network engine
-# produces; any change to NetSim that moves an output bit shows up here.
-hol_dir=$(mktemp -d)
-DCE_BCN_RESULTS="$hol_dir" cargo run --release -p bench --bin exp_pause_hol
-cmp "$hol_dir/exp_pause_hol.csv" results/exp_pause_hol.csv
+echo "== artifact gate (run_all regenerates every committed artifact byte-identically) =="
+# Every figure and experiment generator is deterministic, so any change
+# that moves an output bit (a verdict path, the fluid or propagator
+# legs, NetSim's PAUSE HOL run, a plot) shows up as a byte diff. Only
+# the BENCH_*.json timing files are not regenerated by run_all.
+art_dir=$(mktemp -d)
+DCE_BCN_RESULTS="$art_dir" cargo run --release -p bench --bin run_all >/dev/null
+for f in "$art_dir"/*; do
+  cmp "$f" "results/$(basename "$f")"
+done
+for f in $(git ls-files results); do
+  case "$f" in results/BENCH_*.json) continue ;; esac
+  if [ ! -e "$art_dir/$(basename "$f")" ]; then
+    echo "$f is committed but run_all no longer writes it" >&2
+    exit 1
+  fi
+done
 
 echo "== fault-injection smoke (Theorem 1 degradation gap + campaign resume) =="
 # Quick mode writes a reduced grid; keep it out of the committed results/.
