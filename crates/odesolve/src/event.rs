@@ -99,24 +99,12 @@ pub struct EventOccurrence<const N: usize> {
 /// with the dense-output interpolant.
 ///
 /// `g0` and `g1` are the guard values at the step endpoints; they must
-/// bracket a root in the sense of `direction`. Returns `(t_event, y_event)`.
+/// bracket a root in the sense of `direction`. Returns
+/// `(t_event, y_event, iterations)`, the last being the number of
+/// bisection iterations spent converging (for instrumentation).
 ///
 /// The tolerance is relative to the step length, pinned at 60 bisection
 /// iterations (enough to exhaust f64 resolution).
-#[must_use]
-pub fn locate_zero<const N: usize>(
-    guard: &dyn EventFn<N>,
-    interp: &CubicHermite<N>,
-    g0: f64,
-    g1: f64,
-    direction: Direction,
-) -> (f64, [f64; N]) {
-    let (t, y, _) = locate_zero_counted(guard, interp, g0, g1, direction);
-    (t, y)
-}
-
-/// Like [`locate_zero`], additionally returning the number of bisection
-/// iterations spent converging (for instrumentation).
 #[must_use]
 pub fn locate_zero_counted<const N: usize>(
     guard: &dyn EventFn<N>,
@@ -172,7 +160,7 @@ mod tests {
         // State moves linearly from -1 to +1 over [0, 2]; zero at t = 1.
         let interp = CubicHermite::new(0.0, [-1.0], [1.0], 2.0, [1.0], [1.0]);
         let guard = |_t: f64, y: &[f64; 1]| y[0];
-        let (t, y) = locate_zero(&guard, &interp, -1.0, 1.0, Direction::Rising);
+        let (t, y, _) = locate_zero_counted(&guard, &interp, -1.0, 1.0, Direction::Rising);
         assert!((t - 1.0).abs() < 1e-12, "t = {t}");
         assert!(y[0].abs() < 1e-12);
     }
@@ -185,7 +173,7 @@ mod tests {
         let dp = |t: f64| 2.0 * t;
         let interp = CubicHermite::new(0.0, [p(0.0)], [dp(0.0)], 1.0, [p(1.0)], [dp(1.0)]);
         let guard = |_t: f64, y: &[f64; 1]| y[0];
-        let (t, _) = locate_zero(&guard, &interp, p(0.0), p(1.0), Direction::Rising);
+        let (t, _, _) = locate_zero_counted(&guard, &interp, p(0.0), p(1.0), Direction::Rising);
         assert!((t - 0.5).abs() < 1e-12, "t = {t}");
     }
 

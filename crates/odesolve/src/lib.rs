@@ -58,7 +58,7 @@ mod vecn;
 pub use dopri5::Dopri5;
 pub use driver::{integrate, integrate_with_events, integrate_with_events_telemetry, Options};
 pub use error::SolveError;
-pub use event::{locate_zero, locate_zero_counted, Direction, EventFn, EventOccurrence, EventSpec};
+pub use event::{locate_zero_counted, Direction, EventFn, EventOccurrence, EventSpec};
 pub use interp::CubicHermite;
 pub use solution::Solution;
 

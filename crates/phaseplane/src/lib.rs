@@ -15,8 +15,8 @@
 //!   closures), with [`trajectory`] tracing built on `odesolve`.
 //! * [`SwitchingLine`] — a line through the origin partitioning the plane,
 //!   as used by variable-structure control systems.
-//! * [`poincare`] — Poincaré sections, return maps, and a fixed-point
-//!   finder for locating limit cycles and measuring their stability.
+//! * [`poincare`] — Poincaré sections and return maps, whose contraction
+//!   ratio locates limit cycles and measures their stability.
 //!
 //! The BCN-specific closed forms (logarithmic spirals, node parabolas,
 //! extrema formulas) live in the `bcn` crate, which builds on this one.
