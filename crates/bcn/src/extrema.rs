@@ -274,8 +274,8 @@ fn flow_for_focus(alpha: f64, beta: f64) -> RegionFlow {
 mod tests {
     use super::*;
 
-    /// The spiral bisection as it was before sign skipping: `h` evaluated
-    /// at every midpoint. The oracle `spiral_extremum` must match bitwise.
+    /// The spiral bisection evaluating `h` at every midpoint: the oracle
+    /// that `spiral_extremum` must match bitwise.
     fn spiral_extremum_bisect_every_step(alpha: f64, beta: f64, z0: [f64; 2]) -> Option<Extremum> {
         let flow = flow_for_focus(alpha, beta);
         let [x0, y0] = z0;

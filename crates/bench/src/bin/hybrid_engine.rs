@@ -236,7 +236,10 @@ fn steady_state_allocations(t_end: f64) -> (u64, u64) {
 fn main() {
     let (agree_t_end, speed_t_end, batch_t_end, reps) =
         if quick() { (0.3, 0.5, 0.02, 1) } else { (0.5, 1.5, 0.05, 3) };
-    println!("hybrid engine benchmark: agreement over {agree_t_end} s, best of {reps}");
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    println!(
+        "hybrid engine benchmark: agreement over {agree_t_end} s, best of {reps}, {cores} core(s)"
+    );
 
     let mut failures: Vec<String> = Vec::new();
     let params = fluid_validation_params();
@@ -316,7 +319,7 @@ fn main() {
                 wrapping allocator on a warm SimWorkspace over a stretch that includes \
                 every fast-forward reseed.";
     let json = format!(
-        "{{\n  \"quick\": {},\n  \"reps\": {reps},\n  \"divergence_bound_bits\": {bound:.0},\n  \
+        "{{\n  \"quick\": {},\n  \"reps\": {reps},\n  \"cores\": {cores},\n  \"divergence_bound_bits\": {bound:.0},\n  \
          \"divergence\": [\n    {{\"scenario\": \"limit_cycle\", \"epochs\": {}, \
          \"analytic_frac\": {:.4}, \"d_max_bits\": {lc_dmax:.1}, \"d_min_bits\": {lc_dmin:.1}}},\n    \
          {{\"scenario\": \"incast_16\", \"epochs\": {}, \"analytic_frac\": {:.4}, \
