@@ -109,12 +109,6 @@ impl<'a, S: PlaneSystem> ReturnMap<'a, S> {
         self
     }
 
-    /// The underlying section line.
-    #[must_use]
-    pub fn line(&self) -> SwitchingLine {
-        self.line
-    }
-
     /// Applies the map to the point at section coordinate `s`.
     ///
     /// # Errors
