@@ -22,8 +22,8 @@
 //!   bit-identical at any thread count and invariant under
 //!   deduplication.
 //! * [`query_to_jsonl`]/[`answer_from_jsonl`] and friends — a flat JSONL
-//!   codec in the `telemetry::jsonl` idiom (schema-v2 header, `{v:?}`
-//!   float formatting with `NaN`/`inf`/`-inf` tokens) whose
+//!   codec on `telemetry`'s record reader and number formatter
+//!   (schema-v2 header, `{v:?}` floats with `NaN`/`inf`/`-inf` tokens) whose
 //!   decode → re-encode cycle is byte-identical, so streamed answer
 //!   files can be diffed and round-tripped losslessly.
 //!
@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 
-use telemetry::JsonlError;
+use telemetry::{fmt_num, JsonlError, Record};
 
 use crate::params::BcnParams;
 use crate::propagate::Propagator;
@@ -254,18 +254,6 @@ pub fn evaluate_batch(queries: &[StabilityQuery]) -> Vec<StabilityAnswer> {
     QueryBatch::new(queries).evaluate()
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-inf".to_string()
-    } else {
-        format!("{v:?}")
-    }
-}
-
 /// Serializes one query to a JSONL line (no trailing newline). Floats
 /// use the shortest exact round-trip form, so
 /// `query_to_jsonl(query_from_jsonl(line))` reproduces `line` byte for
@@ -276,15 +264,15 @@ pub fn query_to_jsonl(q: &StabilityQuery) -> String {
     format!(
         r#"{{"type":"query","n":{},"capacity":{},"q0":{},"buffer":{},"gi":{},"gd":{},"ru":{},"w":{},"pm":{},"qsc":{},"max_legs":{}}}"#,
         p.n_flows,
-        fmt_f64(p.capacity),
-        fmt_f64(p.q0),
-        fmt_f64(p.buffer),
-        fmt_f64(p.gi),
-        fmt_f64(p.gd),
-        fmt_f64(p.ru),
-        fmt_f64(p.w),
-        fmt_f64(p.pm),
-        fmt_f64(p.qsc),
+        fmt_num(p.capacity),
+        fmt_num(p.q0),
+        fmt_num(p.buffer),
+        fmt_num(p.gi),
+        fmt_num(p.gd),
+        fmt_num(p.ru),
+        fmt_num(p.w),
+        fmt_num(p.pm),
+        fmt_num(p.qsc),
         q.max_legs,
     )
 }
@@ -296,123 +284,11 @@ pub fn answer_to_jsonl(a: &StabilityAnswer) -> String {
     format!(
         r#"{{"type":"answer","stable":{},"required_buffer":{},"max_x":{},"min_x":{},"legs":{}}}"#,
         a.strongly_stable,
-        fmt_f64(a.required_buffer),
-        fmt_f64(a.max_x),
-        fmt_f64(a.min_x),
+        fmt_num(a.required_buffer),
+        fmt_num(a.max_x),
+        fmt_num(a.min_x),
         a.legs,
     )
-}
-
-/// A parsed flat-JSON scalar (the only shapes the query wire format
-/// uses: numbers with `NaN`/`inf`/`-inf` extensions, escape-free
-/// strings, booleans).
-enum Value<'a> {
-    Num(f64),
-    Str(&'a str),
-    Bool(bool),
-}
-
-/// Minimal parser for the flat objects this module emits, mirroring
-/// `telemetry::jsonl`'s (private) one: a single level of
-/// `"key": scalar` pairs and nothing else.
-fn parse_flat_object(line: &str) -> Result<Vec<(&str, Value<'_>)>, JsonlError> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| JsonlError("line is not a JSON object".into()))?;
-    let mut fields = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        rest = rest
-            .strip_prefix('"')
-            .ok_or_else(|| JsonlError(format!("expected quoted key at `{rest}`")))?;
-        let kq = rest.find('"').ok_or_else(|| JsonlError("unterminated key".into()))?;
-        let key = &rest[..kq];
-        rest = rest[kq + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| JsonlError(format!("missing `:` after key `{key}`")))?
-            .trim_start();
-        let (value, tail) = if let Some(r) = rest.strip_prefix('"') {
-            let vq = r.find('"').ok_or_else(|| JsonlError("unterminated string value".into()))?;
-            (Value::Str(&r[..vq]), &r[vq + 1..])
-        } else {
-            let end = rest.find(',').unwrap_or(rest.len());
-            let token = rest[..end].trim();
-            let v =
-                match token {
-                    "true" => Value::Bool(true),
-                    "false" => Value::Bool(false),
-                    "NaN" => Value::Num(f64::NAN),
-                    "inf" => Value::Num(f64::INFINITY),
-                    "-inf" => Value::Num(f64::NEG_INFINITY),
-                    _ => Value::Num(token.parse::<f64>().map_err(|_| {
-                        JsonlError(format!("bad scalar `{token}` for key `{key}`"))
-                    })?),
-                };
-            (v, &rest[end..])
-        };
-        fields.push((key, value));
-        rest = tail.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return Err(JsonlError(format!("unexpected trailing content `{rest}`")));
-        }
-    }
-    Ok(fields)
-}
-
-struct FieldReader<'a> {
-    fields: Vec<(&'a str, Value<'a>)>,
-}
-
-impl<'a> FieldReader<'a> {
-    fn parse(line: &'a str, expected_type: &str) -> Result<Self, JsonlError> {
-        let fields = parse_flat_object(line)?;
-        let reader = Self { fields };
-        match reader.get("type")? {
-            Value::Str(s) if *s == expected_type => Ok(reader),
-            Value::Str(s) => {
-                Err(JsonlError(format!("record type `{s}`, expected `{expected_type}`")))
-            }
-            _ => Err(JsonlError("field `type` is not a string".into())),
-        }
-    }
-
-    fn get(&self, key: &str) -> Result<&Value<'a>, JsonlError> {
-        self.fields
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| JsonlError(format!("missing field `{key}`")))
-    }
-
-    fn num(&self, key: &str) -> Result<f64, JsonlError> {
-        match self.get(key)? {
-            Value::Num(v) => Ok(*v),
-            _ => Err(JsonlError(format!("field `{key}` is not a number"))),
-        }
-    }
-
-    /// A numeric field that must hold an exact non-negative integer.
-    fn uint(&self, key: &str) -> Result<u64, JsonlError> {
-        let v = self.num(key)?;
-        if v.fract() == 0.0 && (0.0..=9.007_199_254_740_992e15).contains(&v) {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Ok(v as u64)
-        } else {
-            Err(JsonlError(format!("field `{key}` is not a non-negative integer: {v}")))
-        }
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, JsonlError> {
-        match self.get(key)? {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(JsonlError(format!("field `{key}` is not a boolean"))),
-        }
-    }
 }
 
 /// Parses one query line. Omitted parameter fields fall back to
@@ -428,16 +304,10 @@ impl<'a> FieldReader<'a> {
 pub fn query_from_jsonl(line: &str) -> Result<StabilityQuery, JsonlError> {
     const KNOWN: [&str; 12] =
         ["type", "n", "capacity", "q0", "buffer", "gi", "gd", "ru", "w", "pm", "qsc", "max_legs"];
-    let r = FieldReader::parse(line, "query")?;
-    if let Some((k, _)) = r.fields.iter().find(|(k, _)| !KNOWN.contains(k)) {
-        return Err(JsonlError(format!("unknown query field `{k}`")));
-    }
+    let r = typed_record(line, "query", &KNOWN)?;
     let mut p = BcnParams::paper_defaults();
-    let has = |key: &str| r.fields.iter().any(|(k, _)| *k == key);
-    if has("n") {
-        let n = r.uint("n")?;
-        p.n_flows =
-            u32::try_from(n).map_err(|_| JsonlError(format!("field `n` out of range: {n}")))?;
+    if let Some(n) = r.get("n") {
+        p.n_flows = n.as_u32("n")?;
     }
     for (key, slot) in [
         ("capacity", &mut p.capacity),
@@ -450,16 +320,15 @@ pub fn query_from_jsonl(line: &str) -> Result<StabilityQuery, JsonlError> {
         ("pm", &mut p.pm),
         ("qsc", &mut p.qsc),
     ] {
-        if has(key) {
-            *slot = r.num(key)?;
+        if let Some(v) = r.get(key) {
+            *slot = v.as_f64(key)?;
         }
     }
     p.validate().map_err(|e| JsonlError(format!("invalid query parameters: {e}")))?;
-    let max_legs = if has("max_legs") {
-        usize::try_from(r.uint("max_legs")?)
-            .map_err(|_| JsonlError("field `max_legs` out of range".into()))?
-    } else {
-        DEFAULT_MAX_LEGS
+    let max_legs = match r.get("max_legs") {
+        Some(v) => usize::try_from(v.as_u64("max_legs")?)
+            .map_err(|_| JsonlError("field `max_legs` out of range".into()))?,
+        None => DEFAULT_MAX_LEGS,
     };
     Ok(StabilityQuery { params: p, max_legs })
 }
@@ -472,18 +341,25 @@ pub fn query_from_jsonl(line: &str) -> Result<StabilityQuery, JsonlError> {
 /// missing/mistyped value.
 pub fn answer_from_jsonl(line: &str) -> Result<StabilityAnswer, JsonlError> {
     const KNOWN: [&str; 6] = ["type", "stable", "required_buffer", "max_x", "min_x", "legs"];
-    let r = FieldReader::parse(line, "answer")?;
-    if let Some((k, _)) = r.fields.iter().find(|(k, _)| !KNOWN.contains(k)) {
-        return Err(JsonlError(format!("unknown answer field `{k}`")));
-    }
+    let r = typed_record(line, "answer", &KNOWN)?;
     Ok(StabilityAnswer {
         strongly_stable: r.bool("stable")?,
-        required_buffer: r.num("required_buffer")?,
-        max_x: r.num("max_x")?,
-        min_x: r.num("min_x")?,
-        legs: usize::try_from(r.uint("legs")?)
+        required_buffer: r.f64("required_buffer")?,
+        max_x: r.f64("max_x")?,
+        min_x: r.f64("min_x")?,
+        legs: usize::try_from(r.u64("legs")?)
             .map_err(|_| JsonlError("field `legs` out of range".into()))?,
     })
+}
+
+/// Parses `line` as a record of type `ty` whose keys all lie in `known`.
+fn typed_record<'a>(line: &'a str, ty: &str, known: &[&str]) -> Result<Record<'a>, JsonlError> {
+    let r = Record::parse(line)?;
+    r.expect_type(ty)?;
+    if let Some(k) = r.keys().find(|k| !known.contains(k)) {
+        return Err(JsonlError(format!("unknown {ty} field `{k}`")));
+    }
+    Ok(r)
 }
 
 #[cfg(test)]

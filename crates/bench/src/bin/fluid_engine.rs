@@ -24,7 +24,7 @@ use std::time::Instant;
 use bcn::simulate::{fluid_trajectory, Engine, FluidOptions};
 use bcn::stability::exact_verdict;
 use bcn::{BcnFluid, BcnParams};
-use bench::common::out_dir;
+use bench::common::{out_dir, quick};
 use bench::experiments::criterion_sweep::{atlas_params, fluid_horizon};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -32,10 +32,6 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const MAX_REL_DELTA: f64 = 1e-6;
 /// Serial per-cell speedup gate at the full grid.
 const MIN_SPEEDUP: f64 = 5.0;
-
-fn quick() -> bool {
-    std::env::var_os("DCE_BCN_QUICK").is_some()
-}
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)

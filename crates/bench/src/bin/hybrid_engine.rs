@@ -29,12 +29,10 @@
 //! $ cargo run --release -p bench --bin hybrid_engine
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bench::common::out_dir;
+use bench::common::{out_dir, quick};
 use dcesim::batch::{run_batch, BatchConfig};
 use dcesim::hybrid::{HybridGuards, HybridSim, HybridSpec, DIVERGENCE_BOUND_FRAC};
 use dcesim::metrics::SimMetrics;
@@ -48,43 +46,9 @@ const MIN_SPEEDUP: f64 = 3.0;
 /// Frame size used throughout (bits).
 const FRAME: f64 = 8_000.0;
 
-// --- counting allocator (bench binary only) -------------------------------
-
-/// Counts allocation events (alloc + realloc) on top of the system
-/// allocator; proves the hybrid warm path allocates nothing. Never
-/// enabled in the library, which forbids unsafe code.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic with no further side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+bench::counting_allocator!();
 
 // --- scenarios ------------------------------------------------------------
-
-fn quick() -> bool {
-    std::env::var_os("DCE_BCN_QUICK").is_some()
-}
 
 /// The Fig. 7 limit-cycle parameterisation on the packet engine.
 fn limit_cycle(t_end: f64) -> SimConfig {

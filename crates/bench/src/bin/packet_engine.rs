@@ -32,13 +32,11 @@
 //! gate (CI smoke mode — every equivalence and allocation check still
 //! runs in full).
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bench::common::out_dir;
+use bench::common::{out_dir, quick, splitmix_next};
 use dcesim::batch::{run_batch, BatchConfig};
 use dcesim::faults::FaultConfig;
 use dcesim::metrics::SimMetrics;
@@ -56,43 +54,9 @@ const MIN_REPLAY_SPEEDUP: f64 = 2.0;
 /// Frame size used throughout (bits).
 const FRAME: f64 = 8_000.0;
 
-// --- counting allocator (bench binary only) -------------------------------
-
-/// Counts allocation events (alloc + realloc) on top of the system
-/// allocator. Used to prove the wheel's steady state allocates nothing;
-/// never enabled in the library, which forbids unsafe code.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic with no further side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+bench::counting_allocator!();
 
 // --- scenarios ------------------------------------------------------------
-
-fn quick() -> bool {
-    std::env::var_os("DCE_BCN_QUICK").is_some()
-}
 
 /// The Fig. 7 limit-cycle parameterisation on the packet engine.
 fn limit_cycle(t_end: f64) -> SimConfig {
@@ -262,14 +226,6 @@ enum Op {
     Pop,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A deterministic schedule/pop sequence with delays drawn from the
 /// engine's regimes (frame serialization, propagation, pacing gaps,
 /// PAUSE holds, occasional far-future timers), holding the backlog near
@@ -281,15 +237,15 @@ fn synth_ops(n: usize, depth: usize, seed: u64) -> Vec<Op> {
     let mut pending = std::collections::BinaryHeap::new();
     let mut now = 0u64;
     for _ in 0..n {
-        let r = splitmix64(&mut rng);
+        let r = splitmix_next(&mut rng);
         let push = pending.len() < depth / 2 || (pending.len() < 2 * depth && r & 1 == 0);
         if push {
-            let kind = splitmix64(&mut rng) % 100;
+            let kind = splitmix_next(&mut rng) % 100;
             let delta = match kind {
-                0..=69 => 1 + splitmix64(&mut rng) % 64_000, // send/arrive: ns..64 us
-                70..=89 => 64_000 + splitmix64(&mut rng) % 1_000_000, // pacing: ..1 ms
-                90..=98 => 1_000_000 + splitmix64(&mut rng) % 9_000_000, // PAUSE/record
-                _ => 100_000_000 + splitmix64(&mut rng) % 900_000_000, // far timer
+                0..=69 => 1 + splitmix_next(&mut rng) % 64_000, // send/arrive: ns..64 us
+                70..=89 => 64_000 + splitmix_next(&mut rng) % 1_000_000, // pacing: ..1 ms
+                90..=98 => 1_000_000 + splitmix_next(&mut rng) % 9_000_000, // PAUSE/record
+                _ => 100_000_000 + splitmix_next(&mut rng) % 900_000_000, // far timer
             };
             let t = now.saturating_add(delta);
             pending.push(std::cmp::Reverse(t));

@@ -30,16 +30,14 @@
 //! $ cargo run --release -p bench --bin query_engine
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use bcn::propagate::Propagator;
 use bcn::query::{QueryBatch, StabilityAnswer, StabilityQuery};
 use bcn::stability::{exact_verdict, exact_verdict_scratch, theorem1_required_buffer};
 use bcn::BcnParams;
-use bench::common::out_dir;
+use bench::common::{out_dir, quick, splitmix_next};
 
 /// Serial batched-vs-naive throughput gate on the zipf-hot workload.
 const MIN_HOT_SPEEDUP: f64 = 3.0;
@@ -48,56 +46,13 @@ const MAX_LEGS: usize = 48;
 /// Worker counts for the QPS rows.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-// --- counting allocator (bench binary only) -------------------------------
-
-/// Counts allocation events (alloc + realloc) on top of the system
-/// allocator. Used to prove the warm verdict path allocates nothing;
-/// never enabled in the library, which forbids unsafe code.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic with no further side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-fn quick() -> bool {
-    std::env::var_os("DCE_BCN_QUICK").is_some()
-}
+bench::counting_allocator!();
 
 // --- deterministic workloads ----------------------------------------------
 
-/// splitmix64: the deterministic PRNG behind the zipf sampler.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A unit-interval draw from the top 53 bits.
 fn uniform01(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+    (splitmix_next(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The `i`-th distinct benchmark configuration: a capacity and gain

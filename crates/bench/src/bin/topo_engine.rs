@@ -30,13 +30,11 @@
 //! the two speedup gates (CI smoke mode — every equivalence and
 //! allocation check still runs in full).
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bench::common::out_dir;
+use bench::common::{out_dir, quick, splitmix_next};
 use dcesim::batch::{run_net_batch, NetBatchConfig};
 use dcesim::faults::FaultConfig;
 use dcesim::net::{NetConfig, NetReport, NetSim};
@@ -50,43 +48,9 @@ const MIN_END_TO_END_SPEEDUP: f64 = 1.2;
 /// hosts.
 const MIN_LOOKUP_SPEEDUP: f64 = 5.0;
 
-// --- counting allocator (bench binary only) -------------------------------
-
-/// Counts allocation events (alloc + realloc) on top of the system
-/// allocator. Used to prove the warm forwarding path allocates nothing;
-/// never enabled in the library, which forbids unsafe code.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed atomic with no further side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+bench::counting_allocator!();
 
 // --- scenarios ------------------------------------------------------------
-
-fn quick() -> bool {
-    std::env::var_os("DCE_BCN_QUICK").is_some()
-}
 
 /// An incast compiled onto a fabric at 4x overload of the destination
 /// access link.
@@ -189,14 +153,6 @@ fn steady_state_allocations(cfg: &NetConfig, warmup_steps: u64) -> u64 {
 
 // --- route-lookup microbench ----------------------------------------------
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Route-lookup throughput: the flat `u32` next-hop table (what the
 /// engine builds at `NetSim::try_new`) against the per-frame
 /// `routes.iter().find(...)` linear scan it replaced, on the same
@@ -218,7 +174,10 @@ fn route_lookup_speedup(reps: usize, lookups: usize) -> (f64, usize) {
     let mut rng = 0x5eed;
     let queries: Vec<(usize, usize)> = (0..lookups)
         .map(|_| {
-            (splitmix64(&mut rng) as usize % routes.len(), splitmix64(&mut rng) as usize % hosts)
+            (
+                splitmix_next(&mut rng) as usize % routes.len(),
+                splitmix_next(&mut rng) as usize % hosts,
+            )
         })
         .collect();
     let mut best_linear = f64::INFINITY;

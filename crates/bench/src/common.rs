@@ -6,8 +6,9 @@ use std::path::{Path, PathBuf};
 
 use bcn::simulate::{fluid_trajectory, FluidOptions};
 use bcn::{BcnFluid, BcnParams};
+use dcesim::faults::splitmix64;
 use plotkit::{Series, SvgPlot};
-use telemetry::{fmt_num, parse_scalars, Scalar};
+use telemetry::{fmt_num, Record, Scalar};
 
 /// Where artifacts go: `$DCE_BCN_RESULTS` or `./results`.
 #[must_use]
@@ -82,14 +83,27 @@ pub fn banner(title: &str) {
 /// sweep refuses points recorded under a different grid.
 #[must_use]
 pub fn grid_digest(nums: &[f64]) -> u64 {
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-    for v in nums {
-        let mut z = (h ^ v.to_bits()).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h = z ^ (z >> 31);
-    }
+    let h = nums.iter().fold(GOLDEN_GAMMA, |h, v| splitmix64(h ^ v.to_bits()));
     h & ((1 << 53) - 1)
+}
+
+/// The splitmix64 stream increment (2^64 / golden ratio).
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Draws the next value of the splitmix64 stream whose state is
+/// `*state`, advancing it: the bench binaries' deterministic PRNG.
+pub fn splitmix_next(state: &mut u64) -> u64 {
+    let z = splitmix64(*state);
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    z
+}
+
+/// Whether `DCE_BCN_QUICK` is set: CI smoke mode, in which the bench
+/// binaries and experiments shrink their workloads and skip speed
+/// gates.
+#[must_use]
+pub fn quick() -> bool {
+    std::env::var_os("DCE_BCN_QUICK").is_some()
 }
 
 /// Crash-recoverable grid campaigns: an append-only flat-JSONL journal
@@ -107,7 +121,8 @@ pub fn grid_digest(nums: &[f64]) -> u64 {
 #[derive(Debug)]
 pub struct GridCheckpoint {
     file: std::fs::File,
-    restored: BTreeMap<String, Vec<(String, Scalar)>>,
+    /// Journal line of each completed point, by key.
+    restored: BTreeMap<String, String>,
 }
 
 impl GridCheckpoint {
@@ -137,11 +152,7 @@ impl GridCheckpoint {
                         path.display()
                     )));
                 }
-                let found = lines
-                    .next()
-                    .and_then(|l| parse_scalars(l).ok())
-                    .and_then(|f| Self::field(&f, "digest").cloned())
-                    .and_then(|s| s.as_u64("digest").ok());
+                let found = lines.next().and_then(|l| Record::parse(l).ok()?.u64("digest").ok());
                 if found != Some(digest) {
                     return Err(std::io::Error::other(format!(
                         "{}: grid digest mismatch (expected {digest}, found {found:?}); \
@@ -152,12 +163,10 @@ impl GridCheckpoint {
                 for line in lines {
                     // A torn tail line is the point the crash caught
                     // mid-write: skip it and it re-runs.
-                    let Ok(fields) = parse_scalars(line) else { continue };
-                    let Some(key) = Self::field(&fields, "key").and_then(|s| s.as_str("key").ok())
-                    else {
+                    let Some(key) = Record::parse(line).ok().and_then(|r| r.str("key").ok()) else {
                         continue;
                     };
-                    restored.insert(key.to_string(), fields.clone());
+                    restored.insert(key.to_string(), line.to_string());
                 }
             }
             None => {
@@ -169,22 +178,16 @@ impl GridCheckpoint {
         Ok(Self { file, restored })
     }
 
-    /// The recorded fields for `key`, when that point already completed.
+    /// The recorded point for `key`, when that point already completed.
     #[must_use]
-    pub fn restored(&self, key: &str) -> Option<&[(String, Scalar)]> {
-        self.restored.get(key).map(Vec::as_slice)
+    pub fn restored(&self, key: &str) -> Option<Record<'_>> {
+        self.restored.get(key).and_then(|line| Record::parse(line).ok())
     }
 
     /// How many completed points the journal restored.
     #[must_use]
     pub fn restored_len(&self) -> usize {
         self.restored.len()
-    }
-
-    /// Looks `key` up in a parsed record.
-    #[must_use]
-    pub fn field<'a>(fields: &'a [(String, Scalar)], key: &str) -> Option<&'a Scalar> {
-        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Durably appends a completed grid point (one flat-JSONL line,
@@ -195,13 +198,13 @@ impl GridCheckpoint {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn record(&mut self, key: &str, fields: &[(&str, Scalar)]) -> std::io::Result<()> {
+    pub fn record(&mut self, key: &str, fields: &[(&str, Scalar<'_>)]) -> std::io::Result<()> {
         use std::fmt::Write as _;
         let mut line = format!("{{\"type\":\"grid_point\",\"key\":\"{key}\"");
-        for (k, v) in fields {
+        for &(k, v) in fields {
             match v {
                 Scalar::Num(x) => {
-                    let _ = write!(line, ",\"{k}\":{}", fmt_num(*x));
+                    let _ = write!(line, ",\"{k}\":{}", fmt_num(x));
                 }
                 Scalar::Str(s) => {
                     let _ = write!(line, ",\"{k}\":\"{s}\"");
@@ -267,10 +270,9 @@ mod tests {
 
         let ck = GridCheckpoint::open_in(&dir, "demo", digest).unwrap();
         assert_eq!(ck.restored_len(), 1);
-        let fields = ck.restored("loss=0.2").unwrap();
-        let mq = GridCheckpoint::field(fields, "max_queue").unwrap();
-        assert_eq!(mq.as_f64("max_queue").unwrap().to_bits(), 1.25e6_f64.to_bits());
-        assert!(!GridCheckpoint::field(fields, "stable").unwrap().as_bool("stable").unwrap());
+        let point = ck.restored("loss=0.2").unwrap();
+        assert_eq!(point.f64("max_queue").unwrap().to_bits(), 1.25e6_f64.to_bits());
+        assert!(!point.bool("stable").unwrap());
         assert!(ck.restored("loss=0.5").is_none());
         drop(ck);
 
@@ -293,8 +295,15 @@ mod tests {
         let a = grid_digest(&[0.0, 0.05, 0.1]);
         let b = grid_digest(&[0.0, 0.05, 0.2]);
         assert_ne!(a, b);
-        assert_eq!(a, grid_digest(&[0.0, 0.05, 0.1]));
+        assert_eq!(a, 0x0009_5c1e_ec8d_efb8, "journals stamped earlier must still open");
         assert!(a < (1 << 53) && b < (1 << 53));
+    }
+
+    #[test]
+    fn splitmix_stream_matches_the_reference_sequence() {
+        let mut state = 0;
+        let draws: Vec<u64> = (0..3).map(|_| splitmix_next(&mut state)).collect();
+        assert_eq!(draws, [0xe220_a839_7b1d_cdaf, 0x6e78_9e6a_a1b9_65f4, 0x06c4_5d18_8009_454f]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 use telemetry::Scalar;
 
-use crate::common::{banner, grid_digest, out_dir, save_plot, GridCheckpoint};
+use crate::common::{banner, grid_digest, out_dir, quick, save_plot, GridCheckpoint};
 use crate::ExpResult;
 
 /// One grid point of the degradation sweep.
@@ -42,13 +42,6 @@ struct Point {
 /// The deterministic seed for every fault plan in the sweep: the grid
 /// varies rates, not noise realisations.
 const FAULT_SEED: u64 = 42;
-
-/// Returns true when `DCE_BCN_QUICK` is set: CI smoke mode, which
-/// shrinks the grid to the two ends of the loss axis and shortens the
-/// horizon while keeping the headline counterexample reachable.
-fn quick_mode() -> bool {
-    std::env::var_os("DCE_BCN_QUICK").is_some()
-}
 
 /// Runs the experiment; artifacts land under `out`. Checkpoints the
 /// grid under `$DCE_BCN_CHECKPOINT_DIR` when set (see
@@ -88,8 +81,10 @@ pub fn run_with_checkpoint(out: &Path, ckpt_dir: Option<&Path>) -> ExpResult {
     // The delay axis is millisecond-scale on purpose: the loop period is
     // ~26 ms and the delay ablation shows sub-period feedback lag is
     // what erodes the phase margin. Loss compounds it by thinning the
-    // notifications that remain.
-    let (t_end, losses, delays_us): (f64, Vec<f64>, Vec<f64>) = if quick_mode() {
+    // notifications that remain. Quick mode shrinks the grid to the two
+    // ends of the loss axis and shortens the horizon while keeping the
+    // headline counterexample reachable.
+    let (t_end, losses, delays_us): (f64, Vec<f64>, Vec<f64>) = if quick() {
         (0.15, vec![0.0, 0.2], vec![0.0, 2000.0])
     } else {
         (0.3, vec![0.0, 0.05, 0.1, 0.2, 0.35, 0.5], vec![0.0, 1000.0, 1500.0, 2000.0])
@@ -131,19 +126,15 @@ pub fn run_with_checkpoint(out: &Path, ckpt_dir: Option<&Path>) -> ExpResult {
     for &delay_us in &delays_us {
         for &loss in &losses {
             let key = format!("loss={loss},delay_us={delay_us}");
-            let point = if let Some(fields) = ckpt.as_ref().and_then(|c| c.restored(&key)) {
-                let get = |k: &str| {
-                    GridCheckpoint::field(fields, k)
-                        .ok_or_else(|| format!("checkpoint point `{key}` lacks field `{k}`"))
-                };
+            let point = if let Some(r) = ckpt.as_ref().and_then(|c| c.restored(&key)) {
                 Point {
                     loss,
                     delay_us,
-                    max_queue: get("max_queue")?.as_f64("max_queue")?,
-                    drops: get("drops")?.as_u64("drops")?,
-                    pauses: get("pauses")?.as_u64("pauses")?,
-                    feedback: get("feedback")?.as_u64("feedback")?,
-                    stable: get("stable")?.as_bool("stable")?,
+                    max_queue: r.f64("max_queue")?,
+                    drops: r.u64("drops")?,
+                    pauses: r.u64("pauses")?,
+                    feedback: r.u64("feedback")?,
+                    stable: r.bool("stable")?,
                 }
             } else {
                 let mut cfg =
@@ -301,7 +292,7 @@ pub fn run_with_checkpoint(out: &Path, ckpt_dir: Option<&Path>) -> ExpResult {
          \"counterexample\": {{\"loss\": {:.2}, \"delay_us\": {:.0}, \
          \"max_queue_bits\": {:.1}, \"drops\": {}, \"pauses\": {}}}\n}}\n",
         theorem1_holds(&params),
-        quick_mode(),
+        quick(),
         rows.join(",\n    "),
         ce.loss,
         ce.delay_us,

@@ -30,5 +30,52 @@ pub mod common;
 pub mod experiments;
 pub mod figures;
 
+/// Installs a counting global allocator in a bench binary and defines
+/// `fn allocations() -> u64`, the number of allocation events (alloc +
+/// realloc) so far. The zero-allocation gates read it around a warm
+/// hot path.
+///
+/// This library forbids unsafe code, so the allocator is a macro that
+/// expands in each binary, which is its own crate root.
+#[macro_export]
+macro_rules! counting_allocator {
+    () => {
+        /// Counts allocation events on top of the system allocator.
+        struct CountingAlloc;
+
+        static ALLOCATIONS: ::std::sync::atomic::AtomicU64 = ::std::sync::atomic::AtomicU64::new(0);
+
+        // SAFETY: defers every operation to `System` unchanged; the
+        // counter is a relaxed atomic with no further side effects.
+        unsafe impl ::std::alloc::GlobalAlloc for CountingAlloc {
+            unsafe fn alloc(&self, layout: ::std::alloc::Layout) -> *mut u8 {
+                ALLOCATIONS.fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
+                unsafe { ::std::alloc::GlobalAlloc::alloc(&::std::alloc::System, layout) }
+            }
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: ::std::alloc::Layout) {
+                unsafe { ::std::alloc::GlobalAlloc::dealloc(&::std::alloc::System, ptr, layout) }
+            }
+            unsafe fn realloc(
+                &self,
+                ptr: *mut u8,
+                layout: ::std::alloc::Layout,
+                new_size: usize,
+            ) -> *mut u8 {
+                ALLOCATIONS.fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
+                unsafe {
+                    ::std::alloc::GlobalAlloc::realloc(&::std::alloc::System, ptr, layout, new_size)
+                }
+            }
+        }
+
+        #[global_allocator]
+        static ALLOC: CountingAlloc = CountingAlloc;
+
+        fn allocations() -> u64 {
+            ALLOCATIONS.load(::std::sync::atomic::Ordering::Relaxed)
+        }
+    };
+}
+
 /// Convenient alias used by every experiment entry point.
 pub type ExpResult = Result<(), Box<dyn std::error::Error>>;

@@ -41,17 +41,17 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use telemetry::{fmt_num, SpanKind, Telemetry, TelemetryLevel};
+use bcn::BcnParams;
+use telemetry::{fmt_num, next_record, SpanKind, Telemetry, TelemetryLevel};
 
 use crate::checkpoint::{
-    expect_type, get_f64, get_str, get_u64, mix, mix_f, mix_opt, mix_u64s, net_config_digest,
-    next_record, pack_u64s, put_fault_counts, put_samples, put_series, sim_config_digest,
-    take_fault_counts, take_samples, take_series, unpack_u64s, BatchCheckpoint, CheckpointError,
-    ReplaySpec, MASK_53,
+    mix, mix_f, mix_opt, mix_u64s, net_config_digest, pack_u64s, put_fault_counts, put_samples,
+    put_series, sim_config_digest, take_fault_counts, take_samples, take_series, unpack_u64s,
+    BatchCheckpoint, CheckpointError, ReplaySpec, MASK_53,
 };
 use crate::error::ConfigError;
 use crate::faults::splitmix64;
-use crate::hybrid::{HybridSim, HybridSpec};
+use crate::hybrid::{HybridGuards, HybridSim, HybridSpec};
 use crate::metrics::{SampleSet, SimMetrics};
 use crate::net::{FlowStats, NetConfig, NetReport, NetSim};
 use crate::sim::{SimConfig, SimReport, SimWorkspace, Simulation};
@@ -574,31 +574,51 @@ impl SeedBatch for BatchConfig {
     /// seed list, jitters, telemetry level, panic hooks, watchdog, retry
     /// policy and hybrid settings.
     fn digest(&self) -> u64 {
-        let mut h = mix(0xa076_1d64_78bd_642f, sim_config_digest(&self.base));
-        h = mix_u64s(h, &self.seeds);
-        h = mix(h, self.level as u64);
-        h = mix_f(h, self.start_jitter_secs);
-        h = mix_f(h, self.rate_jitter_frac);
-        h = mix_u64s(h, &self.panic_seeds);
-        h = mix_opt(h, self.max_events_per_seed);
-        h = mix_opt(h, self.max_seed_wall_ms);
-        h = mix(h, u64::from(self.max_seed_retries));
-        h = mix(h, self.retry_backoff_ms);
-        h = match &self.hybrid {
-            Some(spec) => {
+        let BatchConfig {
+            base,
+            seeds,
+            level,
+            start_jitter_secs,
+            rate_jitter_frac,
+            panic_seeds,
+            max_events_per_seed,
+            max_seed_wall_ms,
+            max_seed_retries,
+            retry_backoff_ms,
+            hybrid,
+        } = self;
+        let mut h = mix(0xa076_1d64_78bd_642f, sim_config_digest(base));
+        h = mix_u64s(h, seeds);
+        h = mix(h, *level as u64);
+        h = mix_f(h, *start_jitter_secs);
+        h = mix_f(h, *rate_jitter_frac);
+        h = mix_u64s(h, panic_seeds);
+        h = mix_opt(h, *max_events_per_seed);
+        h = mix_opt(h, *max_seed_wall_ms);
+        h = mix(h, u64::from(*max_seed_retries));
+        h = mix(h, *retry_backoff_ms);
+        h = match hybrid {
+            Some(HybridSpec { params, guards }) => {
+                let BcnParams { n_flows, capacity, q0, buffer, gi, gd, ru, w, pm, qsc } = params;
+                let HybridGuards {
+                    always_packet,
+                    min_ff_secs,
+                    max_ff_secs,
+                    eq_frac,
+                    q_margin_frac,
+                    max_legs,
+                } = guards;
                 let mut h = mix(h, 1);
-                let p = &spec.params;
-                h = mix(h, u64::from(p.n_flows));
-                for v in [p.capacity, p.q0, p.buffer, p.gi, p.gd, p.ru, p.w, p.pm, p.qsc] {
-                    h = mix_f(h, v);
+                h = mix(h, u64::from(*n_flows));
+                for v in [capacity, q0, buffer, gi, gd, ru, w, pm, qsc] {
+                    h = mix_f(h, *v);
                 }
-                let g = &spec.guards;
-                h = mix(h, u64::from(g.always_packet));
-                h = mix_f(h, g.min_ff_secs);
-                h = mix_f(h, g.max_ff_secs);
-                h = mix_f(h, g.eq_frac);
-                h = mix_f(h, g.q_margin_frac);
-                mix(h, u64::from(g.max_legs))
+                h = mix(h, u64::from(*always_packet));
+                h = mix_f(h, *min_ff_secs);
+                h = mix_f(h, *max_ff_secs);
+                h = mix_f(h, *eq_frac);
+                h = mix_f(h, *q_margin_frac);
+                mix(h, u64::from(*max_legs))
             }
             None => mix(h, 0),
         };
@@ -633,9 +653,8 @@ impl SeedBatch for BatchConfig {
     fn decode_report<'a, I: Iterator<Item = &'a str>>(
         lines: &mut I,
     ) -> Result<SimReport, CheckpointError> {
-        let c = next_record(lines, "`sim_counters` record")?;
-        expect_type(&c, "sim_counters")?;
-        let sources = get_u64(&c, "sources")? as usize;
+        let c = next_record(lines, "sim_counters")?;
+        let sources = c.u64("sources")? as usize;
         let faults = take_fault_counts(lines)?;
         let final_rates = take_samples(lines, "final_rates")?;
         let per_source_bits = take_samples(lines, "per_source_bits")?;
@@ -654,12 +673,12 @@ impl SeedBatch for BatchConfig {
         let metrics = SimMetrics {
             queue,
             aggregate_rate,
-            delivered_frames: get_u64(&c, "delivered_frames")?,
-            dropped_frames: get_u64(&c, "dropped_frames")?,
-            feedback_messages: get_u64(&c, "feedback_messages")?,
-            pause_events: get_u64(&c, "pause_events")?,
+            delivered_frames: c.u64("delivered_frames")?,
+            dropped_frames: c.u64("dropped_frames")?,
+            feedback_messages: c.u64("feedback_messages")?,
+            pause_events: c.u64("pause_events")?,
             per_source_bits,
-            delivered_bits: get_f64(&c, "delivered_bits")?,
+            delivered_bits: c.f64("delivered_bits")?,
             queueing_delay,
             per_source_rate,
             faults,
@@ -710,13 +729,22 @@ impl SeedBatch for NetBatchConfig {
     /// The base scenario, seed list, rate jitter, telemetry level, panic
     /// hooks and watchdog.
     fn digest(&self) -> u64 {
-        let mut h = mix(0x2545_f491_4f6c_dd1d, net_config_digest(&self.base));
-        h = mix_u64s(h, &self.seeds);
-        h = mix(h, self.level as u64);
-        h = mix_f(h, self.rate_jitter_frac);
-        h = mix_u64s(h, &self.panic_seeds);
-        h = mix_opt(h, self.max_events_per_seed);
-        h = mix_opt(h, self.max_seed_wall_ms);
+        let NetBatchConfig {
+            base,
+            seeds,
+            level,
+            rate_jitter_frac,
+            panic_seeds,
+            max_events_per_seed,
+            max_seed_wall_ms,
+        } = self;
+        let mut h = mix(0x2545_f491_4f6c_dd1d, net_config_digest(base));
+        h = mix_u64s(h, seeds);
+        h = mix(h, *level as u64);
+        h = mix_f(h, *rate_jitter_frac);
+        h = mix_u64s(h, panic_seeds);
+        h = mix_opt(h, *max_events_per_seed);
+        h = mix_opt(h, *max_seed_wall_ms);
         h & MASK_53
     }
 
@@ -747,12 +775,11 @@ impl SeedBatch for NetBatchConfig {
     fn decode_report<'a, I: Iterator<Item = &'a str>>(
         lines: &mut I,
     ) -> Result<NetReport, CheckpointError> {
-        let c = next_record(lines, "`net_counters` record")?;
-        expect_type(&c, "net_counters")?;
-        let n_flows = get_u64(&c, "flows")? as usize;
-        let n_switches = get_u64(&c, "switches")? as usize;
-        let pause_counts = unpack_u64s(get_str(&c, "pause_counts")?, "pause_counts")?;
-        let dropped = unpack_u64s(get_str(&c, "dropped_frames")?, "dropped_frames")?;
+        let c = next_record(lines, "net_counters")?;
+        let n_flows = c.u64("flows")? as usize;
+        let n_switches = c.u64("switches")? as usize;
+        let pause_counts = unpack_u64s(c.str("pause_counts")?, "pause_counts")?;
+        let dropped = unpack_u64s(c.str("dropped_frames")?, "dropped_frames")?;
         let faults = take_fault_counts(lines)?;
         let delivered = take_samples(lines, "delivered_bits")?;
         let rates = take_samples(lines, "final_rate")?;
@@ -783,7 +810,7 @@ impl SeedBatch for NetBatchConfig {
             flows,
             switch_queues,
             pause_counts,
-            feedback_messages: get_u64(&c, "feedback_messages")?,
+            feedback_messages: c.u64("feedback_messages")?,
             faults,
             telemetry: None,
         })

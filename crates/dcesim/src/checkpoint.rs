@@ -30,8 +30,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use telemetry::{
-    check_schema_header, fmt_num, parse_scalars, schema_header, snapshot_from_jsonl,
-    snapshot_to_jsonl, JsonlError, Scalar, Telemetry,
+    check_schema_header, fmt_num, next_record, schema_header, snapshot_from_jsonl,
+    snapshot_to_jsonl, JsonlError, Record, Telemetry,
 };
 
 use crate::batch::{BatchConfig, SeedBatch, SeedEngine, SeedOutcome};
@@ -39,7 +39,7 @@ use crate::cp::{CpConfig, FbQuant};
 use crate::faults::{splitmix64, FaultConfig, FaultCounts};
 use crate::frame::CpId;
 use crate::metrics::TimeSeries;
-use crate::net::{Endpoint, NetConfig};
+use crate::net::{Endpoint, LinkSpec, NetConfig, NetFlow, PauseConfig, SwitchSpec};
 use crate::qcn::{QcnCpConfig, QcnRpConfig};
 use crate::rp::RpConfig;
 use crate::sched::Scheduler;
@@ -135,79 +135,91 @@ fn mix_opt_f(h: u64, v: Option<f64>) -> u64 {
 /// splitmix64 over every field and masked below 2^53 so it survives the
 /// JSONL number path. Postmortem dumps embed it so `replay` can detect
 /// a truncated or hand-edited config block.
+///
+/// Every config struct is bound by an exhaustive pattern here and in
+/// the helpers below, so a field added to one fails to compile until
+/// the digest folds it in.
 #[must_use]
 pub fn sim_config_digest(cfg: &SimConfig) -> u64 {
+    let SimConfig {
+        capacity,
+        buffer_bits,
+        frame_bits,
+        prop_delay,
+        flows,
+        control,
+        t_end,
+        record_interval,
+        pause_hold,
+        faults,
+        scheduler,
+    } = cfg;
     let mut h = 0x9e37_79b9_7f4a_7c15;
-    h = mix_f(h, cfg.capacity);
-    h = mix_f(h, cfg.buffer_bits);
-    h = mix_f(h, cfg.frame_bits);
-    h = mix(h, cfg.prop_delay.as_nanos());
-    h = mix(h, cfg.t_end.as_nanos());
-    h = mix(h, cfg.record_interval.as_nanos());
-    h = mix(h, cfg.pause_hold.as_nanos());
-    h = mix(h, cfg.flows.len() as u64);
-    for flow in &cfg.flows {
-        h = mix(h, flow.start.as_nanos());
-        h = match flow.stop {
-            Some(t) => mix(mix(h, 1), t.as_nanos()),
-            None => mix(h, 0),
-        };
-        h = mix_f(h, flow.initial_rate);
-        h = mix_opt_f(h, flow.volume_bits);
+    h = mix_f(h, *capacity);
+    h = mix_f(h, *buffer_bits);
+    h = mix_f(h, *frame_bits);
+    h = mix(h, prop_delay.as_nanos());
+    h = mix(h, t_end.as_nanos());
+    h = mix(h, record_interval.as_nanos());
+    h = mix(h, pause_hold.as_nanos());
+    h = mix(h, flows.len() as u64);
+    for FlowSpec { start, stop, initial_rate, volume_bits } in flows {
+        h = mix(h, start.as_nanos());
+        h = mix_opt(h, stop.map(Time::as_nanos));
+        h = mix_f(h, *initial_rate);
+        h = mix_opt_f(h, *volume_bits);
     }
-    h = match &cfg.control {
-        Control::Bcn { cp, rp } => {
-            let mut h = mix(h, 1);
-            h = mix(h, cp.cpid.0);
-            h = mix_f(h, cp.q0_bits);
-            h = mix_f(h, cp.qsc_bits);
-            h = mix_f(h, cp.w);
-            h = mix(h, cp.sample_every);
-            h = match cp.fb_quant {
-                Some(q) => mix_f(mix(mix(h, 1), u64::from(q.bits)), q.range_bits),
-                None => mix(h, 0),
-            };
-            h = mix(h, u64::from(cp.gate_positive));
-            h = mix_f(h, rp.gi);
-            h = mix_f(h, rp.gd);
-            h = mix_f(h, rp.ru);
-            h = mix_f(h, rp.gain_scale);
-            h = mix_f(h, rp.r_min);
-            mix_f(h, rp.r_max)
-        }
+    h = match control {
+        Control::Bcn { cp, rp } => mix_rp_config(mix_cp_config(mix(h, 1), cp), rp),
         Control::Qcn { cp, rp } => {
+            let QcnCpConfig { q_eq_bits, w, sample_every } = cp;
+            let QcnRpConfig { gd, bc_limit_bits, fr_cycles, r_ai, r_hai, r_min, r_max } = rp;
             let mut h = mix(h, 2);
-            h = mix_f(h, cp.q_eq_bits);
-            h = mix_f(h, cp.w);
-            h = mix(h, cp.sample_every);
-            h = mix_f(h, rp.gd);
-            h = mix_f(h, rp.bc_limit_bits);
-            h = mix(h, u64::from(rp.fr_cycles));
-            h = mix_f(h, rp.r_ai);
-            h = mix_f(h, rp.r_hai);
-            h = mix_f(h, rp.r_min);
-            mix_f(h, rp.r_max)
+            h = mix_f(h, *q_eq_bits);
+            h = mix_f(h, *w);
+            h = mix(h, *sample_every);
+            h = mix_f(h, *gd);
+            h = mix_f(h, *bc_limit_bits);
+            h = mix(h, u64::from(*fr_cycles));
+            h = mix_f(h, *r_ai);
+            h = mix_f(h, *r_hai);
+            h = mix_f(h, *r_min);
+            mix_f(h, *r_max)
         }
         Control::None => mix(h, 3),
     };
-    h = mix_fault_plan(h, &cfg.faults);
-    h = mix(h, scheduler_tag(cfg.scheduler));
+    h = mix_fault_plan(h, faults);
+    h = mix(h, scheduler_tag(*scheduler));
     h & MASK_53
 }
 
 fn mix_fault_plan(mut h: u64, fl: &FaultConfig) -> u64 {
-    h = mix(h, fl.seed);
-    h = mix_f(h, fl.feedback_loss);
-    h = mix_f(h, fl.feedback_corrupt);
-    h = mix(h, fl.feedback_extra_delay.as_nanos());
-    h = mix_f(h, fl.feedback_reorder);
-    h = mix(h, fl.reorder_window.as_nanos());
-    h = mix_f(h, fl.data_loss);
-    h = mix(h, fl.data_burst_len);
-    h = mix(h, fl.link_flap_period.as_nanos());
-    h = mix(h, fl.link_flap_down.as_nanos());
-    h = mix_f(h, fl.pause_storm);
-    mix_f(h, fl.pause_storm_factor)
+    let FaultConfig {
+        seed,
+        feedback_loss,
+        feedback_corrupt,
+        feedback_extra_delay,
+        feedback_reorder,
+        reorder_window,
+        data_loss,
+        data_burst_len,
+        link_flap_period,
+        link_flap_down,
+        pause_storm,
+        pause_storm_factor,
+    } = fl;
+    h = mix(h, *seed);
+    h = mix_f(h, *feedback_loss);
+    h = mix_f(h, *feedback_corrupt);
+    h = mix(h, feedback_extra_delay.as_nanos());
+    h = mix_f(h, *feedback_reorder);
+    h = mix(h, reorder_window.as_nanos());
+    h = mix_f(h, *data_loss);
+    h = mix(h, *data_burst_len);
+    h = mix(h, link_flap_period.as_nanos());
+    h = mix(h, link_flap_down.as_nanos());
+    h = mix_f(h, *pause_storm);
+    mix_f(h, *pause_storm_factor)
 }
 
 fn mix_endpoint(h: u64, e: Endpoint) -> u64 {
@@ -218,16 +230,25 @@ fn mix_endpoint(h: u64, e: Endpoint) -> u64 {
 }
 
 fn mix_cp_config(mut h: u64, cp: &CpConfig) -> u64 {
-    h = mix(h, cp.cpid.0);
-    h = mix_f(h, cp.q0_bits);
-    h = mix_f(h, cp.qsc_bits);
-    h = mix_f(h, cp.w);
-    h = mix(h, cp.sample_every);
-    h = match cp.fb_quant {
-        Some(q) => mix_f(mix(mix(h, 1), u64::from(q.bits)), q.range_bits),
+    let CpConfig { cpid, q0_bits, qsc_bits, w, sample_every, fb_quant, gate_positive } = cp;
+    h = mix(h, cpid.0);
+    h = mix_f(h, *q0_bits);
+    h = mix_f(h, *qsc_bits);
+    h = mix_f(h, *w);
+    h = mix(h, *sample_every);
+    h = match fb_quant {
+        Some(FbQuant { bits, range_bits }) => mix_f(mix(mix(h, 1), u64::from(*bits)), *range_bits),
         None => mix(h, 0),
     };
-    mix(h, u64::from(cp.gate_positive))
+    mix(h, u64::from(*gate_positive))
+}
+
+fn mix_rp_config(mut h: u64, rp: &RpConfig) -> u64 {
+    let RpConfig { gi, gd, ru, gain_scale, r_min, r_max } = rp;
+    for v in [gi, gd, ru, gain_scale, r_min, r_max] {
+        h = mix_f(h, *v);
+    }
+    h
 }
 
 /// Order-sensitive digest of a fully seeded [`NetConfig`] — the
@@ -236,55 +257,60 @@ fn mix_cp_config(mut h: u64, cp: &CpConfig) -> u64 {
 /// fault plan, and scheduler.
 #[must_use]
 pub fn net_config_digest(cfg: &NetConfig) -> u64 {
+    let NetConfig {
+        hosts,
+        switches,
+        links,
+        flows,
+        frame_bits,
+        t_end,
+        record_interval,
+        pause,
+        faults,
+        scheduler,
+    } = cfg;
     let mut h = 0x85eb_ca6b_c2b2_ae35;
-    h = mix(h, cfg.hosts as u64);
-    h = mix(h, cfg.switches.len() as u64);
-    for sw in &cfg.switches {
-        h = mix_f(h, sw.buffer_bits);
-        h = mix_f(h, sw.qsc_bits);
-        h = mix(h, sw.routes.len() as u64);
-        for &(dst, link) in &sw.routes {
+    h = mix(h, *hosts as u64);
+    h = mix(h, switches.len() as u64);
+    for SwitchSpec { buffer_bits, qsc_bits, routes, cps } in switches {
+        h = mix_f(h, *buffer_bits);
+        h = mix_f(h, *qsc_bits);
+        h = mix(h, routes.len() as u64);
+        for &(dst, link) in routes {
             h = mix(mix(h, dst as u64), link as u64);
         }
-        h = mix(h, sw.cps.len() as u64);
-        for (link, cp) in &sw.cps {
+        h = mix(h, cps.len() as u64);
+        for (link, cp) in cps {
             h = mix_cp_config(mix(h, *link as u64), cp);
         }
     }
-    h = mix(h, cfg.links.len() as u64);
-    for l in &cfg.links {
-        h = mix_endpoint(h, l.from);
-        h = mix_endpoint(h, l.to);
-        h = mix_f(h, l.capacity);
-        h = mix(h, l.delay.as_nanos());
+    h = mix(h, links.len() as u64);
+    for LinkSpec { from, to, capacity, delay } in links {
+        h = mix_endpoint(h, *from);
+        h = mix_endpoint(h, *to);
+        h = mix_f(h, *capacity);
+        h = mix(h, delay.as_nanos());
     }
-    h = mix(h, cfg.flows.len() as u64);
-    for f in &cfg.flows {
-        h = mix(h, f.src_host as u64);
-        h = mix(h, f.dst_host as u64);
-        h = mix_f(h, f.initial_rate);
-        h = match &f.rp {
-            Some(rp) => {
-                let mut h = mix(h, 1);
-                h = mix_f(h, rp.gi);
-                h = mix_f(h, rp.gd);
-                h = mix_f(h, rp.ru);
-                h = mix_f(h, rp.gain_scale);
-                h = mix_f(h, rp.r_min);
-                mix_f(h, rp.r_max)
-            }
+    h = mix(h, flows.len() as u64);
+    for NetFlow { src_host, dst_host, initial_rate, rp, priority } in flows {
+        h = mix(h, *src_host as u64);
+        h = mix(h, *dst_host as u64);
+        h = mix_f(h, *initial_rate);
+        h = match rp {
+            Some(rp) => mix_rp_config(mix(h, 1), rp),
             None => mix(h, 0),
         };
-        h = mix(h, u64::from(f.priority));
+        h = mix(h, u64::from(*priority));
     }
-    h = mix_f(h, cfg.frame_bits);
-    h = mix(h, cfg.t_end.as_nanos());
-    h = mix(h, cfg.record_interval.as_nanos());
-    h = mix(h, u64::from(cfg.pause.enabled));
-    h = mix(h, cfg.pause.hold.as_nanos());
-    h = mix(h, u64::from(cfg.pause.per_priority));
-    h = mix_fault_plan(h, &cfg.faults);
-    h = mix(h, scheduler_tag(cfg.scheduler));
+    let PauseConfig { enabled, hold, per_priority } = pause;
+    h = mix_f(h, *frame_bits);
+    h = mix(h, t_end.as_nanos());
+    h = mix(h, record_interval.as_nanos());
+    h = mix(h, u64::from(*enabled));
+    h = mix(h, hold.as_nanos());
+    h = mix(h, u64::from(*per_priority));
+    h = mix_fault_plan(h, faults);
+    h = mix(h, scheduler_tag(*scheduler));
     h & MASK_53
 }
 
@@ -299,54 +325,6 @@ fn scheduler_tag(s: Scheduler) -> u64 {
 // Record helpers
 // ---------------------------------------------------------------------
 
-type Fields = Vec<(String, Scalar)>;
-
-fn field<'a>(fields: &'a Fields, key: &str) -> Result<&'a Scalar, CheckpointError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| CheckpointError::Format(format!("missing field `{key}`")))
-}
-
-pub(crate) fn next_record<'a, I: Iterator<Item = &'a str>>(
-    lines: &mut I,
-    what: &str,
-) -> Result<Fields, CheckpointError> {
-    let line = lines
-        .next()
-        .ok_or_else(|| CheckpointError::Format(format!("truncated checkpoint: expected {what}")))?;
-    Ok(parse_scalars(line)?)
-}
-
-pub(crate) fn expect_type(fields: &Fields, want: &str) -> Result<(), CheckpointError> {
-    let ty = field(fields, "type")?.as_str("type")?;
-    if ty != want {
-        return Err(CheckpointError::Format(format!("expected `{want}` record, found `{ty}`")));
-    }
-    Ok(())
-}
-
-pub(crate) fn get_f64(fields: &Fields, key: &str) -> Result<f64, CheckpointError> {
-    Ok(field(fields, key)?.as_f64(key)?)
-}
-
-pub(crate) fn get_u64(fields: &Fields, key: &str) -> Result<u64, CheckpointError> {
-    Ok(field(fields, key)?.as_u64(key)?)
-}
-
-fn get_u32(fields: &Fields, key: &str) -> Result<u32, CheckpointError> {
-    Ok(field(fields, key)?.as_u32(key)?)
-}
-
-fn get_bool(fields: &Fields, key: &str) -> Result<bool, CheckpointError> {
-    Ok(field(fields, key)?.as_bool(key)?)
-}
-
-pub(crate) fn get_str<'a>(fields: &'a Fields, key: &str) -> Result<&'a str, CheckpointError> {
-    Ok(field(fields, key)?.as_str(key)?)
-}
-
 /// Writes a full-range `u64` as two 32-bit halves (`<key>_hi`,
 /// `<key>_lo`): post-splitmix seeds and CPIDs use the whole 64-bit
 /// range, which the f64-funnelled number path cannot carry in one
@@ -355,9 +333,9 @@ fn put_split_u64(out: &mut String, key: &str, v: u64) {
     let _ = write!(out, r#","{key}_hi":{},"{key}_lo":{}"#, v >> 32, v & 0xffff_ffff);
 }
 
-fn get_split_u64(fields: &Fields, key: &str) -> Result<u64, CheckpointError> {
-    let hi = get_u64(fields, &format!("{key}_hi"))?;
-    let lo = get_u64(fields, &format!("{key}_lo"))?;
+fn get_split_u64(r: &Record, key: &str) -> Result<u64, CheckpointError> {
+    let hi = r.u64(&format!("{key}_hi"))?;
+    let lo = r.u64(&format!("{key}_lo"))?;
     if hi > u64::from(u32::MAX) || lo > u64::from(u32::MAX) {
         return Err(CheckpointError::Format(format!("field `{key}` halves exceed 32 bits")));
     }
@@ -590,67 +568,59 @@ pub fn encode_sim_config(cfg: &SimConfig, out: &mut String) {
 pub fn decode_sim_config<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
 ) -> Result<SimConfig, CheckpointError> {
-    let head = next_record(lines, "`sim_config` record")?;
-    expect_type(&head, "sim_config")?;
-    let digest = get_u64(&head, "digest")?;
-    let scheduler = match get_str(&head, "scheduler")? {
+    let head = next_record(lines, "sim_config")?;
+    let digest = head.u64("digest")?;
+    let scheduler = match head.str("scheduler")? {
         "wheel" => Scheduler::Wheel,
         "heap" => Scheduler::Heap,
         other => {
             return Err(CheckpointError::Format(format!("unknown scheduler `{other}`")));
         }
     };
-    let control = match get_str(&head, "control")? {
+    let control = match head.str("control")? {
         "bcn" => {
-            let cp = next_record(lines, "`bcn_cp` record")?;
-            expect_type(&cp, "bcn_cp")?;
-            let fb_quant = if get_bool(&cp, "has_fb_quant")? {
-                Some(FbQuant {
-                    bits: get_u32(&cp, "fb_bits")?,
-                    range_bits: get_f64(&cp, "fb_range_bits")?,
-                })
+            let cp = next_record(lines, "bcn_cp")?;
+            let fb_quant = if cp.bool("has_fb_quant")? {
+                Some(FbQuant { bits: cp.u32("fb_bits")?, range_bits: cp.f64("fb_range_bits")? })
             } else {
                 None
             };
             let cp = CpConfig {
                 cpid: CpId(get_split_u64(&cp, "cpid")?),
-                q0_bits: get_f64(&cp, "q0_bits")?,
-                qsc_bits: get_f64(&cp, "qsc_bits")?,
-                w: get_f64(&cp, "w")?,
-                sample_every: get_u64(&cp, "sample_every")?,
+                q0_bits: cp.f64("q0_bits")?,
+                qsc_bits: cp.f64("qsc_bits")?,
+                w: cp.f64("w")?,
+                sample_every: cp.u64("sample_every")?,
                 fb_quant,
-                gate_positive: get_bool(&cp, "gate_positive")?,
+                gate_positive: cp.bool("gate_positive")?,
             };
-            let rp = next_record(lines, "`bcn_rp` record")?;
-            expect_type(&rp, "bcn_rp")?;
+            let rp = next_record(lines, "bcn_rp")?;
             let rp = RpConfig {
-                gi: get_f64(&rp, "gi")?,
-                gd: get_f64(&rp, "gd")?,
-                ru: get_f64(&rp, "ru")?,
-                gain_scale: get_f64(&rp, "gain_scale")?,
-                r_min: get_f64(&rp, "r_min")?,
-                r_max: get_f64(&rp, "r_max")?,
+                gi: rp.f64("gi")?,
+                gd: rp.f64("gd")?,
+                ru: rp.f64("ru")?,
+                gain_scale: rp.f64("gain_scale")?,
+                r_min: rp.f64("r_min")?,
+                r_max: rp.f64("r_max")?,
             };
             Control::Bcn { cp, rp }
         }
         "qcn" => {
-            let cp = next_record(lines, "`qcn_cp` record")?;
-            expect_type(&cp, "qcn_cp")?;
+            let cp = next_record(lines, "qcn_cp")?;
             let cp = QcnCpConfig {
-                q_eq_bits: get_f64(&cp, "q_eq_bits")?,
-                w: get_f64(&cp, "w")?,
-                sample_every: get_u64(&cp, "sample_every")?,
+                q_eq_bits: cp.f64("q_eq_bits")?,
+                w: cp.f64("w")?,
+                sample_every: cp.u64("sample_every")?,
             };
-            let rp = next_record(lines, "`qcn_rp` record")?;
-            expect_type(&rp, "qcn_rp")?;
+            let rp = next_record(lines, "qcn_rp")?;
             let rp = QcnRpConfig {
-                gd: get_f64(&rp, "gd")?,
-                bc_limit_bits: get_f64(&rp, "bc_limit_bits")?,
-                fr_cycles: get_u32(&rp, "fr_cycles")?,
-                r_ai: get_f64(&rp, "r_ai")?,
-                r_hai: get_f64(&rp, "r_hai")?,
-                r_min: get_f64(&rp, "r_min")?,
-                r_max: get_f64(&rp, "r_max")?,
+                gd: rp.f64("gd")?,
+                bc_limit_bits: rp.f64("bc_limit_bits")?,
+                fr_cycles: rp.u32("fr_cycles")?,
+                r_ai: rp.f64("r_ai")?,
+                r_hai: rp.f64("r_hai")?,
+                r_min: rp.f64("r_min")?,
+                r_max: rp.f64("r_max")?,
             };
             Control::Qcn { cp, rp }
         }
@@ -662,50 +632,44 @@ pub fn decode_sim_config<'a, I: Iterator<Item = &'a str>>(
     // Counts read from the file size no allocation up front: a damaged
     // count runs out of lines (a typed error) instead of aborting.
     let mut flows = Vec::new();
-    for _ in 0..get_u64(&head, "flows")? {
-        let f = next_record(lines, "`flow` record")?;
-        expect_type(&f, "flow")?;
+    for _ in 0..head.u64("flows")? {
+        let f = next_record(lines, "flow")?;
         flows.push(FlowSpec {
-            start: Time::from_nanos(get_u64(&f, "start_ns")?),
-            stop: if get_bool(&f, "has_stop")? {
-                Some(Time::from_nanos(get_u64(&f, "stop_ns")?))
+            start: Time::from_nanos(f.u64("start_ns")?),
+            stop: if f.bool("has_stop")? {
+                Some(Time::from_nanos(f.u64("stop_ns")?))
             } else {
                 None
             },
-            initial_rate: get_f64(&f, "initial_rate")?,
-            volume_bits: if get_bool(&f, "has_volume")? {
-                Some(get_f64(&f, "volume_bits")?)
-            } else {
-                None
-            },
+            initial_rate: f.f64("initial_rate")?,
+            volume_bits: if f.bool("has_volume")? { Some(f.f64("volume_bits")?) } else { None },
         });
     }
-    let fp = next_record(lines, "`fault_plan` record")?;
-    expect_type(&fp, "fault_plan")?;
+    let fp = next_record(lines, "fault_plan")?;
     let faults = FaultConfig {
         seed: get_split_u64(&fp, "seed")?,
-        feedback_loss: get_f64(&fp, "feedback_loss")?,
-        feedback_corrupt: get_f64(&fp, "feedback_corrupt")?,
-        feedback_extra_delay: Duration::from_nanos(get_u64(&fp, "feedback_extra_delay_ns")?),
-        feedback_reorder: get_f64(&fp, "feedback_reorder")?,
-        reorder_window: Duration::from_nanos(get_u64(&fp, "reorder_window_ns")?),
-        data_loss: get_f64(&fp, "data_loss")?,
-        data_burst_len: get_u64(&fp, "data_burst_len")?,
-        link_flap_period: Duration::from_nanos(get_u64(&fp, "link_flap_period_ns")?),
-        link_flap_down: Duration::from_nanos(get_u64(&fp, "link_flap_down_ns")?),
-        pause_storm: get_f64(&fp, "pause_storm")?,
-        pause_storm_factor: get_f64(&fp, "pause_storm_factor")?,
+        feedback_loss: fp.f64("feedback_loss")?,
+        feedback_corrupt: fp.f64("feedback_corrupt")?,
+        feedback_extra_delay: Duration::from_nanos(fp.u64("feedback_extra_delay_ns")?),
+        feedback_reorder: fp.f64("feedback_reorder")?,
+        reorder_window: Duration::from_nanos(fp.u64("reorder_window_ns")?),
+        data_loss: fp.f64("data_loss")?,
+        data_burst_len: fp.u64("data_burst_len")?,
+        link_flap_period: Duration::from_nanos(fp.u64("link_flap_period_ns")?),
+        link_flap_down: Duration::from_nanos(fp.u64("link_flap_down_ns")?),
+        pause_storm: fp.f64("pause_storm")?,
+        pause_storm_factor: fp.f64("pause_storm_factor")?,
     };
     let cfg = SimConfig {
-        capacity: get_f64(&head, "capacity")?,
-        buffer_bits: get_f64(&head, "buffer_bits")?,
-        frame_bits: get_f64(&head, "frame_bits")?,
-        prop_delay: Duration::from_nanos(get_u64(&head, "prop_delay_ns")?),
+        capacity: head.f64("capacity")?,
+        buffer_bits: head.f64("buffer_bits")?,
+        frame_bits: head.f64("frame_bits")?,
+        prop_delay: Duration::from_nanos(head.u64("prop_delay_ns")?),
         flows,
         control,
-        t_end: Time::from_nanos(get_u64(&head, "t_end_ns")?),
-        record_interval: Duration::from_nanos(get_u64(&head, "record_interval_ns")?),
-        pause_hold: Duration::from_nanos(get_u64(&head, "pause_hold_ns")?),
+        t_end: Time::from_nanos(head.u64("t_end_ns")?),
+        record_interval: Duration::from_nanos(head.u64("record_interval_ns")?),
+        pause_hold: Duration::from_nanos(head.u64("pause_hold_ns")?),
         faults,
         scheduler,
     };
@@ -769,18 +733,17 @@ pub fn encode_outcome<C: SeedBatch>(seed: u64, outcome: &SeedOutcome<C::Report>,
 pub fn decode_outcome<'a, C: SeedBatch, I: Iterator<Item = &'a str>>(
     lines: &mut I,
 ) -> Result<(u64, SeedOutcome<C::Report>), CheckpointError> {
-    let head = next_record(lines, &format!("`{}` record", C::SEED_RECORD))?;
-    expect_type(&head, C::SEED_RECORD)?;
+    let head = next_record(lines, C::SEED_RECORD)?;
     let seed = get_split_u64(&head, "seed")?;
-    let kind = get_str(&head, "outcome")?.to_string();
-    let retries = if C::SHARD_RETRIES { get_u32(&head, "retries")? } else { 0 };
-    let events = get_u64(&head, "events")?;
-    let has_tel = get_bool(&head, "has_telemetry")?;
-    let cause = get_str(&head, "cause")?.to_string();
+    let kind = head.str("outcome")?;
+    let retries = if C::SHARD_RETRIES { head.u32("retries")? } else { 0 };
+    let events = head.u64("events")?;
+    let has_tel = head.bool("has_telemetry")?;
+    let cause = head.str("cause")?.to_string();
     let snapshot = |lines: &mut I| -> Result<Option<Telemetry>, CheckpointError> {
         Ok(if has_tel { Some(snapshot_from_jsonl(lines)?) } else { None })
     };
-    let outcome = match kind.as_str() {
+    let outcome = match kind {
         "completed" => {
             let mut report = C::decode_report(lines)?;
             *C::Engine::telemetry_mut(&mut report) = snapshot(lines)?;
@@ -836,17 +799,16 @@ pub(crate) fn put_fault_counts(out: &mut String, f: &FaultCounts) {
 pub(crate) fn take_fault_counts<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
 ) -> Result<FaultCounts, CheckpointError> {
-    let fc = next_record(lines, "`fault_counts` record")?;
-    expect_type(&fc, "fault_counts")?;
+    let fc = next_record(lines, "fault_counts")?;
     Ok(FaultCounts {
-        feedback_dropped: get_u64(&fc, "feedback_dropped")?,
-        feedback_corrupted: get_u64(&fc, "feedback_corrupted")?,
-        feedback_corrupt_lost: get_u64(&fc, "feedback_corrupt_lost")?,
-        feedback_delayed: get_u64(&fc, "feedback_delayed")?,
-        feedback_reordered: get_u64(&fc, "feedback_reordered")?,
-        data_frames_lost: get_u64(&fc, "data_frames_lost")?,
-        link_flap_deferrals: get_u64(&fc, "link_flap_deferrals")?,
-        pause_storms: get_u64(&fc, "pause_storms")?,
+        feedback_dropped: fc.u64("feedback_dropped")?,
+        feedback_corrupted: fc.u64("feedback_corrupted")?,
+        feedback_corrupt_lost: fc.u64("feedback_corrupt_lost")?,
+        feedback_delayed: fc.u64("feedback_delayed")?,
+        feedback_reordered: fc.u64("feedback_reordered")?,
+        data_frames_lost: fc.u64("data_frames_lost")?,
+        link_flap_deferrals: fc.u64("link_flap_deferrals")?,
+        pause_storms: fc.u64("pause_storms")?,
     })
 }
 
@@ -884,13 +846,12 @@ pub(crate) fn take_samples<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
     name: &str,
 ) -> Result<Vec<f64>, CheckpointError> {
-    let r = next_record(lines, "`sample_bits` record")?;
-    expect_type(&r, "sample_bits")?;
-    let found = get_str(&r, "name")?;
+    let r = next_record(lines, "sample_bits")?;
+    let found = r.str("name")?;
     if found != name {
         return Err(CheckpointError::Format(format!("expected samples `{name}`, found `{found}`")));
     }
-    parse_f64_bits(get_str(&r, "values")?, name)
+    parse_f64_bits(r.str("values")?, name)
 }
 
 /// Decodes one record written by [`put_series`] with the same `name`
@@ -903,26 +864,22 @@ pub(crate) fn take_series<'a, I: Iterator<Item = &'a str>>(
     name: &str,
     entity: Option<usize>,
 ) -> Result<TimeSeries, CheckpointError> {
-    let r = next_record(lines, "`series_bits` record")?;
-    expect_type(&r, "series_bits")?;
-    let found = get_str(&r, "name")?;
+    let r = next_record(lines, "series_bits")?;
+    let found = r.str("name")?;
     if found != name {
         return Err(CheckpointError::Format(format!("expected series `{name}`, found `{found}`")));
     }
-    let found_entity = match field(&r, "entity") {
-        Ok(e) => Some(e.as_u64("entity")?),
-        Err(_) => None,
-    };
+    let found_entity = r.get("entity").map(|e| e.as_u64("entity")).transpose()?;
     if found_entity != entity.map(|e| e as u64) {
         return Err(CheckpointError::Format(format!(
             "series `{name}`: expected entity {entity:?}, found {found_entity:?}"
         )));
     }
-    let own = match field(&r, "times") {
-        Ok(t) => Some(parse_f64_bits(t.as_str("times")?, name)?),
-        Err(_) => None,
+    let own = match r.get("times") {
+        Some(t) => Some(parse_f64_bits(t.as_str("times")?, name)?),
+        None => None,
     };
-    let values = parse_f64_bits(get_str(&r, "values")?, name)?;
+    let values = parse_f64_bits(r.str("values")?, name)?;
     let times = own.as_deref().or(grid.as_deref()).ok_or_else(|| {
         CheckpointError::Format(format!("series `{name}` omits its times before any grid"))
     })?;
@@ -933,11 +890,7 @@ pub(crate) fn take_series<'a, I: Iterator<Item = &'a str>>(
             values.len()
         )));
     }
-    let mut s = TimeSeries::new();
-    s.reserve(times.len());
-    for (&t, v) in times.iter().zip(values) {
-        s.push_secs(t, v);
-    }
+    let s = TimeSeries::from_secs(times.to_vec(), values);
     if grid.is_none() {
         *grid = own;
     }
@@ -1101,19 +1054,18 @@ fn parse_manifest(text: &str, expected: u64) -> Result<Vec<u64>, CheckpointError
     let header =
         lines.next().ok_or_else(|| CheckpointError::Format("empty manifest".to_string()))?;
     check_schema_header(header)?;
-    let head = next_record(&mut lines, "`batch_manifest` record")?;
-    expect_type(&head, "batch_manifest")?;
-    let found = get_u64(&head, "digest")?;
+    let head = next_record(&mut lines, "batch_manifest")?;
+    let found = head.u64("digest")?;
     if found != expected {
         return Err(CheckpointError::ConfigMismatch { expected, found });
     }
     let mut done = Vec::new();
     for line in lines {
-        let Ok(fields) = parse_scalars(line) else { continue };
-        if expect_type(&fields, "done").is_err() {
+        let Ok(r) = Record::parse(line) else { continue };
+        if r.expect_type("done").is_err() {
             continue;
         }
-        if let Ok(seed) = get_split_u64(&fields, "seed") {
+        if let Ok(seed) = get_split_u64(&r, "seed") {
             done.push(seed);
         }
     }
@@ -1202,26 +1154,23 @@ pub fn replay_spec_from_postmortem(text: &str) -> Result<ReplaySpec, CheckpointE
     let mut config = None;
     let mut idx = 0;
     while idx < all.len() {
-        let line = all[idx];
-        let Ok(fields) = parse_scalars(line) else {
+        let Ok(r) = Record::parse(all[idx]) else {
             idx += 1;
             continue;
         };
-        match field(&fields, "type").and_then(|t| Ok(t.as_str("type")?.to_string())) {
-            Ok(t) if t == "postmortem" => {
-                cause = Some(get_str(&fields, "cause")?.to_string());
+        match r.str("type") {
+            Ok("postmortem") => {
+                cause = Some(r.str("cause")?.to_string());
                 idx += 1;
             }
-            Ok(t) if t == "replay" => {
-                let seed = get_split_u64(&fields, "seed")?;
-                let panic_after =
-                    get_bool(&fields, "has_panic_after")?.then(|| get_u64(&fields, "panic_after"));
-                let max_events =
-                    get_bool(&fields, "has_max_events")?.then(|| get_u64(&fields, "max_events"));
+            Ok("replay") => {
+                let seed = get_split_u64(&r, "seed")?;
+                let panic_after = r.bool("has_panic_after")?.then(|| r.u64("panic_after"));
+                let max_events = r.bool("has_max_events")?.then(|| r.u64("max_events"));
                 replay = Some((seed, panic_after.transpose()?, max_events.transpose()?));
                 idx += 1;
             }
-            Ok(t) if t == "sim_config" => {
+            Ok("sim_config") => {
                 let mut rest = all[idx..].iter().copied();
                 config = Some(decode_sim_config(&mut rest)?);
                 idx = all.len() - rest.count();
@@ -1637,11 +1586,8 @@ mod tests {
         let (seed, mut outcome) = incast_outcome();
         let SeedOutcome::Completed(report) = &mut outcome else { unreachable!() };
         let rate = &mut report.metrics.per_source_rate[3];
-        let mut shifted = TimeSeries::new();
-        for (&t, &v) in rate.times().iter().zip(rate.values()) {
-            shifted.push_secs(t + 1e-9, v);
-        }
-        *rate = shifted;
+        let shifted = rate.times().iter().map(|t| t + 1e-9).collect();
+        *rate = TimeSeries::from_secs(shifted, rate.values().to_vec());
         let mut text = String::new();
         encode_seed_outcome(seed, &outcome, &mut text);
         assert_eq!(text.matches(r#""times":"#).count(), 2);

@@ -31,14 +31,15 @@ impl TimeSeries {
         self.values.reserve(n);
     }
 
-    /// Appends a sample already expressed in seconds.
+    /// A series of samples already expressed in seconds, parallel
+    /// `times` and `values` of equal length.
     ///
     /// The checkpoint codec restores recorded series through this path:
     /// `push` quantizes through [`Time`]'s integer nanoseconds, so a
     /// recorded `f64` second value would not round-trip bit-exactly.
-    pub(crate) fn push_secs(&mut self, t_secs: f64, value: f64) {
-        self.times.push(t_secs);
-        self.values.push(value);
+    pub(crate) fn from_secs(times: Vec<f64>, values: Vec<f64>) -> Self {
+        debug_assert_eq!(times.len(), values.len());
+        Self { times, values }
     }
 
     /// Sample times in seconds.

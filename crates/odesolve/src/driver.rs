@@ -139,7 +139,7 @@ pub fn integrate_with_events_telemetry<const N: usize>(
             let g_new = spec.guard.guard(out.t_new, &out.y_new);
             if spec.direction.matches(g[idx], g_new) {
                 let (te, ye, iters) =
-                    locate_zero_counted(spec.guard, &interp, g[idx], g_new, spec.direction);
+                    locate_zero_counted(spec.guard, &interp, g[idx], spec.direction);
                 if let Some(tel) = tel.as_deref_mut() {
                     tel.event_located(te, iters);
                 }

@@ -98,8 +98,8 @@ pub struct EventOccurrence<const N: usize> {
 /// Locates a guard zero inside one accepted step using bisection refined
 /// with the dense-output interpolant.
 ///
-/// `g0` and `g1` are the guard values at the step endpoints; they must
-/// bracket a root in the sense of `direction`. Returns
+/// `g0` is the guard value at the step start; together with the guard at
+/// the step end it must bracket a root in the sense of `direction`. Returns
 /// `(t_event, y_event, iterations)`, the last being the number of
 /// bisection iterations spent converging (for instrumentation).
 ///
@@ -110,7 +110,6 @@ pub fn locate_zero_counted<const N: usize>(
     guard: &dyn EventFn<N>,
     interp: &CubicHermite<N>,
     g0: f64,
-    _g1: f64,
     direction: Direction,
 ) -> (f64, [f64; N], u32) {
     let mut lo = interp.t_start();
@@ -160,7 +159,7 @@ mod tests {
         // State moves linearly from -1 to +1 over [0, 2]; zero at t = 1.
         let interp = CubicHermite::new(0.0, [-1.0], [1.0], 2.0, [1.0], [1.0]);
         let guard = |_t: f64, y: &[f64; 1]| y[0];
-        let (t, y, _) = locate_zero_counted(&guard, &interp, -1.0, 1.0, Direction::Rising);
+        let (t, y, _) = locate_zero_counted(&guard, &interp, -1.0, Direction::Rising);
         assert!((t - 1.0).abs() < 1e-12, "t = {t}");
         assert!(y[0].abs() < 1e-12);
     }
@@ -173,7 +172,7 @@ mod tests {
         let dp = |t: f64| 2.0 * t;
         let interp = CubicHermite::new(0.0, [p(0.0)], [dp(0.0)], 1.0, [p(1.0)], [dp(1.0)]);
         let guard = |_t: f64, y: &[f64; 1]| y[0];
-        let (t, _, _) = locate_zero_counted(&guard, &interp, p(0.0), p(1.0), Direction::Rising);
+        let (t, _, _) = locate_zero_counted(&guard, &interp, p(0.0), Direction::Rising);
         assert!((t - 0.5).abs() < 1e-12, "t = {t}");
     }
 

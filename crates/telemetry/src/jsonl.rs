@@ -1,4 +1,4 @@
-//! Hand-rolled JSONL serialization for [`Event`]s.
+//! The flat-JSONL codec: trace events plus the one record reader.
 //!
 //! Each event becomes one flat JSON object per line, e.g.
 //! `{"type":"region_switch","t":0.125,"from":0,"to":1}`. Floats are
@@ -6,6 +6,11 @@
 //! round-trips exactly); the extension tokens `NaN`, `inf`, and `-inf`
 //! are accepted and produced for non-finite values so every event
 //! round-trips bit-for-bit.
+//!
+//! [`Record`] reads every flat-JSONL line in the workspace: trace
+//! events, telemetry snapshots, checkpoint shards and manifests,
+//! postmortem replay blocks, stability queries and answers, and grid
+//! journals. Encoders write numbers with [`fmt_num`].
 
 use crate::event::{Event, ExtremumKind, FaultClass, SpanKind};
 
@@ -32,21 +37,14 @@ pub fn schema_header() -> String {
 /// [`TRACE_SCHEMA_VERSION`], so consumers reject stale trace files
 /// instead of misparsing them.
 pub fn check_schema_header(line: &str) -> Result<(), JsonlError> {
-    let fields = parse_flat_object(line)?;
-    let get = |key: &str| -> Result<&Scalar, JsonlError> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| JsonlError(format!("missing field `{key}` in schema header")))
-    };
-    let ty = get("type")?.as_str("type")?;
+    let r = Record::parse(line)?;
+    let ty = r.str("type")?;
     if ty != "schema" {
         return Err(JsonlError(format!(
             "first record is `{ty}`, not a schema header (stale or truncated trace file?)"
         )));
     }
-    let version = get("version")?.as_u32("version")?;
+    let version = r.u32("version")?;
     if version != TRACE_SCHEMA_VERSION {
         return Err(JsonlError(format!(
             "unsupported trace schema version {version} (this build reads {TRACE_SCHEMA_VERSION})"
@@ -67,7 +65,15 @@ impl std::fmt::Display for JsonlError {
 
 impl std::error::Error for JsonlError {}
 
-fn fmt_f64(v: f64) -> String {
+/// Formats a number using this module's float conventions: Rust's `{:?}`
+/// (shortest representation that round-trips exactly) plus the `NaN`,
+/// `inf`, and `-inf` extension tokens for non-finite values.
+///
+/// Every flat-JSONL encoder in the workspace (trace events, snapshots,
+/// checkpoint shards, stability queries) writes numbers with it, so
+/// they all decode back bit-exactly through [`Record`].
+#[must_use]
+pub fn fmt_num(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_string()
     } else if v == f64::INFINITY {
@@ -79,16 +85,16 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Formats a number using this module's float conventions: Rust's `{:?}`
-/// (shortest representation that round-trips exactly) plus the `NaN`,
-/// `inf`, and `-inf` extension tokens for non-finite values.
-///
-/// Exposed so other crates' flat-JSONL codecs (checkpoint shards,
-/// postmortem config records) stay byte-compatible with the trace
-/// format and decode back bit-exactly through [`parse_scalars`].
-#[must_use]
-pub fn fmt_num(v: f64) -> String {
-    fmt_f64(v)
+/// Parses one number token written by [`fmt_num`]: the `NaN`, `inf` and
+/// `-inf` extension tokens, else a decimal float. `None` when `token`
+/// is not a number.
+pub(crate) fn parse_num(token: &str) -> Option<f64> {
+    match token {
+        "NaN" => Some(f64::NAN),
+        "inf" => Some(f64::INFINITY),
+        "-inf" => Some(f64::NEG_INFINITY),
+        _ => token.parse().ok(),
+    }
 }
 
 /// Serializes one event to a single JSONL line (no trailing newline).
@@ -98,29 +104,29 @@ pub fn event_to_jsonl(e: &Event) -> String {
     match *e {
         Event::SolverStepAccepted { t, h, err } => format!(
             r#"{{"type":"{ty}","t":{},"h":{},"err":{}}}"#,
-            fmt_f64(t),
-            fmt_f64(h),
-            fmt_f64(err)
+            fmt_num(t),
+            fmt_num(h),
+            fmt_num(err)
         ),
         Event::SolverStepRejected { t, h } => {
-            format!(r#"{{"type":"{ty}","t":{},"h":{}}}"#, fmt_f64(t), fmt_f64(h))
+            format!(r#"{{"type":"{ty}","t":{},"h":{}}}"#, fmt_num(t), fmt_num(h))
         }
         Event::SwitchCrossingLocated { t, iterations } => {
-            format!(r#"{{"type":"{ty}","t":{},"iterations":{iterations}}}"#, fmt_f64(t))
+            format!(r#"{{"type":"{ty}","t":{},"iterations":{iterations}}}"#, fmt_num(t))
         }
         Event::RegionSwitch { t, from, to } => {
-            format!(r#"{{"type":"{ty}","t":{},"from":{from},"to":{to}}}"#, fmt_f64(t))
+            format!(r#"{{"type":"{ty}","t":{},"from":{from},"to":{to}}}"#, fmt_num(t))
         }
         Event::QueueThresholdCrossed { t, q, threshold, rising } => format!(
             r#"{{"type":"{ty}","t":{},"q":{},"threshold":{},"rising":{rising}}}"#,
-            fmt_f64(t),
-            fmt_f64(q),
-            fmt_f64(threshold)
+            fmt_num(t),
+            fmt_num(q),
+            fmt_num(threshold)
         ),
         Event::QueueExtremum { t, q, kind } => format!(
             r#"{{"type":"{ty}","t":{},"q":{},"kind":"{}"}}"#,
-            fmt_f64(t),
-            fmt_f64(q),
+            fmt_num(t),
+            fmt_num(q),
             match kind {
                 ExtremumKind::Max => "max",
                 ExtremumKind::Min => "min",
@@ -129,55 +135,52 @@ pub fn event_to_jsonl(e: &Event) -> String {
         Event::BcnMessageEmitted { t, fb, source } | Event::QcnMessageEmitted { t, fb, source } => {
             format!(
                 r#"{{"type":"{ty}","t":{},"fb":{},"source":{source}}}"#,
-                fmt_f64(t),
-                fmt_f64(fb)
+                fmt_num(t),
+                fmt_num(fb)
             )
         }
         Event::PauseAsserted { t, port }
         | Event::PauseDeasserted { t, port }
         | Event::FrameDropped { t, port } => {
-            format!(r#"{{"type":"{ty}","t":{},"port":{port}}}"#, fmt_f64(t))
+            format!(r#"{{"type":"{ty}","t":{},"port":{port}}}"#, fmt_num(t))
         }
         Event::FaultInjected { t, class, target } => format!(
             r#"{{"type":"{ty}","t":{},"class":"{}","target":{target}}}"#,
-            fmt_f64(t),
+            fmt_num(t),
             class.name()
         ),
         Event::SpanBegin { t, id, parent, kind, entity } => format!(
             r#"{{"type":"{ty}","t":{},"id":{id},"parent":{parent},"kind":"{}","entity":{entity}}}"#,
-            fmt_f64(t),
+            fmt_num(t),
             kind.name()
         ),
         Event::SpanEnd { t, id } => {
-            format!(r#"{{"type":"{ty}","t":{},"id":{id}}}"#, fmt_f64(t))
+            format!(r#"{{"type":"{ty}","t":{},"id":{id}}}"#, fmt_num(t))
         }
     }
 }
 
-/// One parsed JSON scalar from a flat object line.
-///
-/// Public so downstream flat-JSONL codecs (checkpoint shards, replay
-/// specs) can reuse [`parse_scalars`] and its typed accessors instead
-/// of re-implementing the number/string/bool conventions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Scalar {
+/// One JSON scalar of a flat object line, borrowed from the line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scalar<'a> {
     /// A number (including the `NaN`/`inf`/`-inf` extension tokens).
     Num(f64),
     /// A string without escapes.
-    Str(String),
+    Str(&'a str),
     /// A `true`/`false` literal.
     Bool(bool),
 }
 
-impl Scalar {
+impl<'a> Scalar<'a> {
     /// The scalar as a float; `key` names the field in errors.
     ///
     /// # Errors
     ///
     /// Fails when the scalar is not a number.
-    pub fn as_f64(&self, key: &str) -> Result<f64, JsonlError> {
+    #[inline]
+    pub fn as_f64(self, key: &str) -> Result<f64, JsonlError> {
         match self {
-            Scalar::Num(v) => Ok(*v),
+            Scalar::Num(v) => Ok(v),
             _ => Err(JsonlError(format!("field `{key}` is not a number"))),
         }
     }
@@ -187,9 +190,10 @@ impl Scalar {
     /// # Errors
     ///
     /// Fails when the scalar is not an integer in `u32` range.
-    pub fn as_u32(&self, key: &str) -> Result<u32, JsonlError> {
+    #[inline]
+    pub fn as_u32(self, key: &str) -> Result<u32, JsonlError> {
         let v = self.as_f64(key)?;
-        if v.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&v) {
+        if v.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&v) {
             Ok(v as u32)
         } else {
             Err(JsonlError(format!("field `{key}` is not a u32: {v}")))
@@ -201,11 +205,11 @@ impl Scalar {
     /// # Errors
     ///
     /// Fails when the scalar is not an integer, is negative, or exceeds
-    /// 2^53 (the largest range that survives the f64 funnel).
-    pub fn as_u64(&self, key: &str) -> Result<u64, JsonlError> {
+    /// 2^53 (the largest range in which every integer survives the f64
+    /// funnel numbers are parsed through).
+    #[inline]
+    pub fn as_u64(self, key: &str) -> Result<u64, JsonlError> {
         let v = self.as_f64(key)?;
-        // 2^53: the largest range in which every integer survives the
-        // f64 round trip the flat parser funnels numbers through.
         if v.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&v) {
             Ok(v as u64)
         } else {
@@ -218,19 +222,22 @@ impl Scalar {
     /// # Errors
     ///
     /// Fails when the scalar is not a boolean.
-    pub fn as_bool(&self, key: &str) -> Result<bool, JsonlError> {
+    #[inline]
+    pub fn as_bool(self, key: &str) -> Result<bool, JsonlError> {
         match self {
-            Scalar::Bool(b) => Ok(*b),
+            Scalar::Bool(b) => Ok(b),
             _ => Err(JsonlError(format!("field `{key}` is not a bool"))),
         }
     }
 
-    /// The scalar as a string slice; `key` names the field in errors.
+    /// The scalar as a string slice of the line; `key` names the field
+    /// in errors.
     ///
     /// # Errors
     ///
     /// Fails when the scalar is not a string.
-    pub fn as_str(&self, key: &str) -> Result<&str, JsonlError> {
+    #[inline]
+    pub fn as_str(self, key: &str) -> Result<&'a str, JsonlError> {
         match self {
             Scalar::Str(s) => Ok(s),
             _ => Err(JsonlError(format!("field `{key}` is not a string"))),
@@ -238,143 +245,236 @@ impl Scalar {
     }
 }
 
-/// Minimal parser for the flat objects this module emits: one level of
-/// `"key": scalar` pairs, scalars being numbers (with `NaN`/`inf`
-/// extensions), strings without escapes, or booleans.
+/// One parsed flat-JSONL record: the workspace's only reader for the
+/// flat objects its encoders write (one level of `"key": scalar` pairs,
+/// scalars being numbers with the `NaN`/`inf`/`-inf` extensions,
+/// escape-free strings, or booleans).
 ///
-/// # Errors
-///
-/// Fails when the line is not a flat JSON object of scalar fields.
-pub fn parse_scalars(line: &str) -> Result<Vec<(String, Scalar)>, JsonlError> {
-    parse_flat_object(line)
+/// Keys and string values borrow from the line, so a record costs one
+/// small vector however long its string values are. The typed getters
+/// name the key once and carry the codec's rules: integers must be
+/// exact, `u64`s stop at 2^53, and a missing key is an error naming it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record<'a> {
+    fields: Vec<(&'a str, Scalar<'a>)>,
 }
 
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, JsonlError> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| JsonlError("line is not a JSON object".into()))?;
-    let mut fields = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        // Key.
-        rest = rest
-            .strip_prefix('"')
-            .ok_or_else(|| JsonlError(format!("expected quoted key at `{rest}`")))?;
-        let kq = rest.find('"').ok_or_else(|| JsonlError("unterminated key".into()))?;
-        let key = rest[..kq].to_string();
-        rest = rest[kq + 1..].trim_start();
-        rest = rest
-            .strip_prefix(':')
-            .ok_or_else(|| JsonlError(format!("expected `:` after key `{key}`")))?
-            .trim_start();
-        // Scalar.
-        let (value, tail) = if let Some(r) = rest.strip_prefix('"') {
-            let vq = r.find('"').ok_or_else(|| JsonlError("unterminated string value".into()))?;
-            (Scalar::Str(r[..vq].to_string()), &r[vq + 1..])
-        } else {
-            let end = rest.find(',').unwrap_or(rest.len());
-            let token = rest[..end].trim();
-            let v =
-                match token {
+impl<'a> Record<'a> {
+    /// Parses one line.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the line is not a flat JSON object of scalar fields.
+    pub fn parse(line: &'a str) -> Result<Self, JsonlError> {
+        let inner = line
+            .trim()
+            .strip_prefix('{')
+            .and_then(|s| s.strip_suffix('}'))
+            .ok_or_else(|| JsonlError("line is not a JSON object".into()))?;
+        // Sized for the widest record the workspace writes (a query), so
+        // a line costs one allocation.
+        let mut fields = Vec::with_capacity(16);
+        let mut rest = inner.trim();
+        while !rest.is_empty() {
+            rest = rest
+                .strip_prefix('"')
+                .ok_or_else(|| JsonlError(format!("expected quoted key at `{rest}`")))?;
+            let kq = rest.find('"').ok_or_else(|| JsonlError("unterminated key".into()))?;
+            let key = &rest[..kq];
+            rest = rest[kq + 1..]
+                .trim_start()
+                .strip_prefix(':')
+                .ok_or_else(|| JsonlError(format!("expected `:` after key `{key}`")))?
+                .trim_start();
+            let (value, tail) = if let Some(r) = rest.strip_prefix('"') {
+                let vq =
+                    r.find('"').ok_or_else(|| JsonlError("unterminated string value".into()))?;
+                (Scalar::Str(&r[..vq]), &r[vq + 1..])
+            } else {
+                let end = rest.find(',').unwrap_or(rest.len());
+                let token = rest[..end].trim();
+                let v = match token {
                     "true" => Scalar::Bool(true),
                     "false" => Scalar::Bool(false),
-                    "NaN" => Scalar::Num(f64::NAN),
-                    "inf" => Scalar::Num(f64::INFINITY),
-                    "-inf" => Scalar::Num(f64::NEG_INFINITY),
-                    _ => Scalar::Num(token.parse::<f64>().map_err(|_| {
+                    _ => Scalar::Num(parse_num(token).ok_or_else(|| {
                         JsonlError(format!("bad scalar `{token}` for key `{key}`"))
                     })?),
                 };
-            (v, &rest[end..])
-        };
-        fields.push((key, value));
-        rest = tail.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return Err(JsonlError(format!("unexpected trailing content `{rest}`")));
+                (v, &rest[end..])
+            };
+            fields.push((key, value));
+            rest = tail.trim_start();
+            if let Some(r) = rest.strip_prefix(',') {
+                rest = r.trim_start();
+            } else if !rest.is_empty() {
+                return Err(JsonlError(format!("unexpected trailing content `{rest}`")));
+            }
+        }
+        Ok(Self { fields })
+    }
+
+    /// The value of `key`, or `None` when the record lacks it.
+    #[must_use]
+    #[inline]
+    pub fn get(&self, key: &str) -> Option<Scalar<'a>> {
+        self.fields.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    }
+
+    /// The record's keys, in line order.
+    pub fn keys(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.fields.iter().map(|&(k, _)| k)
+    }
+
+    #[inline]
+    fn field(&self, key: &str) -> Result<Scalar<'a>, JsonlError> {
+        self.get(key).ok_or_else(|| JsonlError(format!("missing field `{key}`")))
+    }
+
+    /// The number at `key`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `key` is missing or not a number.
+    #[inline]
+    pub fn f64(&self, key: &str) -> Result<f64, JsonlError> {
+        self.field(key)?.as_f64(key)
+    }
+
+    /// The exact non-negative integer at `key`, at most 2^53.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `key` is missing or not such an integer.
+    #[inline]
+    pub fn u64(&self, key: &str) -> Result<u64, JsonlError> {
+        self.field(key)?.as_u64(key)
+    }
+
+    /// The exact integer in `u32` range at `key`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `key` is missing or not such an integer.
+    #[inline]
+    pub fn u32(&self, key: &str) -> Result<u32, JsonlError> {
+        self.field(key)?.as_u32(key)
+    }
+
+    /// The boolean at `key`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `key` is missing or not a boolean.
+    #[inline]
+    pub fn bool(&self, key: &str) -> Result<bool, JsonlError> {
+        self.field(key)?.as_bool(key)
+    }
+
+    /// The string at `key`, borrowed from the line.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `key` is missing or not a string.
+    #[inline]
+    pub fn str(&self, key: &str) -> Result<&'a str, JsonlError> {
+        self.field(key)?.as_str(key)
+    }
+
+    /// Checks that the record's `type` is `want`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `type` is missing, not a string, or another type.
+    pub fn expect_type(&self, want: &str) -> Result<(), JsonlError> {
+        let ty = self.str("type")?;
+        if ty == want {
+            Ok(())
+        } else {
+            Err(JsonlError(format!("expected `{want}` record, found `{ty}`")))
         }
     }
-    Ok(fields)
+}
+
+/// Reads the next line of a multi-record document (a checkpoint shard,
+/// a telemetry snapshot) as a record of type `ty`.
+///
+/// # Errors
+///
+/// Fails when `lines` is exhausted, the line does not parse, or the
+/// record is of another type.
+pub fn next_record<'a, I: Iterator<Item = &'a str>>(
+    lines: &mut I,
+    ty: &str,
+) -> Result<Record<'a>, JsonlError> {
+    let line =
+        lines.next().ok_or_else(|| JsonlError(format!("truncated: expected `{ty}` record")))?;
+    let r = Record::parse(line)?;
+    r.expect_type(ty)?;
+    Ok(r)
 }
 
 /// Parses one JSONL line back into an [`Event`].
+///
+/// # Errors
+///
+/// Fails on a malformed line, an unknown event type or kind, or a
+/// missing or mistyped field.
 pub fn event_from_jsonl(line: &str) -> Result<Event, JsonlError> {
-    let fields = parse_flat_object(line)?;
-    let get = |key: &str| -> Result<&Scalar, JsonlError> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| JsonlError(format!("missing field `{key}`")))
-    };
-    let ty = get("type")?.as_str("type")?.to_string();
-    let t = get("t")?.as_f64("t")?;
-    match ty.as_str() {
-        "solver_step_accepted" => Ok(Event::SolverStepAccepted {
-            t,
-            h: get("h")?.as_f64("h")?,
-            err: get("err")?.as_f64("err")?,
-        }),
-        "solver_step_rejected" => Ok(Event::SolverStepRejected { t, h: get("h")?.as_f64("h")? }),
-        "switch_crossing_located" => Ok(Event::SwitchCrossingLocated {
-            t,
-            iterations: get("iterations")?.as_u32("iterations")?,
-        }),
-        "region_switch" => Ok(Event::RegionSwitch {
-            t,
-            from: get("from")?.as_u32("from")?,
-            to: get("to")?.as_u32("to")?,
-        }),
+    let r = Record::parse(line)?;
+    let ty = r.str("type")?;
+    let t = r.f64("t")?;
+    match ty {
+        "solver_step_accepted" => {
+            Ok(Event::SolverStepAccepted { t, h: r.f64("h")?, err: r.f64("err")? })
+        }
+        "solver_step_rejected" => Ok(Event::SolverStepRejected { t, h: r.f64("h")? }),
+        "switch_crossing_located" => {
+            Ok(Event::SwitchCrossingLocated { t, iterations: r.u32("iterations")? })
+        }
+        "region_switch" => Ok(Event::RegionSwitch { t, from: r.u32("from")?, to: r.u32("to")? }),
         "queue_threshold_crossed" => Ok(Event::QueueThresholdCrossed {
             t,
-            q: get("q")?.as_f64("q")?,
-            threshold: get("threshold")?.as_f64("threshold")?,
-            rising: get("rising")?.as_bool("rising")?,
+            q: r.f64("q")?,
+            threshold: r.f64("threshold")?,
+            rising: r.bool("rising")?,
         }),
         "queue_extremum" => Ok(Event::QueueExtremum {
             t,
-            q: get("q")?.as_f64("q")?,
-            kind: match get("kind")?.as_str("kind")? {
+            q: r.f64("q")?,
+            kind: match r.str("kind")? {
                 "max" => ExtremumKind::Max,
                 "min" => ExtremumKind::Min,
                 other => return Err(JsonlError(format!("unknown extremum kind `{other}`"))),
             },
         }),
-        "bcn_message_emitted" => Ok(Event::BcnMessageEmitted {
-            t,
-            fb: get("fb")?.as_f64("fb")?,
-            source: get("source")?.as_u32("source")?,
-        }),
-        "qcn_message_emitted" => Ok(Event::QcnMessageEmitted {
-            t,
-            fb: get("fb")?.as_f64("fb")?,
-            source: get("source")?.as_u32("source")?,
-        }),
-        "pause_asserted" => Ok(Event::PauseAsserted { t, port: get("port")?.as_u32("port")? }),
-        "pause_deasserted" => Ok(Event::PauseDeasserted { t, port: get("port")?.as_u32("port")? }),
-        "frame_dropped" => Ok(Event::FrameDropped { t, port: get("port")?.as_u32("port")? }),
+        "bcn_message_emitted" => {
+            Ok(Event::BcnMessageEmitted { t, fb: r.f64("fb")?, source: r.u32("source")? })
+        }
+        "qcn_message_emitted" => {
+            Ok(Event::QcnMessageEmitted { t, fb: r.f64("fb")?, source: r.u32("source")? })
+        }
+        "pause_asserted" => Ok(Event::PauseAsserted { t, port: r.u32("port")? }),
+        "pause_deasserted" => Ok(Event::PauseDeasserted { t, port: r.u32("port")? }),
+        "frame_dropped" => Ok(Event::FrameDropped { t, port: r.u32("port")? }),
         "fault_injected" => {
-            let name = get("class")?.as_str("class")?;
+            let name = r.str("class")?;
             let class = FaultClass::from_name(name)
                 .ok_or_else(|| JsonlError(format!("unknown fault class `{name}`")))?;
-            Ok(Event::FaultInjected { t, class, target: get("target")?.as_u32("target")? })
+            Ok(Event::FaultInjected { t, class, target: r.u32("target")? })
         }
         "span_begin" => {
-            let name = get("kind")?.as_str("kind")?;
+            let name = r.str("kind")?;
             let kind = SpanKind::from_name(name)
                 .ok_or_else(|| JsonlError(format!("unknown span kind `{name}`")))?;
             Ok(Event::SpanBegin {
                 t,
-                id: get("id")?.as_u64("id")?,
-                parent: get("parent")?.as_u64("parent")?,
+                id: r.u64("id")?,
+                parent: r.u64("parent")?,
                 kind,
-                entity: get("entity")?.as_u32("entity")?,
+                entity: r.u32("entity")?,
             })
         }
-        "span_end" => Ok(Event::SpanEnd { t, id: get("id")?.as_u64("id")? }),
+        "span_end" => Ok(Event::SpanEnd { t, id: r.u64("id")? }),
         other => Err(JsonlError(format!("unknown event type `{other}`"))),
     }
 }
@@ -459,6 +559,59 @@ mod tests {
         ] {
             assert!(event_from_jsonl(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn record_reader_handles_every_edge_case() {
+        type Check = fn(&Record<'_>) -> Result<(), JsonlError>;
+        // Lines the reader itself must refuse.
+        for bad in [
+            "",
+            "[1]",
+            r#"{"a" 1}"#,            // missing `:`
+            r#"{"a:1}"#,             // unterminated key
+            r#"{"a":"xyz}"#,         // unterminated string
+            r#"{"a":"x"y}"#,         // trailing content after a string
+            r#"{"a":nope}"#,         // neither number, string nor bool
+            r#"{a:1}"#,              // unquoted key
+            r#"{"a":1,"b":2} tail"#, // content after the object
+        ] {
+            assert!(Record::parse(bad).is_err(), "accepted: {bad}");
+        }
+        // Lines that parse, and what each getter makes of them.
+        let cases: [(&str, Check, bool); 14] = [
+            (r#"{"x":NaN}"#, |r| r.f64("x").map(|v| assert!(v.is_nan())), true),
+            (r#"{"x":inf}"#, |r| r.f64("x").map(|v| assert_eq!(v, f64::INFINITY)), true),
+            (r#"{"x":-inf}"#, |r| r.f64("x").map(|v| assert_eq!(v, f64::NEG_INFINITY)), true),
+            (r#"{"n":9007199254740992}"#, |r| r.u64("n").map(|v| assert_eq!(v, 1 << 53)), true),
+            // The next integer the f64 funnel can hold above 2^53.
+            (r#"{"n":9007199254740994}"#, |r| r.u64("n").map(drop), false),
+            (r#"{"n":-1}"#, |r| r.u64("n").map(drop), false),
+            (r#"{"n":1.5}"#, |r| r.u64("n").map(drop), false),
+            (r#"{"n":NaN}"#, |r| r.u64("n").map(drop), false),
+            (r#"{"p":4294967295}"#, |r| r.u32("p").map(|v| assert_eq!(v, u32::MAX)), true),
+            (r#"{"p":4294967296}"#, |r| r.u32("p").map(drop), false),
+            (r#"{"b":true,"s":"t"}"#, |r| r.bool("b").and(r.str("s")).map(drop), true),
+            (r#"{"b":1}"#, |r| r.bool("b").map(drop), false),
+            (r#"{"s":1}"#, |r| r.str("s").map(drop), false),
+            (r#" { "s" : "a b" , "x" : 2 } "#, |r| r.str("s").map(|v| assert_eq!(v, "a b")), true),
+        ];
+        for (line, check, ok) in cases {
+            let r = Record::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(check(&r).is_ok(), ok, "{line}");
+        }
+        // A getter on a missing key names the key.
+        let r = Record::parse(r#"{"type":"done","seed_hi":0}"#).unwrap();
+        assert_eq!(r.get("seed_lo"), None);
+        let err = r.u64("seed_lo").unwrap_err();
+        assert!(err.0.contains("`seed_lo`"), "{err}");
+        assert_eq!(r.keys().collect::<Vec<_>>(), ["type", "seed_hi"]);
+        // `next_record` checks the type and reports truncation.
+        let doc = [r#"{"type":"counter","value":1}"#];
+        assert_eq!(next_record(&mut doc.into_iter(), "counter").unwrap().u64("value"), Ok(1));
+        let err = next_record(&mut doc.into_iter(), "gauge").unwrap_err();
+        assert!(err.0.contains("`gauge`") && err.0.contains("`counter`"), "{err}");
+        assert!(next_record(&mut std::iter::empty(), "gauge").is_err());
     }
 
     #[test]

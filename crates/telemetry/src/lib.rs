@@ -42,8 +42,8 @@ mod trace;
 pub use event::{Event, ExtremumKind, FaultClass, SpanKind};
 pub use histogram::Histogram;
 pub use jsonl::{
-    check_schema_header, event_from_jsonl, event_to_jsonl, fmt_num, parse_scalars, schema_header,
-    JsonlError, Scalar, TRACE_SCHEMA_VERSION,
+    check_schema_header, event_from_jsonl, event_to_jsonl, fmt_num, next_record, schema_header,
+    JsonlError, Record, Scalar, TRACE_SCHEMA_VERSION,
 };
 pub use level::TelemetryLevel;
 pub use logging::{quiet, set_quiet};

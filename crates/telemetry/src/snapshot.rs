@@ -23,7 +23,7 @@
 //! rather than silently rounding.
 
 use crate::histogram::BUCKET_COUNT;
-use crate::jsonl::{fmt_num, parse_scalars, JsonlError, Scalar};
+use crate::jsonl::{fmt_num, next_record, parse_num, JsonlError};
 use crate::series::TimeSeries;
 use crate::trace::EventTrace;
 use crate::{event_from_jsonl, event_to_jsonl, Gauge, Histogram, SeriesKind, SpanInfo, SpanKind};
@@ -117,46 +117,6 @@ pub fn snapshot_to_jsonl(tel: &Telemetry) -> String {
     out
 }
 
-fn field<'a>(fields: &'a [(String, Scalar)], key: &str) -> Result<&'a Scalar, JsonlError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| JsonlError(format!("missing field `{key}` in snapshot record")))
-}
-
-fn next_record<'a, I: Iterator<Item = &'a str>>(
-    lines: &mut I,
-    what: &str,
-) -> Result<Vec<(String, Scalar)>, JsonlError> {
-    let line = lines
-        .next()
-        .ok_or_else(|| JsonlError(format!("truncated snapshot: expected {what} record")))?;
-    parse_scalars(line)
-}
-
-fn expect_type(fields: &[(String, Scalar)], want: &str) -> Result<(), JsonlError> {
-    let ty = field(fields, "type")?.as_str("type")?;
-    if ty == want {
-        Ok(())
-    } else {
-        Err(JsonlError(format!("expected `{want}` snapshot record, found `{ty}`")))
-    }
-}
-
-/// Parses a number token using the codec's conventions (`NaN`, `inf`,
-/// `-inf`, else shortest-round-trip decimal).
-fn parse_num(tok: &str, what: &str) -> Result<f64, JsonlError> {
-    match tok {
-        "NaN" => Ok(f64::NAN),
-        "inf" => Ok(f64::INFINITY),
-        "-inf" => Ok(f64::NEG_INFINITY),
-        _ => tok
-            .parse::<f64>()
-            .map_err(|_| JsonlError(format!("bad number `{tok}` in snapshot {what}"))),
-    }
-}
-
 /// Decodes a telemetry snapshot produced by [`snapshot_to_jsonl`],
 /// consuming exactly the snapshot's lines from `lines` (so the caller
 /// can continue reading the surrounding document).
@@ -175,22 +135,14 @@ fn parse_num(tok: &str, what: &str) -> Result<f64, JsonlError> {
 pub fn snapshot_from_jsonl<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
 ) -> Result<Telemetry, JsonlError> {
-    let header = next_record(lines, "telemetry header")?;
-    expect_type(&header, "telemetry")?;
-    let level: TelemetryLevel =
-        field(&header, "level")?.as_str("level")?.parse().map_err(JsonlError)?;
-    let capacity = field(&header, "trace_capacity")?.as_u64("trace_capacity")? as usize;
+    let header = next_record(lines, "telemetry")?;
+    let level: TelemetryLevel = header.str("level")?.parse().map_err(JsonlError)?;
+    let capacity = header.u64("trace_capacity")? as usize;
     if capacity == 0 {
         return Err(JsonlError("snapshot trace capacity must be positive".into()));
     }
-    let overwritten = field(&header, "trace_overwritten")?.as_u64("trace_overwritten")?;
-    let next_span_id = field(&header, "next_span_id")?.as_u64("next_span_id")?;
-    let n_counters = field(&header, "counters")?.as_u64("counters")?;
-    let n_gauges = field(&header, "gauges")?.as_u64("gauges")?;
-    let n_histograms = field(&header, "histograms")?.as_u64("histograms")?;
-    let n_series = field(&header, "series")?.as_u64("series")?;
-    let n_spans = field(&header, "open_spans")?.as_u64("open_spans")?;
-    let n_events = field(&header, "events")?.as_u64("events")?;
+    let overwritten = header.u64("trace_overwritten")?;
+    let next_span_id = header.u64("next_span_id")?;
 
     // The ring is rebuilt at `capacity` below; building the sink with a
     // one-slot ring keeps a damaged capacity from reserving memory.
@@ -199,38 +151,31 @@ pub fn snapshot_from_jsonl<'a, I: Iterator<Item = &'a str>>(
     // order exactly: the core ids laid down by the constructor are a
     // prefix of every snapshot taken by this build, and any custom
     // metrics follow in their first-use order.
-    for _ in 0..n_counters {
+    for _ in 0..header.u64("counters")? {
         let rec = next_record(lines, "counter")?;
-        expect_type(&rec, "counter")?;
-        let name = field(&rec, "name")?.as_str("name")?.to_string();
-        let v = field(&rec, "value")?.as_u64("value")?;
-        let id = tel.metrics.counter(&name);
-        tel.metrics.set_counter(id, v);
+        let id = tel.metrics.counter(rec.str("name")?);
+        tel.metrics.set_counter(id, rec.u64("value")?);
     }
-    for _ in 0..n_gauges {
+    for _ in 0..header.u64("gauges")? {
         let rec = next_record(lines, "gauge")?;
-        expect_type(&rec, "gauge")?;
-        let name = field(&rec, "name")?.as_str("name")?.to_string();
         let g = Gauge {
-            last: field(&rec, "last")?.as_f64("last")?,
-            min: field(&rec, "min")?.as_f64("min")?,
-            max: field(&rec, "max")?.as_f64("max")?,
-            samples: field(&rec, "samples")?.as_u64("samples")?,
+            last: rec.f64("last")?,
+            min: rec.f64("min")?,
+            max: rec.f64("max")?,
+            samples: rec.u64("samples")?,
         };
-        let id = tel.metrics.gauge(&name);
+        let id = tel.metrics.gauge(rec.str("name")?);
         tel.metrics.restore_gauge(id, g);
     }
-    for _ in 0..n_histograms {
+    for _ in 0..header.u64("histograms")? {
         let rec = next_record(lines, "histogram")?;
-        expect_type(&rec, "histogram")?;
-        let name = field(&rec, "name")?.as_str("name")?.to_string();
-        let bucket_len = field(&rec, "bucket_len")?.as_u64("bucket_len")? as usize;
+        let name = rec.str("name")?;
+        let bucket_len = rec.u64("bucket_len")? as usize;
         if bucket_len > BUCKET_COUNT {
             return Err(JsonlError(format!("histogram `{name}`: {bucket_len} buckets")));
         }
         let mut buckets = vec![0u64; bucket_len];
-        let packed = field(&rec, "buckets")?.as_str("buckets")?;
-        for pair in packed.split(',').filter(|p| !p.is_empty()) {
+        for pair in rec.str("buckets")?.split(',').filter(|p| !p.is_empty()) {
             let (idx, n) = pair
                 .split_once(':')
                 .ok_or_else(|| JsonlError(format!("bad bucket pair `{pair}`")))?;
@@ -242,59 +187,55 @@ pub fn snapshot_from_jsonl<'a, I: Iterator<Item = &'a str>>(
                 .ok_or_else(|| JsonlError(format!("bucket index {idx} out of range")))? = n;
         }
         let h = Histogram::from_parts(
-            field(&rec, "count")?.as_u64("count")?,
-            field(&rec, "sum")?.as_f64("sum")?,
-            field(&rec, "min")?.as_f64("min")?,
-            field(&rec, "max")?.as_f64("max")?,
-            field(&rec, "nonpositive")?.as_u64("nonpositive")?,
+            rec.u64("count")?,
+            rec.f64("sum")?,
+            rec.f64("min")?,
+            rec.f64("max")?,
+            rec.u64("nonpositive")?,
             buckets,
         );
-        let id = tel.metrics.histogram(&name);
+        let id = tel.metrics.histogram(name);
         tel.metrics.restore_histogram(id, h);
     }
-    for _ in 0..n_series {
+    for _ in 0..header.u64("series")? {
         let rec = next_record(lines, "series")?;
-        expect_type(&rec, "series")?;
-        let kind_name = field(&rec, "kind")?.as_str("kind")?;
+        let kind_name = rec.str("kind")?;
         let kind = SeriesKind::from_name(kind_name)
             .ok_or_else(|| JsonlError(format!("unknown series kind `{kind_name}`")))?;
-        let entity = field(&rec, "entity")?.as_u32("entity")?;
+        let entity = rec.u32("entity")?;
         let mut points = Vec::new();
-        let packed = field(&rec, "points")?.as_str("points")?;
-        for pair in packed.split(',').filter(|p| !p.is_empty()) {
-            let (t, v) = pair
-                .split_once(':')
-                .ok_or_else(|| JsonlError(format!("bad series point `{pair}`")))?;
-            points.push((parse_num(t, "series time")?, parse_num(v, "series value")?));
+        for pair in rec.str("points")?.split(',').filter(|p| !p.is_empty()) {
+            let point =
+                pair.split_once(':').and_then(|(t, v)| Some((parse_num(t)?, parse_num(v)?)));
+            points.push(point.ok_or_else(|| JsonlError(format!("bad series point `{pair}`")))?);
         }
-        let series_capacity = field(&rec, "capacity")?.as_u64("capacity")? as usize;
+        let series_capacity = rec.u64("capacity")? as usize;
         if series_capacity < 2 {
             return Err(JsonlError(format!("series capacity {series_capacity} is below 2")));
         }
         let series = TimeSeries::from_parts(
             series_capacity,
-            field(&rec, "stride")?.as_u64("stride")?,
-            field(&rec, "offered")?.as_u64("offered")?,
+            rec.u64("stride")?,
+            rec.u64("offered")?,
             points,
         );
         tel.series.insert(kind, entity, series);
     }
-    for _ in 0..n_spans {
+    for _ in 0..header.u64("open_spans")? {
         let rec = next_record(lines, "open_span")?;
-        expect_type(&rec, "open_span")?;
-        let kind_name = field(&rec, "kind")?.as_str("kind")?;
+        let kind_name = rec.str("kind")?;
         let kind = SpanKind::from_name(kind_name)
             .ok_or_else(|| JsonlError(format!("unknown span kind `{kind_name}`")))?;
         tel.open_spans.push(SpanInfo {
-            id: field(&rec, "id")?.as_u64("id")?,
-            parent: field(&rec, "parent")?.as_u64("parent")?,
+            id: rec.u64("id")?,
+            parent: rec.u64("parent")?,
             kind,
-            entity: field(&rec, "entity")?.as_u32("entity")?,
-            t_begin: field(&rec, "t_begin")?.as_f64("t_begin")?,
+            entity: rec.u32("entity")?,
+            t_begin: rec.f64("t_begin")?,
         });
     }
     let mut trace = EventTrace::with_capacity(capacity);
-    for _ in 0..n_events {
+    for _ in 0..header.u64("events")? {
         let line = lines
             .next()
             .ok_or_else(|| JsonlError("truncated snapshot: expected trace event".into()))?;

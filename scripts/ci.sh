@@ -243,6 +243,11 @@ cmp "$fk_dir/clean.csv" "$fk_dir/resumed2.csv"
 echo "== perfbench build (the benchmark still compiles against the public API) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench tests (every workload at two units, with its correctness checks) =="
+# Includes zipf_query's answer re-decode and incast_16_campaign's shard
+# decode checks, so a decoder change is gated here and not only built.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== replay smoke (postmortem dumps re-run deterministically) =="
 # The quarantine smoke's postmortem embeds the seeded config and fault
 # plan; replay must re-run it and reproduce the recorded panic.
