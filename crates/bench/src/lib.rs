@@ -25,6 +25,7 @@
 //! everything.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod common;
 pub mod experiments;

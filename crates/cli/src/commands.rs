@@ -174,7 +174,7 @@ fn single_run_faults(flags: &Flags) -> Result<dcesim::faults::FaultConfig, CliEr
 /// # Errors
 ///
 /// Propagates flag and validation failures.
-pub fn analyze(args: &[String]) -> Result<String, CliError> {
+pub(crate) fn analyze(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     flags.ensure_known(&with_param_flags(&[]))?;
     let p = params_from(&flags)?;
@@ -237,7 +237,7 @@ pub fn analyze(args: &[String]) -> Result<String, CliError> {
 /// # Errors
 ///
 /// Propagates flag and validation failures.
-pub fn buffer(args: &[String]) -> Result<String, CliError> {
+pub(crate) fn buffer(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     flags.ensure_known(&with_param_flags(&[]))?;
     let p = params_from(&flags)?;
@@ -266,7 +266,7 @@ pub fn buffer(args: &[String]) -> Result<String, CliError> {
 /// # Errors
 ///
 /// Propagates flag, validation, integration, and I/O failures.
-pub fn simulate(args: &[String]) -> Result<String, CliError> {
+pub(crate) fn simulate(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     flags.ensure_known(&with_param_flags(&[
         "t-end",
@@ -377,7 +377,7 @@ fn simulate_hybrid(flags: &Flags, p: &BcnParams, t_end: f64) -> Result<String, C
 /// # Errors
 ///
 /// Propagates flag, validation, and I/O failures.
-pub fn atlas(args: &[String]) -> Result<String, CliError> {
+pub(crate) fn atlas(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     flags.ensure_known(&with_param_flags(&["grid", "out"]))?;
     let base = params_from(&flags)?;
@@ -433,7 +433,7 @@ pub fn atlas(args: &[String]) -> Result<String, CliError> {
 /// # Errors
 ///
 /// Propagates flag and validation failures.
-pub fn packet(args: &[String]) -> Result<String, CliError> {
+pub(crate) fn packet(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     flags.ensure_known(&with_param_flags(&[
         "t-end",
@@ -582,7 +582,7 @@ fn packet_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<Strin
 /// failed seeds raise [`CliError::Batch`] (exit 9) and — when none
 /// failed — watchdog-demoted seeds raise [`CliError::Timeout`]
 /// (exit 10).
-pub fn batch(args: &[String]) -> Result<String, CliError> {
+pub(crate) fn batch(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     flags.ensure_known(&with_param_flags(&[
         "t-end",
@@ -980,7 +980,7 @@ fn render_postmortem(
 /// [`CliError::Analysis`] when the dump cannot be decoded,
 /// [`CliError::Replay`] when the re-run diverges from the recorded
 /// cause (exit code 11), plus the usual flag and I/O failures.
-pub fn replay(args: &[String]) -> Result<String, CliError> {
+pub(crate) fn replay(args: &[String]) -> Result<String, CliError> {
     let Some((path, rest)) = args.split_first() else {
         return Err(CliError::Usage(
             "replay expects a postmortem file: dcebcn replay <postmortem-<seed>.jsonl>".into(),
@@ -1017,7 +1017,7 @@ pub fn replay(args: &[String]) -> Result<String, CliError> {
 /// # Errors
 ///
 /// Propagates flag, validation, integration, and I/O failures.
-pub fn report(args: &[String]) -> Result<String, CliError> {
+pub(crate) fn report(args: &[String]) -> Result<String, CliError> {
     let (scenario, rest) = match args.split_first() {
         Some((s, rest)) if !s.starts_with("--") => (s.as_str(), rest),
         _ => ("thm1", args),
@@ -1136,7 +1136,7 @@ pub fn report(args: &[String]) -> Result<String, CliError> {
 /// an inline `{"type":"error",...}` record in the answer stream; under
 /// `--strict` it instead fails fast with its line number (the
 /// pre-streaming behaviour, exit code 3).
-pub fn query(args: &[String]) -> Result<String, CliError> {
+pub(crate) fn query(args: &[String]) -> Result<String, CliError> {
     use std::io::{BufRead, Write as IoWrite};
 
     let flags = Flags::parse(args)?;
@@ -1318,7 +1318,7 @@ fn victim_scenario(t_end: f64) -> (dcesim::net::NetConfig, usize) {
 /// # Errors
 ///
 /// Propagates flag, validation, integration, and I/O failures.
-pub fn trace(args: &[String]) -> Result<String, CliError> {
+pub(crate) fn trace(args: &[String]) -> Result<String, CliError> {
     let (explicit, scenario, rest) = match args.split_first() {
         Some((s, rest)) if !s.starts_with("--") => (true, s.as_str(), rest),
         _ => (false, "thm1", args),

@@ -16,7 +16,7 @@ use crate::CliError;
 
 /// Parsed `--key value` pairs with typed accessors.
 #[derive(Debug, Clone, Default)]
-pub struct Flags {
+pub(crate) struct Flags {
     values: BTreeMap<String, String>,
 }
 
@@ -27,7 +27,7 @@ impl Flags {
     ///
     /// Rejects positional arguments, repeated keys, and keys without a
     /// value.
-    pub fn parse(args: &[String]) -> Result<Self, CliError> {
+    pub(crate) fn parse(args: &[String]) -> Result<Self, CliError> {
         let mut values = BTreeMap::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -52,7 +52,7 @@ impl Flags {
 
     /// A string flag.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
     }
 
@@ -61,7 +61,7 @@ impl Flags {
     /// # Errors
     ///
     /// Rejects unparsable numbers.
-    pub fn get_f64(&self, key: &str) -> Result<Option<f64>, CliError> {
+    pub(crate) fn get_f64(&self, key: &str) -> Result<Option<f64>, CliError> {
         self.values
             .get(key)
             .map(|v| {
@@ -76,7 +76,7 @@ impl Flags {
     /// # Errors
     ///
     /// Rejects unparsable integers.
-    pub fn get_usize(&self, key: &str) -> Result<Option<usize>, CliError> {
+    pub(crate) fn get_usize(&self, key: &str) -> Result<Option<usize>, CliError> {
         self.values
             .get(key)
             .map(|v| {
@@ -88,7 +88,7 @@ impl Flags {
 
     /// Whether a boolean flag is present and truthy.
     #[must_use]
-    pub fn get_bool(&self, key: &str) -> bool {
+    pub(crate) fn get_bool(&self, key: &str) -> bool {
         matches!(self.get(key), Some("true" | "1" | "yes"))
     }
 
@@ -97,7 +97,7 @@ impl Flags {
     /// # Errors
     ///
     /// Names the first unknown flag.
-    pub fn ensure_known(&self, allowed: &[&str]) -> Result<(), CliError> {
+    pub(crate) fn ensure_known(&self, allowed: &[&str]) -> Result<(), CliError> {
         for key in self.values.keys() {
             if !allowed.contains(&key.as_str()) {
                 return Err(CliError::Usage(format!("unknown flag --{key}")));
@@ -108,7 +108,7 @@ impl Flags {
 }
 
 /// The parameter flags shared by every subcommand.
-pub const PARAM_FLAGS: &[&str] =
+pub(crate) const PARAM_FLAGS: &[&str] =
     &["n", "capacity", "q0", "buffer", "gi", "gd", "ru", "w", "pm", "qsc"];
 
 /// Resolves the global `--telemetry <off|summary|full>` flag, falling
@@ -117,7 +117,10 @@ pub const PARAM_FLAGS: &[&str] =
 /// # Errors
 ///
 /// Rejects unknown level names.
-pub fn telemetry_level(flags: &Flags, default: TelemetryLevel) -> Result<TelemetryLevel, CliError> {
+pub(crate) fn telemetry_level(
+    flags: &Flags,
+    default: TelemetryLevel,
+) -> Result<TelemetryLevel, CliError> {
     match flags.get("telemetry") {
         None => Ok(default),
         Some(v) => v.parse().map_err(CliError::Usage),
@@ -131,7 +134,7 @@ pub fn telemetry_level(flags: &Flags, default: TelemetryLevel) -> Result<Telemet
 /// # Errors
 ///
 /// Rejects unknown engine names.
-pub fn engine_choice(flags: &Flags) -> Result<Engine, CliError> {
+pub(crate) fn engine_choice(flags: &Flags) -> Result<Engine, CliError> {
     match flags.get("engine") {
         None => Ok(Engine::default()),
         Some("analytic") => Ok(Engine::Analytic),
@@ -143,7 +146,7 @@ pub fn engine_choice(flags: &Flags) -> Result<Engine, CliError> {
 /// The engine behind the packet-level commands: the pure packet engine
 /// or the hybrid fluid–packet co-simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimEngine {
+pub(crate) enum SimEngine {
     /// Every event packet-simulated (the default).
     #[default]
     Packet,
@@ -160,7 +163,7 @@ pub enum SimEngine {
 ///
 /// Rejects fluid-integrator names and unknown engines, listing the
 /// engines valid here.
-pub fn sim_engine_choice(flags: &Flags) -> Result<SimEngine, CliError> {
+pub(crate) fn sim_engine_choice(flags: &Flags) -> Result<SimEngine, CliError> {
     match flags.get("engine") {
         None | Some("packet") => Ok(SimEngine::Packet),
         Some("hybrid") => Ok(SimEngine::Hybrid),
@@ -184,7 +187,7 @@ pub fn sim_engine_choice(flags: &Flags) -> Result<SimEngine, CliError> {
 ///
 /// Rejects malformed items, unknown keys, unparsable values, and knob
 /// combinations [`HybridGuards::validate`] refuses.
-pub fn hybrid_guards_from(flags: &Flags) -> Result<HybridGuards, CliError> {
+pub(crate) fn hybrid_guards_from(flags: &Flags) -> Result<HybridGuards, CliError> {
     let mut g = HybridGuards::default();
     let Some(spec) = flags.get("hybrid-guard") else {
         return Ok(g);
@@ -226,7 +229,7 @@ pub fn hybrid_guards_from(flags: &Flags) -> Result<HybridGuards, CliError> {
 /// # Errors
 ///
 /// Rejects unknown scheduler names.
-pub fn scheduler_choice(flags: &Flags) -> Result<Scheduler, CliError> {
+pub(crate) fn scheduler_choice(flags: &Flags) -> Result<Scheduler, CliError> {
     match flags.get("scheduler") {
         None => Ok(Scheduler::default()),
         Some("wheel") => Ok(Scheduler::Wheel),
@@ -247,7 +250,7 @@ pub fn scheduler_choice(flags: &Flags) -> Result<Scheduler, CliError> {
 ///
 /// Rejects malformed items, unknown keys, unparsable values, and
 /// configurations [`FaultConfig::validate`] refuses.
-pub fn faults_from(flags: &Flags) -> Result<(FaultConfig, Vec<u64>), CliError> {
+pub(crate) fn faults_from(flags: &Flags) -> Result<(FaultConfig, Vec<u64>), CliError> {
     let mut cfg = FaultConfig::none();
     let mut panic_seeds = Vec::new();
     let Some(spec) = flags.get("faults") else {
@@ -311,7 +314,7 @@ pub fn faults_from(flags: &Flags) -> Result<(FaultConfig, Vec<u64>), CliError> {
 ///
 /// Propagates [`TopoSpec::parse`] / [`Traffic::parse`] rejections as
 /// typed config errors.
-pub fn topo_request(flags: &Flags) -> Result<Option<(TopoSpec, Traffic)>, CliError> {
+pub(crate) fn topo_request(flags: &Flags) -> Result<Option<(TopoSpec, Traffic)>, CliError> {
     let Some(spec) = flags.get("topo") else {
         if flags.get("traffic").is_some() {
             return Err(CliError::Usage("--traffic requires --topo".into()));
@@ -336,7 +339,7 @@ pub fn topo_request(flags: &Flags) -> Result<Option<(TopoSpec, Traffic)>, CliErr
 /// # Errors
 ///
 /// Propagates flag-parse failures and parameter-validation failures.
-pub fn params_from(flags: &Flags) -> Result<BcnParams, CliError> {
+pub(crate) fn params_from(flags: &Flags) -> Result<BcnParams, CliError> {
     let mut p = BcnParams::paper_defaults();
     if let Some(n) = flags.get_usize("n")? {
         p.n_flows =

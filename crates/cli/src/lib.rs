@@ -16,6 +16,7 @@
 //! without spawning processes; the `dcebcn` binary is a thin wrapper.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod commands;

@@ -22,7 +22,7 @@ const FAULT_MARK_COLOR: &str = "#7f7f7f";
 
 /// The rendered artifacts of one report run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReportArtifacts {
+pub(crate) struct ReportArtifacts {
     /// Machine-readable run summary.
     pub summary_json: String,
     /// Queue-depth timeline with PAUSE span bands and fault markers.
@@ -265,7 +265,7 @@ fn summary_json(tel: &Telemetry, scenario: &str, spans: &[SpanInterval]) -> Stri
 
 /// Renders every artifact from one telemetry shard.
 #[must_use]
-pub fn render(tel: &Telemetry, scenario: &str) -> ReportArtifacts {
+pub(crate) fn render(tel: &Telemetry, scenario: &str) -> ReportArtifacts {
     let spans = span_intervals(tel);
     ReportArtifacts {
         summary_json: summary_json(tel, scenario, &spans),

@@ -45,7 +45,7 @@ use bcn::BcnParams;
 use telemetry::{fmt_num, next_record, SpanKind, Telemetry, TelemetryLevel};
 
 use crate::checkpoint::{
-    mix, mix_f, mix_opt, mix_u64s, net_config_digest, pack_u64s, put_fault_counts, put_samples,
+    mix, mix_f, mix_opt, mix_u64s, net_config_digest, push_u64s, put_fault_counts, put_samples,
     put_series, sim_config_digest, take_fault_counts, take_samples, take_series, unpack_u64s,
     BatchCheckpoint, CheckpointError, ReplaySpec, MASK_53,
 };
@@ -658,17 +658,13 @@ impl SeedBatch for BatchConfig {
         let faults = take_fault_counts(lines)?;
         let final_rates = take_samples(lines, "final_rates")?;
         let per_source_bits = take_samples(lines, "per_source_bits")?;
-        let delay_vals = take_samples(lines, "queueing_delay")?;
+        let queueing_delay = SampleSet::from_values(take_samples(lines, "queueing_delay")?);
         let mut grid = None;
         let queue = take_series(lines, &mut grid, "queue", None)?;
         let aggregate_rate = take_series(lines, &mut grid, "aggregate_rate", None)?;
         let mut per_source_rate = Vec::new();
         for i in 0..sources {
             per_source_rate.push(take_series(lines, &mut grid, "rate", Some(i))?);
-        }
-        let mut queueing_delay = SampleSet::new();
-        for v in delay_vals {
-            queueing_delay.push(v);
         }
         let metrics = SimMetrics {
             queue,
@@ -751,16 +747,17 @@ impl SeedBatch for NetBatchConfig {
     /// Every per-flow statistic, the per-switch queue series, the
     /// per-link PAUSE counts and the fault tallies.
     fn encode_report(report: &NetReport, out: &mut String) {
-        let dropped: Vec<u64> = report.flows.iter().map(|f| f.dropped_frames).collect();
-        let _ = writeln!(
+        let _ = write!(
             out,
-            r#"{{"type":"net_counters","feedback_messages":{},"flows":{},"switches":{},"pause_counts":"{}","dropped_frames":"{}"}}"#,
+            r#"{{"type":"net_counters","feedback_messages":{},"flows":{},"switches":{},"pause_counts":""#,
             report.feedback_messages,
             report.flows.len(),
             report.switch_queues.len(),
-            pack_u64s(&report.pause_counts),
-            pack_u64s(&dropped),
         );
+        push_u64s(out, report.pause_counts.iter().copied());
+        out.push_str(r#"","dropped_frames":""#);
+        push_u64s(out, report.flows.iter().map(|f| f.dropped_frames));
+        out.push_str("\"}\n");
         put_fault_counts(out, &report.faults);
         let delivered: Vec<f64> = report.flows.iter().map(|f| f.delivered_bits).collect();
         let rates: Vec<f64> = report.flows.iter().map(|f| f.final_rate).collect();

@@ -346,75 +346,148 @@ fn get_split_u64(r: &Record, key: &str) -> Result<u64, CheckpointError> {
 /// pattern.
 const HEX_DIGITS: usize = 16;
 
+/// Bytes of one packed field: its digits plus the `,` before or after
+/// it.
+const FIELD: usize = HEX_DIGITS + 1;
+
+/// `b` in every byte of a word.
+const fn splat(b: u8) -> u64 {
+    0x0101_0101_0101_0101 * b as u64
+}
+
+/// The eight lowercase hex digits of `x`, most significant first, as
+/// the big-endian bytes of one word.
+///
+/// Three shift/mask steps spread the nibbles one per byte. Adding 6
+/// carries into bit 4 exactly for the nibbles 10-15, which then take
+/// the extra `'a' - '0' - 10` on top of `'0'`. No byte exceeds `b'f'`,
+/// so no step carries from one byte into the next.
+fn hex_word(x: u32) -> u64 {
+    let mut v = u64::from(x);
+    v = (v | (v << 16)) & 0x0000_ffff_0000_ffff;
+    v = (v | (v << 8)) & 0x00ff_00ff_00ff_00ff;
+    v = (v | (v << 4)) & splat(0x0f);
+    let letters = ((v + splat(6)) >> 4) & splat(1);
+    v + splat(b'0') + letters * u64::from(b'a' - b'0' - 10)
+}
+
+/// The inverse of [`hex_word`]: the value of eight big-endian hex
+/// digits, or `None` if any byte is not in `0-9a-f`.
+///
+/// With every high bit clear, `b + 0x80 - lo` and `b + 0x7f - hi`
+/// cannot carry or borrow across bytes, so their high bits test
+/// `b >= lo` and `b > hi` in all eight bytes at once.
+fn unhex_word(w: u64) -> Option<u32> {
+    const HIGH: u64 = splat(0x80);
+    let at_least = |lo: u8| ((w | HIGH) - splat(lo)) & HIGH;
+    let above = |hi: u8| (w + splat(0x7f - hi)) & HIGH;
+    if w & HIGH != 0 {
+        return None;
+    }
+    let digit = at_least(b'0') & !above(b'9');
+    let letter = at_least(b'a') & !above(b'f');
+    if digit | letter != HIGH {
+        return None;
+    }
+    // `0-9` keep their low nibble; `a-f` have bit 6 set and a low
+    // nibble of 1-6, so adding 9 gives 10-15.
+    let mut v = (w & splat(0x0f)) + ((w >> 6) & splat(1)) * 9;
+    v = (v | (v >> 4)) & 0x00ff_00ff_00ff_00ff;
+    v = (v | (v >> 8)) & 0x0000_ffff_0000_ffff;
+    Some(((v | (v >> 16)) & 0xffff_ffff) as u32)
+}
+
 /// Appends `vals` as comma-separated fixed-width hex of each value's
 /// bit pattern (`f64::to_bits`). Every `f64` — NaN payloads, ±0.0 and
 /// ±inf included — round-trips exactly with no special tokens, and
 /// neither direction formats or parses a decimal float.
+///
+/// Each field is written as `,` plus two [`hex_word`]s into a stack
+/// buffer of `BLOCK` fields, and each full buffer is pushed at once;
+/// the array's first `,` is skipped.
 fn push_f64_bits(out: &mut String, vals: &[f64]) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.reserve(vals.len() * (HEX_DIGITS + 1));
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    const BLOCK: usize = 64;
+    let mut buf = [b','; BLOCK * FIELD];
+    out.reserve(vals.len() * FIELD);
+    let mut skip = 1;
+    for block in vals.chunks(BLOCK) {
+        for (v, field) in block.iter().zip(buf.chunks_exact_mut(FIELD)) {
+            let bits = v.to_bits();
+            field[1..9].copy_from_slice(&hex_word((bits >> 32) as u32).to_be_bytes());
+            field[9..].copy_from_slice(&hex_word(bits as u32).to_be_bytes());
         }
-        let bits = v.to_bits();
-        let mut digits = [0u8; HEX_DIGITS];
-        for (k, d) in digits.iter_mut().enumerate() {
-            *d = HEX[((bits >> (60 - 4 * k)) & 0xf) as usize];
-        }
-        out.push_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"));
+        let used = &buf[skip..block.len() * FIELD];
+        out.push_str(std::str::from_utf8(used).expect("hex digits are ASCII"));
+        skip = 0;
     }
 }
 
 /// Decodes an array written by [`push_f64_bits`]. A field of the wrong
 /// width, a missing separator, or a byte outside `0-9a-f` is a
 /// [`CheckpointError::Format`].
-fn parse_f64_bits(packed: &str, what: &str) -> Result<Vec<f64>, CheckpointError> {
-    let bytes = packed.as_bytes();
+///
+/// Each field is read as two big-endian words through [`unhex_word`];
+/// a field that fails goes through [`scan_field`], which names the
+/// first bad byte.
+fn parse_f64_bits(bytes: &[u8], what: &str) -> Result<Vec<f64>, CheckpointError> {
     if bytes.is_empty() {
         return Ok(Vec::new());
     }
-    if !(bytes.len() + 1).is_multiple_of(HEX_DIGITS + 1) {
+    if !(bytes.len() + 1).is_multiple_of(FIELD) {
         return Err(CheckpointError::Format(format!(
             "{what}: {} bytes is not a whole number of {HEX_DIGITS}-digit hex fields",
             bytes.len()
         )));
     }
-    let mut vals = Vec::with_capacity((bytes.len() + 1) / (HEX_DIGITS + 1));
-    for chunk in bytes.chunks(HEX_DIGITS + 1) {
-        let (digits, sep) = chunk.split_at(HEX_DIGITS);
-        if !matches!(sep, [] | [b',']) {
-            return Err(CheckpointError::Format(format!(
-                "{what}: expected `,` after a {HEX_DIGITS}-digit hex field"
-            )));
-        }
-        let mut bits = 0u64;
-        for &b in digits {
-            let d = match b {
-                b'0'..=b'9' => b - b'0',
-                b'a'..=b'f' => b - b'a' + 10,
-                _ => {
-                    return Err(CheckpointError::Format(format!(
-                        "{what}: byte {b:#04x} is not a lowercase hex digit"
-                    )));
-                }
-            };
-            bits = (bits << 4) | u64::from(d);
-        }
+    let word = |b: &[u8]| u64::from_be_bytes(b.try_into().expect("8-byte half of a field"));
+    let mut vals = Vec::with_capacity((bytes.len() + 1) / FIELD);
+    for chunk in bytes.chunks(FIELD) {
+        let hi = unhex_word(word(&chunk[..8]));
+        let lo = unhex_word(word(&chunk[8..HEX_DIGITS]));
+        let bits = match (&chunk[HEX_DIGITS..], hi, lo) {
+            ([] | [b','], Some(hi), Some(lo)) => (u64::from(hi) << 32) | u64::from(lo),
+            _ => scan_field(chunk, what)?,
+        };
         vals.push(f64::from_bits(bits));
     }
     Ok(vals)
 }
 
-pub(crate) fn pack_u64s(vals: &[u64]) -> String {
-    let mut out = String::new();
-    for (i, v) in vals.iter().enumerate() {
+/// One field of [`parse_f64_bits`] a byte at a time: the separator
+/// first, then each digit. It runs only on a field the word check
+/// refused, to name the first bad byte with the byte codec's message.
+#[cold]
+fn scan_field(chunk: &[u8], what: &str) -> Result<u64, CheckpointError> {
+    let (digits, sep) = chunk.split_at(HEX_DIGITS);
+    if !matches!(sep, [] | [b',']) {
+        return Err(CheckpointError::Format(format!(
+            "{what}: expected `,` after a {HEX_DIGITS}-digit hex field"
+        )));
+    }
+    let mut bits = 0u64;
+    for &b in digits {
+        let d = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => {
+                return Err(CheckpointError::Format(format!(
+                    "{what}: byte {b:#04x} is not a lowercase hex digit"
+                )));
+            }
+        };
+        bits = (bits << 4) | u64::from(d);
+    }
+    Ok(bits)
+}
+
+/// Appends `vals` as comma-separated decimal counts.
+pub(crate) fn push_u64s(out: &mut String, vals: impl IntoIterator<Item = u64>) {
+    for (i, v) in vals.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(out, "{v}");
     }
-    out
 }
 
 pub(crate) fn unpack_u64s(packed: &str, what: &str) -> Result<Vec<u64>, CheckpointError> {
@@ -851,7 +924,7 @@ pub(crate) fn take_samples<'a, I: Iterator<Item = &'a str>>(
     if found != name {
         return Err(CheckpointError::Format(format!("expected samples `{name}`, found `{found}`")));
     }
-    parse_f64_bits(r.str("values")?, name)
+    parse_f64_bits(r.str("values")?.as_bytes(), name)
 }
 
 /// Decodes one record written by [`put_series`] with the same `name`
@@ -876,10 +949,10 @@ pub(crate) fn take_series<'a, I: Iterator<Item = &'a str>>(
         )));
     }
     let own = match r.get("times") {
-        Some(t) => Some(parse_f64_bits(t.as_str("times")?, name)?),
+        Some(t) => Some(parse_f64_bits(t.as_str("times")?.as_bytes(), name)?),
         None => None,
     };
-    let values = parse_f64_bits(r.str("values")?, name)?;
+    let values = parse_f64_bits(r.str("values")?.as_bytes(), name)?;
     let times = own.as_deref().or(grid.as_deref()).ok_or_else(|| {
         CheckpointError::Format(format!("series `{name}` omits its times before any grid"))
     })?;
@@ -1519,10 +1592,10 @@ mod tests {
         push_f64_bits(&mut packed, &vals);
         assert_eq!(packed.len(), vals.len() * 17 - 1);
         assert!(packed.starts_with("7ff80000deadbeef,fff0000000000001,0000000000000000,"));
-        let back = parse_f64_bits(&packed, "test").expect("decode");
+        let back = parse_f64_bits(packed.as_bytes(), "test").expect("decode");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&vals));
-        assert!(parse_f64_bits("", "test").expect("empty").is_empty());
+        assert!(parse_f64_bits(b"", "test").expect("empty").is_empty());
         for bad in [
             "1.5",                                // a decimal float, not bits
             "7ff80000deadbee",                    // one digit short
@@ -1535,9 +1608,137 @@ mod tests {
             "0000000000000000,0000000000000000,", // dangling separator
         ] {
             assert!(
-                matches!(parse_f64_bits(bad, "test"), Err(CheckpointError::Format(_))),
+                matches!(parse_f64_bits(bad.as_bytes(), "test"), Err(CheckpointError::Format(_))),
                 "`{bad}` must be rejected"
             );
+        }
+    }
+
+    /// The byte-at-a-time encoder the word kernels replaced, kept as
+    /// their oracle.
+    fn push_f64_bits_bytewise(out: &mut String, vals: &[f64]) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        for (i, v) in vals.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let bits = v.to_bits();
+            for k in 0..HEX_DIGITS {
+                out.push(char::from(HEX[((bits >> (60 - 4 * k)) & 0xf) as usize]));
+            }
+        }
+    }
+
+    /// The byte-at-a-time decoder the word kernels replaced, kept as
+    /// their oracle: same checks in the same order, same messages.
+    fn parse_f64_bits_bytewise(bytes: &[u8], what: &str) -> Result<Vec<f64>, CheckpointError> {
+        if bytes.is_empty() {
+            return Ok(Vec::new());
+        }
+        if !(bytes.len() + 1).is_multiple_of(17) {
+            return Err(CheckpointError::Format(format!(
+                "{what}: {} bytes is not a whole number of 16-digit hex fields",
+                bytes.len()
+            )));
+        }
+        let mut vals = Vec::new();
+        for chunk in bytes.chunks(17) {
+            let (digits, sep) = chunk.split_at(16);
+            if !matches!(sep, [] | [b',']) {
+                return Err(CheckpointError::Format(format!(
+                    "{what}: expected `,` after a 16-digit hex field"
+                )));
+            }
+            let mut bits = 0u64;
+            for &b in digits {
+                let d = match b {
+                    b'0'..=b'9' => b - b'0',
+                    b'a'..=b'f' => b - b'a' + 10,
+                    _ => {
+                        return Err(CheckpointError::Format(format!(
+                            "{what}: byte {b:#04x} is not a lowercase hex digit"
+                        )));
+                    }
+                };
+                bits = (bits << 4) | u64::from(d);
+            }
+            vals.push(f64::from_bits(bits));
+        }
+        Ok(vals)
+    }
+
+    /// Asserts the word decoder and the bytewise oracle agree on
+    /// `bytes`: the same bits, or an error with the same text.
+    fn assert_decoders_agree(bytes: &[u8]) {
+        let text = |r: Result<Vec<f64>, CheckpointError>| match r {
+            Ok(v) => Ok(v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
+            Err(e) => Err(e.to_string()),
+        };
+        assert_eq!(
+            text(parse_f64_bits(bytes, "v")),
+            text(parse_f64_bits_bytewise(bytes, "v")),
+            "input {:?}",
+            String::from_utf8_lossy(bytes)
+        );
+    }
+
+    #[test]
+    fn word_codec_matches_the_bytewise_oracle() {
+        let mut bits: Vec<u64> = (0..100_000).map(splitmix64).collect();
+        bits.extend([
+            0,
+            1 << 63,
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+            0x7ff8_0000_0000_0000,
+            0x7ff8_0000_dead_beef,
+            0xfff0_0000_0000_0001,
+            0x7ff0_0000_0000_0001,
+            1,
+            0x000f_ffff_ffff_ffff,
+            0x800f_ffff_ffff_ffff,
+            f64::MIN_POSITIVE.to_bits(),
+            u64::MAX,
+        ]);
+        for pos in (0..64).step_by(4) {
+            for n in 0..16u64 {
+                bits.push(n << pos);
+                bits.push(!(0xf << pos) | (n << pos));
+            }
+        }
+        let vals: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        // Every array length around the 64-field encode block, then the
+        // whole set in one array.
+        for n in (0..=130).chain([vals.len()]) {
+            let (mut new, mut old) = (String::new(), String::new());
+            push_f64_bits(&mut new, &vals[..n]);
+            push_f64_bits_bytewise(&mut old, &vals[..n]);
+            assert_eq!(new, old, "{n} values");
+            let back = parse_f64_bits(new.as_bytes(), "v").expect("decode");
+            assert!(back.iter().zip(&bits[..n]).all(|(v, &b)| v.to_bits() == b));
+            assert_eq!(back.len(), n);
+        }
+
+        // Every byte value at every position of three fields (16 digits
+        // and a separator, twice, then a final field), and every width up
+        // to four fields.
+        let mut packed = String::new();
+        push_f64_bits(&mut packed, &vals[..3]);
+        let packed = packed.into_bytes();
+        for pos in 0..packed.len() {
+            let mut bad = packed.clone();
+            for b in 0..=255u8 {
+                bad[pos] = b;
+                assert_decoders_agree(&bad);
+            }
+        }
+        let mut long = String::new();
+        push_f64_bits(&mut long, &vals[..4]);
+        for len in 0..=long.len() {
+            assert_decoders_agree(&long.as_bytes()[..len]);
+            let mut grown = long.as_bytes()[..len].to_vec();
+            grown.push(b'0');
+            assert_decoders_agree(&grown);
         }
     }
 

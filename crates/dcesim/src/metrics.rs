@@ -132,6 +132,14 @@ impl SampleSet {
         self.values.reserve(n);
     }
 
+    /// A set of samples already recorded, in recording order.
+    ///
+    /// The checkpoint codec restores decoded samples through this
+    /// path, moving the vector in (see [`TimeSeries::from_secs`]).
+    pub(crate) fn from_values(values: Vec<f64>) -> Self {
+        Self { values }
+    }
+
     /// The raw samples, in recording order.
     #[must_use]
     pub fn values(&self) -> &[f64] {

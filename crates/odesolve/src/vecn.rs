@@ -6,7 +6,7 @@
 
 /// Accumulates `acc += s * b` in place.
 #[inline]
-pub fn axpy_mut<const N: usize>(acc: &mut [f64; N], s: f64, b: &[f64; N]) {
+pub(crate) fn axpy_mut<const N: usize>(acc: &mut [f64; N], s: f64, b: &[f64; N]) {
     for i in 0..N {
         acc[i] += s * b[i];
     }
@@ -16,7 +16,7 @@ pub fn axpy_mut<const N: usize>(acc: &mut [f64; N], s: f64, b: &[f64; N]) {
 /// `sqrt(mean((err_i / (atol + rtol * max(|y0_i|, |y1_i|)))^2))`.
 #[inline]
 #[must_use]
-pub fn error_norm<const N: usize>(
+pub(crate) fn error_norm<const N: usize>(
     err: &[f64; N],
     y0: &[f64; N],
     y1: &[f64; N],
@@ -35,7 +35,7 @@ pub fn error_norm<const N: usize>(
 /// Returns `true` when every component of `a` is finite.
 #[inline]
 #[must_use]
-pub fn all_finite<const N: usize>(a: &[f64; N]) -> bool {
+pub(crate) fn all_finite<const N: usize>(a: &[f64; N]) -> bool {
     a.iter().all(|v| v.is_finite())
 }
 

@@ -22,6 +22,7 @@
 //! extrema formulas) live in the `bcn` crate, which builds on this one.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod linear2d;

@@ -7,6 +7,7 @@
 //! `results/` without pulling a plotting dependency.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod ascii;

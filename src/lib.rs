@@ -19,6 +19,9 @@
 //! process exit codes; the `dcebcn` binary is a thin wrapper over
 //! [`cli::run`] plus that mapping.
 
+#![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
+
 mod error;
 
 pub use bcn;
