@@ -17,9 +17,10 @@
 //! 3. **Throughput** — queue-op replay (the same recorded
 //!    schedule/pop sequence driven through both backends) must run at
 //!    least 2x faster on the wheel at a deep backlog; end-to-end
-//!    events/sec on both scenarios is measured and reported alongside
-//!    (the engine's backlog is shallow, so the end-to-end ratio is
-//!    informational, not gated).
+//!    events/sec on both scenarios is measured and reported alongside,
+//!    informational, not gated: at the dumbbells' ~11–34 pending events
+//!    the wheel's cascades cost about what the heap's ~3-level sifts do,
+//!    so the end-to-end ratio sits near 1 either way.
 //!
 //! Results land in `BENCH_packet.json` under the usual results
 //! directory. Run release builds only:
@@ -411,7 +412,9 @@ fn main() {
 
     let note = "Speedup is gated on the queue-op replay at a deep (~4096-event) backlog, \
                 where the heap pays its O(log n); the dumbbell end-to-end rows run the full \
-                engine at a shallow backlog, so their ratio is reported but not gated. The \
+                engine at a shallow backlog (~11-34 pending), where the wheel's cascades cost \
+                about what the heap's ~3-level sifts do (limit_cycle ~0.9-0.96x, incast_16 \
+                ~1.05x), so their ratio is reported but not gated. The \
                 fabric_incast row runs the generator-compiled 512-sender incast where the \
                 fan-in keeps the backlog deep end-to-end — that ratio is gated at 1.2x in \
                 BENCH_topo.json. Steady-state allocations are counted by this binary's \

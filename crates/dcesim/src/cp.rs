@@ -165,6 +165,7 @@ impl CongestionPoint {
     /// Processes an *accepted* arriving data frame against the current
     /// queue occupancy `q_bits` (after enqueue). Returns a BCN message to
     /// send back, if this frame was sampled and the rules produce one.
+    #[inline]
     pub fn on_arrival(&mut self, frame: &DataFrame, q_bits: f64) -> Option<BcnMessage> {
         self.arrived_bits += frame.bits;
         self.countdown -= 1;

@@ -379,6 +379,7 @@ impl FaultPlan {
     /// Whether an arriving data frame is lost on the wire. A fresh draw
     /// below `data_loss` starts a burst of `data_burst_len` frames;
     /// subsequent arrivals consume the burst without drawing.
+    #[inline]
     pub fn data_frame_lost(&mut self) -> bool {
         if self.cfg.data_loss <= 0.0 {
             return false;

@@ -181,7 +181,6 @@ impl NetReport {
 #[derive(Debug, Clone)]
 struct NetFrame {
     flow: usize,
-    bits: f64,
     rrt: Option<CpId>,
     priority: u8,
 }
@@ -303,6 +302,9 @@ pub struct NetSim {
     /// Pause state per link and priority class, read by the transmitter
     /// (plain PAUSE sets every class).
     link_paused_until: Vec<[Time; N_PRIORITIES]>,
+    /// `Duration::serialization(frame_bits, capacity)` per link: every
+    /// data frame is `frame_bits` long.
+    link_serialization: Vec<Duration>,
     rps: Vec<Option<ReactionPoint>>,
     flow_rates_fixed: Vec<f64>,
     stats: Vec<FlowStats>,
@@ -347,7 +349,9 @@ impl NetSim {
         }
     }
 
-    /// Builds the engine, validating the configuration: every link
+    /// Builds the engine, validating the configuration: the frame size
+    /// and every link capacity must be finite and positive (each link's
+    /// frame serialization time is computed here, once), every link
     /// endpoint must exist, every switch may only route over links it
     /// owns, and — so a misrouted flow fails here instead of silently
     /// dropping every frame at forward time — every flow's path must
@@ -355,12 +359,21 @@ impl NetSim {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] naming the offending flow, switch, or
-    /// link on any of the inconsistencies above.
+    /// Returns a [`ConfigError`] naming the frame size or the offending
+    /// flow, switch, or link on any of the inconsistencies above.
     pub fn try_new(mut cfg: NetConfig) -> Result<Self, ConfigError> {
         cfg.faults.validate()?;
+        if !(cfg.frame_bits.is_finite() && cfg.frame_bits > 0.0) {
+            return Err(ConfigError::new("frame_bits", "frame size must be positive"));
+        }
         let n_switches = cfg.switches.len();
         for (i, l) in cfg.links.iter().enumerate() {
+            if !(l.capacity.is_finite() && l.capacity > 0.0) {
+                return Err(ConfigError::new(
+                    "links",
+                    format!("link {i} capacity must be positive, got {}", l.capacity),
+                ));
+            }
             for (end, name) in [(l.from, "from"), (l.to, "to")] {
                 match end {
                     Endpoint::Host(h) if h >= cfg.hosts => {
@@ -520,6 +533,17 @@ impl NetSim {
             )?);
         }
 
+        // A fabric has few distinct link speeds, laid out in runs, so
+        // each run of equal capacities computes its serialization once
+        // (capacities are finite, so the NaN key never matches).
+        let mut link_serialization = Vec::with_capacity(cfg.links.len());
+        let mut last = (f64::NAN.to_bits(), Duration::ZERO);
+        for l in &cfg.links {
+            if l.capacity.to_bits() != last.0 {
+                last = (l.capacity.to_bits(), Duration::serialization(cfg.frame_bits, l.capacity));
+            }
+            link_serialization.push(last.1);
+        }
         let n_flows = cfg.flows.len();
         let n_links = cfg.links.len();
         let mut sim = Self {
@@ -533,6 +557,7 @@ impl NetSim {
             pause_delay_off,
             pause_delays,
             link_paused_until: vec![[Time::ZERO; N_PRIORITIES]; n_links],
+            link_serialization,
             rps,
             flow_rates_fixed: fixed,
             stats: vec![FlowStats::default(); n_flows],
@@ -728,9 +753,8 @@ impl NetSim {
             return;
         }
         let rrt = self.rps[fi].as_ref().and_then(ReactionPoint::associated_cp);
-        let frame = NetFrame { flow: fi, bits: self.cfg.frame_bits, rrt, priority: flow.priority };
-        let delay = Duration::serialization(self.cfg.frame_bits, self.cfg.links[uplink].capacity)
-            + self.cfg.links[uplink].delay;
+        let frame = NetFrame { flow: fi, rrt, priority: flow.priority };
+        let delay = self.link_serialization[uplink] + self.cfg.links[uplink].delay;
         self.schedule(self.now + delay, Ev::Arrive { link: uplink, frame });
         // Deterministic +/-2% pacing jitter (per-flow LCG) breaks the
         // phase-locking a perfectly periodic ensemble would suffer at a
@@ -755,7 +779,7 @@ impl NetSim {
         match self.cfg.links[link].to {
             Endpoint::Host(h) => {
                 if h == self.cfg.flows[frame.flow].dst_host {
-                    self.stats[frame.flow].delivered_bits += frame.bits;
+                    self.stats[frame.flow].delivered_bits += self.cfg.frame_bits;
                 }
             }
             Endpoint::Switch(si) => self.switch_ingress(si, frame),
@@ -777,8 +801,9 @@ impl NetSim {
             return;
         }
         let pi = pi as usize;
+        let bits = self.cfg.frame_bits;
         let sw = &mut self.switches[si];
-        if sw.ports[pi].backlog_bits() + frame.bits > sw.spec.buffer_bits {
+        if sw.ports[pi].backlog_bits() + bits > sw.spec.buffer_bits {
             self.stats[frame.flow].dropped_frames += 1;
             if let Some(tel) = self.telemetry.as_mut() {
                 tel.frame_dropped(self.now.as_secs(), frame.flow as u32);
@@ -791,13 +816,12 @@ impl NetSim {
         let class_backlog;
         let mut feedback = None;
         {
-            sw.ports[pi].backlog_by_class[cls] += frame.bits;
+            sw.ports[pi].backlog_by_class[cls] += bits;
             sw.backlog_changed(pi, cls);
             let port = &mut sw.ports[pi];
             port_backlog = port.backlog_bits();
             class_backlog = port.backlog_by_class[cls];
-            let df =
-                DataFrame { src: SourceId(frame.flow as u32), bits: frame.bits, rrt: frame.rrt };
+            let df = DataFrame { src: SourceId(frame.flow as u32), bits, rrt: frame.rrt };
             if let Some(cp) = &mut port.cp {
                 feedback = cp.on_arrival(&df, port_backlog);
             }
@@ -917,7 +941,7 @@ impl NetSim {
             self.switches[si].ports[pi].busy = false;
             return;
         };
-        let bits = frame.bits;
+        let bits = self.cfg.frame_bits;
         let cls = frame.priority as usize;
         self.switches[si].ports[pi].backlog_by_class[cls] -= bits;
         self.switches[si].backlog_changed(pi, cls);
@@ -932,7 +956,7 @@ impl NetSim {
                 start = up;
             }
         }
-        let ser = Duration::serialization(bits, self.cfg.links[link].capacity);
+        let ser = self.link_serialization[link];
         let delay = ser + self.cfg.links[link].delay;
         self.schedule(start + delay, Ev::Arrive { link, frame });
         self.schedule(start + ser, Ev::PortTx { switch: si, port: pi });
@@ -1440,6 +1464,33 @@ mod tests {
             let err = NetSim::try_new(cfg).expect_err("must reject the foreign link");
             assert_eq!(err.field, "switches");
             assert!(err.reason.contains("does not own"), "unexpected reason: {}", err.reason);
+        }
+    }
+
+    #[test]
+    fn rejects_non_positive_frame_size_and_link_capacity() {
+        let (base, _) = victim_topology(
+            2,
+            TRUNK,
+            FRAME,
+            Duration::from_secs(1e-6),
+            0.1,
+            PauseConfig { enabled: false, hold: Duration::ZERO, per_priority: false },
+            None,
+        );
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = base.clone();
+            cfg.frame_bits = bad;
+            let err = NetSim::try_new(cfg).expect_err("must reject the frame size");
+            assert_eq!(err.field, "frame_bits", "frame_bits {bad}");
+        }
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = base.clone();
+            let last = cfg.links.len() - 1;
+            cfg.links[last].capacity = bad;
+            let err = NetSim::try_new(cfg).expect_err("must reject the link capacity");
+            assert_eq!(err.field, "links", "capacity {bad}");
+            assert!(err.reason.contains(&format!("link {last}")), "reason: {}", err.reason);
         }
     }
 

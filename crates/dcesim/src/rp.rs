@@ -122,6 +122,7 @@ impl ReactionPoint {
     /// Applies a received BCN message (paper Eq. 2). A message whose FB
     /// field does not decode to a finite value (corrupted wire frames)
     /// is ignored rather than poisoning the rate.
+    #[inline]
     pub fn on_bcn(&mut self, msg: &BcnMessage) {
         if !msg.sigma.is_finite() {
             return;

@@ -45,6 +45,18 @@
 //! Far-future events (beyond the wheel's `2^42` ns ≈ 73 min horizon)
 //! park in an overflow list that is sorted by `(time, seq)` — stable by
 //! construction since `seq` is unique — when the wheel drains into it.
+//!
+//! # Inlining
+//!
+//! `TimingWheel::{insert, pop}` carry `#[inline]`. They are generic, so
+//! each engine instantiates its own copy, but without the attribute
+//! rustc emits that copy once, in one of the crate's codegen units, and
+//! the engines' step loops — compiled in other units — call it out of
+//! line, moving every event payload through memory. With it, each step
+//! loop inlines the wheel and pops straight into its dispatch. A
+//! single-codegen-unit `[profile]` would do the same for builds from
+//! this workspace only; packages that build these crates under their
+//! own profile (such as `perfbench/`) would not see it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -254,6 +266,7 @@ impl<E> TimingWheel<E> {
     }
 
     /// Inserts an event; far-future events park in the overflow list.
+    #[inline]
     fn insert(&mut self, time: Time, seq: u64, ev: E, stats: &mut SchedStats) {
         let t = time.as_nanos();
         let idx = self.alloc(time, seq, ev);
@@ -294,6 +307,7 @@ impl<E> TimingWheel<E> {
     }
 
     /// Pops the earliest `(time, seq)` event.
+    #[inline]
     fn pop(&mut self, stats: &mut SchedStats) -> Option<(Time, E)> {
         loop {
             if self.level_mask == 0 {

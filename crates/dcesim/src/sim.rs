@@ -278,6 +278,11 @@ pub struct Simulation {
     paused_until: Vec<Time>,
     sending_scheduled: Vec<bool>,
     sent_bits: Vec<f64>,
+    /// Each source's last pacing gap, keyed on the bits of the rate it
+    /// was computed from (see [`Simulation::pacing_gap`]).
+    gaps: Vec<(u64, Duration)>,
+    /// The service time of a `frame_bits` frame at `capacity`.
+    frame_service: Duration,
     queue: VecDeque<(DataFrame, Time)>,
     q_bits: f64,
     busy: bool,
@@ -366,6 +371,10 @@ impl Simulation {
             paused_until: vec![Time::ZERO; n],
             sending_scheduled: vec![false; n],
             sent_bits: vec![0.0; n],
+            // No pacing rate is NaN (`on_source_send` floors it at 1),
+            // so the NaN key forces the first gap to be computed.
+            gaps: vec![(f64::NAN.to_bits(), Duration::ZERO); n],
+            frame_service: Duration::serialization(cfg.frame_bits, cfg.capacity),
             queue,
             q_bits: 0.0,
             busy: false,
@@ -636,8 +645,21 @@ impl Simulation {
             rps[i].on_bits_sent(self.cfg.frame_bits);
         }
         let rate = self.source_rate(i).max(1.0);
-        let gap = Duration::serialization(self.cfg.frame_bits, rate);
+        let gap = self.pacing_gap(i, rate);
         self.schedule(self.now + gap, Ev::SourceSend(i));
+    }
+
+    /// `Duration::serialization(frame_bits, rate)`, recomputed only when
+    /// source `i`'s rate differs in any bit from the one its cached gap
+    /// came from. Rates move only when feedback is delivered, far less
+    /// often than frames are sent, and equal inputs give an equal gap.
+    fn pacing_gap(&mut self, i: usize, rate: f64) -> Duration {
+        let (key, gap) = &mut self.gaps[i];
+        if *key != rate.to_bits() {
+            *key = rate.to_bits();
+            *gap = Duration::serialization(self.cfg.frame_bits, rate);
+        }
+        *gap
     }
 
     fn on_arrival(&mut self, frame: DataFrame) {
@@ -713,7 +735,12 @@ impl Simulation {
                 start = up;
             }
         }
-        let service = Duration::serialization(bits, self.cfg.capacity);
+        // Every frame is `frame_bits` except a hybrid reseed's remainder.
+        let service = if bits == self.cfg.frame_bits {
+            self.frame_service
+        } else {
+            Duration::serialization(bits, self.cfg.capacity)
+        };
         self.schedule(start + service, Ev::Departure);
     }
 
@@ -992,6 +1019,49 @@ mod tests {
         assert_eq!(first.metrics, fresh.metrics);
         assert_eq!(again.metrics, fresh.metrics);
         assert_eq!(again.final_rates, fresh.final_rates);
+    }
+
+    #[test]
+    fn memoised_pacing_gaps_equal_the_exact_serialization() {
+        let cfg = base_cfg();
+        let frame_bits = cfg.frame_bits;
+        let mut sim = Simulation::new(cfg);
+        sim.active[0] = true;
+        // Feedback of both signs and zero, with repeats, plus messages
+        // that pin the rate at its floor and its ceiling twice in a row.
+        let sigmas = [0.0, -500.0, -500.0, 0.0, 2.0e3, 2.0e3, -1e9, -1e9, 1e12, 1e12, 0.0, -3.0];
+        for sigma in sigmas {
+            sim.dispatch(Ev::BcnDeliver(BcnMessage { dst: SourceId(0), cpid: CpId(1), sigma }));
+            let exact = Duration::serialization(frame_bits, sim.source_rate(0).max(1.0));
+            sim.events.clear_pending();
+            sim.on_source_send(0);
+            let sends: Vec<Time> = std::iter::from_fn(|| sim.events.pop())
+                .filter_map(|(t, ev)| (ev == Ev::SourceSend(0)).then_some(t))
+                .collect();
+            assert_eq!(sends, vec![sim.now + exact], "sigma {sigma}");
+        }
+    }
+
+    #[test]
+    fn a_reseeded_remainder_frame_departs_after_its_own_service_time() {
+        let cfg = base_cfg();
+        let (frame_bits, capacity) = (cfg.frame_bits, cfg.capacity);
+        let mut sim = Simulation::new(cfg);
+        let t = Time::from_secs(0.01);
+        let rem = 0.375 * frame_bits;
+        let _ = sim.reseed_fluid(t, frame_bits + rem, capacity);
+        let mut departures = Vec::new();
+        while departures.len() < 2 {
+            let before = sim.metrics.delivered_frames;
+            assert!(sim.step());
+            if sim.metrics.delivered_frames > before {
+                departures.push(sim.now);
+            }
+        }
+        let full = Duration::serialization(frame_bits, capacity);
+        let partial = Duration::serialization(rem, capacity);
+        assert_ne!(partial, full);
+        assert_eq!(departures, vec![t + full, t + full + partial]);
     }
 
     #[test]

@@ -92,6 +92,7 @@ impl Duration {
     ///
     /// Panics if `secs` is negative or non-finite.
     #[must_use]
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "duration must be non-negative, got {secs}");
         let ns = (secs * 1e9).round() as u64;
@@ -108,6 +109,7 @@ impl Duration {
     ///
     /// Panics if the rate is not strictly positive.
     #[must_use]
+    #[inline]
     pub fn serialization(bits: f64, rate_bps: f64) -> Self {
         assert!(rate_bps > 0.0, "link rate must be positive");
         Duration::from_secs(bits / rate_bps)
