@@ -413,8 +413,8 @@ fn main() {
     let note = "Speedup is gated on the queue-op replay at a deep (~4096-event) backlog, \
                 where the heap pays its O(log n); the dumbbell end-to-end rows run the full \
                 engine at a shallow backlog (~11-34 pending), where the wheel's cascades cost \
-                about what the heap's ~3-level sifts do (limit_cycle ~0.9-0.96x, incast_16 \
-                ~1.05x), so their ratio is reported but not gated. The \
+                about what the heap's ~3-level sifts do (limit_cycle ~0.90-0.96x, incast_16 \
+                ~1.04-1.09x), so their ratio is reported but not gated. The \
                 fabric_incast row runs the generator-compiled 512-sender incast where the \
                 fan-in keeps the backlog deep end-to-end — that ratio is gated at 1.2x in \
                 BENCH_topo.json. Steady-state allocations are counted by this binary's \
