@@ -276,10 +276,7 @@ pub(crate) fn simulate(args: &[String]) -> Result<String, CliError> {
         "hybrid-guard",
     ]))?;
     let p = params_from(&flags)?;
-    let t_end = flags.get_f64("t-end")?.unwrap_or(0.01);
-    if t_end <= 0.0 {
-        return Err(CliError::Usage("--t-end must be positive".into()));
-    }
+    let t_end = flags.t_end(0.01)?;
     if matches!(flags.get("engine"), Some("hybrid")) {
         if flags.get_bool("nonlinear") {
             return Err(CliError::Usage(
@@ -449,10 +446,10 @@ pub(crate) fn packet(args: &[String]) -> Result<String, CliError> {
         return packet_net(&flags, &topo, &traffic);
     }
     let p = params_from(&flags)?;
-    let t_end = flags.get_f64("t-end")?.unwrap_or(0.2);
+    let t_end = flags.t_end(0.2)?;
     let frame_bits = flags.get_f64("frame-bits")?.unwrap_or(8_000.0);
-    if t_end <= 0.0 || frame_bits <= 0.0 {
-        return Err(CliError::Usage("--t-end and --frame-bits must be positive".into()));
+    if frame_bits <= 0.0 {
+        return Err(CliError::Usage("--frame-bits must be positive".into()));
     }
     let level = telemetry_level(&flags, TelemetryLevel::Off)?;
     let hybrid = hybrid_spec_from(&flags, &p)?;
@@ -541,10 +538,7 @@ fn net_summary(report: &NetReport, t_end: f64) -> String {
 /// fabric under the multi-hop engine.
 fn packet_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String, CliError> {
     reject_sim_only_flags(flags, &["engine", "hybrid-guard", "frame-bits"])?;
-    let t_end = flags.get_f64("t-end")?.unwrap_or(0.005);
-    if t_end <= 0.0 {
-        return Err(CliError::Usage("--t-end must be positive".into()));
-    }
+    let t_end = flags.t_end(0.005)?;
     let level = telemetry_level(flags, TelemetryLevel::Off)?;
     let mut cfg = compile(topo, traffic, t_end)?;
     cfg.scheduler = scheduler_choice(flags)?;
@@ -610,10 +604,10 @@ pub(crate) fn batch(args: &[String]) -> Result<String, CliError> {
         return batch_net(&flags, &topo, &traffic);
     }
     let p = params_from(&flags)?;
-    let t_end = flags.get_f64("t-end")?.unwrap_or(0.05);
+    let t_end = flags.t_end(0.05)?;
     let frame_bits = flags.get_f64("frame-bits")?.unwrap_or(8_000.0);
-    if t_end <= 0.0 || frame_bits <= 0.0 {
-        return Err(CliError::Usage("--t-end and --frame-bits must be positive".into()));
+    if frame_bits <= 0.0 {
+        return Err(CliError::Usage("--frame-bits must be positive".into()));
     }
     let n_seeds = seed_count(&flags)?;
     let level = telemetry_level(&flags, TelemetryLevel::Off)?;
@@ -740,10 +734,7 @@ fn batch_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String
             "postmortem-dir",
         ],
     )?;
-    let t_end = flags.get_f64("t-end")?.unwrap_or(0.005);
-    if t_end <= 0.0 {
-        return Err(CliError::Usage("--t-end must be positive".into()));
-    }
+    let t_end = flags.t_end(0.005)?;
     let n_seeds = seed_count(flags)?;
     let level = telemetry_level(flags, TelemetryLevel::Off)?;
     let (faults, panic_seeds) = faults_from(flags)?;
@@ -1024,10 +1015,7 @@ pub(crate) fn report(args: &[String]) -> Result<String, CliError> {
     };
     let flags = Flags::parse(rest)?;
     flags.ensure_known(&with_param_flags(&["t-end", "out-dir", "from", "frame-bits"]))?;
-    let t_end = flags.get_f64("t-end")?.unwrap_or(0.01);
-    if t_end <= 0.0 {
-        return Err(CliError::Usage("--t-end must be positive".into()));
-    }
+    let t_end = flags.t_end(0.01)?;
     let out_dir = flags.get("out-dir").unwrap_or("results/report").to_string();
 
     let mut tel = Telemetry::new(TelemetryLevel::Full);
@@ -1345,10 +1333,7 @@ pub(crate) fn trace(args: &[String]) -> Result<String, CliError> {
     }
     let mut p = params_from(&flags)?;
     let level = telemetry_level(&flags, TelemetryLevel::Full)?;
-    let t_end = flags.get_f64("t-end")?.unwrap_or(0.01);
-    if t_end <= 0.0 {
-        return Err(CliError::Usage("--t-end must be positive".into()));
-    }
+    let t_end = flags.t_end(0.01)?;
 
     let mut tel = Telemetry::new(level);
     let mut out = String::new();
@@ -1447,10 +1432,7 @@ pub(crate) fn trace(args: &[String]) -> Result<String, CliError> {
 /// optional JSONL trace dump.
 fn trace_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String, CliError> {
     reject_sim_only_flags(flags, &["engine", "hybrid-guard", "frame-bits"])?;
-    let t_end = flags.get_f64("t-end")?.unwrap_or(0.005);
-    if t_end <= 0.0 {
-        return Err(CliError::Usage("--t-end must be positive".into()));
-    }
+    let t_end = flags.t_end(0.005)?;
     let level = telemetry_level(flags, TelemetryLevel::Full)?;
     let mut cfg = compile(topo, traffic, t_end)?;
     cfg.scheduler = scheduler_choice(flags)?;
@@ -2133,7 +2115,9 @@ mod tests {
             assert!(matches!(err, CliError::Usage(_)), "{bad}: {err}");
         }
         // A bad spec is a typed config error, not a panic.
-        assert!(matches!(packet(&argv("--topo fat-tree:k=3")).unwrap_err(), CliError::Sim(_)));
+        for bad in ["--topo fat-tree:k=3", "--topo fat-tree:k=4 --traffic incast:senders=0"] {
+            assert!(matches!(packet(&argv(bad)).unwrap_err(), CliError::Sim(_)), "{bad}");
+        }
         // --topo replaces trace's packet scenario only.
         assert!(matches!(
             trace(&argv(&format!("thm1 {FAST_TOPO}"))).unwrap_err(),
@@ -2183,6 +2167,40 @@ mod tests {
         let err = batch(&argv(&format!("{FAST_TOPO} --seeds 2 --max-seed-events 500 --fail-fast")))
             .unwrap_err();
         assert!(matches!(err, CliError::Timeout(_)), "{err}");
+    }
+
+    #[test]
+    fn horizons_outside_the_clock_are_usage_errors() {
+        let topo = "--topo leaf-spine:leaves=4,spines=2,hosts-per-leaf=8";
+        for command in [
+            "simulate".to_string(),
+            "simulate --engine hybrid".to_string(),
+            "packet".to_string(),
+            "packet --engine hybrid".to_string(),
+            format!("packet {topo}"),
+            "batch --seeds 2".to_string(),
+            format!("batch --seeds 2 {topo}"),
+            "trace packet".to_string(),
+            format!("trace packet {topo}"),
+            "trace limit-cycle".to_string(),
+            "report limit-cycle".to_string(),
+        ] {
+            for t_end in ["1e300", "nan", "inf", "-inf", "2e10", "0", "-1"] {
+                let args = argv(&format!("{command} --t-end {t_end}"));
+                let err = crate::run(&args).unwrap_err();
+                assert!(matches!(err, CliError::Usage(_)), "{command} --t-end {t_end}: {err}");
+                assert!(err.to_string().contains("--t-end"), "{command} --t-end {t_end}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn topo_incast_defaults_to_every_other_host() {
+        let topo = "--topo leaf-spine:leaves=4,spines=2,hosts-per-leaf=8 --t-end 1e-5";
+        for traffic in ["", "--traffic incast"] {
+            let out = packet(&argv(&format!("{topo} {traffic}"))).unwrap();
+            assert!(out.contains("32 hosts, 6 switches, 31 flows"), "{traffic}: {out}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use bcn::{BcnParams, Engine};
 use dcesim::faults::FaultConfig;
 use dcesim::hybrid::HybridGuards;
 use dcesim::sched::Scheduler;
-use dcesim::time::Duration;
+use dcesim::time::{Duration, Time};
 use dcesim::topo::{TopoSpec, Traffic};
 use telemetry::TelemetryLevel;
 
@@ -69,6 +69,26 @@ impl Flags {
                     .map_err(|_| CliError::Usage(format!("--{key} expects a number, got `{v}`")))
             })
             .transpose()
+    }
+
+    /// The `--t-end` horizon in seconds, `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Rejects unparsable, non-finite and non-positive horizons, and
+    /// horizons beyond [`Time::MAX`], which the packet engines' clock
+    /// cannot represent.
+    pub(crate) fn t_end(&self, default: f64) -> Result<f64, CliError> {
+        let t_end = self.get_f64("t-end")?.unwrap_or(default);
+        // The bound `Time::from_secs` asserts.
+        if !(t_end > 0.0 && t_end * 1e9 <= Time::MAX.as_nanos() as f64) {
+            return Err(CliError::Usage(format!(
+                "--t-end must be positive and at most {:e} s, got `{}`",
+                Time::MAX.as_secs(),
+                self.get("t-end").unwrap_or_default()
+            )));
+        }
+        Ok(t_end)
     }
 
     /// An integer flag.
@@ -322,15 +342,7 @@ pub(crate) fn topo_request(flags: &Flags) -> Result<Option<(TopoSpec, Traffic)>,
         return Ok(None);
     };
     let topo = TopoSpec::parse(spec)?;
-    let mut traffic = match flags.get("traffic") {
-        Some(t) => Traffic::parse(t)?,
-        None => Traffic::Incast { senders: 0, dst: usize::MAX, load: 2.0 },
-    };
-    if let Traffic::Incast { senders, .. } = &mut traffic {
-        if *senders == 0 {
-            *senders = topo.hosts().saturating_sub(1);
-        }
-    }
+    let traffic = Traffic::parse(flags.get("traffic").unwrap_or("incast"))?;
     Ok(Some((topo, traffic)))
 }
 

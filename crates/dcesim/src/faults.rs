@@ -544,6 +544,36 @@ mod tests {
         assert_eq!(ca, cb);
         let (c, _) = run(43);
         assert_ne!(a, c, "different seeds must inject differently");
+
+        // Any seed and any loss, corruption, data-loss and storm
+        // probabilities: two plans built from one config replay the
+        // same 1..200-draw decision stream and tally the same counts.
+        let bcn = BcnMessage { dst: SourceId(7), cpid: CpId(11), sigma: -512.0 };
+        let hold = Duration::from_secs(1e-6);
+        for case in 0..256u64 {
+            let seed = splitmix64(0xfa17 ^ splitmix64(case));
+            let draw = |k: u64| splitmix64(seed ^ splitmix64(k));
+            let [loss, corrupt, data_loss, storm] =
+                [1, 2, 3, 4].map(|k| (draw(k) >> 11) as f64 / (1u64 << 53) as f64);
+            let cfg = FaultConfig {
+                seed: draw(0),
+                feedback_loss: loss,
+                feedback_corrupt: corrupt,
+                data_loss,
+                pause_storm: storm,
+                pause_storm_factor: 3.0,
+                ..FaultConfig::none()
+            };
+            let at = format!("seed {seed:#x}: {cfg:?}");
+            cfg.validate().unwrap_or_else(|e| panic!("{at}: {e}"));
+            let (mut a, mut b) = (FaultPlan::new(cfg.clone()), FaultPlan::new(cfg));
+            for i in 0..1 + draw(5) % 199 {
+                assert_eq!(a.data_frame_lost(), b.data_frame_lost(), "{at}: draw {i}");
+                assert_eq!(a.pause_hold(hold), b.pause_hold(hold), "{at}: draw {i}");
+                assert_eq!(a.feedback_fate(&bcn), b.feedback_fate(&bcn), "{at}: draw {i}");
+            }
+            assert_eq!(a.counts(), b.counts(), "{at}");
+        }
     }
 
     #[test]

@@ -442,7 +442,7 @@ pub enum Traffic {
     /// offering `load ×` the destination access-link capacity.
     Incast {
         /// Number of responding servers (the first `senders` hosts,
-        /// skipping `dst`).
+        /// skipping `dst`; `usize::MAX` = every host but `dst`).
         senders: usize,
         /// Receiving host (`usize::MAX` = the last host).
         dst: usize,
@@ -478,7 +478,7 @@ impl Traffic {
     pub fn parse(spec: &str) -> Result<Self, ConfigError> {
         let (family, rest) = spec.split_once(':').unwrap_or((spec, ""));
         let mut out = match family {
-            "incast" => Traffic::Incast { senders: 0, dst: usize::MAX, load: 2.0 },
+            "incast" => Traffic::Incast { senders: usize::MAX, dst: usize::MAX, load: 2.0 },
             "permutation" => Traffic::Permutation { load: 0.9 },
             "all-to-all" => Traffic::AllToAll { hosts: 8, load: 2.0 },
             other => {
@@ -544,6 +544,7 @@ impl Traffic {
         match *self {
             Traffic::Incast { senders, dst, load } => {
                 let dst = if dst == usize::MAX { n - 1 } else { dst };
+                let senders = if senders == usize::MAX { n - 1 } else { senders };
                 if dst >= n {
                     return Err(ConfigError::new(
                         "traffic.dst",
@@ -733,6 +734,7 @@ pub fn victim_fabric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::splitmix64;
     use crate::net::NetSim;
 
     #[test]
@@ -767,9 +769,10 @@ mod tests {
         assert!((uplink.capacity - 2.0e9).abs() < 1.0, "uplink {}", uplink.capacity);
     }
 
-    /// Walks the route tables from `src` to `dst`, asserting loop
-    /// freedom, and returns the hop count (switches visited).
-    fn walk(fabric: &Fabric, src: usize, dst: usize) -> usize {
+    /// Walks the route tables from `src` to `dst` and returns the hop
+    /// count (switches visited), or why the walk failed: a loop, a
+    /// missing route, or delivery to the wrong host.
+    fn walk(fabric: &Fabric, src: usize, dst: usize) -> Result<usize, String> {
         let uplink =
             fabric.links.iter().position(|l| l.from == Endpoint::Host(src)).expect("host uplink");
         let mut at = fabric.links[uplink].to;
@@ -777,19 +780,19 @@ mod tests {
         let mut seen = vec![false; fabric.switches.len()];
         loop {
             match at {
-                Endpoint::Host(h) => {
-                    assert_eq!(h, dst, "{src}->{dst} delivered to the wrong host");
-                    return hops;
-                }
+                Endpoint::Host(h) if h == dst => return Ok(hops),
+                Endpoint::Host(h) => return Err(format!("{src}->{dst} delivered to host {h}")),
                 Endpoint::Switch(si) => {
-                    assert!(!seen[si], "{src}->{dst} loops through switch {si}");
+                    if seen[si] {
+                        return Err(format!("{src}->{dst} loops through switch {si}"));
+                    }
                     seen[si] = true;
                     hops += 1;
                     let (_, link) = fabric.switches[si]
                         .routes
                         .iter()
                         .find(|(d, _)| *d == dst)
-                        .unwrap_or_else(|| panic!("switch {si} lacks a route to {dst}"));
+                        .ok_or_else(|| format!("switch {si} lacks a route to {dst}"))?;
                     at = fabric.links[*link].to;
                 }
             }
@@ -804,7 +807,7 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let hops = walk(&fabric, src, dst);
+                let hops = walk(&fabric, src, dst).unwrap();
                 // Same edge: 1 switch; same pod: 3; cross-pod: 5.
                 assert!(hops == 1 || hops == 3 || hops == 5, "{src}->{dst}: {hops} hops");
             }
@@ -819,7 +822,7 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let hops = walk(&fabric, src, dst);
+                let hops = walk(&fabric, src, dst).unwrap();
                 // Same leaf: 1 switch; cross-leaf: leaf-spine-leaf.
                 assert!(hops == 1 || hops == 3, "{src}->{dst}: {hops} hops");
             }
@@ -857,12 +860,42 @@ mod tests {
         d
     }
 
+    /// The `k`-th uniform draw in `[0, 1)` of the case seeded `seed`.
+    fn unit(seed: u64, k: u64) -> f64 {
+        (splitmix64(seed ^ splitmix64(k)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The seeds of 24 random cases of the test salted `salt`.
+    fn case_seeds(salt: u64) -> impl Iterator<Item = u64> {
+        (0..24u64).map(move |case| splitmix64(salt ^ splitmix64(case)))
+    }
+
+    /// A small fabric drawn from `seed`: a leaf–spine with 1–4 leaves,
+    /// 1–3 spines, 1–5 hosts per leaf and 0.5–4× oversubscription, or
+    /// a fat-tree with k = 4 or 6.
+    fn random_small_spec(seed: u64) -> TopoSpec {
+        let pick = |k: u64, n: u64| (splitmix64(seed ^ splitmix64(k)) % n) as usize;
+        if pick(0, 2) == 0 {
+            let mut spec = TopoSpec::leaf_spine(1 + pick(1, 4), 1 + pick(2, 3), 1 + pick(3, 5));
+            spec.oversub = 0.5 + 3.5 * unit(seed, 4);
+            spec
+        } else {
+            TopoSpec::fat_tree(4 + 2 * pick(5, 2))
+        }
+    }
+
+    /// Every host pair routes loop-free, and the route tables realise
+    /// exactly the Floyd–Warshall shortest-path distance (single-path
+    /// ECMP never detours), on two fixed fabrics and 24 random small
+    /// ones.
     #[test]
     fn route_tables_agree_with_floyd_warshall() {
-        for fabric in [
-            TopoSpec::fat_tree(4).build().expect("fat-tree"),
-            TopoSpec::leaf_spine(3, 2, 3).build().expect("leaf-spine"),
-        ] {
+        let fixed = [TopoSpec::fat_tree(4), TopoSpec::leaf_spine(3, 2, 3)]
+            .map(|spec| ("fixed spec".to_string(), spec));
+        let drawn =
+            case_seeds(0x70b0).map(|seed| (format!("seed {seed:#x}"), random_small_spec(seed)));
+        for (case, spec) in fixed.into_iter().chain(drawn) {
+            let fabric = spec.build().unwrap_or_else(|e| panic!("{case} ({spec:?}): {e}"));
             let d = floyd_warshall(&fabric);
             let s = fabric.switches.len();
             for src in 0..fabric.hosts {
@@ -871,11 +904,13 @@ mod tests {
                         continue;
                     }
                     // Table path = access hop + switch hops + final hop.
-                    let hops = walk(&fabric, src, dst) + 1;
+                    let hops = walk(&fabric, src, dst)
+                        .unwrap_or_else(|e| panic!("{case} ({spec:?}): {e}"))
+                        + 1;
                     assert_eq!(
                         hops,
                         d[s + src][s + dst],
-                        "{src}->{dst}: table path {hops} vs shortest {}",
+                        "{case} ({spec:?}): {src}->{dst}: table path {hops} vs shortest {}",
                         d[s + src][s + dst]
                     );
                 }
@@ -883,6 +918,10 @@ mod tests {
         }
     }
 
+    /// The PFC XOFF contribution grows with the link BDP — along fixed
+    /// capacity and delay sweeps, and between 24 random pairs of
+    /// capacities (0.1–40 Gb/s) and delays (0.1–20 µs) — and keeps its
+    /// 2-MTU floor for random frames of 1–16 kbit.
     #[test]
     fn pfc_thresholds_are_monotone_in_bdp() {
         let base = TopoSpec::fat_tree(4);
@@ -901,6 +940,25 @@ mod tests {
             let q = spec.pfc_threshold_bits(spec.link_bps);
             assert!(q > q_prev, "threshold must grow with delay: {q} after {q_prev}");
             q_prev = q;
+        }
+        for seed in case_seeds(0xbdb0) {
+            let [cap_a, cap_b] = [0, 1].map(|k| 1e8 + (4e10 - 1e8) * unit(seed, k));
+            let [delay_a, delay_b] = [2, 3].map(|k| 0.1 + 19.9 * unit(seed, k));
+            let frame = 1_000.0 + 15_000.0 * unit(seed, 4);
+            let spec_at = |delay_us: f64| {
+                let mut spec = TopoSpec::leaf_spine(2, 2, 2);
+                spec.delay = Duration::from_secs(delay_us * 1e-6);
+                spec.frame_bits = frame;
+                spec
+            };
+            let lo = spec_at(delay_a.min(delay_b)).pfc_threshold_bits(cap_a.min(cap_b));
+            let hi = spec_at(delay_a.max(delay_b)).pfc_threshold_bits(cap_a.max(cap_b));
+            let at = format!(
+                "seed {seed:#x} (capacities {cap_a}, {cap_b}; delays {delay_a}, {delay_b} us; \
+                 frame {frame})"
+            );
+            assert!(lo <= hi, "{at}: threshold fell as BDP grew: {lo} > {hi}");
+            assert!(lo >= 2.0 * frame, "{at}: threshold below the 2-MTU floor: {lo}");
         }
     }
 
@@ -959,6 +1017,9 @@ mod tests {
         assert!(flows.iter().all(|f| f.dst_host == (f.src_host + 4) % 8));
         let t = Traffic::parse("all-to-all:hosts=3,load=1").expect("parse");
         assert_eq!(t.flows(&fabric).expect("flows").len(), 6);
+        // Without `senders`, every host but the destination sends.
+        let flows = Traffic::parse("incast").expect("parse").flows(&fabric).expect("flows");
+        assert_eq!(flows.len(), 7);
         for bad in ["storm", "incast:senders=0", "incast:senders=99", "incast:bogus=1"] {
             let t = Traffic::parse(bad);
             assert!(t.is_err() || t.unwrap().flows(&fabric).is_err(), "{bad} should be rejected");

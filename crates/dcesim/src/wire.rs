@@ -140,6 +140,7 @@ pub fn quantize_sigma(sigma: f64, bits: u32, range_bits: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::splitmix64;
 
     fn msg(sigma: f64) -> BcnMessage {
         BcnMessage { dst: SourceId(0x0A0B_0C0D), cpid: CpId(0x1122_3344_5566_7788), sigma }
@@ -173,24 +174,42 @@ mod tests {
     fn single_bit_corruption_never_panics_and_stays_decodable_or_rejected() {
         // The fault layer flips arbitrary bits in transit; the codec
         // must survive every one of them. Exhaustive over all 240
-        // single-bit flips of a representative frame: decode either
-        // rejects the frame with a typed error or yields a message
-        // whose fields are still sane enough to re-encode.
+        // single-bit flips of a representative frame, then 256 random
+        // frames (any dst and cpid, sigma in ±1e9) with up to 15 random
+        // bit flips each: decode either rejects the frame with a typed
+        // error or yields a message whose fields are still sane enough
+        // to re-encode.
+        let check = |bytes: &[u8], at: String| match decode(bytes) {
+            Ok(m) => {
+                assert!(m.sigma.is_finite(), "{at}");
+                let _ = encode(&m);
+            }
+            Err(e) => assert!(!e.to_string().is_empty(), "{at}"),
+        };
         let base = encode(&msg(1.5e6));
         for pos in 0..BCN_FRAME_BYTES {
             for bit in 0..8u8 {
                 let mut bytes = base;
                 bytes[pos] ^= 1u8 << bit;
-                match decode(&bytes) {
-                    Ok(m) => {
-                        assert!(m.sigma.is_finite(), "byte {pos} bit {bit}");
-                        let _ = encode(&m);
-                    }
-                    Err(e) => {
-                        assert!(!e.to_string().is_empty(), "byte {pos} bit {bit}");
-                    }
-                }
+                check(&bytes, format!("byte {pos} bit {bit}"));
             }
+        }
+        for case in 0..256u64 {
+            let seed = splitmix64(0x317e ^ splitmix64(case));
+            let draw = |k: u64| splitmix64(seed ^ splitmix64(k));
+            let sigma = -1e9 + 2e9 * ((draw(0) >> 11) as f64 / (1u64 << 53) as f64);
+            let m = BcnMessage { dst: SourceId(draw(1) as u32), cpid: CpId(draw(2)), sigma };
+            let flips: Vec<(usize, u8)> = (0..draw(3) % 16)
+                .map(|i| {
+                    let h = draw(4 + i);
+                    ((h % BCN_FRAME_BYTES as u64) as usize, (h >> 32) as u8 % 8)
+                })
+                .collect();
+            let mut bytes = encode(&m);
+            for &(pos, bit) in &flips {
+                bytes[pos] ^= 1u8 << bit;
+            }
+            check(&bytes, format!("seed {seed:#x}: {m:?} with (byte, bit) flips {flips:?}"));
         }
     }
 

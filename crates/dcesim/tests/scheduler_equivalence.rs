@@ -4,9 +4,9 @@
 //! heap: same event order, same metrics, same telemetry (modulo the
 //! `scheduler.*` self-counters, which describe backend internals), same
 //! final rates — at any worker count. These tests drive both backends
-//! through a splitmix64-seeded family of configurations and demand
-//! bit-identical results. A proptest-powered generalisation lives in
-//! `tests/properties.rs` behind the `proptest-tests` feature.
+//! through two splitmix64-seeded families of configurations and demand
+//! bit-identical results; a diverging seed is printed and reproduces
+//! the run.
 
 use dcesim::batch::{run_batch, BatchConfig};
 use dcesim::faults::{splitmix64, FaultConfig};
@@ -46,6 +46,34 @@ fn random_config(seed: u64) -> SimConfig {
         f.feedback_loss = 0.1 * unit(seed ^ 6);
         f.feedback_corrupt = 0.05 * unit(seed ^ 7);
         f.data_loss = 0.01 * unit(seed ^ 8);
+        cfg.faults = f;
+    }
+    cfg
+}
+
+/// A configuration drawn from `seed` over the wider property domain:
+/// 2–16 kbit frames, 0.5–4 µs delay, 5–25 ms horizons, 2–23 flows as
+/// one burst or an incast, and for odd draws a fault plan with up to
+/// 15% feedback loss and 2% data loss.
+fn wide_config(seed: u64) -> SimConfig {
+    let params = fluid_validation_params();
+    let frame_bits = (2_000.0 + 14_000.0 * unit(seed)).round();
+    let prop_delay = Duration::from_secs((0.5 + 3.5 * unit(seed ^ 1)) * 1e-6);
+    let t_end = (5.0 + 20.0 * unit(seed ^ 2)) * 1e-3;
+    let mut cfg = SimConfig::from_fluid(&params, frame_bits, prop_delay, t_end);
+
+    let n = 2 + (splitmix64(seed ^ 3) % 22) as usize;
+    let share = params.capacity / n as f64;
+    cfg.flows = if splitmix64(seed ^ 4) % 2 == 1 {
+        workload::incast(n, 2.0 * share, 200.0 * frame_bits)
+    } else {
+        workload::homogeneous(n, share)
+    };
+    if splitmix64(seed ^ 5) % 2 == 1 {
+        let mut f = FaultConfig::none();
+        f.seed = splitmix64(seed ^ 6);
+        f.feedback_loss = 0.15 * unit(seed ^ 7);
+        f.data_loss = 0.02 * unit(seed ^ 8);
         cfg.faults = f;
     }
     cfg
@@ -98,16 +126,21 @@ fn fingerprint(mut cfg: SimConfig, scheduler: Scheduler) -> Fingerprint {
     }
 }
 
-/// Both backends agree — metrics, rates, and telemetry — on a family of
-/// random configurations, faulted and clean alike.
+/// Both backends agree — metrics, rates, and telemetry — on two
+/// families of random configurations, faulted and clean alike: eight
+/// `random_config` seeds and 32 `wide_config` draws.
 #[test]
 fn schedulers_agree_on_random_configs() {
-    for seed in 0..8u64 {
-        let cfg = random_config(seed);
+    let wide = (0..32u64).map(|case| splitmix64(0x5c4e_d000 ^ splitmix64(case)));
+    let configs = (0..8u64)
+        .map(|seed| ("random_config", seed, random_config(seed)))
+        .chain(wide.map(|seed| ("wide_config", seed, wide_config(seed))));
+    for (family, seed, cfg) in configs {
+        let at = format!("{family}({seed:#x})");
         let wheel = fingerprint(cfg.clone(), Scheduler::Wheel);
         let heap = fingerprint(cfg, Scheduler::Heap);
-        assert_eq!(wheel, heap, "seed {seed}: wheel and heap runs diverged");
-        assert!(!wheel.counters.is_empty(), "seed {seed}: telemetry captured nothing");
+        assert_eq!(wheel, heap, "{at}: wheel and heap runs diverged");
+        assert!(!wheel.counters.is_empty(), "{at}: telemetry captured nothing");
     }
 }
 

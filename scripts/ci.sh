@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The offline CI gauntlet: formatting, lints, release build, full test
-# suite. Mirrors .github/workflows/ci.yml so it can run anywhere
-# without network access.
+# suite, engine smokes and byte-identity gates. This script is the one
+# definition of CI: .github/workflows/ci.yml installs the toolchain and
+# runs it, and it runs the same anywhere without network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

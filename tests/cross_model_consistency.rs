@@ -13,6 +13,8 @@ use dcesim::sim::{fluid_validation_params, SimConfig, Simulation};
 use odesolve::{integrate, Dopri5, Options};
 use phaseplane::PlaneSystem;
 
+mod common;
+
 /// Closed-form region flow vs direct ODE integration of that region's
 /// vector field.
 #[test]
@@ -174,26 +176,36 @@ fn first_round_matches_dense_numeric_trace() {
 }
 
 /// The semi-analytic engine agrees with DOPRI5 across the paper's case
-/// taxonomy: same region-switch sequence, switch times and endpoints to
-/// integrator tolerance, queue extrema to 1e-6 relative, and the same
-/// exact strong-stability verdict.
+/// taxonomy and on 96 random parameter sets: same region-switch
+/// sequence, switch times and endpoints to integrator tolerance, queue
+/// extrema to 1e-6 relative, and the same strong-stability verdict.
 #[test]
 fn analytic_and_numeric_engines_agree_across_cases() {
-    let base = BcnParams::test_defaults();
-    let mut sets = vec![base.clone()];
-    for case in [bcn::CaseId::Case1, bcn::CaseId::Case2, bcn::CaseId::Case3, bcn::CaseId::Case4] {
-        sets.push(bcn::cases::exemplar(&base, case));
-    }
-    sets.push(base.clone().with_n_flows(25).with_gd(1.0 / 96.0));
+    use std::f64::consts::PI;
 
-    for params in &sets {
+    // (case label, parameters, slow rotations traced).
+    let base = BcnParams::test_defaults();
+    let mut sets = vec![("test defaults".to_string(), base.clone(), 8.0)];
+    for case in [bcn::CaseId::Case1, bcn::CaseId::Case2, bcn::CaseId::Case3, bcn::CaseId::Case4] {
+        sets.push((format!("{case:?} exemplar"), bcn::cases::exemplar(&base, case), 8.0));
+    }
+    sets.push(("25 flows".to_string(), base.clone().with_n_flows(25).with_gd(1.0 / 96.0), 8.0));
+    sets.extend((0..96).map(|case| {
+        let seed = common::case_seed(11, case);
+        (format!("seed {seed:#x}"), common::random_params(seed), 4.0)
+    }));
+
+    for (case, params, rotations) in &sets {
+        let at = format!("{case}: {params:?}");
         let sys = BcnFluid::linearized(params.clone());
         // Horizon and record grid scaled to the system's own rates: a few
-        // slow rotations, sampled finely against the fast region so the
-        // parabola-refined numeric extrema resolve to well under 1e-6.
+        // slow rotations, capped in fast half-rounds so extreme rate
+        // ratios keep the sample count sane, and sampled finely against
+        // the fast region so the parabola-refined numeric extrema
+        // resolve to well under 1e-6.
         let beta_fast = params.a().max(params.b() * params.capacity).sqrt();
         let beta_slow = params.a().min(params.b() * params.capacity).sqrt();
-        let t_end = (8.0 * std::f64::consts::PI / beta_slow).min(0.4);
+        let t_end = (rotations * PI / beta_slow).min(200.0 * PI / beta_fast).min(0.4);
         let numeric = FluidOptions {
             t_end,
             tol: 1e-12,
@@ -209,31 +221,36 @@ fn analytic_and_numeric_engines_agree_across_cases() {
         assert_eq!(
             ana.intervals.iter().map(|i| i.mode).collect::<Vec<_>>(),
             num.intervals.iter().map(|i| i.mode).collect::<Vec<_>>(),
-            "mode sequences differ for {params:?}"
+            "mode sequences differ for {at}"
         );
         for (a, n) in ana.intervals.iter().zip(num.intervals.iter()) {
             assert!(
                 (a.t_end - n.t_end).abs() <= 1e-6 * t_end,
-                "switch time {} vs {} for {params:?}",
+                "switch time {} vs {} for {at}",
                 a.t_end,
                 n.t_end
             );
         }
         // Queue extrema to 1e-6 relative: the analytic engine records the
         // exact extremum; the numeric trace is parabola-refined.
-        for (a, n) in [
-            (ana.solution.max_component(0), num.solution.refined_max_component(0)),
-            (ana.solution.min_component(0), num.solution.refined_min_component(0)),
-        ] {
-            assert!(
-                (a - n).abs() <= 1e-6 * a.abs().max(params.q0),
-                "extremum {a} vs {n} for {params:?}"
-            );
+        let max = (ana.solution.max_component(0), num.solution.refined_max_component(0));
+        let min = (ana.solution.min_component(0), num.solution.refined_min_component(0));
+        for (a, n) in [max, min] {
+            assert!((a - n).abs() <= 1e-6 * a.abs().max(params.q0), "extremum {a} vs {n} for {at}");
         }
         // Endpoints to tolerance (per-component natural scales).
         let (za, zn) = (ana.solution.last_state(), num.solution.last_state());
-        assert!((za[0] - zn[0]).abs() <= 1e-6 * params.q0, "x end {za:?} vs {zn:?}");
-        assert!((za[1] - zn[1]).abs() <= 1e-6 * params.capacity, "y end {za:?} vs {zn:?}");
+        assert!((za[0] - zn[0]).abs() <= 1e-6 * params.q0, "x end {za:?} vs {zn:?} for {at}");
+        assert!((za[1] - zn[1]).abs() <= 1e-6 * params.capacity, "y end {za:?} vs {zn:?} for {at}");
+        // Same wall verdict (0 < q < B away from the start).
+        let stable = |(max_x, min_x): (f64, f64)| {
+            max_x < params.buffer - params.q0 && min_x > -params.q0 * (1.0 + 1e-9)
+        };
+        assert_eq!(
+            stable((max.0, min.0)),
+            stable((max.1, min.1)),
+            "stability verdict flipped across engines for {at}"
+        );
     }
 }
 

@@ -1,8 +1,9 @@
-//! Damage tests for the line decoders that face user files: the
-//! stability-query JSONL codec (`bcn::query`) and the trace reader behind
-//! `dcebcn report --from` (`telemetry::event_from_jsonl`).
+//! Damage tests for the decoders that face user input: the
+//! stability-query JSONL codec (`bcn::query`), the trace reader behind
+//! `dcebcn report --from` (`telemetry::event_from_jsonl`), and the spec
+//! grammars of `--topo`, `--traffic`, `--faults` and `--hybrid-guard`.
 //!
-//! Every intact stream is damaged a fixed set of ways drawn from
+//! Every intact input is damaged a fixed set of ways drawn from
 //! splitmix64: kept line prefixes, byte truncations, single-byte bit
 //! flips and line swaps. Each damaged input must decode to a value or a
 //! typed error; a panic fails the test.
@@ -136,4 +137,40 @@ fn trace_reader_never_panics_on_damaged_traces() {
         variants.len()
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The command-line spec grammars — `TopoSpec::parse`, `Traffic::parse`,
+/// the `--faults` spec and the `--hybrid-guard` spec — damaged from the
+/// CI smoke specs (plus every guard key): each damaged spec either runs
+/// or is rejected with a typed error. Damaged fabrics stay near the
+/// 32-host leaf-spine, and every run stops at 1e-5 s.
+#[test]
+fn spec_grammars_never_panic_on_damaged_specs() {
+    let topo = "leaf-spine:leaves=4,spines=2,hosts-per-leaf=8";
+    let grammars: [(&str, &str, &[&str]); 5] = [
+        ("--topo", topo, &["packet", "--traffic", "incast:senders=16"]),
+        ("--traffic", "incast:senders=16", &["packet", "--topo", topo]),
+        ("--faults", "feedback-loss=0.05,seed=7", &["packet"]),
+        ("--hybrid-guard", "always-packet", &["packet", "--engine", "hybrid"]),
+        (
+            "--hybrid-guard",
+            "eq=0.1,margin=0.2,min-ff=5e-4,max-ff=0.1,max-legs=8,always-packet",
+            &["packet", "--engine", "hybrid"],
+        ),
+    ];
+    for (salt, (flag, spec, command)) in (4..).zip(grammars) {
+        let variants = damages(spec, salt);
+        let mut accepted = 0;
+        for bytes in &variants {
+            let damaged = String::from_utf8_lossy(bytes);
+            let mut args = command.to_vec();
+            args.extend([flag, &damaged, "--t-end", "1e-5"]);
+            accepted += usize::from(dcebcn(&args).is_ok());
+        }
+        assert!(
+            accepted >= 1 && accepted < variants.len(),
+            "{flag} {spec}: {accepted} of {} damaged specs accepted",
+            variants.len()
+        );
+    }
 }

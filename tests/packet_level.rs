@@ -174,12 +174,15 @@ fn packet_drops_track_strong_stability() {
 /// killed after any prefix of its seeds and resumed from its checkpoint
 /// merges a report byte-identical to an uninterrupted run — including
 /// across different worker widths for the killed and resumed halves,
-/// and with a quarantined seed and watchdog demotions in the mix.
+/// and with a quarantined seed and watchdog demotions in the mix. Three
+/// fixed kill points run on one fault plan, then 24 random kill points
+/// and widths each on a plan with a random seed and up to 40% feedback
+/// loss.
 #[test]
 fn checkpointed_batches_resume_bit_identically_across_widths() {
     use dcesim::batch::{run_batch, run_batch_checkpointed, BatchConfig, BatchReport};
     use dcesim::checkpoint::{encode_seed_outcome, BatchCheckpoint};
-    use dcesim::faults::FaultConfig;
+    use dcesim::faults::{splitmix64, FaultConfig};
 
     let fingerprint = |r: &BatchReport| {
         let mut s = String::new();
@@ -191,47 +194,67 @@ fn checkpointed_batches_resume_bit_identically_across_widths() {
         }
         s
     };
+    // Runs the batch under `faults` uninterrupted at widths 1 and 4,
+    // then killed and resumed at each `(kill_after, first_width,
+    // resume_width)`, and demands one fingerprint throughout.
+    let check = |faults: FaultConfig, kills: &[(usize, usize, usize)], case: &str| {
+        let mut base = bcn_cfg(0.02);
+        base.faults = faults;
+        let mut cfg = BatchConfig::quick(base, 5);
+        cfg.level = telemetry::TelemetryLevel::Full;
+        cfg.panic_seeds = vec![3];
+        cfg.max_seed_retries = 1;
 
-    let mut base = bcn_cfg(0.02);
-    base.faults = FaultConfig { seed: 9, feedback_loss: 0.15, ..FaultConfig::none() };
-    let mut cfg = BatchConfig::quick(base, 5);
-    cfg.level = telemetry::TelemetryLevel::Full;
-    cfg.panic_seeds = vec![3];
-    cfg.max_seed_retries = 1;
+        parkit::set_threads(1);
+        let clean = fingerprint(&run_batch(&cfg));
+        parkit::set_threads(4);
+        assert_eq!(fingerprint(&run_batch(&cfg)), clean, "{case}: batch is width-sensitive");
 
-    parkit::set_threads(1);
-    let clean = fingerprint(&run_batch(&cfg));
-    parkit::set_threads(4);
-    assert_eq!(fingerprint(&run_batch(&cfg)), clean, "batch is width-sensitive");
+        for &(kill_after, first_width, resume_width) in kills {
+            let dir = std::env::temp_dir().join(format!(
+                "dcesim_it_resume-{}-{kill_after}-{first_width}x{resume_width}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
 
-    for (kill_after, first_width, resume_width) in [(0, 1, 4), (2, 4, 1), (5, 1, 1)] {
-        let dir = std::env::temp_dir().join(format!(
-            "dcesim_it_resume-{}-{kill_after}-{first_width}x{resume_width}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+            // The "killed" half: only the first `kill_after` seeds ran
+            // and were acknowledged before the crash.
+            parkit::set_threads(first_width);
+            let partial = BatchConfig { seeds: cfg.seeds[..kill_after].to_vec(), ..cfg.clone() };
+            let ck = BatchCheckpoint::create(&dir, &cfg).unwrap();
+            run_batch_checkpointed(&partial, &ck).unwrap();
+            drop(ck);
 
-        // The "killed" half: only the first `kill_after` seeds ran and
-        // were acknowledged before the crash.
-        parkit::set_threads(first_width);
-        let partial = BatchConfig { seeds: cfg.seeds[..kill_after].to_vec(), ..cfg.clone() };
-        let ck = BatchCheckpoint::create(&dir, &cfg).unwrap();
-        run_batch_checkpointed(&partial, &ck).unwrap();
-        drop(ck);
+            parkit::set_threads(resume_width);
+            let ck = BatchCheckpoint::resume(&dir, &cfg).unwrap();
+            assert_eq!(ck.restored_seeds().len(), kill_after, "{case}");
+            let resumed = run_batch_checkpointed(&cfg, &ck).unwrap();
+            assert_eq!(resumed.supervisor.timed_out, 0, "{case}");
+            assert_eq!(
+                fingerprint(&resumed),
+                clean,
+                "{case}: resume after {kill_after} seeds at widths {first_width}->{resume_width} \
+                 diverged"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        parkit::set_threads(0);
+    };
 
-        parkit::set_threads(resume_width);
-        let ck = BatchCheckpoint::resume(&dir, &cfg).unwrap();
-        assert_eq!(ck.restored_seeds().len(), kill_after);
-        let resumed = run_batch_checkpointed(&cfg, &ck).unwrap();
-        assert_eq!(resumed.supervisor.timed_out, 0);
-        assert_eq!(
-            fingerprint(&resumed),
-            clean,
-            "resume after {kill_after} seeds at widths {first_width}->{resume_width} diverged"
+    let fixed = FaultConfig { seed: 9, feedback_loss: 0.15, ..FaultConfig::none() };
+    check(fixed, &[(0, 1, 4), (2, 4, 1), (5, 1, 1)], "fixed plan");
+    for case in 0..24u64 {
+        let seed = splitmix64(0xc4ec ^ splitmix64(case));
+        let draw = |k: u64| splitmix64(seed ^ splitmix64(k));
+        let feedback_loss = 0.4 * ((draw(1) >> 11) as f64 / (1u64 << 53) as f64);
+        let faults = FaultConfig { seed: draw(0), feedback_loss, ..FaultConfig::none() };
+        let kill = ((draw(2) % 6) as usize, 1 + (draw(3) % 4) as usize, 1 + (draw(4) % 4) as usize);
+        check(
+            faults,
+            &[kill],
+            &format!("seed {seed:#x} (feedback loss {feedback_loss}, {kill:?})"),
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
-    parkit::set_threads(0);
 }
 
 /// The watchdog's event budget is part of the checkpointed contract

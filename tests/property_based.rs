@@ -1,8 +1,9 @@
-//! Property-based tests (proptest) over randomly drawn, valid BCN
-//! parameterisations: the paper's structural invariants must hold on all
-//! of them, not just the hand-picked examples. A second block covers the
-//! robustness layer: the wire codec under arbitrary byte corruption and
-//! the fault plan's deterministic replay guarantee.
+//! Property tests over randomly drawn, valid BCN parameterisations: the
+//! paper's structural invariants must hold on all of them, not just the
+//! hand-picked examples.
+//!
+//! Every case is drawn from a splitmix64 seed (`common`), and every
+//! assertion prints that seed together with the drawn inputs.
 
 use bcn::cases::{classify_params, region_shape};
 use bcn::closed_form::RegionFlow;
@@ -10,53 +11,37 @@ use bcn::extrema::region_extremum;
 use bcn::model::Region;
 use bcn::query::{QueryBatch, StabilityQuery};
 use bcn::rounds::{round_ratio, round_ratio_analytic, trace_legs};
-use bcn::simulate::{fluid_trajectory, Engine, FluidOptions};
 use bcn::stability::{criterion, exact_verdict, theorem1_holds, theorem1_required_buffer};
 use bcn::{BcnFluid, BcnParams, CaseId};
+use common::{case_seed, random_params, uniform};
+use dcesim::faults::splitmix64;
 use phaseplane::{classify, FixedPointKind, Mat2};
-use proptest::prelude::*;
 
-/// Strategy: a random valid parameter set around the test scale.
-fn params_strategy() -> impl Strategy<Value = BcnParams> {
-    (
-        1u32..60,      // n_flows
-        1e5..1e8f64,   // capacity
-        0.05f64..0.45, // q0 as a fraction of buffer
-        1e4..1e7f64,   // buffer
-        0.01f64..20.0, // gi
-        1e-4f64..0.9,  // gd
-        1e2..1e6f64,   // ru
-        1e-3f64..50.0, // w
-        0.005f64..1.0, // pm
-    )
-        .prop_map(|(n, c, q0_frac, buffer, gi, gd, ru, w, pm)| BcnParams {
-            n_flows: n,
-            capacity: c,
-            q0: q0_frac * buffer,
-            buffer,
-            gi,
-            gd,
-            ru,
-            w,
-            pm,
-            qsc: 0.9 * buffer,
-        })
+mod common;
+
+/// Random parameter sets each paper-invariant property checks.
+const CASES: u64 = 96;
+
+/// `(seed, params)` for every case of the property salted `salt`.
+fn param_cases(salt: u64) -> impl Iterator<Item = (u64, BcnParams)> {
+    (0..CASES).map(move |case| {
+        let seed = case_seed(salt, case);
+        (seed, random_params(seed))
+    })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Every drawn parameter set validates, classifies into exactly one
-    /// case, and that case matches the per-region shapes.
-    #[test]
-    fn classification_is_consistent(p in params_strategy()) {
-        p.validate().unwrap();
+/// Every drawn parameter set validates, classifies into exactly one
+/// case, and that case matches the per-region shapes.
+#[test]
+fn classification_is_consistent() {
+    use bcn::RegionShape::*;
+    for (seed, p) in param_cases(1) {
+        p.validate().unwrap_or_else(|e| panic!("seed {seed:#x}: {e} on {p:?}"));
         let analysis = classify_params(&p);
         let inc = region_shape(&p, Region::Increase);
         let dec = region_shape(&p, Region::Decrease);
-        prop_assert_eq!(analysis.increase, inc);
-        prop_assert_eq!(analysis.decrease, dec);
-        use bcn::RegionShape::*;
+        assert_eq!(analysis.increase, inc, "seed {seed:#x}: {p:?}");
+        assert_eq!(analysis.decrease, dec, "seed {seed:#x}: {p:?}");
         let expect = match (inc, dec) {
             (Critical, _) | (_, Critical) => CaseId::Case5,
             (Spiral, Spiral) => CaseId::Case1,
@@ -64,25 +49,29 @@ proptest! {
             (Spiral, Node) => CaseId::Case3,
             (Node, Node) => CaseId::Case4,
         };
-        prop_assert_eq!(analysis.case, expect);
+        assert_eq!(analysis.case, expect, "seed {seed:#x}: {p:?}");
     }
+}
 
-    /// Proposition 1 holds everywhere: both region Jacobians are
-    /// attracting.
-    #[test]
-    fn regions_are_always_attracting(p in params_strategy()) {
+/// Proposition 1 holds everywhere: both region Jacobians are
+/// attracting.
+#[test]
+fn regions_are_always_attracting() {
+    for (seed, p) in param_cases(2) {
         let sys = BcnFluid::linearized(p.clone());
         for r in [Region::Increase, Region::Decrease] {
             let kind = classify(&sys.jacobian(r));
-            prop_assert!(kind.is_attracting(), "{:?} gave {}", r, kind);
-            prop_assert!(kind != FixedPointKind::Saddle);
+            assert!(kind.is_attracting(), "seed {seed:#x}: {r:?} gave {kind} on {p:?}");
+            assert!(kind != FixedPointKind::Saddle, "seed {seed:#x}: {r:?} on {p:?}");
         }
     }
+}
 
-    /// The matrix exponential obeys the semigroup property and the flow
-    /// solves the ODE (finite-difference check) for every region.
-    #[test]
-    fn region_flow_is_a_flow(p in params_strategy()) {
+/// The matrix exponential obeys the semigroup property and the flow
+/// solves the ODE (finite-difference check) for every region.
+#[test]
+fn region_flow_is_a_flow() {
+    for (seed, p) in param_cases(3) {
         let sys = BcnFluid::linearized(p.clone());
         for r in [Region::Increase, Region::Decrease] {
             let flow = RegionFlow::from_kn(p.k(), sys.region_n(r));
@@ -94,16 +83,20 @@ proptest! {
             let hops = flow.at(t2, flow.at(t1, z0));
             for i in 0..2 {
                 let scale = direct[i].abs().max(p.q0);
-                prop_assert!((direct[i] - hops[i]).abs() < 1e-8 * scale,
-                    "{:?}: {:?} vs {:?}", r, direct, hops);
+                assert!(
+                    (direct[i] - hops[i]).abs() < 1e-8 * scale,
+                    "seed {seed:#x}: {r:?}: {direct:?} vs {hops:?} on {p:?}"
+                );
             }
         }
     }
+}
 
-    /// Any extremum reported by the analytic machinery is a genuine
-    /// stationary point of x(t) along the region flow.
-    #[test]
-    fn extrema_have_zero_velocity(p in params_strategy()) {
+/// Any extremum reported by the analytic machinery is a genuine
+/// stationary point of x(t) along the region flow.
+#[test]
+fn extrema_have_zero_velocity() {
+    for (seed, p) in param_cases(4) {
         let sys = BcnFluid::linearized(p.clone());
         for r in [Region::Increase, Region::Decrease] {
             let flow = RegionFlow::from_kn(p.k(), sys.region_n(r));
@@ -111,142 +104,113 @@ proptest! {
             if let Some(e) = region_extremum(&flow, z0) {
                 let z = flow.at(e.t, z0);
                 let y_scale = p.capacity.max(z0[1].abs());
-                prop_assert!(z[1].abs() < 1e-6 * y_scale,
-                    "{:?}: y({}) = {}", r, e.t, z[1]);
-                prop_assert!((z[0] - e.x).abs() < 1e-6 * e.x.abs().max(p.q0));
+                assert!(
+                    z[1].abs() < 1e-6 * y_scale,
+                    "seed {seed:#x}: {r:?}: y({}) = {} on {p:?}",
+                    e.t,
+                    z[1]
+                );
+                assert!(
+                    (z[0] - e.x).abs() < 1e-6 * e.x.abs().max(p.q0),
+                    "seed {seed:#x}: {r:?}: x({}) = {} vs {} on {p:?}",
+                    e.t,
+                    z[0],
+                    e.x
+                );
             }
         }
     }
+}
 
-    /// Case-1 round ratios: numeric == closed form, and contained in
-    /// (0, 1] (strict contraction for w > 0).
-    #[test]
-    fn round_ratio_contracts(p in params_strategy()) {
-        if classify_params(&p).case == CaseId::Case1 {
-            if let (Some(num), Some(ana)) = (round_ratio(&p), round_ratio_analytic(&p)) {
-                prop_assert!(num > 0.0 && num < 1.0, "rho = {}", num);
-                prop_assert!((num - ana).abs() < 1e-4 * ana,
-                    "numeric {} vs analytic {}", num, ana);
-            }
+/// Case-1 round ratios: numeric == closed form, and contained in
+/// (0, 1) (strict contraction for w > 0).
+#[test]
+fn round_ratio_contracts() {
+    for (seed, p) in param_cases(5) {
+        if classify_params(&p).case != CaseId::Case1 {
+            continue;
+        }
+        if let (Some(num), Some(ana)) = (round_ratio(&p), round_ratio_analytic(&p)) {
+            assert!(num > 0.0 && num < 1.0, "seed {seed:#x}: rho = {num} on {p:?}");
+            assert!(
+                (num - ana).abs() < 1e-4 * ana,
+                "seed {seed:#x}: numeric {num} vs analytic {ana} on {p:?}"
+            );
         }
     }
+}
 
-    /// Criterion soundness: a granted verdict is confirmed by the exact
-    /// trace, and Theorem 1 never out-permits the case criterion.
-    #[test]
-    fn criterion_soundness(p in params_strategy()) {
+/// Criterion soundness: a granted verdict is confirmed by the exact
+/// trace, and Theorem 1 never out-permits the case criterion.
+#[test]
+fn criterion_soundness() {
+    for (seed, p) in param_cases(6) {
         let granted = criterion(&p).is_guaranteed();
-        let thm1 = theorem1_holds(&p);
-        if thm1 {
-            prop_assert!(granted, "Theorem 1 passed but criterion refused: {:?}", p);
+        if theorem1_holds(&p) {
+            assert!(granted, "seed {seed:#x}: Theorem 1 passed but criterion refused: {p:?}");
         }
         if granted {
             let exact = exact_verdict(&p, 60);
-            prop_assert!(exact.strongly_stable,
-                "criterion unsound on {:?}: {:?}", p, exact);
+            assert!(exact.strongly_stable, "seed {seed:#x}: criterion unsound on {p:?}: {exact:?}");
         }
     }
+}
 
-    /// Theorem 1's requirement dominates the exact trajectory's need.
-    #[test]
-    fn theorem1_dominates_exact_need(p in params_strategy()) {
+/// Theorem 1's requirement dominates the exact trajectory's need.
+#[test]
+fn theorem1_dominates_exact_need() {
+    for (seed, p) in param_cases(7) {
         let exact = exact_verdict(&p, 60);
         let exact_need = p.q0 + exact.max_x;
         let thm_need = theorem1_required_buffer(&p);
-        prop_assert!(thm_need >= exact_need * (1.0 - 1e-9),
-            "theorem1 {} below exact need {}", thm_need, exact_need);
+        assert!(
+            thm_need >= exact_need * (1.0 - 1e-9),
+            "seed {seed:#x}: theorem1 {thm_need} below exact need {exact_need} on {p:?}"
+        );
     }
+}
 
-    /// Leg tracing never leaves the switching line inconsistently: every
-    /// closed leg ends on the line and legs alternate regions.
-    #[test]
-    fn legs_alternate_and_end_on_line(p in params_strategy()) {
+/// Leg tracing never leaves the switching line inconsistently: every
+/// closed leg ends on the line and legs alternate regions.
+#[test]
+fn legs_alternate_and_end_on_line() {
+    for (seed, p) in param_cases(8) {
         let legs = trace_legs(&p, p.initial_point(), 10);
         let k = p.k();
         for pair in legs.windows(2) {
-            prop_assert!(pair[0].region != pair[1].region);
+            assert!(pair[0].region != pair[1].region, "seed {seed:#x}: {p:?}");
         }
         for leg in &legs {
             if let Some(end) = leg.end {
                 let scale = end[1].abs().max(p.q0);
-                prop_assert!((end[0] + k * end[1]).abs() < 1e-6 * scale.max(1.0),
-                    "end off line: {:?}", end);
+                assert!(
+                    (end[0] + k * end[1]).abs() < 1e-6 * scale.max(1.0),
+                    "seed {seed:#x}: end off line: {end:?} on {p:?}"
+                );
             }
         }
     }
+}
 
-    /// The semi-analytic engine and DOPRI5 trace the same switched
-    /// trajectory on any drawn parameter set: identical region-switch
-    /// sequence, switch times to integrator tolerance, queue extrema to
-    /// 1e-6 relative (exact analytic extrema vs parabola-refined numeric
-    /// samples), matching endpoints, and the same derived
-    /// strong-stability verdict.
-    #[test]
-    fn engines_agree_on_random_params(p in params_strategy()) {
-        let sys = BcnFluid::linearized(p.clone());
-        let beta_fast = p.a().max(p.b() * p.capacity).sqrt();
-        let beta_slow = p.a().min(p.b() * p.capacity).sqrt();
-        // A few slow rotations, capped both in absolute time and in fast
-        // half-rounds so extreme rate ratios keep the sample count sane.
-        let t_end = (4.0 * std::f64::consts::PI / beta_slow)
-            .min(200.0 * std::f64::consts::PI / beta_fast)
-            .min(0.4);
-        let numeric_opts = FluidOptions {
-            t_end,
-            tol: 1e-12,
-            max_switches: 400,
-            record_dt: Some(0.03 / beta_fast),
-            engine: Engine::Dopri5,
-        };
-        let analytic_opts = FluidOptions { engine: Engine::Analytic, ..numeric_opts.clone() };
-        let num = fluid_trajectory(&sys, p.initial_point(), &numeric_opts).unwrap();
-        let ana = fluid_trajectory(&sys, p.initial_point(), &analytic_opts).unwrap();
-
-        let modes_a: Vec<usize> = ana.intervals.iter().map(|iv| iv.mode).collect();
-        let modes_n: Vec<usize> = num.intervals.iter().map(|iv| iv.mode).collect();
-        prop_assert_eq!(modes_a, modes_n, "mode sequences differ on {:?}", p);
-        for (a, n) in ana.intervals.iter().zip(num.intervals.iter()) {
-            prop_assert!((a.t_end - n.t_end).abs() <= 1e-6 * t_end,
-                "switch time {} vs {} on {:?}", a.t_end, n.t_end, p);
-        }
-        let max_a = ana.solution.max_component(0);
-        let max_n = num.solution.refined_max_component(0);
-        let min_a = ana.solution.min_component(0);
-        let min_n = num.solution.refined_min_component(0);
-        prop_assert!((max_a - max_n).abs() <= 1e-6 * max_a.abs().max(p.q0),
-            "max {} vs {} on {:?}", max_a, max_n, p);
-        prop_assert!((min_a - min_n).abs() <= 1e-6 * min_a.abs().max(p.q0),
-            "min {} vs {} on {:?}", min_a, min_n, p);
-        let (za, zn) = (ana.solution.last_state(), num.solution.last_state());
-        prop_assert!((za[0] - zn[0]).abs() <= 1e-6 * za[0].abs().max(p.q0));
-        prop_assert!((za[1] - zn[1]).abs() <= 1e-6 * za[1].abs().max(p.capacity));
-        // Same wall verdict (0 < q < B away from the start).
-        let verdict = |max_x: f64, min_x: f64| {
-            max_x < p.buffer - p.q0 && min_x > -p.q0 * (1.0 + 1e-9)
-        };
-        prop_assert_eq!(verdict(max_a, min_a), verdict(max_n, min_n),
-            "stability verdict flipped across engines on {:?}", p);
-    }
-
-    /// The batched query engine is a pure re-batching of the serial
-    /// path: over random parameter mixes (with deliberate duplicates so
-    /// dedup and propagator-group sharing both engage), every answer is
-    /// bitwise-equal to the per-call `exact_verdict` +
-    /// `theorem1_required_buffer` loop, at worker widths 1 and 4, with
-    /// the propagator cache both cold (first evaluation of fresh random
-    /// keys) and pre-warmed (second evaluation of the same batch).
-    #[test]
-    fn batched_queries_match_serial_bitwise(
-        ps in proptest::collection::vec(params_strategy(), 1..8),
-        dup in 0usize..8,
-    ) {
-        let mut queries: Vec<StabilityQuery> = ps
-            .iter()
-            .map(|p| StabilityQuery { params: p.clone(), max_legs: 32 })
+/// The batched query engine is a pure re-batching of the serial path:
+/// over random parameter mixes (with deliberate duplicates so dedup and
+/// propagator-group sharing both engage), every answer is bitwise-equal
+/// to the per-call `exact_verdict` + `theorem1_required_buffer` loop, at
+/// worker widths 1 and 4, with the propagator cache both cold (first
+/// evaluation of fresh random keys) and pre-warmed (second evaluation of
+/// the same batch).
+#[test]
+fn batched_queries_match_serial_bitwise() {
+    for case in 0..CASES {
+        let seed = case_seed(9, case);
+        // 1..8 random configurations, then one of them repeated so the
+        // batch has duplicates to fold.
+        let len = 1 + splitmix64(seed) % 7;
+        let mut queries: Vec<StabilityQuery> = (0..len)
+            .map(|i| StabilityQuery { params: random_params(splitmix64(seed ^ i)), max_legs: 32 })
             .collect();
-        // Repeat one configuration so the batch has duplicates to fold.
-        let repeat = queries[dup % queries.len()].clone();
-        queries.push(repeat);
+        let dup = (splitmix64(seed ^ 8) % 8) as usize;
+        queries.push(queries[dup % queries.len()].clone());
 
         let expected: Vec<(bool, u64, u64, u64, usize)> = queries
             .iter()
@@ -263,176 +227,43 @@ proptest! {
             .collect();
         let batch = QueryBatch::new(&queries);
         // Cold pass (fresh random keys), then warm pass, at both widths.
-        for answers in
-            [batch.evaluate_in(1), batch.evaluate_in(4), batch.evaluate_in(1), batch.evaluate_in(4)]
-        {
-            prop_assert_eq!(answers.len(), expected.len());
-            for (a, e) in answers.iter().zip(&expected) {
-                prop_assert_eq!(a.strongly_stable, e.0);
-                prop_assert_eq!(a.required_buffer.to_bits(), e.1);
-                prop_assert_eq!(a.max_x.to_bits(), e.2);
-                prop_assert_eq!(a.min_x.to_bits(), e.3);
-                prop_assert_eq!(a.legs, e.4);
-            }
+        for (pass, width) in [1, 4, 1, 4].into_iter().enumerate() {
+            let answers = batch.evaluate_in(width);
+            let got: Vec<(bool, u64, u64, u64, usize)> = answers
+                .iter()
+                .map(|a| {
+                    (
+                        a.strongly_stable,
+                        a.required_buffer.to_bits(),
+                        a.max_x.to_bits(),
+                        a.min_x.to_bits(),
+                        a.legs,
+                    )
+                })
+                .collect();
+            assert_eq!(
+                got, expected,
+                "seed {seed:#x}: pass {pass} at width {width} (dup {dup}) on {queries:?}"
+            );
         }
     }
+}
 
-    /// Generic phase-plane classifier: trace/det signs decide the kind.
-    #[test]
-    fn trace_det_classification(m in -5.0..5.0f64, n in -5.0..5.0f64) {
-        let j = Mat2::companion(m, n);
-        let kind = classify(&j);
+/// Generic phase-plane classifier: trace/det signs decide the kind.
+#[test]
+fn trace_det_classification() {
+    for case in 0..CASES {
+        let seed = case_seed(10, case);
+        let (m, n) = (uniform(seed, 0, -5.0, 5.0), uniform(seed, 1, -5.0, 5.0));
+        let kind = classify(&Mat2::companion(m, n));
+        let at = format!("seed {seed:#x}: m = {m}, n = {n} gave {kind}");
         if n < 0.0 {
-            prop_assert_eq!(kind, FixedPointKind::Saddle);
+            assert_eq!(kind, FixedPointKind::Saddle, "{at}");
         } else if n > 0.0 && m > 0.0 {
-            prop_assert!(kind.is_attracting());
+            assert!(kind.is_attracting(), "{at}");
         } else if n > 0.0 && m < 0.0 {
-            prop_assert!(!kind.is_attracting());
-            prop_assert!(kind != FixedPointKind::Saddle);
+            assert!(!kind.is_attracting(), "{at}");
+            assert!(kind != FixedPointKind::Saddle, "{at}");
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The wire codec never panics on corrupted input: any number of
-    /// byte flips yields either a typed decode error or a message whose
-    /// fields survive a re-encode. This is the property the fault
-    /// layer's feedback-corruption path leans on.
-    #[test]
-    fn wire_decode_survives_arbitrary_corruption(
-        sigma in -1e9..1e9f64,
-        dst in any::<u32>(),
-        cpid in any::<u64>(),
-        flips in proptest::collection::vec((0usize..30, 0u8..8), 0..16),
-    ) {
-        use dcesim::frame::{BcnMessage, CpId, SourceId};
-        use dcesim::wire;
-
-        let m = BcnMessage { dst: SourceId(dst), cpid: CpId(cpid), sigma };
-        let mut bytes = wire::encode(&m);
-        for (pos, bit) in flips {
-            bytes[pos] ^= 1u8 << bit;
-        }
-        match wire::decode(&bytes) {
-            Ok(decoded) => {
-                prop_assert!(decoded.sigma.is_finite());
-                let _ = wire::encode(&decoded);
-            }
-            Err(e) => prop_assert!(!e.to_string().is_empty()),
-        }
-    }
-
-    /// Fault plans are pure functions of their configuration: two plans
-    /// built from the same `FaultConfig` replay the identical decision
-    /// stream, which is what makes faulty batch runs bit-identical at
-    /// any thread count (each seed owns its own plan and counter).
-    #[test]
-    fn fault_plans_replay_their_decision_stream(
-        seed in any::<u64>(),
-        loss in 0.0..1.0f64,
-        corrupt in 0.0..1.0f64,
-        data_loss in 0.0..1.0f64,
-        storm in 0.0..1.0f64,
-        draws in 1usize..200,
-    ) {
-        use dcesim::faults::{FaultConfig, FaultPlan};
-        use dcesim::frame::{BcnMessage, CpId, SourceId};
-        use dcesim::time::Duration;
-
-        let cfg = FaultConfig {
-            seed,
-            feedback_loss: loss,
-            feedback_corrupt: corrupt,
-            data_loss,
-            pause_storm: storm,
-            pause_storm_factor: 3.0,
-            ..FaultConfig::none()
-        };
-        cfg.validate().unwrap();
-        let mut a = FaultPlan::new(cfg.clone());
-        let mut b = FaultPlan::new(cfg);
-        let msg = BcnMessage { dst: SourceId(7), cpid: CpId(11), sigma: -512.0 };
-        let hold = Duration::from_secs(1e-6);
-        for _ in 0..draws {
-            prop_assert_eq!(a.data_frame_lost(), b.data_frame_lost());
-            prop_assert_eq!(a.pause_hold(hold), b.pause_hold(hold));
-            prop_assert_eq!(a.feedback_fate(&msg), b.feedback_fate(&msg));
-        }
-        prop_assert_eq!(a.counts(), b.counts());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Crash-recovery round trip over random kill points: persist a
-    /// random prefix of a batch's seeds, resume from the checkpoint at
-    /// a random worker width, and the merged report (per-seed outcomes
-    /// plus the telemetry aggregate, both serialized through the
-    /// checkpoint codec) is byte-identical to an uninterrupted run at
-    /// widths 1 and 4. The deterministic CI twin lives in
-    /// `tests/packet_level.rs`.
-    #[test]
-    fn checkpoint_resume_is_bit_identical_over_random_kill_points(
-        kill_after in 0usize..=4,
-        first_width in 1usize..5,
-        resume_width in 1usize..5,
-        feedback_loss in 0.0..0.4f64,
-        fault_seed in any::<u64>(),
-    ) {
-        use dcesim::batch::{run_batch, run_batch_checkpointed, BatchConfig, BatchReport};
-        use dcesim::checkpoint::{encode_seed_outcome, BatchCheckpoint};
-        use dcesim::faults::FaultConfig;
-        use dcesim::sim::{fluid_validation_params, SimConfig};
-        use dcesim::time::Duration;
-
-        let fingerprint = |r: &BatchReport| {
-            let mut s = String::new();
-            for (&seed, out) in r.seeds.iter().zip(&r.outcomes) {
-                encode_seed_outcome(seed, out, &mut s);
-            }
-            if let Some(tel) = &r.telemetry {
-                s.push_str(&telemetry::snapshot_to_jsonl(tel));
-            }
-            s
-        };
-
-        let mut base = SimConfig::from_fluid(
-            &fluid_validation_params(),
-            8_000.0,
-            Duration::from_secs(2e-6),
-            0.02,
-        );
-        base.faults = FaultConfig { seed: fault_seed, feedback_loss, ..FaultConfig::none() };
-        let mut cfg = BatchConfig::quick(base, 4);
-        cfg.level = telemetry::TelemetryLevel::Full;
-        cfg.panic_seeds = vec![2];
-
-        parkit::set_threads(1);
-        let clean = fingerprint(&run_batch(&cfg));
-        parkit::set_threads(4);
-        prop_assert_eq!(&fingerprint(&run_batch(&cfg)), &clean);
-
-        let dir = std::env::temp_dir().join(format!(
-            "dcesim_pt_resume-{}-{kill_after}-{first_width}x{resume_width}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        parkit::set_threads(first_width);
-        let partial = BatchConfig { seeds: cfg.seeds[..kill_after].to_vec(), ..cfg.clone() };
-        let ck = BatchCheckpoint::create(&dir, &cfg).unwrap();
-        run_batch_checkpointed(&partial, &ck).unwrap();
-        drop(ck);
-
-        parkit::set_threads(resume_width);
-        let ck = BatchCheckpoint::resume(&dir, &cfg).unwrap();
-        prop_assert_eq!(ck.restored_seeds().len(), kill_after);
-        let resumed = run_batch_checkpointed(&cfg, &ck).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        parkit::set_threads(0);
-        prop_assert_eq!(&fingerprint(&resumed), &clean,
-            "kill at {} widths {}->{}", kill_after, first_width, resume_width);
     }
 }
