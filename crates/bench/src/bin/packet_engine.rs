@@ -40,7 +40,7 @@ use std::time::Instant;
 use bench::common::{out_dir, quick, splitmix_next};
 use dcesim::batch::{run_batch, BatchConfig};
 use dcesim::faults::FaultConfig;
-use dcesim::metrics::SimMetrics;
+use dcesim::metrics::{SimMetrics, TimeSeries};
 use dcesim::net::{victim_topology, NetSim, PauseConfig};
 use dcesim::sched::{EventQueue, Scheduler};
 use dcesim::sim::{fluid_validation_params, SimConfig, SimWorkspace, Simulation};
@@ -54,6 +54,10 @@ use telemetry::{Telemetry, TelemetryLevel};
 const MIN_REPLAY_SPEEDUP: f64 = 2.0;
 /// Frame size used throughout (bits).
 const FRAME: f64 = 8_000.0;
+/// Fixed slack of the report-bytes gate over the report's one-grid
+/// size: the grid's shared header and a few record ticks of
+/// reservation headroom.
+const REPORT_SLACK_BYTES: u64 = 4096;
 
 bench::counting_allocator!();
 
@@ -218,6 +222,30 @@ fn steady_state_allocations(scheduler: Scheduler, t_end: f64) -> u64 {
     let after = allocations();
     black_box(sim.finish());
     after - before
+}
+
+/// Bytes a finished limit-cycle report keeps allocated, read from this
+/// binary's live-byte counter around one run after a warm-up run, and
+/// the one-grid size it is gated against: one record grid, one value
+/// vector per series, the delay samples, the per-source vectors and
+/// [`REPORT_SLACK_BYTES`]. A report holding a grid per series exceeds
+/// it by one grid per extra series.
+fn report_bytes(t_end: f64) -> (u64, u64) {
+    let cfg = limit_cycle(t_end);
+    black_box(Simulation::new(cfg.clone()).run());
+    // The run frees the config it consumes: clone it inside the window.
+    let before = live_bytes();
+    let report = Simulation::new(cfg.clone()).run();
+    let retained = live_bytes().wrapping_sub(before);
+    let m = &report.metrics;
+    let n = m.per_source_rate.len();
+    let f64s = m.queue.len() * (1 + 2 + n)
+        + m.queueing_delay.len()
+        + m.per_source_bits.len()
+        + report.final_rates.len();
+    let one_grid = f64s * size_of::<f64>() + n * size_of::<TimeSeries>();
+    black_box(report);
+    (retained, one_grid as u64 + REPORT_SLACK_BYTES)
 }
 
 // --- queue-op replay ------------------------------------------------------
@@ -404,6 +432,18 @@ fn main() {
     if wheel_allocs != 0 {
         failures.push(format!("wheel steady state performed {wheel_allocs} allocation(s)"));
     }
+
+    // 5. Bytes a finished report retains against its one-grid size.
+    let (report_retained, report_budget) = report_bytes(t_end);
+    println!(
+        "limit_cycle report retains {report_retained} bytes (one-grid budget {report_budget})"
+    );
+    if report_retained > report_budget {
+        failures.push(format!(
+            "limit_cycle report retains {report_retained} bytes, over its one-grid budget \
+             {report_budget}"
+        ));
+    }
     if !quick() && deep_speedup < MIN_REPLAY_SPEEDUP {
         failures.push(format!(
             "deep-backlog replay speedup {deep_speedup:.2}x below the {MIN_REPLAY_SPEEDUP}x gate"
@@ -425,6 +465,7 @@ fn main() {
          \"replay\": {{\"ops\": {}, \"shallow_speedup\": {shallow_speedup:.3}, \
          \"deep_speedup\": {deep_speedup:.3}, \"gate\": {MIN_REPLAY_SPEEDUP}}},\n  \
          \"steady_state_allocations\": {{\"wheel\": {wheel_allocs}, \"heap\": {heap_allocs}}},\n  \
+         \"report_bytes\": {{\"retained\": {report_retained}, \"budget\": {report_budget}}},\n  \
          \"equivalence_failures\": {},\n  \"note\": \"{note}\"\n}}\n",
         quick(),
         scenario_json.join(", "),

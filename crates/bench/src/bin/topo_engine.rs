@@ -37,7 +37,8 @@ use std::time::Instant;
 use bench::common::{out_dir, quick, splitmix_next};
 use dcesim::batch::{run_net_batch, NetBatchConfig};
 use dcesim::faults::FaultConfig;
-use dcesim::net::{NetConfig, NetReport, NetSim};
+use dcesim::metrics::TimeSeries;
+use dcesim::net::{FlowStats, NetConfig, NetReport, NetSim};
 use dcesim::sched::Scheduler;
 use dcesim::topo::{compile, TopoSpec, Traffic};
 
@@ -47,6 +48,10 @@ const MIN_END_TO_END_SPEEDUP: f64 = 1.2;
 /// Route-lookup gate: flat next-hop table over linear scan at 1024
 /// hosts.
 const MIN_LOOKUP_SPEEDUP: f64 = 5.0;
+/// Fixed slack of the report-bytes gate over the report's one-grid
+/// size: the grid's shared header and a few record ticks of
+/// reservation headroom.
+const REPORT_SLACK_BYTES: u64 = 4096;
 
 bench::counting_allocator!();
 
@@ -149,6 +154,28 @@ fn steady_state_allocations(cfg: &NetConfig, warmup_steps: u64) -> u64 {
     let after = allocations();
     black_box(sim.finish());
     after - before
+}
+
+/// Bytes a finished fabric report keeps allocated, read from this
+/// binary's live-byte counter around one run after a warm-up run, and
+/// the one-grid size it is gated against: one record grid, one value
+/// vector per switch queue, the per-flow, per-switch and per-link
+/// vectors and [`REPORT_SLACK_BYTES`]. A report holding a grid per
+/// switch exceeds it by one grid per extra switch.
+fn report_bytes(cfg: &NetConfig) -> (u64, u64) {
+    black_box(NetSim::new(cfg.clone()).run());
+    // The run frees the config it consumes: clone it inside the window.
+    let before = live_bytes();
+    let report = NetSim::new(cfg.clone()).run();
+    let retained = live_bytes().wrapping_sub(before);
+    let queues = &report.switch_queues;
+    let grid = queues.first().map_or(0, TimeSeries::len);
+    let one_grid = grid * (1 + queues.len()) * size_of::<f64>()
+        + queues.len() * size_of::<TimeSeries>()
+        + report.flows.len() * size_of::<FlowStats>()
+        + report.pause_counts.len() * size_of::<u64>();
+    black_box(report);
+    (retained, one_grid as u64 + REPORT_SLACK_BYTES)
 }
 
 // --- route-lookup microbench ----------------------------------------------
@@ -295,6 +322,19 @@ fn main() {
         failures.push(format!("warm forwarding path performed {steady_allocs} allocation(s)"));
     }
 
+    // Bytes a finished report retains against its one-grid size, on
+    // the same scenario.
+    let (report_retained, report_budget) = report_bytes(alloc_cfg);
+    println!(
+        "report bytes ({alloc_name}): {report_retained} retained (one-grid budget {report_budget})"
+    );
+    if report_retained > report_budget {
+        failures.push(format!(
+            "{alloc_name} report retains {report_retained} bytes, over its one-grid budget \
+             {report_budget}"
+        ));
+    }
+
     let note = "End-to-end speedup is gated on generator-compiled incasts whose fan-in \
                 keeps thousands of events pending — the deep-backlog regime where the heap \
                 pays its O(log n) (BENCH_packet.json gates the same engines on shallow \
@@ -308,6 +348,7 @@ fn main() {
          \"speedup\": {lookup_speedup:.3}, \"gate\": {MIN_LOOKUP_SPEEDUP}}},\n  \
          \"end_to_end_gate\": {MIN_END_TO_END_SPEEDUP},\n  \
          \"steady_state_allocations\": {steady_allocs},\n  \
+         \"report_bytes\": {{\"retained\": {report_retained}, \"budget\": {report_budget}}},\n  \
          \"equivalence_failures\": {},\n  \"note\": \"{note}\"\n}}\n",
         scenario_json.join(", "),
         failures.len(),

@@ -33,27 +33,38 @@ pub mod figures;
 
 /// Installs a counting global allocator in a bench binary and defines
 /// `fn allocations() -> u64`, the number of allocation events (alloc +
-/// realloc) so far. The zero-allocation gates read it around a warm
-/// hot path.
+/// realloc) so far, and `fn live_bytes() -> u64`, the bytes allocated
+/// and not yet freed. The zero-allocation gates read the first around
+/// a warm hot path; the report-size gates read the second around a run
+/// whose report is kept.
 ///
 /// This library forbids unsafe code, so the allocator is a macro that
 /// expands in each binary, which is its own crate root.
 #[macro_export]
 macro_rules! counting_allocator {
     () => {
-        /// Counts allocation events on top of the system allocator.
+        /// Counts allocation events and live bytes on top of the
+        /// system allocator.
         struct CountingAlloc;
 
         static ALLOCATIONS: ::std::sync::atomic::AtomicU64 = ::std::sync::atomic::AtomicU64::new(0);
+        static LIVE_BYTES: ::std::sync::atomic::AtomicU64 = ::std::sync::atomic::AtomicU64::new(0);
 
         // SAFETY: defers every operation to `System` unchanged; the
-        // counter is a relaxed atomic with no further side effects.
+        // counters are relaxed atomics with no further side effects.
         unsafe impl ::std::alloc::GlobalAlloc for CountingAlloc {
             unsafe fn alloc(&self, layout: ::std::alloc::Layout) -> *mut u8 {
                 ALLOCATIONS.fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                unsafe { ::std::alloc::GlobalAlloc::alloc(&::std::alloc::System, layout) }
+                let ptr =
+                    unsafe { ::std::alloc::GlobalAlloc::alloc(&::std::alloc::System, layout) };
+                if !ptr.is_null() {
+                    LIVE_BYTES
+                        .fetch_add(layout.size() as u64, ::std::sync::atomic::Ordering::Relaxed);
+                }
+                ptr
             }
             unsafe fn dealloc(&self, ptr: *mut u8, layout: ::std::alloc::Layout) {
+                LIVE_BYTES.fetch_sub(layout.size() as u64, ::std::sync::atomic::Ordering::Relaxed);
                 unsafe { ::std::alloc::GlobalAlloc::dealloc(&::std::alloc::System, ptr, layout) }
             }
             unsafe fn realloc(
@@ -63,9 +74,15 @@ macro_rules! counting_allocator {
                 new_size: usize,
             ) -> *mut u8 {
                 ALLOCATIONS.fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                unsafe {
+                let new = unsafe {
                     ::std::alloc::GlobalAlloc::realloc(&::std::alloc::System, ptr, layout, new_size)
+                };
+                if !new.is_null() {
+                    LIVE_BYTES.fetch_add(new_size as u64, ::std::sync::atomic::Ordering::Relaxed);
+                    LIVE_BYTES
+                        .fetch_sub(layout.size() as u64, ::std::sync::atomic::Ordering::Relaxed);
                 }
+                new
             }
         }
 
@@ -74,6 +91,11 @@ macro_rules! counting_allocator {
 
         fn allocations() -> u64 {
             ALLOCATIONS.load(::std::sync::atomic::Ordering::Relaxed)
+        }
+
+        #[allow(dead_code)]
+        fn live_bytes() -> u64 {
+            LIVE_BYTES.load(::std::sync::atomic::Ordering::Relaxed)
         }
     };
 }

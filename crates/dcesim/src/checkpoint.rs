@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use telemetry::{
     check_schema_header, fmt_num, next_record, schema_header, snapshot_from_jsonl,
@@ -890,6 +890,9 @@ pub(crate) fn take_fault_counts<'a, I: Iterator<Item = &'a str>>(
 /// series whose times are bitwise-equal to the grid omits them (every
 /// recorded series shares the record grid, so the grid is written once
 /// rather than once per series), and any other series writes its own.
+/// A series holding the grid's own allocation — what every engine and
+/// decoder produces — is recognised by identity, without the bitwise
+/// scan.
 pub(crate) fn put_series<'a>(
     out: &mut String,
     grid: &mut Option<&'a [f64]>,
@@ -902,7 +905,9 @@ pub(crate) fn put_series<'a>(
         let _ = write!(out, r#","entity":{e}"#);
     }
     let on_grid = grid.is_some_and(|g| {
-        g.len() == s.len() && g.iter().zip(s.times()).all(|(a, b)| a.to_bits() == b.to_bits())
+        g.len() == s.len()
+            && (std::ptr::eq(g.as_ptr(), s.times().as_ptr())
+                || g.iter().zip(s.times()).all(|(a, b)| a.to_bits() == b.to_bits()))
     });
     if !on_grid {
         out.push_str(r#","times":""#);
@@ -930,10 +935,10 @@ pub(crate) fn take_samples<'a, I: Iterator<Item = &'a str>>(
 /// Decodes one record written by [`put_series`] with the same `name`
 /// and `entity`, so series swapped within a shard fail to decode.
 /// `grid` is the shard's first series' times; a record without `times`
-/// is restored on it.
+/// is restored on it, sharing its allocation.
 pub(crate) fn take_series<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
-    grid: &mut Option<Vec<f64>>,
+    grid: &mut Option<Arc<Vec<f64>>>,
     name: &str,
     entity: Option<usize>,
 ) -> Result<TimeSeries, CheckpointError> {
@@ -949,11 +954,11 @@ pub(crate) fn take_series<'a, I: Iterator<Item = &'a str>>(
         )));
     }
     let own = match r.get("times") {
-        Some(t) => Some(parse_f64_bits(t.as_str("times")?.as_bytes(), name)?),
+        Some(t) => Some(Arc::new(parse_f64_bits(t.as_str("times")?.as_bytes(), name)?)),
         None => None,
     };
     let values = parse_f64_bits(r.str("values")?.as_bytes(), name)?;
-    let times = own.as_deref().or(grid.as_deref()).ok_or_else(|| {
+    let times = own.as_ref().or(grid.as_ref()).ok_or_else(|| {
         CheckpointError::Format(format!("series `{name}` omits its times before any grid"))
     })?;
     if times.len() != values.len() {
@@ -963,7 +968,7 @@ pub(crate) fn take_series<'a, I: Iterator<Item = &'a str>>(
             values.len()
         )));
     }
-    let s = TimeSeries::from_secs(times.to_vec(), values);
+    let s = TimeSeries::on_grid(times, values);
     if grid.is_none() {
         *grid = own;
     }
@@ -1786,9 +1791,14 @@ mod tests {
     fn series_off_the_shared_grid_keep_their_own_times() {
         let (seed, mut outcome) = incast_outcome();
         let SeedOutcome::Completed(report) = &mut outcome else { unreachable!() };
+        // A series built by `push` alone owns its times; one nanosecond
+        // off the record grid, it must carry them.
         let rate = &mut report.metrics.per_source_rate[3];
-        let shifted = rate.times().iter().map(|t| t + 1e-9).collect();
-        *rate = TimeSeries::from_secs(shifted, rate.values().to_vec());
+        let mut shifted = TimeSeries::new();
+        for (&t, &v) in rate.times().iter().zip(rate.values()) {
+            shifted.push(Time::from_nanos(Time::from_secs(t).as_nanos() + 1), v);
+        }
+        *rate = shifted;
         let mut text = String::new();
         encode_seed_outcome(seed, &outcome, &mut text);
         assert_eq!(text.matches(r#""times":"#).count(), 2);

@@ -51,6 +51,7 @@ use bcn::BcnParams;
 
 use crate::error::ConfigError;
 use crate::sim::{Control, SimConfig, SimReport, SimWorkspace, Simulation};
+use crate::time::Duration;
 
 /// Documented bound on hybrid-vs-pure-packet queue-extrema divergence,
 /// as a fraction of the fluid equilibrium `q0`: for a scenario whose
@@ -172,10 +173,14 @@ impl HybridSpec {
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] from [`HybridGuards::validate`]
-    /// or the consistency check [`HybridSim::new`] would panic on.
+    /// or the checks [`HybridSim::new`] would panic on: the
+    /// fluid↔packet consistency, and `hybrid.max_ff` when the maximum
+    /// epoch, rounded down to whole record intervals, is shorter than
+    /// the minimum rounded up (no epoch could ever commit).
     pub fn validate_for(&self, cfg: &SimConfig) -> Result<(), ConfigError> {
         self.guards.validate()?;
-        check_consistent(&self.params, cfg)
+        check_consistent(&self.params, cfg)?;
+        epoch_steps(&self.guards, cfg.record_interval).map(|_| ())
     }
 }
 
@@ -245,13 +250,11 @@ impl HybridSim {
         if let Err(e) = check_consistent(&params, &cfg) {
             panic!("{e}");
         }
-        let delta = cfg.record_interval.as_secs();
-        let min_steps = ((guards.min_ff_secs / delta).ceil() as u64).max(1);
-        let max_steps = if guards.max_ff_secs > 0.0 {
-            ((guards.max_ff_secs / delta).floor() as u64).max(1)
-        } else {
-            u64::MAX
+        let (min_steps, max_steps) = match epoch_steps(&guards, cfg.record_interval) {
+            Ok(steps) => steps,
+            Err(e) => panic!("{e}"),
         };
+        let delta = cfg.record_interval.as_secs();
         let records = (cfg.t_end.as_secs() / delta).ceil() as usize + 2;
         let prop = Propagator::for_params(&params);
         let sim = Simulation::new_in(cfg, ws);
@@ -436,6 +439,28 @@ impl HybridSim {
     }
 }
 
+/// `min_ff_secs` / `max_ff_secs` in record-grid steps of `dt`: the
+/// minimum rounded up, a bounded maximum rounded down, each at least
+/// one step (`u64::MAX` for an unlimited maximum). A maximum below the
+/// minimum is an error on `hybrid.max_ff`: no epoch could ever commit,
+/// so the hybrid engine would silently run as the packet engine.
+fn epoch_steps(guards: &HybridGuards, dt: Duration) -> Result<(u64, u64), ConfigError> {
+    let delta = dt.as_secs();
+    let min_steps = ((guards.min_ff_secs / delta).ceil() as u64).max(1);
+    let max_steps = if guards.max_ff_secs > 0.0 {
+        ((guards.max_ff_secs / delta).floor() as u64).max(1)
+    } else {
+        u64::MAX
+    };
+    if max_steps < min_steps {
+        return Err(ConfigError::new(
+            "hybrid.max_ff",
+            "maximum epoch is shorter than the minimum epoch in whole record intervals",
+        ));
+    }
+    Ok((min_steps, max_steps))
+}
+
 /// Checks that the packet configuration is the fluid calibration of
 /// `params` — the correspondence [`SimConfig::from_fluid`] establishes
 /// and the divergence bound depends on.
@@ -459,7 +484,7 @@ fn check_consistent(params: &BcnParams, cfg: &SimConfig) -> Result<(), ConfigErr
 mod tests {
     use super::*;
     use crate::sim::fluid_validation_params;
-    use crate::time::{Duration, Time};
+    use crate::time::Time;
 
     fn quiescent_setup() -> (BcnParams, SimConfig) {
         let params = fluid_validation_params();
@@ -574,6 +599,40 @@ mod tests {
         assert_eq!(bad.validate().unwrap_err().field, "hybrid.min_ff");
         let bad = HybridGuards { max_legs: 0, ..HybridGuards::default() };
         assert_eq!(bad.validate().unwrap_err().field, "hybrid.max-legs");
+    }
+
+    /// The fluid calibration with a 0.2 ms record interval.
+    fn coarse_grid_setup() -> (BcnParams, SimConfig) {
+        let params = fluid_validation_params();
+        let cfg = SimConfig::from_fluid(&params, 8_000.0, Duration::from_secs(2e-6), 0.8);
+        assert_eq!(cfg.record_interval, Duration::from_secs(2e-4));
+        (params, cfg)
+    }
+
+    #[test]
+    fn max_ff_below_min_ff_in_record_steps_is_rejected() {
+        let (params, cfg) = coarse_grid_setup();
+        let spec = |min_ff_secs, max_ff_secs| HybridSpec {
+            params: params.clone(),
+            guards: HybridGuards { min_ff_secs, max_ff_secs, ..HybridGuards::default() },
+        };
+        let err = spec(1e-3, 5e-4).validate_for(&cfg).unwrap_err();
+        assert_eq!(err.field, "hybrid.max_ff");
+        // 5.5e-4 s exceeds 5e-4 s, but rounds down to 2 steps against
+        // the minimum's 3.
+        let err = spec(5e-4, 5.5e-4).validate_for(&cfg).unwrap_err();
+        assert_eq!(err.field, "hybrid.max_ff");
+        assert!(spec(5e-4, 7e-4).validate_for(&cfg).is_ok(), "3 steps each");
+        assert!(spec(1e-3, 0.0).validate_for(&cfg).is_ok(), "0 is unlimited");
+        assert!(spec(5e-4, 0.1).validate_for(&cfg).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "hybrid.max_ff")]
+    fn construction_panics_when_no_epoch_can_commit() {
+        let (params, cfg) = coarse_grid_setup();
+        let guards = HybridGuards { max_ff_secs: 5e-4, ..HybridGuards::default() };
+        let _ = HybridSim::new(params, cfg, guards);
     }
 
     #[test]

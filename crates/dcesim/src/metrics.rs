@@ -1,13 +1,39 @@
 //! Measurement collection: time series, counters, throughput, fairness.
 
+use std::sync::Arc;
+
 use crate::faults::FaultCounts;
 use crate::time::Time;
 
 /// A recorded scalar time series (e.g. queue occupancy).
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// The sample times sit behind a shared, immutable handle. An engine
+/// records one time grid per run and hands the same handle to every
+/// series of its report, so a report holds its grid once however many
+/// series it carries. Cloning a series shares its grid;
+/// [`TimeSeries::push`] on a series whose grid is shared copies the
+/// grid first, leaving every other holder unchanged.
+#[derive(Clone, Default)]
 pub struct TimeSeries {
-    times: Vec<f64>,
+    /// `None` until the series has times, so an empty series allocates
+    /// nothing.
+    times: Option<Arc<Vec<f64>>>,
     values: Vec<f64>,
+}
+
+impl std::fmt::Debug for TimeSeries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TimeSeries")
+            .field("times", &self.times())
+            .field("values", &self.values)
+            .finish()
+    }
+}
+
+impl PartialEq for TimeSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.times() == other.times() && self.values == other.values
+    }
 }
 
 impl TimeSeries {
@@ -17,35 +43,59 @@ impl TimeSeries {
         Self::default()
     }
 
+    /// The series' own times, unshared first if another series holds
+    /// them.
+    fn times_mut(&mut self) -> &mut Vec<f64> {
+        Arc::make_mut(self.times.get_or_insert_with(Arc::default))
+    }
+
     /// Appends a sample.
     pub fn push(&mut self, t: Time, value: f64) {
-        self.times.push(t.as_secs());
+        self.times_mut().push(t.as_secs());
         self.values.push(value);
     }
 
-    /// Pre-allocates room for `n` additional samples so recording stays
-    /// allocation-free afterwards (the engines size this from
-    /// `t_end / record_interval`).
+    /// Pre-allocates room for `n` additional samples.
     pub fn reserve(&mut self, n: usize) {
-        self.times.reserve(n);
+        self.times_mut().reserve(n);
         self.values.reserve(n);
     }
 
-    /// A series of samples already expressed in seconds, parallel
-    /// `times` and `values` of equal length.
-    ///
-    /// The checkpoint codec restores recorded series through this path:
-    /// `push` quantizes through [`Time`]'s integer nanoseconds, so a
-    /// recorded `f64` second value would not round-trip bit-exactly.
-    pub(crate) fn from_secs(times: Vec<f64>, values: Vec<f64>) -> Self {
-        debug_assert_eq!(times.len(), values.len());
-        Self { times, values }
+    /// A series of `values` on a shared `grid` of times in seconds, one
+    /// value per grid time. The checkpoint codec restores every series
+    /// of a shard on the shard's one decoded grid this way: `push`
+    /// quantizes through [`Time`]'s integer nanoseconds, so a recorded
+    /// `f64` second value would not round-trip bit-exactly through it.
+    pub(crate) fn on_grid(grid: &Arc<Vec<f64>>, values: Vec<f64>) -> Self {
+        debug_assert_eq!(grid.len(), values.len());
+        Self { times: Some(Arc::clone(grid)), values }
+    }
+
+    /// Appends a value without a time: the engines record each grid
+    /// time once, in their own [`Vec`], and hand the finished grid to
+    /// every series through [`TimeSeries::attach_grid`]. Until then the
+    /// series has values but no times.
+    pub(crate) fn record(&mut self, value: f64) {
+        self.values.push(value);
+    }
+
+    /// Pre-allocates room for `n` additional [`TimeSeries::record`]
+    /// values.
+    pub(crate) fn reserve_records(&mut self, n: usize) {
+        self.values.reserve(n);
+    }
+
+    /// Puts a recorded series on its finished `grid`, one time per
+    /// recorded value.
+    pub(crate) fn attach_grid(&mut self, grid: &Arc<Vec<f64>>) {
+        debug_assert_eq!(grid.len(), self.values.len());
+        self.times = Some(Arc::clone(grid));
     }
 
     /// Sample times in seconds.
     #[must_use]
     pub fn times(&self) -> &[f64] {
-        &self.times
+        self.times.as_deref().map_or(&[], Vec::as_slice)
     }
 
     /// Sample values.
@@ -57,13 +107,13 @@ impl TimeSeries {
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.times.len()
+        self.values.len()
     }
 
     /// Whether the series is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        self.values.is_empty()
     }
 
     /// Largest recorded value (`-inf` when empty).
@@ -81,7 +131,7 @@ impl TimeSeries {
     /// Smallest value recorded at or after time `t0_secs`.
     #[must_use]
     pub fn min_after(&self, t0_secs: f64) -> f64 {
-        self.times
+        self.times()
             .iter()
             .zip(&self.values)
             .filter(|(t, _)| **t >= t0_secs)
@@ -135,7 +185,7 @@ impl SampleSet {
     /// A set of samples already recorded, in recording order.
     ///
     /// The checkpoint codec restores decoded samples through this
-    /// path, moving the vector in (see [`TimeSeries::from_secs`]).
+    /// path, moving the vector in (see [`TimeSeries::on_grid`]).
     pub(crate) fn from_values(values: Vec<f64>) -> Self {
         Self { values }
     }
@@ -168,8 +218,10 @@ impl SampleSet {
         }
     }
 
-    /// The `q`-quantile (`0 <= q <= 1`) by the nearest-rank method
-    /// (`NaN` when empty).
+    /// The `q`-quantile (`0 <= q <= 1`): the sample at index
+    /// `round(q * (n - 1))` of the sorted set (`NaN` when empty). This is
+    /// not the nearest-rank method: for `[1, 2, 3, 4]` at `q = 0.5` it
+    /// returns 3, where nearest rank gives 2.
     ///
     /// # Panics
     ///
@@ -289,6 +341,48 @@ mod tests {
         assert_eq!(s.percentile(0.5), 3.0);
         assert_eq!(s.percentile(1.0), 5.0);
         assert_eq!(s.max(), 5.0);
+    }
+
+    #[test]
+    fn percentile_rounds_the_fractional_index() {
+        // Index round(0.5 * 3) = 2 of [1, 2, 3, 4]: 3, not the nearest
+        // rank's 2. Committed artifacts depend on this rule.
+        let mut s = SampleSet::new();
+        for v in [4.0, 2.0, 1.0, 3.0] {
+            s.push(v);
+        }
+        assert_eq!(s.percentile(0.5), 3.0);
+        assert_eq!(s.percentile(0.25), 2.0);
+        assert_eq!(s.percentile(0.75), 3.0);
+        assert_eq!(s.percentile(1.0), 4.0);
+    }
+
+    #[test]
+    fn push_on_a_shared_grid_leaves_the_other_holders_unchanged() {
+        let grid = Arc::new(vec![0.0, 1.0]);
+        let a = TimeSeries::on_grid(&grid, vec![5.0, 6.0]);
+        let b = TimeSeries::on_grid(&grid, vec![7.0, 8.0]);
+        let mut c = a.clone();
+        assert_eq!(c.times().as_ptr(), a.times().as_ptr(), "a clone shares the grid");
+        c.push(Time::from_secs(2.0), 9.0);
+        assert_eq!(c.times(), &[0.0, 1.0, 2.0]);
+        assert_eq!(c.values(), &[5.0, 6.0, 9.0]);
+        assert_eq!(a.times(), &[0.0, 1.0]);
+        assert_eq!(a.values(), &[5.0, 6.0]);
+        assert_eq!(b.times(), &[0.0, 1.0]);
+        assert_eq!(a.times().as_ptr(), b.times().as_ptr(), "the siblings still share");
+        assert_eq!(*grid, vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn equality_compares_contents_not_handles() {
+        let a = TimeSeries::on_grid(&Arc::new(vec![0.0, 1.0]), vec![5.0, 6.0]);
+        let mut b = TimeSeries::new();
+        b.push(Time::from_secs(0.0), 5.0);
+        b.push(Time::from_secs(1.0), 6.0);
+        assert_eq!(a, b);
+        assert_ne!(a, TimeSeries::new());
+        assert_eq!(TimeSeries::new(), TimeSeries::on_grid(&Arc::new(Vec::new()), Vec::new()));
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! victims *within* the congested class).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use telemetry::{FaultClass, SeriesKind, Telemetry};
 
@@ -309,6 +310,9 @@ pub struct NetSim {
     flow_rates_fixed: Vec<f64>,
     stats: Vec<FlowStats>,
     switch_queues: Vec<TimeSeries>,
+    /// The record grid: one time (seconds) per record tick, shared by
+    /// every switch queue series when the run finishes.
+    record_times: Vec<f64>,
     pause_counts: Vec<u64>,
     feedback_messages: u64,
     /// Outgoing access link per host (computed from the link list).
@@ -562,6 +566,7 @@ impl NetSim {
             flow_rates_fixed: fixed,
             stats: vec![FlowStats::default(); n_flows],
             switch_queues: vec![TimeSeries::new(); n_switches],
+            record_times: Vec::new(),
             pause_counts: vec![0; n_links],
             feedback_messages: 0,
             host_uplink,
@@ -574,8 +579,9 @@ impl NetSim {
         };
         let records =
             (sim.cfg.t_end.as_secs() / sim.cfg.record_interval.as_secs()).ceil() as usize + 2;
+        sim.record_times.reserve(records);
         for series in &mut sim.switch_queues {
-            series.reserve(records);
+            series.reserve_records(records);
         }
         for fi in 0..n_flows {
             sim.schedule(Time::from_nanos(fi as u64 + 1), Ev::HostSend(fi));
@@ -669,6 +675,10 @@ impl NetSim {
                 st.max_pending,
             );
         }
+        let grid = Arc::new(self.record_times);
+        for series in &mut self.switch_queues {
+            series.attach_grid(&grid);
+        }
         NetReport {
             flows: self.stats,
             switch_queues: self.switch_queues,
@@ -720,9 +730,10 @@ impl NetSim {
                 }
             }
             Ev::Record => {
+                self.record_times.push(self.now.as_secs());
                 for (si, sw) in self.switches.iter().enumerate() {
                     let backlog = sw.total_backlog();
-                    self.switch_queues[si].push(self.now, backlog);
+                    self.switch_queues[si].record(backlog);
                     if let Some(tel) = self.telemetry.as_mut() {
                         tel.queue_sample_entity(self.now.as_secs(), si as u32, backlog);
                     }

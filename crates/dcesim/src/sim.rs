@@ -14,6 +14,7 @@
 //! reproducible bit for bit.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use bcn::BcnParams;
 use telemetry::{FaultClass, SeriesKind, SpanKind, Telemetry};
@@ -288,6 +289,11 @@ pub struct Simulation {
     busy: bool,
     scheme: SchemeState,
     metrics: SimMetrics,
+    /// The record grid: one time (seconds) per record tick, shared by
+    /// every series of the report when the run finishes. The series
+    /// record values only, so a tick costs one time push, not one per
+    /// series.
+    record_times: Vec<f64>,
     last_pause: Option<Time>,
     telemetry: Option<Telemetry>,
     /// Open flow-lifetime span ids, 0 when the flow has none.
@@ -380,6 +386,7 @@ impl Simulation {
             busy: false,
             scheme,
             metrics: SimMetrics::default(),
+            record_times: Vec::with_capacity(records),
             last_pause: None,
             telemetry: None,
             flow_spans: vec![0; n],
@@ -389,13 +396,13 @@ impl Simulation {
             record_just_fired: false,
             cfg,
         };
-        sim.metrics.queue.reserve(records);
-        sim.metrics.aggregate_rate.reserve(records);
+        sim.metrics.queue.reserve_records(records);
+        sim.metrics.aggregate_rate.reserve_records(records);
         sim.metrics.queueing_delay.reserve(deliverable as usize + 16);
         sim.metrics.per_source_bits = vec![0.0; n];
         sim.metrics.per_source_rate = vec![crate::metrics::TimeSeries::new(); n];
         for series in &mut sim.metrics.per_source_rate {
-            series.reserve(records);
+            series.reserve_records(records);
         }
         for i in 0..n {
             let start = sim.cfg.flows[i].start;
@@ -510,6 +517,13 @@ impl Simulation {
     fn finalize(&mut self) -> SimReport {
         let final_rates = (0..self.cfg.flows.len()).map(|i| self.source_rate(i)).collect();
         self.metrics.faults = self.faults.take_counts();
+        let grid = Arc::new(std::mem::take(&mut self.record_times));
+        let m = &mut self.metrics;
+        for series in
+            [&mut m.queue, &mut m.aggregate_rate].into_iter().chain(&mut m.per_source_rate)
+        {
+            series.attach_grid(&grid);
+        }
         if let Some(tel) = self.telemetry.as_mut() {
             let st = self.events.stats();
             tel.scheduler_stats(
@@ -598,11 +612,12 @@ impl Simulation {
                 if let Some(tel) = self.telemetry.as_mut() {
                     tel.queue_sample(self.now.as_secs(), self.q_bits);
                 }
-                self.metrics.queue.push(self.now, self.q_bits);
-                self.metrics.aggregate_rate.push(self.now, self.aggregate_rate());
+                self.record_times.push(self.now.as_secs());
+                self.metrics.queue.record(self.q_bits);
+                self.metrics.aggregate_rate.record(self.aggregate_rate());
                 for i in 0..self.cfg.flows.len() {
                     let r = if self.active[i] { self.source_rate(i) } else { 0.0 };
-                    self.metrics.per_source_rate[i].push(self.now, r);
+                    self.metrics.per_source_rate[i].record(r);
                     let now = self.now.as_secs();
                     if let Some(tel) = self.telemetry.as_mut() {
                         tel.series_sample(SeriesKind::FlowRate, i as u32, now, r);
@@ -873,11 +888,12 @@ impl Simulation {
         if let Some(tel) = self.telemetry.as_mut() {
             tel.queue_sample(t.as_secs(), q_bits);
         }
-        self.metrics.queue.push(t, q_bits);
-        self.metrics.aggregate_rate.push(t, w_agg);
+        self.record_times.push(t.as_secs());
+        self.metrics.queue.record(q_bits);
+        self.metrics.aggregate_rate.record(w_agg);
         let per = w_agg / self.cfg.flows.len() as f64;
         for i in 0..self.cfg.flows.len() {
-            self.metrics.per_source_rate[i].push(t, per);
+            self.metrics.per_source_rate[i].record(per);
             if let Some(tel) = self.telemetry.as_mut() {
                 tel.series_sample(SeriesKind::FlowRate, i as u32, t.as_secs(), per);
             }

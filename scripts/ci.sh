@@ -153,6 +153,16 @@ if [ "$a" != "$b" ]; then
   exit 1
 fi
 
+# A maximum epoch shorter than the minimum can never commit: a
+# simulator config error (exit 7), not a silent packet-only run.
+code=0
+./target/release/dcebcn simulate --engine hybrid --hybrid-guard max-ff=5e-4 \
+  >/dev/null 2>&1 || code=$?
+if [ "$code" != "7" ]; then
+  echo "hybrid max-ff below min-ff exited with code $code, expected 7" >&2
+  exit 1
+fi
+
 echo "== query round-trip smoke (JSONL in -> out -> decode -> re-encode) =="
 # The answer stream must re-encode byte-identically and be invariant
 # under chunk size (batch boundaries cannot change any answer).

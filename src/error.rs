@@ -202,6 +202,19 @@ mod tests {
     }
 
     #[test]
+    fn hybrid_epochs_that_cannot_commit_exit_with_the_config_code() {
+        // The default `min-ff` is 1e-3 s: a 5e-4 s maximum leaves no
+        // epoch long enough to commit.
+        let args: Vec<String> = ["simulate", "--engine", "hybrid", "--hybrid-guard", "max-ff=5e-4"]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let e = Error::from(cli::run(&args).unwrap_err());
+        assert_eq!(e.exit_code(), 7);
+        assert!(e.to_string().contains("hybrid.max_ff"), "{e}");
+    }
+
+    #[test]
     fn leaf_errors_convert_and_keep_their_message() {
         let wire = dcesim::wire::decode(&[0u8; 4]).unwrap_err();
         let e = Error::from(wire);
