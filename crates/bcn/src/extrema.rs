@@ -44,6 +44,39 @@
 //! is subnormal or not finite, the bound above does not hold with this
 //! margin and every step evaluates `h`. For a zero of order one radian
 //! a call evaluates `h` ~14 times instead of ~53.
+//!
+//! # Enclosure
+//!
+//! The crate-internal `extremum_enclosure` brackets [`spiral_extremum`]'s
+//! `x` without the bisection, so a caller that only needs to know whether
+//! an extremum can move a running maximum or minimum can skip it. Take
+//! `α ± iβ` as the spectrum of the focus flow `spiral_extremum` evaluates
+//! (rebuilt from the region's; a rebuild that is not a focus gets no
+//! enclosure). In the coordinates `u = x0`, `v = (y0 − α x0)/β` the flow
+//! is `x(θ) = e^{αθ/β} (u cos θ + v sin θ)` with `θ = β t`, so for
+//! `t ≥ 0`, `|x| ≤ A = √(u² + v²)`: `[−A, A]` holds every value the leg
+//! takes (`α = −m/2 ≤ 0`, since a [`RegionFlow`] has `m ≥ 0`). Also
+//! `y0 = α u + β v` and `c = α v − β u`, so
+//! `|y| = e^{αt} |h(βt)| ≤ R = √(y0² + c²) = √(α² + β²) A ≤ (β + |α|) A`.
+//!
+//! The enclosure evaluates `x̂ = x(θ̂)` at the closed-form zero `θ̂` of
+//! the sign-skipping section on that flow, and the bisection returns `x`
+//! at some `θ_b`. Both angles lie within ~1e-15 rad of the zero of `h`
+//! (the ambiguous band and `atan2`'s few ulps), so in exact arithmetic
+//! `|x(θ̂) − x(θ_b)| ≤ R |θ̂ − θ_b| / β ≤ 2e-15 (1 + |α|/β) A`.
+//! Evaluating `e^{Jt} z0` rounds each of its terms, which are at most
+//! `(1 + |α|/β) A` in size: ~8ε relative error on each side, ~2ε more
+//! from `e^{αt}`'s argument (`|αt| e^{αt} ≤ 1/e`), plus `2^-1074` per
+//! product that underflows. So `|x̂ − x| ≤ ~7e-15 (1 + |α|/β) A` plus a
+//! few subnormal ulps. The enclosure is `[x̂ − m, x̂ + m]` with
+//! `m = 1e-9 (1 + |α|/β) A + f64::MIN_POSITIVE`, more than 10⁵× the
+//! bound. A tier-1 test checks containment on 1M seeded legs with
+//! `|α|/β` up to 1e8, where `|x̂ − x|` stays below ~4.4e-16
+//! `(1 + |α|/β) A`. Where `θ̂` is not trusted (`sign_change_estimate`
+//! returns `None`) or `y0 = 0` (the extremum is half a rotation on), the
+//! enclosure is `[−A − m, A + m]`. A non-finite `A` or `x̂` gives an
+//! infinite or NaN bound, which no strict comparison passes, so callers
+//! fall back to the exact value.
 
 use crate::closed_form::{RegionFlow, Spectrum};
 
@@ -83,15 +116,11 @@ const ENDPOINT_MARGIN: f64 = 1e-6;
 /// and `c` are not finite normal-range numbers, every step evaluates `h`.
 #[must_use]
 pub fn spiral_extremum(alpha: f64, beta: f64, z0: [f64; 2]) -> Option<Extremum> {
-    let flow = flow_for_focus(alpha, beta);
     let [x0, y0] = z0;
     if x0 == 0.0 && y0 == 0.0 {
         return None;
     }
-    // y(t) = e^{alpha t} [y0 cos(beta t) + c sin(beta t)],
-    // c = (y'(0) - alpha y0)/beta with y'(0) from the ODE.
-    let ydot0 = flow.jacobian().mul_vec(z0)[1];
-    let c = (ydot0 - alpha * y0) / beta;
+    let (flow, c) = focus_and_c(alpha, beta, z0);
     let t_star = if y0 == 0.0 {
         if c == 0.0 {
             return None; // y identically zero can only happen at the origin
@@ -132,6 +161,43 @@ pub fn spiral_extremum(alpha: f64, beta: f64, z0: [f64; 2]) -> Option<Extremum> 
     };
     let x = flow.at(t_star, z0)[0];
     Some(Extremum { t: t_star, x })
+}
+
+/// The focus flow [`spiral_extremum`] evaluates and the coefficient `c`
+/// of `y(t) = e^{alpha t} [y0 cos(beta t) + c sin(beta t)]` from `z0`:
+/// `c = (y'(0) - alpha y0)/beta` with `y'(0)` from the ODE.
+fn focus_and_c(alpha: f64, beta: f64, z0: [f64; 2]) -> (RegionFlow, f64) {
+    let flow = flow_for_focus(alpha, beta);
+    let ydot0 = flow.jacobian().mul_vec(z0)[1];
+    (flow, (ydot0 - alpha * z0[1]) / beta)
+}
+
+/// An interval `[lo, hi]` that contains `region_extremum(flow, z0)`'s
+/// `x` whenever that is `Some`, at the cost of one `atan2` and one flow
+/// evaluation instead of a bisection (see the module header's
+/// Enclosure section for the bound).
+///
+/// `None` for node and critical flows, whose extrema are closed-form
+/// and as cheap as any enclosure. A bound may be infinite or NaN for
+/// states whose `A` or `x̂` does not fit a double; such an interval
+/// passes no strict comparison.
+pub(crate) fn extremum_enclosure(flow: &RegionFlow, z0: [f64; 2]) -> Option<(f64, f64)> {
+    let Spectrum::Focus { alpha, beta } = flow.spectrum() else { return None };
+    let (focus, c) = focus_and_c(alpha, beta, z0);
+    // `A` bounds the rebuilt flow that `spiral_extremum` evaluates.
+    let Spectrum::Focus { alpha: a, beta: b } = focus.spectrum() else { return None };
+    let [x0, y0] = z0;
+    let amp = x0.hypot((y0 - a * x0) / b);
+    let m = 1e-9 * (1.0 + a.abs() / b) * amp + f64::MIN_POSITIVE;
+    // `y0 = 0` puts the atan2 at 0 or π, which `sign_change_estimate`
+    // rejects: that extremum is half a rotation on, not at `θ̂`.
+    match sign_change_estimate(y0, c) {
+        Some(theta) => {
+            let x = focus.at(theta / beta, z0)[0];
+            Some((x - m, x + m))
+        }
+        None => Some((-amp - m, amp + m)),
+    }
 }
 
 /// Closed-form zero of `h(θ) = y0 cos θ + c sin θ` in `(0, π)` for
@@ -403,6 +469,82 @@ mod tests {
                 "alpha {alpha:e}, beta {beta:e}, z0 {z0:?}"
             );
         }
+    }
+
+    #[test]
+    fn enclosure_contains_the_spiral_extremum() {
+        use std::f64::consts::PI;
+        let magnitudes =
+            [f64::from_bits(1), 1e-320, f64::MIN_POSITIVE, 1e-300, 1e-160, 1.0, 1e160, 1e300];
+        let mut rng = 0xe9c1_0517_u64;
+        let (mut checked, mut finite, mut worst) = (0u64, 0u64, 0.0_f64);
+        let mut check = |flow: &RegionFlow, z0: [f64; 2], case: u64| {
+            let Spectrum::Focus { alpha, beta } = flow.spectrum() else { return };
+            let Some(e) = region_extremum(flow, z0) else { return };
+            let (lo, hi) = extremum_enclosure(flow, z0).expect("focus legs are enclosed");
+            // A NaN or infinite bound fails every strict comparison, so
+            // only a value strictly outside a bound could be skipped
+            // wrongly.
+            let outside = e.x < lo || e.x > hi;
+            assert!(
+                !outside,
+                "case {case}: alpha {alpha:e}, beta {beta:e}, z0 {z0:?}: x {:e} outside [{lo:e}, {hi:e}]",
+                e.x
+            );
+            checked += 1;
+            if lo.is_finite() && hi.is_finite() && e.x.is_finite() {
+                finite += 1;
+                let amp = z0[0].hypot((z0[1] - alpha * z0[0]) / beta);
+                let estimated = sign_change_estimate(z0[1], focus_and_c(alpha, beta, z0).1);
+                if amp.is_normal() && estimated.is_some() {
+                    let mid = 0.5 * (lo + hi);
+                    worst = worst.max((e.x - mid).abs() / ((1.0 + alpha.abs() / beta) * amp));
+                }
+            }
+        };
+        for case in 0..1_000_000_u64 {
+            // beta over 9 decades, |alpha|/beta over 14, alpha = 0 at times.
+            let beta = 10f64.powf(-3.0 + 9.0 * unit(&mut rng));
+            let ratio = if case % 16 == 0 { 0.0 } else { 10f64.powf(-6.0 + 14.0 * unit(&mut rng)) };
+            let alpha = -beta * ratio;
+            let flow = RegionFlow::from_mn(-2.0 * alpha, alpha * alpha + beta * beta);
+            let z0 = match case % 8 {
+                // On a switching line x + k y = 0.
+                0 | 1 => {
+                    let y0 = signed_decades(&mut rng, -12.0, 12.0);
+                    [-10f64.powf(-6.0 + 12.0 * unit(&mut rng)) * y0, y0]
+                }
+                // At rest: the extremum is half a rotation on.
+                2 => [signed_decades(&mut rng, -12.0, 12.0), 0.0],
+                // Zero of h within 1e-16..1e-5 of 0 or pi, both sides of
+                // ENDPOINT_MARGIN.
+                3 => {
+                    let offset = 10f64.powf(-16.0 + 11.0 * unit(&mut rng));
+                    let theta = if case % 16 == 3 { offset } else { PI - offset };
+                    let y0 = signed_decades(&mut rng, -6.0, 6.0);
+                    start_with_c(alpha, beta, y0, -y0 * theta.cos() / theta.sin())
+                }
+                // Subnormal, tiny and huge states.
+                4 => {
+                    let pick = |r: &mut u64| {
+                        let m = magnitudes[(splitmix64(r) % magnitudes.len() as u64) as usize];
+                        if splitmix64(r) & 1 == 0 {
+                            m
+                        } else {
+                            -m
+                        }
+                    };
+                    [pick(&mut rng), pick(&mut rng)]
+                }
+                _ => [signed_decades(&mut rng, -12.0, 12.0), signed_decades(&mut rng, -12.0, 12.0)],
+            };
+            check(&flow, z0, case);
+        }
+        assert!(checked >= 900_000, "only {checked} focus legs checked");
+        assert!(finite >= checked / 2, "only {finite} of {checked} enclosures finite");
+        // The derived bound is ~4.4e-15; the margin is 1e-9.
+        println!("{checked} focus legs, {finite} finite enclosures, worst miss {worst:e} A");
+        assert!(worst < 1e-13, "worst relative miss {worst:e}");
     }
 
     const ALPHA: f64 = -1.0;

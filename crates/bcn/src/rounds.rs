@@ -96,11 +96,12 @@ pub fn trace_legs_telemetry(
     legs
 }
 
-/// The allocation-free tracing core every other entry point wraps: walks
-/// up to `max_legs` legs from `start` using a caller-resolved `prop`,
-/// appending into a caller-owned buffer. `legs` is cleared first; once it
-/// has grown to the workload's deepest trace, re-use allocates nothing —
-/// the property the batched query engine's per-worker workspaces rely on.
+/// The allocation-free tracing core of [`trace_legs`] and
+/// [`trace_legs_telemetry`]: walks up to `max_legs` legs from `start`
+/// using a caller-resolved `prop`, appending into a caller-owned buffer
+/// with every leg's interior extremum filled in. `legs` is cleared
+/// first; once it has grown to the workload's deepest trace, re-use
+/// allocates nothing.
 ///
 /// `prop` must be the propagator of `params` (cached and fresh builds are
 /// bit-identical, so either source is fine).
@@ -112,11 +113,51 @@ pub fn trace_legs_into(
     legs: &mut Vec<Leg>,
     mut tel: Option<&mut Telemetry>,
 ) {
-    let k = params.k();
     legs.clear();
-    let mut p = start;
     let mut t_abs = 0.0;
     let mut prev_region: Option<Region> = None;
+    walk_legs(params, prop, start, max_legs, |flow, mut leg| {
+        if let (Some(tel), Some(prev)) = (tel.as_deref_mut(), prev_region) {
+            if prev != leg.region {
+                tel.region_switch(t_abs, prev.mode_index() as u32, leg.region.mode_index() as u32);
+            }
+        }
+        prev_region = Some(leg.region);
+        leg.extremum = interior_extremum(flow, &leg);
+        if let (Some(tel), Some(e)) = (tel.as_deref_mut(), leg.extremum) {
+            // Queue maxima happen while the rate decays (decrease region),
+            // minima while it recovers (increase region).
+            let kind = match leg.region {
+                Region::Decrease => ExtremumKind::Max,
+                Region::Increase => ExtremumKind::Min,
+            };
+            tel.queue_extremum(t_abs + e.t, params.q0 + e.x, kind);
+        }
+        t_abs += leg.duration.unwrap_or(0.0);
+        legs.push(leg);
+    });
+}
+
+/// The queue extremum of a leg on `flow` reached strictly inside it, if
+/// any.
+pub(crate) fn interior_extremum(flow: &RegionFlow, leg: &Leg) -> Option<Extremum> {
+    region_extremum(flow, leg.start).filter(|e| e.t > 0.0 && leg.duration.is_none_or(|d| e.t <= d))
+}
+
+/// The one leg walk of the linearised system: hands `visit` up to
+/// `max_legs` legs from `start` with their region flows, each leaving in
+/// its departing region and ending exactly on the switching line, with
+/// `extremum` left `None`. Stops early when a leg does not return to the
+/// line or the state has contracted to within `1e-12` of the equilibrium.
+pub(crate) fn walk_legs<'a>(
+    params: &BcnParams,
+    prop: &'a Propagator,
+    start: [f64; 2],
+    max_legs: usize,
+    mut visit: impl FnMut(&'a RegionFlow, Leg),
+) {
+    let k = params.k();
+    let mut p = start;
     for _ in 0..max_legs {
         // Stop once the state has contracted to numerical noise relative
         // to the problem's own scales (q0 for x, C for y).
@@ -124,15 +165,8 @@ pub fn trace_legs_into(
             break;
         }
         let region = departing_region(params, p);
-        if let (Some(tel), Some(prev)) = (tel.as_deref_mut(), prev_region) {
-            if prev != region {
-                tel.region_switch(t_abs, prev.mode_index() as u32, region.mode_index() as u32);
-            }
-        }
-        prev_region = Some(region);
         let flow = prop.flow(region);
-        let t_max = leg_horizon(flow);
-        let duration = prop.crossing_time(region, p, t_max);
+        let duration = prop.crossing_time(region, p, leg_horizon(flow));
         let end = duration.map(|t| {
             let mut z = flow.at(t, p);
             // Land exactly on the line to keep the next leg's region
@@ -140,25 +174,9 @@ pub fn trace_legs_into(
             z[0] = -k * z[1];
             z
         });
-        let extremum = region_extremum(flow, p).filter(|e| match duration {
-            Some(d) => e.t > 0.0 && e.t <= d,
-            None => e.t > 0.0,
-        });
-        if let (Some(tel), Some(e)) = (tel.as_deref_mut(), extremum) {
-            // Queue maxima happen while the rate decays (decrease region),
-            // minima while it recovers (increase region).
-            let kind = match region {
-                Region::Decrease => ExtremumKind::Max,
-                Region::Increase => ExtremumKind::Min,
-            };
-            tel.queue_extremum(t_abs + e.t, params.q0 + e.x, kind);
-        }
-        legs.push(Leg { region, start: p, end, duration, extremum });
+        visit(flow, Leg { region, start: p, end, duration, extremum: None });
         match end {
-            Some(z) => {
-                p = z;
-                t_abs += duration.unwrap_or(0.0);
-            }
+            Some(z) => p = z,
             None => break,
         }
     }

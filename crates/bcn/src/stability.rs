@@ -21,10 +21,11 @@
 use crate::cases::RegionShape;
 use crate::cases::{classify_params, region_shape, CaseId};
 use crate::closed_form::Spectrum;
+use crate::extrema::extremum_enclosure;
 use crate::model::Region;
 use crate::params::BcnParams;
 use crate::propagate::Propagator;
-use crate::rounds::{first_round, trace_legs, trace_legs_into, FirstRound, Leg};
+use crate::rounds::{first_round, interior_extremum, trace_legs, walk_legs, FirstRound, Leg};
 use crate::simulate::{drop_verdicts_lockstep, SaturatingFluid};
 
 /// Why the criterion declares a system strongly stable.
@@ -304,6 +305,13 @@ pub fn exact_verdict(params: &BcnParams, max_legs: usize) -> ExactVerdict {
 /// answering many queries allocates nothing once the buffer has grown
 /// to the workload's deepest trace.
 ///
+/// `legs` is cleared and receives every walked leg, so
+/// `legs.len() == verdict.legs`. A leg's `extremum` is `None` when the
+/// verdict did not need it: a spiral leg whose extremum enclosure lies
+/// strictly inside the running `(min_x, max_x)` cannot move either, so
+/// its bisection is skipped. Use
+/// [`trace_legs_into`](crate::rounds::trace_legs_into) for every extremum.
+///
 /// `prop` must be the propagator of `params`; cached and fresh builds
 /// are bit-identical, so either source yields the same verdict bits.
 #[must_use]
@@ -313,14 +321,18 @@ pub fn exact_verdict_scratch(
     max_legs: usize,
     legs: &mut Vec<Leg>,
 ) -> ExactVerdict {
-    trace_legs_into(params, prop, params.initial_point(), max_legs, legs, None);
+    legs.clear();
     let mut max_x = f64::NEG_INFINITY;
     let mut min_x = f64::INFINITY;
-    for (i, leg) in legs.iter().enumerate() {
-        if i > 0 {
+    walk_legs(params, prop, params.initial_point(), max_legs, |flow, mut leg| {
+        if !legs.is_empty() {
             max_x = max_x.max(leg.start[0]);
             min_x = min_x.min(leg.start[0]);
         }
+        leg.extremum = match extremum_enclosure(flow, leg.start) {
+            Some(enclosure) if strictly_inside(enclosure, min_x, max_x) => None,
+            _ => interior_extremum(flow, &leg),
+        };
         if let Some(e) = leg.extremum {
             max_x = max_x.max(e.x);
             min_x = min_x.min(e.x);
@@ -329,7 +341,8 @@ pub fn exact_verdict_scratch(
             max_x = max_x.max(end[0]);
             min_x = min_x.min(end[0]);
         }
-    }
+        legs.push(leg);
+    });
     if !max_x.is_finite() || !min_x.is_finite() {
         // Trajectory never produced a comparison point beyond the start:
         // it slid directly to the equilibrium.
@@ -338,6 +351,14 @@ pub fn exact_verdict_scratch(
     }
     let strongly_stable = max_x < params.buffer - params.q0 && min_x > -params.q0;
     ExactVerdict { strongly_stable, max_x, min_x, legs: legs.len() }
+}
+
+/// Whether an extremum enclosed by `(lo, hi)` lies strictly inside
+/// `(min_x, max_x)`, so folding it could change neither bit. A value
+/// equal to `max_x` could still be `+0` against `-0`, and a NaN bound
+/// never passes.
+fn strictly_inside((lo, hi): (f64, f64), min_x: f64, max_x: f64) -> bool {
+    lo > min_x && hi < max_x
 }
 
 /// [`exact_verdict`] over a whole frontier scan at once, fanned out
@@ -387,7 +408,135 @@ pub fn fluid_drop_verdicts(cells: &[(SaturatingFluid, f64)]) -> Vec<bool> {
 mod tests {
     use super::*;
     use crate::cases::exemplar;
+    use crate::rounds::trace_legs_into;
     use crate::units::MBIT;
+
+    /// The verdict folded over a full trace, every extremum bisected:
+    /// the oracle that `exact_verdict_scratch`'s skipping must match
+    /// bitwise.
+    fn exact_verdict_full_trace(params: &BcnParams, max_legs: usize) -> ExactVerdict {
+        let mut legs = Vec::new();
+        let prop = Propagator::for_params(params);
+        trace_legs_into(params, &prop, params.initial_point(), max_legs, &mut legs, None);
+        let mut max_x = f64::NEG_INFINITY;
+        let mut min_x = f64::INFINITY;
+        for (i, leg) in legs.iter().enumerate() {
+            if i > 0 {
+                max_x = max_x.max(leg.start[0]);
+                min_x = min_x.min(leg.start[0]);
+            }
+            if let Some(e) = leg.extremum {
+                max_x = max_x.max(e.x);
+                min_x = min_x.min(e.x);
+            }
+            if let Some(end) = leg.end {
+                max_x = max_x.max(end[0]);
+                min_x = min_x.min(end[0]);
+            }
+        }
+        if !max_x.is_finite() || !min_x.is_finite() {
+            max_x = 0.0;
+            min_x = 0.0;
+        }
+        let strongly_stable = max_x < params.buffer - params.q0 && min_x > -params.q0;
+        ExactVerdict { strongly_stable, max_x, min_x, legs: legs.len() }
+    }
+
+    fn splitmix64(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The `k`-th uniform draw from `lo..hi` of the case seeded `seed`.
+    fn uniform(seed: u64, k: u64, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * ((splitmix64(seed ^ splitmix64(k)) >> 11) as f64 / (1u64 << 53) as f64)
+    }
+
+    /// A random valid parameter set (the root suites' `random_params`
+    /// draws): every case of the taxonomy, buffers tight and roomy.
+    fn random_params(seed: u64) -> BcnParams {
+        let buffer = uniform(seed, 3, 1e4, 1e7);
+        BcnParams {
+            n_flows: 1 + (splitmix64(seed) % 59) as u32,
+            capacity: uniform(seed, 1, 1e5, 1e8),
+            q0: uniform(seed, 2, 0.05, 0.45) * buffer,
+            buffer,
+            gi: uniform(seed, 4, 0.01, 20.0),
+            gd: uniform(seed, 5, 1e-4, 0.9),
+            ru: uniform(seed, 6, 1e2, 1e6),
+            w: uniform(seed, 7, 1e-3, 50.0),
+            pm: uniform(seed, 8, 0.005, 1.0),
+            qsc: 0.9 * buffer,
+        }
+    }
+
+    fn verdict_bits(v: &ExactVerdict) -> (bool, u64, u64, usize) {
+        (v.strongly_stable, v.max_x.to_bits(), v.min_x.to_bits(), v.legs)
+    }
+
+    fn assert_matches_full_trace(p: &BcnParams, max_legs: usize, what: &str) {
+        let mut legs = Vec::new();
+        let got = exact_verdict_scratch(p, &Propagator::for_params(p), max_legs, &mut legs);
+        assert_eq!(
+            verdict_bits(&got),
+            verdict_bits(&exact_verdict_full_trace(p, max_legs)),
+            "{what}, {max_legs} legs: {p:?}"
+        );
+        assert_eq!(legs.len(), got.legs, "{what}");
+    }
+
+    #[test]
+    fn skipped_extrema_leave_every_verdict_bit_unchanged() {
+        // The query-serving family, the 16x16 criterion atlas and a
+        // tiny-w family whose successive extrema tie.
+        for i in 0..2048 {
+            let p = BcnParams::test_defaults()
+                .with_capacity(1.0e6 + i as f64)
+                .with_gi(1.0 + (i % 7) as f64 * 0.25);
+            assert_matches_full_trace(&p, 48, &format!("query family {i}"));
+        }
+        let base = BcnParams::test_defaults().with_buffer(1.5e5);
+        let axis = |g: f64, i: usize| g * 0.05 * 400f64.powf(i as f64 / 15.0);
+        for idx in 0..256 {
+            let p = base
+                .clone()
+                .with_gi(axis(base.gi, idx / 16))
+                .with_gd(axis(base.gd, idx % 16).min(1.0));
+            assert_matches_full_trace(&p, 40, &format!("atlas cell {idx}"));
+        }
+        for i in 0..256 {
+            let p = BcnParams::test_defaults()
+                .with_w(10f64.powi(-30 + (i % 25)))
+                .with_gi(0.5 + (i / 25) as f64 * 0.4);
+            assert_matches_full_trace(&p, 48, &format!("tiny w {i}"));
+        }
+        // The 4096 pinned random sets at 32 legs, then 100k more at
+        // budgets of 1-16 legs (skipping starts around the fourth leg).
+        for s in 0..4096 {
+            let seed = splitmix64(0x7e4d_1c75 ^ s);
+            assert_matches_full_trace(&random_params(seed), 32, &format!("seed {seed:#x}"));
+        }
+        for s in 0..100_000 {
+            let seed = splitmix64(0x51c1_9e0d ^ s);
+            let max_legs = 1 + (splitmix64(seed ^ 9) % 16) as usize;
+            assert_matches_full_trace(&random_params(seed), max_legs, &format!("seed {seed:#x}"));
+        }
+    }
+
+    #[test]
+    fn only_strictly_inside_enclosures_are_skipped() {
+        assert!(strictly_inside((1.0, 2.0), 0.5, 2.5));
+        // Touching either running extremum is not enough: the skipped
+        // value could equal it with the other zero sign.
+        assert!(!strictly_inside((1.0, 2.0), 1.0, 2.5));
+        assert!(!strictly_inside((1.0, 2.0), 0.5, 2.0));
+        assert!(!strictly_inside((-0.0, 0.0), -0.0, 0.0));
+        assert!(!strictly_inside((f64::NAN, 2.0), 0.5, 2.5));
+        assert!(!strictly_inside((1.0, f64::NAN), 0.5, 2.5));
+        assert!(!strictly_inside((1.0, 2.0), f64::INFINITY, f64::NEG_INFINITY));
+    }
 
     #[test]
     fn theorem1_reproduces_the_worked_example() {

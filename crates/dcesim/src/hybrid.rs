@@ -441,14 +441,17 @@ impl HybridSim {
 
 /// `min_ff_secs` / `max_ff_secs` in record-grid steps of `dt`: the
 /// minimum rounded up, a bounded maximum rounded down, each at least
-/// one step (`u64::MAX` for an unlimited maximum). A maximum below the
-/// minimum is an error on `hybrid.max_ff`: no epoch could ever commit,
-/// so the hybrid engine would silently run as the packet engine.
+/// one step (`u64::MAX` for an unlimited maximum). Both convert to whole
+/// nanoseconds first, like every span of the engine, so an exact
+/// multiple of `dt` is exactly that many steps (`6e-4 / 2e-4` in `f64`
+/// is `2.9999999999999996`). A maximum below the minimum is an error on
+/// `hybrid.max_ff`: no epoch could ever commit, so the hybrid engine
+/// would silently run as the packet engine.
 fn epoch_steps(guards: &HybridGuards, dt: Duration) -> Result<(u64, u64), ConfigError> {
-    let delta = dt.as_secs();
-    let min_steps = ((guards.min_ff_secs / delta).ceil() as u64).max(1);
+    let dt_ns = dt.as_nanos().max(1);
+    let min_steps = Duration::from_secs(guards.min_ff_secs).as_nanos().div_ceil(dt_ns).max(1);
     let max_steps = if guards.max_ff_secs > 0.0 {
-        ((guards.max_ff_secs / delta).floor() as u64).max(1)
+        (Duration::from_secs(guards.max_ff_secs).as_nanos() / dt_ns).max(1)
     } else {
         u64::MAX
     };
@@ -625,6 +628,28 @@ mod tests {
         assert!(spec(5e-4, 7e-4).validate_for(&cfg).is_ok(), "3 steps each");
         assert!(spec(1e-3, 0.0).validate_for(&cfg).is_ok(), "0 is unlimited");
         assert!(spec(5e-4, 0.1).validate_for(&cfg).is_ok());
+        // 6e-4 s is exactly 3 steps of 0.2 ms, though 6e-4 / 2e-4 is
+        // 2.9999999999999996 in f64.
+        assert!(spec(5e-4, 6e-4).validate_for(&cfg).is_ok(), "3 steps each");
+    }
+
+    #[test]
+    fn epoch_steps_count_exact_multiples_of_the_record_interval() {
+        let steps = |min_ff_secs, max_ff_secs, dt_secs| {
+            let guards = HybridGuards { min_ff_secs, max_ff_secs, ..HybridGuards::default() };
+            epoch_steps(&guards, Duration::from_secs(dt_secs)).ok()
+        };
+        // 6e-4 / 2e-4 floors to 2 in f64; 1.1e-3 / 1e-4 ceils to 12.
+        assert_eq!(steps(2e-4, 6e-4, 2e-4), Some((1, 3)));
+        assert_eq!(steps(1.1e-3, 0.0, 1e-4), Some((11, u64::MAX)));
+        // Between multiples the minimum still rounds up and the maximum
+        // down (here below the minimum), each to at least one step.
+        assert_eq!(steps(5e-4, 5.5e-4, 2e-4), None);
+        assert_eq!(steps(5e-4, 7e-4, 2e-4), Some((3, 3)));
+        assert_eq!(steps(0.0, 1e-5, 2e-4), Some((1, 1)));
+        // The defaults on the 375 us and 2 ms record grids.
+        assert_eq!(steps(1e-3, 0.0, 3.75e-4), Some((3, u64::MAX)));
+        assert_eq!(steps(1e-3, 0.0, 2e-3), Some((1, u64::MAX)));
     }
 
     #[test]
