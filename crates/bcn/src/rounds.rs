@@ -36,6 +36,8 @@ pub struct Leg {
     /// Leg duration; `None` iff `end` is `None`.
     pub duration: Option<f64>,
     /// The queue extremum reached strictly inside the leg, if any.
+    /// Legs from [`exact_verdict_scratch`](crate::stability::exact_verdict_scratch)
+    /// leave it `None` where the verdict did not need it.
     pub extremum: Option<Extremum>,
 }
 
