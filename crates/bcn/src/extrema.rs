@@ -47,7 +47,7 @@
 //!
 //! # Enclosure
 //!
-//! The crate-internal `extremum_enclosure` brackets [`spiral_extremum`]'s
+//! The crate-internal `extremum_enclosed` brackets [`spiral_extremum`]'s
 //! `x` without the bisection, so a caller that only needs to know whether
 //! an extremum can move a running maximum or minimum can skip it. Take
 //! `α ± iβ` as the spectrum of the focus flow `spiral_extremum` evaluates
@@ -77,6 +77,11 @@
 //! enclosure is `[−A − m, A + m]`. A non-finite `A` or `x̂` gives an
 //! infinite or NaN bound, which no strict comparison passes, so callers
 //! fall back to the exact value.
+//!
+//! `A` is the cheaper bound (one `hypot` against an `atan2`, an `exp`
+//! and a `sin_cos`), and on a contracting spiral it already lies inside
+//! the running extrema for about half of all legs, so callers test
+//! `[−A − m, A + m]` first and compute `x̂` only where it does not.
 
 use crate::closed_form::{RegionFlow, Spectrum};
 
@@ -172,32 +177,36 @@ fn focus_and_c(alpha: f64, beta: f64, z0: [f64; 2]) -> (RegionFlow, f64) {
     (flow, (ydot0 - alpha * z0[1]) / beta)
 }
 
-/// An interval `[lo, hi]` that contains `region_extremum(flow, z0)`'s
-/// `x` whenever that is `Some`, at the cost of one `atan2` and one flow
-/// evaluation instead of a bisection (see the module header's
-/// Enclosure section for the bound).
+/// Whether `inside` accepts an interval that contains
+/// `region_extremum(flow, z0)`'s `x` whenever that is `Some`, asking
+/// about the amplitude bound `[−A − m, A + m]` (one `hypot`) first and
+/// the tight `[x̂ − m, x̂ + m]` (an `atan2` and a flow evaluation more)
+/// only if `inside` refuses it. See the module header's Enclosure
+/// section for the bounds; both are far cheaper than the bisection.
 ///
-/// `None` for node and critical flows, whose extrema are closed-form
-/// and as cheap as any enclosure. A bound may be infinite or NaN for
-/// states whose `A` or `x̂` does not fit a double; such an interval
-/// passes no strict comparison.
-pub(crate) fn extremum_enclosure(flow: &RegionFlow, z0: [f64; 2]) -> Option<(f64, f64)> {
-    let Spectrum::Focus { alpha, beta } = flow.spectrum() else { return None };
+/// `false` for node and critical flows, whose extrema are closed-form
+/// and as cheap as any enclosure, and for a focus whose rebuild is not
+/// one. A bound may be infinite or NaN for states whose `A` or `x̂` does
+/// not fit a double; such an interval passes no strict comparison.
+pub(crate) fn extremum_enclosed(
+    flow: &RegionFlow,
+    z0: [f64; 2],
+    mut inside: impl FnMut((f64, f64)) -> bool,
+) -> bool {
+    let Spectrum::Focus { alpha, beta } = flow.spectrum() else { return false };
     let (focus, c) = focus_and_c(alpha, beta, z0);
     // `A` bounds the rebuilt flow that `spiral_extremum` evaluates.
-    let Spectrum::Focus { alpha: a, beta: b } = focus.spectrum() else { return None };
+    let Spectrum::Focus { alpha: a, beta: b } = focus.spectrum() else { return false };
     let [x0, y0] = z0;
     let amp = x0.hypot((y0 - a * x0) / b);
     let m = 1e-9 * (1.0 + a.abs() / b) * amp + f64::MIN_POSITIVE;
     // `y0 = 0` puts the atan2 at 0 or π, which `sign_change_estimate`
     // rejects: that extremum is half a rotation on, not at `θ̂`.
-    match sign_change_estimate(y0, c) {
-        Some(theta) => {
+    inside((-amp - m, amp + m))
+        || sign_change_estimate(y0, c).is_some_and(|theta| {
             let x = focus.at(theta / beta, z0)[0];
-            Some((x - m, x + m))
-        }
-        None => Some((-amp - m, amp + m)),
-    }
+            inside((x - m, x + m))
+        })
 }
 
 /// Closed-form zero of `h(θ) = y0 cos θ + c sin θ` in `(0, π)` for
@@ -481,16 +490,25 @@ mod tests {
         let mut check = |flow: &RegionFlow, z0: [f64; 2], case: u64| {
             let Spectrum::Focus { alpha, beta } = flow.spectrum() else { return };
             let Some(e) = region_extremum(flow, z0) else { return };
-            let (lo, hi) = extremum_enclosure(flow, z0).expect("focus legs are enclosed");
+            // Refusing every interval makes both stages offer theirs.
+            let mut offered = Vec::new();
+            assert!(!extremum_enclosed(flow, z0, |b| {
+                offered.push(b);
+                false
+            }));
+            assert!(!offered.is_empty(), "focus legs are enclosed");
             // A NaN or infinite bound fails every strict comparison, so
             // only a value strictly outside a bound could be skipped
             // wrongly.
-            let outside = e.x < lo || e.x > hi;
-            assert!(
-                !outside,
-                "case {case}: alpha {alpha:e}, beta {beta:e}, z0 {z0:?}: x {:e} outside [{lo:e}, {hi:e}]",
-                e.x
-            );
+            for &(lo, hi) in &offered {
+                let outside = e.x < lo || e.x > hi;
+                assert!(
+                    !outside,
+                    "case {case}: alpha {alpha:e}, beta {beta:e}, z0 {z0:?}: x {:e} outside [{lo:e}, {hi:e}]",
+                    e.x
+                );
+            }
+            let (lo, hi) = offered[offered.len() - 1];
             checked += 1;
             if lo.is_finite() && hi.is_finite() && e.x.is_finite() {
                 finite += 1;

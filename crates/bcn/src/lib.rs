@@ -36,13 +36,14 @@
 //!   (Eq. 29) forms.
 //! * [`extrema`] — the queue-extrema formulas (Eqs. 18–20, 28, 34) and
 //!   numerically robust equivalents.
-//! * [`propagate`] — the semi-analytic engine: memo-cached spectral
-//!   decompositions per parameter set, closed-form switching-line
+//! * [`propagate`] — the semi-analytic engine: spectral decompositions
+//!   per parameter set, closed-form switching-line
 //!   crossing times (Newton-polished), and analytic leg-by-leg
 //!   trajectory integration — the fast path of every sweep.
 //! * [`query`] — the batched stability-query engine: structure-of-arrays
-//!   batches grouped by propagator key, per-worker workspaces, and the
-//!   JSONL wire codec behind `dcebcn query`.
+//!   batches deduplicated by full query, a process-wide memo of answers,
+//!   per-worker workspaces, and the JSONL wire codec behind `dcebcn
+//!   query`.
 //! * [`rounds`] — round-by-round switching analysis: crossing points,
 //!   durations `T_i`, `T_d`, per-round amplitudes and the contraction
 //!   ratio of the round map.

@@ -7,15 +7,11 @@
 //! path used by every sweep:
 //!
 //! * [`Propagator`] — both regions' [`RegionFlow`] spectral
-//!   decompositions, precomputed once per parameter set and shared across
-//!   sweep cells through a process-wide memo cache keyed by the exact bit
-//!   patterns of the derived constants `(k, a, bC)`. The cache is sharded
-//!   (hash-selected shard, per-shard lock) with bounded second-chance
-//!   eviction and per-shard hit/miss/eviction counters ([`cache_stats`]).
-//!   A cached propagator is a pure function of its key, so cached and
-//!   freshly built values are bit-identical and the parallel-sweep
-//!   determinism contract is preserved at any thread count, cache hot,
-//!   cold, or churning.
+//!   decompositions for one parameter set, built from the derived
+//!   constants `(k, a, bC)`. A build costs ~80 ns, about what a lookup
+//!   in a shared memo would, so every caller builds its own; the
+//!   process-wide memo sits one level up, on whole stability answers
+//!   ([`crate::query`], counters re-exported here as [`cache_stats`]).
 //! * [`crossing_time`] — the switching-line crossing time of a leg from
 //!   the *closed form* of the scalar `s(t) = x(t) + k y(t)`: an explicit
 //!   zero formula per spectrum polished by safeguarded Newton iteration
@@ -30,9 +26,7 @@
 //! The numeric integrator remains the cross-check: `bench --bin
 //! fluid_engine` and the test suite compare both engines cell by cell.
 
-use std::collections::HashMap;
 use std::f64::consts::{FRAC_PI_2, PI};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use odesolve::hybrid::{HybridSolution, ModeInterval};
 use odesolve::Solution;
@@ -44,128 +38,10 @@ use crate::params::BcnParams;
 use crate::rounds::departing_region;
 use crate::simulate::FluidOptions;
 
-/// Number of independent cache shards. A power of two, so the shard
-/// index is a mask of the mixed key hash; 16 shards keep lock
-/// contention negligible at the 8-worker widths `parkit` runs.
-const SHARD_COUNT: usize = 16;
-
-/// Per-shard slot budget. `SHARD_COUNT * SHARD_CAP` preserves the old
-/// single-map footprint of 4096 memoised parameter sets; past it the
-/// CLOCK hand recycles the least-recently-referenced slot instead of
-/// silently dropping the insert.
-const SHARD_CAP: usize = 256;
-
-/// One resident propagator: its exact `(k, a, bC)` bit-pattern key and
-/// the CLOCK reference bit granting it a second chance on eviction.
-struct Slot {
-    key: [u64; 3],
-    prop: Propagator,
-    referenced: bool,
-}
-
-/// One lock's worth of the memo cache: an index map over a bounded slot
-/// arena plus the CLOCK hand and this shard's share of the counters.
-#[derive(Default)]
-struct Shard {
-    map: HashMap<[u64; 3], usize>,
-    slots: Vec<Slot>,
-    hand: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl Shard {
-    fn insert(&mut self, key: [u64; 3], prop: Propagator) {
-        if self.map.contains_key(&key) {
-            return; // lost a build race; the resident copy is bit-identical
-        }
-        if self.slots.len() < SHARD_CAP {
-            let idx = self.slots.len();
-            self.slots.push(Slot { key, prop, referenced: true });
-            self.map.insert(key, idx);
-            return;
-        }
-        // Second-chance (CLOCK) eviction: sweep the hand, stripping
-        // reference bits, until it lands on a slot not referenced since
-        // the previous sweep, and replace that slot in place.
-        loop {
-            let idx = self.hand;
-            self.hand = (self.hand + 1) % SHARD_CAP;
-            if self.slots[idx].referenced {
-                self.slots[idx].referenced = false;
-            } else {
-                let old = self.slots[idx].key;
-                self.map.remove(&old);
-                self.map.insert(key, idx);
-                self.slots[idx] = Slot { key, prop, referenced: true };
-                self.evictions += 1;
-                return;
-            }
-        }
-    }
-}
-
-fn shards() -> &'static [Mutex<Shard>; SHARD_COUNT] {
-    static SHARDS: OnceLock<[Mutex<Shard>; SHARD_COUNT]> = OnceLock::new();
-    SHARDS.get_or_init(|| std::array::from_fn(|_| Mutex::new(Shard::default())))
-}
-
-/// Shard selector: the raw bit patterns of `(k, a, bC)` are heavily
-/// correlated inside a sweep (one constant often stays fixed), so fold
-/// the words and run a splitmix64 finaliser before masking.
-fn shard_index(key: &[u64; 3]) -> usize {
-    let mut h = key[0] ^ key[1].rotate_left(21) ^ key[2].rotate_left(42);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    (h as usize) & (SHARD_COUNT - 1)
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Cumulative propagator memo-cache counters since process start,
-/// summed across shards. The counters are global, so deltas (see
-/// [`CacheStats::delta_since`]) — not absolutes — are the meaningful
-/// quantity in tests and benchmarks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered by a resident propagator.
-    pub hits: u64,
-    /// Lookups that had to build the spectral decomposition afresh.
-    pub misses: u64,
-    /// Resident entries recycled by the CLOCK hand to admit a new key.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// The counter increments accumulated since `earlier` was sampled.
-    #[must_use]
-    pub fn delta_since(self, earlier: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-        }
-    }
-}
-
-/// Samples the cache counters across all shards.
-#[must_use]
-pub fn cache_stats() -> CacheStats {
-    let mut out = CacheStats::default();
-    for shard in shards() {
-        let s = lock(shard);
-        out.hits += s.hits;
-        out.misses += s.misses;
-        out.evictions += s.evictions;
-    }
-    out
-}
+/// The process-wide memo's counters, kept at this path for code written
+/// against it. The memo holds stability answers ([`crate::query`]);
+/// propagators are built fresh, since a build costs what a hit did.
+pub use crate::query::{cache_stats, CacheStats};
 
 /// Both regions' exact flows for one parameter set, plus the switching
 /// slope `k`, ready for closed-form leg propagation.
@@ -190,39 +66,14 @@ impl Propagator {
         Self { k, increase: RegionFlow::from_kn(k, a), decrease: RegionFlow::from_kn(k, b_c) }
     }
 
-    /// The propagator for a parameter set, through the process-wide memo
-    /// cache: repeated calls with the same derived `(k, a, bC)` — the
-    /// common case inside a sweep, where every cell re-analyses the same
-    /// point many times — reuse one spectral decomposition.
+    /// The propagator for a parameter set, built from its derived
+    /// constants `(k, a, bC)`. A build is two 2×2 spectral
+    /// decompositions (~80 ns), so callers build one where they need it;
+    /// the process-wide memo caches the stability answers that cost
+    /// microseconds ([`crate::query`]).
     #[must_use]
     pub fn for_params(params: &BcnParams) -> Self {
-        Self::cached(params.k(), params.a(), params.b() * params.capacity)
-    }
-
-    /// [`Propagator::new`] through the sharded memo cache, keyed by the
-    /// exact bit patterns of the derived constants. The cached value is a
-    /// pure function of the key, so a hit is bit-identical to a fresh
-    /// build and an eviction can never change an answer — only cost a
-    /// rebuild.
-    #[must_use]
-    pub fn cached(k: f64, a: f64, b_c: f64) -> Self {
-        let key = [k.to_bits(), a.to_bits(), b_c.to_bits()];
-        let shard = &shards()[shard_index(&key)];
-        {
-            let mut s = lock(shard);
-            if let Some(&idx) = s.map.get(&key) {
-                s.hits += 1;
-                s.slots[idx].referenced = true;
-                return s.slots[idx].prop;
-            }
-            s.misses += 1;
-        }
-        // Build outside the lock: the spectral decomposition is the
-        // expensive part, and racing builders of one key converge on
-        // bit-identical values anyway.
-        let built = Self::new(k, a, b_c);
-        lock(shard).insert(key, built);
-        built
+        Self::new(params.k(), params.a(), params.b() * params.capacity)
     }
 
     /// The switching-line slope constant `k`.
@@ -695,49 +546,6 @@ mod tests {
         let t = crossing_time(&flow, 0.2, [-1.0, 0.0], 1e9).expect("crossing");
         assert_eq!(crossing_time(&flow, 0.2, [-1.0, 0.0], 0.5 * t), None);
         assert_eq!(crossing_time(&flow, 0.2, [-1.0, 0.0], 0.0), None);
-    }
-
-    #[test]
-    fn cache_returns_identical_propagator() {
-        // A deliberately unusual capacity so no other test shares the key.
-        let p = BcnParams::test_defaults().with_capacity(1.234_567e6);
-        let c0 = cache_stats();
-        let a = Propagator::for_params(&p);
-        let b = Propagator::for_params(&p);
-        let fresh = Propagator::new(p.k(), p.a(), p.b() * p.capacity);
-        assert_eq!(a, b);
-        assert_eq!(a, fresh, "cached propagator must be bit-identical to a fresh build");
-        let c1 = cache_stats();
-        assert!(c1.misses > c0.misses, "first lookup must miss");
-        assert!(c1.hits > c0.hits, "second lookup must hit");
-    }
-
-    #[test]
-    fn eviction_beyond_capacity_keeps_answers_correct() {
-        // Three times the whole cache's slot budget of distinct keys:
-        // every shard overflows, so the CLOCK hand must recycle slots
-        // (the old cache silently dropped these inserts instead). Every
-        // lookup — resident, evicted, or never admitted — must match a
-        // fresh build bit for bit.
-        let base = BcnParams::test_defaults();
-        let c0 = cache_stats();
-        let total_cap = (SHARD_COUNT * SHARD_CAP) as u32;
-        for i in 0..3 * total_cap {
-            let p = base.clone().with_capacity(2.0e6 + f64::from(i));
-            let got = Propagator::for_params(&p);
-            let fresh = Propagator::new(p.k(), p.a(), p.b() * p.capacity);
-            assert_eq!(got, fresh, "capacity {}", p.capacity);
-        }
-        let c1 = cache_stats();
-        assert!(
-            c1.evictions > c0.evictions,
-            "overflowing the cap must evict, not drop inserts silently"
-        );
-        // A key from the early (likely evicted) range still answers
-        // correctly on re-query: a miss rebuilds, never corrupts.
-        let p = base.with_capacity(2.0e6);
-        let rebuilt = Propagator::for_params(&p);
-        assert_eq!(rebuilt, Propagator::new(p.k(), p.a(), p.b() * p.capacity));
     }
 
     #[test]

@@ -13,14 +13,20 @@
 //!   buffer, exact excursion envelope, and legs traced out.
 //! * [`QueryBatch`] — the structure-of-arrays batch kernel: queries are
 //!   grouped by their derived propagator key `(k, a, bC)` in first-seen
-//!   order, each group's spectral decomposition is resolved **once**
-//!   (through the sharded memo cache), bit-identical duplicate queries
-//!   are traced once and scattered back to input order, and the
-//!   per-query work runs on `parkit` with a per-worker
-//!   [`QueryWorkspace`] so the steady state allocates nothing. Every
-//!   answer is a pure function of its own query, so the output vector is
-//!   bit-identical at any thread count and invariant under
-//!   deduplication.
+//!   order, bit-identical duplicate queries are answered once and
+//!   scattered back to input order, and the traces run on `parkit` with
+//!   a per-worker [`QueryWorkspace`] so the steady state allocates
+//!   nothing. Every answer is a pure function of its own query, so the
+//!   output vector is bit-identical at any thread count and invariant
+//!   under deduplication and memoisation.
+//! * The answer memo — process-wide and keyed by a query's full bit
+//!   pattern (leg budget included), so a configuration is traced once per
+//!   process, not once per batch. Fixed-size and set-associative: 16
+//!   shards (one lock each) × 64 sets × 4 ways = 4096 answers, a
+//!   second-chance bit per slot, a CLOCK hand per set, and each key stored
+//!   once, in its slot. It holds answers, not propagators, because a
+//!   trace costs ~13 µs at 48 legs and a propagator build ~80 ns, about
+//!   what a memo hit costs. [`cache_stats`] sums its traffic.
 //! * [`query_to_jsonl`]/[`answer_from_jsonl`] and friends — a flat JSONL
 //!   codec on `telemetry`'s record reader and number formatter
 //!   (schema-v2 header, `{v:?}` floats with `NaN`/`inf`/`-inf` tokens) whose
@@ -32,8 +38,9 @@
 //! query_engine` gates its throughput against the naive per-call loop.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use telemetry::{fmt_num, JsonlError, Record};
+use telemetry::{FmtNum, JsonlError, Record};
 
 use crate::params::BcnParams;
 use crate::propagate::Propagator;
@@ -93,13 +100,12 @@ pub struct QueryWorkspace {
 /// Construction walks the queries once, assigning each to the group of
 /// its `(k, a, bC)` bit pattern (groups numbered in first-seen input
 /// order, so the layout is input-deterministic) and deduplicating
-/// bit-identical full queries. Evaluation resolves each group's
-/// propagator exactly once and traces each *distinct* query exactly
-/// once, scattering the answers back to input order — under a
-/// Zipf-skewed query mix both the spectral-decomposition work and the
-/// leg tracing collapse to the number of distinct configurations, not
-/// the number of queries. Every answer is a pure function of its query
-/// alone, so deduplication cannot change any result.
+/// bit-identical full queries. Evaluation answers each *distinct* query
+/// once — from the process-wide answer memo, else by tracing it — and
+/// scatters the answers back to input order, so under a Zipf-skewed
+/// query mix the leg tracing collapses to the configurations the process
+/// has not answered yet. Every answer is a pure function of its query
+/// alone, so neither deduplication nor the memo can change a result.
 #[derive(Debug)]
 pub struct QueryBatch<'a> {
     queries: &'a [StabilityQuery],
@@ -130,6 +136,137 @@ fn query_key(q: &StabilityQuery) -> [u64; 11] {
         p.qsc.to_bits(),
         q.max_legs as u64,
     ]
+}
+
+/// Answer-memo geometry: 16 shards (one lock each, so contention stays
+/// negligible at `parkit`'s widths) × 64 sets × 4 ways = 4096 answers,
+/// allocated once per shard on first use.
+const MEMO_SHARDS: usize = 16;
+const MEMO_SETS: usize = 64;
+const MEMO_WAYS: usize = 4;
+
+/// A resident answer, the full key it answers and its CLOCK reference
+/// bit, which grants it a second chance on eviction.
+#[derive(Clone, Copy)]
+struct Way {
+    key: [u64; 11],
+    answer: StabilityAnswer,
+    referenced: bool,
+}
+
+/// One lock's worth of the memo: its sets' ways, one CLOCK hand per set,
+/// and its share of the counters.
+struct Shard {
+    ways: Vec<Option<Way>>,
+    hands: [u8; MEMO_SETS],
+    stats: CacheStats,
+}
+
+fn memo() -> &'static [Mutex<Shard>; MEMO_SHARDS] {
+    static MEMO: OnceLock<[Mutex<Shard>; MEMO_SHARDS]> = OnceLock::new();
+    MEMO.get_or_init(|| {
+        std::array::from_fn(|_| {
+            let ways = vec![None; MEMO_SETS * MEMO_WAYS];
+            Mutex::new(Shard { ways, hands: [0; MEMO_SETS], stats: CacheStats::default() })
+        })
+    })
+}
+
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The shard and set of `key`. The words are folded and run through a
+/// splitmix64 finaliser, since keys inside one sweep differ in a few
+/// mantissa bits of one or two fields.
+fn memo_slot(key: &[u64; 11]) -> (usize, usize) {
+    let mut h =
+        key.iter().fold(0, |h: u64, &w| (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^= h >> 31;
+    (h as usize & (MEMO_SHARDS - 1), (h >> 32) as usize & (MEMO_SETS - 1))
+}
+
+/// The resident answer to `key`, if any, marking it referenced.
+fn memo_get(key: &[u64; 11]) -> Option<StabilityAnswer> {
+    let (shard, set) = memo_slot(key);
+    let mut s = lock(&memo()[shard]);
+    let ways = &mut s.ways[set * MEMO_WAYS..][..MEMO_WAYS];
+    let found = ways.iter_mut().flatten().find(|w| w.key == *key).map(|w| {
+        w.referenced = true;
+        w.answer
+    });
+    let counter = if found.is_some() { &mut s.stats.hits } else { &mut s.stats.misses };
+    *counter += 1;
+    found
+}
+
+/// Admits `answer` into a free way of its set, else over the first way
+/// the set's CLOCK hand finds unreferenced since its last sweep. A new
+/// answer enters unreferenced, so one never asked again goes first.
+fn memo_insert(key: &[u64; 11], answer: StabilityAnswer) {
+    let (shard, set) = memo_slot(key);
+    let mut guard = lock(&memo()[shard]);
+    let s = &mut *guard;
+    let ways = &mut s.ways[set * MEMO_WAYS..][..MEMO_WAYS];
+    if ways.iter().flatten().any(|w| w.key == *key) {
+        return; // a racing batch answered it first, with the same bits
+    }
+    let fresh = Way { key: *key, answer, referenced: false };
+    if let Some(free) = ways.iter_mut().find(|w| w.is_none()) {
+        *free = Some(fresh);
+        return;
+    }
+    // Strip reference bits until the hand finds a way already clear.
+    let hand = &mut s.hands[set];
+    while let Some(way) = &mut ways[usize::from(*hand)] {
+        *hand = (*hand + 1) % MEMO_WAYS as u8;
+        if !std::mem::take(&mut way.referenced) {
+            *way = fresh;
+            s.stats.evictions += 1;
+            return;
+        }
+    }
+}
+
+/// Cumulative answer-memo counters since process start, summed across
+/// shards. The counters are global, so deltas (see
+/// [`CacheStats::delta_since`]) — not absolutes — are the meaningful
+/// quantity in tests and benchmarks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Distinct queries answered by a resident answer.
+    pub hits: u64,
+    /// Distinct queries that had to be traced.
+    pub misses: u64,
+    /// Resident answers recycled by a CLOCK hand to admit a new one.
+    pub evictions: u64,
+}
+
+impl CacheStats {
+    /// The counter increments accumulated since `earlier` was sampled.
+    #[must_use]
+    pub fn delta_since(self, earlier: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits.saturating_sub(earlier.hits),
+            misses: self.misses.saturating_sub(earlier.misses),
+            evictions: self.evictions.saturating_sub(earlier.evictions),
+        }
+    }
+}
+
+/// Samples the answer-memo counters across all shards.
+#[must_use]
+pub fn cache_stats() -> CacheStats {
+    memo().iter().fold(CacheStats::default(), |acc, shard| {
+        let s = lock(shard).stats;
+        CacheStats {
+            hits: acc.hits + s.hits,
+            misses: acc.misses + s.misses,
+            evictions: acc.evictions + s.evictions,
+        }
+    })
 }
 
 impl<'a> QueryBatch<'a> {
@@ -175,15 +312,16 @@ impl<'a> QueryBatch<'a> {
         self.queries.is_empty()
     }
 
-    /// Number of distinct `(k, a, bC)` groups — the number of propagator
-    /// resolutions evaluation will perform.
+    /// Number of distinct `(k, a, bC)` groups: the spectral
+    /// decompositions the batch needs, at most one per traced query.
     #[must_use]
     pub fn groups(&self) -> usize {
         self.group_consts.len()
     }
 
-    /// Number of distinct full queries — the number of traces evaluation
-    /// will perform (duplicates are answered by scatter).
+    /// Number of distinct full queries — the most traces evaluation will
+    /// perform (duplicates are answered by scatter, and answers the memo
+    /// holds are not traced again).
     #[must_use]
     pub fn distinct(&self) -> usize {
         self.unique_idx.len()
@@ -193,49 +331,44 @@ impl<'a> QueryBatch<'a> {
     /// (`--threads` > `DCE_BCN_THREADS` > all cores).
     #[must_use]
     pub fn evaluate(&self) -> Vec<StabilityAnswer> {
-        let props = self.resolve_propagators();
-        let uniq = parkit::par_map_init(self.unique_idx.len(), QueryWorkspace::default, |ws, u| {
-            self.answer_one(&props, ws, self.unique_idx[u] as usize)
-        });
-        self.scatter(&uniq)
+        self.evaluate_in(parkit::configured_threads())
     }
 
-    /// Evaluates the batch at an explicit worker count (0 = all cores),
+    /// Evaluates the batch on an explicit worker count (0 or 1 runs inline),
     /// bypassing the global configuration — the thread-equivalence tests
     /// use this to compare widths without mutating process state.
+    ///
+    /// Each distinct query is first looked up in the process-wide answer
+    /// memo; only the misses are traced (fanned out across the workers)
+    /// and their answers inserted. An answer is a pure function of its
+    /// key, so hits, misses and racing inserts all yield the same bits.
     #[must_use]
     pub fn evaluate_in(&self, threads: usize) -> Vec<StabilityAnswer> {
-        let props = self.resolve_propagators();
-        let uniq = parkit::par_map_init_in(
-            threads,
-            self.unique_idx.len(),
-            QueryWorkspace::default,
-            |ws, u| self.answer_one(&props, ws, self.unique_idx[u] as usize),
-        );
-        self.scatter(&uniq)
+        let key = |u: usize| query_key(&self.queries[self.unique_idx[u] as usize]);
+        let mut uniq: Vec<Option<StabilityAnswer>> =
+            (0..self.unique_idx.len()).map(|u| memo_get(&key(u))).collect();
+        let misses: Vec<usize> = (0..uniq.len()).filter(|&u| uniq[u].is_none()).collect();
+        let traced =
+            parkit::par_map_init_in(threads, misses.len(), QueryWorkspace::default, |ws, j| {
+                self.answer_one(ws, self.unique_idx[misses[j]] as usize)
+            });
+        for (&u, answer) in misses.iter().zip(traced) {
+            memo_insert(&key(u), answer);
+            uniq[u] = Some(answer);
+        }
+        self.unique_of
+            .iter()
+            .map(|&u| uniq[u as usize].expect("every distinct query answered"))
+            .collect()
     }
 
-    /// Expands per-distinct-query answers back to input order.
-    fn scatter(&self, uniq: &[StabilityAnswer]) -> Vec<StabilityAnswer> {
-        self.unique_of.iter().map(|&u| uniq[u as usize]).collect()
-    }
-
-    /// One propagator per group, through the sharded memo cache. Cached
-    /// and fresh builds are bit-identical, so answers do not depend on
-    /// the cache's state.
-    fn resolve_propagators(&self) -> Vec<Propagator> {
-        self.group_consts.iter().map(|&[k, a, b_c]| Propagator::cached(k, a, b_c)).collect()
-    }
-
-    fn answer_one(
-        &self,
-        props: &[Propagator],
-        ws: &mut QueryWorkspace,
-        i: usize,
-    ) -> StabilityAnswer {
+    /// Traces query `i` with a freshly built propagator of its group: a
+    /// build costs ~80 ns against the ~13 µs trace it serves.
+    fn answer_one(&self, ws: &mut QueryWorkspace, i: usize) -> StabilityAnswer {
         let q = &self.queries[i];
-        let prop = &props[self.group_of[i] as usize];
-        let v = exact_verdict_scratch(&q.params, prop, q.max_legs, &mut ws.legs);
+        let [k, a, b_c] = self.group_consts[self.group_of[i] as usize];
+        let v =
+            exact_verdict_scratch(&q.params, &Propagator::new(k, a, b_c), q.max_legs, &mut ws.legs);
         StabilityAnswer {
             strongly_stable: v.strongly_stable,
             required_buffer: theorem1_required_buffer(&q.params),
@@ -264,15 +397,15 @@ pub fn query_to_jsonl(q: &StabilityQuery) -> String {
     format!(
         r#"{{"type":"query","n":{},"capacity":{},"q0":{},"buffer":{},"gi":{},"gd":{},"ru":{},"w":{},"pm":{},"qsc":{},"max_legs":{}}}"#,
         p.n_flows,
-        fmt_num(p.capacity),
-        fmt_num(p.q0),
-        fmt_num(p.buffer),
-        fmt_num(p.gi),
-        fmt_num(p.gd),
-        fmt_num(p.ru),
-        fmt_num(p.w),
-        fmt_num(p.pm),
-        fmt_num(p.qsc),
+        FmtNum(p.capacity),
+        FmtNum(p.q0),
+        FmtNum(p.buffer),
+        FmtNum(p.gi),
+        FmtNum(p.gd),
+        FmtNum(p.ru),
+        FmtNum(p.w),
+        FmtNum(p.pm),
+        FmtNum(p.qsc),
         q.max_legs,
     )
 }
@@ -284,9 +417,9 @@ pub fn answer_to_jsonl(a: &StabilityAnswer) -> String {
     format!(
         r#"{{"type":"answer","stable":{},"required_buffer":{},"max_x":{},"min_x":{},"legs":{}}}"#,
         a.strongly_stable,
-        fmt_num(a.required_buffer),
-        fmt_num(a.max_x),
-        fmt_num(a.min_x),
+        FmtNum(a.required_buffer),
+        FmtNum(a.max_x),
+        FmtNum(a.min_x),
         a.legs,
     )
 }
@@ -460,6 +593,118 @@ mod tests {
         }
     }
 
+    /// The naive per-call answer the memo must reproduce bit for bit.
+    fn naive(q: &StabilityQuery) -> StabilityAnswer {
+        let v = exact_verdict(&q.params, q.max_legs);
+        StabilityAnswer {
+            strongly_stable: v.strongly_stable,
+            required_buffer: theorem1_required_buffer(&q.params),
+            max_x: v.max_x,
+            min_x: v.min_x,
+            legs: v.legs,
+        }
+    }
+
+    fn answer_bits(a: &StabilityAnswer) -> (bool, u64, u64, u64, usize) {
+        (
+            a.strongly_stable,
+            a.required_buffer.to_bits(),
+            a.max_x.to_bits(),
+            a.min_x.to_bits(),
+            a.legs,
+        )
+    }
+
+    fn assert_naive(qs: &[StabilityQuery], threads: usize, what: &str) {
+        let got = QueryBatch::new(qs).evaluate_in(threads);
+        assert_eq!(got.len(), qs.len(), "{what}");
+        for (i, (q, a)) in qs.iter().zip(&got).enumerate() {
+            assert_eq!(
+                answer_bits(a),
+                answer_bits(&naive(q)),
+                "{what}, width {threads}, query {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn memo_answers_match_the_naive_loop_cold_warm_and_churned() {
+        let capacity = MEMO_SHARDS * MEMO_SETS * MEMO_WAYS;
+        for (w, threads) in [1usize, 4].into_iter().enumerate() {
+            // Capacities no other test uses, so the first pass is cold.
+            let config = |i: usize, max_legs: usize| StabilityQuery {
+                params: BcnParams::test_defaults()
+                    .with_capacity(3.0e6 + (w * 4 * capacity + i) as f64)
+                    .with_gi(1.0 + (i % 7) as f64 * 0.25),
+                max_legs,
+            };
+            let hot: Vec<StabilityQuery> = (0..96).map(|i| config(i % 64, 48)).collect();
+            let c0 = cache_stats();
+            assert_naive(&hot, threads, "cold");
+            let c1 = cache_stats();
+            assert!(c1.misses - c0.misses >= 64, "a cold pass traces every distinct query");
+            assert_naive(&hot, threads, "warm");
+            assert!(cache_stats().hits - c1.hits >= 64, "a warm pass is answered from the memo");
+            // Three times the memo's capacity of short traces: every set
+            // overflows, so the CLOCK hands must recycle slots.
+            let churn: Vec<StabilityQuery> =
+                (64..64 + 3 * capacity).map(|i| config(i, 4)).collect();
+            let c2 = cache_stats();
+            assert_naive(&churn, threads, "churn");
+            assert!(cache_stats().evictions > c2.evictions, "overflowing the memo must evict");
+            assert_naive(&hot, threads, "after churn");
+        }
+    }
+
+    #[test]
+    fn memo_keeps_queries_sharing_a_propagator_apart() {
+        // An unusual capacity so no other test shares these keys. q0,
+        // the buffer and the leg budget stay out of the propagator key
+        // but each changes the answer, so each variant needs its own slot.
+        let params = BcnParams::test_defaults().with_capacity(2.345_678e6).with_buffer(1.0e9);
+        let base = StabilityQuery { params: params.clone(), max_legs: 48 };
+        let first = naive(&base);
+        assert!(first.strongly_stable && first.legs > 2, "{first:?}");
+        let variants = [
+            StabilityQuery { params: params.clone().with_q0(1.5e4), max_legs: 48 },
+            StabilityQuery {
+                params: params.clone().with_buffer(params.q0 + 0.5 * first.max_x),
+                max_legs: 48,
+            },
+            StabilityQuery { params: params.clone(), max_legs: 2 },
+        ];
+        for v in &variants {
+            assert_eq!(QueryBatch::new(&[base.clone(), v.clone()]).groups(), 1, "{v:?}");
+            assert_ne!(answer_bits(&naive(v)), answer_bits(&first), "{v:?}");
+        }
+        // The base answer is resident before each variant is asked alone.
+        for v in &variants {
+            assert_naive(std::slice::from_ref(&base), 1, "base");
+            assert_naive(std::slice::from_ref(v), 1, &format!("{v:?}"));
+        }
+    }
+
+    #[test]
+    fn memo_lookups_compare_the_whole_key() {
+        // Twins of a resident query that differ only in the key's last
+        // word (the leg budget) and share its set: only the stored key's
+        // tail tells them apart.
+        let params = BcnParams::test_defaults().with_capacity(3.456_789e6);
+        let base = StabilityQuery { params: params.clone(), max_legs: 2 };
+        let slot = memo_slot(&query_key(&base));
+        let twins: Vec<StabilityQuery> = (3..20_000)
+            .map(|max_legs| StabilityQuery { params: params.clone(), max_legs })
+            .filter(|q| memo_slot(&query_key(q)) == slot)
+            .take(4)
+            .collect();
+        assert!(!twins.is_empty(), "no twin shares the set");
+        for twin in &twins {
+            assert_ne!(answer_bits(&naive(twin)), answer_bits(&naive(&base)), "{twin:?}");
+            assert_naive(std::slice::from_ref(&base), 1, "base");
+            assert_naive(std::slice::from_ref(twin), 1, &format!("{twin:?}"));
+        }
+    }
+
     #[test]
     fn query_jsonl_round_trips_byte_identically() {
         let q = StabilityQuery::new(BcnParams::paper_defaults());
@@ -489,6 +734,80 @@ mod tests {
         let line = answer_to_jsonl(&weird);
         let decoded = answer_from_jsonl(&line).expect("decode");
         assert_eq!(answer_to_jsonl(&decoded), line);
+    }
+
+    #[test]
+    fn codec_lines_match_per_number_formatting() {
+        // The lines as written with one `fmt_num` String per number.
+        let answer_line = |a: &StabilityAnswer| {
+            format!(
+                r#"{{"type":"answer","stable":{},"required_buffer":{},"max_x":{},"min_x":{},"legs":{}}}"#,
+                a.strongly_stable,
+                telemetry::fmt_num(a.required_buffer),
+                telemetry::fmt_num(a.max_x),
+                telemetry::fmt_num(a.min_x),
+                a.legs,
+            )
+        };
+        let query_line = |q: &StabilityQuery| {
+            let p = &q.params;
+            let nums = [p.capacity, p.q0, p.buffer, p.gi, p.gd, p.ru, p.w, p.pm, p.qsc];
+            let keys = ["capacity", "q0", "buffer", "gi", "gd", "ru", "w", "pm", "qsc"];
+            let mut line = format!(r#"{{"type":"query","n":{}"#, p.n_flows);
+            for (k, v) in keys.iter().zip(nums) {
+                line.push_str(&format!(r#","{k}":{}"#, telemetry::fmt_num(v)));
+            }
+            line + &format!(r#","max_legs":{}}}"#, q.max_legs)
+        };
+        let special = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0xfff8_dead_beef_0001),
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE.next_down(),
+        ];
+        // Seeded splitmix64 draws: every third one a special value.
+        let mut state = 0x51ee_d0c5_u64;
+        let mut draw = |i: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            if i.is_multiple_of(3) {
+                special[(z % special.len() as u64) as usize]
+            } else {
+                f64::from_bits(z)
+            }
+        };
+        for case in 0..20_000 {
+            let a = StabilityAnswer {
+                strongly_stable: case % 2 == 0,
+                required_buffer: draw(case),
+                max_x: draw(case + 1),
+                min_x: draw(case + 2),
+                legs: case,
+            };
+            assert_eq!(answer_to_jsonl(&a), answer_line(&a), "case {case}");
+            let mut p = BcnParams::paper_defaults();
+            for slot in [
+                &mut p.capacity,
+                &mut p.q0,
+                &mut p.buffer,
+                &mut p.gi,
+                &mut p.gd,
+                &mut p.ru,
+                &mut p.w,
+                &mut p.pm,
+                &mut p.qsc,
+            ] {
+                *slot = draw(case);
+            }
+            let q = StabilityQuery { params: p, max_legs: case };
+            assert_eq!(query_to_jsonl(&q), query_line(&q), "case {case}");
+        }
     }
 
     #[test]

@@ -41,9 +41,8 @@ pub struct Leg {
     pub extremum: Option<Extremum>,
 }
 
-/// The region flows of the linearised system, through the propagator's
-/// process-wide memo cache (sweeps re-analyse the same parameter point
-/// many times; the spectral decompositions are shared).
+/// The region flows of the linearised system, from the propagator of
+/// `params`.
 fn flows(params: &BcnParams) -> (RegionFlow, RegionFlow) {
     let prop = Propagator::for_params(params);
     (*prop.flow(Region::Increase), *prop.flow(Region::Decrease))
@@ -105,8 +104,8 @@ pub fn trace_legs_telemetry(
 /// first; once it has grown to the workload's deepest trace, re-use
 /// allocates nothing.
 ///
-/// `prop` must be the propagator of `params` (cached and fresh builds are
-/// bit-identical, so either source is fine).
+/// `prop` must be the propagator of `params` (see
+/// [`Propagator::for_params`]).
 pub fn trace_legs_into(
     params: &BcnParams,
     prop: &Propagator,

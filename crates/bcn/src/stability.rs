@@ -20,8 +20,8 @@
 
 use crate::cases::RegionShape;
 use crate::cases::{classify_params, region_shape, CaseId};
-use crate::closed_form::Spectrum;
-use crate::extrema::extremum_enclosure;
+use crate::closed_form::{RegionFlow, Spectrum};
+use crate::extrema::extremum_enclosed;
 use crate::model::Region;
 use crate::params::BcnParams;
 use crate::propagate::Propagator;
@@ -179,8 +179,8 @@ pub fn proposition3_max_paper(params: &BcnParams) -> Option<f64> {
     let k = params.k();
     let bc = params.b() * params.capacity;
     let q0 = params.q0;
-    // Increase-region node eigenvalues, from the memo-cached spectral
-    // decomposition shared with the trajectory hot path.
+    // Increase-region node eigenvalues, from the spectral decomposition
+    // the trajectory hot path uses.
     let prop = Propagator::for_params(params);
     let Spectrum::Node { l1, l2 } = prop.flow(Region::Increase).spectrum() else { return None };
     // y_d^1(0) = q0 [ (k + 1/l1)^{l1} / (k + 1/l2)^{l2} ]^{1/(l2 - l1)};
@@ -312,8 +312,9 @@ pub fn exact_verdict(params: &BcnParams, max_legs: usize) -> ExactVerdict {
 /// its bisection is skipped. Use
 /// [`trace_legs_into`](crate::rounds::trace_legs_into) for every extremum.
 ///
-/// `prop` must be the propagator of `params`; cached and fresh builds
-/// are bit-identical, so either source yields the same verdict bits.
+/// `prop` must be the propagator of `params` (see
+/// [`Propagator::for_params`]); a propagator is a pure function of the
+/// derived constants, so any build of it yields the same verdict bits.
 #[must_use]
 pub fn exact_verdict_scratch(
     params: &BcnParams,
@@ -329,10 +330,8 @@ pub fn exact_verdict_scratch(
             max_x = max_x.max(leg.start[0]);
             min_x = min_x.min(leg.start[0]);
         }
-        leg.extremum = match extremum_enclosure(flow, leg.start) {
-            Some(enclosure) if strictly_inside(enclosure, min_x, max_x) => None,
-            _ => interior_extremum(flow, &leg),
-        };
+        let skip = skippable(flow, leg.start, min_x, max_x);
+        leg.extremum = if skip { None } else { interior_extremum(flow, &leg) };
         if let Some(e) = leg.extremum {
             max_x = max_x.max(e.x);
             min_x = min_x.min(e.x);
@@ -351,6 +350,12 @@ pub fn exact_verdict_scratch(
     }
     let strongly_stable = max_x < params.buffer - params.q0 && min_x > -params.q0;
     ExactVerdict { strongly_stable, max_x, min_x, legs: legs.len() }
+}
+
+/// Whether the spiral leg from `start` has an extremum enclosure strictly
+/// inside `(min_x, max_x)`, asking the amplitude bound first.
+fn skippable(flow: &RegionFlow, start: [f64; 2], min_x: f64, max_x: f64) -> bool {
+    extremum_enclosed(flow, start, |e| strictly_inside(e, min_x, max_x))
 }
 
 /// Whether an extremum enclosed by `(lo, hi)` lies strictly inside
@@ -536,6 +541,35 @@ mod tests {
         assert!(!strictly_inside((f64::NAN, 2.0), 0.5, 2.5));
         assert!(!strictly_inside((1.0, f64::NAN), 0.5, 2.5));
         assert!(!strictly_inside((1.0, 2.0), f64::INFINITY, f64::NEG_INFINITY));
+    }
+
+    #[test]
+    fn the_amplitude_bound_is_checked_strictly_before_the_tight_enclosure() {
+        // A focus flow, and every interval it offers when all are refused.
+        let flow = RegionFlow::from_kn(0.2, 10.0);
+        let offered = |z0| {
+            let mut all = Vec::new();
+            let _ = extremum_enclosed(&flow, z0, |b| {
+                all.push(b);
+                false
+            });
+            all
+        };
+        let skip = |z0, min_x, max_x| skippable(&flow, z0, min_x, max_x);
+        // At rest (y0 = 0) the tight enclosure is untrusted, so only the
+        // amplitude bound can skip, and only when strictly inside.
+        let at_rest = [-1.0, 0.0];
+        let [(lo, hi)] = offered(at_rest)[..] else { panic!("one bound at rest") };
+        assert!(!skip(at_rest, lo, hi));
+        assert!(!skip(at_rest, lo.next_down(), hi));
+        assert!(!skip(at_rest, lo, hi.next_up()));
+        assert!(skip(at_rest, lo.next_down(), hi.next_up()));
+        // Off rest the tight enclosure decides what the amplitude cannot.
+        let moving = [-1.0, 0.5];
+        let [(alo, ahi), (tlo, thi)] = offered(moving)[..] else { panic!("two bounds") };
+        assert!(alo < tlo && thi < ahi, "[{tlo}, {thi}] in [{alo}, {ahi}]");
+        assert!(skip(moving, 0.5 * (alo + tlo), 0.5 * (thi + ahi)));
+        assert!(!skip(moving, tlo, ahi + 1.0));
     }
 
     #[test]

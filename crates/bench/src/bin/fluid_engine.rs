@@ -140,9 +140,8 @@ fn main() {
 
     println!("fluid engine benchmark: {grid}x{grid} atlas, best of {reps}, {cores} core(s)");
 
-    // Warm up allocator, code pages, and the propagator memo cache.
+    // Warm up allocator and code pages.
     let _ = time_engine(&params[..params.len().min(8)], Engine::Analytic, 1, 1);
-    let cache0 = bcn::propagate::cache_stats();
 
     let mut rows: Vec<(Engine, &str, Vec<f64>)> =
         vec![(Engine::Analytic, "analytic", Vec::new()), (Engine::Dopri5, "dopri5", Vec::new())];
@@ -164,7 +163,6 @@ fn main() {
         analytic_serial * 1e9 / cells,
         numeric_serial * 1e9 / cells
     );
-    let cache_delta = bcn::propagate::cache_stats().delta_since(cache0);
 
     // Untimed agreement pass (fine record grid, tight numeric tolerance).
     parkit::set_threads(0);
@@ -208,13 +206,9 @@ fn main() {
          \"min_extremum_rel_delta\": {worst_min:.3e}, \
          \"verdict_mismatches\": {verdict_mismatches}, \"cells\": {}, \
          \"exactly_stable_cells\": {exact_stable}}},\n  \
-         \"propagator_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}},\n  \
          \"note\": \"{note}\"\n}}\n",
         engines_json.join(", "),
         params.len(),
-        cache_delta.hits,
-        cache_delta.misses,
-        cache_delta.evictions,
     );
     let out = out_dir();
     let path = out.join("BENCH_fluid.json");

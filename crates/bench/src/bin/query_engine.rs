@@ -3,19 +3,24 @@
 //! Exercises [`bcn::query::QueryBatch`] against the naive per-call
 //! `exact_verdict` + `theorem1_required_buffer` loop on two workloads:
 //!
-//! * **uniform-cold** — every query a distinct configuration, with more
-//!   distinct keys than the sharded propagator cache holds, so the
-//!   cache keeps evicting and most propagators are built fresh;
+//! * **uniform-cold** — every query a distinct configuration, more of
+//!   them than the process-wide answer memo holds;
 //! * **zipf-hot** — a Zipf-skewed mix over a few hundred distinct
 //!   configurations, the serving-path shape where batching collapses
 //!   the work to the number of *distinct* questions.
+//!
+//! Every timed batched run draws its configurations from a range no
+//! other run uses, so each one finds the answer memo cold for its
+//! workload and times dedup and tracing, not memo lookups. One extra,
+//! informational row per workload re-runs the first range with its
+//! answers resident (`warm_memo`).
 //!
 //! Three gates:
 //!
 //! 1. **Answer equality** — batched answers must match the naive loop
 //!    bit for bit across the full benchmark workload (always gated).
-//! 2. **Zero steady-state allocations** — with a warm workspace and a
-//!    warm cache, the per-query verdict path performs no heap
+//! 2. **Zero steady-state allocations** — with a warm workspace, the
+//!    per-query verdict path performs no heap
 //!    allocations (counted by this binary's own wrapping allocator;
 //!    the library forbids unsafe code, but a bin target is its own
 //!    crate root; always gated).
@@ -62,15 +67,17 @@ fn distinct_config(i: usize) -> BcnParams {
     BcnParams::test_defaults().with_capacity(1.0e6 + i as f64).with_gi(1.0 + (i % 7) as f64 * 0.25)
 }
 
-/// Every query distinct: `n` configurations visited once each.
+/// Every query distinct: configurations `offset..offset + n` visited
+/// once each.
 fn uniform_workload(n: usize, offset: usize) -> Vec<StabilityQuery> {
     (0..n)
         .map(|i| StabilityQuery { params: distinct_config(offset + i), max_legs: MAX_LEGS })
         .collect()
 }
 
-/// `n` queries Zipf(s)-sampled over `distinct` configurations.
-fn zipf_workload(n: usize, distinct: usize, s: f64) -> Vec<StabilityQuery> {
+/// `n` queries Zipf(s)-sampled over configurations
+/// `offset..offset + distinct`; the draw does not depend on `offset`.
+fn zipf_workload(n: usize, distinct: usize, s: f64, offset: usize) -> Vec<StabilityQuery> {
     let mut cdf = Vec::with_capacity(distinct);
     let mut acc = 0.0;
     for r in 0..distinct {
@@ -83,15 +90,15 @@ fn zipf_workload(n: usize, distinct: usize, s: f64) -> Vec<StabilityQuery> {
         .map(|_| {
             let u = uniform01(&mut state) * total;
             let rank = cdf.partition_point(|&c| c < u).min(distinct - 1);
-            StabilityQuery { params: distinct_config(rank), max_legs: MAX_LEGS }
+            StabilityQuery { params: distinct_config(offset + rank), max_legs: MAX_LEGS }
         })
         .collect()
 }
 
 // --- the two serving paths -------------------------------------------------
 
-/// The pre-batching path: one `exact_verdict` call per query, fresh
-/// allocations and a propagator-cache round trip every time.
+/// The pre-batching path: one `exact_verdict` call per query, with
+/// fresh allocations and a fresh trace every time.
 fn naive_answers(queries: &[StabilityQuery]) -> Vec<StabilityAnswer> {
     queries
         .iter()
@@ -134,7 +141,7 @@ fn mismatches(a: &[StabilityAnswer], b: &[StabilityAnswer]) -> usize {
 }
 
 /// Steady-state allocation count of the warm per-query verdict path:
-/// workspace and cache warmed first, then `rounds` queries traced.
+/// workspace warmed first, then `rounds` queries traced.
 fn steady_state_allocations(queries: &[StabilityQuery], rounds: usize) -> u64 {
     let mut legs = Vec::new();
     let props: Vec<Propagator> =
@@ -151,7 +158,8 @@ fn steady_state_allocations(queries: &[StabilityQuery], rounds: usize) -> u64 {
 }
 
 /// One workload's benchmark block: naive serial time, batched times at
-/// each width, and the bitwise equivalence check.
+/// each width on a cold memo, the warm-memo time, and the bitwise
+/// equivalence check.
 struct WorkloadReport {
     name: &'static str,
     queries: usize,
@@ -159,21 +167,39 @@ struct WorkloadReport {
     groups: usize,
     naive_secs: f64,
     batch_secs: Vec<f64>,
+    warm_secs: f64,
     mismatches: usize,
 }
 
-fn run_workload(name: &'static str, queries: &[StabilityQuery], reps: usize) -> WorkloadReport {
-    let batch = QueryBatch::new(queries);
-    // Warm the propagator cache equally for both paths (the uniform
-    // workload overflows the cache by construction, so it stays cold in
-    // the steady state regardless).
-    let batch_answers = batch.evaluate_in(1);
-    let naive = naive_answers(queries);
-    let bad = mismatches(&batch_answers, &naive);
+/// Runs the workload `range(r)` gives on configuration range `r`: range
+/// 0 for the equivalence check (memo cold, then warm), the naive loop
+/// and the warm-memo row, then a fresh range for every timed batched
+/// rep, so no timed batch finds its answers in the memo.
+fn run_workload(
+    name: &'static str,
+    reps: usize,
+    range: impl Fn(usize) -> Vec<StabilityQuery>,
+) -> WorkloadReport {
+    let queries = range(0);
+    let batch = QueryBatch::new(&queries);
+    let naive = naive_answers(&queries);
+    let bad = mismatches(&batch.evaluate_in(1), &naive) + mismatches(&batch.evaluate_in(1), &naive);
 
-    let naive_secs = best_of(reps, || naive_answers(queries));
-    let batch_secs: Vec<f64> =
-        THREAD_COUNTS.iter().map(|&t| best_of(reps, || batch.evaluate_in(t))).collect();
+    let naive_secs = best_of(reps, || naive_answers(&queries));
+    let warm_secs = best_of(reps, || batch.evaluate_in(1));
+    let batch_secs: Vec<f64> = THREAD_COUNTS
+        .iter()
+        .enumerate()
+        .map(|(ti, &t)| {
+            (0..reps)
+                .map(|r| {
+                    let cold = range(1 + ti * reps + r);
+                    let cold_batch = QueryBatch::new(&cold);
+                    best_of(1, || cold_batch.evaluate_in(t))
+                })
+                .fold(f64::INFINITY, f64::min)
+        })
+        .collect();
     WorkloadReport {
         name,
         queries: queries.len(),
@@ -181,6 +207,7 @@ fn run_workload(name: &'static str, queries: &[StabilityQuery], reps: usize) -> 
         groups: batch.groups(),
         naive_secs,
         batch_secs,
+        warm_secs,
         mismatches: bad,
     }
 }
@@ -206,7 +233,8 @@ impl WorkloadReport {
         format!(
             "\"{}\": {{\"queries\": {}, \"distinct\": {}, \"groups\": {}, \
              \"naive_serial\": {{\"secs\": {:.6}, \"qps\": {:.0}}}, \
-             \"batched\": [{}], \"mismatches\": {}}}",
+             \"batched\": [{}], \"warm_memo\": {{\"threads\": 1, \"secs\": {:.6}, \
+             \"qps\": {:.0}, \"speedup_vs_naive\": {:.2}}}, \"mismatches\": {}}}",
             self.name,
             self.queries,
             self.distinct,
@@ -214,6 +242,9 @@ impl WorkloadReport {
             self.naive_secs,
             self.qps(self.naive_secs),
             rows.join(", "),
+            self.warm_secs,
+            self.qps(self.warm_secs),
+            self.naive_secs / self.warm_secs,
             self.mismatches,
         )
     }
@@ -235,6 +266,12 @@ impl WorkloadReport {
                 self.naive_secs / s
             );
         }
+        println!(
+            "    warm memo threads = 1: {:.3} s ({:.0} queries/s, {:.2}x naive; informational)",
+            self.warm_secs,
+            self.qps(self.warm_secs),
+            self.naive_secs / self.warm_secs
+        );
     }
 }
 
@@ -247,40 +284,44 @@ fn main() {
          best of {reps}, {cores} core(s)"
     );
 
-    // Disjoint index ranges so the uniform sweep cannot pre-warm the
-    // zipf configurations (or vice versa).
-    let zipf = zipf_workload(zipf_n, zipf_distinct, 1.1);
-    let uniform = uniform_workload(uniform_n, zipf_distinct);
+    // Disjoint configuration ranges: the zipf ranges first, then the
+    // uniform ones, one per run that touches the answer memo.
+    let ranges = 1 + THREAD_COUNTS.len() * reps;
+    let zipf = |r: usize| zipf_workload(zipf_n, zipf_distinct, 1.1, r * zipf_distinct);
+    let uniform = |r: usize| uniform_workload(uniform_n, ranges * zipf_distinct + r * uniform_n);
 
-    let cache0 = bcn::propagate::cache_stats();
-    let hot = run_workload("zipf_hot", &zipf, reps);
+    let cache0 = bcn::query::cache_stats();
+    let hot = run_workload("zipf_hot", reps, zipf);
     hot.print();
-    let cold = run_workload("uniform_cold", &uniform, reps);
+    let cold = run_workload("uniform_cold", reps, uniform);
     cold.print();
-    let cache_delta = bcn::propagate::cache_stats().delta_since(cache0);
+    let cache_delta = bcn::query::cache_stats().delta_since(cache0);
     println!(
-        "propagator cache: {} hits, {} misses, {} evictions",
+        "answer memo: {} hits, {} misses, {} evictions",
         cache_delta.hits, cache_delta.misses, cache_delta.evictions
     );
 
-    let steady_allocs = steady_state_allocations(&zipf[..zipf.len().min(1_000)], 1_000);
+    let zipf0 = zipf(0);
+    let steady_allocs = steady_state_allocations(&zipf0[..zipf0.len().min(1_000)], 1_000);
     println!("steady-state allocations over 1000 warm queries: {steady_allocs}");
 
     let hot_speedup = hot.naive_secs / hot.batch_secs[0];
     let total_mismatches = hot.mismatches + cold.mismatches;
     let note = "Batched serial speedup on zipf_hot comes from evaluating each distinct \
-                configuration once (dedup + per-group propagator resolution + reused \
-                per-worker leg workspaces); on single-core hardware (see \\\"cores\\\") \
-                the multi-thread rows measure scheduling overhead, not scaling. \
-                uniform_cold holds more distinct keys than the sharded cache's capacity, \
-                so its steady state keeps building propagators. Steady-state allocations \
-                count alloc+realloc events over 1000 warm-path queries.";
+                configuration once (dedup + reused per-worker leg workspaces); on \
+                single-core hardware (see \\\"cores\\\") the multi-thread rows measure \
+                scheduling overhead, not scaling. Every batched row runs on configurations \
+                no earlier run asked, so the process-wide answer memo is cold for it; \
+                warm_memo re-asks the equivalence range with its answers resident \
+                (uniform_cold holds more distinct keys than the memo's 4096 slots, so only \
+                part of it stays resident). Steady-state allocations count alloc+realloc \
+                events over 1000 warm-path queries.";
     let json = format!(
         "{{\n  \"reps\": {reps},\n  \"cores\": {cores},\n  \"max_legs\": {MAX_LEGS},\n  \
          \"workloads\": {{\n    {},\n    {}\n  }},\n  \
          \"hot_serial_speedup_vs_naive\": {hot_speedup:.2},\n  \
          \"steady_state_allocations\": {steady_allocs},\n  \
-         \"propagator_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}},\n  \
+         \"answer_memo\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}},\n  \
          \"note\": \"{note}\"\n}}\n",
         hot.json(),
         cold.json(),

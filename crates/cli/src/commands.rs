@@ -1048,19 +1048,6 @@ pub(crate) fn report(args: &[String]) -> Result<String, CliError> {
                 let opts = FluidOptions::default().with_t_end(t_end).with_record_dt(t_end / 2000.0);
                 fluid_trajectory_telemetry(&sys, p.initial_point(), &opts, Some(&mut tel))
                     .map_err(CliError::Solver)?;
-                // Propagator-cache satellite: one closed-form pass over
-                // the same system, bracketed by the process-global cache
-                // counters, shows the cache's hit rate in the report.
-                // (Saturating: other threads may touch the counters.)
-                let c0 = bcn::propagate::cache_stats();
-                let analytic = FluidOptions::default()
-                    .with_t_end(t_end)
-                    .with_record_dt(t_end / 2000.0)
-                    .with_engine(bcn::simulate::Engine::Analytic);
-                fluid_trajectory_telemetry(&sys, p.initial_point(), &analytic, None)
-                    .map_err(CliError::Solver)?;
-                let delta = bcn::propagate::cache_stats().delta_since(c0);
-                tel.propagator_cache(delta.hits, delta.misses, delta.evictions);
             }
             "packet" => {
                 let p = params_from(&flags)?;
@@ -1111,11 +1098,12 @@ pub(crate) fn report(args: &[String]) -> Result<String, CliError> {
 ///
 /// Queries are evaluated `--chunk` at a time through
 /// [`bcn::query::QueryBatch`], so memory stays bounded on unbounded
-/// input while each chunk still amortises propagator resolution across
-/// its duplicate configurations. Answers stream out in input order;
-/// with `--telemetry summary` the run's `query.*` counters and
-/// propagator-cache traffic are reported (to the summary string, never
-/// onto the answer stream).
+/// input while each chunk still answers its duplicate configurations
+/// once. A configuration answered in an earlier chunk comes from the
+/// process-wide answer memo instead of a fresh trace. Answers stream out
+/// in input order; with `--telemetry summary` the run's `query.*`
+/// counters and the memo's traffic (`propagator.cache.*`) are reported
+/// (to the summary string, never onto the answer stream).
 ///
 /// # Errors
 ///
@@ -1158,7 +1146,7 @@ pub(crate) fn query(args: &[String]) -> Result<String, CliError> {
     sink.write_all(telemetry::schema_header().as_bytes())?;
     sink.write_all(b"\n")?;
 
-    let cache0 = bcn::propagate::cache_stats();
+    let cache0 = bcn::query::cache_stats();
     let started = std::time::Instant::now();
     let mut total: u64 = 0;
     let mut batches: u64 = 0;
@@ -1233,7 +1221,7 @@ pub(crate) fn query(args: &[String]) -> Result<String, CliError> {
         }
     }
     sink.flush()?;
-    let delta = bcn::propagate::cache_stats().delta_since(cache0);
+    let delta = bcn::query::cache_stats().delta_since(cache0);
     tel.propagator_cache(delta.hits, delta.misses, delta.evictions);
 
     if !to_file {
@@ -1808,8 +1796,6 @@ mod tests {
         assert!(json.contains(r#""scenario": "thm1""#), "{json}");
         assert!(json.contains("solver.steps_accepted"), "{json}");
         assert!(json.contains(r#""kind": "solver_leg""#), "spans missing: {json}");
-        // The propagator-cache satellite rode along on the fluid run.
-        assert!(json.contains("propagator.cache."), "{json}");
         let queue_svg = std::fs::read_to_string(dir.join("timeline_queue.svg")).unwrap();
         assert!(queue_svg.starts_with("<svg"), "{queue_svg}");
         assert!(queue_svg.contains("polyline"), "queue timeline has no series lane");
@@ -1820,6 +1806,11 @@ mod tests {
         assert!(rate_svg.contains("BCN feedback"), "rate timeline fallback missing");
         let prom = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
         assert!(prom.contains("# TYPE solver_steps_accepted counter"), "{prom}");
+        // Every telemetry run registers the answer-memo counters. A fluid
+        // run asks no queries, so they read 0, which the metrics export
+        // lists and `report.json` (non-zero counters only) leaves out.
+        assert!(prom.contains("propagator_cache_hits 0"), "{prom}");
+        assert!(!json.contains("propagator.cache."), "{json}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1941,6 +1932,46 @@ mod tests {
         query(&argv(&format!("--in {} --out {} --chunk 2", in_path.display(), out2.display())))
             .unwrap();
         assert_eq!(std::fs::read_to_string(&out2).unwrap(), written);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn query_answers_a_repeated_chunk_from_the_memo() {
+        let dir = std::env::temp_dir().join("dcebcn_query_cli_memo");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let in_path = dir.join("repeat.jsonl");
+        let mut text = telemetry::schema_header();
+        text.push('\n');
+        // The second two-line chunk repeats the first.
+        for _ in 0..2 {
+            text.push_str("{\"type\":\"query\",\"gi\":2.75,\"max_legs\":9}\n");
+            text.push_str("{\"type\":\"query\",\"gd\":0.0275,\"max_legs\":9}\n");
+        }
+        std::fs::write(&in_path, &text).unwrap();
+        let out_path = dir.join("answers.jsonl");
+        let summary = query(&argv(&format!(
+            "--in {} --out {} --chunk 2 --telemetry summary",
+            in_path.display(),
+            out_path.display()
+        )))
+        .unwrap();
+        assert!(summary.contains("answered 4 queries in 2 batch(es)"), "{summary}");
+        let hits: u64 = summary
+            .lines()
+            .find_map(|l| l.strip_prefix("| propagator.cache.hits"))
+            .and_then(|rest| {
+                rest.trim_matches(|c: char| c == '|' || c.is_whitespace()).parse().ok()
+            })
+            .unwrap_or_else(|| panic!("no hit counter: {summary}"));
+        assert!(hits > 0, "{summary}");
+        let answers: Vec<String> = std::fs::read_to_string(&out_path)
+            .unwrap()
+            .lines()
+            .skip(1)
+            .map(str::to_string)
+            .collect();
+        assert_eq!(answers[..2], answers[2..], "a memo hit must re-answer byte for byte");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -70,18 +70,30 @@ impl std::error::Error for JsonlError {}
 /// `inf`, and `-inf` extension tokens for non-finite values.
 ///
 /// Every flat-JSONL encoder in the workspace (trace events, snapshots,
-/// checkpoint shards, stability queries) writes numbers with it, so
-/// they all decode back bit-exactly through [`Record`].
+/// checkpoint shards, stability queries) writes numbers with it or with
+/// [`FmtNum`], so they all decode back bit-exactly through [`Record`].
 #[must_use]
 pub fn fmt_num(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-inf".to_string()
-    } else {
-        format!("{v:?}")
+    FmtNum(v).to_string()
+}
+
+/// [`fmt_num`] as a `Display` adapter: `write!`/`format!` put the number
+/// straight into the line being built, with no `String` of its own.
+#[derive(Debug, Clone, Copy)]
+pub struct FmtNum(pub f64);
+
+impl std::fmt::Display for FmtNum {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let v = self.0;
+        if v.is_nan() {
+            f.write_str("NaN")
+        } else if v == f64::INFINITY {
+            f.write_str("inf")
+        } else if v == f64::NEG_INFINITY {
+            f.write_str("-inf")
+        } else {
+            write!(f, "{v:?}")
+        }
     }
 }
 
@@ -482,6 +494,54 @@ pub fn event_from_jsonl(line: &str) -> Result<Event, JsonlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fmt_num_adapter_writes_the_same_bytes() {
+        // The tokens `fmt_num` wrote before it wrapped `FmtNum`.
+        let oracle = |v: f64| {
+            if v.is_nan() {
+                "NaN".to_string()
+            } else if v == f64::INFINITY {
+                "inf".to_string()
+            } else if v == f64::NEG_INFINITY {
+                "-inf".to_string()
+            } else {
+                format!("{v:?}")
+            }
+        };
+        let mut special = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN payload
+            f64::from_bits(0xfff8_dead_beef_0001),
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE.next_down(),
+            f64::MAX,
+            f64::MIN,
+            1e16,
+            1e-7,
+        ];
+        let mut state = 0x0f4e_17a5_u64;
+        special.extend((0..100_000).map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            f64::from_bits(z ^ (z >> 31))
+        }));
+        for v in special {
+            let want = oracle(v);
+            assert_eq!(FmtNum(v).to_string(), want, "bits {:#x}", v.to_bits());
+            assert_eq!(format!("[{}]", FmtNum(v)), format!("[{want}]"), "bits {:#x}", v.to_bits());
+            assert_eq!(fmt_num(v), want, "bits {:#x}", v.to_bits());
+        }
+    }
 
     #[test]
     fn every_variant_round_trips() {

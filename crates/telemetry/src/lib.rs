@@ -44,7 +44,7 @@ pub use event::{Event, ExtremumKind, FaultClass, SpanKind};
 pub use histogram::Histogram;
 pub use jsonl::{
     check_schema_header, event_from_jsonl, event_to_jsonl, fmt_num, next_record, schema_header,
-    JsonlError, Record, Scalar, TRACE_SCHEMA_VERSION,
+    FmtNum, JsonlError, Record, Scalar, TRACE_SCHEMA_VERSION,
 };
 pub use level::TelemetryLevel;
 pub use logging::{quiet, set_quiet};
@@ -455,16 +455,16 @@ impl Telemetry {
         self.push(Event::FaultInjected { t, class, target });
     }
 
-    /// Folds a delta of the analytic propagator's process-global
-    /// memo-cache counters into the
-    /// `propagator.cache.{hits,misses,evictions}` metrics, so cache
-    /// efficacy (and CLOCK churn past the shard capacity) shows up in
-    /// reports.
+    /// Folds a delta of the process-global stability-answer memo's
+    /// counters into the `propagator.cache.{hits,misses,evictions}`
+    /// metrics (the names predate the memo's move from propagators to
+    /// answers), so memo efficacy (and CLOCK churn past its capacity)
+    /// shows up in reports.
     ///
-    /// Callers snapshot `bcn::propagate::cache_stats()` around an
-    /// analytic run and pass the difference; batch workers must not
-    /// call this (the global counters race across worker threads and
-    /// would break bit-identical merges).
+    /// Callers snapshot `bcn::query::cache_stats()` around a query run
+    /// and pass the difference; batch workers must not call this (the
+    /// global counters race across worker threads and would break
+    /// bit-identical merges).
     #[inline]
     pub fn propagator_cache(&mut self, hits: u64, misses: u64, evictions: u64) {
         if !self.enabled() {

@@ -176,6 +176,15 @@ printf '%s\n' '{"type":"schema","version":2}' \
 ./target/release/dcebcn query --chunk 1 < "$q_dir/q.jsonl" > "$q_dir/a_chunked.jsonl"
 cmp "$q_dir/a.jsonl" "$q_dir/a_chunked.jsonl"
 test "$(grep -c '"type":"answer"' "$q_dir/a.jsonl")" = 3
+# Repeated lines: under --chunk 1 every repeat is answered from the
+# process-wide answer memo, and must match the one-chunk run byte for byte.
+{ cat "$q_dir/q.jsonl"; tail -n 3 "$q_dir/q.jsonl"; tail -n 3 "$q_dir/q.jsonl"; } \
+  > "$q_dir/q_repeat.jsonl"
+./target/release/dcebcn query --in "$q_dir/q_repeat.jsonl" --out "$q_dir/a_repeat.jsonl" \
+  | grep -q "answered 9 queries"
+./target/release/dcebcn query --chunk 1 < "$q_dir/q_repeat.jsonl" > "$q_dir/a_repeat_chunked.jsonl"
+cmp "$q_dir/a_repeat.jsonl" "$q_dir/a_repeat_chunked.jsonl"
+test "$(grep -c '"type":"answer"' "$q_dir/a_repeat.jsonl")" = 9
 # Answers decode as queries' inverse stream: feeding them back through
 # the tool under --strict must fail loudly (wrong record type), proving
 # the decoder actually parses rather than passing bytes through. (The

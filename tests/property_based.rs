@@ -196,9 +196,9 @@ fn legs_alternate_and_end_on_line() {
 /// over random parameter mixes (with deliberate duplicates so dedup and
 /// propagator-group sharing both engage), every answer is bitwise-equal
 /// to the per-call `exact_verdict` + `theorem1_required_buffer` loop, at
-/// worker widths 1 and 4, with the propagator cache both cold (first
-/// evaluation of fresh random keys) and pre-warmed (second evaluation of
-/// the same batch).
+/// worker widths 1 and 4, with the answer memo both cold (first
+/// evaluation of fresh random keys) and warm (later evaluations of the
+/// same batch are answered from it).
 #[test]
 fn batched_queries_match_serial_bitwise() {
     for case in 0..CASES {
