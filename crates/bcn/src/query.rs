@@ -11,11 +11,10 @@
 //! * [`StabilityQuery`] / [`StabilityAnswer`] — the wire-level unit: a
 //!   full parameter set plus a leg budget in; verdict, Theorem-1 required
 //!   buffer, exact excursion envelope, and legs traced out.
-//! * [`QueryBatch`] — the structure-of-arrays batch kernel: queries are
-//!   grouped by their derived propagator key `(k, a, bC)` in first-seen
-//!   order, bit-identical duplicate queries are answered once and
-//!   scattered back to input order, and the traces run on `parkit` with
-//!   a per-worker [`QueryWorkspace`] so the steady state allocates
+//! * [`QueryBatch`] — the structure-of-arrays batch kernel:
+//!   bit-identical duplicate queries are answered once and scattered
+//!   back to input order, and the traces run on `parkit` with a
+//!   per-worker [`QueryWorkspace`] so the steady state allocates
 //!   nothing. Every answer is a pure function of its own query, so the
 //!   output vector is bit-identical at any thread count and invariant
 //!   under deduplication and memoisation.
@@ -94,25 +93,19 @@ pub struct QueryWorkspace {
     legs: Vec<Leg>,
 }
 
-/// A batch of queries grouped by derived propagator key, ready to
-/// evaluate.
+/// A batch of deduplicated queries, ready to evaluate.
 ///
-/// Construction walks the queries once, assigning each to the group of
-/// its `(k, a, bC)` bit pattern (groups numbered in first-seen input
-/// order, so the layout is input-deterministic) and deduplicating
-/// bit-identical full queries. Evaluation answers each *distinct* query
-/// once — from the process-wide answer memo, else by tracing it — and
-/// scatters the answers back to input order, so under a Zipf-skewed
-/// query mix the leg tracing collapses to the configurations the process
-/// has not answered yet. Every answer is a pure function of its query
+/// Construction walks the queries once, deduplicating bit-identical
+/// full queries (distinct slots numbered in first-seen input order, so
+/// the layout is input-deterministic). Evaluation answers each
+/// *distinct* query once — from the process-wide answer memo, else by
+/// tracing it — and scatters the answers back to input order, so under
+/// a Zipf-skewed query mix the leg tracing collapses to the
+/// configurations the process has not answered yet. Every answer is a pure function of its query
 /// alone, so neither deduplication nor the memo can change a result.
 #[derive(Debug)]
 pub struct QueryBatch<'a> {
     queries: &'a [StabilityQuery],
-    /// Derived `(k, a, bC)` per group, first-seen order.
-    group_consts: Vec<[f64; 3]>,
-    /// Group index of each query, parallel to `queries`.
-    group_of: Vec<u32>,
     /// Distinct-query slot of each query, parallel to `queries`.
     unique_of: Vec<u32>,
     /// Representative query index per distinct slot, first-seen order.
@@ -270,26 +263,13 @@ pub fn cache_stats() -> CacheStats {
 }
 
 impl<'a> QueryBatch<'a> {
-    /// Groups `queries` by derived propagator key and deduplicates
-    /// bit-identical repeats.
+    /// Deduplicates bit-identical repeats in `queries`.
     #[must_use]
     pub fn new(queries: &'a [StabilityQuery]) -> Self {
-        let mut index: HashMap<[u64; 3], u32> = HashMap::new();
-        let mut group_consts: Vec<[f64; 3]> = Vec::new();
-        let mut group_of = Vec::with_capacity(queries.len());
         let mut uniques: HashMap<[u64; 11], u32> = HashMap::new();
         let mut unique_of = Vec::with_capacity(queries.len());
         let mut unique_idx: Vec<u32> = Vec::new();
         for (i, q) in queries.iter().enumerate() {
-            let p = &q.params;
-            let consts = [p.k(), p.a(), p.b() * p.capacity];
-            let key = [consts[0].to_bits(), consts[1].to_bits(), consts[2].to_bits()];
-            let next = group_consts.len() as u32;
-            let g = *index.entry(key).or_insert_with(|| {
-                group_consts.push(consts);
-                next
-            });
-            group_of.push(g);
             let next_u = unique_idx.len() as u32;
             let u = *uniques.entry(query_key(q)).or_insert_with(|| {
                 unique_idx.push(i as u32);
@@ -297,7 +277,7 @@ impl<'a> QueryBatch<'a> {
             });
             unique_of.push(u);
         }
-        Self { queries, group_consts, group_of, unique_of, unique_idx }
+        Self { queries, unique_of, unique_idx }
     }
 
     /// Number of queries in the batch.
@@ -310,13 +290,6 @@ impl<'a> QueryBatch<'a> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
-    }
-
-    /// Number of distinct `(k, a, bC)` groups: the spectral
-    /// decompositions the batch needs, at most one per traced query.
-    #[must_use]
-    pub fn groups(&self) -> usize {
-        self.group_consts.len()
     }
 
     /// Number of distinct full queries — the most traces evaluation will
@@ -362,13 +335,16 @@ impl<'a> QueryBatch<'a> {
             .collect()
     }
 
-    /// Traces query `i` with a freshly built propagator of its group: a
-    /// build costs ~80 ns against the ~13 µs trace it serves.
+    /// Traces query `i` with a freshly built propagator: a build costs
+    /// ~80 ns against the ~13 µs trace it serves.
     fn answer_one(&self, ws: &mut QueryWorkspace, i: usize) -> StabilityAnswer {
         let q = &self.queries[i];
-        let [k, a, b_c] = self.group_consts[self.group_of[i] as usize];
-        let v =
-            exact_verdict_scratch(&q.params, &Propagator::new(k, a, b_c), q.max_legs, &mut ws.legs);
+        let v = exact_verdict_scratch(
+            &q.params,
+            &Propagator::for_params(&q.params),
+            q.max_legs,
+            &mut ws.legs,
+        );
         StabilityAnswer {
             strongly_stable: v.strongly_stable,
             required_buffer: theorem1_required_buffer(&q.params),
@@ -520,6 +496,9 @@ mod tests {
     #[test]
     fn batch_matches_serial_loop_bitwise() {
         let qs = mixed_queries();
+        // 3 repeated configurations + 8 unique capacities (i % 5 == 4).
+        let dedup = QueryBatch::new(&qs);
+        assert_eq!((dedup.len(), dedup.distinct()), (40, 11));
         let batch = evaluate_batch(&qs);
         for (q, got) in qs.iter().zip(&batch) {
             let v = exact_verdict(&q.params, q.max_legs);
@@ -535,27 +514,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_groups_by_derived_key_in_first_seen_order() {
-        let qs = mixed_queries();
-        let batch = QueryBatch::new(&qs);
-        // 3 repeated configurations + 8 unique capacities (i % 5 == 4).
-        assert_eq!(batch.groups(), 11);
-        assert_eq!(batch.len(), 40);
-        // Query 0 and query 1 share the base configuration => group 0.
-        assert_eq!(batch.group_of[0], 0);
-        assert_eq!(batch.group_of[1], 0);
-        assert_eq!(batch.group_of[5], 0);
-        // Query 2 founded group 1 (gi override).
-        assert_eq!(batch.group_of[2], 1);
-        assert_eq!(batch.group_of[7], 1);
-        // Repeats of the base configuration dedup to one trace.
-        assert_eq!(batch.distinct(), 11);
-    }
-
-    #[test]
     fn dedup_distinguishes_queries_sharing_a_propagator_group() {
         // Same parameters, different leg budgets: the derived (k, a, bC)
-        // is shared — one group — but these are different questions, so
+        // is shared — one propagator — but these are different questions, so
         // dedup must keep them apart and the traced leg counts differ.
         let base = BcnParams::test_defaults();
         let qs = vec![
@@ -564,7 +525,6 @@ mod tests {
             StabilityQuery::new(base.clone()),
         ];
         let batch = QueryBatch::new(&qs);
-        assert_eq!(batch.groups(), 1);
         assert_eq!(batch.distinct(), 2);
         let answers = batch.evaluate();
         assert_eq!(answers[0], answers[2]);
@@ -674,7 +634,7 @@ mod tests {
             StabilityQuery { params: params.clone(), max_legs: 2 },
         ];
         for v in &variants {
-            assert_eq!(QueryBatch::new(&[base.clone(), v.clone()]).groups(), 1, "{v:?}");
+            assert_eq!(Propagator::for_params(&v.params), Propagator::for_params(&params), "{v:?}");
             assert_ne!(answer_bits(&naive(v)), answer_bits(&first), "{v:?}");
         }
         // The base answer is resident before each variant is asked alone.

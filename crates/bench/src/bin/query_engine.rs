@@ -164,7 +164,6 @@ struct WorkloadReport {
     name: &'static str,
     queries: usize,
     distinct: usize,
-    groups: usize,
     naive_secs: f64,
     batch_secs: Vec<f64>,
     warm_secs: f64,
@@ -204,7 +203,6 @@ fn run_workload(
         name,
         queries: queries.len(),
         distinct: batch.distinct(),
-        groups: batch.groups(),
         naive_secs,
         batch_secs,
         warm_secs,
@@ -231,14 +229,13 @@ impl WorkloadReport {
             })
             .collect();
         format!(
-            "\"{}\": {{\"queries\": {}, \"distinct\": {}, \"groups\": {}, \
+            "\"{}\": {{\"queries\": {}, \"distinct\": {}, \
              \"naive_serial\": {{\"secs\": {:.6}, \"qps\": {:.0}}}, \
              \"batched\": [{}], \"warm_memo\": {{\"threads\": 1, \"secs\": {:.6}, \
              \"qps\": {:.0}, \"speedup_vs_naive\": {:.2}}}, \"mismatches\": {}}}",
             self.name,
             self.queries,
             self.distinct,
-            self.groups,
             self.naive_secs,
             self.qps(self.naive_secs),
             rows.join(", "),
@@ -250,10 +247,7 @@ impl WorkloadReport {
     }
 
     fn print(&self) {
-        println!(
-            "  {}: {} queries, {} distinct, {} propagator groups",
-            self.name, self.queries, self.distinct, self.groups
-        );
+        println!("  {}: {} queries, {} distinct", self.name, self.queries, self.distinct);
         println!(
             "    naive serial: {:.3} s ({:.0} queries/s)",
             self.naive_secs,

@@ -15,6 +15,20 @@
 //! simulator is deterministic, the merged report of a resumed batch is
 //! byte-identical to an uninterrupted run.
 //!
+//! Every `f64` array in a shard is packed as comma-separated 16-digit
+//! hex bit patterns, so no float is formatted or parsed and every bit
+//! pattern round-trips. A `series_bits` record's values also carry
+//! *run fields*: a run of three or more values with equal bits is
+//! written as its first value plus `*` and 15 hex digits of the run's
+//! length minus one. A BCN source's rate changes only when a message
+//! reaches it, so its recorded series is mostly such runs. Every field
+//! stays 17 bytes wide. The values are decoded against the length of
+//! the series' times, so a run count can never size an allocation
+//! beyond the record grid. Times and sample sets have no run fields. A
+//! shard written before run fields existed still decodes; a decoder
+//! that predates them refuses a run field as a non-hex byte, so its
+//! seed re-runs instead of being misread.
+//!
 //! The same codec makes postmortem dumps self-describing: a quarantined
 //! seed's dump embeds its fully seeded [`SimConfig`] (fault plan
 //! included), its panic/watchdog triggers, and a config digest, so
@@ -402,55 +416,174 @@ fn unhex_word(w: u64) -> Option<u32> {
 /// ±inf included — round-trips exactly with no special tokens, and
 /// neither direction formats or parses a decimal float.
 ///
-/// Each field is written as `,` plus two [`hex_word`]s into a stack
-/// buffer of `BLOCK` fields, and each full buffer is pushed at once;
-/// the array's first `,` is skipped.
+/// Each field is written as two [`hex_word`]s into a [`FieldBuf`].
 fn push_f64_bits(out: &mut String, vals: &[f64]) {
-    const BLOCK: usize = 64;
-    let mut buf = [b','; BLOCK * FIELD];
     out.reserve(vals.len() * FIELD);
-    let mut skip = 1;
-    for block in vals.chunks(BLOCK) {
-        for (v, field) in block.iter().zip(buf.chunks_exact_mut(FIELD)) {
-            let bits = v.to_bits();
-            field[1..9].copy_from_slice(&hex_word((bits >> 32) as u32).to_be_bytes());
-            field[9..].copy_from_slice(&hex_word(bits as u32).to_be_bytes());
+    let mut fields = FieldBuf::new();
+    for v in vals {
+        fields.put(out, v.to_bits());
+    }
+    fields.flush(out);
+}
+
+/// Marks a run field: it takes the place of a value field's first
+/// digit.
+const RUN: u8 = b'*';
+
+/// Appends `vals` like [`push_f64_bits`], except that each run of three
+/// or more values with equal bits is written as its first value plus
+/// one *run field*: [`RUN`] and 15 hex digits of the run's length minus
+/// one. Shorter runs are written out. Every field stays 17 bytes wide,
+/// and `to_bits` equality keeps −0.0 apart from +0.0 and one NaN
+/// payload apart from another.
+fn push_f64_runs(out: &mut String, vals: &[f64]) {
+    let mut fields = FieldBuf::new();
+    let mut rest = vals;
+    while let Some((first, tail)) = rest.split_first() {
+        let bits = first.to_bits();
+        let repeats = tail.iter().take_while(|v| v.to_bits() == bits).count();
+        fields.put(out, bits);
+        rest = tail;
+        if repeats >= 2 {
+            fields.put_run(out, repeats);
+            rest = &tail[repeats..];
         }
-        let used = &buf[skip..block.len() * FIELD];
-        out.push_str(std::str::from_utf8(used).expect("hex digits are ASCII"));
-        skip = 0;
+    }
+    fields.flush(out);
+}
+
+/// A stack buffer of packed fields, each `,` plus 16 digits, pushed to
+/// the output whenever it is full; the array's first `,` is skipped.
+struct FieldBuf {
+    buf: [u8; FieldBuf::BLOCK * FIELD],
+    used: usize,
+    skip: usize,
+}
+
+impl FieldBuf {
+    const BLOCK: usize = 64;
+
+    fn new() -> Self {
+        Self { buf: [b','; Self::BLOCK * FIELD], used: 0, skip: 1 }
+    }
+
+    /// Writes `bits` as the next field's 16 digits.
+    #[inline]
+    fn put(&mut self, out: &mut String, bits: u64) {
+        if self.used == Self::BLOCK {
+            self.flush(out);
+        }
+        let field = &mut self.buf[self.used * FIELD..][..FIELD];
+        field[1..9].copy_from_slice(&hex_word((bits >> 32) as u32).to_be_bytes());
+        field[9..].copy_from_slice(&hex_word(bits as u32).to_be_bytes());
+        self.used += 1;
+    }
+
+    /// Writes a run field holding `repeats`: the count's 16 digits with
+    /// the first replaced by [`RUN`]. That digit is `0` for any count
+    /// below 2^60, and an `f64` slice is shorter than that.
+    fn put_run(&mut self, out: &mut String, repeats: usize) {
+        self.put(out, repeats as u64);
+        self.buf[(self.used - 1) * FIELD + 1] = RUN;
+    }
+
+    fn flush(&mut self, out: &mut String) {
+        if self.used > 0 {
+            let used = &self.buf[self.skip..self.used * FIELD];
+            out.push_str(std::str::from_utf8(used).expect("hex digits are ASCII"));
+            (self.used, self.skip) = (0, 0);
+        }
+    }
+}
+
+/// Checks that `bytes` is a whole number of packed fields.
+fn check_width(bytes: &[u8], what: &str) -> Result<(), CheckpointError> {
+    if bytes.is_empty() || (bytes.len() + 1).is_multiple_of(FIELD) {
+        return Ok(());
+    }
+    Err(CheckpointError::Format(format!(
+        "{what}: {} bytes is not a whole number of {HEX_DIGITS}-digit hex fields",
+        bytes.len()
+    )))
+}
+
+/// The bits of one packed field (16 digits and an optional `,`), read
+/// as two big-endian words through [`unhex_word`]; a field that fails
+/// goes through [`scan_field`], which names the first bad byte.
+#[inline]
+fn field_bits(chunk: &[u8], what: &str) -> Result<u64, CheckpointError> {
+    let word = |b: &[u8]| u64::from_be_bytes(b.try_into().expect("8-byte half of a field"));
+    let hi = unhex_word(word(&chunk[..8]));
+    let lo = unhex_word(word(&chunk[8..HEX_DIGITS]));
+    match (&chunk[HEX_DIGITS..], hi, lo) {
+        ([] | [b','], Some(hi), Some(lo)) => Ok((u64::from(hi) << 32) | u64::from(lo)),
+        _ => scan_field(chunk, what),
     }
 }
 
 /// Decodes an array written by [`push_f64_bits`]. A field of the wrong
 /// width, a missing separator, or a byte outside `0-9a-f` is a
 /// [`CheckpointError::Format`].
-///
-/// Each field is read as two big-endian words through [`unhex_word`];
-/// a field that fails goes through [`scan_field`], which names the
-/// first bad byte.
 fn parse_f64_bits(bytes: &[u8], what: &str) -> Result<Vec<f64>, CheckpointError> {
-    if bytes.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !(bytes.len() + 1).is_multiple_of(FIELD) {
-        return Err(CheckpointError::Format(format!(
-            "{what}: {} bytes is not a whole number of {HEX_DIGITS}-digit hex fields",
-            bytes.len()
-        )));
-    }
-    let word = |b: &[u8]| u64::from_be_bytes(b.try_into().expect("8-byte half of a field"));
+    check_width(bytes, what)?;
     let mut vals = Vec::with_capacity((bytes.len() + 1) / FIELD);
     for chunk in bytes.chunks(FIELD) {
-        let hi = unhex_word(word(&chunk[..8]));
-        let lo = unhex_word(word(&chunk[8..HEX_DIGITS]));
-        let bits = match (&chunk[HEX_DIGITS..], hi, lo) {
-            ([] | [b','], Some(hi), Some(lo)) => (u64::from(hi) << 32) | u64::from(lo),
-            _ => scan_field(chunk, what)?,
-        };
-        vals.push(f64::from_bits(bits));
+        vals.push(f64::from_bits(field_bits(chunk, what)?));
     }
     Ok(vals)
+}
+
+/// Decodes an array written by [`push_f64_runs`] that must hold exactly
+/// `len` values. Besides [`parse_f64_bits`]'s errors, a run field that
+/// comes first or right after another run field, one that repeats its
+/// value fewer than two times, and an array that ends short of or runs
+/// past `len` values are a [`CheckpointError::Format`]. The output
+/// never grows past `len`, so no count read from the array sizes an
+/// allocation.
+fn parse_f64_runs(bytes: &[u8], len: usize, what: &str) -> Result<Vec<f64>, CheckpointError> {
+    check_width(bytes, what)?;
+    let mut vals = Vec::with_capacity(len);
+    let mut repeatable = None;
+    for chunk in bytes.chunks(FIELD) {
+        if chunk[0] == RUN {
+            let Some(v) = repeatable.take() else {
+                return Err(CheckpointError::Format(format!(
+                    "{what}: a run field must follow a value field"
+                )));
+            };
+            let repeats = run_count(chunk, what)?;
+            if repeats < 2 || repeats > (len - vals.len()) as u64 {
+                return Err(CheckpointError::Format(format!(
+                    "{what}: a run of {repeats} repeats after {} of {len} values",
+                    vals.len()
+                )));
+            }
+            vals.resize(vals.len() + repeats as usize, v);
+        } else {
+            if vals.len() == len {
+                return Err(CheckpointError::Format(format!("{what}: more than {len} values")));
+            }
+            let v = f64::from_bits(field_bits(chunk, what)?);
+            vals.push(v);
+            repeatable = Some(v);
+        }
+    }
+    if vals.len() != len {
+        return Err(CheckpointError::Format(format!(
+            "{what}: {} values for {len} times",
+            vals.len()
+        )));
+    }
+    Ok(vals)
+}
+
+/// The count of a run field: its 15 digits, read as a value field whose
+/// first digit is `0`.
+fn run_count(chunk: &[u8], what: &str) -> Result<u64, CheckpointError> {
+    let mut field = [0; FIELD];
+    field[..chunk.len()].copy_from_slice(chunk);
+    field[0] = b'0';
+    field_bits(&field[..chunk.len()], what)
 }
 
 /// One field of [`parse_f64_bits`] a byte at a time: the separator
@@ -892,7 +1025,8 @@ pub(crate) fn take_fault_counts<'a, I: Iterator<Item = &'a str>>(
 /// rather than once per series), and any other series writes its own.
 /// A series holding the grid's own allocation — what every engine and
 /// decoder produces — is recognised by identity, without the bitwise
-/// scan.
+/// scan. The values are run-length coded ([`push_f64_runs`]); the
+/// times are not.
 pub(crate) fn put_series<'a>(
     out: &mut String,
     grid: &mut Option<&'a [f64]>,
@@ -916,7 +1050,7 @@ pub(crate) fn put_series<'a>(
         grid.get_or_insert(s.times());
     }
     out.push_str(r#","values":""#);
-    push_f64_bits(out, s.values());
+    push_f64_runs(out, s.values());
     out.push_str("\"}\n");
 }
 
@@ -935,7 +1069,9 @@ pub(crate) fn take_samples<'a, I: Iterator<Item = &'a str>>(
 /// Decodes one record written by [`put_series`] with the same `name`
 /// and `entity`, so series swapped within a shard fail to decode.
 /// `grid` is the shard's first series' times; a record without `times`
-/// is restored on it, sharing its allocation.
+/// is restored on it, sharing its allocation. The times are resolved
+/// first and the values decoded against their length, so a run count
+/// can never size an allocation beyond the grid.
 pub(crate) fn take_series<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
     grid: &mut Option<Arc<Vec<f64>>>,
@@ -957,17 +1093,10 @@ pub(crate) fn take_series<'a, I: Iterator<Item = &'a str>>(
         Some(t) => Some(Arc::new(parse_f64_bits(t.as_str("times")?.as_bytes(), name)?)),
         None => None,
     };
-    let values = parse_f64_bits(r.str("values")?.as_bytes(), name)?;
     let times = own.as_ref().or(grid.as_ref()).ok_or_else(|| {
         CheckpointError::Format(format!("series `{name}` omits its times before any grid"))
     })?;
-    if times.len() != values.len() {
-        return Err(CheckpointError::Format(format!(
-            "series `{name}`: {} times vs {} values",
-            times.len(),
-            values.len()
-        )));
-    }
+    let values = parse_f64_runs(r.str("values")?.as_bytes(), times.len(), name)?;
     let s = TimeSeries::on_grid(times, values);
     if grid.is_none() {
         *grid = own;
@@ -1747,6 +1876,149 @@ mod tests {
         }
     }
 
+    /// `text` with every run field written out: `,*` and 15 hex digits
+    /// of `n` become `n` copies of `,` and the 16 digits before it.
+    fn expand_runs(text: &str) -> String {
+        let mut out = String::with_capacity(text.len());
+        let mut rest = text;
+        while let Some(at) = rest.find(",*") {
+            let (head, tail) = rest.split_at(at);
+            out.push_str(head);
+            let value = &head[head.len() - HEX_DIGITS..];
+            let repeats = usize::from_str_radix(&tail[2..FIELD], 16).expect("run count");
+            for _ in 0..repeats {
+                out.push(',');
+                out.push_str(value);
+            }
+            rest = &tail[FIELD..];
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// Maximal runs of three or more values with equal bits.
+    fn long_runs(vals: &[f64]) -> usize {
+        vals.chunk_by(|a, b| a.to_bits() == b.to_bits()).filter(|r| r.len() >= 3).count()
+    }
+
+    /// Encodes `vals` with run fields and checks the array decodes to the
+    /// same bits, re-encodes to the same bytes, writes one run field per
+    /// long run and expands to the fixed-width encoding.
+    fn assert_runs_round_trip(vals: &[f64], label: &str) {
+        let mut packed = String::new();
+        push_f64_runs(&mut packed, vals);
+        let back = parse_f64_runs(packed.as_bytes(), vals.len(), "v")
+            .unwrap_or_else(|e| panic!("{label}: {e}: {packed}"));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(vals), "{label}");
+        assert!(back.capacity() <= vals.len(), "{label}: capacity {}", back.capacity());
+        let mut re = String::new();
+        push_f64_runs(&mut re, &back);
+        assert_eq!(re, packed, "{label}: re-encoding differs");
+        assert_eq!(packed.matches('*').count(), long_runs(vals), "{label}: {packed}");
+        let mut fixed = String::new();
+        push_f64_bits(&mut fixed, vals);
+        assert_eq!(expand_runs(&packed), fixed, "{label}");
+    }
+
+    #[test]
+    fn run_fields_round_trip_planted_runs_bitwise() {
+        let palette = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0x7ff8_0000_dead_beee),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::NAN,
+            f64::from_bits(1),
+            1.0e9,
+        ];
+        // Fixed cases: runs of 0-3 at the start and end, alternating
+        // zeros, and neighbouring NaN payloads.
+        let fixed: [&[f64]; 10] = [
+            &[],
+            &[1.0],
+            &[1.0, 1.0],
+            &[1.0, 1.0, 1.0],
+            &[0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 0.0],
+            &[palette[4], palette[5], palette[4], palette[4], palette[4], palette[5]],
+            &[f64::INFINITY; 3],
+            &[2.0, 2.0, 2.0, 1.0, f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY],
+            &[2.0, 2.0, 1.0, 3.0, 3.0],
+            &[-0.0; 200],
+        ];
+        for (i, vals) in fixed.iter().enumerate() {
+            assert_runs_round_trip(vals, &format!("fixed case {i}"));
+        }
+        // Seeded arrays of planted runs, each 0-3 long or long enough to
+        // straddle the 64-field encode block.
+        for seed in 0..20_000u64 {
+            let mut h = splitmix64(seed);
+            let mut draw = |n: u64| {
+                h = splitmix64(h);
+                h % n
+            };
+            let mut vals = Vec::new();
+            for _ in 0..draw(12) {
+                let v = match draw(3) {
+                    0 => f64::from_bits(splitmix64(draw(u64::MAX))),
+                    _ => palette[draw(palette.len() as u64) as usize],
+                };
+                let len = match draw(5) {
+                    4 => 4 + draw(130),
+                    n => n,
+                };
+                vals.extend(std::iter::repeat_n(v, len as usize));
+            }
+            assert_runs_round_trip(&vals, &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn malformed_run_fields_are_format_errors() {
+        let one = "3ff0000000000000";
+        let run = |n: u64| format!("*{n:015x}");
+        for (bad, len) in [
+            (run(2), 2),                                  // a run field first
+            (format!("{},{one}", run(2)), 3),             // a run field first
+            (format!("{one},{}", run(0)), 1),             // repeats nothing
+            (format!("{one},{}", run(1)), 2),             // a run of two
+            (format!("{one},{}", run(3)), 3),             // one past the times
+            (format!("{one},{}", run((1 << 60) - 1)), 4), // the largest count
+            (format!("{one},*00000000000000g"), 3),       // a non-hex digit
+            (format!("{one},*00000000000000A"), 11),      // an uppercase digit
+            (format!("{one},*0000000000002"), 3),         // one digit short
+            (format!("{one},{},{}", run(2), run(2)), 5),  // a run after a run
+            (format!("{one},{},{one}", run(2)), 3),       // one value too many
+            (format!("{one},{}", run(2)), 4),             // one value short
+            (String::new(), 1),                           // no values at all
+            (format!("{one};{}", run(2)), 3),             // a wrong separator
+        ] {
+            let err = parse_f64_runs(bad.as_bytes(), len, "v").err();
+            assert!(matches!(err, Some(CheckpointError::Format(_))), "`{bad}` ({len}): {err:?}");
+        }
+        let ok = format!("{one},{},{one}", run(2));
+        assert_eq!(parse_f64_runs(ok.as_bytes(), 4, "v").expect("decode"), [1.0; 4]);
+    }
+
+    #[test]
+    fn fixed_width_decoders_reject_run_fields() {
+        let mut packed = String::new();
+        push_f64_runs(&mut packed, &[1.0, 2.0, 2.0, 2.0, 3.0]);
+        assert_eq!(packed, "3ff0000000000000,4000000000000000,*000000000000002,4008000000000000");
+        for err in [
+            parse_f64_bits_bytewise(packed.as_bytes(), "v").err(),
+            parse_f64_bits(packed.as_bytes(), "v").err(),
+        ] {
+            assert!(
+                matches!(&err, Some(CheckpointError::Format(m)) if m.contains("0x2a")),
+                "{err:?}"
+            );
+        }
+    }
+
     /// One completed seed of a 16-flow incast on the full 4000-mark
     /// record grid.
     fn incast_outcome() -> (u64, SeedOutcome) {
@@ -1778,6 +2050,8 @@ mod tests {
         encode_seed_outcome(seed, &outcome, &mut text);
         assert_eq!(text.lines().filter(|l| l.contains(r#""type":"series_bits""#)).count(), 18);
         assert_eq!(text.matches(r#""times":"#).count(), 1, "the grid is written once");
+        let expanded = expand_runs(&text).len();
+        assert!(3 * text.len() <= expanded, "{} bytes, {expanded} expanded", text.len());
         let mut lines = text.lines();
         let (dseed, decoded) = decode_seed_outcome(&mut lines).expect("decode");
         assert_eq!(lines.next(), None);
@@ -1904,20 +2178,39 @@ mod tests {
         }
     }
 
+    /// 64 single-byte flips inside the run fields of `text`, each on a
+    /// run field's `,`, `*` or count digit.
+    fn run_field_flips(text: &str, salt: u64) -> Vec<Damage> {
+        let runs: Vec<usize> = text.match_indices(",*").map(|(at, _)| at).collect();
+        assert!(!runs.is_empty(), "the shard holds run fields");
+        (0..64)
+            .map(|k| {
+                let h = splitmix64(salt ^ splitmix64(k));
+                let at =
+                    runs[(h % runs.len() as u64) as usize] + ((h >> 32) % FIELD as u64) as usize;
+                Damage::Flip(at as u64, (h >> 56) as u8 | 1)
+            })
+            .collect()
+    }
+
+    /// Whether damage `d` to `shard` still decodes as a kind-`C` outcome;
+    /// the decoder must return rather than panic.
+    fn decodes_damaged<C: SeedBatch>(shard: &str, d: Damage) -> bool {
+        let text = String::from_utf8_lossy(&damage(shard, d)).into_owned();
+        let mut lines = text.lines();
+        lines.next().is_some() && decode_outcome::<C, _>(&mut lines).is_ok()
+    }
+
     /// Decodes every damaged variant of `shard` as a kind-`C` outcome
-    /// (which must return rather than panic) and returns how many
-    /// decoded.
+    /// and returns how many decoded. A flip inside a run field changes
+    /// the series' length or breaks a field, so none of those decode.
     fn decode_damaged<C: SeedBatch>(shard: &str, salt: u64) -> usize {
         let variants = damages(shard.lines().count(), salt);
-        let ok = variants
-            .iter()
-            .filter(|&&d| {
-                let text = String::from_utf8_lossy(&damage(shard, d)).into_owned();
-                let mut lines = text.lines();
-                lines.next().is_some() && decode_outcome::<C, _>(&mut lines).is_ok()
-            })
-            .count();
+        let ok = variants.iter().filter(|&&d| decodes_damaged::<C>(shard, d)).count();
         assert!(ok >= 1 && ok < variants.len(), "{ok} of {} variants decoded", variants.len());
+        for d in run_field_flips(shard, salt) {
+            assert!(!decodes_damaged::<C>(shard, d), "{d:?} decoded");
+        }
         ok
     }
 
