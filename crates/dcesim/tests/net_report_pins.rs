@@ -1,8 +1,10 @@
-//! Pins the exact bytes of `NetReport`s on four small fabrics.
+//! Pins the exact bytes of `NetReport`s on five small fabrics.
 //!
-//! Each scenario runs under both schedulers, hashes every report field
-//! except telemetry (FNV-1a over the `f64::to_bits` / integer words), and
-//! compares the hash with a committed constant. Any change to the network
+//! Each scenario runs under both schedulers, and once more with a `Full`
+//! telemetry sink attached, hashes every report field except telemetry
+//! (FNV-1a over the `f64::to_bits` / integer words), and compares the
+//! hash with a committed constant. The telemetered run must hash the
+//! same: observing a run never changes it. Any change to the network
 //! engine that moves a single output bit — event order, PAUSE timing,
 //! backlog sums, sampled series — fails here, so engine refactors that
 //! claim bit-identity can prove it.
@@ -18,6 +20,7 @@ use dcesim::rp::RpConfig;
 use dcesim::sched::Scheduler;
 use dcesim::time::Duration;
 use dcesim::topo::{compile, TopoSpec, Traffic};
+use telemetry::{Event, FaultClass, Telemetry, TelemetryLevel};
 
 /// FNV-1a over 64-bit words, byte by byte (little-endian).
 struct Fnv(u64);
@@ -77,16 +80,21 @@ fn report_hash(r: &NetReport) -> u64 {
     h.0
 }
 
-/// Runs `cfg` under both schedulers, checks they agree bit for bit, and
-/// returns the report with its hash.
+/// Runs `cfg` under both schedulers and once more on the wheel with a
+/// `Full` telemetry sink (a trace ring large enough to keep every
+/// event), checks all three agree bit for bit, and returns the
+/// telemetered report with its hash.
 fn run_both(mut cfg: NetConfig) -> (NetReport, u64) {
     cfg.scheduler = Scheduler::Heap;
     let heap = NetSim::new(cfg.clone()).run();
     cfg.scheduler = Scheduler::Wheel;
-    let wheel = NetSim::new(cfg).run();
-    let (hh, hw) = (report_hash(&heap), report_hash(&wheel));
+    let wheel = NetSim::new(cfg.clone()).run();
+    let tel = Telemetry::with_trace_capacity(TelemetryLevel::Full, 1 << 22);
+    let full = NetSim::new(cfg).with_telemetry_sink(tel).run();
+    let (hh, hw, hf) = (report_hash(&heap), report_hash(&wheel), report_hash(&full));
     assert_eq!(hh, hw, "wheel and heap reports differ");
-    (wheel, hw)
+    assert_eq!(hf, hw, "a Full telemetry sink changed the report");
+    (full, hw)
 }
 
 fn check(name: &str, report: &NetReport, got: u64, pinned: u64) {
@@ -137,13 +145,12 @@ fn leaf_spine_incast_with_faults() {
     check("leaf_spine_incast_with_faults", &report, h, 0xa3a3_bb5c_bef3_8f1a);
 }
 
-/// The two-switch victim topology with BCN, with the access links into
-/// the first switch alternating between two propagation delays, so that
-/// switch's incoming links interleave two delays in link order.
-#[test]
-fn mixed_delay_ingress_with_bcn() {
-    const TRUNK: f64 = 1.0e9;
-    const FRAME: f64 = 8_000.0;
+const TRUNK: f64 = 1.0e9;
+const FRAME: f64 = 8_000.0;
+
+/// The two-switch victim topology with BCN on the bottleneck port and
+/// every source, under plain PAUSE, over 20 ms.
+fn victim_with_bcn() -> NetConfig {
     let cp = CpConfig {
         cpid: CpId(2),
         q0_bits: 10.0 * FRAME,
@@ -166,8 +173,15 @@ fn mixed_delay_ingress_with_bcn() {
         hold: Duration::from_secs(40.0 * FRAME / TRUNK),
         per_priority: false,
     };
-    let (mut cfg, _) =
-        victim_topology(6, TRUNK, FRAME, Duration::from_secs(1e-6), 0.02, pause, Some((cp, rp)));
+    victim_topology(6, TRUNK, FRAME, Duration::from_secs(1e-6), 0.02, pause, Some((cp, rp))).0
+}
+
+/// The BCN victim fabric with the access links into the first switch
+/// alternating between two propagation delays, so that switch's
+/// incoming links interleave two delays in link order.
+#[test]
+fn mixed_delay_ingress_with_bcn() {
+    let mut cfg = victim_with_bcn();
     let mut delays = Vec::new();
     for (li, l) in cfg.links.iter_mut().enumerate() {
         if l.to == Endpoint::Switch(0) {
@@ -183,4 +197,48 @@ fn mixed_delay_ingress_with_bcn() {
     let access_pauses: u64 = report.pause_counts[..7].iter().sum();
     assert!(access_pauses > 0, "the mixed-delay switch never paused: {:?}", report.pause_counts);
     check("mixed_delay_ingress_with_bcn", &report, h, 0xc81c_541c_4813_60c9);
+}
+
+/// The BCN victim fabric with every feedback fault class on: drop,
+/// corruption, a fixed extra delay and reordering. Besides the report,
+/// the pin covers the `FaultInjected` trace (class, target and time of
+/// every injection, in emission order), so the order in which one
+/// message's fault classes reach telemetry is pinned too.
+#[test]
+fn victim_bcn_with_feedback_faults() {
+    let mut cfg = victim_with_bcn();
+    cfg.faults.seed = 5;
+    cfg.faults.feedback_loss = 0.1;
+    cfg.faults.feedback_corrupt = 0.05;
+    cfg.faults.feedback_extra_delay = Duration::from_secs(2e-6);
+    cfg.faults.feedback_reorder = 0.3;
+    cfg.faults.reorder_window = Duration::from_secs(5e-6);
+    let (report, h) = run_both(cfg);
+    let fc = &report.faults;
+    assert!(fc.feedback_dropped > 0, "no feedback was dropped");
+    assert!(fc.feedback_corrupted > 0, "no feedback was corrupted");
+    assert!(fc.feedback_delayed > 0, "no feedback was delayed");
+    assert!(fc.feedback_reordered > 0, "no feedback was reordered");
+    assert!(report.feedback_messages > 0, "BCN never fed back");
+    let tel = report.telemetry.as_ref().expect("the Full run carries its telemetry");
+    assert_eq!(tel.trace.overwritten(), 0, "the trace ring dropped events");
+    let mut fh = Fnv(h);
+    let mut seen = [0u64; FaultClass::ALL.len()];
+    for e in tel.trace.iter() {
+        if let Event::FaultInjected { t, class, target } = *e {
+            seen[class.index()] += 1;
+            fh.word(class.index() as u64);
+            fh.word(u64::from(target));
+            fh.f64(t);
+        }
+    }
+    for class in [
+        FaultClass::FeedbackDrop,
+        FaultClass::FeedbackCorrupt,
+        FaultClass::FeedbackDelay,
+        FaultClass::FeedbackReorder,
+    ] {
+        assert!(seen[class.index()] > 0, "no {} event in the trace", class.name());
+    }
+    check("victim_bcn_with_feedback_faults", &report, fh.0, 0x6b92_d7c0_4982_81e8);
 }

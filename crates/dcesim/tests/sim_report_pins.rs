@@ -1,9 +1,11 @@
 //! Pins the exact bytes of `SimReport`s on five dumbbell scenarios.
 //!
 //! The `Simulation` twin of `net_report_pins.rs`: each scenario runs
-//! under both schedulers, hashes every report field except telemetry
-//! (FNV-1a over the `f64::to_bits` / integer words) and compares the
-//! hash with a committed constant. Any change to the dumbbell engine
+//! under both schedulers, and once more with a `Full` telemetry sink
+//! attached, hashes every report field except telemetry (FNV-1a over the
+//! `f64::to_bits` / integer words) and compares the hash with a
+//! committed constant. The telemetered run must hash the same: observing
+//! a run never changes it. Any change to the dumbbell engine
 //! that moves a single output bit — event order, pacing gaps, service
 //! times, sampled series, queueing delays — fails here, so engine
 //! refactors that claim bit-identity can prove it.
@@ -20,6 +22,7 @@ use dcesim::sched::Scheduler;
 use dcesim::sim::{fluid_validation_params, Control, SimConfig, SimReport, Simulation};
 use dcesim::time::Duration;
 use dcesim::workload;
+use telemetry::{Telemetry, TelemetryLevel};
 
 /// Frame size of every scenario (bits).
 const FRAME: f64 = 8_000.0;
@@ -89,15 +92,18 @@ fn report_hash(r: &SimReport) -> u64 {
     h.0
 }
 
-/// Runs `cfg` under both schedulers, checks they agree bit for bit, and
+/// Runs `cfg` under both schedulers and once more on the wheel with a
+/// `Full` telemetry sink, checks all three agree bit for bit, and
 /// returns the report with its hash.
 fn run_both(mut cfg: SimConfig) -> (SimReport, u64) {
     cfg.scheduler = Scheduler::Heap;
     let heap = Simulation::new(cfg.clone()).run();
     cfg.scheduler = Scheduler::Wheel;
-    let wheel = Simulation::new(cfg).run();
-    let (hh, hw) = (report_hash(&heap), report_hash(&wheel));
+    let wheel = Simulation::new(cfg.clone()).run();
+    let full = Simulation::with_telemetry(cfg, Telemetry::new(TelemetryLevel::Full)).run();
+    let (hh, hw, hf) = (report_hash(&heap), report_hash(&wheel), report_hash(&full));
     assert_eq!(hh, hw, "wheel and heap reports differ");
+    assert_eq!(hf, hw, "a Full telemetry sink changed the report");
     (wheel, hw)
 }
 
@@ -182,11 +188,17 @@ fn hybrid_reseed_with_remainder_frame() {
     let params = fluid_validation_params();
     let mut hashes = Vec::new();
     let mut last = None;
-    for scheduler in [Scheduler::Heap, Scheduler::Wheel] {
+    for (scheduler, observed) in
+        [(Scheduler::Heap, false), (Scheduler::Wheel, false), (Scheduler::Wheel, true)]
+    {
         let mut cfg = limit_cycle(0.5);
         cfg.record_interval = Duration::from_secs(2e-3);
         cfg.scheduler = scheduler;
-        let report = HybridSim::new(params.clone(), cfg, HybridGuards::default()).run();
+        let mut sim = HybridSim::new(params.clone(), cfg, HybridGuards::default());
+        if observed {
+            sim = sim.with_telemetry_sink(Telemetry::new(TelemetryLevel::Full));
+        }
+        let report = sim.run();
         let mut h = Fnv::new();
         h.word(report_hash(&report.sim));
         let s = report.stats;
@@ -197,6 +209,7 @@ fn hybrid_reseed_with_remainder_frame() {
         last = Some(report);
     }
     assert_eq!(hashes[0], hashes[1], "wheel and heap hybrid reports differ");
+    assert_eq!(hashes[2], hashes[1], "a Full telemetry sink changed the hybrid report");
     let report = last.expect("ran");
     assert!(report.stats.epochs > 0, "no epoch was committed");
     // Packet-simulated queue samples are whole frames; an epoch's fluid
