@@ -238,6 +238,22 @@ pub enum FeedbackFate {
     Lost,
 }
 
+/// The fault classes that fired on one feedback message, as a bit set
+/// over [`FaultClass::index`]. It iterates in index order, the order
+/// [`FaultPlan::feedback_fate`] decides them in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FaultSet(u8);
+
+impl Iterator for FaultSet {
+    type Item = FaultClass;
+
+    fn next(&mut self) -> Option<FaultClass> {
+        let i = self.0.trailing_zeros() as usize;
+        self.0 &= self.0.wrapping_sub(1);
+        FaultClass::ALL.get(i).copied()
+    }
+}
+
 /// The per-run injector: owns the decision streams and tallies.
 ///
 /// One plan belongs to one simulation run; its decisions depend only on
@@ -306,40 +322,24 @@ impl FaultPlan {
 
     /// Decides the fate of one outgoing BCN feedback message and returns
     /// it together with the classes that fired (for telemetry).
-    ///
-    /// Convenience wrapper over [`FaultPlan::feedback_fate_into`] that
-    /// allocates a fresh class list per call; the engines' hot paths
-    /// reuse a hoisted scratch buffer instead.
-    pub fn feedback_fate(&mut self, msg: &BcnMessage) -> (FeedbackFate, Vec<FaultClass>) {
-        let mut injected = Vec::new();
-        let fate = self.feedback_fate_into(msg, &mut injected);
-        (fate, injected)
-    }
-
-    /// Decides the fate of one outgoing BCN feedback message, recording
-    /// the classes that fired (for telemetry) into `injected`, which is
-    /// cleared first. Allocation-free once the buffer has warmed up.
-    pub fn feedback_fate_into(
-        &mut self,
-        msg: &BcnMessage,
-        injected: &mut Vec<FaultClass>,
-    ) -> FeedbackFate {
-        injected.clear();
+    pub fn feedback_fate(&mut self, msg: &BcnMessage) -> (FeedbackFate, FaultSet) {
+        let mut injected = FaultSet::default();
+        let mut fire = |class: FaultClass| injected.0 |= 1 << class.index();
         if !self.active {
-            return FeedbackFate::Deliver { msg: *msg, extra: Duration::ZERO };
+            return (FeedbackFate::Deliver { msg: *msg, extra: Duration::ZERO }, injected);
         }
         if self.cfg.feedback_loss > 0.0
             && self.draw(FaultClass::FeedbackDrop) < self.cfg.feedback_loss
         {
             self.counts.feedback_dropped += 1;
-            injected.push(FaultClass::FeedbackDrop);
-            return FeedbackFate::Lost;
+            fire(FaultClass::FeedbackDrop);
+            return (FeedbackFate::Lost, injected);
         }
         let mut msg = *msg;
         if self.cfg.feedback_corrupt > 0.0
             && self.draw(FaultClass::FeedbackCorrupt) < self.cfg.feedback_corrupt
         {
-            injected.push(FaultClass::FeedbackCorrupt);
+            fire(FaultClass::FeedbackCorrupt);
             let mut bytes = wire::encode(&msg);
             let pos = (self.draw(FaultClass::FeedbackCorrupt) * wire::BCN_FRAME_BYTES as f64)
                 as usize
@@ -355,7 +355,7 @@ impl FaultPlan {
                     // The flip hit a framing field; the switch discards
                     // the frame as non-BCN.
                     self.counts.feedback_corrupt_lost += 1;
-                    return FeedbackFate::Lost;
+                    return (FeedbackFate::Lost, injected);
                 }
             }
         }
@@ -363,7 +363,7 @@ impl FaultPlan {
         if self.cfg.feedback_extra_delay > Duration::ZERO {
             extra = extra + self.cfg.feedback_extra_delay;
             self.counts.feedback_delayed += 1;
-            injected.push(FaultClass::FeedbackDelay);
+            fire(FaultClass::FeedbackDelay);
         }
         if self.cfg.feedback_reorder > 0.0
             && self.draw(FaultClass::FeedbackReorder) < self.cfg.feedback_reorder
@@ -371,9 +371,9 @@ impl FaultPlan {
             let jitter = self.draw(FaultClass::FeedbackReorder) * self.cfg.reorder_window.as_secs();
             extra = extra + Duration::from_secs(jitter);
             self.counts.feedback_reordered += 1;
-            injected.push(FaultClass::FeedbackReorder);
+            fire(FaultClass::FeedbackReorder);
         }
-        FeedbackFate::Deliver { msg, extra }
+        (FeedbackFate::Deliver { msg, extra }, injected)
     }
 
     /// Whether an arriving data frame is lost on the wire. A fresh draw
@@ -463,7 +463,7 @@ mod tests {
         let m = msg(-1234.5);
         let (fate, injected) = plan.feedback_fate(&m);
         assert_eq!(fate, FeedbackFate::Deliver { msg: m, extra: Duration::ZERO });
-        assert!(injected.is_empty());
+        assert_eq!(injected, FaultSet::default());
         assert!(!plan.data_frame_lost());
         assert_eq!(plan.link_up_at(Time::from_secs(1.0)), None);
         assert_eq!(plan.pause_hold(Duration::from_nanos(500)), (Duration::from_nanos(500), false));
@@ -533,7 +533,7 @@ mod tests {
                     } else {
                         FeedbackFate::Deliver { msg: msg(0.0), extra: Duration::ZERO }
                     },
-                    Vec::new(),
+                    FaultSet::default(),
                 ));
             }
             (fates, plan.counts().clone())
@@ -583,7 +583,7 @@ mod tests {
         for _ in 0..50 {
             let (fate, injected) = plan.feedback_fate(&msg(-1.0));
             assert_eq!(fate, FeedbackFate::Lost);
-            assert_eq!(injected, vec![FaultClass::FeedbackDrop]);
+            assert_eq!(injected.collect::<Vec<_>>(), vec![FaultClass::FeedbackDrop]);
         }
         assert_eq!(plan.counts().feedback_dropped, 50);
     }

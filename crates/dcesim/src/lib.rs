@@ -61,6 +61,7 @@
 
 pub mod batch;
 pub mod checkpoint;
+mod control;
 pub mod cp;
 pub mod error;
 pub mod faults;

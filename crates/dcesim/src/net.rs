@@ -30,10 +30,11 @@ use std::sync::Arc;
 
 use telemetry::{FaultClass, SeriesKind, Telemetry};
 
+use crate::control::{Feedback, FlowRp, PortCp};
 use crate::cp::{CongestionPoint, CpConfig};
 use crate::error::ConfigError;
-use crate::faults::{FaultConfig, FaultCounts, FaultPlan, FeedbackFate};
-use crate::frame::{BcnMessage, CpId, DataFrame, SourceId};
+use crate::faults::{FaultConfig, FaultCounts, FaultPlan};
+use crate::frame::{CpId, DataFrame, SourceId};
 use crate::metrics::TimeSeries;
 use crate::rp::{ReactionPoint, RpConfig};
 use crate::sched::{EventQueue, Scheduler};
@@ -191,7 +192,7 @@ enum Ev {
     HostSend(usize),
     Arrive { link: usize, frame: NetFrame },
     PortTx { switch: usize, port: usize },
-    Feedback { flow: usize, msg: BcnMessage },
+    Feedback(Feedback),
     PauseAt { switch: u32, delay: Duration, priority: Option<u8>, hold: Duration },
     Record,
 }
@@ -207,7 +208,7 @@ struct Port {
     /// Round-robin pointer over the classes.
     rr_next: usize,
     busy: bool,
-    cp: Option<CongestionPoint>,
+    cp: Option<PortCp>,
 }
 
 impl Port {
@@ -306,8 +307,7 @@ pub struct NetSim {
     /// `Duration::serialization(frame_bits, capacity)` per link: every
     /// data frame is `frame_bits` long.
     link_serialization: Vec<Duration>,
-    rps: Vec<Option<ReactionPoint>>,
-    flow_rates_fixed: Vec<f64>,
+    rps: Vec<FlowRp>,
     stats: Vec<FlowStats>,
     switch_queues: Vec<TimeSeries>,
     /// The record grid: one time (seconds) per record tick, shared by
@@ -323,7 +323,6 @@ pub struct NetSim {
     /// Per-flow LCG state for pacing jitter (see `on_host_send`).
     jitter_state: Vec<u64>,
     faults: FaultPlan,
-    fault_scratch: Vec<FaultClass>,
     telemetry: Option<Telemetry>,
 }
 
@@ -439,7 +438,7 @@ impl NetSim {
                 .cps
                 .iter()
                 .find(|(link, _)| *link == li)
-                .map(|(_, c)| CongestionPoint::new(*c));
+                .map(|(_, c)| PortCp::Bcn(CongestionPoint::new(*c)));
             sw.ports.push(Port {
                 link: li,
                 queues: std::array::from_fn(|_| VecDeque::new()),
@@ -506,7 +505,6 @@ impl NetSim {
             pause_delay_off.push(pause_delays.len() as u32);
         }
         let mut rps = Vec::with_capacity(cfg.flows.len());
-        let mut fixed = Vec::with_capacity(cfg.flows.len());
         let mut feedback_delay = Vec::with_capacity(cfg.flows.len());
         for (fi, flow) in cfg.flows.iter().enumerate() {
             if flow.src_host >= cfg.hosts || flow.dst_host >= cfg.hosts {
@@ -524,8 +522,10 @@ impl NetSim {
                     format!("flow {fi} source host {} has no uplink", flow.src_host),
                 ));
             }
-            rps.push(flow.rp.map(|c| ReactionPoint::new(c, flow.initial_rate)));
-            fixed.push(flow.initial_rate);
+            let rate = flow.initial_rate;
+            rps.push(
+                flow.rp.map_or(FlowRp::Fixed(rate), |c| FlowRp::Bcn(ReactionPoint::new(c, rate))),
+            );
             feedback_delay.push(walk_path(
                 &cfg,
                 &switches,
@@ -563,7 +563,6 @@ impl NetSim {
             link_paused_until: vec![[Time::ZERO; N_PRIORITIES]; n_links],
             link_serialization,
             rps,
-            flow_rates_fixed: fixed,
             stats: vec![FlowStats::default(); n_flows],
             switch_queues: vec![TimeSeries::new(); n_switches],
             record_times: Vec::new(),
@@ -573,7 +572,6 @@ impl NetSim {
             feedback_delay,
             jitter_state: (0..n_flows).map(|i| 0x9E37_79B9_7F4A_7C15 ^ (i as u64)).collect(),
             faults: FaultPlan::new(cfg.faults.clone()),
-            fault_scratch: Vec::new(),
             telemetry: None,
             cfg,
         };
@@ -615,13 +613,6 @@ impl NetSim {
         }
     }
 
-    fn flow_rate(&self, fi: usize) -> f64 {
-        match &self.rps[fi] {
-            Some(rp) => rp.rate(),
-            None => self.flow_rates_fixed[fi],
-        }
-    }
-
     /// Runs to completion.
     #[must_use]
     pub fn run(mut self) -> NetReport {
@@ -659,11 +650,8 @@ impl NetSim {
     /// Finalises the report after [`step`](Self::step) returns `false`.
     #[must_use]
     pub fn finish(mut self) -> NetReport {
-        for (fi, stat) in self.stats.iter_mut().enumerate() {
-            stat.final_rate = match &self.rps[fi] {
-                Some(rp) => rp.rate(),
-                None => self.flow_rates_fixed[fi],
-            };
+        for (stat, rp) in self.stats.iter_mut().zip(&self.rps) {
+            stat.final_rate = rp.rate();
         }
         if let Some(tel) = self.telemetry.as_mut() {
             let st = self.events.stats();
@@ -694,14 +682,14 @@ impl NetSim {
             Ev::HostSend(fi) => self.on_host_send(fi),
             Ev::Arrive { link, frame } => self.on_arrive(link, frame),
             Ev::PortTx { switch, port } => self.on_port_tx(switch, port),
-            Ev::Feedback { flow, msg } => {
+            Ev::Feedback(fb) => {
                 // A corrupted DA can point outside the flow set; such
-                // misaddressed feedback dies on delivery.
-                if let Some(Some(rp)) = self.rps.get_mut(flow) {
-                    rp.on_bcn(&msg);
+                // misaddressed feedback dies on delivery, as does
+                // feedback reaching a fixed-rate source.
+                if self.rps.get_mut(fb.dst().0 as usize).is_some_and(|rp| rp.on_feedback(&fb)) {
                     self.feedback_messages += 1;
                     if let Some(tel) = self.telemetry.as_mut() {
-                        tel.bcn_message(self.now.as_secs(), msg.sigma, flow as u32);
+                        fb.record(tel, self.now.as_secs());
                     }
                 }
             }
@@ -738,13 +726,10 @@ impl NetSim {
                         tel.queue_sample_entity(self.now.as_secs(), si as u32, backlog);
                     }
                 }
-                if self.telemetry.is_some() {
-                    for fi in 0..self.cfg.flows.len() {
-                        let rate = self.flow_rate(fi);
-                        let now = self.now.as_secs();
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            tel.series_sample(SeriesKind::FlowRate, fi as u32, now, rate);
-                        }
+                if let Some(tel) = self.telemetry.as_mut() {
+                    let now = self.now.as_secs();
+                    for (fi, rp) in self.rps.iter().enumerate() {
+                        tel.series_sample(SeriesKind::FlowRate, fi as u32, now, rp.rate());
                     }
                 }
                 if self.now + self.cfg.record_interval <= self.cfg.t_end {
@@ -763,10 +748,11 @@ impl NetSim {
             self.schedule(resume, Ev::HostSend(fi));
             return;
         }
-        let rrt = self.rps[fi].as_ref().and_then(ReactionPoint::associated_cp);
+        let rrt = self.rps[fi].associated_cp();
         let frame = NetFrame { flow: fi, rrt, priority: flow.priority };
         let delay = self.link_serialization[uplink] + self.cfg.links[uplink].delay;
         self.schedule(self.now + delay, Ev::Arrive { link: uplink, frame });
+        self.rps[fi].on_bits_sent(self.cfg.frame_bits);
         // Deterministic +/-2% pacing jitter (per-flow LCG) breaks the
         // phase-locking a perfectly periodic ensemble would suffer at a
         // full FIFO (where the same flow's frame would be the one dropped
@@ -777,7 +763,7 @@ impl NetSim {
                 st.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
             0.98 + 0.04 * ((*st >> 11) as f64 / (1u64 << 53) as f64)
         };
-        let gap_secs = self.cfg.frame_bits / self.flow_rate(fi).max(1.0) * jitter;
+        let gap_secs = self.cfg.frame_bits / self.rps[fi].rate().max(1.0) * jitter;
         self.schedule(self.now + Duration::from_secs(gap_secs), Ev::HostSend(fi));
     }
 
@@ -838,20 +824,16 @@ impl NetSim {
             }
             port.queues[cls].push_back(frame);
         }
-        if let Some(msg) = feedback {
-            let mut injected = std::mem::take(&mut self.fault_scratch);
-            let fate = self.faults.feedback_fate_into(&msg, &mut injected);
-            for &class in &injected {
-                self.note_fault(class, msg.dst.0);
+        if let Some(fb) = feedback {
+            let (fate, fired) = fb.through(&mut self.faults);
+            for class in fired {
+                self.note_fault(class, fb.dst().0);
             }
-            injected.clear();
-            self.fault_scratch = injected;
-            if let FeedbackFate::Deliver { msg, extra } = fate {
-                let flow = msg.dst.0 as usize;
+            if let Some((fb, extra)) = fate {
                 // Corruption can re-address the message beyond the flow
                 // set; keep it schedulable and let delivery discard it.
-                let delay = self.feedback_delay.get(flow).copied().unwrap_or(Duration::ZERO);
-                self.schedule(self.now + delay + extra, Ev::Feedback { flow, msg });
+                let delay = self.feedback_delay.get(fb.dst().0 as usize).copied();
+                self.schedule(self.now + delay.unwrap_or(Duration::ZERO) + extra, Ev::Feedback(fb));
             }
         }
         // PAUSE when the relevant backlog crosses the threshold: under

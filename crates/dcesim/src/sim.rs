@@ -19,13 +19,14 @@ use std::sync::Arc;
 use bcn::BcnParams;
 use telemetry::{FaultClass, SeriesKind, SpanKind, Telemetry};
 
-use crate::cp::{CongestionPoint, CpConfig};
+use crate::control::{Feedback, FlowRp, PortCp};
+use crate::cp::CpConfig;
 use crate::error::ConfigError;
-use crate::faults::{FaultConfig, FaultPlan, FeedbackFate};
-use crate::frame::{BcnMessage, CpId, DataFrame, SourceId};
+use crate::faults::{FaultConfig, FaultPlan};
+use crate::frame::{CpId, DataFrame, SourceId};
 use crate::metrics::SimMetrics;
-use crate::qcn::{QcnCp, QcnCpConfig, QcnFeedback, QcnRp, QcnRpConfig};
-use crate::rp::{ReactionPoint, RpConfig};
+use crate::qcn::{QcnCpConfig, QcnRpConfig};
+use crate::rp::RpConfig;
 use crate::sched::{EventQueue, Scheduler};
 use crate::time::{Duration, Time};
 use crate::workload::FlowSpec;
@@ -226,16 +227,9 @@ enum Ev {
     SourceSend(usize),
     Arrival(DataFrame),
     Departure,
-    BcnDeliver(BcnMessage),
-    QcnDeliver(QcnFeedback),
+    Feedback(Feedback),
     PauseDeliver { until: Time },
     Record,
-}
-
-enum SchemeState {
-    Bcn { cp: CongestionPoint, rps: Vec<ReactionPoint> },
-    Qcn { cp: QcnCp, rps: Vec<QcnRp> },
-    None,
 }
 
 /// Outcome of a run.
@@ -251,15 +245,14 @@ pub struct SimReport {
 }
 
 /// The reusable allocation footprint of a [`Simulation`]: the event
-/// queue's slab/heap buffer, the bottleneck FIFO, and the fault scratch
-/// list. Build one per worker and thread it through
+/// queue's slab/heap buffer and the bottleneck FIFO. Build one per
+/// worker and thread it through
 /// [`Simulation::new_in`] / [`Simulation::run_into`] to run many seeds
 /// without re-allocating per run (`dcesim::batch` does this).
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
     events: EventQueue<Ev>,
     queue: VecDeque<(DataFrame, Time)>,
-    fault_scratch: Vec<FaultClass>,
 }
 
 impl SimWorkspace {
@@ -287,7 +280,9 @@ pub struct Simulation {
     queue: VecDeque<(DataFrame, Time)>,
     q_bits: f64,
     busy: bool,
-    scheme: SchemeState,
+    /// The bottleneck's congestion point; `None` under [`Control::None`].
+    cp: Option<PortCp>,
+    rps: Vec<FlowRp>,
     metrics: SimMetrics,
     /// The record grid: one time (seconds) per record tick, shared by
     /// every series of the report when the run finishes. The series
@@ -299,7 +294,6 @@ pub struct Simulation {
     /// Open flow-lifetime span ids, 0 when the flow has none.
     flow_spans: Vec<u64>,
     faults: FaultPlan,
-    fault_scratch: Vec<FaultClass>,
     /// PAUSE frames scheduled but not yet delivered — the hybrid
     /// engine's guard must see in-flight PAUSEs, not just asserted ones.
     pending_pauses: u32,
@@ -344,23 +338,10 @@ impl Simulation {
             panic!("{e}");
         }
         let n = cfg.flows.len();
-        let scheme = match &cfg.control {
-            Control::Bcn { cp, rp } => SchemeState::Bcn {
-                cp: CongestionPoint::new(*cp),
-                rps: cfg.flows.iter().map(|f| ReactionPoint::new(*rp, f.initial_rate)).collect(),
-            },
-            Control::Qcn { cp, rp } => SchemeState::Qcn {
-                cp: QcnCp::new(*cp),
-                rps: cfg.flows.iter().map(|f| QcnRp::new(*rp, f.initial_rate)).collect(),
-            },
-            Control::None => SchemeState::None,
-        };
         let mut events = std::mem::take(&mut ws.events);
         events.reset(cfg.scheduler);
         let mut queue = std::mem::take(&mut ws.queue);
         queue.clear();
-        let mut fault_scratch = std::mem::take(&mut ws.fault_scratch);
-        fault_scratch.clear();
         // Size every buffer that grows with the run up front, so the
         // steady state allocates nothing (the packet_engine bench gates
         // on this): the FIFO can hold at most a buffer of frames, the
@@ -384,14 +365,14 @@ impl Simulation {
             queue,
             q_bits: 0.0,
             busy: false,
-            scheme,
+            cp: PortCp::new(&cfg.control),
+            rps: cfg.flows.iter().map(|f| FlowRp::new(&cfg.control, f.initial_rate)).collect(),
             metrics: SimMetrics::default(),
             record_times: Vec::with_capacity(records),
             last_pause: None,
             telemetry: None,
             flow_spans: vec![0; n],
             faults: FaultPlan::new(cfg.faults.clone()),
-            fault_scratch,
             pending_pauses: 0,
             record_just_fired: false,
             cfg,
@@ -451,16 +432,8 @@ impl Simulation {
         self.events.schedule(time, ev);
     }
 
-    fn source_rate(&self, i: usize) -> f64 {
-        match &self.scheme {
-            SchemeState::Bcn { rps, .. } => rps[i].rate(),
-            SchemeState::Qcn { rps, .. } => rps[i].rate(),
-            SchemeState::None => self.cfg.flows[i].initial_rate,
-        }
-    }
-
     fn aggregate_rate(&self) -> f64 {
-        (0..self.cfg.flows.len()).filter(|&i| self.active[i]).map(|i| self.source_rate(i)).sum()
+        (0..self.cfg.flows.len()).filter(|&i| self.active[i]).map(|i| self.rps[i].rate()).sum()
     }
 
     /// Runs to completion and returns the report.
@@ -490,7 +463,6 @@ impl Simulation {
         self.queue.clear();
         ws.events = std::mem::take(&mut self.events);
         ws.queue = std::mem::take(&mut self.queue);
-        ws.fault_scratch = std::mem::take(&mut self.fault_scratch);
         report
     }
 
@@ -515,7 +487,7 @@ impl Simulation {
     }
 
     fn finalize(&mut self) -> SimReport {
-        let final_rates = (0..self.cfg.flows.len()).map(|i| self.source_rate(i)).collect();
+        let final_rates = self.rps.iter().map(FlowRp::rate).collect();
         self.metrics.faults = self.faults.take_counts();
         let grid = Arc::new(std::mem::take(&mut self.record_times));
         let m = &mut self.metrics;
@@ -585,19 +557,10 @@ impl Simulation {
             Ev::SourceSend(i) => self.on_source_send(i),
             Ev::Arrival(frame) => self.on_arrival(frame),
             Ev::Departure => self.on_departure(),
-            Ev::BcnDeliver(msg) => {
-                if let SchemeState::Bcn { rps, .. } = &mut self.scheme {
-                    // A corrupted DA can point outside the source set;
-                    // such misaddressed feedback dies on delivery.
-                    if let Some(rp) = rps.get_mut(msg.dst.0 as usize) {
-                        rp.on_bcn(&msg);
-                        self.metrics.feedback_messages += 1;
-                    }
-                }
-            }
-            Ev::QcnDeliver(fb) => {
-                if let SchemeState::Qcn { rps, .. } = &mut self.scheme {
-                    rps[fb.dst.0 as usize].on_feedback(&fb);
+            Ev::Feedback(fb) => {
+                // A corrupted DA can point outside the source set; such
+                // misaddressed feedback dies on delivery.
+                if self.rps.get_mut(fb.dst().0 as usize).is_some_and(|rp| rp.on_feedback(&fb)) {
                     self.metrics.feedback_messages += 1;
                 }
             }
@@ -616,7 +579,7 @@ impl Simulation {
                 self.metrics.queue.record(self.q_bits);
                 self.metrics.aggregate_rate.record(self.aggregate_rate());
                 for i in 0..self.cfg.flows.len() {
-                    let r = if self.active[i] { self.source_rate(i) } else { 0.0 };
+                    let r = if self.active[i] { self.rps[i].rate() } else { 0.0 };
                     self.metrics.per_source_rate[i].record(r);
                     let now = self.now.as_secs();
                     if let Some(tel) = self.telemetry.as_mut() {
@@ -649,17 +612,12 @@ impl Simulation {
             self.schedule(resume, Ev::SourceSend(i));
             return;
         }
-        let rrt = match &self.scheme {
-            SchemeState::Bcn { rps, .. } => rps[i].associated_cp(),
-            _ => None,
-        };
+        let rrt = self.rps[i].associated_cp();
         let frame = DataFrame { src: SourceId(i as u32), bits: self.cfg.frame_bits, rrt };
         self.sent_bits[i] += self.cfg.frame_bits;
         self.schedule(self.now + self.cfg.prop_delay, Ev::Arrival(frame));
-        if let SchemeState::Qcn { rps, .. } = &mut self.scheme {
-            rps[i].on_bits_sent(self.cfg.frame_bits);
-        }
-        let rate = self.source_rate(i).max(1.0);
+        self.rps[i].on_bits_sent(self.cfg.frame_bits);
+        let rate = self.rps[i].rate().max(1.0);
         let gap = self.pacing_gap(i, rate);
         self.schedule(self.now + gap, Ev::SourceSend(i));
     }
@@ -693,45 +651,19 @@ impl Simulation {
         self.q_bits += frame.bits;
         self.note_queue_threshold(prev_q);
         self.queue.push_back((frame, self.now));
-        // Collect scheme reactions first, then schedule (borrow split).
-        let mut bcn_msg = None;
-        let mut qcn_fb = None;
-        let mut want_pause = false;
-        match &mut self.scheme {
-            SchemeState::Bcn { cp, .. } => {
-                bcn_msg = cp.on_arrival(&frame, self.q_bits);
-                want_pause = cp.should_pause(self.q_bits);
+        if let Some(fb) = self.cp.as_mut().and_then(|cp| cp.on_arrival(&frame, self.q_bits)) {
+            let (fate, fired) = fb.through(&mut self.faults);
+            for class in fired {
+                self.note_fault(class, fb.dst().0);
             }
-            SchemeState::Qcn { cp, .. } => {
-                qcn_fb = cp.on_arrival(frame.src, self.q_bits);
-            }
-            SchemeState::None => {}
-        }
-        if let Some(msg) = bcn_msg {
-            // The scratch list is hoisted into the engine so the fault
-            // path allocates nothing per message (mem::take keeps the
-            // borrow checker happy across the note_fault calls).
-            let mut injected = std::mem::take(&mut self.fault_scratch);
-            let fate = self.faults.feedback_fate_into(&msg, &mut injected);
-            for &class in &injected {
-                self.note_fault(class, msg.dst.0);
-            }
-            injected.clear();
-            self.fault_scratch = injected;
-            if let FeedbackFate::Deliver { msg, extra } = fate {
+            if let Some((fb, extra)) = fate {
                 if let Some(tel) = self.telemetry.as_mut() {
-                    tel.bcn_message(self.now.as_secs(), msg.sigma, msg.dst.0);
+                    fb.record(tel, self.now.as_secs());
                 }
-                self.schedule(self.now + self.cfg.prop_delay + extra, Ev::BcnDeliver(msg));
+                self.schedule(self.now + self.cfg.prop_delay + extra, Ev::Feedback(fb));
             }
         }
-        if let Some(fb) = qcn_fb {
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.qcn_message(self.now.as_secs(), fb.fb, fb.dst.0);
-            }
-            self.schedule(self.now + self.cfg.prop_delay, Ev::QcnDeliver(fb));
-        }
-        if want_pause {
+        if self.cp.as_ref().is_some_and(|cp| cp.should_pause(self.q_bits)) {
             self.maybe_pause();
         }
         if !self.busy {
@@ -789,10 +721,7 @@ impl Simulation {
     /// BCN severe-congestion threshold `q_sc` (the PAUSE trigger level).
     fn note_queue_threshold(&mut self, prev_q: f64) {
         let Some(tel) = self.telemetry.as_mut() else { return };
-        let thr = match &self.cfg.control {
-            Control::Bcn { cp, .. } => cp.qsc_bits,
-            _ => return,
-        };
+        let Some(thr) = self.cp.as_ref().and_then(PortCp::qsc_bits) else { return };
         let q = self.q_bits;
         if prev_q < thr && q >= thr {
             tel.queue_threshold(self.now.as_secs(), q, thr, true);
@@ -810,7 +739,7 @@ impl Simulation {
         self.metrics.delivered_bits += frame.bits;
         self.metrics.per_source_bits[frame.src.0 as usize] += frame.bits;
         self.metrics.queueing_delay.push(self.now.saturating_sub(enqueued_at).as_secs());
-        if let SchemeState::Bcn { cp, .. } = &mut self.scheme {
+        if let Some(cp) = &mut self.cp {
             cp.on_departure(frame.bits);
         }
         if let Some((next, _)) = self.queue.front() {
@@ -865,14 +794,8 @@ impl Simulation {
     /// *structural* guard; the dynamic guards (switching-line distance,
     /// queue margins) live in the epoch controller.
     pub(crate) fn hybrid_quiescent(&self) -> bool {
-        let scheme_ok = match &self.scheme {
-            SchemeState::Bcn { cp, .. } => {
-                let c = cp.config();
-                c.fb_quant.is_none() && !c.gate_positive
-            }
-            _ => false,
-        };
-        scheme_ok
+        let fluid_calibrated = |c: &CpConfig| c.fb_quant.is_none() && !c.gate_positive;
+        matches!(&self.cp, Some(PortCp::Bcn(cp)) if fluid_calibrated(cp.config()))
             && !self.cfg.faults.enabled()
             && self.pending_pauses == 0
             && self.paused_until.iter().all(|&p| p <= self.now)
@@ -936,40 +859,24 @@ impl Simulation {
         self.now = t;
         let n = self.cfg.flows.len();
         let base = w_agg / n as f64;
-        {
-            let SchemeState::Bcn { cp, rps } = &mut self.scheme else {
-                unreachable!("hybrid re-seed requires BCN control (guarded)");
-            };
-            for rp in rps.iter_mut() {
-                rp.set_rate(base);
-            }
-            cp.restart_interval();
+        let Some(PortCp::Bcn(cp)) = &mut self.cp else {
+            unreachable!("hybrid re-seed requires BCN control (guarded)");
+        };
+        cp.restart_interval();
+        for rp in &mut self.rps {
+            let FlowRp::Bcn(rp) = rp else { unreachable!() };
+            rp.set_rate(base);
         }
         self.queue.clear();
         self.q_bits = q_bits;
         let frame_bits = self.cfg.frame_bits;
         let full = (q_bits / frame_bits).floor() as usize;
         let rem = q_bits - full as f64 * frame_bits;
-        {
-            let SchemeState::Bcn { rps, .. } = &self.scheme else { unreachable!() };
-            for j in 0..full {
-                let src = j % n;
-                let frame = DataFrame {
-                    src: SourceId(src as u32),
-                    bits: frame_bits,
-                    rrt: rps[src].associated_cp(),
-                };
-                self.queue.push_back((frame, t));
-            }
-            if rem > 0.0 {
-                let src = full % n;
-                let frame = DataFrame {
-                    src: SourceId(src as u32),
-                    bits: rem,
-                    rrt: rps[src].associated_cp(),
-                };
-                self.queue.push_back((frame, t));
-            }
+        for j in 0..full + usize::from(rem > 0.0) {
+            let src = j % n;
+            let bits = if j < full { frame_bits } else { rem };
+            let rrt = self.rps[src].associated_cp();
+            self.queue.push_back((DataFrame { src: SourceId(src as u32), bits, rrt }, t));
         }
         self.events.clear_pending();
         self.pending_pauses = 0;
@@ -1047,8 +954,9 @@ mod tests {
         // that pin the rate at its floor and its ceiling twice in a row.
         let sigmas = [0.0, -500.0, -500.0, 0.0, 2.0e3, 2.0e3, -1e9, -1e9, 1e12, 1e12, 0.0, -3.0];
         for sigma in sigmas {
-            sim.dispatch(Ev::BcnDeliver(BcnMessage { dst: SourceId(0), cpid: CpId(1), sigma }));
-            let exact = Duration::serialization(frame_bits, sim.source_rate(0).max(1.0));
+            let msg = crate::frame::BcnMessage { dst: SourceId(0), cpid: CpId(1), sigma };
+            sim.dispatch(Ev::Feedback(Feedback::Bcn(msg)));
+            let exact = Duration::serialization(frame_bits, sim.rps[0].rate().max(1.0));
             sim.events.clear_pending();
             sim.on_source_send(0);
             let sends: Vec<Time> = std::iter::from_fn(|| sim.events.pop())
