@@ -1122,6 +1122,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qcn::{QcnCpConfig, QcnRpConfig};
+    use crate::sim::Control;
 
     fn batch(n: u64) -> BatchConfig {
         let mut base = SimConfig::fluid_validation_default();
@@ -1316,10 +1318,25 @@ mod tests {
     fn an_invalid_seeded_config_fails_without_panicking() {
         let mut cfg = batch(3);
         cfg.base.capacity = 0.0;
-        let report = run_batch(&cfg);
-        assert_eq!(report.completed().count(), 0);
-        for (_, cause) in report.failures() {
-            assert!(cause.contains("capacity"), "cause: {cause}");
+        let mut qcn_cp = batch(3);
+        qcn_cp.base.control = Control::Qcn {
+            cp: QcnCpConfig { q_eq_bits: 1.0e6, w: 2.0, sample_every: 0 },
+            rp: QcnRpConfig::standard(qcn_cp.base.capacity),
+        };
+        let mut qcn_rp = batch(3);
+        qcn_rp.base.control = Control::Qcn {
+            cp: QcnCpConfig { q_eq_bits: 1.0e6, w: 2.0, sample_every: 20 },
+            rp: QcnRpConfig { gd: 0.0, ..QcnRpConfig::standard(qcn_rp.base.capacity) },
+        };
+        for (cfg, field) in
+            [(cfg, "capacity"), (qcn_cp, "qcn.cp.sample_every"), (qcn_rp, "qcn.rp.gd")]
+        {
+            let report = run_batch(&cfg);
+            assert_eq!(report.completed().count(), 0);
+            assert_eq!(report.failures().count(), 3);
+            for (_, cause) in report.failures() {
+                assert!(cause.contains(field), "cause: {cause}");
+            }
         }
     }
 

@@ -15,6 +15,7 @@
 //! driven only (no wall-clock timer path, which matters mainly at very
 //! low rates).
 
+use crate::error::ConfigError;
 use crate::frame::SourceId;
 
 /// Quantized congestion feedback delivered to a QCN reaction point.
@@ -38,6 +39,41 @@ pub struct QcnCpConfig {
     pub sample_every: u64,
 }
 
+impl QcnCpConfig {
+    /// Validates the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] on a non-finite or non-positive `q_eq`,
+    /// a non-finite or negative `w`, or a zero sampling divisor.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.q_eq_bits.is_finite() && self.q_eq_bits > 0.0) {
+            return Err(ConfigError::new("qcn.cp.q_eq_bits", "q_eq must be positive"));
+        }
+        if !(self.w.is_finite() && self.w >= 0.0) {
+            return Err(ConfigError::new("qcn.cp.w", "w must be non-negative"));
+        }
+        if self.sample_every < 1 {
+            return Err(ConfigError::new(
+                "qcn.cp.sample_every",
+                "sampling divisor must be at least 1",
+            ));
+        }
+        Ok(())
+    }
+
+    /// The panicking form of [`QcnCpConfig::validate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`QcnCpConfig::validate`] errors.
+    pub fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+    }
+}
+
 /// QCN congestion point: computes `Fb = -(q_off + w * q_delta)` at each
 /// sample and emits feedback only when `Fb < 0`.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,11 +89,10 @@ impl QcnCp {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive `q_eq` or zero sampling divisor.
+    /// Panics if the configuration is invalid.
     #[must_use]
     pub fn new(cfg: QcnCpConfig) -> Self {
-        assert!(cfg.q_eq_bits > 0.0, "q_eq must be positive");
-        assert!(cfg.sample_every >= 1, "sampling divisor must be at least 1");
+        cfg.assert_valid();
         // The standard's quantization scale: |Fb| maxes out at
         // q_eq (2 w + 1) — queue at 2 q_eq and rising at full tilt.
         let fb_max = cfg.q_eq_bits * (2.0 * cfg.w + 1.0);
@@ -124,6 +159,49 @@ impl QcnRpConfig {
             r_max: line_rate,
         }
     }
+
+    /// Validates the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] on a decrease gain outside `(0, 1]`, an
+    /// empty or non-finite rate range, a non-finite or non-positive
+    /// byte-counter stage, or non-finite or negative increase steps.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.gd > 0.0 && self.gd <= 1.0) {
+            return Err(ConfigError::new("qcn.rp.gd", "gd must lie in (0, 1]"));
+        }
+        if !(self.r_min.is_finite()
+            && self.r_max.is_finite()
+            && self.r_min > 0.0
+            && self.r_min < self.r_max)
+        {
+            return Err(ConfigError::new("qcn.rp.r_min", "need 0 < r_min < r_max"));
+        }
+        if !(self.bc_limit_bits.is_finite() && self.bc_limit_bits > 0.0) {
+            return Err(ConfigError::new(
+                "qcn.rp.bc_limit_bits",
+                "byte-counter limit must be positive",
+            ));
+        }
+        for (field, v) in [("qcn.rp.r_ai", self.r_ai), ("qcn.rp.r_hai", self.r_hai)] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(ConfigError::new(field, "increase steps must be non-negative"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The panicking form of [`QcnRpConfig::validate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`QcnRpConfig::validate`] errors.
+    pub fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+    }
 }
 
 /// Rate-recovery stage of a QCN reaction point.
@@ -159,9 +237,7 @@ impl QcnRp {
     /// Panics on an invalid configuration.
     #[must_use]
     pub fn new(cfg: QcnRpConfig, initial_rate: f64) -> Self {
-        assert!(cfg.gd > 0.0 && cfg.gd <= 1.0, "gd must lie in (0, 1]");
-        assert!(cfg.r_min > 0.0 && cfg.r_min < cfg.r_max, "need 0 < r_min < r_max");
-        assert!(cfg.bc_limit_bits > 0.0, "byte-counter limit must be positive");
+        cfg.assert_valid();
         let rate = initial_rate.clamp(cfg.r_min, cfg.r_max);
         Self {
             cfg,
@@ -311,6 +387,43 @@ mod tests {
         rp.on_bits_sent(1.0e9);
         assert_eq!(rp.rate(), before);
         assert_eq!(rp.stage(), QcnStage::Unconstrained);
+    }
+
+    #[test]
+    fn validate_names_each_field() {
+        let cp = QcnCpConfig { q_eq_bits: 10_000.0, w: 2.0, sample_every: 1 };
+        assert!(cp.validate().is_ok());
+        for (bad, field) in [
+            (QcnCpConfig { q_eq_bits: 0.0, ..cp }, "qcn.cp.q_eq_bits"),
+            (QcnCpConfig { q_eq_bits: f64::INFINITY, ..cp }, "qcn.cp.q_eq_bits"),
+            (QcnCpConfig { w: -1.0, ..cp }, "qcn.cp.w"),
+            (QcnCpConfig { w: f64::NAN, ..cp }, "qcn.cp.w"),
+            (QcnCpConfig { sample_every: 0, ..cp }, "qcn.cp.sample_every"),
+        ] {
+            assert_eq!(bad.validate().unwrap_err().field, field, "{bad:?}");
+        }
+        let rp = QcnRpConfig::standard(1.0e9);
+        assert!(rp.validate().is_ok());
+        for (bad, field) in [
+            (QcnRpConfig { gd: 0.0, ..rp }, "qcn.rp.gd"),
+            (QcnRpConfig { gd: 1.5, ..rp }, "qcn.rp.gd"),
+            (QcnRpConfig { gd: f64::NAN, ..rp }, "qcn.rp.gd"),
+            (QcnRpConfig { r_min: 0.0, ..rp }, "qcn.rp.r_min"),
+            (QcnRpConfig { r_min: 2.0e9, ..rp }, "qcn.rp.r_min"),
+            (QcnRpConfig { r_max: f64::INFINITY, ..rp }, "qcn.rp.r_min"),
+            (QcnRpConfig { bc_limit_bits: 0.0, ..rp }, "qcn.rp.bc_limit_bits"),
+            (QcnRpConfig { bc_limit_bits: f64::NAN, ..rp }, "qcn.rp.bc_limit_bits"),
+            (QcnRpConfig { r_ai: -1.0, ..rp }, "qcn.rp.r_ai"),
+            (QcnRpConfig { r_hai: f64::INFINITY, ..rp }, "qcn.rp.r_hai"),
+        ] {
+            assert_eq!(bad.validate().unwrap_err().field, field, "{bad:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "qcn.rp.gd")]
+    fn the_constructor_asserts_through_validate() {
+        let _ = QcnRp::new(QcnRpConfig { gd: 0.0, ..QcnRpConfig::standard(1.0e9) }, 1.0e6);
     }
 
     #[test]

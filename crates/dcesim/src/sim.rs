@@ -177,9 +177,16 @@ impl SimConfig {
         if self.record_interval == Duration::ZERO {
             return Err(ConfigError::new("record_interval", "record interval must be positive"));
         }
-        if let Control::Bcn { cp, rp } = &self.control {
-            cp.validate()?;
-            rp.validate()?;
+        match &self.control {
+            Control::Bcn { cp, rp } => {
+                cp.validate()?;
+                rp.validate()?;
+            }
+            Control::Qcn { cp, rp } => {
+                cp.validate()?;
+                rp.validate()?;
+            }
+            Control::None => {}
         }
         self.faults.validate()
     }
