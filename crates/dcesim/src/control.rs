@@ -8,7 +8,7 @@
 use telemetry::Telemetry;
 
 use crate::cp::CongestionPoint;
-use crate::faults::{FaultPlan, FaultSet, FeedbackFate};
+use crate::faults::{FaultPlan, FeedbackFate};
 use crate::frame::{BcnMessage, CpId, DataFrame, SourceId};
 use crate::qcn::{QcnCp, QcnFeedback, QcnRp};
 use crate::rp::ReactionPoint;
@@ -33,7 +33,7 @@ impl PortCp {
     #[inline]
     pub(crate) fn on_arrival(&mut self, frame: &DataFrame, q_bits: f64) -> Option<Feedback> {
         match self {
-            PortCp::Bcn(cp) => cp.on_arrival(frame, q_bits).map(Feedback::Bcn),
+            PortCp::Bcn(cp) => cp.on_arrival(frame, q_bits).map(Feedback::bcn),
             PortCp::Qcn(cp) => cp.on_arrival(frame.src, q_bits).map(Feedback::Qcn),
         }
     }
@@ -97,7 +97,9 @@ impl FlowRp {
     /// regulator takes none of that kind.
     pub(crate) fn on_feedback(&mut self, fb: &Feedback) -> bool {
         match (self, fb) {
-            (FlowRp::Bcn(rp), Feedback::Bcn(msg)) => rp.on_bcn(msg),
+            (FlowRp::Bcn(rp), &Feedback::Bcn { dst, cpid, sigma }) => {
+                rp.on_bcn(&BcnMessage { dst, cpid, sigma });
+            }
             (FlowRp::Qcn(rp), Feedback::Qcn(fb)) => rp.on_feedback(fb),
             _ => return false,
         }
@@ -114,36 +116,52 @@ impl FlowRp {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Feedback {
-    Bcn(BcnMessage),
+    /// A `BcnMessage`'s fields, inline so that the tag packs beside
+    /// `dst` and a feedback event is no larger than a data frame's.
+    Bcn {
+        dst: SourceId,
+        cpid: CpId,
+        sigma: f64,
+    },
     Qcn(QcnFeedback),
 }
 
 impl Feedback {
+    fn bcn(BcnMessage { dst, cpid, sigma }: BcnMessage) -> Self {
+        Feedback::Bcn { dst, cpid, sigma }
+    }
+
     pub(crate) fn dst(&self) -> SourceId {
         match self {
-            Feedback::Bcn(msg) => msg.dst,
+            Feedback::Bcn { dst, .. } => *dst,
             Feedback::Qcn(fb) => fb.dst,
         }
     }
 
-    /// The feedback to deliver and its extra latency (`None` if lost),
-    /// with the fault classes that fired. Only BCN frames cross the
-    /// faulted wire; QCN feedback passes untouched.
-    pub(crate) fn through(self, faults: &mut FaultPlan) -> (Option<(Self, Duration)>, FaultSet) {
-        let Feedback::Bcn(msg) = self else {
-            return (Some((self, Duration::ZERO)), FaultSet::default());
-        };
-        match faults.feedback_fate(&msg) {
-            (FeedbackFate::Deliver { msg, extra }, fired) => {
-                (Some((Feedback::Bcn(msg), extra)), fired)
-            }
-            (FeedbackFate::Lost, fired) => (None, fired),
+    /// Sends the message through the fault layer, noting in `tel` at
+    /// time `t` each fault class that fires; returns the feedback to
+    /// deliver and its extra latency, or `None` if lost. Only BCN frames
+    /// cross the faulted wire; QCN feedback passes untouched.
+    pub(crate) fn through(
+        self,
+        faults: &mut FaultPlan,
+        tel: Option<&mut Telemetry>,
+        t: f64,
+    ) -> Option<(Self, Duration)> {
+        let Feedback::Bcn { dst, cpid, sigma } = self else { return Some((self, Duration::ZERO)) };
+        let (fate, fired) = faults.feedback_fate(&BcnMessage { dst, cpid, sigma });
+        if let Some(tel) = tel {
+            fired.for_each(|class| tel.fault_injected(t, class, dst.0));
+        }
+        match fate {
+            FeedbackFate::Deliver { msg, extra } => Some((Self::bcn(msg), extra)),
+            FeedbackFate::Lost => None,
         }
     }
 
     pub(crate) fn record(&self, tel: &mut Telemetry, t: f64) {
         match self {
-            Feedback::Bcn(msg) => tel.bcn_message(t, msg.sigma, msg.dst.0),
+            Feedback::Bcn { dst, sigma, .. } => tel.bcn_message(t, *sigma, dst.0),
             Feedback::Qcn(fb) => tel.qcn_message(t, fb.fb, fb.dst.0),
         }
     }

@@ -809,27 +809,17 @@ impl NetSim {
         }
         // Enqueue into the frame's priority class.
         let cls = frame.priority as usize;
-        let port_backlog;
-        let class_backlog;
-        let mut feedback = None;
-        {
-            sw.ports[pi].backlog_by_class[cls] += bits;
-            sw.backlog_changed(pi, cls);
-            let port = &mut sw.ports[pi];
-            port_backlog = port.backlog_bits();
-            class_backlog = port.backlog_by_class[cls];
-            let df = DataFrame { src: SourceId(frame.flow as u32), bits, rrt: frame.rrt };
-            if let Some(cp) = &mut port.cp {
-                feedback = cp.on_arrival(&df, port_backlog);
-            }
-            port.queues[cls].push_back(frame);
-        }
+        sw.ports[pi].backlog_by_class[cls] += bits;
+        sw.backlog_changed(pi, cls);
+        let port = &mut sw.ports[pi];
+        let port_backlog = port.backlog_bits();
+        let class_backlog = port.backlog_by_class[cls];
+        let df = DataFrame { src: SourceId(frame.flow as u32), bits, rrt: frame.rrt };
+        let feedback = port.cp.as_mut().and_then(|cp| cp.on_arrival(&df, port_backlog));
+        port.queues[cls].push_back(frame);
         if let Some(fb) = feedback {
-            let (fate, fired) = fb.through(&mut self.faults);
-            for class in fired {
-                self.note_fault(class, fb.dst().0);
-            }
-            if let Some((fb, extra)) = fate {
+            let now = self.now.as_secs();
+            if let Some((fb, extra)) = fb.through(&mut self.faults, self.telemetry.as_mut(), now) {
                 // Corruption can re-address the message beyond the flow
                 // set; keep it schedulable and let delivery discard it.
                 let delay = self.feedback_delay.get(fb.dst().0 as usize).copied();

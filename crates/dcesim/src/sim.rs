@@ -659,11 +659,8 @@ impl Simulation {
         self.note_queue_threshold(prev_q);
         self.queue.push_back((frame, self.now));
         if let Some(fb) = self.cp.as_mut().and_then(|cp| cp.on_arrival(&frame, self.q_bits)) {
-            let (fate, fired) = fb.through(&mut self.faults);
-            for class in fired {
-                self.note_fault(class, fb.dst().0);
-            }
-            if let Some((fb, extra)) = fate {
+            let now = self.now.as_secs();
+            if let Some((fb, extra)) = fb.through(&mut self.faults, self.telemetry.as_mut(), now) {
                 if let Some(tel) = self.telemetry.as_mut() {
                     fb.record(tel, self.now.as_secs());
                 }
@@ -961,8 +958,7 @@ mod tests {
         // that pin the rate at its floor and its ceiling twice in a row.
         let sigmas = [0.0, -500.0, -500.0, 0.0, 2.0e3, 2.0e3, -1e9, -1e9, 1e12, 1e12, 0.0, -3.0];
         for sigma in sigmas {
-            let msg = crate::frame::BcnMessage { dst: SourceId(0), cpid: CpId(1), sigma };
-            sim.dispatch(Ev::Feedback(Feedback::Bcn(msg)));
+            sim.dispatch(Ev::Feedback(Feedback::Bcn { dst: SourceId(0), cpid: CpId(1), sigma }));
             let exact = Duration::serialization(frame_bits, sim.rps[0].rate().max(1.0));
             sim.events.clear_pending();
             sim.on_source_send(0);
