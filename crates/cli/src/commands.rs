@@ -774,7 +774,9 @@ fn batch_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String
         "pauses",
         "max_queue_bits",
     ]);
+    let mut fault_totals = FaultCounts::default();
     for (seed, r) in report.completed() {
+        fault_totals.merge(&r.faults);
         let delivered: f64 = r.flows.iter().map(|f| f.delivered_bits).sum();
         let dropped: u64 = r.flows.iter().map(|f| f.dropped_frames).sum();
         let pauses: u64 = r.pause_counts.iter().sum();
@@ -792,7 +794,7 @@ fn batch_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String
         csv.row(&[seed as f64, delivered, dropped as f64, delivered / t_end, pauses as f64, max_q]);
     }
     let _ = write!(out, "{table}");
-    finish_batch(flags, out, &report, "", "", &csv)
+    finish_batch(flags, out, &report, "", &render_fault_counts(&fault_totals), &csv)
 }
 
 /// `--seeds`: how many seeds a batch runs (default 8, at least 1).
@@ -2183,6 +2185,14 @@ mod tests {
             std::fs::read_to_string(&resumed_csv).unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_topo_renders_fault_tallies() {
+        let out =
+            batch(&argv(&format!("{FAST_TOPO} --seeds 2 --faults data-loss=0.01,seed=7"))).unwrap();
+        assert!(out.contains("injected faults"), "{out}");
+        assert!(out.contains("data frames lost"), "{out}");
     }
 
     #[test]

@@ -129,9 +129,11 @@ done
 
 echo "== fabric CLI smoke (--topo under both schedulers, byte-diffed) =="
 # A generator-compiled leaf-spine incast must render byte-identical
-# summaries under both schedulers, faulted and clean alike.
+# summaries under both schedulers, faulted and clean alike. Compiled
+# fabrics carry no congestion points, so the faulted run uses fault
+# classes that fire without feedback: data loss and PAUSE storms.
 topo_spec="leaf-spine:leaves=4,spines=2,hosts-per-leaf=8"
-for faults in "" "--faults feedback-loss=0.05,seed=7"; do
+for faults in "" "--faults data-loss=0.002,pause-storm=0.3,seed=7"; do
   a=$(./target/release/dcebcn packet --topo "$topo_spec" \
     --traffic incast:senders=16 --t-end 0.004 --scheduler wheel $faults)
   b=$(./target/release/dcebcn packet --topo "$topo_spec" \
@@ -142,6 +144,7 @@ for faults in "" "--faults feedback-loss=0.05,seed=7"; do
   fi
 done
 echo "$a" | grep -q "fabric run over 0.004 s: 32 hosts, 6 switches, 16 flows"
+echo "$a" | grep -q "injected faults"
 
 echo "== hybrid always-packet smoke (wrapper vs pure engine CLI) =="
 # With the always-packet guard the hybrid wrapper must render the same
@@ -241,11 +244,12 @@ cmp "$kr_dir/clean.csv" "$kr_dir/resumed2.csv"
 
 echo "== fabric kill-and-resume smoke (net shards, byte-identical artifact) =="
 # The same check on a leaf-spine incast batch, whose shards go through
-# the network-outcome codec.
+# the network-outcome codec (faults that fire on a fabric, as above).
 fk_dir=$(mktemp -d)
 fk_flags="--topo leaf-spine:leaves=4,spines=2,hosts-per-leaf=8 --traffic incast:senders=16
-  --seeds 64 --t-end 0.1 --faults feedback-loss=0.1,seed=9"
-./target/release/dcebcn batch $fk_flags --out "$fk_dir/clean.csv" >/dev/null
+  --seeds 64 --t-end 0.1 --faults data-loss=0.002,pause-storm=0.3,seed=9"
+out=$(./target/release/dcebcn batch $fk_flags --out "$fk_dir/clean.csv")
+echo "$out" | grep -q "injected faults"
 ./target/release/dcebcn batch $fk_flags --checkpoint-dir "$fk_dir/ckpt" \
   --out "$fk_dir/killed.csv" >/dev/null 2>&1 &
 fk_pid=$!
