@@ -20,6 +20,9 @@
 //!   regulator tags (RRT/CPID association).
 //! * [`qcn`] — the QCN (802.1Qau) congestion point and reaction point,
 //!   the BCN-paradigm successor, for comparison experiments.
+//! * `control` (crate-private) — the control-law seam both engines
+//!   hold their congestion and reaction points through: one enum per
+//!   role with a BCN and a QCN arm, and one feedback event.
 //! * [`sched`] — the future-event set behind both engines: a
 //!   hierarchical timing wheel with slab recycling (default) and the
 //!   reference binary heap, selectable per run and bit-identical.

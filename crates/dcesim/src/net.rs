@@ -14,7 +14,10 @@
 //! hosts connect to switches over pause-able access links, switches have
 //! per-output-port FIFO queues, each port may host a BCN congestion
 //! point, and PAUSE propagates upstream link by link with its
-//! propagation delay.
+//! propagation delay. Ports and flows hold their congestion and reaction
+//! points through the control-law seam the dumbbell engine also uses
+//! (`control::PortCp`, `control::FlowRp`, `control::Feedback`); a flow
+//! without a reaction-point configuration is a fixed-rate source.
 //!
 //! Besides plain 802.3x PAUSE, the engine implements **priority flow
 //! control** (PFC, 802.1Qbb — the "priority-flow control" extension the

@@ -9,6 +9,11 @@
 //! (another propagation delay). Above `q_sc` the switch PAUSEs all
 //! sources for a hold time (IEEE 802.3x).
 //!
+//! The engine holds the scheme's congestion point and reaction points
+//! only through the crate's control-law seam (`control::PortCp`,
+//! `control::FlowRp`, `control::Feedback`), which the multi-hop engine
+//! in [`crate::net`] shares; only the hybrid hooks look for BCN.
+//!
 //! The engine is deterministic: integer-nanosecond timestamps, a stable
 //! tie-break sequence number, and deterministic sampling make every run
 //! reproducible bit for bit.
