@@ -780,6 +780,229 @@ mod tests {
     }
 
     #[test]
+    fn decoders_pin_duplicates_trailing_commas_whitespace_and_tokens() {
+        let gi = |line: &str| query_from_jsonl(line).map(|q| q.params.gi);
+        // The first occurrence of a key wins, and a later duplicate is
+        // never read, whatever its value.
+        assert_eq!(gi(r#"{"type":"query","gi":2.0,"gi":3.0}"#), Ok(2.0));
+        assert_eq!(gi(r#"{"type":"query","gi":2.0,"gi":"x"}"#), Ok(2.0));
+        assert_eq!(gi(r#"{"type":"query","gi":2.0,"n":4,"n":2.5}"#), Ok(2.0));
+        assert_eq!(gi(r#"{"type":"query","gi":2.0,"type":"answer"}"#), Ok(2.0));
+        assert!(gi(r#"{"type":"query","gi":"x","gi":2.0}"#).is_err());
+        let legs = |line: &str| answer_from_jsonl(line).map(|a| a.legs);
+        let answer = r#"{"type":"answer","stable":true,"required_buffer":1.0,"max_x":0.5,"min_x":-0.5,"legs":3"#;
+        assert_eq!(legs(&format!(r#"{answer},"legs":-1,"stable":7}}"#)), Ok(3));
+        // Every key, duplicates included, must be known, including one
+        // after a duplicate.
+        assert!(gi(r#"{"type":"query","gi":2.0,"gi":3.0,"bogus":1}"#).is_err());
+        assert!(legs(&format!(r#"{answer},"legs":3,"bogus":1}}"#)).is_err());
+        // A trailing comma is accepted.
+        assert_eq!(gi(r#"{"type":"query","gi":2.0,}"#), Ok(2.0));
+        assert_eq!(legs(&format!("{answer},}}")), Ok(3));
+        // `str::trim` whitespace around every token.
+        for ws in ["\x0B", "\u{A0}", "\u{2003}"] {
+            let line = format!(
+                "{ws}{{{ws}\"type\"{ws}:{ws}\"query\"{ws},{ws}\"gi\"{ws}:{ws}2.0{ws},\"n\":{ws}7{ws}}}{ws}"
+            );
+            let q = query_from_jsonl(&line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            assert_eq!((q.params.gi, q.params.n_flows), (2.0, 7), "{line:?}");
+        }
+        // Number tokens: core's float grammar plus `NaN`/`inf`/`-inf`.
+        for (token, want) in [("+1", 1.0), (".5", 0.5), ("1e3", 1000.0)] {
+            assert_eq!(gi(&format!(r#"{{"type":"query","gi":{token}}}"#)), Ok(want), "{token}");
+        }
+        assert_eq!(
+            query_from_jsonl(r#"{"type":"query","n":+1e1}"#).map(|q| q.params.n_flows),
+            Ok(10)
+        );
+        // Validation refuses the non-finite tokens a gain may not take.
+        for bad in ["NaN", "inf", "-inf", "infinity", "-1"] {
+            assert!(gi(&format!(r#"{{"type":"query","gi":{bad}}}"#)).is_err(), "{bad}");
+        }
+        for (tokens, want) in [
+            (["inf", "NaN", "-inf"], [f64::INFINITY, f64::NAN, f64::NEG_INFINITY]),
+            (["infinity", ".5", "+1"], [f64::INFINITY, 0.5, 1.0]),
+        ] {
+            let line = format!(
+                r#"{{"type":"answer","stable":false,"required_buffer":{},"max_x":{},"min_x":{},"legs":1e3}}"#,
+                tokens[0], tokens[1], tokens[2]
+            );
+            let a = answer_from_jsonl(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(
+                [a.required_buffer.to_bits(), a.max_x.to_bits(), a.min_x.to_bits()],
+                want.map(f64::to_bits),
+                "{line}"
+            );
+            assert_eq!(a.legs, 1000);
+        }
+    }
+
+    /// The query decoder as it stood before its single field walk: a
+    /// `known.contains` scan over every key, then one `Record::get` scan
+    /// per slot. The differential test holds the decoders to it.
+    mod oracle {
+        use super::super::{BcnParams, StabilityAnswer, StabilityQuery, DEFAULT_MAX_LEGS};
+        use telemetry::{JsonlError, Record};
+
+        fn typed_record<'a>(
+            line: &'a str,
+            ty: &str,
+            known: &[&str],
+        ) -> Result<Record<'a>, JsonlError> {
+            let r = Record::parse(line)?;
+            r.expect_type(ty)?;
+            if let Some(k) = r.keys().find(|k| !known.contains(k)) {
+                return Err(JsonlError(format!("unknown {ty} field `{k}`")));
+            }
+            Ok(r)
+        }
+
+        pub(super) fn query_from_jsonl(line: &str) -> Result<StabilityQuery, JsonlError> {
+            const KNOWN: [&str; 12] = [
+                "type", "n", "capacity", "q0", "buffer", "gi", "gd", "ru", "w", "pm", "qsc",
+                "max_legs",
+            ];
+            let r = typed_record(line, "query", &KNOWN)?;
+            let mut p = BcnParams::paper_defaults();
+            if let Some(n) = r.get("n") {
+                p.n_flows = n.as_u32("n")?;
+            }
+            for (key, slot) in [
+                ("capacity", &mut p.capacity),
+                ("q0", &mut p.q0),
+                ("buffer", &mut p.buffer),
+                ("gi", &mut p.gi),
+                ("gd", &mut p.gd),
+                ("ru", &mut p.ru),
+                ("w", &mut p.w),
+                ("pm", &mut p.pm),
+                ("qsc", &mut p.qsc),
+            ] {
+                if let Some(v) = r.get(key) {
+                    *slot = v.as_f64(key)?;
+                }
+            }
+            p.validate().map_err(|e| JsonlError(format!("invalid query parameters: {e}")))?;
+            let max_legs = match r.get("max_legs") {
+                Some(v) => usize::try_from(v.as_u64("max_legs")?)
+                    .map_err(|_| JsonlError("field `max_legs` out of range".into()))?,
+                None => DEFAULT_MAX_LEGS,
+            };
+            Ok(StabilityQuery { params: p, max_legs })
+        }
+
+        pub(super) fn answer_from_jsonl(line: &str) -> Result<StabilityAnswer, JsonlError> {
+            const KNOWN: [&str; 6] =
+                ["type", "stable", "required_buffer", "max_x", "min_x", "legs"];
+            let r = typed_record(line, "answer", &KNOWN)?;
+            Ok(StabilityAnswer {
+                strongly_stable: r.bool("stable")?,
+                required_buffer: r.f64("required_buffer")?,
+                max_x: r.f64("max_x")?,
+                min_x: r.f64("min_x")?,
+                legs: usize::try_from(r.u64("legs")?)
+                    .map_err(|_| JsonlError("field `legs` out of range".into()))?,
+            })
+        }
+    }
+
+    /// One random mutation of a line: a byte flip (lossily re-decoded),
+    /// a Unicode whitespace character inserted next to a delimiter, or
+    /// two fields swapped, or one duplicated (half the copies carrying
+    /// another field's value).
+    fn mutate(line: &str, draw: &mut impl FnMut() -> u64) -> String {
+        const INSERTS: [&str; 8] =
+            [" ", "\x0B", "\u{85}", "\u{A0}", "\u{2003}", "\u{3000}", "\u{200B}", "é"];
+        let mut below = |n: usize| (draw() % n as u64) as usize;
+        match below(3) {
+            0 if !line.is_empty() => {
+                let mut bytes = line.as_bytes().to_vec();
+                let i = below(bytes.len());
+                bytes[i] ^= below(255) as u8 + 1;
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+            0 | 1 => {
+                let mut at: Vec<usize> = (0..line.len())
+                    .filter(|&i| b"{}\":,".contains(&line.as_bytes()[i]))
+                    .flat_map(|i| [i, i + 1])
+                    .collect();
+                at.push(0);
+                let mut out = line.to_string();
+                out.insert_str(at[below(at.len())], INSERTS[below(INSERTS.len())]);
+                out
+            }
+            _ => {
+                let Some(inner) = line.strip_prefix('{').and_then(|s| s.strip_suffix('}')) else {
+                    return line.to_string();
+                };
+                let mut fields: Vec<String> = inner.split(',').map(str::to_string).collect();
+                let (i, j) = (below(fields.len()), below(fields.len()));
+                match below(3) {
+                    0 => fields.swap(i, j),
+                    1 => fields.insert(j, fields[i].clone()),
+                    _ => {
+                        let key = fields[i].split(':').next().unwrap_or("").to_string();
+                        let value = fields[j].split(':').nth(1).unwrap_or("").to_string();
+                        fields.insert(below(fields.len() + 1), format!("{key}:{value}"));
+                    }
+                }
+                format!("{{{}}}", fields.join(","))
+            }
+        }
+    }
+
+    #[test]
+    fn decoders_match_the_oracle_on_mutated_lines() {
+        let mut state = 0x00c0_dec5_u64;
+        let mut draw = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut queries: Vec<String> = mixed_queries().iter().take(5).map(query_to_jsonl).collect();
+        queries.push(query_to_jsonl(&StabilityQuery::new(BcnParams::paper_defaults())));
+        queries.push(r#"{"type":"query","gi":2.0,"gd":0.03}"#.into());
+        queries.push(r#"{"type":"query"}"#.into());
+        let mut answers: Vec<String> =
+            evaluate_batch(&mixed_queries()[..5]).iter().map(answer_to_jsonl).collect();
+        answers.push(answer_to_jsonl(&StabilityAnswer {
+            strongly_stable: false,
+            required_buffer: f64::INFINITY,
+            max_x: f64::NAN,
+            min_x: -0.0,
+            legs: 0,
+        }));
+        let (mut ok, mut err) = (0, 0);
+        for case in 0..30_000 {
+            let base = if case % 2 == 0 { &queries } else { &answers };
+            let mut line = base[(draw() % base.len() as u64) as usize].clone();
+            for _ in 0..1 + draw() % 3 {
+                line = mutate(&line, &mut draw);
+            }
+            let (got, want) = if case % 2 == 0 {
+                (
+                    query_from_jsonl(&line).map(|q| query_key(&q).to_vec()),
+                    oracle::query_from_jsonl(&line).map(|q| query_key(&q).to_vec()),
+                )
+            } else {
+                let bits = |a: StabilityAnswer| {
+                    let (s, r, x, n, l) = answer_bits(&a);
+                    vec![u64::from(s), r, x, n, l as u64]
+                };
+                (answer_from_jsonl(&line).map(bits), oracle::answer_from_jsonl(&line).map(bits))
+            };
+            assert_eq!(got, want, "case {case}: {line:?}");
+            if want.is_ok() {
+                ok += 1;
+            } else {
+                err += 1;
+            }
+        }
+        assert!(ok > 3_000 && err > 3_000, "{ok} decoded, {err} refused");
+    }
+
+    #[test]
     fn bad_query_lines_are_rejected() {
         for line in [
             "not json",

@@ -675,6 +675,254 @@ mod tests {
     }
 
     #[test]
+    fn record_reader_pins_duplicates_trailing_commas_whitespace_and_tokens() {
+        // The first occurrence of a key wins; a later duplicate of
+        // another type is kept in the field list but never read.
+        let r = Record::parse(r#"{"a":1,"a":2,"b":true,"a":"x"}"#).unwrap();
+        assert_eq!(r.f64("a"), Ok(1.0));
+        assert_eq!(r.keys().collect::<Vec<_>>(), ["a", "a", "b", "a"]);
+        // One trailing comma is accepted, an empty field is not.
+        assert_eq!(Record::parse(r#"{"a":1,}"#).unwrap().f64("a"), Ok(1.0));
+        assert_eq!(Record::parse("{\"a\":1,\u{A0}}").unwrap().f64("a"), Ok(1.0));
+        for bad in [r#"{,}"#, r#"{"a":1,,}"#, r#"{"a":1,,"b":2}"#, r#"{"a":}"#, r#"{"a":,"b":1}"#] {
+            assert!(Record::parse(bad).is_err(), "accepted: {bad}");
+        }
+        // Whitespace is `str::trim`'s: vertical tab (which
+        // `u8::is_ascii_whitespace` misses), NBSP and EM SPACE included,
+        // around every token; ZERO WIDTH SPACE is not whitespace.
+        for ws in ["\x0B", "\u{A0}", "\u{2003}"] {
+            let line = format!(
+                "{ws}{{{ws}\"a\"{ws}:{ws}1.5{ws},{ws}\"s\"{ws}:{ws}\"x y\"{ws},{ws}\"b\":{ws}false{ws}}}{ws}"
+            );
+            let r = Record::parse(&line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            assert_eq!((r.f64("a"), r.str("s"), r.bool("b")), (Ok(1.5), Ok("x y"), Ok(false)));
+        }
+        assert!(Record::parse("{\"a\":1\u{200B}}").is_err());
+        // Number tokens are core's float grammar plus the codec's tokens.
+        for (token, want) in [
+            ("+1", 1.0),
+            (".5", 0.5),
+            ("1.", 1.0),
+            ("1e3", 1000.0),
+            ("-0", -0.0),
+            ("infinity", f64::INFINITY),
+            ("+inf", f64::INFINITY),
+            ("inf", f64::INFINITY),
+            ("-inf", f64::NEG_INFINITY),
+            ("NaN", f64::NAN),
+            ("nan", f64::NAN),
+        ] {
+            let line = format!(r#"{{"x":{token}}}"#);
+            let got = Record::parse(&line).and_then(|r| r.f64("x")).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{token}");
+        }
+        for bad in ["1e", ".", "0x10", "1_000", "True", "null", "1 2"] {
+            let line = format!(r#"{{"x":{bad}}}"#);
+            assert!(Record::parse(&line).is_err(), "accepted: {line}");
+        }
+    }
+
+    /// The record reader as it stood before it scanned bytes (`str::trim`,
+    /// `strip_prefix` and `find` over the whole line), kept as the oracle
+    /// the differential test holds [`Record::parse`] to.
+    fn oracle_parse(line: &str) -> Result<Vec<(&str, Scalar<'_>)>, JsonlError> {
+        let inner = line
+            .trim()
+            .strip_prefix('{')
+            .and_then(|s| s.strip_suffix('}'))
+            .ok_or_else(|| JsonlError("line is not a JSON object".into()))?;
+        let mut fields = Vec::new();
+        let mut rest = inner.trim();
+        while !rest.is_empty() {
+            rest = rest
+                .strip_prefix('"')
+                .ok_or_else(|| JsonlError(format!("expected quoted key at `{rest}`")))?;
+            let kq = rest.find('"').ok_or_else(|| JsonlError("unterminated key".into()))?;
+            let key = &rest[..kq];
+            rest = rest[kq + 1..]
+                .trim_start()
+                .strip_prefix(':')
+                .ok_or_else(|| JsonlError(format!("expected `:` after key `{key}`")))?
+                .trim_start();
+            let (value, tail) = if let Some(r) = rest.strip_prefix('"') {
+                let vq =
+                    r.find('"').ok_or_else(|| JsonlError("unterminated string value".into()))?;
+                (Scalar::Str(&r[..vq]), &r[vq + 1..])
+            } else {
+                let end = rest.find(',').unwrap_or(rest.len());
+                let token = rest[..end].trim();
+                let v = match token {
+                    "true" => Scalar::Bool(true),
+                    "false" => Scalar::Bool(false),
+                    _ => Scalar::Num(parse_num(token).ok_or_else(|| {
+                        JsonlError(format!("bad scalar `{token}` for key `{key}`"))
+                    })?),
+                };
+                (v, &rest[end..])
+            };
+            fields.push((key, value));
+            rest = tail.trim_start();
+            if let Some(r) = rest.strip_prefix(',') {
+                rest = r.trim_start();
+            } else if !rest.is_empty() {
+                return Err(JsonlError(format!("unexpected trailing content `{rest}`")));
+            }
+        }
+        Ok(fields)
+    }
+
+    /// A seeded splitmix64 stream.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// What the mutator inserts: `char::is_whitespace` characters of
+    /// every UTF-8 width, look-alikes that are not whitespace, and the
+    /// delimiters themselves.
+    const INSERTS: [&str; 20] = [
+        " ",
+        "\t",
+        "\n",
+        "\x0B",
+        "\x0C",
+        "\r",
+        "\u{85}",
+        "\u{A0}",
+        "\u{1680}",
+        "\u{2003}",
+        "\u{2028}",
+        "\u{3000}",
+        "\u{200B}",
+        "\u{FEFF}",
+        "é",
+        "\u{1F600}",
+        ",",
+        "\"",
+        ":",
+        "}",
+    ];
+
+    /// One random mutation of a flat-JSONL line: a byte flip (lossily
+    /// re-decoded), an insertion at a char boundary (half of them next to
+    /// a delimiter), or two fields swapped, or one duplicated (half the
+    /// copies carrying another field's value).
+    fn mutate(line: &str, d: &mut Draw) -> String {
+        match d.below(4) {
+            0 if !line.is_empty() => {
+                let mut bytes = line.as_bytes().to_vec();
+                let i = d.below(bytes.len());
+                bytes[i] ^= d.next() as u8 | 1;
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+            0 | 1 => {
+                let delims: Vec<usize> = (0..line.len())
+                    .filter(|&i| b"{}\":,".contains(&line.as_bytes()[i]))
+                    .flat_map(|i| [i, i + 1])
+                    .collect();
+                let at = if !delims.is_empty() && d.next() & 1 == 0 {
+                    delims[d.below(delims.len())]
+                } else {
+                    let bounds: Vec<usize> =
+                        (0..=line.len()).filter(|&i| line.is_char_boundary(i)).collect();
+                    bounds[d.below(bounds.len())]
+                };
+                let mut out = line.to_string();
+                out.insert_str(at, INSERTS[d.below(INSERTS.len())]);
+                out
+            }
+            op => {
+                let Some(inner) = line.strip_prefix('{').and_then(|s| s.strip_suffix('}')) else {
+                    return line.to_string();
+                };
+                let mut fields: Vec<String> = inner
+                    .split(",\"")
+                    .enumerate()
+                    .map(|(i, f)| if i == 0 { f.to_string() } else { format!("\"{f}") })
+                    .collect();
+                let (i, j) = (d.below(fields.len()), d.below(fields.len()));
+                if op == 2 {
+                    fields.swap(i, j);
+                } else {
+                    let mut copy = fields[i].clone();
+                    if d.next() & 1 == 0 {
+                        if let (Some((k, _)), Some((_, v))) =
+                            (fields[i].split_once(':'), fields[j].split_once(':'))
+                        {
+                            copy = format!("{k}:{v}");
+                        }
+                    }
+                    fields.insert(d.below(fields.len() + 1), copy);
+                }
+                format!("{{{}}}", fields.join(","))
+            }
+        }
+    }
+
+    /// A parse result with numbers as bit patterns, so NaN payloads and
+    /// signed zeros compare exactly.
+    fn canonical(parsed: Result<Vec<(&str, Scalar<'_>)>, JsonlError>) -> Result<String, String> {
+        let fields = parsed.map_err(|e| e.0)?;
+        Ok(fields
+            .iter()
+            .map(|(k, v)| match v {
+                Scalar::Num(x) => format!("{k}=n{:x};", x.to_bits()),
+                Scalar::Str(s) => format!("{k}=s{s};"),
+                Scalar::Bool(b) => format!("{k}=b{b};"),
+            })
+            .collect())
+    }
+
+    #[test]
+    fn record_reader_matches_the_oracle_on_mutated_lines() {
+        let hex: Vec<String> = (0..64u64)
+            .map(|i| format!("{:016x}", i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (i % 4)))
+            .collect();
+        let bases = [
+            r#"{"type":"query","n":50,"capacity":10000000000.0,"q0":2500000.0,"buffer":5000000.0,"gi":4.0,"gd":0.0078125,"ru":8000000.0,"w":2.0,"pm":0.01,"qsc":500000.0,"max_legs":64}"#.to_string(),
+            r#"{"type":"query","gi":2.0}"#.to_string(),
+            r#"{"type":"answer","stable":true,"required_buffer":4330127.018922194,"max_x":1234567.25,"min_x":-2500000.0,"legs":17}"#.to_string(),
+            r#"{"type":"answer","stable":false,"required_buffer":inf,"max_x":NaN,"min_x":-inf,"legs":0}"#.to_string(),
+            schema_header(),
+            r#"{"type":"seed","seed_hi":0,"seed_lo":2,"outcome":"completed","retries":0,"events":0,"has_telemetry":true,"cause":""}"#.to_string(),
+            format!(
+                r#"{{"type":"series_bits","name":"rate","entity":3,"values":"{},*000000000000000a,{}"}}"#,
+                hex[..32].join(","),
+                hex[32..].join(",")
+            ),
+            event_to_jsonl(&Event::SpanBegin { t: 0.5, id: 7, parent: 0, kind: SpanKind::BatchSeed, entity: 3 }),
+        ];
+        let mut d = Draw(0x00de_c0de);
+        let (mut ok, mut err) = (0, 0);
+        for case in 0..40_000 {
+            let mut line = bases[case % bases.len()].clone();
+            for _ in 0..1 + d.below(3) {
+                line = mutate(&line, &mut d);
+            }
+            let want = canonical(oracle_parse(&line));
+            let got = canonical(Record::parse(&line).map(|r| r.fields));
+            assert_eq!(got, want, "case {case}: {line:?}");
+            if want.is_ok() {
+                ok += 1;
+            } else {
+                err += 1;
+            }
+        }
+        // Both outcomes are well represented.
+        assert!(ok > 5_000 && err > 5_000, "{ok} parsed, {err} refused");
+    }
+
+    #[test]
     fn schema_header_round_trips() {
         let header = schema_header();
         check_schema_header(&header).unwrap();
