@@ -37,9 +37,11 @@
 //! query_engine` gates its throughput against the naive per-call loop.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use telemetry::{FmtNum, JsonlError, Record};
+use telemetry::{FmtNum, JsonlError, Record, Scalar};
 
 use crate::params::BcnParams;
 use crate::propagate::Propagator;
@@ -169,15 +171,44 @@ fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The shard and set of `key`. The words are folded and run through a
+/// The hash of query keys, in the answer memo and in
+/// [`QueryBatch::new`]'s dedup map: each word folded in, then the
 /// splitmix64 finaliser, since keys inside one sweep differ in a few
 /// mantissa bits of one or two fields.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    /// A `[u64; 11]` map key arrives as its length, then its words'
+    /// bytes in one slice: one fold per word.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_ne_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
+}
+
+/// The shard and set of `key`.
 fn memo_slot(key: &[u64; 11]) -> (usize, usize) {
-    let mut h =
-        key.iter().fold(0, |h: u64, &w| (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
+    let mut hasher = KeyHasher::default();
+    key.iter().for_each(|&w| hasher.write_u64(w));
+    let h = hasher.finish();
     (h as usize & (MEMO_SHARDS - 1), (h >> 32) as usize & (MEMO_SETS - 1))
 }
 
@@ -263,10 +294,12 @@ pub fn cache_stats() -> CacheStats {
 }
 
 impl<'a> QueryBatch<'a> {
-    /// Deduplicates bit-identical repeats in `queries`.
+    /// Deduplicates bit-identical repeats in `queries`, computing and
+    /// hashing each query's key once.
     #[must_use]
     pub fn new(queries: &'a [StabilityQuery]) -> Self {
-        let mut uniques: HashMap<[u64; 11], u32> = HashMap::new();
+        let mut uniques: HashMap<[u64; 11], u32, BuildHasherDefault<KeyHasher>> =
+            HashMap::default();
         let mut unique_of = Vec::with_capacity(queries.len());
         let mut unique_idx: Vec<u32> = Vec::new();
         for (i, q) in queries.iter().enumerate() {
@@ -370,71 +403,130 @@ pub fn evaluate_batch(queries: &[StabilityQuery]) -> Vec<StabilityAnswer> {
 #[must_use]
 pub fn query_to_jsonl(q: &StabilityQuery) -> String {
     let p = &q.params;
-    format!(
-        r#"{{"type":"query","n":{},"capacity":{},"q0":{},"buffer":{},"gi":{},"gd":{},"ru":{},"w":{},"pm":{},"qsc":{},"max_legs":{}}}"#,
-        p.n_flows,
-        FmtNum(p.capacity),
-        FmtNum(p.q0),
-        FmtNum(p.buffer),
-        FmtNum(p.gi),
-        FmtNum(p.gd),
-        FmtNum(p.ru),
-        FmtNum(p.w),
-        FmtNum(p.pm),
-        FmtNum(p.qsc),
-        q.max_legs,
-    )
+    // Room for the longest line: every float at 24 characters.
+    let mut line = String::with_capacity(352);
+    line.push_str(r#"{"type":"query","n":"#);
+    let _ = write!(line, "{}", p.n_flows);
+    for (key, v) in [
+        (r#","capacity":"#, p.capacity),
+        (r#","q0":"#, p.q0),
+        (r#","buffer":"#, p.buffer),
+        (r#","gi":"#, p.gi),
+        (r#","gd":"#, p.gd),
+        (r#","ru":"#, p.ru),
+        (r#","w":"#, p.w),
+        (r#","pm":"#, p.pm),
+        (r#","qsc":"#, p.qsc),
+    ] {
+        line.push_str(key);
+        let _ = write!(line, "{}", FmtNum(v));
+    }
+    line.push_str(r#","max_legs":"#);
+    let _ = write!(line, "{}", q.max_legs);
+    line.push('}');
+    line
 }
 
 /// Serializes one answer to a JSONL line (no trailing newline), with
 /// the same byte-identical re-encode guarantee as [`query_to_jsonl`].
 #[must_use]
 pub fn answer_to_jsonl(a: &StabilityAnswer) -> String {
-    format!(
-        r#"{{"type":"answer","stable":{},"required_buffer":{},"max_x":{},"min_x":{},"legs":{}}}"#,
-        a.strongly_stable,
-        FmtNum(a.required_buffer),
-        FmtNum(a.max_x),
-        FmtNum(a.min_x),
-        a.legs,
-    )
+    // Room for the longest line: every float at 24 characters.
+    let mut line = String::with_capacity(176);
+    line.push_str(r#"{"type":"answer","stable":"#);
+    line.push_str(if a.strongly_stable { "true" } else { "false" });
+    for (key, v) in [
+        (r#","required_buffer":"#, a.required_buffer),
+        (r#","max_x":"#, a.max_x),
+        (r#","min_x":"#, a.min_x),
+    ] {
+        line.push_str(key);
+        let _ = write!(line, "{}", FmtNum(v));
+    }
+    line.push_str(r#","legs":"#);
+    let _ = write!(line, "{}", a.legs);
+    line.push('}');
+    line
+}
+
+/// Walks the fields of a record already checked to be of type `ty`
+/// once, putting the first occurrence of each key into the slot
+/// `slot_of` gives it; a later duplicate is skipped unread.
+///
+/// # Errors
+///
+/// Fails on the first key (duplicates included) with no slot.
+fn fill_slots<'a, const N: usize>(
+    r: &Record<'a>,
+    ty: &str,
+    slot_of: impl Fn(&str) -> Option<usize>,
+) -> Result<[Option<Scalar<'a>>; N], JsonlError> {
+    let mut slots = [None; N];
+    for &(key, value) in r.fields() {
+        let i = slot_of(key).ok_or_else(|| JsonlError(format!("unknown {ty} field `{key}`")))?;
+        slots[i].get_or_insert(value);
+    }
+    Ok(slots)
+}
+
+/// The value in a required field's slot.
+fn required<'a>(slot: Option<Scalar<'a>>, key: &str) -> Result<Scalar<'a>, JsonlError> {
+    slot.ok_or_else(|| JsonlError(format!("missing field `{key}`")))
 }
 
 /// Parses one query line. Omitted parameter fields fall back to
 /// [`BcnParams::paper_defaults`] (so a minimal line like
 /// `{"type":"query","gi":2.0,"gd":0.03}` asks about a gain override of
 /// the paper's worked example); an omitted `max_legs` falls back to
-/// [`DEFAULT_MAX_LEGS`]. The assembled parameters are validated.
+/// [`DEFAULT_MAX_LEGS`]. The assembled parameters are validated. The
+/// first occurrence of a key wins.
 ///
 /// # Errors
 ///
 /// Fails on malformed JSON, a wrong `type`, an unknown field, non-scalar
 /// values, or parameters that fail [`BcnParams::validate`].
 pub fn query_from_jsonl(line: &str) -> Result<StabilityQuery, JsonlError> {
-    const KNOWN: [&str; 12] =
-        ["type", "n", "capacity", "q0", "buffer", "gi", "gd", "ru", "w", "pm", "qsc", "max_legs"];
-    let r = typed_record(line, "query", &KNOWN)?;
+    let r = Record::parse(line)?;
+    r.expect_type("query")?;
+    let [_, n, capacity, q0, buffer, gi, gd, ru, w, pm, qsc, max_legs] =
+        fill_slots(&r, "query", |key| {
+            Some(match key {
+                "type" => 0,
+                "n" => 1,
+                "capacity" => 2,
+                "q0" => 3,
+                "buffer" => 4,
+                "gi" => 5,
+                "gd" => 6,
+                "ru" => 7,
+                "w" => 8,
+                "pm" => 9,
+                "qsc" => 10,
+                "max_legs" => 11,
+                _ => return None,
+            })
+        })?;
     let mut p = BcnParams::paper_defaults();
-    if let Some(n) = r.get("n") {
+    if let Some(n) = n {
         p.n_flows = n.as_u32("n")?;
     }
-    for (key, slot) in [
-        ("capacity", &mut p.capacity),
-        ("q0", &mut p.q0),
-        ("buffer", &mut p.buffer),
-        ("gi", &mut p.gi),
-        ("gd", &mut p.gd),
-        ("ru", &mut p.ru),
-        ("w", &mut p.w),
-        ("pm", &mut p.pm),
-        ("qsc", &mut p.qsc),
+    for (key, value, slot) in [
+        ("capacity", capacity, &mut p.capacity),
+        ("q0", q0, &mut p.q0),
+        ("buffer", buffer, &mut p.buffer),
+        ("gi", gi, &mut p.gi),
+        ("gd", gd, &mut p.gd),
+        ("ru", ru, &mut p.ru),
+        ("w", w, &mut p.w),
+        ("pm", pm, &mut p.pm),
+        ("qsc", qsc, &mut p.qsc),
     ] {
-        if let Some(v) = r.get(key) {
+        if let Some(v) = value {
             *slot = v.as_f64(key)?;
         }
     }
     p.validate().map_err(|e| JsonlError(format!("invalid query parameters: {e}")))?;
-    let max_legs = match r.get("max_legs") {
+    let max_legs = match max_legs {
         Some(v) => usize::try_from(v.as_u64("max_legs")?)
             .map_err(|_| JsonlError("field `max_legs` out of range".into()))?,
         None => DEFAULT_MAX_LEGS,
@@ -442,33 +534,35 @@ pub fn query_from_jsonl(line: &str) -> Result<StabilityQuery, JsonlError> {
     Ok(StabilityQuery { params: p, max_legs })
 }
 
-/// Parses one answer line (the inverse of [`answer_to_jsonl`]).
+/// Parses one answer line (the inverse of [`answer_to_jsonl`]). The
+/// first occurrence of a key wins.
 ///
 /// # Errors
 ///
 /// Fails on malformed JSON, a wrong `type`, an unknown field, or a
 /// missing/mistyped value.
 pub fn answer_from_jsonl(line: &str) -> Result<StabilityAnswer, JsonlError> {
-    const KNOWN: [&str; 6] = ["type", "stable", "required_buffer", "max_x", "min_x", "legs"];
-    let r = typed_record(line, "answer", &KNOWN)?;
+    let r = Record::parse(line)?;
+    r.expect_type("answer")?;
+    let [_, stable, required_buffer, max_x, min_x, legs] = fill_slots(&r, "answer", |key| {
+        Some(match key {
+            "type" => 0,
+            "stable" => 1,
+            "required_buffer" => 2,
+            "max_x" => 3,
+            "min_x" => 4,
+            "legs" => 5,
+            _ => return None,
+        })
+    })?;
     Ok(StabilityAnswer {
-        strongly_stable: r.bool("stable")?,
-        required_buffer: r.f64("required_buffer")?,
-        max_x: r.f64("max_x")?,
-        min_x: r.f64("min_x")?,
-        legs: usize::try_from(r.u64("legs")?)
+        strongly_stable: required(stable, "stable")?.as_bool("stable")?,
+        required_buffer: required(required_buffer, "required_buffer")?.as_f64("required_buffer")?,
+        max_x: required(max_x, "max_x")?.as_f64("max_x")?,
+        min_x: required(min_x, "min_x")?.as_f64("min_x")?,
+        legs: usize::try_from(required(legs, "legs")?.as_u64("legs")?)
             .map_err(|_| JsonlError("field `legs` out of range".into()))?,
     })
-}
-
-/// Parses `line` as a record of type `ty` whose keys all lie in `known`.
-fn typed_record<'a>(line: &'a str, ty: &str, known: &[&str]) -> Result<Record<'a>, JsonlError> {
-    let r = Record::parse(line)?;
-    r.expect_type(ty)?;
-    if let Some(k) = r.keys().find(|k| !known.contains(k)) {
-        return Err(JsonlError(format!("unknown {ty} field `{k}`")));
-    }
-    Ok(r)
 }
 
 #[cfg(test)]

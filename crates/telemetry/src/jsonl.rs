@@ -263,66 +263,140 @@ impl<'a> Scalar<'a> {
 /// escape-free strings, or booleans).
 ///
 /// Keys and string values borrow from the line, so a record costs one
-/// small vector however long its string values are. The typed getters
-/// name the key once and carry the codec's rules: integers must be
-/// exact, `u64`s stop at 2^53, and a missing key is an error naming it.
+/// small vector however long its string values are. [`Record::parse`]
+/// walks the line once, and [`Record::fields`] hands the fields back in
+/// line order, duplicates included, so a decoder that knows its keys
+/// can resolve each one with a single `match`. The typed getters name
+/// the key once and carry the codec's rules: the first occurrence of a
+/// key wins, integers must be exact, `u64`s stop at 2^53, and a missing
+/// key is an error naming it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record<'a> {
     fields: Vec<(&'a str, Scalar<'a>)>,
 }
 
+/// Whether `c` is an ASCII byte `char::is_whitespace` accepts: space
+/// and `\t` through `\r`, vertical tab included (unlike
+/// `u8::is_ascii_whitespace`).
+#[inline]
+fn is_ascii_ws(c: u8) -> bool {
+    c == b' ' || (b'\t'..=b'\r').contains(&c)
+}
+
+/// The index of the first non-whitespace character of `s` at or after
+/// `i` (a char boundary), by `str::trim_start`'s rules. ASCII bytes are
+/// tested one by one; a non-ASCII byte hands the rest of the run to
+/// `trim_start`, which knows U+00A0, U+2003 and the other Unicode
+/// spaces.
+#[inline]
+fn skip_ws(s: &str, mut i: usize) -> usize {
+    let b = s.as_bytes();
+    while let Some(&c) = b.get(i) {
+        if is_ascii_ws(c) {
+            i += 1;
+        } else if c.is_ascii() {
+            break;
+        } else {
+            return s.len() - s[i..].trim_start().len();
+        }
+    }
+    i
+}
+
+/// The length of `s.trim_end()`, by the same byte test as [`skip_ws`].
+#[inline]
+fn trimmed_len(s: &str) -> usize {
+    let b = s.as_bytes();
+    let mut j = b.len();
+    while j > 0 {
+        let c = b[j - 1];
+        if is_ascii_ws(c) {
+            j -= 1;
+        } else if c.is_ascii() {
+            break;
+        } else {
+            return s[..j].trim_end().len();
+        }
+    }
+    j
+}
+
 impl<'a> Record<'a> {
-    /// Parses one line.
+    /// Parses one line in a single walk.
+    ///
+    /// Delimiters and ASCII whitespace are tested byte by byte; keys and
+    /// string values end at the next `"`, found with `str::find`, so a
+    /// long value (a checkpoint shard's hex series) is skipped by
+    /// `memchr` rather than stepped through. Whitespace is exactly
+    /// `str::trim`'s, and slices are cut only at ASCII delimiters, so any
+    /// line, however damaged, parses or fails without panicking.
     ///
     /// # Errors
     ///
     /// Fails when the line is not a flat JSON object of scalar fields.
     pub fn parse(line: &'a str) -> Result<Self, JsonlError> {
-        let inner = line
-            .trim()
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| JsonlError("line is not a JSON object".into()))?;
+        let open = skip_ws(line, 0);
+        let close = trimmed_len(line);
+        let b = line.as_bytes();
+        if close < open + 2 || b[open] != b'{' || b[close - 1] != b'}' {
+            return Err(JsonlError("line is not a JSON object".into()));
+        }
+        let inner = &line[open + 1..close - 1];
+        let s = &inner[..trimmed_len(inner)];
+        let b = s.as_bytes();
         // Sized for the widest record the workspace writes (a query), so
         // a line costs one allocation.
         let mut fields = Vec::with_capacity(16);
-        let mut rest = inner.trim();
-        while !rest.is_empty() {
-            rest = rest
-                .strip_prefix('"')
-                .ok_or_else(|| JsonlError(format!("expected quoted key at `{rest}`")))?;
-            let kq = rest.find('"').ok_or_else(|| JsonlError("unterminated key".into()))?;
-            let key = &rest[..kq];
-            rest = rest[kq + 1..]
-                .trim_start()
-                .strip_prefix(':')
-                .ok_or_else(|| JsonlError(format!("expected `:` after key `{key}`")))?
-                .trim_start();
-            let (value, tail) = if let Some(r) = rest.strip_prefix('"') {
-                let vq =
-                    r.find('"').ok_or_else(|| JsonlError("unterminated string value".into()))?;
-                (Scalar::Str(&r[..vq]), &r[vq + 1..])
+        let mut i = skip_ws(s, 0);
+        while i < b.len() {
+            if b[i] != b'"' {
+                return Err(JsonlError(format!("expected quoted key at `{}`", &s[i..])));
+            }
+            let k0 = i + 1;
+            let k1 = k0 + s[k0..].find('"').ok_or_else(|| JsonlError("unterminated key".into()))?;
+            let key = &s[k0..k1];
+            i = skip_ws(s, k1 + 1);
+            if b.get(i) != Some(&b':') {
+                return Err(JsonlError(format!("expected `:` after key `{key}`")));
+            }
+            i = skip_ws(s, i + 1);
+            let value = if b.get(i) == Some(&b'"') {
+                let v0 = i + 1;
+                let v1 = v0
+                    + s[v0..]
+                        .find('"')
+                        .ok_or_else(|| JsonlError("unterminated string value".into()))?;
+                i = v1 + 1;
+                Scalar::Str(&s[v0..v1])
             } else {
-                let end = rest.find(',').unwrap_or(rest.len());
-                let token = rest[..end].trim();
-                let v = match token {
+                let end = b[i..].iter().position(|&c| c == b',').map_or(b.len(), |n| i + n);
+                let raw = &s[i..end];
+                let token = &raw[..trimmed_len(raw)];
+                i = end;
+                match token {
                     "true" => Scalar::Bool(true),
                     "false" => Scalar::Bool(false),
                     _ => Scalar::Num(parse_num(token).ok_or_else(|| {
                         JsonlError(format!("bad scalar `{token}` for key `{key}`"))
                     })?),
-                };
-                (v, &rest[end..])
+                }
             };
             fields.push((key, value));
-            rest = tail.trim_start();
-            if let Some(r) = rest.strip_prefix(',') {
-                rest = r.trim_start();
-            } else if !rest.is_empty() {
-                return Err(JsonlError(format!("unexpected trailing content `{rest}`")));
+            i = skip_ws(s, i);
+            if b.get(i) == Some(&b',') {
+                i = skip_ws(s, i + 1);
+            } else if i < b.len() {
+                return Err(JsonlError(format!("unexpected trailing content `{}`", &s[i..])));
             }
         }
         Ok(Self { fields })
+    }
+
+    /// The record's fields in line order, duplicates included.
+    #[must_use]
+    #[inline]
+    pub fn fields(&self) -> &[(&'a str, Scalar<'a>)] {
+        &self.fields
     }
 
     /// The value of `key`, or `None` when the record lacks it.
