@@ -28,8 +28,9 @@ use plotkit::{Csv, Table};
 use telemetry::{Telemetry, TelemetryLevel};
 
 use crate::flags::{
-    engine_choice, faults_from, hybrid_guards_from, params_from, scheduler_choice,
-    sim_engine_choice, telemetry_level, topo_request, Flags, SimEngine, PARAM_FLAGS,
+    engine_choice, faults_from, hybrid_guards_from, params_from, reject_feedback_faults,
+    scheduler_choice, sim_engine_choice, telemetry_level, topo_request, Flags, SimEngine,
+    PARAM_FLAGS,
 };
 use crate::{report as report_pipeline, CliError};
 
@@ -538,6 +539,7 @@ fn net_summary(report: &NetReport, t_end: f64) -> String {
 /// fabric under the multi-hop engine.
 fn packet_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String, CliError> {
     reject_sim_only_flags(flags, &["engine", "hybrid-guard", "frame-bits"])?;
+    reject_feedback_faults(flags)?;
     let t_end = flags.t_end(0.005)?;
     let level = telemetry_level(flags, TelemetryLevel::Off)?;
     let mut cfg = compile(topo, traffic, t_end)?;
@@ -734,6 +736,7 @@ fn batch_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String
             "postmortem-dir",
         ],
     )?;
+    reject_feedback_faults(flags)?;
     let t_end = flags.t_end(0.005)?;
     let n_seeds = seed_count(flags)?;
     let level = telemetry_level(flags, TelemetryLevel::Off)?;
@@ -1422,6 +1425,7 @@ pub(crate) fn trace(args: &[String]) -> Result<String, CliError> {
 /// optional JSONL trace dump.
 fn trace_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String, CliError> {
     reject_sim_only_flags(flags, &["engine", "hybrid-guard", "frame-bits"])?;
+    reject_feedback_faults(flags)?;
     let t_end = flags.t_end(0.005)?;
     let level = telemetry_level(flags, TelemetryLevel::Full)?;
     let mut cfg = compile(topo, traffic, t_end)?;
@@ -2193,6 +2197,29 @@ mod tests {
             batch(&argv(&format!("{FAST_TOPO} --seeds 2 --faults data-loss=0.01,seed=7"))).unwrap();
         assert!(out.contains("injected faults"), "{out}");
         assert!(out.contains("data frames lost"), "{out}");
+    }
+
+    #[test]
+    fn topo_runs_refuse_feedback_faults_by_key() {
+        for key in [
+            "feedback-loss",
+            "feedback-corrupt",
+            "feedback-delay",
+            "feedback-reorder",
+            "reorder-window",
+        ] {
+            for command in ["packet", "batch --seeds 2", "trace packet"] {
+                let args = argv(&format!("{command} {FAST_TOPO} --faults seed=3,{key}=1e-4"));
+                let err = crate::run(&args).unwrap_err();
+                assert!(matches!(err, CliError::Usage(_)), "{command} {key}: {err}");
+                assert!(err.to_string().contains(&format!("--faults {key} ")), "{err}");
+            }
+        }
+        // The dumbbell still takes them, and the fabric keeps the faults
+        // that fire there.
+        packet(&argv(&format!("{FAST_SIM} --faults feedback-loss=0.5"))).unwrap();
+        let out = packet(&argv(&format!("{FAST_TOPO} --faults data-loss=0.05,seed=3"))).unwrap();
+        assert!(out.contains("injected faults"), "{out}");
     }
 
     #[test]

@@ -324,6 +324,32 @@ pub(crate) fn faults_from(flags: &Flags) -> Result<(FaultConfig, Vec<u64>), CliE
     Ok((cfg, panic_seeds))
 }
 
+/// Refuses the `--faults` keys that act only on BCN/QCN feedback
+/// (`feedback-loss`, `feedback-corrupt`, `feedback-delay`,
+/// `feedback-reorder` and its `reorder-window`) on a `--topo` run. A
+/// compiled fabric carries no congestion point, so they could never
+/// fire, and the run would print a clean run's output byte for byte.
+///
+/// # Errors
+///
+/// A usage error naming the first such key.
+pub(crate) fn reject_feedback_faults(flags: &Flags) -> Result<(), CliError> {
+    let Some(spec) = flags.get("faults") else {
+        return Ok(());
+    };
+    for item in spec.split(',') {
+        let key = item.split_once('=').map_or(item, |(key, _)| key);
+        if key.starts_with("feedback-") || key == "reorder-window" {
+            return Err(CliError::Usage(format!(
+                "--faults {key} does not apply to --topo runs: a compiled fabric has no \
+                 congestion point, so feedback faults never fire (fault a fabric with \
+                 data-loss, pause-storm or flap-period)"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Resolves `--topo` / `--traffic` into a fabric spec plus traffic
 /// pattern for the multi-hop engine. Returns `None` when `--topo` is
 /// absent (a bare `--traffic` is a usage error). Without `--traffic` —

@@ -145,6 +145,18 @@ for faults in "" "--faults data-loss=0.002,pause-storm=0.3,seed=7"; do
 done
 echo "$a" | grep -q "fabric run over 0.004 s: 32 hosts, 6 switches, 16 flows"
 echo "$a" | grep -q "injected faults"
+# Feedback faults could never fire there, so naming one is a usage
+# error (exit 2) that names the key, not a run identical to a clean one.
+for cmd in packet batch; do
+  code=0
+  err=$(./target/release/dcebcn $cmd --topo "$topo_spec" --traffic incast:senders=16 \
+    --t-end 0.004 --faults feedback-loss=0.05,seed=7 2>&1 >/dev/null) || code=$?
+  if [ "$code" != "2" ]; then
+    echo "$cmd --topo with feedback-loss exited with code $code, expected 2" >&2
+    exit 1
+  fi
+  echo "$err" | grep -q "feedback-loss"
+done
 
 echo "== hybrid always-packet smoke (wrapper vs pure engine CLI) =="
 # With the always-packet guard the hybrid wrapper must render the same
