@@ -403,8 +403,9 @@ pub fn evaluate_batch(queries: &[StabilityQuery]) -> Vec<StabilityAnswer> {
 #[must_use]
 pub fn query_to_jsonl(q: &StabilityQuery) -> String {
     let p = &q.params;
-    // Room for the longest line: every float at 24 characters.
-    let mut line = String::with_capacity(352);
+    // Twice the 97 literal bytes, as `format!` reserved: room for the
+    // query families' numbers, and a line of longer ones regrows once.
+    let mut line = String::with_capacity(194);
     line.push_str(r#"{"type":"query","n":"#);
     let _ = write!(line, "{}", p.n_flows);
     for (key, v) in [
@@ -431,8 +432,8 @@ pub fn query_to_jsonl(q: &StabilityQuery) -> String {
 /// the same byte-identical re-encode guarantee as [`query_to_jsonl`].
 #[must_use]
 pub fn answer_to_jsonl(a: &StabilityAnswer) -> String {
-    // Room for the longest line: every float at 24 characters.
-    let mut line = String::with_capacity(176);
+    // Twice the 72 literal bytes, as `format!` reserved.
+    let mut line = String::with_capacity(144);
     line.push_str(r#"{"type":"answer","stable":"#);
     line.push_str(if a.strongly_stable { "true" } else { "false" });
     for (key, v) in [
