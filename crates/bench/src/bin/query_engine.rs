@@ -15,10 +15,15 @@
 //! informational row per workload re-runs the first range with its
 //! answers resident (`warm_memo`).
 //!
+//! A codec row times the JSONL serving codec over the zipf-hot stream:
+//! decoding each query line and encoding each answer line, in ns per
+//! line (informational).
+//!
 //! Three gates:
 //!
 //! 1. **Answer equality** — batched answers must match the naive loop
-//!    bit for bit across the full benchmark workload (always gated).
+//!    bit for bit across the full benchmark workload, and every codec
+//!    line must round-trip to the same bits (always gated).
 //! 2. **Zero steady-state allocations** — with a warm workspace, the
 //!    per-query verdict path performs no heap
 //!    allocations (counted by this binary's own wrapping allocator;
@@ -39,7 +44,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use bcn::propagate::Propagator;
-use bcn::query::{QueryBatch, StabilityAnswer, StabilityQuery};
+use bcn::query::{
+    answer_from_jsonl, answer_to_jsonl, query_from_jsonl, query_to_jsonl, QueryBatch,
+    StabilityAnswer, StabilityQuery,
+};
 use bcn::stability::{exact_verdict, exact_verdict_scratch, theorem1_required_buffer};
 use bcn::BcnParams;
 use bench::common::{out_dir, quick, splitmix_next};
@@ -155,6 +163,64 @@ fn steady_state_allocations(queries: &[StabilityQuery], rounds: usize) -> u64 {
     let before = allocations();
     warm(&mut legs);
     allocations() - before
+}
+
+/// The codec row: best-of-`reps` decode and encode time per line over
+/// one stream, and the lines that fail to round-trip.
+struct CodecReport {
+    lines: usize,
+    decode_ns: f64,
+    encode_ns: f64,
+    mismatches: usize,
+}
+
+/// Times `query_from_jsonl` over the encoded `queries` and
+/// `answer_to_jsonl` over `answers` into one output buffer, as
+/// `dcebcn query` streams them.
+fn run_codec(queries: &[StabilityQuery], answers: &[StabilityAnswer], reps: usize) -> CodecReport {
+    let lines: Vec<String> = queries.iter().map(query_to_jsonl).collect();
+    let decode = || lines.iter().map(|l| query_from_jsonl(l)).collect::<Vec<_>>();
+    let encode = || {
+        let mut out = String::with_capacity(answers.len() * 128);
+        for a in answers {
+            out.push_str(&answer_to_jsonl(a));
+            out.push('\n');
+        }
+        out
+    };
+    let bad_queries = decode()
+        .iter()
+        .zip(&lines)
+        .filter(|(q, line)| !q.as_ref().is_ok_and(|q| query_to_jsonl(q) == **line))
+        .count();
+    let decoded: Vec<StabilityAnswer> =
+        encode().lines().filter_map(|l| answer_from_jsonl(l).ok()).collect();
+    let bad_answers = mismatches(&decoded, answers) + answers.len().abs_diff(decoded.len());
+    let per_line = |secs: f64, n: usize| secs * 1e9 / n.max(1) as f64;
+    CodecReport {
+        lines: lines.len(),
+        decode_ns: per_line(best_of(reps, decode), lines.len()),
+        encode_ns: per_line(best_of(reps, encode), answers.len()),
+        mismatches: bad_queries + bad_answers,
+    }
+}
+
+impl CodecReport {
+    fn json(&self) -> String {
+        format!(
+            "\"codec\": {{\"stream\": \"zipf_hot\", \"lines\": {}, \"decode_ns_per_line\": {:.1}, \
+             \"encode_ns_per_line\": {:.1}, \"mismatches\": {}}}",
+            self.lines, self.decode_ns, self.encode_ns, self.mismatches
+        )
+    }
+
+    fn print(&self) {
+        println!(
+            "  codec over zipf_hot: {} lines, decode {:.0} ns/line, encode {:.0} ns/line \
+             (informational)",
+            self.lines, self.decode_ns, self.encode_ns
+        );
+    }
 }
 
 /// One workload's benchmark block: naive serial time, batched times at
@@ -289,18 +355,20 @@ fn main() {
     hot.print();
     let cold = run_workload("uniform_cold", reps, uniform);
     cold.print();
+    let zipf0 = zipf(0);
+    let codec = run_codec(&zipf0, &QueryBatch::new(&zipf0).evaluate_in(1), reps);
+    codec.print();
     let cache_delta = bcn::query::cache_stats().delta_since(cache0);
     println!(
         "answer memo: {} hits, {} misses, {} evictions",
         cache_delta.hits, cache_delta.misses, cache_delta.evictions
     );
 
-    let zipf0 = zipf(0);
     let steady_allocs = steady_state_allocations(&zipf0[..zipf0.len().min(1_000)], 1_000);
     println!("steady-state allocations over 1000 warm queries: {steady_allocs}");
 
     let hot_speedup = hot.naive_secs / hot.batch_secs[0];
-    let total_mismatches = hot.mismatches + cold.mismatches;
+    let total_mismatches = hot.mismatches + cold.mismatches + codec.mismatches;
     let note = "Batched serial speedup on zipf_hot comes from evaluating each distinct \
                 configuration once (dedup + reused per-worker leg workspaces); on \
                 single-core hardware (see \\\"cores\\\") the multi-thread rows measure \
@@ -309,16 +377,19 @@ fn main() {
                 warm_memo re-asks the equivalence range with its answers resident \
                 (uniform_cold holds more distinct keys than the memo's 4096 slots, so only \
                 part of it stays resident). Steady-state allocations count alloc+realloc \
-                events over 1000 warm-path queries.";
+                events over 1000 warm-path queries. The codec row decodes every zipf_hot \
+                query line and encodes every answer line (best of reps, ns per line; \
+                informational).";
     let json = format!(
         "{{\n  \"reps\": {reps},\n  \"cores\": {cores},\n  \"max_legs\": {MAX_LEGS},\n  \
-         \"workloads\": {{\n    {},\n    {}\n  }},\n  \
+         \"workloads\": {{\n    {},\n    {}\n  }},\n  {},\n  \
          \"hot_serial_speedup_vs_naive\": {hot_speedup:.2},\n  \
          \"steady_state_allocations\": {steady_allocs},\n  \
          \"answer_memo\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}},\n  \
          \"note\": \"{note}\"\n}}\n",
         hot.json(),
         cold.json(),
+        codec.json(),
         cache_delta.hits,
         cache_delta.misses,
         cache_delta.evictions,
@@ -333,7 +404,10 @@ fn main() {
 
     let mut failed = false;
     if total_mismatches > 0 {
-        eprintln!("FAIL: {total_mismatches} batched answer(s) differ from the naive loop");
+        eprintln!(
+            "FAIL: {total_mismatches} batched answer(s) or codec line(s) differ from the naive \
+             loop or the encoded bits"
+        );
         failed = true;
     }
     if steady_allocs > 0 {

@@ -5,7 +5,8 @@
 //!
 //! Every intact input is damaged a fixed set of ways drawn from
 //! splitmix64: kept line prefixes, byte truncations, single-byte bit
-//! flips and line swaps. Each damaged input must decode to a value or a
+//! flips and line swaps, and for the query streams multi-byte UTF-8
+//! inserted at delimiters. Each damaged input must decode to a value or a
 //! typed error; a panic fails the test.
 
 use bcn::params::BcnParams;
@@ -42,11 +43,37 @@ fn damages(text: &str, salt: u64) -> Vec<Vec<u8>> {
     out
 }
 
+/// 64 variants of `text` with a multi-byte UTF-8 character (Unicode
+/// whitespace or not, two to four bytes) inserted just before or after
+/// a delimiter byte, so the decoders' byte scanners meet non-ASCII
+/// bytes wherever they cut a slice.
+fn utf8_insertions(text: &str, salt: u64) -> Vec<Vec<u8>> {
+    const INSERTS: [&str; 6] =
+        ["\u{A0}", "\u{E9}", "\u{2003}", "\u{3000}", "\u{20AC}", "\u{1F600}"];
+    let draw = |k: u64| splitmix64(salt ^ splitmix64(k));
+    let at: Vec<usize> = (0..text.len())
+        .filter(|&i| b"{}\":,".contains(&text.as_bytes()[i]))
+        .flat_map(|i| [i, i + 1])
+        .collect();
+    (160..224)
+        .map(|k| {
+            let h = draw(k);
+            let mut damaged = text.to_string();
+            damaged.insert_str(
+                at[(h % at.len() as u64) as usize],
+                INSERTS[((h >> 32) % INSERTS.len() as u64) as usize],
+            );
+            damaged.into_bytes()
+        })
+        .collect()
+}
+
 /// Decodes every line of every damaged variant of `text` (after its
 /// schema header) with `decode`, and checks that the damage both broke
 /// some variants and left some decodable.
 fn decode_damaged<T, E>(text: &str, salt: u64, decode: impl Fn(&str) -> Result<T, E>) {
-    let variants = damages(text, salt);
+    let mut variants = damages(text, salt);
+    variants.extend(utf8_insertions(text, salt));
     let clean = variants
         .iter()
         .filter(|bytes| {
