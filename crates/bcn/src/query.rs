@@ -30,7 +30,12 @@
 //!   codec on `telemetry`'s record reader and number formatter
 //!   (schema-v2 header, `{v:?}` floats with `NaN`/`inf`/`-inf` tokens) whose
 //!   decode → re-encode cycle is byte-identical, so streamed answer
-//!   files can be diffed and round-tripped losslessly.
+//!   files can be diffed and round-tripped losslessly. A decoder walks
+//!   the parsed fields once, resolving each key with one `match` into
+//!   its slot: the first occurrence of a key fills the slot, a later
+//!   duplicate is skipped unread, and any key without a slot is an
+//!   unknown-field error. An encoder writes into one `String`, literals
+//!   with `push_str` and numbers with `write!` through `FmtNum`.
 //!
 //! The `dcebcn query` subcommand wraps this module as a streaming CLI
 //! (JSONL in, JSONL out, bounded memory via chunked reads); `bench --bin
@@ -174,7 +179,9 @@ fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
 /// The hash of query keys, in the answer memo and in
 /// [`QueryBatch::new`]'s dedup map: each word folded in, then the
 /// splitmix64 finaliser, since keys inside one sweep differ in a few
-/// mantissa bits of one or two fields.
+/// mantissa bits of one or two fields. It is unkeyed, so a stream
+/// crafted to collide degrades a batch's map to quadratic compares;
+/// a batch is one `dcebcn query` chunk, which bounds that cost.
 #[derive(Default)]
 struct KeyHasher(u64);
 

@@ -10,7 +10,13 @@
 //! [`Record`] reads every flat-JSONL line in the workspace: trace
 //! events, telemetry snapshots, checkpoint shards and manifests,
 //! postmortem replay blocks, stability queries and answers, and grid
-//! journals. Encoders write numbers with [`fmt_num`].
+//! journals. It walks a line once, testing delimiters and ASCII
+//! whitespace byte by byte and skipping each key and string value to
+//! its closing quote with `str::find` (so a checkpoint shard's ~100 KB
+//! hex series goes by at `memchr` speed), and hands the fields back in
+//! line order through [`Record::fields`] for decoders that resolve
+//! their keys in one `match`. Encoders write numbers with [`fmt_num`]
+//! or [`FmtNum`].
 
 use crate::event::{Event, ExtremumKind, FaultClass, SpanKind};
 
