@@ -20,7 +20,10 @@
 //!    limit-cycle scenario run long past convergence) the hybrid engine
 //!    must finish at least 3x faster than the pure packet engine
 //!    (full mode only; `DCE_BCN_QUICK` reports the ratio without
-//!    gating it).
+//!    gating it), and must commit at least one epoch there.
+//! 5. **Attempt accounting** — on every scenario each fast-forward
+//!    attempt ends exactly one way (`epochs + refused == attempts`);
+//!    the counts are recorded per scenario.
 //!
 //! Results land in `BENCH_hybrid.json` under the usual results
 //! directory. Run release builds only:
@@ -34,7 +37,7 @@ use std::time::Instant;
 
 use bench::common::{out_dir, quick};
 use dcesim::batch::{run_batch, BatchConfig};
-use dcesim::hybrid::{HybridGuards, HybridSim, HybridSpec, DIVERGENCE_BOUND_FRAC};
+use dcesim::hybrid::{HybridGuards, HybridSim, HybridSpec, HybridStats, DIVERGENCE_BOUND_FRAC};
 use dcesim::metrics::SimMetrics;
 use dcesim::sim::{fluid_validation_params, SimConfig, SimWorkspace, Simulation};
 use dcesim::time::Duration;
@@ -75,7 +78,7 @@ fn run_hybrid(
     params: &bcn::BcnParams,
     cfg: &SimConfig,
     guards: HybridGuards,
-) -> (SimMetrics, Vec<f64>, dcesim::hybrid::HybridStats) {
+) -> (SimMetrics, Vec<f64>, HybridStats) {
     let report = HybridSim::new(params.clone(), cfg.clone(), guards).run();
     (report.sim.metrics, report.sim.final_rates, report.stats)
 }
@@ -105,7 +108,7 @@ fn divergence(
     params: &bcn::BcnParams,
     cfg: &SimConfig,
     warmup: f64,
-) -> (f64, f64, dcesim::hybrid::HybridStats) {
+) -> (f64, f64, HybridStats) {
     let (pure, _) = run_pure(cfg);
     let (hyb, _, stats) = run_hybrid(params, cfg, HybridGuards::default());
     let dmax = (pure.queue.max() - hyb.queue.max()).abs();
@@ -119,13 +122,38 @@ fn divergence(
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn ff_frac(stats: &dcesim::hybrid::HybridStats) -> f64 {
+fn ff_frac(stats: &HybridStats) -> f64 {
     let total = stats.ff_ns + stats.packet_ns;
     if total > 0 {
         stats.ff_ns as f64 / total as f64
     } else {
         0.0
     }
+}
+
+/// Fails unless every fast-forward attempt of `stats` ended exactly one
+/// way.
+fn check_conserved(failures: &mut Vec<String>, name: &str, stats: &HybridStats) {
+    let ends = stats.epochs + stats.refused.total();
+    if ends != stats.attempts {
+        failures.push(format!(
+            "{name}: {ends} attempt ends (epochs + refusals) for {} attempts",
+            stats.attempts
+        ));
+    }
+}
+
+/// One scenario's attempt accounting as a JSON object.
+fn attempt_ends_json(name: &str, stats: &HybridStats) -> String {
+    let mut out = format!(
+        "{{\"scenario\": \"{name}\", \"attempts\": {}, \"committed\": {}",
+        stats.attempts, stats.epochs
+    );
+    for (reason, n) in stats.refused.named() {
+        out.push_str(&format!(", \"{reason}\": {n}"));
+    }
+    out.push('}');
+    out
 }
 
 /// Always-packet bit-identity: single runs on both scenarios, plus
@@ -263,6 +291,21 @@ fn main() {
     if !quick() && speedup < MIN_SPEEDUP {
         failures.push(format!("end-to-end speedup {speedup:.2}x below the {MIN_SPEEDUP}x gate"));
     }
+    if speed_stats.epochs == 0 {
+        failures.push("speedup run committed no fast-forward epoch".into());
+    }
+
+    // 5. Every attempt ends one way, on every scenario.
+    let ends = [("limit_cycle", &lc_stats), ("incast_16", &ic_stats), ("speedup", &speed_stats)];
+    for (name, stats) in ends {
+        check_conserved(&mut failures, name, stats);
+    }
+    let ends_json: Vec<String> =
+        ends.iter().map(|(name, stats)| attempt_ends_json(name, stats)).collect();
+    println!("attempt ends:");
+    for row in &ends_json {
+        println!("  {row}");
+    }
 
     // 4. Steady-state allocations across epoch switches.
     let (allocs, epochs_covered) = steady_state_allocations(agree_t_end);
@@ -281,7 +324,9 @@ fn main() {
                 long past convergence, where the quiescent tail dominates; quick mode \
                 reports it without gating. Allocations are counted by this binary's \
                 wrapping allocator on a warm SimWorkspace over a stretch that includes \
-                every fast-forward reseed.";
+                every fast-forward reseed. Attempt ends count, per scenario, the \
+                record-grid ticks at which the controller tried to fast-forward: \
+                committed epochs plus one count per refusal reason.";
     let json = format!(
         "{{\n  \"quick\": {},\n  \"reps\": {reps},\n  \"cores\": {cores},\n  \"divergence_bound_bits\": {bound:.0},\n  \
          \"divergence\": [\n    {{\"scenario\": \"limit_cycle\", \"epochs\": {}, \
@@ -292,7 +337,8 @@ fn main() {
          \"hybrid_s\": {hybrid_s:.4}, \"speedup\": {speedup:.3}, \"gate\": {MIN_SPEEDUP}, \
          \"analytic_frac\": {:.4}}},\n  \
          \"steady_state_allocations\": {{\"hybrid\": {allocs}, \"epochs_covered\": {epochs_covered}}},\n  \
-         \"equivalence_failures\": {},\n  \"note\": \"{note}\"\n}}\n",
+         \"equivalence_failures\": {},\n  \
+         \"attempt_ends\": [\n    {}\n  ],\n  \"note\": \"{note}\"\n}}\n",
         quick(),
         lc_stats.epochs,
         ff_frac(&lc_stats),
@@ -300,6 +346,7 @@ fn main() {
         ff_frac(&ic_stats),
         ff_frac(&speed_stats),
         failures.len(),
+        ends_json.join(",\n    "),
     );
     let out = out_dir();
     let path = out.join("BENCH_hybrid.json");

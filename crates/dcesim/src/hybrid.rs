@@ -45,6 +45,7 @@
 //! controller never runs and the wrapper is bit-identical to the pure
 //! packet engine.
 
+use bcn::closed_form::RegionFlow;
 use bcn::extrema::region_extremum;
 use bcn::propagate::Propagator;
 use bcn::BcnParams;
@@ -146,6 +147,69 @@ pub struct HybridStats {
     /// Simulated nanoseconds covered by the packet engine (filled in
     /// when the run finishes).
     pub packet_ns: u64,
+    /// Fast-forward attempts, one per record-grid tick the controller
+    /// ran at. Each either commits an epoch or is refused for exactly
+    /// one reason, so `epochs + refused.total() == attempts`.
+    pub attempts: u64,
+    /// Why the attempts that committed no epoch were refused.
+    pub refused: Refusals,
+}
+
+/// Why fast-forward attempts were refused: every refused attempt is
+/// counted in exactly one field. The first four reasons that name a
+/// guard count walks refused on their first grid step; a walk that took
+/// at least one step counts as `below_min_ff` whatever stopped it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Refusals {
+    /// The structural guards refused (`Simulation::hybrid_quiescent`:
+    /// faults, PAUSE, flow churn or uncalibrated control).
+    pub not_quiescent: u64,
+    /// The queue at the tick was already outside the margins.
+    pub entry_margin: u64,
+    /// The first step exhausted its region-switch budget; outside the
+    /// equilibrium ball that is any switching-line crossing.
+    pub switch_budget: u64,
+    /// The queue at the end of the first step left the margins.
+    pub endpoint_margin: u64,
+    /// The queue extremum inside the first step left the margins.
+    pub extremum_margin: u64,
+    /// The first step would pass the horizon. (`max_ff` never refuses:
+    /// a walk it stops has at least `min_ff` of steps and commits.)
+    pub horizon: u64,
+    /// The walk took at least one step but stopped short of `min_ff`.
+    pub below_min_ff: u64,
+}
+
+impl Refusals {
+    /// Every count with its telemetry name suffix (`hybrid.refused.*`).
+    #[must_use]
+    pub fn named(&self) -> [(&'static str, u64); 7] {
+        [
+            ("not_quiescent", self.not_quiescent),
+            ("entry_margin", self.entry_margin),
+            ("switch_budget", self.switch_budget),
+            ("endpoint_margin", self.endpoint_margin),
+            ("extremum_margin", self.extremum_margin),
+            ("horizon", self.horizon),
+            ("below_min_ff", self.below_min_ff),
+        ]
+    }
+
+    /// Refused attempts in all.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.named().iter().map(|&(_, n)| n).sum()
+    }
+}
+
+/// What ended an epoch walk: the guard that refused the next grid step,
+/// or the horizon / `max_ff` bound.
+#[derive(Debug, Clone, Copy)]
+enum WalkEnd {
+    SwitchBudget,
+    EndpointMargin,
+    ExtremumMargin,
+    Horizon,
 }
 
 /// The fluid parameters and controller knobs that turn a packet run
@@ -345,6 +409,7 @@ impl HybridSim {
         let s = self.stats;
         if let Some(tel) = self.sim.telemetry_mut() {
             tel.hybrid_stats(s.reseeds, s.ff_ns, s.packet_ns);
+            tel.hybrid_refusals(&s.refused.named());
         }
     }
 
@@ -353,7 +418,9 @@ impl HybridSim {
     /// as every guard holds, and commit the stretch as a fast-forward
     /// epoch if it is long enough to be worth a reseed.
     fn try_fast_forward(&mut self) {
+        self.stats.attempts += 1;
         if !self.sim.hybrid_quiescent() {
+            self.stats.refused.not_quiescent += 1;
             return;
         }
         let (dt, t_end) = {
@@ -367,6 +434,7 @@ impl HybridSim {
         let q_hi = (1.0 - self.guards.q_margin_frac) * p.qsc;
         let [q, w_packet] = self.sim.fluid_state();
         if !(q > q_lo && q < q_hi) {
+            self.stats.refused.entry_margin += 1;
             return;
         }
         let w = w_packet + self.residue;
@@ -377,6 +445,7 @@ impl HybridSim {
         self.scratch.clear();
         let mut t_next = t0;
         let mut steps: u64 = 0;
+        let mut end = WalkEnd::Horizon;
         while steps < self.max_steps {
             // The packet engine only schedules a record tick that fits
             // the horizon; mirror that so the grids stay identical.
@@ -391,24 +460,21 @@ impl HybridSim {
                 // Switch budget exhausted inside the step: outside the
                 // ball that is the first switching-line crossing, which
                 // the packet engine should price.
+                end = WalkEnd::SwitchBudget;
                 break;
             }
             let q_end = p.q0 + c.z[0];
             if !(q_end > q_lo && q_end < q_hi) {
+                end = WalkEnd::EndpointMargin;
                 break;
             }
-            if c.switches == 0 {
-                // Endpoints inside the margins do not bound the path:
-                // a single-leg step can overshoot in between. The
-                // closed form knows its own extremum.
-                if let Some(e) = region_extremum(self.prop.flow(region), z) {
-                    if e.t < delta {
-                        let q_ext = p.q0 + e.x;
-                        if !(q_ext > q_lo && q_ext < q_hi) {
-                            break;
-                        }
-                    }
-                }
+            // Endpoints inside the margins do not bound the path: a
+            // single-leg step can overshoot in between.
+            if c.switches == 0
+                && !step_extremum_inside(self.prop.flow(region), z, delta, p.q0, q_lo, q_hi)
+            {
+                end = WalkEnd::ExtremumMargin;
+                break;
             }
             z = c.z;
             region = c.region;
@@ -417,6 +483,14 @@ impl HybridSim {
             self.scratch.push([q_end, p.capacity + c.z[1]]);
         }
         if steps < self.min_steps {
+            let r = &mut self.stats.refused;
+            *match (steps, end) {
+                (0, WalkEnd::SwitchBudget) => &mut r.switch_budget,
+                (0, WalkEnd::EndpointMargin) => &mut r.endpoint_margin,
+                (0, WalkEnd::ExtremumMargin) => &mut r.extremum_margin,
+                (0, WalkEnd::Horizon) => &mut r.horizon,
+                _ => &mut r.below_min_ff,
+            } += 1;
             return;
         }
         let t1 = t_next;
@@ -436,6 +510,28 @@ impl HybridSim {
         self.stats.epochs += 1;
         self.stats.reseeds += 1;
         self.stats.ff_ns += (t1 - t0).as_nanos();
+    }
+}
+
+/// Whether the queue stays inside `(q_lo, q_hi)` at the extremum of
+/// `x` a single-leg step of `delta` seconds from `z` along `flow` passes
+/// through (paper Eqs. 18–20, 28, 34; `q = q0 + x`). A step whose leg
+/// has no extremum, or reaches it only at or after `delta`, is bounded
+/// by its endpoints, which the caller checks.
+fn step_extremum_inside(
+    flow: &RegionFlow,
+    z: [f64; 2],
+    delta: f64,
+    q0: f64,
+    q_lo: f64,
+    q_hi: f64,
+) -> bool {
+    match region_extremum(flow, z) {
+        Some(e) if e.t < delta => {
+            let q_ext = q0 + e.x;
+            q_ext > q_lo && q_ext < q_hi
+        }
+        _ => true,
     }
 }
 
@@ -551,6 +647,53 @@ mod tests {
         // samples as the pure packet run, on the same grid.
         assert_eq!(hybrid.sim.metrics.queue.len(), pure.metrics.queue.len());
         assert_eq!(hybrid.sim.metrics.queue.times(), pure.metrics.queue.times());
+    }
+
+    /// Asserts that every attempt of `stats` ended exactly one way and
+    /// that `tel` (if any) carries the same refusal counts.
+    fn assert_conserved(stats: &HybridStats, tel: Option<&telemetry::Telemetry>) {
+        assert_eq!(
+            stats.epochs + stats.refused.total(),
+            stats.attempts,
+            "attempt ends not conserved: {stats:?}"
+        );
+        if let Some(tel) = tel {
+            for (reason, n) in stats.refused.named() {
+                let name = format!("hybrid.refused.{reason}");
+                assert_eq!(tel.metrics.counter_by_name(&name), Some(n), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_attempt_ends_one_way() {
+        let (params, cfg) = quiescent_setup();
+        let dt_ns = cfg.record_interval.as_nanos();
+        let hybrid = HybridSim::new(params.clone(), cfg.clone(), HybridGuards::default())
+            .with_telemetry_sink(telemetry::Telemetry::new(telemetry::TelemetryLevel::Summary))
+            .run();
+        let s = hybrid.stats;
+        assert_conserved(&s, hybrid.sim.telemetry.as_ref());
+        assert!(s.epochs > 0, "{s:?}");
+        // One attempt per grid sample the packet engine records; each
+        // epoch records its own samples.
+        let packet_samples = hybrid.sim.metrics.queue.len() as u64 - s.ff_ns / dt_ns;
+        assert_eq!(s.attempts, packet_samples, "{s:?}");
+        assert!(s.refused.entry_margin > 0 && s.refused.switch_budget > 0, "{s:?}");
+        // An epoch floor longer than the run refuses every walk.
+        let guards = HybridGuards { min_ff_secs: 1.0, ..HybridGuards::default() };
+        let s = HybridSim::new(params.clone(), cfg.clone(), guards).run().stats;
+        assert_conserved(&s, None);
+        assert_eq!(s.epochs, 0);
+        assert!(s.refused.below_min_ff > 0, "{s:?}");
+        // Faults shut the structural guards at every tick.
+        let mut faulted = cfg;
+        faulted.faults.seed = 7;
+        faulted.faults.feedback_loss = 0.1;
+        let s = HybridSim::new(params, faulted, HybridGuards::default()).run().stats;
+        assert_conserved(&s, None);
+        assert_eq!(s.refused.not_quiescent, s.attempts, "{s:?}");
+        assert!(s.attempts > 0);
     }
 
     #[test]

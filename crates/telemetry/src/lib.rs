@@ -554,6 +554,22 @@ impl Telemetry {
         self.metrics.inc(self.ids.hybrid_packet_ns, packet_ns);
     }
 
+    /// Records why a hybrid run's fast-forward attempts were refused:
+    /// one `hybrid.refused.<reason>` counter per `(reason, count)`,
+    /// registered on first use (zero counts too, so a run reports every
+    /// reason its engine has).
+    ///
+    /// Flushed once when a hybrid run finishes, never on the hot path.
+    pub fn hybrid_refusals(&mut self, refusals: &[(&str, u64)]) {
+        if !self.enabled() {
+            return;
+        }
+        for &(reason, n) in refusals {
+            let id = self.metrics.counter(&format!("hybrid.refused.{reason}"));
+            self.metrics.inc(id, n);
+        }
+    }
+
     /// Records batch-supervision activity: seeds skipped because a
     /// checkpoint already held their outcome (`batch.resumed`), retry
     /// attempts spent on failing seeds (`batch.retried`), and seeds the
@@ -829,6 +845,10 @@ mod tests {
         tel.hybrid_epoch(0.1, 0.4, 0);
         tel.hybrid_epoch(0.6, 0.9, 1);
         tel.hybrid_stats(2, 600_000_000, 400_000_000);
+        tel.hybrid_refusals(&[("not_quiescent", 7), ("horizon", 0)]);
+        tel.hybrid_refusals(&[("not_quiescent", 1)]);
+        assert_eq!(tel.metrics.counter_by_name("hybrid.refused.not_quiescent"), Some(8));
+        assert_eq!(tel.metrics.counter_by_name("hybrid.refused.horizon"), Some(0));
         assert_eq!(tel.metrics.counter_by_name("hybrid.epochs"), Some(2));
         assert_eq!(tel.metrics.counter_by_name("hybrid.reseeds"), Some(2));
         assert_eq!(tel.metrics.counter_by_name("hybrid.ff_ns"), Some(600_000_000));
@@ -841,7 +861,9 @@ mod tests {
         let mut off = Telemetry::new(TelemetryLevel::Off);
         off.hybrid_epoch(0.0, 1.0, 0);
         off.hybrid_stats(1, 2, 3);
+        off.hybrid_refusals(&[("not_quiescent", 1)]);
         assert_eq!(off.metrics.counter_by_name("hybrid.epochs"), Some(0));
+        assert_eq!(off.metrics.counter_by_name("hybrid.refused.not_quiescent"), None);
         assert!(off.trace.is_empty());
     }
 
