@@ -47,9 +47,13 @@
 //!
 //! # Enclosure
 //!
-//! The crate-internal `extremum_enclosed` brackets [`spiral_extremum`]'s
-//! `x` without the bisection, so a caller that only needs to know whether
-//! an extremum can move a running maximum or minimum can skip it. Take
+//! [`extremum_enclosed`] brackets [`spiral_extremum`]'s `x` without the
+//! bisection, so a caller that only needs to know whether an extremum can
+//! move a running maximum or minimum, or leave a band, can skip it. Its
+//! callers are the exact verdict (`stability`), which asks whether a
+//! leg's extremum can move `max_x`/`min_x`, and the hybrid engine's
+//! epoch guard (`dcesim::hybrid`), which asks whether the queue extremum
+//! inside a record-grid step can leave the guard margins. Take
 //! `α ± iβ` as the spectrum of the focus flow `spiral_extremum` evaluates
 //! (rebuilt from the region's; a rebuild that is not a focus gets no
 //! enclosure). In the coordinates `u = x0`, `v = (y0 − α x0)/β` the flow
@@ -188,7 +192,7 @@ fn focus_and_c(alpha: f64, beta: f64, z0: [f64; 2]) -> (RegionFlow, f64) {
 /// and as cheap as any enclosure, and for a focus whose rebuild is not
 /// one. A bound may be infinite or NaN for states whose `A` or `x̂` does
 /// not fit a double; such an interval passes no strict comparison.
-pub(crate) fn extremum_enclosed(
+pub fn extremum_enclosed(
     flow: &RegionFlow,
     z0: [f64; 2],
     mut inside: impl FnMut((f64, f64)) -> bool,

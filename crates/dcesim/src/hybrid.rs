@@ -46,7 +46,7 @@
 //! packet engine.
 
 use bcn::closed_form::RegionFlow;
-use bcn::extrema::region_extremum;
+use bcn::extrema::{extremum_enclosed, region_extremum};
 use bcn::propagate::Propagator;
 use bcn::BcnParams;
 
@@ -469,7 +469,16 @@ impl HybridSim {
                 break;
             }
             // Endpoints inside the margins do not bound the path: a
-            // single-leg step can overshoot in between.
+            // single-leg step can overshoot in between. The enclosure
+            // settles most steps without bisecting for the extremum:
+            // its interval `[lo, hi]` holds the `x` that
+            // `region_extremum` would return, and adding `q0` rounds
+            // monotonically, so `q0 + lo > q_lo` implies
+            // `q0 + x > q_lo` (likewise at `q_hi`). A NaN or infinite
+            // bound fails the strict comparison and node or critical
+            // legs get no enclosure; both fall back to the exact
+            // extremum. So every break below is the one the exact test
+            // alone would take.
             if c.switches == 0
                 && !step_extremum_inside(self.prop.flow(region), z, delta, p.q0, q_lo, q_hi)
             {
@@ -517,7 +526,9 @@ impl HybridSim {
 /// `x` a single-leg step of `delta` seconds from `z` along `flow` passes
 /// through (paper Eqs. 18–20, 28, 34; `q = q0 + x`). A step whose leg
 /// has no extremum, or reaches it only at or after `delta`, is bounded
-/// by its endpoints, which the caller checks.
+/// by its endpoints, which the caller checks. Asks the enclosure of
+/// [`extremum_enclosed`] first and locates the extremum only where that
+/// cannot settle the answer.
 fn step_extremum_inside(
     flow: &RegionFlow,
     z: [f64; 2],
@@ -526,6 +537,9 @@ fn step_extremum_inside(
     q_lo: f64,
     q_hi: f64,
 ) -> bool {
+    if extremum_enclosed(flow, z, |(lo, hi)| q0 + lo > q_lo && q0 + hi < q_hi) {
+        return true;
+    }
     match region_extremum(flow, z) {
         Some(e) if e.t < delta => {
             let q_ext = q0 + e.x;
@@ -584,6 +598,7 @@ mod tests {
     use super::*;
     use crate::sim::fluid_validation_params;
     use crate::time::Time;
+    use bcn::closed_form::Spectrum;
 
     fn quiescent_setup() -> (BcnParams, SimConfig) {
         let params = fluid_validation_params();
@@ -696,22 +711,151 @@ mod tests {
         assert!(s.attempts > 0);
     }
 
+    /// `step_extremum_inside` without the enclosure: the exact test
+    /// every step ran before, which it must match bit for bit.
+    fn step_extremum_inside_exact(
+        flow: &RegionFlow,
+        z: [f64; 2],
+        delta: f64,
+        q0: f64,
+        q_lo: f64,
+        q_hi: f64,
+    ) -> bool {
+        match region_extremum(flow, z) {
+            Some(e) if e.t < delta => {
+                let q_ext = q0 + e.x;
+                q_ext > q_lo && q_ext < q_hi
+            }
+            _ => true,
+        }
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[lo, hi)` from the top 53 bits.
+    fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
+        let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
+        lo + u * (hi - lo)
+    }
+
+    /// `±10^e` with `e` uniform in `[lo, hi)` and a random sign.
+    fn signed_decades(state: &mut u64, lo: f64, hi: f64) -> f64 {
+        let sign = if splitmix64(state) & 1 == 0 { 1.0 } else { -1.0 };
+        sign * 10f64.powf(uniform(state, lo, hi))
+    }
+
+    #[test]
+    fn enclosed_step_guard_matches_the_exact_extremum_test() {
+        let mut rng = 0x9a7d_e0f5_u64;
+        let (mut cases, mut refused, mut enclosed) = (0u64, 0u64, 0u64);
+        let mut kinds = [0u64; 3];
+        while cases < 120_000 {
+            // A focus (`n > m²/4`), a node (`n < m²/4`) or a critical
+            // leg (`m = 2l`, `n = l²` exactly for a power-of-two `l`).
+            let m = 10f64.powf(uniform(&mut rng, 1.0, 4.0));
+            let flow = match splitmix64(&mut rng) % 3 {
+                0 => {
+                    RegionFlow::from_mn(m, 0.25 * m * m * 10f64.powf(uniform(&mut rng, 0.01, 4.0)))
+                }
+                1 => RegionFlow::from_mn(m, 0.25 * m * m * uniform(&mut rng, 0.05, 0.95)),
+                _ => {
+                    let l = 2f64.powi(uniform(&mut rng, 3.0, 13.0) as i32);
+                    RegionFlow::from_mn(2.0 * l, l * l)
+                }
+            };
+            kinds[match flow.spectrum() {
+                Spectrum::Focus { .. } => 0,
+                Spectrum::Node { .. } => 1,
+                Spectrum::Critical { .. } => 2,
+            }] += 1;
+            let q0 = 10f64.powf(uniform(&mut rng, 4.0, 7.0));
+            let z = [signed_decades(&mut rng, -3.0, 0.0) * q0, signed_decades(&mut rng, 3.0, 9.0)];
+            let exact = region_extremum(&flow, z);
+            let t_ref = exact.map_or(1e-3, |e| e.t);
+            // `delta` shorter than, equal to, just past and well past
+            // the extremum time.
+            let delta = match splitmix64(&mut rng) % 4 {
+                0 => 0.5 * t_ref,
+                1 => t_ref,
+                2 => t_ref.next_up(),
+                _ => 3.0 * t_ref,
+            };
+            // Margins far away, or one of them just inside, on or just
+            // outside the extremum (by ulps, or by a relative offset
+            // around the enclosure's 1e-9 width).
+            let (mut q_lo, mut q_hi) = (0.05 * q0, q0 + 2.0 * q0.max(z[0].abs() * 4.0));
+            if let Some(e) = exact {
+                let q_ext = q0 + e.x;
+                let near = match splitmix64(&mut rng) % 8 {
+                    0 => q_ext,
+                    1 => q_ext.next_up(),
+                    2 => q_ext.next_down(),
+                    3 => q_ext.next_up().next_up(),
+                    4 => q_ext.next_down().next_down(),
+                    k => {
+                        let rel = [1e-12, 1e-9, 1e-6][(k - 5) as usize];
+                        let off = signed_decades(&mut rng, 0.0, 1.0) * rel * e.x.abs();
+                        q_ext + off
+                    }
+                };
+                match splitmix64(&mut rng) % 3 {
+                    0 => q_lo = near,
+                    1 => q_hi = near,
+                    _ => {}
+                }
+            }
+            enclosed +=
+                u64::from(extremum_enclosed(&flow, z, |(lo, hi)| q0 + lo > q_lo && q0 + hi < q_hi));
+            let got = step_extremum_inside(&flow, z, delta, q0, q_lo, q_hi);
+            let want = step_extremum_inside_exact(&flow, z, delta, q0, q_lo, q_hi);
+            assert_eq!(
+                got,
+                want,
+                "case {cases}: flow {:?}, z {z:?}, delta {delta:e}, q0 {q0:e}, \
+                 margins ({q_lo:e}, {q_hi:e}), extremum {exact:?}",
+                flow.spectrum()
+            );
+            refused += u64::from(!want);
+            cases += 1;
+        }
+        println!("{cases} steps: kinds {kinds:?}, {enclosed} enclosed, {refused} refused");
+        // Every region kind, and both answers of each path, are drawn
+        // often.
+        assert!(kinds.iter().all(|&k| k >= 30_000), "region kinds {kinds:?}");
+        assert!(refused >= cases / 10, "only {refused} of {cases} steps refused");
+        assert!(enclosed >= cases / 10, "only {enclosed} of {cases} steps enclosed");
+        assert!(enclosed + refused <= cases * 9 / 10, "{enclosed} enclosed, {refused} refused");
+    }
+
+    #[test]
+    fn an_overshooting_step_is_refused_by_its_extremum() {
+        // A focus leg (m = 2, n = 10: -1 ± 3i) from the equilibrium's
+        // queue with the rate above capacity: `x` rises to a maximum of
+        // ~0.47 at t ~ 0.42 and falls back below 0.02 by t = 1, so both
+        // endpoints of a 1 s step sit inside (-0.9, 0.4) while the path
+        // overshoots the upper margin.
+        let flow = RegionFlow::from_mn(2.0, 10.0);
+        let (z, delta, q0, q_lo, q_hi) = ([0.0, 2.0], 1.0, 1.0, 0.1, 1.4);
+        let e = region_extremum(&flow, z).expect("a focus leg turns");
+        assert!(e.t < delta && q0 + e.x > q_hi, "{e:?}");
+        let end = q0 + flow.at(delta, z)[0];
+        assert!(end > q_lo && end < q_hi, "endpoint {end}");
+        assert!(!step_extremum_inside(&flow, z, delta, q0, q_lo, q_hi));
+        // Past the extremum's time the endpoints bound the step.
+        assert!(step_extremum_inside(&flow, z, 0.5 * e.t, q0, q_lo, q_hi));
+    }
+
     #[test]
     fn divergence_stays_within_the_documented_bound() {
         // Hand-rolled property test: splitmix64-driven random parameter
         // sets around the fluid-calibrated baseline, each checked for
         // hybrid-vs-pure queue-extrema agreement within the bound.
-        fn splitmix64(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-        fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
-            let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
-            lo + u * (hi - lo)
-        }
         let mut state = 0x5eed_5eed_5eed_5eed_u64;
         for case in 0..4 {
             let gi = uniform(&mut state, 0.8, 1.6);
