@@ -1605,6 +1605,43 @@ mod tests {
     }
 
     #[test]
+    fn net_batch_quarantines_seeds_with_an_invalid_congestion_point() {
+        let (cp, rp) = (
+            crate::cp::CpConfig {
+                cpid: crate::frame::CpId(2),
+                q0_bits: 0.0,
+                qsc_bits: 4.0e5,
+                w: 2.0,
+                sample_every: 5,
+                fb_quant: None,
+                gate_positive: false,
+            },
+            crate::rp::RpConfig {
+                gi: 0.5,
+                gd: 1.0 / 512.0,
+                ru: 1.0e4,
+                gain_scale: 1.6e-4,
+                r_min: 1e3,
+                r_max: 1e9,
+            },
+        );
+        let pause = crate::net::PauseConfig {
+            enabled: true,
+            hold: crate::time::Duration::from_secs(3.2e-4),
+            per_priority: false,
+        };
+        let prop = crate::time::Duration::from_secs(1e-6);
+        let (base, _) =
+            crate::net::victim_topology(4, 1e9, 8_000.0, prop, 0.002, pause, Some((cp, rp)));
+        let report = run_net_batch(&NetBatchConfig::quick(base, 2));
+        assert_eq!(report.completed().count(), 0);
+        assert_eq!(report.failures().count(), 2);
+        for (_, cause) in report.failures() {
+            assert!(cause.contains("cp.q0_bits"), "cause: {cause}");
+        }
+    }
+
+    #[test]
     fn net_batch_rejects_invalid_seeded_configs_as_failures() {
         let mut cfg = net_batch(2);
         cfg.base.switches[0].routes.clear();

@@ -398,6 +398,25 @@ impl NetSim {
                 }
             }
         }
+        // The congestion and reaction points below are built by their
+        // asserting constructors; refuse a bad config here instead.
+        for (si, sw) in cfg.switches.iter().enumerate() {
+            for (link, cp) in &sw.cps {
+                cp.validate().map_err(|e| {
+                    ConfigError::new(
+                        "switches",
+                        format!("switch {si} link {link} `{}`: {}", e.field, e.reason),
+                    )
+                })?;
+            }
+        }
+        for (fi, flow) in cfg.flows.iter().enumerate() {
+            if let Some(rp) = &flow.rp {
+                rp.validate().map_err(|e| {
+                    ConfigError::new("flows", format!("flow {fi} `{}`: {}", e.field, e.reason))
+                })?;
+            }
+        }
         let mut host_uplink = vec![None; cfg.hosts];
         for (i, l) in cfg.links.iter().enumerate() {
             if let Endpoint::Host(h) = l.from {
@@ -1495,6 +1514,24 @@ mod tests {
         // Point a flow at a sink host (no uplink) as source.
         cfg.flows[0].src_host = cfg.hosts - 1;
         let _ = NetSim::new(cfg);
+    }
+
+    #[test]
+    fn invalid_control_configs_are_config_errors() {
+        let pause = PauseConfig { enabled: true, hold: Duration::ZERO, per_priority: false };
+        let build = |cp: CpConfig, rp: RpConfig| {
+            let prop = Duration::from_secs(1e-6);
+            let (cfg, _) = victim_topology(4, TRUNK, FRAME, prop, 0.01, pause, Some((cp, rp)));
+            NetSim::try_new(cfg).err()
+        };
+        let (cp, rp) = bcn_pair();
+        assert!(build(cp, rp).is_none());
+        let err = build(CpConfig { q0_bits: 0.0, ..cp }, rp).expect("q0 = 0 is rejected");
+        assert_eq!(err.field, "switches");
+        assert!(err.reason.contains("switch 1 link") && err.reason.contains("cp.q0_bits"), "{err}");
+        let err = build(cp, RpConfig { r_min: 0.0, ..rp }).expect("r_min = 0 is rejected");
+        assert_eq!(err.field, "flows");
+        assert!(err.reason.contains("flow 0 `rp.r_min`"), "{err}");
     }
 
     #[test]
