@@ -156,9 +156,10 @@ pub struct HybridStats {
 }
 
 /// Why fast-forward attempts were refused: every refused attempt is
-/// counted in exactly one field. The first four reasons that name a
-/// guard count walks refused on their first grid step; a walk that took
-/// at least one step counts as `below_min_ff` whatever stopped it.
+/// counted in exactly one field. `switch_budget`, `endpoint_margin`,
+/// `extremum_margin` and `horizon` count walks stopped on their first
+/// grid step; a walk that took at least one step counts as
+/// `below_min_ff` whatever stopped it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Refusals {
     /// The structural guards refused (`Simulation::hybrid_quiescent`:
