@@ -159,7 +159,7 @@ fn attempt_ends_json(name: &str, stats: &HybridStats) -> String {
 /// Always-packet bit-identity: single runs on both scenarios, plus
 /// batched runs across worker counts.
 fn check_always_packet(failures: &mut Vec<String>, t_end: f64, batch_t_end: f64) {
-    let ap = HybridGuards { always_packet: true, ..HybridGuards::default() };
+    let ap = HybridGuards { always_packet: true };
     let lc = limit_cycle(t_end);
     let (ic_params, ic_cfg) = incast16(t_end);
     for (name, params, cfg) in

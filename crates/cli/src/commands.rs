@@ -21,7 +21,7 @@ use dcesim::checkpoint::{
 use dcesim::faults::FaultCounts;
 use dcesim::hybrid::{HybridSim, HybridSpec, HybridStats};
 use dcesim::net::{NetReport, NetSim};
-use dcesim::sim::{SimConfig, Simulation};
+use dcesim::sim::{SimConfig, SimReport, Simulation};
 use dcesim::time::Duration;
 use dcesim::topo::{compile, TopoSpec, Traffic};
 use plotkit::{Csv, Table};
@@ -333,16 +333,11 @@ pub(crate) fn simulate(args: &[String]) -> Result<String, CliError> {
 /// on the fluid calibration of the flags, writing the same
 /// `t,q_bits,aggregate_rate` CSV schema as the fluid engines.
 fn simulate_hybrid(flags: &Flags, p: &BcnParams, t_end: f64) -> Result<String, CliError> {
-    let guards = hybrid_guards_from(flags)?;
+    let spec = HybridSpec { params: p.clone(), guards: hybrid_guards_from(flags)? };
     let cfg = SimConfig::from_fluid(p, 8_000.0, Duration::from_secs(2e-6), t_end);
-    cfg.validate()?;
-    let spec = HybridSpec { params: p.clone(), guards };
-    spec.validate_for(&cfg)?;
     let level = telemetry_level(flags, TelemetryLevel::Off)?;
-    let report = HybridSim::new(spec.params, cfg, spec.guards)
-        .with_telemetry_sink(Telemetry::new(level))
-        .run();
-    let m = &report.sim.metrics;
+    let (report, stats) = run_dumbbell(cfg, Some(spec), Telemetry::new(level))?;
+    let m = &report.metrics;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -351,7 +346,7 @@ fn simulate_hybrid(flags: &Flags, p: &BcnParams, t_end: f64) -> Result<String, C
         m.queue.max(),
         m.delivered_frames,
     );
-    out.push_str(&render_hybrid_stats(&report.stats));
+    out.push_str(&render_hybrid_stats(&stats.unwrap_or_default()));
     if let Some(path) = flags.get("out") {
         let mut csv = Csv::new(&["t", "q_bits", "aggregate_rate"]);
         for ((t, q), w) in
@@ -363,7 +358,7 @@ fn simulate_hybrid(flags: &Flags, p: &BcnParams, t_end: f64) -> Result<String, C
         let _ = writeln!(out, "wrote {path} ({} samples)", m.queue.len());
     }
     if level.enabled() {
-        if let Some(tel) = &report.sim.telemetry {
+        if let Some(tel) = &report.telemetry {
             out.push_str(&render_summary(tel));
         }
     }
@@ -448,26 +443,13 @@ pub(crate) fn packet(args: &[String]) -> Result<String, CliError> {
     }
     let p = params_from(&flags)?;
     let t_end = flags.t_end(0.2)?;
-    let frame_bits = flags.get_f64("frame-bits")?.unwrap_or(8_000.0);
-    if frame_bits <= 0.0 {
-        return Err(CliError::Usage("--frame-bits must be positive".into()));
-    }
+    let frame_bits = flags.frame_bits()?;
     let level = telemetry_level(&flags, TelemetryLevel::Off)?;
     let hybrid = hybrid_spec_from(&flags, &p)?;
     let mut cfg = SimConfig::from_fluid(&p, frame_bits, Duration::from_secs(2e-6), t_end);
     cfg.scheduler = scheduler_choice(&flags)?;
     cfg.faults = single_run_faults(&flags)?;
-    cfg.validate()?;
-    let (report, hybrid_stats) = match hybrid {
-        Some(spec) => {
-            spec.validate_for(&cfg)?;
-            let run = HybridSim::new(spec.params, cfg, spec.guards)
-                .with_telemetry_sink(Telemetry::new(level))
-                .run();
-            (run.sim, Some(run.stats))
-        }
-        None => (Simulation::with_telemetry(cfg, Telemetry::new(level)).run(), None),
-    };
+    let (report, hybrid_stats) = run_dumbbell(cfg, hybrid, Telemetry::new(level))?;
     let m = &report.metrics;
     let mut out = String::new();
     let _ = writeln!(out, "packet-level run over {t_end} s ({} flows):", p.n_flows);
@@ -494,6 +476,24 @@ pub(crate) fn packet(args: &[String]) -> Result<String, CliError> {
         }
     }
     Ok(out)
+}
+
+/// Validates `cfg` and runs it with `tel` attached: on the hybrid engine
+/// when `hybrid` is set, otherwise on the packet engine.
+fn run_dumbbell(
+    cfg: SimConfig,
+    hybrid: Option<HybridSpec>,
+    tel: Telemetry,
+) -> Result<(SimReport, Option<HybridStats>), CliError> {
+    cfg.validate()?;
+    Ok(match hybrid {
+        Some(spec) => {
+            spec.validate_for(&cfg)?;
+            let run = HybridSim::new(spec.params, cfg, spec.guards).with_telemetry_sink(tel).run();
+            (run.sim, Some(run.stats))
+        }
+        None => (Simulation::with_telemetry(cfg, tel).run(), None),
+    })
 }
 
 /// With `--topo` every flag that only makes sense on the
@@ -607,10 +607,7 @@ pub(crate) fn batch(args: &[String]) -> Result<String, CliError> {
     }
     let p = params_from(&flags)?;
     let t_end = flags.t_end(0.05)?;
-    let frame_bits = flags.get_f64("frame-bits")?.unwrap_or(8_000.0);
-    if frame_bits <= 0.0 {
-        return Err(CliError::Usage("--frame-bits must be positive".into()));
-    }
+    let frame_bits = flags.frame_bits()?;
     let n_seeds = seed_count(&flags)?;
     let level = telemetry_level(&flags, TelemetryLevel::Off)?;
     let (faults, panic_seeds) = faults_from(&flags)?;
@@ -620,18 +617,18 @@ pub(crate) fn batch(args: &[String]) -> Result<String, CliError> {
     base.faults = faults;
     base.validate()?;
     if let Some(spec) = &hybrid {
-        // Fail the whole command up front on bad knobs rather than
-        // quarantining every seed with the same cause.
+        // Fail the whole command up front on a fluid/packet mismatch
+        // rather than quarantining every seed with the same cause.
         spec.validate_for(&base)?;
     }
     let mut cfg = BatchConfig::quick(base, n_seeds as u64);
     cfg.hybrid = hybrid;
     cfg.level = level;
     cfg.panic_seeds = panic_seeds;
-    if let Some(v) = flags.get_f64("start-jitter")? {
+    if let Some(v) = flags.jitter("start-jitter", f64::INFINITY)? {
         cfg.start_jitter_secs = v;
     }
-    if let Some(v) = flags.get_f64("rate-jitter")? {
+    if let Some(v) = flags.jitter("rate-jitter", 1.0)? {
         cfg.rate_jitter_frac = v;
     }
     (cfg.max_events_per_seed, cfg.max_seed_wall_ms) = watchdog_flags(&flags)?;
@@ -747,7 +744,7 @@ fn batch_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String
     let mut cfg = NetBatchConfig::quick(base, n_seeds as u64);
     cfg.level = level;
     cfg.panic_seeds = panic_seeds;
-    if let Some(v) = flags.get_f64("rate-jitter")? {
+    if let Some(v) = flags.jitter("rate-jitter", 1.0)? {
         cfg.rate_jitter_frac = v;
     }
     (cfg.max_events_per_seed, cfg.max_seed_wall_ms) = watchdog_flags(flags)?;
@@ -1056,10 +1053,7 @@ pub(crate) fn report(args: &[String]) -> Result<String, CliError> {
             }
             "packet" => {
                 let p = params_from(&flags)?;
-                let frame_bits = flags.get_f64("frame-bits")?.unwrap_or(8_000.0);
-                if frame_bits <= 0.0 {
-                    return Err(CliError::Usage("--frame-bits must be positive".into()));
-                }
+                let frame_bits = flags.frame_bits()?;
                 let cfg = SimConfig::from_fluid(&p, frame_bits, Duration::from_secs(2e-6), t_end);
                 cfg.validate()?;
                 let run = Simulation::with_telemetry(cfg, tel).run();
@@ -1332,19 +1326,12 @@ pub(crate) fn trace(args: &[String]) -> Result<String, CliError> {
     let mut out = String::new();
     match scenario {
         "thm1" | "limit-cycle" => {
-            if flags.get("faults").is_some() {
-                return Err(CliError::Usage("--faults only applies to the packet scenario".into()));
-            }
-            if flags.get("scheduler").is_some() {
-                return Err(CliError::Usage(
-                    "--scheduler only applies to the packet scenario".into(),
-                ));
-            }
-            if flags.get("hybrid-guard").is_some() {
-                return Err(CliError::Usage(
-                    "--hybrid-guard only applies to the packet scenario with --engine hybrid"
-                        .into(),
-                ));
+            for key in ["faults", "scheduler", "hybrid-guard"] {
+                if flags.get(key).is_some() {
+                    return Err(CliError::Usage(format!(
+                        "--{key} only applies to the packet scenario"
+                    )));
+                }
             }
             if scenario == "thm1" && flags.get_f64("buffer")?.is_none() {
                 // Size the buffer to exactly the Theorem-1 requirement so
@@ -1376,24 +1363,11 @@ pub(crate) fn trace(args: &[String]) -> Result<String, CliError> {
             // scenario is a typed usage error naming the valid engines,
             // never silently ignored.
             let hybrid = hybrid_spec_from(&flags, &p)?;
-            let frame_bits = flags.get_f64("frame-bits")?.unwrap_or(8_000.0);
-            if frame_bits <= 0.0 {
-                return Err(CliError::Usage("--frame-bits must be positive".into()));
-            }
+            let frame_bits = flags.frame_bits()?;
             let mut cfg = SimConfig::from_fluid(&p, frame_bits, Duration::from_secs(2e-6), t_end);
             cfg.scheduler = scheduler_choice(&flags)?;
             cfg.faults = single_run_faults(&flags)?;
-            cfg.validate()?;
-            let (report, hybrid_stats) = match hybrid {
-                Some(spec) => {
-                    spec.validate_for(&cfg)?;
-                    let run = HybridSim::new(spec.params, cfg, spec.guards)
-                        .with_telemetry_sink(tel)
-                        .run();
-                    (run.sim, Some(run.stats))
-                }
-                None => (Simulation::with_telemetry(cfg, tel).run(), None),
-            };
+            let (report, hybrid_stats) = run_dumbbell(cfg, hybrid, tel)?;
             let m = &report.metrics;
             let _ = writeln!(
                 out,
@@ -1545,14 +1519,14 @@ mod tests {
 
     #[test]
     fn hybrid_guard_requires_the_hybrid_engine() {
-        let err = packet(&argv(&format!("{FAST_SIM} --hybrid-guard eq=0.1"))).unwrap_err();
+        let err = packet(&argv(&format!("{FAST_SIM} --hybrid-guard always-packet"))).unwrap_err();
         assert!(err.to_string().contains("--engine hybrid"), "{err}");
-        let err = trace(&argv("thm1 --hybrid-guard eq=0.1 --t-end 0.002")).unwrap_err();
+        let err = trace(&argv("thm1 --hybrid-guard always-packet --t-end 0.002")).unwrap_err();
         assert!(err.to_string().contains("--hybrid-guard"), "{err}");
-        // Bad knobs are rejected before the run starts.
-        assert!(
-            packet(&argv(&format!("{FAST_SIM} --engine hybrid --hybrid-guard eq=0.9"))).is_err()
-        );
+        // Unknown keys are rejected before the run starts.
+        let err = packet(&argv(&format!("{FAST_SIM} --engine hybrid --hybrid-guard eq=0.1")))
+            .unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
     }
 
     #[test]

@@ -91,6 +91,36 @@ impl Flags {
         Ok(t_end)
     }
 
+    /// The `--frame-bits` frame size in bits, 8000 when absent.
+    ///
+    /// # Errors
+    ///
+    /// Rejects unparsable, non-finite and non-positive sizes.
+    pub(crate) fn frame_bits(&self) -> Result<f64, CliError> {
+        let bits = self.get_f64("frame-bits")?.unwrap_or(8_000.0);
+        if bits.is_finite() && bits > 0.0 {
+            Ok(bits)
+        } else {
+            Err(CliError::Usage(format!("--frame-bits must be finite and positive, got {bits}")))
+        }
+    }
+
+    /// A batch jitter flag: `None` when absent, else a finite value in
+    /// `[0, max]`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects unparsable numbers, NaN, infinities and values outside
+    /// `[0, max]`.
+    pub(crate) fn jitter(&self, key: &str, max: f64) -> Result<Option<f64>, CliError> {
+        match self.get_f64(key)? {
+            Some(v) if !(v.is_finite() && (0.0..=max).contains(&v)) => {
+                Err(CliError::Usage(format!("--{key} must be finite and in [0, {max}], got {v}")))
+            }
+            v => Ok(v),
+        }
+    }
+
     /// An integer flag.
     ///
     /// # Errors
@@ -194,51 +224,28 @@ pub(crate) fn sim_engine_choice(flags: &Flags) -> Result<SimEngine, CliError> {
     }
 }
 
-/// Parses the `--hybrid-guard key=value,key=value` specification into
-/// the hybrid epoch-controller knobs, starting from the conservative
-/// defaults.
-///
-/// Keys: `eq` (equilibrium-ball half-width, fraction), `margin` (queue
-/// safety margin, fraction), `min-ff` (seconds), `max-ff` (seconds, 0 =
-/// unlimited), `max-legs` (region switches per grid step),
-/// `always-packet` (boolean; bare key means true).
+/// Parses the `--hybrid-guard` specification. Its one key is
+/// `always-packet` (boolean; bare key means true): the guard envelope
+/// itself is fixed in `dcesim::hybrid`.
 ///
 /// # Errors
 ///
-/// Rejects malformed items, unknown keys, unparsable values, and knob
-/// combinations [`HybridGuards::validate`] refuses.
+/// Rejects every other key.
 pub(crate) fn hybrid_guards_from(flags: &Flags) -> Result<HybridGuards, CliError> {
     let mut g = HybridGuards::default();
     let Some(spec) = flags.get("hybrid-guard") else {
         return Ok(g);
     };
     for item in spec.split(',').filter(|s| !s.is_empty()) {
-        // `always-packet` may appear bare; every other key needs `=`.
-        let (key, value) = item.split_once('=').unwrap_or((item, "true"));
-        let num = || {
-            value.parse::<f64>().map_err(|_| {
-                CliError::Usage(format!("--hybrid-guard {key} expects a number, got `{value}`"))
-            })
-        };
-        match key {
-            "eq" => g.eq_frac = num()?,
-            "margin" => g.q_margin_frac = num()?,
-            "min-ff" => g.min_ff_secs = num()?,
-            "max-ff" => g.max_ff_secs = num()?,
-            "max-legs" => {
-                g.max_legs = value.parse::<u32>().map_err(|_| {
-                    CliError::Usage(format!(
-                        "--hybrid-guard max-legs expects an integer, got `{value}`"
-                    ))
-                })?;
-            }
-            "always-packet" => g.always_packet = matches!(value, "true" | "1" | "yes"),
-            other => {
-                return Err(CliError::Usage(format!("unknown --hybrid-guard key `{other}`")));
+        match item.split_once('=').unwrap_or((item, "true")) {
+            ("always-packet", value) => g.always_packet = matches!(value, "true" | "1" | "yes"),
+            (other, _) => {
+                return Err(CliError::Usage(format!(
+                    "unknown --hybrid-guard key `{other}` (only always-packet is accepted)"
+                )));
             }
         }
     }
-    g.validate()?;
     Ok(g)
 }
 
@@ -500,17 +507,12 @@ mod tests {
 
     #[test]
     fn hybrid_guard_spec_parses_every_key() {
-        let f = Flags::parse(&argv(
-            "--hybrid-guard eq=0.1,margin=0.2,min-ff=5e-4,max-ff=0.1,max-legs=8,always-packet",
-        ))
-        .unwrap();
-        let g = hybrid_guards_from(&f).unwrap();
-        assert_eq!(g.eq_frac, 0.1);
-        assert_eq!(g.q_margin_frac, 0.2);
-        assert_eq!(g.min_ff_secs, 5e-4);
-        assert_eq!(g.max_ff_secs, 0.1);
-        assert_eq!(g.max_legs, 8);
-        assert!(g.always_packet);
+        for spec in ["always-packet", "always-packet=true", ",always-packet,"] {
+            let f = Flags::parse(&argv(&format!("--hybrid-guard {spec}"))).unwrap();
+            assert_eq!(hybrid_guards_from(&f).unwrap(), HybridGuards { always_packet: true });
+        }
+        let f = Flags::parse(&argv("--hybrid-guard always-packet=0")).unwrap();
+        assert_eq!(hybrid_guards_from(&f).unwrap(), HybridGuards::default());
         // Absent flag keeps the defaults.
         let f = Flags::parse(&argv("")).unwrap();
         assert_eq!(hybrid_guards_from(&f).unwrap(), HybridGuards::default());
@@ -518,17 +520,22 @@ mod tests {
 
     #[test]
     fn hybrid_guard_spec_rejects_garbage() {
-        for bad in [
-            "--hybrid-guard bogus=1",      // unknown key
-            "--hybrid-guard eq=often",     // not a number
-            "--hybrid-guard eq=0.9",       // fraction outside (0, 0.5)
-            "--hybrid-guard min-ff=-1",    // negative duration
-            "--hybrid-guard max-legs=0",   // zero leg budget
-            "--hybrid-guard max-legs=1.5", // not an integer
-        ] {
-            let f = Flags::parse(&argv(bad)).unwrap();
-            assert!(hybrid_guards_from(&f).is_err(), "{bad} should be rejected");
+        for key in ["bogus", "eq", "margin", "min-ff", "max-ff", "max-legs"] {
+            let f = Flags::parse(&argv(&format!("--hybrid-guard always-packet,{key}=1"))).unwrap();
+            let err = hybrid_guards_from(&f).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{key}");
+            assert!(err.to_string().contains(&format!("`{key}`")), "{key}: {err}");
         }
+    }
+
+    #[test]
+    fn jitter_flags_accept_their_whole_range() {
+        let f = Flags::parse(&argv("--rate-jitter 1 --start-jitter 0")).unwrap();
+        assert_eq!(f.jitter("rate-jitter", 1.0).unwrap(), Some(1.0));
+        assert_eq!(f.jitter("start-jitter", f64::INFINITY).unwrap(), Some(0.0));
+        assert_eq!(f.jitter("absent", 1.0).unwrap(), None);
+        let f = Flags::parse(&argv("--rate-jitter 1.5")).unwrap();
+        assert!(matches!(f.jitter("rate-jitter", 1.0), Err(CliError::Usage(_))));
     }
 
     #[test]

@@ -170,7 +170,7 @@ pub fn usage() -> String {
      \x20                                      bit-identical results)\n\
      \x20           --engine <packet|hybrid>  (default packet; hybrid fast-forwards\n\
      \x20                                      quiescent stretches analytically)\n\
-     \x20           --hybrid-guard <spec>     (epoch-controller knobs, see below)\n\
+     \x20           --hybrid-guard always-packet  (see below)\n\
      \x20           --topo <spec> --traffic <spec>  (multi-hop fabric run, see\n\
      \x20                                      below; dumbbell-only flags rejected)\n\
      \x20 batch:    --seeds <n> --t-end <s> --start-jitter <s> --rate-jitter <frac>\n\
@@ -220,12 +220,11 @@ pub fn usage() -> String {
      \x20           fault plan from the dump, re-run the seed, and verify the\n\
      \x20           recorded failure reproduces; divergence exits with code 11)\n\
      \n\
-     hybrid epoch controller (--hybrid-guard, comma-separated key=value items):\n\
-     \x20 eq=<frac> margin=<frac> min-ff=<s> max-ff=<s> max-legs=<n>\n\
+     hybrid epoch controller (--hybrid-guard; the guard envelope is fixed):\n\
      \x20 always-packet       (bare key = true: drive the run through the hybrid\n\
      \x20                      wrapper but never fast-forward — bit-identical to\n\
      \x20                      the pure packet engine)\n\
-     \x20 e.g. dcebcn packet --engine hybrid --hybrid-guard eq=0.1,min-ff=5e-4\n\
+     \x20 e.g. dcebcn packet --engine hybrid --hybrid-guard always-packet\n\
      \n\
      scale-out fabrics (--topo / --traffic on packet, batch, and trace):\n\
      \x20 --topo fat-tree:k=8[,link=1e9][,delay=1e-6][,frame=8000]\n\

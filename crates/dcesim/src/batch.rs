@@ -531,14 +531,19 @@ impl SeedBatch for BatchConfig {
         }
     }
 
-    /// Every flow's start time and initial rate jittered.
+    /// Every flow's start time and initial rate jittered. A start the
+    /// jitter would make negative or non-finite stays unjittered, and
+    /// [`engine`](SeedBatch::engine) refuses the seed.
     fn scenario(&self, seed: u64) -> SimConfig {
         let mut out = self.base.clone();
         for (i, flow) in out.flows.iter_mut().enumerate() {
             let i = i as u64;
             let ds = unit(seed, i, 0) * self.start_jitter_secs;
             let dr = 1.0 + (2.0 * unit(seed, i, 1) - 1.0) * self.rate_jitter_frac;
-            flow.start = Time::from_secs(flow.start.as_secs() + ds);
+            let start = flow.start.as_secs() + ds;
+            if start.is_finite() && start >= 0.0 {
+                flow.start = Time::from_secs(start);
+            }
             flow.initial_rate *= dr;
         }
         // With fault injection on, each seed gets its own decision
@@ -555,6 +560,13 @@ impl SeedBatch for BatchConfig {
         scenario: SimConfig,
         ws: &mut SimWorkspace,
     ) -> Result<DumbbellEngine, ConfigError> {
+        let jitter = self.start_jitter_secs;
+        if !(jitter.is_finite() && jitter >= 0.0) {
+            return Err(ConfigError::new(
+                "batch.start_jitter",
+                format!("start jitter must be finite and non-negative, got {jitter}"),
+            ));
+        }
         scenario.validate()?;
         Ok(match &self.hybrid {
             Some(spec) => {
@@ -600,25 +612,13 @@ impl SeedBatch for BatchConfig {
         h = match hybrid {
             Some(HybridSpec { params, guards }) => {
                 let BcnParams { n_flows, capacity, q0, buffer, gi, gd, ru, w, pm, qsc } = params;
-                let HybridGuards {
-                    always_packet,
-                    min_ff_secs,
-                    max_ff_secs,
-                    eq_frac,
-                    q_margin_frac,
-                    max_legs,
-                } = guards;
+                let HybridGuards { always_packet } = guards;
                 let mut h = mix(h, 1);
                 h = mix(h, u64::from(*n_flows));
                 for v in [capacity, q0, buffer, gi, gd, ru, w, pm, qsc] {
                     h = mix_f(h, *v);
                 }
-                h = mix(h, u64::from(*always_packet));
-                h = mix_f(h, *min_ff_secs);
-                h = mix_f(h, *max_ff_secs);
-                h = mix_f(h, *eq_frac);
-                h = mix_f(h, *q_margin_frac);
-                mix(h, u64::from(*max_legs))
+                mix(h, u64::from(*always_packet))
             }
             None => mix(h, 0),
         };
@@ -1156,6 +1156,20 @@ mod tests {
     }
 
     #[test]
+    fn an_invalid_start_jitter_quarantines_every_seed() {
+        for jitter in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = batch(2);
+            cfg.start_jitter_secs = jitter;
+            let report = run_batch(&cfg);
+            assert_eq!(report.completed().count(), 0, "jitter {jitter}");
+            assert_eq!(report.failures().count(), 2, "jitter {jitter}");
+            for (_, cause) in report.failures() {
+                assert!(cause.contains("batch.start_jitter"), "cause: {cause}");
+            }
+        }
+    }
+
+    #[test]
     fn batch_results_are_identical_at_any_thread_count() {
         let cfg = batch(4);
         parkit::set_threads(1);
@@ -1638,6 +1652,27 @@ mod tests {
         assert_eq!(report.failures().count(), 2);
         for (_, cause) in report.failures() {
             assert!(cause.contains("cp.q0_bits"), "cause: {cause}");
+        }
+    }
+
+    #[test]
+    fn net_batch_quarantines_seeds_jittered_to_negative_rates() {
+        let mut cfg = net_batch(4);
+        cfg.rate_jitter_frac = 3.0;
+        let report = run_net_batch(&cfg);
+        // A seed fails exactly when it jitters some flow below zero,
+        // and at least one does.
+        let failed: Vec<u64> = report.failures().map(|(seed, _)| seed).collect();
+        let negative: Vec<u64> = cfg
+            .seeds
+            .iter()
+            .copied()
+            .filter(|&s| seeded_net_config(&cfg, s).flows.iter().any(|f| f.initial_rate < 0.0))
+            .collect();
+        assert!(!failed.is_empty());
+        assert_eq!(failed, negative);
+        for (_, cause) in report.failures() {
+            assert!(cause.contains("rate must be finite and non-negative"), "cause: {cause}");
         }
     }
 

@@ -16,17 +16,20 @@
 //!   at a time. Far from the equilibrium it allows no region switches
 //!   (a switching-line crossing inside a step vetoes it — the packet
 //!   engine should price crossings); inside the small equilibrium ball
-//!   (`eq_frac`) it walks up to `max_legs` analytic legs per step, so
-//!   the terminal spiral — which straddles the line forever — can still
-//!   be fast-forwarded.
+//!   (`EQ_FRAC` = 0.05 of `q0` and of `C`) it walks up to `MAX_LEGS` = 64
+//!   analytic legs per step, so the terminal spiral — which straddles
+//!   the line forever — can still be fast-forwarded.
 //! * **Guards.** Structural guards (`Simulation::hybrid_quiescent`)
 //!   require fluid-calibrated BCN control, no faults, no PAUSE asserted
 //!   or in flight, and steady homogeneous flows. Dynamic guards keep
-//!   the queue inside `(q_margin_frac * q0, (1 - q_margin_frac) * qsc)`
-//!   at every grid point *and* at intra-step extrema, so a
-//!   fast-forwarded stretch can never have dropped a frame or tripped a
-//!   PAUSE. An epoch shorter than `min_ff_secs` is not worth a reseed
-//!   and is skipped.
+//!   the queue inside `(Q_MARGIN_FRAC * q0, (1 - Q_MARGIN_FRAC) * qsc)`,
+//!   `Q_MARGIN_FRAC` = 0.1, at every grid point *and* at intra-step
+//!   extrema, so a fast-forwarded stretch can never have dropped a frame
+//!   or tripped a PAUSE. An epoch shorter than `MIN_FF_SECS` = 1 ms is
+//!   not worth a reseed and is skipped; there is no maximum epoch.
+//! * **A fixed envelope.** These four values are constants, not
+//!   settings: [`DIVERGENCE_BOUND_FRAC`], the engine's only accuracy
+//!   claim, is measured at exactly these values.
 //! * **Re-seeding.** A committed epoch replays its samples onto the
 //!   record grid, credits delivery at capacity (the guards imply
 //!   `0 < q` throughout, so the server never idles), and re-seeds the
@@ -65,74 +68,34 @@ use crate::time::Duration;
 /// diverge by exactly zero.
 pub const DIVERGENCE_BOUND_FRAC: f64 = 0.1;
 
-/// Tuning knobs of the hybrid epoch controller. The defaults are
-/// conservative: fast-forward only well-margined, millisecond-or-longer
-/// stretches.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Minimum epoch length (seconds) worth a reseed; shorter analytic
+/// stretches stay packet-simulated. Rounded up to whole record
+/// intervals.
+const MIN_FF_SECS: f64 = 1e-3;
+
+/// Half-width of the equilibrium ball, as a fraction of `q0` (for
+/// `|x|`) and of `C` (for `|y|`). Inside the ball multi-leg advances
+/// are allowed; outside, any switching-line crossing returns control
+/// to the packet engine.
+const EQ_FRAC: f64 = 0.05;
+
+/// Queue safety margin: fast-forwarding requires
+/// `Q_MARGIN_FRAC * q0 < q < (1 - Q_MARGIN_FRAC) * qsc` throughout the
+/// epoch, keeping it clear of both underflow (server idling) and the
+/// PAUSE threshold.
+const Q_MARGIN_FRAC: f64 = 0.1;
+
+/// Region-switch budget per grid step inside the equilibrium ball.
+const MAX_LEGS: usize = 64;
+
+/// How a hybrid run is driven; the guard envelope itself is fixed (see
+/// the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HybridGuards {
     /// Disable fast-forwarding entirely: the run is driven through the
     /// hybrid wrapper but every event is packet-simulated, bit-identical
     /// to [`Simulation`] (the CI equivalence gate runs this).
     pub always_packet: bool,
-    /// Minimum epoch length (seconds) worth a reseed; shorter analytic
-    /// stretches stay packet-simulated. Rounded up to whole record
-    /// intervals.
-    pub min_ff_secs: f64,
-    /// Maximum epoch length (seconds); `0` means unlimited. Bounds the
-    /// staleness of the packet state for long quiescent tails.
-    pub max_ff_secs: f64,
-    /// Half-width of the equilibrium ball, as a fraction of `q0` (for
-    /// `|x|`) and of `C` (for `|y|`). Inside the ball multi-leg
-    /// advances are allowed; outside, any switching-line crossing
-    /// returns control to the packet engine.
-    pub eq_frac: f64,
-    /// Queue safety margin: fast-forwarding requires
-    /// `q_margin_frac * q0 < q < (1 - q_margin_frac) * qsc` throughout
-    /// the epoch, keeping it clear of both underflow (server idling)
-    /// and the PAUSE threshold.
-    pub q_margin_frac: f64,
-    /// Region-switch budget per grid step inside the equilibrium ball.
-    pub max_legs: u32,
-}
-
-impl Default for HybridGuards {
-    fn default() -> Self {
-        Self {
-            always_packet: false,
-            min_ff_secs: 1e-3,
-            max_ff_secs: 0.0,
-            eq_frac: 0.05,
-            q_margin_frac: 0.1,
-            max_legs: 64,
-        }
-    }
-}
-
-impl HybridGuards {
-    /// Validates the knobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] naming the first invalid field: a
-    /// non-finite or negative duration, a fraction outside `(0, 0.5)`,
-    /// or a zero leg budget.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        for (field, v) in [("hybrid.min_ff", self.min_ff_secs), ("hybrid.max_ff", self.max_ff_secs)]
-        {
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(ConfigError::new(field, "duration must be finite and non-negative"));
-            }
-        }
-        for (field, v) in [("hybrid.eq", self.eq_frac), ("hybrid.margin", self.q_margin_frac)] {
-            if !(v.is_finite() && v > 0.0 && v < 0.5) {
-                return Err(ConfigError::new(field, "fraction must be in (0, 0.5)"));
-            }
-        }
-        if self.max_legs == 0 {
-            return Err(ConfigError::new("hybrid.max-legs", "leg budget must be at least 1"));
-        }
-        Ok(())
-    }
 }
 
 /// Epoch accounting of one hybrid run.
@@ -174,10 +137,9 @@ pub struct Refusals {
     pub endpoint_margin: u64,
     /// The queue extremum inside the first step left the margins.
     pub extremum_margin: u64,
-    /// The first step would pass the horizon. (`max_ff` never refuses:
-    /// a walk it stops has at least `min_ff` of steps and commits.)
+    /// The first step would pass the horizon.
     pub horizon: u64,
-    /// The walk took at least one step but stopped short of `min_ff`.
+    /// The walk took at least one step but stopped short of `MIN_FF_SECS`.
     pub below_min_ff: u64,
 }
 
@@ -204,7 +166,7 @@ impl Refusals {
 }
 
 /// What ended an epoch walk: the guard that refused the next grid step,
-/// or the horizon / `max_ff` bound.
+/// or the horizon.
 #[derive(Debug, Clone, Copy)]
 enum WalkEnd {
     SwitchBudget,
@@ -213,14 +175,14 @@ enum WalkEnd {
     Horizon,
 }
 
-/// The fluid parameters and controller knobs that turn a packet run
+/// The fluid parameters and controller switch that turn a packet run
 /// into a hybrid one (the batch runner stores this next to its
 /// [`SimConfig`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HybridSpec {
     /// Fluid model the analytic legs propagate.
     pub params: BcnParams,
-    /// Epoch-controller tuning.
+    /// Whether the epoch controller runs.
     pub guards: HybridGuards,
 }
 
@@ -231,21 +193,15 @@ impl HybridSpec {
         Self { params, guards: HybridGuards::default() }
     }
 
-    /// Validates the guards and the fluid↔packet consistency against
-    /// the packet configuration this spec will wrap — the non-panicking
-    /// front door the batch runner uses before construction.
+    /// Validates the fluid↔packet consistency against the packet
+    /// configuration this spec will wrap — the non-panicking front door
+    /// the batch runner uses before construction.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] from [`HybridGuards::validate`]
-    /// or the checks [`HybridSim::new`] would panic on: the
-    /// fluid↔packet consistency, and `hybrid.max_ff` when the maximum
-    /// epoch, rounded down to whole record intervals, is shorter than
-    /// the minimum rounded up (no epoch could ever commit).
+    /// Returns the [`ConfigError`] [`HybridSim::new`] would panic on.
     pub fn validate_for(&self, cfg: &SimConfig) -> Result<(), ConfigError> {
-        self.guards.validate()?;
-        check_consistent(&self.params, cfg)?;
-        epoch_steps(&self.guards, cfg.record_interval).map(|_| ())
+        check_consistent(&self.params, cfg)
     }
 }
 
@@ -274,9 +230,8 @@ pub struct HybridSim {
     /// aggregate reproduces the fluid `w` bit-exactly (Sterbenz), so
     /// consecutive epochs chain without rate drift.
     residue: f64,
-    /// `min_ff_secs` / `max_ff_secs` in record-grid steps.
+    /// `MIN_FF_SECS` in record-grid steps.
     min_steps: u64,
-    max_steps: u64,
     /// Candidate epoch samples `(q, w)` per grid point, buffered until
     /// the epoch commits. Reserved once at construction so the warm
     /// path stays allocation-free.
@@ -289,8 +244,8 @@ impl HybridSim {
     ///
     /// # Panics
     ///
-    /// Panics on invalid `cfg` or guards, or when `cfg` does not match
-    /// `params` (wrong capacity, flow count, or BCN thresholds).
+    /// Panics on invalid `cfg`, or when `cfg` does not match `params`
+    /// (wrong capacity, flow count, or BCN thresholds).
     #[must_use]
     pub fn new(params: BcnParams, cfg: SimConfig, guards: HybridGuards) -> Self {
         Self::new_in(params, cfg, guards, &mut SimWorkspace::new())
@@ -309,16 +264,10 @@ impl HybridSim {
         guards: HybridGuards,
         ws: &mut SimWorkspace,
     ) -> Self {
-        if let Err(e) = guards.validate() {
-            panic!("{e}");
-        }
         if let Err(e) = check_consistent(&params, &cfg) {
             panic!("{e}");
         }
-        let (min_steps, max_steps) = match epoch_steps(&guards, cfg.record_interval) {
-            Ok(steps) => steps,
-            Err(e) => panic!("{e}"),
-        };
+        let min_steps = min_epoch_steps(cfg.record_interval);
         let delta = cfg.record_interval.as_secs();
         let records = (cfg.t_end.as_secs() / delta).ceil() as usize + 2;
         let prop = Propagator::for_params(&params);
@@ -332,7 +281,6 @@ impl HybridSim {
             stats: HybridStats::default(),
             residue: 0.0,
             min_steps,
-            max_steps,
             scratch,
         }
     }
@@ -431,8 +379,8 @@ impl HybridSim {
         let delta = dt.as_secs();
         let t0 = self.sim.now();
         let p = &self.params;
-        let q_lo = self.guards.q_margin_frac * p.q0;
-        let q_hi = (1.0 - self.guards.q_margin_frac) * p.qsc;
+        let q_lo = Q_MARGIN_FRAC * p.q0;
+        let q_hi = (1.0 - Q_MARGIN_FRAC) * p.qsc;
         let [q, w_packet] = self.sim.fluid_state();
         if !(q > q_lo && q < q_hi) {
             self.stats.refused.entry_margin += 1;
@@ -441,21 +389,20 @@ impl HybridSim {
         let w = w_packet + self.residue;
         let mut z = [q - p.q0, w - p.capacity];
         let mut region = self.prop.departing_region(z);
-        let eq_x = self.guards.eq_frac * p.q0;
-        let eq_y = self.guards.eq_frac * p.capacity;
+        let eq_x = EQ_FRAC * p.q0;
+        let eq_y = EQ_FRAC * p.capacity;
         self.scratch.clear();
         let mut t_next = t0;
         let mut steps: u64 = 0;
         let mut end = WalkEnd::Horizon;
-        while steps < self.max_steps {
-            // The packet engine only schedules a record tick that fits
-            // the horizon; mirror that so the grids stay identical.
-            let Some(after) = t_next.checked_add(dt) else { break };
+        // The packet engine only schedules a record tick that fits the
+        // horizon; mirror that so the grids stay identical.
+        while let Some(after) = t_next.checked_add(dt) {
             if after > t_end {
                 break;
             }
             let in_ball = z[0].abs() <= eq_x && z[1].abs() <= eq_y;
-            let legs = if in_ball { self.guards.max_legs as usize } else { 0 };
+            let legs = if in_ball { MAX_LEGS } else { 0 };
             let c = self.prop.advance(region, z, delta, legs);
             if c.t < delta {
                 // Switch budget exhausted inside the step: outside the
@@ -550,29 +497,12 @@ fn step_extremum_inside(
     }
 }
 
-/// `min_ff_secs` / `max_ff_secs` in record-grid steps of `dt`: the
-/// minimum rounded up, a bounded maximum rounded down, each at least
-/// one step (`u64::MAX` for an unlimited maximum). Both convert to whole
-/// nanoseconds first, like every span of the engine, so an exact
-/// multiple of `dt` is exactly that many steps (`6e-4 / 2e-4` in `f64`
-/// is `2.9999999999999996`). A maximum below the minimum is an error on
-/// `hybrid.max_ff`: no epoch could ever commit, so the hybrid engine
-/// would silently run as the packet engine.
-fn epoch_steps(guards: &HybridGuards, dt: Duration) -> Result<(u64, u64), ConfigError> {
-    let dt_ns = dt.as_nanos().max(1);
-    let min_steps = Duration::from_secs(guards.min_ff_secs).as_nanos().div_ceil(dt_ns).max(1);
-    let max_steps = if guards.max_ff_secs > 0.0 {
-        (Duration::from_secs(guards.max_ff_secs).as_nanos() / dt_ns).max(1)
-    } else {
-        u64::MAX
-    };
-    if max_steps < min_steps {
-        return Err(ConfigError::new(
-            "hybrid.max_ff",
-            "maximum epoch is shorter than the minimum epoch in whole record intervals",
-        ));
-    }
-    Ok((min_steps, max_steps))
+/// `MIN_FF_SECS` in record-grid steps of `dt`, rounded up to at least
+/// one step. The minimum converts to whole nanoseconds first, like
+/// every span of the engine, so an exact multiple of `dt` is exactly
+/// that many steps (`1e-3 / 1e-6` in `f64` is `1000.0000000000001`).
+fn min_epoch_steps(dt: Duration) -> u64 {
+    Duration::from_secs(MIN_FF_SECS).as_nanos().div_ceil(dt.as_nanos().max(1)).max(1)
 }
 
 /// Checks that the packet configuration is the fluid calibration of
@@ -633,8 +563,7 @@ mod tests {
     fn always_packet_is_bit_identical_to_pure_packet() {
         let (params, cfg) = quiescent_setup();
         let pure = Simulation::new(cfg.clone()).run();
-        let guards = HybridGuards { always_packet: true, ..HybridGuards::default() };
-        let hybrid = HybridSim::new(params, cfg, guards).run();
+        let hybrid = HybridSim::new(params, cfg, HybridGuards { always_packet: true }).run();
         assert_eq!(hybrid.stats.epochs, 0);
         assert_eq!(hybrid.stats.ff_ns, 0);
         assert_eq!(pure.metrics.queue.values(), hybrid.sim.metrics.queue.values());
@@ -696,11 +625,11 @@ mod tests {
         let packet_samples = hybrid.sim.metrics.queue.len() as u64 - s.ff_ns / dt_ns;
         assert_eq!(s.attempts, packet_samples, "{s:?}");
         assert!(s.refused.entry_margin > 0 && s.refused.switch_budget > 0, "{s:?}");
-        // An epoch floor longer than the run refuses every walk.
-        let guards = HybridGuards { min_ff_secs: 1.0, ..HybridGuards::default() };
-        let s = HybridSim::new(params.clone(), cfg.clone(), guards).run().stats;
+        // Over 1.5 s (the bench's speedup horizon) a walk that took a
+        // step still stops short of the epoch floor.
+        let long = SimConfig::from_fluid(&params, 8_000.0, Duration::from_secs(2e-6), 1.5);
+        let s = HybridSim::new(params.clone(), long, HybridGuards::default()).run().stats;
         assert_conserved(&s, None);
-        assert_eq!(s.epochs, 0);
         assert!(s.refused.below_min_ff > 0, "{s:?}");
         // Faults shut the structural guards at every tick.
         let mut faulted = cfg;
@@ -880,72 +809,17 @@ mod tests {
     }
 
     #[test]
-    fn guards_reject_invalid_knobs() {
-        assert!(HybridGuards::default().validate().is_ok());
-        let bad = HybridGuards { eq_frac: 0.0, ..HybridGuards::default() };
-        assert_eq!(bad.validate().unwrap_err().field, "hybrid.eq");
-        let bad = HybridGuards { q_margin_frac: 0.6, ..HybridGuards::default() };
-        assert_eq!(bad.validate().unwrap_err().field, "hybrid.margin");
-        let bad = HybridGuards { min_ff_secs: f64::NAN, ..HybridGuards::default() };
-        assert_eq!(bad.validate().unwrap_err().field, "hybrid.min_ff");
-        let bad = HybridGuards { max_legs: 0, ..HybridGuards::default() };
-        assert_eq!(bad.validate().unwrap_err().field, "hybrid.max-legs");
-    }
-
-    /// The fluid calibration with a 0.2 ms record interval.
-    fn coarse_grid_setup() -> (BcnParams, SimConfig) {
-        let params = fluid_validation_params();
-        let cfg = SimConfig::from_fluid(&params, 8_000.0, Duration::from_secs(2e-6), 0.8);
-        assert_eq!(cfg.record_interval, Duration::from_secs(2e-4));
-        (params, cfg)
-    }
-
-    #[test]
-    fn max_ff_below_min_ff_in_record_steps_is_rejected() {
-        let (params, cfg) = coarse_grid_setup();
-        let spec = |min_ff_secs, max_ff_secs| HybridSpec {
-            params: params.clone(),
-            guards: HybridGuards { min_ff_secs, max_ff_secs, ..HybridGuards::default() },
-        };
-        let err = spec(1e-3, 5e-4).validate_for(&cfg).unwrap_err();
-        assert_eq!(err.field, "hybrid.max_ff");
-        // 5.5e-4 s exceeds 5e-4 s, but rounds down to 2 steps against
-        // the minimum's 3.
-        let err = spec(5e-4, 5.5e-4).validate_for(&cfg).unwrap_err();
-        assert_eq!(err.field, "hybrid.max_ff");
-        assert!(spec(5e-4, 7e-4).validate_for(&cfg).is_ok(), "3 steps each");
-        assert!(spec(1e-3, 0.0).validate_for(&cfg).is_ok(), "0 is unlimited");
-        assert!(spec(5e-4, 0.1).validate_for(&cfg).is_ok());
-        // 6e-4 s is exactly 3 steps of 0.2 ms, though 6e-4 / 2e-4 is
-        // 2.9999999999999996 in f64.
-        assert!(spec(5e-4, 6e-4).validate_for(&cfg).is_ok(), "3 steps each");
-    }
-
-    #[test]
     fn epoch_steps_count_exact_multiples_of_the_record_interval() {
-        let steps = |min_ff_secs, max_ff_secs, dt_secs| {
-            let guards = HybridGuards { min_ff_secs, max_ff_secs, ..HybridGuards::default() };
-            epoch_steps(&guards, Duration::from_secs(dt_secs)).ok()
-        };
-        // 6e-4 / 2e-4 floors to 2 in f64; 1.1e-3 / 1e-4 ceils to 12.
-        assert_eq!(steps(2e-4, 6e-4, 2e-4), Some((1, 3)));
-        assert_eq!(steps(1.1e-3, 0.0, 1e-4), Some((11, u64::MAX)));
-        // Between multiples the minimum still rounds up and the maximum
-        // down (here below the minimum), each to at least one step.
-        assert_eq!(steps(5e-4, 5.5e-4, 2e-4), None);
-        assert_eq!(steps(5e-4, 7e-4, 2e-4), Some((3, 3)));
-        assert_eq!(steps(0.0, 1e-5, 2e-4), Some((1, 1)));
-        // The defaults on the 375 us and 2 ms record grids.
-        assert_eq!(steps(1e-3, 0.0, 3.75e-4), Some((3, u64::MAX)));
-        assert_eq!(steps(1e-3, 0.0, 2e-3), Some((1, u64::MAX)));
-    }
-
-    #[test]
-    #[should_panic(expected = "hybrid.max_ff")]
-    fn construction_panics_when_no_epoch_can_commit() {
-        let (params, cfg) = coarse_grid_setup();
-        let guards = HybridGuards { max_ff_secs: 5e-4, ..HybridGuards::default() };
-        let _ = HybridSim::new(params, cfg, guards);
+        let steps = |dt_secs| min_epoch_steps(Duration::from_secs(dt_secs));
+        // 1e-3 / 1e-6 ceils to 1001 in f64; 1e-3 / 2e-6 to 501.
+        assert_eq!(steps(1e-6), 1_000);
+        assert_eq!(steps(2e-6), 500);
+        assert_eq!(steps(2e-4), 5);
+        assert_eq!(steps(2.5e-4), 4);
+        // Between multiples the minimum rounds up, to at least one step:
+        // the 375 us and 2 ms record grids.
+        assert_eq!(steps(3.75e-4), 3);
+        assert_eq!(steps(2e-3), 1);
     }
 
     #[test]

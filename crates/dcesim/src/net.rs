@@ -357,7 +357,8 @@ impl NetSim {
 
     /// Builds the engine, validating the configuration: the frame size
     /// and every link capacity must be finite and positive (each link's
-    /// frame serialization time is computed here, once), every link
+    /// frame serialization time is computed here, once), every flow's
+    /// initial rate finite and non-negative, every link
     /// endpoint must exist, every switch may only route over links it
     /// owns, and — so a misrouted flow fails here instead of silently
     /// dropping every frame at forward time — every flow's path must
@@ -411,6 +412,11 @@ impl NetSim {
             }
         }
         for (fi, flow) in cfg.flows.iter().enumerate() {
+            let rate = flow.initial_rate;
+            if !(rate.is_finite() && rate >= 0.0) {
+                let reason = format!("flow {fi} rate must be finite and non-negative, got {rate}");
+                return Err(ConfigError::new("flows", reason));
+            }
             if let Some(rp) = &flow.rp {
                 rp.validate().map_err(|e| {
                     ConfigError::new("flows", format!("flow {fi} `{}`: {}", e.field, e.reason))
@@ -1497,6 +1503,30 @@ mod tests {
             assert_eq!(err.field, "links", "capacity {bad}");
             assert!(err.reason.contains(&format!("link {last}")), "reason: {}", err.reason);
         }
+    }
+
+    #[test]
+    fn rejects_negative_or_non_finite_initial_rates() {
+        let (base, _) = victim_topology(
+            2,
+            TRUNK,
+            FRAME,
+            Duration::from_secs(1e-6),
+            0.1,
+            PauseConfig { enabled: false, hold: Duration::ZERO, per_priority: false },
+            None,
+        );
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut cfg = base.clone();
+            let last = cfg.flows.len() - 1;
+            cfg.flows[last].initial_rate = bad;
+            let err = NetSim::try_new(cfg).expect_err("must reject the initial rate");
+            assert_eq!(err.field, "flows", "initial rate {bad}");
+            assert!(err.reason.contains(&format!("flow {last} rate")), "reason: {}", err.reason);
+        }
+        let mut idle = base;
+        idle.flows[0].initial_rate = 0.0;
+        assert!(NetSim::try_new(idle).is_ok(), "a zero rate is valid");
     }
 
     #[test]

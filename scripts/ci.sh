@@ -168,15 +168,21 @@ if [ "$a" != "$b" ]; then
   exit 1
 fi
 
-# A maximum epoch shorter than the minimum can never commit: a
-# simulator config error (exit 7), not a silent packet-only run.
-code=0
-./target/release/dcebcn simulate --engine hybrid --hybrid-guard max-ff=5e-4 \
-  >/dev/null 2>&1 || code=$?
-if [ "$code" != "7" ]; then
-  echo "hybrid max-ff below min-ff exited with code $code, expected 7" >&2
-  exit 1
-fi
+echo "== usage-error smokes (exit 2, no panic) =="
+# The guard envelope is fixed, so any --hybrid-guard key but
+# always-packet is a usage error; so are a non-finite frame size and a
+# negative start jitter, which must never reach the engine (a panic
+# exits 101).
+for args in "simulate --engine hybrid --hybrid-guard max-ff=5e-4" \
+  "packet --t-end 0.001 --frame-bits nan" \
+  "batch --seeds 2 --t-end 0.001 --start-jitter -1"; do
+  code=0
+  ./target/release/dcebcn $args >/dev/null 2>&1 || code=$?
+  if [ "$code" != "2" ]; then
+    echo "dcebcn $args exited with code $code, expected 2" >&2
+    exit 1
+  fi
+done
 
 echo "== query round-trip smoke (JSONL in -> out -> decode -> re-encode) =="
 # The answer stream must re-encode byte-identically and be invariant

@@ -201,17 +201,57 @@ mod tests {
         assert!(e.to_string().contains("capacity"));
     }
 
+    /// The error `dcebcn <line>` ends with, mapped onto the taxonomy.
+    fn run_err(line: &str) -> Error {
+        let args: Vec<String> = line.split_whitespace().map(ToString::to_string).collect();
+        Error::from(cli::run(&args).expect_err(line))
+    }
+
     #[test]
-    fn hybrid_epochs_that_cannot_commit_exit_with_the_config_code() {
-        // The default `min-ff` is 1e-3 s: a 5e-4 s maximum leaves no
-        // epoch long enough to commit.
-        let args: Vec<String> = ["simulate", "--engine", "hybrid", "--hybrid-guard", "max-ff=5e-4"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let e = Error::from(cli::run(&args).unwrap_err());
-        assert_eq!(e.exit_code(), 7);
-        assert!(e.to_string().contains("hybrid.max_ff"), "{e}");
+    fn hybrid_guard_keys_other_than_always_packet_exit_with_the_usage_code() {
+        for (key, value) in [
+            ("eq", "0.1"),
+            ("margin", "0.2"),
+            ("min-ff", "5e-4"),
+            ("max-ff", "5e-4"),
+            ("max-legs", "8"),
+        ] {
+            let e = run_err(&format!("simulate --engine hybrid --hybrid-guard {key}={value}"));
+            assert_eq!(e.exit_code(), 2, "{key}: {e}");
+            assert!(e.to_string().contains(&format!("`{key}`")), "{e}");
+        }
+    }
+
+    #[test]
+    fn invalid_frame_sizes_exit_with_the_usage_code() {
+        for command in ["packet", "batch --seeds 2", "trace packet", "report packet"] {
+            for bad in ["nan", "inf", "0", "-1"] {
+                let e = run_err(&format!("{command} --t-end 0.001 --frame-bits {bad}"));
+                assert_eq!(e.exit_code(), 2, "{command} --frame-bits {bad}: {e}");
+                assert!(e.to_string().contains("--frame-bits"), "{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_batch_jitters_exit_with_the_usage_code() {
+        let fabric =
+            "--topo leaf-spine:leaves=2,spines=2,hosts-per-leaf=4 --traffic incast:senders=4";
+        for args in [
+            "--start-jitter -1",
+            "--start-jitter nan",
+            "--start-jitter inf",
+            "--rate-jitter 5",
+            "--rate-jitter nan",
+            "--rate-jitter -0.1",
+            &format!("{fabric} --rate-jitter 3"),
+            &format!("{fabric} --rate-jitter nan"),
+        ] {
+            let e = run_err(&format!("batch --seeds 2 --t-end 0.001 {args}"));
+            assert_eq!(e.exit_code(), 2, "{args}: {e}");
+            let flag = args.split_whitespace().rev().nth(1).expect("a flag and its value");
+            assert!(e.to_string().contains(flag), "{e}");
+        }
     }
 
     #[test]
