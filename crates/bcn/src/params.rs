@@ -186,7 +186,8 @@ impl BcnParams {
     ///
     /// Returns [`BcnError::InvalidParameter`] naming the first violated
     /// constraint: all gains/capacities/thresholds must be positive and
-    /// finite, `pm` in `(0, 1]`, and `0 < q0 < q_sc <= B`.
+    /// finite, `pm` in `(0, 1]`, `0 < q0 < q_sc <= B`, and each region's
+    /// constants (`n = a` or `b C`, `m = k n`) finite with `n > 0`.
     pub fn validate(&self) -> Result<(), BcnError> {
         fn pos(name: &'static str, v: f64) -> Result<(), BcnError> {
             if v.is_finite() && v > 0.0 {
@@ -235,6 +236,20 @@ impl BcnParams {
                     self.qsc, self.buffer
                 ),
             });
+        }
+        // The closed-form legs are built from each region's constants
+        // (paper Eq. 35). Finite inputs can still overflow or underflow
+        // them: `--gi 1e308` makes `a` infinite.
+        for (name, n) in [("a", self.a()), ("bC", self.b() * self.capacity)] {
+            let m = self.k() * n;
+            if !(n.is_finite() && n > 0.0 && m.is_finite()) {
+                return Err(BcnError::InvalidParameter {
+                    name,
+                    reason: format!(
+                        "region constants n = {n} and m = k n = {m} must be finite, with n > 0"
+                    ),
+                });
+            }
         }
         Ok(())
     }
@@ -336,6 +351,11 @@ mod tests {
         assert!(base.clone().with_pm(0.0).validate().is_err());
         assert!(base.clone().with_pm(1.5).validate().is_err());
         assert!(base.clone().with_gi(f64::NAN).validate().is_err());
+        // Finite inputs whose region constants overflow or underflow.
+        assert!(base.clone().with_gi(1e308).validate().is_err());
+        assert!(base.clone().with_gd(1e308).validate().is_err());
+        assert!(base.clone().with_w(1e308).validate().is_err());
+        assert!(base.clone().with_capacity(1e-300).validate().is_err());
         // q0 >= buffer is rejected.
         assert!(base.clone().with_q0(10.0e6).validate().is_err());
     }

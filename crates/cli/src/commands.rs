@@ -22,7 +22,7 @@ use dcesim::faults::FaultCounts;
 use dcesim::hybrid::{HybridSim, HybridSpec, HybridStats};
 use dcesim::net::{NetReport, NetSim};
 use dcesim::sim::{SimConfig, SimReport, Simulation};
-use dcesim::time::Duration;
+use dcesim::time::{Duration, Time};
 use dcesim::topo::{compile, TopoSpec, Traffic};
 use plotkit::{Csv, Table};
 use telemetry::{Telemetry, TelemetryLevel};
@@ -30,23 +30,8 @@ use telemetry::{Telemetry, TelemetryLevel};
 use crate::flags::{
     engine_choice, faults_from, hybrid_guards_from, params_from, reject_feedback_faults,
     scheduler_choice, sim_engine_choice, telemetry_level, topo_request, Flags, SimEngine,
-    PARAM_FLAGS,
 };
 use crate::{report as report_pipeline, CliError};
-
-fn with_param_flags(extra: &[&str]) -> Vec<&'static str> {
-    // Leaking tiny strings is fine for a CLI's static flag tables.
-    let mut v: Vec<&'static str> = PARAM_FLAGS.to_vec();
-    // `--telemetry` and `--threads` are global: every subcommand
-    // accepts them (`--threads` is applied process-wide in `run`
-    // before the command dispatch; each command still validates it).
-    v.push("telemetry");
-    v.push("threads");
-    for e in extra {
-        v.push(Box::leak(e.to_string().into_boxed_str()));
-    }
-    v
-}
 
 /// Renders the counters and histograms a run collected as aligned
 /// tables (empty metrics are omitted).
@@ -95,6 +80,12 @@ fn render_summary(tel: &Telemetry) -> String {
         );
     }
     out
+}
+
+/// [`render_summary`] of a run that recorded telemetry; empty when it
+/// recorded none.
+fn recorded_summary(tel: Option<&Telemetry>) -> String {
+    tel.filter(|t| t.enabled()).map(render_summary).unwrap_or_default()
 }
 
 /// Renders the non-zero per-class injection tallies (empty string for a
@@ -177,8 +168,8 @@ fn single_run_faults(flags: &Flags) -> Result<dcesim::faults::FaultConfig, CliEr
 /// Propagates flag and validation failures.
 pub(crate) fn analyze(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
-    flags.ensure_known(&with_param_flags(&[]))?;
     let p = params_from(&flags)?;
+    flags.finish("analyze")?;
 
     let mut out = String::new();
     let analysis = classify_params(&p);
@@ -240,8 +231,8 @@ pub(crate) fn analyze(args: &[String]) -> Result<String, CliError> {
 /// Propagates flag and validation failures.
 pub(crate) fn buffer(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
-    flags.ensure_known(&with_param_flags(&[]))?;
     let p = params_from(&flags)?;
+    flags.finish("buffer")?;
     let exact = exact_verdict(&p, 40);
     let exact_need = p.q0 + exact.max_x;
     let thm = theorem1_required_buffer(&p);
@@ -269,15 +260,10 @@ pub(crate) fn buffer(args: &[String]) -> Result<String, CliError> {
 /// Propagates flag, validation, integration, and I/O failures.
 pub(crate) fn simulate(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
-    flags.ensure_known(&with_param_flags(&[
-        "t-end",
-        "out",
-        "nonlinear",
-        "engine",
-        "hybrid-guard",
-    ]))?;
     let p = params_from(&flags)?;
     let t_end = flags.t_end(0.01)?;
+    let level = telemetry_level(&flags, TelemetryLevel::Off)?;
+    let out_path = flags.get("out").map(str::to_string);
     if matches!(flags.get("engine"), Some("hybrid")) {
         if flags.get_bool("nonlinear") {
             return Err(CliError::Usage(
@@ -286,23 +272,21 @@ pub(crate) fn simulate(args: &[String]) -> Result<String, CliError> {
                     .into(),
             ));
         }
-        return simulate_hybrid(&flags, &p, t_end);
+        let spec = HybridSpec { params: p, guards: hybrid_guards_from(&flags)? };
+        flags.finish("simulate --engine hybrid")?;
+        return simulate_hybrid(spec, t_end, level, out_path.as_deref());
     }
-    if flags.get("hybrid-guard").is_some() {
-        return Err(CliError::Usage("--hybrid-guard only applies with --engine hybrid".into()));
-    }
-    let sys = if flags.get_bool("nonlinear") {
-        BcnFluid::new(p.clone())
-    } else {
-        BcnFluid::linearized(p.clone())
-    };
+    let engine = engine_choice(&flags)?;
+    let nonlinear = flags.get_bool("nonlinear");
+    let command = format!("simulate --engine {}", flags.get("engine").unwrap_or("analytic"));
+    flags.finish(&command)?;
+    let sys = if nonlinear { BcnFluid::new(p.clone()) } else { BcnFluid::linearized(p.clone()) };
     // The engine choice is honoured for linearised runs; nonlinear and
     // telemetry-instrumented runs fall back to DOPRI5 inside the library.
     let opts = FluidOptions::default()
         .with_t_end(t_end)
         .with_record_dt(t_end / 2000.0)
-        .with_engine(engine_choice(&flags)?);
-    let level = telemetry_level(&flags, TelemetryLevel::Off)?;
+        .with_engine(engine);
     let mut tel = Telemetry::new(level);
     let run = fluid_trajectory_telemetry(&sys, p.initial_point(), &opts, Some(&mut tel))
         .map_err(CliError::Solver)?;
@@ -315,7 +299,7 @@ pub(crate) fn simulate(args: &[String]) -> Result<String, CliError> {
         p.q0 + run.solution.min_component(0),
         p.q0 + run.solution.max_component(0),
     );
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = &out_path {
         let mut csv = Csv::new(&["t", "q_bits", "aggregate_rate"]);
         for (t, z) in run.solution.times().iter().zip(run.solution.states()) {
             csv.row(&[*t, z[0] + p.q0, z[1] + p.capacity]);
@@ -323,19 +307,20 @@ pub(crate) fn simulate(args: &[String]) -> Result<String, CliError> {
         csv.save(path)?;
         let _ = writeln!(out, "wrote {path} ({} samples)", run.solution.len());
     }
-    if level.enabled() {
-        out.push_str(&render_summary(&tel));
-    }
+    out.push_str(&recorded_summary(Some(&tel)));
     Ok(out)
 }
 
 /// `dcebcn simulate --engine hybrid`: the epoch-switching co-simulator
 /// on the fluid calibration of the flags, writing the same
 /// `t,q_bits,aggregate_rate` CSV schema as the fluid engines.
-fn simulate_hybrid(flags: &Flags, p: &BcnParams, t_end: f64) -> Result<String, CliError> {
-    let spec = HybridSpec { params: p.clone(), guards: hybrid_guards_from(flags)? };
-    let cfg = SimConfig::from_fluid(p, 8_000.0, Duration::from_secs(2e-6), t_end);
-    let level = telemetry_level(flags, TelemetryLevel::Off)?;
+fn simulate_hybrid(
+    spec: HybridSpec,
+    t_end: f64,
+    level: TelemetryLevel,
+    out_path: Option<&str>,
+) -> Result<String, CliError> {
+    let cfg = SimConfig::from_fluid(&spec.params, 8_000.0, Duration::from_secs(2e-6), t_end);
     let (report, stats) = run_dumbbell(cfg, Some(spec), Telemetry::new(level))?;
     let m = &report.metrics;
     let mut out = String::new();
@@ -347,7 +332,7 @@ fn simulate_hybrid(flags: &Flags, p: &BcnParams, t_end: f64) -> Result<String, C
         m.delivered_frames,
     );
     out.push_str(&render_hybrid_stats(&stats.unwrap_or_default()));
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = out_path {
         let mut csv = Csv::new(&["t", "q_bits", "aggregate_rate"]);
         for ((t, q), w) in
             m.queue.times().iter().zip(m.queue.values()).zip(m.aggregate_rate.values())
@@ -357,11 +342,7 @@ fn simulate_hybrid(flags: &Flags, p: &BcnParams, t_end: f64) -> Result<String, C
         csv.save(path)?;
         let _ = writeln!(out, "wrote {path} ({} samples)", m.queue.len());
     }
-    if level.enabled() {
-        if let Some(tel) = &report.telemetry {
-            out.push_str(&render_summary(tel));
-        }
-    }
+    out.push_str(&recorded_summary(report.telemetry.as_ref()));
     Ok(out)
 }
 
@@ -372,12 +353,18 @@ fn simulate_hybrid(flags: &Flags, p: &BcnParams, t_end: f64) -> Result<String, C
 /// Propagates flag, validation, and I/O failures.
 pub(crate) fn atlas(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
-    flags.ensure_known(&with_param_flags(&["grid", "out"]))?;
     let base = params_from(&flags)?;
     let grid = flags.get_usize("grid")?.unwrap_or(9);
     if grid < 2 {
         return Err(CliError::Usage("--grid must be at least 2".into()));
     }
+    let Some(total) = grid.checked_mul(grid) else {
+        return Err(CliError::Usage(format!(
+            "--grid {grid} is too large: {grid}x{grid} overflows"
+        )));
+    };
+    let out_path = flags.get("out").map(str::to_string);
+    flags.finish("atlas")?;
     let mut csv = Csv::new(&["gi", "gd", "criterion", "theorem1", "exact"]);
     let mut granted = 0usize;
     let mut exact_ok = 0usize;
@@ -385,7 +372,7 @@ pub(crate) fn atlas(args: &[String]) -> Result<String, CliError> {
     // switched-trajectory verdict (the expensive cell) fans out across
     // the configured worker count, the cheap closed-form criteria stay
     // inline.
-    let points: Vec<BcnParams> = (0..grid * grid)
+    let points: Vec<BcnParams> = (0..total)
         .map(|idx| {
             let (i, j) = (idx / grid, idx % grid);
             let gi = base.gi * 0.05 * 400.0_f64.powf(i as f64 / (grid - 1) as f64);
@@ -409,12 +396,11 @@ pub(crate) fn atlas(args: &[String]) -> Result<String, CliError> {
         ]);
     }
     let mut out = String::new();
-    let total = grid * grid;
     let _ = writeln!(
         out,
         "atlas {grid}x{grid}: {exact_ok}/{total} strongly stable, criterion certifies {granted}"
     );
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = &out_path {
         csv.save(path)?;
         let _ = writeln!(out, "wrote {path}");
     }
@@ -428,18 +414,8 @@ pub(crate) fn atlas(args: &[String]) -> Result<String, CliError> {
 /// Propagates flag and validation failures.
 pub(crate) fn packet(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
-    flags.ensure_known(&with_param_flags(&[
-        "t-end",
-        "frame-bits",
-        "faults",
-        "scheduler",
-        "engine",
-        "hybrid-guard",
-        "topo",
-        "traffic",
-    ]))?;
     if let Some((topo, traffic)) = topo_request(&flags)? {
-        return packet_net(&flags, &topo, &traffic);
+        return packet_net(flags, &topo, &traffic);
     }
     let p = params_from(&flags)?;
     let t_end = flags.t_end(0.2)?;
@@ -449,6 +425,7 @@ pub(crate) fn packet(args: &[String]) -> Result<String, CliError> {
     let mut cfg = SimConfig::from_fluid(&p, frame_bits, Duration::from_secs(2e-6), t_end);
     cfg.scheduler = scheduler_choice(&flags)?;
     cfg.faults = single_run_faults(&flags)?;
+    flags.finish("packet")?;
     let (report, hybrid_stats) = run_dumbbell(cfg, hybrid, Telemetry::new(level))?;
     let m = &report.metrics;
     let mut out = String::new();
@@ -470,11 +447,7 @@ pub(crate) fn packet(args: &[String]) -> Result<String, CliError> {
         out.push_str(&render_hybrid_stats(stats));
     }
     out.push_str(&render_fault_counts(&m.faults));
-    if let Some(tel) = &report.telemetry {
-        if tel.enabled() {
-            out.push_str(&render_summary(tel));
-        }
-    }
+    out.push_str(&recorded_summary(report.telemetry.as_ref()));
     Ok(out)
 }
 
@@ -494,23 +467,6 @@ fn run_dumbbell(
         }
         None => (Simulation::with_telemetry(cfg, tel).run(), None),
     })
-}
-
-/// With `--topo` every flag that only makes sense on the
-/// single-bottleneck dumbbell is a typed usage error, never silently
-/// ignored (`--frame-bits` moves into the spec's `frame=` key).
-fn reject_sim_only_flags(flags: &Flags, extra: &[&str]) -> Result<(), CliError> {
-    for f in PARAM_FLAGS.iter().chain(extra) {
-        if flags.get(f).is_some() {
-            if *f == "frame-bits" {
-                return Err(CliError::Usage(
-                    "--frame-bits does not apply to --topo runs (use frame=... in the spec)".into(),
-                ));
-            }
-            return Err(CliError::Usage(format!("--{f} does not apply to --topo runs")));
-        }
-    }
-    Ok(())
 }
 
 /// Deterministic multi-hop run summary — byte-identical across
@@ -535,29 +491,38 @@ fn net_summary(report: &NetReport, t_end: f64) -> String {
     out
 }
 
-/// `dcebcn packet --topo ...`: one deterministic run of a compiled
-/// fabric under the multi-hop engine.
-fn packet_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String, CliError> {
-    reject_sim_only_flags(flags, &["engine", "hybrid-guard", "frame-bits"])?;
-    reject_feedback_faults(flags)?;
+/// One deterministic run of a compiled fabric under the multi-hop
+/// engine, for `packet --topo` and `trace --topo` (`command`). Returns
+/// the report, the horizon, and the fabric's size as `<hosts> hosts,
+/// <switches> switches, <flows> flows`.
+fn run_fabric(
+    flags: Flags,
+    command: &str,
+    topo: &TopoSpec,
+    traffic: &Traffic,
+    level: TelemetryLevel,
+) -> Result<(NetReport, f64, String), CliError> {
+    reject_feedback_faults(&flags)?;
     let t_end = flags.t_end(0.005)?;
-    let level = telemetry_level(flags, TelemetryLevel::Off)?;
+    let level = telemetry_level(&flags, level)?;
+    let scheduler = scheduler_choice(&flags)?;
+    let faults = single_run_faults(&flags)?;
+    flags.finish(command)?;
     let mut cfg = compile(topo, traffic, t_end)?;
-    cfg.scheduler = scheduler_choice(flags)?;
-    cfg.faults = single_run_faults(flags)?;
-    let (hosts, switches, n_flows) = (cfg.hosts, cfg.switches.len(), cfg.flows.len());
-    let report = NetSim::try_new(cfg)?.with_telemetry_sink(Telemetry::new(level)).run();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "fabric run over {t_end} s: {hosts} hosts, {switches} switches, {n_flows} flows"
-    );
+    cfg.scheduler = scheduler;
+    cfg.faults = faults;
+    let size =
+        format!("{} hosts, {} switches, {} flows", cfg.hosts, cfg.switches.len(), cfg.flows.len());
+    Ok((NetSim::try_new(cfg)?.with_telemetry_sink(Telemetry::new(level)).run(), t_end, size))
+}
+
+/// `dcebcn packet --topo ...`: one deterministic fabric run, summarised.
+fn packet_net(flags: Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String, CliError> {
+    let (report, t_end, size) =
+        run_fabric(flags, "packet --topo", topo, traffic, TelemetryLevel::Off)?;
+    let mut out = format!("fabric run over {t_end} s: {size}\n");
     out.push_str(&net_summary(&report, t_end));
-    if let Some(tel) = &report.telemetry {
-        if tel.enabled() {
-            out.push_str(&render_summary(tel));
-        }
-    }
+    out.push_str(&recorded_summary(report.telemetry.as_ref()));
     Ok(out)
 }
 
@@ -580,30 +545,8 @@ fn packet_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<Strin
 /// (exit 10).
 pub(crate) fn batch(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
-    flags.ensure_known(&with_param_flags(&[
-        "t-end",
-        "frame-bits",
-        "seeds",
-        "start-jitter",
-        "rate-jitter",
-        "out",
-        "faults",
-        "fail-fast",
-        "scheduler",
-        "postmortem-dir",
-        "checkpoint-dir",
-        "resume",
-        "max-seed-events",
-        "seed-deadline-ms",
-        "seed-retries",
-        "retry-backoff-ms",
-        "engine",
-        "hybrid-guard",
-        "topo",
-        "traffic",
-    ]))?;
     if let Some((topo, traffic)) = topo_request(&flags)? {
-        return batch_net(&flags, &topo, &traffic);
+        return batch_net(flags, &topo, &traffic);
     }
     let p = params_from(&flags)?;
     let t_end = flags.t_end(0.05)?;
@@ -625,7 +568,7 @@ pub(crate) fn batch(args: &[String]) -> Result<String, CliError> {
     cfg.hybrid = hybrid;
     cfg.level = level;
     cfg.panic_seeds = panic_seeds;
-    if let Some(v) = flags.jitter("start-jitter", f64::INFINITY)? {
+    if let Some(v) = flags.jitter("start-jitter", Time::MAX.as_secs())? {
         cfg.start_jitter_secs = v;
     }
     if let Some(v) = flags.jitter("rate-jitter", 1.0)? {
@@ -639,8 +582,10 @@ pub(crate) fn batch(args: &[String]) -> Result<String, CliError> {
     if let Some(v) = flags.get_usize("retry-backoff-ms")? {
         cfg.retry_backoff_ms = v as u64;
     }
-    let report = run_journalled(&flags, &cfg)?;
+    let io = BatchIo::from_flags(&flags)?;
     let postmortem_dir = flags.get("postmortem-dir").unwrap_or("results").to_string();
+    flags.finish("batch")?;
+    let report = run_journalled(&io, &cfg)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -712,7 +657,7 @@ pub(crate) fn batch(args: &[String]) -> Result<String, CliError> {
         let _ = writeln!(footer, "utilisation spread across seeds: [{lo:.4}, {hi:.4}]");
     }
     footer.push_str(&render_fault_counts(&fault_totals));
-    finish_batch(&flags, out, &report, &dumps, &footer, &csv)
+    finish_batch(&io, out, &report, &dumps, &footer, &csv)
 }
 
 /// `dcebcn batch --topo ...`: a multi-seed fabric batch under the
@@ -720,35 +665,28 @@ pub(crate) fn batch(args: &[String]) -> Result<String, CliError> {
 /// injection, and the watchdog, but no retry ladder (the engine is
 /// deterministic, so a failed seed fails identically on every retry)
 /// and no postmortem dumps yet.
-fn batch_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String, CliError> {
-    reject_sim_only_flags(
-        flags,
-        &[
-            "engine",
-            "hybrid-guard",
-            "frame-bits",
-            "start-jitter",
-            "seed-retries",
-            "retry-backoff-ms",
-            "postmortem-dir",
-        ],
-    )?;
-    reject_feedback_faults(flags)?;
+fn batch_net(flags: Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String, CliError> {
+    reject_feedback_faults(&flags)?;
     let t_end = flags.t_end(0.005)?;
-    let n_seeds = seed_count(flags)?;
-    let level = telemetry_level(flags, TelemetryLevel::Off)?;
-    let (faults, panic_seeds) = faults_from(flags)?;
+    let n_seeds = seed_count(&flags)?;
+    let level = telemetry_level(&flags, TelemetryLevel::Off)?;
+    let (faults, panic_seeds) = faults_from(&flags)?;
+    let scheduler = scheduler_choice(&flags)?;
+    let rate_jitter = flags.jitter("rate-jitter", 1.0)?;
+    let watchdog = watchdog_flags(&flags)?;
+    let io = BatchIo::from_flags(&flags)?;
+    flags.finish("batch --topo")?;
     let mut base = compile(topo, traffic, t_end)?;
-    base.scheduler = scheduler_choice(flags)?;
+    base.scheduler = scheduler;
     base.faults = faults;
     let mut cfg = NetBatchConfig::quick(base, n_seeds as u64);
     cfg.level = level;
     cfg.panic_seeds = panic_seeds;
-    if let Some(v) = flags.jitter("rate-jitter", 1.0)? {
+    if let Some(v) = rate_jitter {
         cfg.rate_jitter_frac = v;
     }
-    (cfg.max_events_per_seed, cfg.max_seed_wall_ms) = watchdog_flags(flags)?;
-    let report = run_journalled(flags, &cfg)?;
+    (cfg.max_events_per_seed, cfg.max_seed_wall_ms) = watchdog;
+    let report = run_journalled(&io, &cfg)?;
     let (hosts, switches, n_flows) =
         (cfg.base.hosts, cfg.base.switches.len(), cfg.base.flows.len());
     let mut out = String::new();
@@ -794,7 +732,7 @@ fn batch_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String
         csv.row(&[seed as f64, delivered, dropped as f64, delivered / t_end, pauses as f64, max_q]);
     }
     let _ = write!(out, "{table}");
-    finish_batch(flags, out, &report, "", &render_fault_counts(&fault_totals), &csv)
+    finish_batch(&io, out, &report, "", &render_fault_counts(&fault_totals), &csv)
 }
 
 /// `--seeds`: how many seeds a batch runs (default 8, at least 1).
@@ -818,22 +756,39 @@ fn watchdog_flags(flags: &Flags) -> Result<(Option<u64>, Option<u64>), CliError>
     Ok((positive("max-seed-events")?, positive("seed-deadline-ms")?))
 }
 
+/// Where a batch of either kind journals (`--checkpoint-dir`, picked up
+/// under `--resume`) and writes its per-seed CSV (`--out`), and whether
+/// failed or demoted seeds fail the command (`--fail-fast`).
+struct BatchIo {
+    checkpoint_dir: Option<String>,
+    resume: bool,
+    out: Option<String>,
+    fail_fast: bool,
+}
+
+impl BatchIo {
+    fn from_flags(flags: &Flags) -> Result<Self, CliError> {
+        let io = Self {
+            checkpoint_dir: flags.get("checkpoint-dir").map(str::to_string),
+            resume: flags.get_bool("resume"),
+            out: flags.get("out").map(str::to_string),
+            fail_fast: flags.get_bool("fail-fast"),
+        };
+        if io.resume && io.checkpoint_dir.is_none() {
+            return Err(CliError::Usage("--resume requires --checkpoint-dir".into()));
+        }
+        Ok(io)
+    }
+}
+
 /// Runs a batch of either kind, journalled under `--checkpoint-dir`
 /// (`--resume` picks an existing journal up), and counts the restored
 /// seeds into the rendering copy of the telemetry.
-fn run_journalled<C: SeedBatch>(
-    flags: &Flags,
-    cfg: &C,
-) -> Result<BatchReport<C::Report>, CliError> {
-    let resume = flags.get_bool("resume");
-    let checkpoint_dir = flags.get("checkpoint-dir");
-    if resume && checkpoint_dir.is_none() {
-        return Err(CliError::Usage("--resume requires --checkpoint-dir".into()));
-    }
-    let mut report = match checkpoint_dir {
+fn run_journalled<C: SeedBatch>(io: &BatchIo, cfg: &C) -> Result<BatchReport<C::Report>, CliError> {
+    let mut report = match &io.checkpoint_dir {
         Some(dir) => {
             let dir = std::path::Path::new(dir);
-            let ck = if resume {
+            let ck = if io.resume {
                 BatchCheckpoint::resume(dir, cfg)
             } else {
                 BatchCheckpoint::create(dir, cfg)
@@ -864,7 +819,7 @@ fn run_journalled<C: SeedBatch>(
 /// appended. Under `--fail-fast`, failed seeds raise [`CliError::Batch`]
 /// and, when none failed, demoted seeds raise [`CliError::Timeout`].
 fn finish_batch<R>(
-    flags: &Flags,
+    io: &BatchIo,
     mut out: String,
     report: &BatchReport<R>,
     dumps: &str,
@@ -896,14 +851,14 @@ fn finish_batch<R>(
         );
     }
     out.push_str(footer);
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = &io.out {
         csv.save(path)?;
         let _ = writeln!(out, "wrote {path}");
     }
     if let Some(tel) = &report.telemetry {
         out.push_str(&render_summary(tel));
     }
-    if flags.get_bool("fail-fast") {
+    if io.fail_fast {
         if let Some((seed, cause)) = failures.first() {
             return Err(CliError::Batch(format!(
                 "{} of {n_seeds} seeds failed (first: seed {seed}: {cause})",
@@ -934,7 +889,6 @@ fn render_postmortem(
     panic_after: Option<u64>,
     max_events: Option<u64>,
 ) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "{}", telemetry::schema_header());
     let _ = writeln!(
@@ -984,8 +938,7 @@ pub(crate) fn replay(args: &[String]) -> Result<String, CliError> {
             "replay expects a postmortem file path before flags, got `{path}`"
         )));
     }
-    let flags = Flags::parse(rest)?;
-    flags.ensure_known(&["telemetry", "threads"])?;
+    Flags::parse(rest)?.finish("replay")?;
     let text = std::fs::read_to_string(path)?;
     let spec = replay_spec_from_postmortem(&text)
         .map_err(|e| CliError::Analysis(format!("{path}: {e}")))?;
@@ -1011,21 +964,22 @@ pub(crate) fn replay(args: &[String]) -> Result<String, CliError> {
 ///
 /// Propagates flag, validation, integration, and I/O failures.
 pub(crate) fn report(args: &[String]) -> Result<String, CliError> {
-    let (scenario, rest) = match args.split_first() {
-        Some((s, rest)) if !s.starts_with("--") => (s.as_str(), rest),
-        _ => ("thm1", args),
+    let (explicit, scenario, rest) = match args.split_first() {
+        Some((s, rest)) if !s.starts_with("--") => (true, s.as_str(), rest),
+        _ => (false, "thm1", args),
     };
     let flags = Flags::parse(rest)?;
-    flags.ensure_known(&with_param_flags(&["t-end", "out-dir", "from", "frame-bits"]))?;
-    let t_end = flags.t_end(0.01)?;
     let out_dir = flags.get("out-dir").unwrap_or("results/report").to_string();
 
     let mut tel = Telemetry::new(TelemetryLevel::Full);
     let label;
-    if let Some(path) = flags.get("from") {
+    // `--from` replaces the scenario, so a named scenario leaves it unread.
+    let from = if explicit { None } else { flags.get("from").map(str::to_string) };
+    if let Some(path) = from {
+        flags.finish("report --from")?;
         // Decode a previously written trace; the schema header guards
         // against stale (pre-span) files.
-        let body = std::fs::read_to_string(path)?;
+        let body = std::fs::read_to_string(&path)?;
         let mut lines = body.lines();
         let first =
             lines.next().ok_or_else(|| CliError::Analysis(format!("{path}: empty trace file")))?;
@@ -1042,10 +996,12 @@ pub(crate) fn report(args: &[String]) -> Result<String, CliError> {
         match scenario {
             "thm1" | "limit-cycle" => {
                 let mut p = params_from(&flags)?;
+                let t_end = flags.t_end(0.01)?;
                 if scenario == "thm1" && flags.get_f64("buffer")?.is_none() {
                     let required = theorem1_required_buffer(&p);
                     p = p.with_buffer(required);
                 }
+                flags.finish(&format!("report {scenario}"))?;
                 let sys = BcnFluid::linearized(p.clone());
                 let opts = FluidOptions::default().with_t_end(t_end).with_record_dt(t_end / 2000.0);
                 fluid_trajectory_telemetry(&sys, p.initial_point(), &opts, Some(&mut tel))
@@ -1053,13 +1009,17 @@ pub(crate) fn report(args: &[String]) -> Result<String, CliError> {
             }
             "packet" => {
                 let p = params_from(&flags)?;
+                let t_end = flags.t_end(0.01)?;
                 let frame_bits = flags.frame_bits()?;
                 let cfg = SimConfig::from_fluid(&p, frame_bits, Duration::from_secs(2e-6), t_end);
                 cfg.validate()?;
+                flags.finish("report packet")?;
                 let run = Simulation::with_telemetry(cfg, tel).run();
                 tel = run.telemetry.unwrap_or_default();
             }
             "victim" => {
+                let t_end = flags.t_end(0.01)?;
+                flags.finish("report victim")?;
                 let run = dcesim::net::NetSim::new(victim_scenario(t_end).0)
                     .with_telemetry_sink(tel)
                     .run();
@@ -1115,22 +1075,23 @@ pub(crate) fn query(args: &[String]) -> Result<String, CliError> {
     use std::io::{BufRead, Write as IoWrite};
 
     let flags = Flags::parse(args)?;
-    flags.ensure_known(&["in", "out", "chunk", "strict", "telemetry", "threads"])?;
     let strict = flags.get_bool("strict");
     let level = telemetry_level(&flags, TelemetryLevel::Off)?;
     let chunk = flags.get_usize("chunk")?.unwrap_or(4096);
     if chunk == 0 {
         return Err(CliError::Usage("--chunk must be positive".into()));
     }
+    let in_path = flags.get("in").map(str::to_string);
+    let out_path = flags.get("out").map(str::to_string);
+    flags.finish("query")?;
     let mut tel = Telemetry::new(level);
 
-    let src_name = flags.get("in").unwrap_or("<stdin>").to_string();
-    let reader: Box<dyn BufRead> = match flags.get("in") {
+    let src_name = in_path.as_deref().unwrap_or("<stdin>");
+    let reader: Box<dyn BufRead> = match &in_path {
         Some(path) => Box::new(std::io::BufReader::new(std::fs::File::open(path)?)),
         None => Box::new(std::io::BufReader::new(std::io::stdin())),
     };
-    let to_file = flags.get("out").is_some();
-    let mut sink: Box<dyn IoWrite> = match flags.get("out") {
+    let mut sink: Box<dyn IoWrite> = match &out_path {
         Some(path) => Box::new(std::io::BufWriter::new(std::fs::File::create(path)?)),
         None => Box::new(std::io::stdout().lock()),
     };
@@ -1151,11 +1112,13 @@ pub(crate) fn query(args: &[String]) -> Result<String, CliError> {
     let mut batches: u64 = 0;
     let mut lineno = 1usize; // the schema header was line 1
     let mut skipped: u64 = 0;
-    let mut queries: Vec<bcn::query::StabilityQuery> = Vec::with_capacity(chunk);
+    // Both grow to the largest chunk read and are reused across chunks:
+    // `--chunk` bounds them but never sizes an allocation.
+    let mut queries: Vec<bcn::query::StabilityQuery> = Vec::new();
     // One entry per non-empty input line of the chunk, in input order:
     // `None` is a slot for the next answer, `Some(record)` is an error
     // record standing in for a line that failed to decode.
-    let mut slots: Vec<Option<String>> = Vec::with_capacity(chunk);
+    let mut slots: Vec<Option<String>> = Vec::new();
     let mut done = false;
     while !done {
         queries.clear();
@@ -1223,7 +1186,7 @@ pub(crate) fn query(args: &[String]) -> Result<String, CliError> {
     let delta = bcn::query::cache_stats().delta_since(cache0);
     tel.propagator_cache(delta.hits, delta.misses, delta.evictions);
 
-    if !to_file {
+    if out_path.is_none() {
         // Stdout carried the answer stream; keep it pure JSONL.
         return Ok(String::new());
     }
@@ -1299,53 +1262,38 @@ pub(crate) fn trace(args: &[String]) -> Result<String, CliError> {
         _ => (false, "thm1", args),
     };
     let flags = Flags::parse(rest)?;
-    flags.ensure_known(&with_param_flags(&[
-        "t-end",
-        "out",
-        "frame-bits",
-        "faults",
-        "engine",
-        "scheduler",
-        "hybrid-guard",
-        "topo",
-        "traffic",
-    ]))?;
     if let Some((topo, traffic)) = topo_request(&flags)? {
         if explicit && scenario != "packet" {
             return Err(CliError::Usage(format!(
                 "--topo replaces the packet scenario; it does not apply to `{scenario}`"
             )));
         }
-        return trace_net(&flags, &topo, &traffic);
+        return trace_net(flags, &topo, &traffic);
     }
     let mut p = params_from(&flags)?;
     let level = telemetry_level(&flags, TelemetryLevel::Full)?;
     let t_end = flags.t_end(0.01)?;
+    let out_path = flags.get("out").map(str::to_string);
 
     let mut tel = Telemetry::new(level);
     let mut out = String::new();
     match scenario {
         "thm1" | "limit-cycle" => {
-            for key in ["faults", "scheduler", "hybrid-guard"] {
-                if flags.get(key).is_some() {
-                    return Err(CliError::Usage(format!(
-                        "--{key} only applies to the packet scenario"
-                    )));
-                }
-            }
             if scenario == "thm1" && flags.get_f64("buffer")?.is_none() {
                 // Size the buffer to exactly the Theorem-1 requirement so
                 // the trace shows the certified-stable regime.
                 let required = theorem1_required_buffer(&p);
                 p = p.with_buffer(required);
             }
+            let engine = engine_choice(&flags)?;
+            flags.finish(&format!("trace {scenario}"))?;
             let sys = BcnFluid::linearized(p.clone());
             // When telemetry is on (the default here) the library falls
             // back to the instrumented DOPRI5 path regardless of engine.
             let opts = FluidOptions::default()
                 .with_t_end(t_end)
                 .with_record_dt(t_end / 2000.0)
-                .with_engine(engine_choice(&flags)?);
+                .with_engine(engine);
             let run = fluid_trajectory_telemetry(&sys, p.initial_point(), &opts, Some(&mut tel))
                 .map_err(CliError::Solver)?;
             let _ = writeln!(
@@ -1367,6 +1315,7 @@ pub(crate) fn trace(args: &[String]) -> Result<String, CliError> {
             let mut cfg = SimConfig::from_fluid(&p, frame_bits, Duration::from_secs(2e-6), t_end);
             cfg.scheduler = scheduler_choice(&flags)?;
             cfg.faults = single_run_faults(&flags)?;
+            flags.finish("trace packet")?;
             let (report, hybrid_stats) = run_dumbbell(cfg, hybrid, tel)?;
             let m = &report.metrics;
             let _ = writeln!(
@@ -1387,7 +1336,7 @@ pub(crate) fn trace(args: &[String]) -> Result<String, CliError> {
         }
     }
     out.push_str(&render_summary(&tel));
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = &out_path {
         std::fs::write(path, tel.trace_to_jsonl())?;
         let _ = writeln!(out, "wrote {path} ({} events)", tel.trace.len());
     }
@@ -1397,25 +1346,15 @@ pub(crate) fn trace(args: &[String]) -> Result<String, CliError> {
 /// `dcebcn trace --topo ...`: an instrumented fabric run — the
 /// multi-hop engine with full telemetry, the summary tables, and the
 /// optional JSONL trace dump.
-fn trace_net(flags: &Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String, CliError> {
-    reject_sim_only_flags(flags, &["engine", "hybrid-guard", "frame-bits"])?;
-    reject_feedback_faults(flags)?;
-    let t_end = flags.t_end(0.005)?;
-    let level = telemetry_level(flags, TelemetryLevel::Full)?;
-    let mut cfg = compile(topo, traffic, t_end)?;
-    cfg.scheduler = scheduler_choice(flags)?;
-    cfg.faults = single_run_faults(flags)?;
-    let (hosts, switches, n_flows) = (cfg.hosts, cfg.switches.len(), cfg.flows.len());
-    let mut report = NetSim::try_new(cfg)?.with_telemetry_sink(Telemetry::new(level)).run();
+fn trace_net(flags: Flags, topo: &TopoSpec, traffic: &Traffic) -> Result<String, CliError> {
+    let out_path = flags.get("out").map(str::to_string);
+    let (mut report, t_end, size) =
+        run_fabric(flags, "trace --topo", topo, traffic, TelemetryLevel::Full)?;
     let tel = report.telemetry.take().unwrap_or_default();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "scenario fabric: {hosts} hosts, {switches} switches, {n_flows} flows over {t_end} s"
-    );
+    let mut out = format!("scenario fabric: {size} over {t_end} s\n");
     out.push_str(&net_summary(&report, t_end));
     out.push_str(&render_summary(&tel));
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = &out_path {
         std::fs::write(path, tel.trace_to_jsonl())?;
         let _ = writeln!(out, "wrote {path} ({} events)", tel.trace.len());
     }
@@ -1579,6 +1518,13 @@ mod tests {
         let out = atlas(&argv("--grid 4 --capacity 1e6 --q0 2e4 --buffer 1.5e5 --ru 1e4 --gi 1 --gd 0.015625 --pm 0.05"))
             .unwrap();
         assert!(out.contains("atlas 4x4"), "{out}");
+    }
+
+    #[test]
+    fn atlas_grid_whose_cell_count_overflows_is_a_usage_error() {
+        let err = atlas(&argv("--grid 4294967296")).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("--grid 4294967296"), "{err}");
     }
 
     #[test]
@@ -1844,6 +1790,13 @@ mod tests {
         assert!(report(&argv("thm1 --bogus 1")).is_err());
     }
 
+    #[test]
+    fn report_from_takes_no_scenario() {
+        // Refused before the file is opened, so the path need not exist.
+        let err = report(&argv("victim --from missing.jsonl")).unwrap_err();
+        assert_eq!(err.to_string(), "usage error: --from does not apply to `report victim`");
+    }
+
     /// A small query stream: headers plus a mix of duplicate, sparse and
     /// explicit parameterisations (so batching has groups to merge).
     fn query_stream() -> (String, Vec<bcn::query::StabilityQuery>) {
@@ -1912,6 +1865,35 @@ mod tests {
         query(&argv(&format!("--in {} --out {} --chunk 2", in_path.display(), out2.display())))
             .unwrap();
         assert_eq!(std::fs::read_to_string(&out2).unwrap(), written);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn query_chunk_never_sizes_an_allocation() {
+        let dir = std::env::temp_dir().join(format!("dcebcn_query_chunk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let in_path = dir.join("one.jsonl");
+        std::fs::write(
+            &in_path,
+            format!("{}\n{{\"type\":\"query\",\"gi\":2.5}}\n", telemetry::schema_header()),
+        )
+        .unwrap();
+        let answers = |chunk: &str| {
+            let out_path = dir.join(format!("answers-{chunk}.jsonl"));
+            query(&argv(&format!(
+                "--in {} --out {} --chunk {chunk}",
+                in_path.display(),
+                out_path.display()
+            )))
+            .unwrap();
+            std::fs::read_to_string(&out_path).unwrap()
+        };
+        let one = answers("1");
+        assert_eq!(one.lines().count(), 2, "{one}");
+        // A chunk far beyond memory used to size two vectors up front.
+        assert_eq!(answers("18446744073709551615"), one);
+        assert_eq!(answers("100000000000"), one);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

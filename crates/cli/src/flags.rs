@@ -2,6 +2,7 @@
 //! excludes an argument-parsing crate; the grammar here is a flat list
 //! of `--key value` pairs, which this covers completely).
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use bcn::{BcnParams, Engine};
@@ -14,10 +15,16 @@ use telemetry::TelemetryLevel;
 
 use crate::CliError;
 
-/// Parsed `--key value` pairs with typed accessors.
-#[derive(Debug, Clone, Default)]
+/// The flags `run` applies process-wide before dispatch; every command
+/// counts them as read.
+const GLOBAL_FLAGS: [&str; 2] = ["telemetry", "threads"];
+
+/// Parsed `--key value` pairs with typed accessors. Each accessor marks
+/// its key read, and [`Flags::finish`] refuses every key given but never
+/// read, so a flag a command ignores cannot pass silently.
+#[derive(Debug)]
 pub(crate) struct Flags {
-    values: BTreeMap<String, String>,
+    values: BTreeMap<String, (String, Cell<bool>)>,
 }
 
 impl Flags {
@@ -43,7 +50,8 @@ impl Flags {
                 }
                 _ => "true".to_string(),
             };
-            if values.insert(key.to_string(), value).is_some() {
+            let read = Cell::new(GLOBAL_FLAGS.contains(&key));
+            if values.insert(key.to_string(), (value, read)).is_some() {
                 return Err(CliError::Usage(format!("flag --{key} given twice")));
             }
         }
@@ -53,7 +61,9 @@ impl Flags {
     /// A string flag.
     #[must_use]
     pub(crate) fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
+        let (value, read) = self.values.get(key)?;
+        read.set(true);
+        Some(value)
     }
 
     /// A float flag (scientific notation accepted).
@@ -62,8 +72,7 @@ impl Flags {
     ///
     /// Rejects unparsable numbers.
     pub(crate) fn get_f64(&self, key: &str) -> Result<Option<f64>, CliError> {
-        self.values
-            .get(key)
+        self.get(key)
             .map(|v| {
                 v.parse::<f64>()
                     .map_err(|_| CliError::Usage(format!("--{key} expects a number, got `{v}`")))
@@ -127,8 +136,7 @@ impl Flags {
     ///
     /// Rejects unparsable integers.
     pub(crate) fn get_usize(&self, key: &str) -> Result<Option<usize>, CliError> {
-        self.values
-            .get(key)
+        self.get(key)
             .map(|v| {
                 v.parse::<usize>()
                     .map_err(|_| CliError::Usage(format!("--{key} expects an integer, got `{v}`")))
@@ -142,24 +150,22 @@ impl Flags {
         matches!(self.get(key), Some("true" | "1" | "yes"))
     }
 
-    /// Verifies every provided key is in the allowed set.
+    /// Ends flag resolution for `command`, named with its scenario or
+    /// `--topo` where it has one (`trace thm1`, `batch --topo`). Taking
+    /// `self` makes a read after this point a compile error.
     ///
     /// # Errors
     ///
-    /// Names the first unknown flag.
-    pub(crate) fn ensure_known(&self, allowed: &[&str]) -> Result<(), CliError> {
-        for key in self.values.keys() {
-            if !allowed.contains(&key.as_str()) {
-                return Err(CliError::Usage(format!("unknown flag --{key}")));
+    /// Names the first flag that was given but never read.
+    pub(crate) fn finish(self, command: &str) -> Result<(), CliError> {
+        for (key, (_, read)) in &self.values {
+            if !read.get() {
+                return Err(CliError::Usage(format!("--{key} does not apply to `{command}`")));
             }
         }
         Ok(())
     }
 }
-
-/// The parameter flags shared by every subcommand.
-pub(crate) const PARAM_FLAGS: &[&str] =
-    &["n", "capacity", "q0", "buffer", "gi", "gd", "ru", "w", "pm", "qsc"];
 
 /// Resolves the global `--telemetry <off|summary|full>` flag, falling
 /// back to `default` when absent.
@@ -451,10 +457,23 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_are_caught() {
-        let f = Flags::parse(&argv("--bogus 1")).unwrap();
-        assert!(f.ensure_known(&["n"]).is_err());
-        assert!(f.ensure_known(&["bogus"]).is_ok());
+    fn finish_refuses_exactly_the_unread_flags() {
+        // Read flags pass, and so do the two globals, which `run` applies.
+        let f = Flags::parse(&argv("--n 3 --nonlinear --telemetry off --threads 2")).unwrap();
+        assert_eq!(f.get_usize("n").unwrap(), Some(3));
+        assert!(f.get_bool("nonlinear"));
+        assert_eq!(f.get("absent"), None);
+        f.finish("simulate").unwrap();
+        // An unread flag is named with the command.
+        let f = Flags::parse(&argv("--n 3 --gi 2 --telemetry off")).unwrap();
+        assert_eq!(f.get_usize("n").unwrap(), Some(3));
+        let err = f.finish("trace thm1").unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert_eq!(err.to_string(), "usage error: --gi does not apply to `trace thm1`");
+        // A read whose value fails to parse still marks the flag read.
+        let f = Flags::parse(&argv("--t-end nan")).unwrap();
+        assert!(f.t_end(1.0).is_err());
+        f.finish("packet").unwrap();
     }
 
     #[test]

@@ -91,12 +91,13 @@ impl From<dcesim::error::ConfigError> for CliError {
 /// Returns [`CliError`] for unknown commands, malformed flags, invalid
 /// parameters, or output failures.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    // The global `--telemetry` flag also gates `log_line!` diagnostics;
-    // each command still parses and validates it like any other flag.
+    // The global `--telemetry` flag also gates `log_line!` diagnostics,
+    // so it is validated here for every command, including those that
+    // record no telemetry.
     if let Some(i) = args.iter().position(|a| a == "--telemetry") {
-        if let Some(Ok(level)) = args.get(i + 1).map(|v| v.parse::<telemetry::TelemetryLevel>()) {
-            telemetry::set_quiet(!level.enabled());
-        }
+        let value = args.get(i + 1).map_or("", String::as_str);
+        let level: telemetry::TelemetryLevel = value.parse().map_err(CliError::Usage)?;
+        telemetry::set_quiet(!level.enabled());
     }
     // The global `--threads` flag sets the parallel worker count for
     // every sweep the command runs (atlas cells, batch seeds, frontier
@@ -107,7 +108,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             Some(n) => parkit::set_threads(n),
             None => {
                 return Err(CliError::Usage(format!(
-                    "--threads expects a positive integer, got `{}`",
+                    "--threads expects an integer in 1..={}, got `{}`",
+                    parkit::MAX_THREADS,
                     args.get(i + 1).map_or("", |v| v.as_str())
                 )));
             }
@@ -151,10 +153,12 @@ pub fn usage() -> String {
      \n\
      common flags (defaults = the paper's worked example):\n\
      \x20 --n <flows> --capacity <bit/s> --q0 <bits> --buffer <bits>\n\
-     \x20 --gi <gain> --gd <gain> --ru <bit/s> --w <weight> --pm <prob>\n\
+     \x20 --gi <gain> --gd <gain> --ru <bit/s> --w <weight> --pm <prob> --qsc <bits>\n\
      \x20 --telemetry <off|summary|full>   (accepted by every command)\n\
-     \x20 --threads <n>                    (parallel sweep workers; default\n\
-     \x20                                   DCE_BCN_THREADS or all cores)\n\
+     \x20 --threads <1..256>               (accepted by every command: sweep\n\
+     \x20                                   workers; default DCE_BCN_THREADS or all cores)\n\
+     \x20 any other flag the command does not read for the given scenario or\n\
+     \x20 engine is a usage error (exit 2), never silently ignored\n\
      \n\
      command flags:\n\
      \x20 simulate: --t-end <s> --out <path.csv> [--nonlinear]\n\
@@ -271,10 +275,25 @@ mod tests {
 
     #[test]
     fn bad_threads_value_is_a_usage_error() {
-        for bad in ["analyze --threads 0", "analyze --threads many", "analyze --threads"] {
+        for bad in [
+            "analyze --threads 0",
+            "analyze --threads many",
+            "analyze --threads",
+            "analyze --threads 257",
+            // Rejected before dispatch, so no sweep starts a thread.
+            "atlas --grid 64 --threads 100000",
+        ] {
             let err = run(&argv(bad)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{bad}");
             assert!(err.to_string().contains("--threads"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn bad_telemetry_level_is_a_usage_error_for_every_command() {
+        for command in ["analyze", "buffer", "atlas --grid 2", "report victim"] {
+            let err = run(&argv(&format!("{command} --telemetry verbose"))).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{command}: {err}");
         }
     }
 

@@ -415,6 +415,12 @@ fn unit(seed: u64, flow: u64, field: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// Whether `secs` is a span [`Time::from_secs`] accepts: finite, not
+/// negative, and at most [`Time::MAX`].
+fn in_clock_range(secs: f64) -> bool {
+    secs >= 0.0 && secs * 1e9 <= Time::MAX.as_nanos() as f64
+}
+
 /// The base scenario of `cfg` perturbed for one seed
 /// ([`SeedBatch::scenario`]). Seed-stable: the same `(cfg, seed)` pair
 /// always yields the same configuration.
@@ -532,8 +538,9 @@ impl SeedBatch for BatchConfig {
     }
 
     /// Every flow's start time and initial rate jittered. A start the
-    /// jitter would make negative or non-finite stays unjittered, and
-    /// [`engine`](SeedBatch::engine) refuses the seed.
+    /// jitter would make negative, non-finite or later than [`Time::MAX`]
+    /// stays unjittered, and [`engine`](SeedBatch::engine) refuses the
+    /// seed.
     fn scenario(&self, seed: u64) -> SimConfig {
         let mut out = self.base.clone();
         for (i, flow) in out.flows.iter_mut().enumerate() {
@@ -541,7 +548,7 @@ impl SeedBatch for BatchConfig {
             let ds = unit(seed, i, 0) * self.start_jitter_secs;
             let dr = 1.0 + (2.0 * unit(seed, i, 1) - 1.0) * self.rate_jitter_frac;
             let start = flow.start.as_secs() + ds;
-            if start.is_finite() && start >= 0.0 {
+            if in_clock_range(start) {
                 flow.start = Time::from_secs(start);
             }
             flow.initial_rate *= dr;
@@ -561,10 +568,13 @@ impl SeedBatch for BatchConfig {
         ws: &mut SimWorkspace,
     ) -> Result<DumbbellEngine, ConfigError> {
         let jitter = self.start_jitter_secs;
-        if !(jitter.is_finite() && jitter >= 0.0) {
+        if !in_clock_range(jitter) {
             return Err(ConfigError::new(
                 "batch.start_jitter",
-                format!("start jitter must be finite and non-negative, got {jitter}"),
+                format!(
+                    "start jitter must be finite, non-negative and within the clock's range, \
+                     got {jitter}"
+                ),
             ));
         }
         scenario.validate()?;
@@ -1157,7 +1167,7 @@ mod tests {
 
     #[test]
     fn an_invalid_start_jitter_quarantines_every_seed() {
-        for jitter in [-1.0, f64::NAN, f64::INFINITY] {
+        for jitter in [-1.0, f64::NAN, f64::INFINITY, 1e308] {
             let mut cfg = batch(2);
             cfg.start_jitter_secs = jitter;
             let report = run_batch(&cfg);

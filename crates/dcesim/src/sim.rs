@@ -133,7 +133,9 @@ impl SimConfig {
             control: Control::Bcn { cp, rp },
             t_end: Time::from_secs(t_end),
             record_interval: Duration::from_secs((t_end / 4000.0).max(1e-6)),
-            pause_hold: Duration::from_secs(20.0 * frame_bits / params.capacity),
+            // Saturates at the clock's range rather than overflowing to
+            // infinity; `validate` refuses such a frame anyway.
+            pause_hold: Duration::from_secs((20.0 * frame_bits / params.capacity).min(f64::MAX)),
             faults: FaultConfig::none(),
             scheduler: Scheduler::default(),
         }
@@ -156,6 +158,12 @@ impl SimConfig {
         }
         if !(self.frame_bits.is_finite() && self.frame_bits > 0.0) {
             return Err(ConfigError::new("frame_bits", "frame size must be positive"));
+        }
+        if !(self.frame_bits / self.capacity).is_finite() {
+            return Err(ConfigError::new(
+                "frame_bits",
+                "a frame's serialization time must be finite on this capacity",
+            ));
         }
         if !(self.buffer_bits.is_finite() && self.buffer_bits >= self.frame_bits) {
             return Err(ConfigError::new("buffer_bits", "buffer must hold at least one frame"));
@@ -358,9 +366,10 @@ impl Simulation {
         // steady state allocates nothing (the packet_engine bench gates
         // on this): the FIFO can hold at most a buffer of frames, the
         // series one sample per record tick, and the delay samples one
-        // per deliverable frame (capped — pathological horizons fall
-        // back to amortized growth rather than huge up-front reserves).
-        queue.reserve((cfg.buffer_bits / cfg.frame_bits).ceil() as usize + 2);
+        // per deliverable frame (both capped — pathological buffers and
+        // horizons fall back to amortized growth rather than huge
+        // up-front reserves).
+        queue.reserve((cfg.buffer_bits / cfg.frame_bits).ceil().min(1e6) as usize + 2);
         let records = (cfg.t_end.as_secs() / cfg.record_interval.as_secs()).ceil() as usize + 2;
         let deliverable = (cfg.t_end.as_secs() * cfg.capacity / cfg.frame_bits).ceil().min(1e6);
         let mut sim = Self {

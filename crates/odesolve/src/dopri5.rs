@@ -80,6 +80,10 @@ pub struct Dopri5 {
     rejections: u32,
     /// Error norm of the most recent accepted step.
     last_en: f64,
+    /// Accepted steps in a row that passed the stiffness test, and
+    /// accepted steps since the last one that did (Hairer's dopri5).
+    stiff_steps: u32,
+    nonstiff_steps: u32,
 }
 
 impl Dopri5 {
@@ -107,10 +111,15 @@ impl Dopri5 {
             max_factor: 5.0,
             rejections: 0,
             last_en: f64::NAN,
+            stiff_steps: 0,
+            nonstiff_steps: 0,
         }
     }
 
-    /// One trial step; returns `(y_new, f_last_stage, err_norm)`.
+    /// One trial step; returns `(y_new, f_last_stage, err_norm,
+    /// h_lambda)`, where `h_lambda` estimates `h |lambda|` for the
+    /// dominant eigenvalue from the last two stages (Hairer & Wanner,
+    /// dopri5's stiffness test).
     fn try_step<const N: usize>(
         &self,
         ode: &dyn Ode<N>,
@@ -118,9 +127,10 @@ impl Dopri5 {
         y: &[f64; N],
         f: &[f64; N],
         h: f64,
-    ) -> ([f64; N], [f64; N], f64) {
+    ) -> ([f64; N], [f64; N], f64, f64) {
         let mut k = [[0.0; N]; 7];
         k[0] = *f;
+        let mut y_stage6 = *y;
         for s in 1..7 {
             let mut ys = *y;
             for (j, kj) in k.iter().enumerate().take(s) {
@@ -129,6 +139,9 @@ impl Dopri5 {
                 }
             }
             k[s] = ode.rhs(t + C[s] * h, &ys);
+            if s == 5 {
+                y_stage6 = ys;
+            }
         }
         let mut y_new = *y;
         for (s, ks) in k.iter().enumerate() {
@@ -143,7 +156,10 @@ impl Dopri5 {
             }
         }
         let en = error_norm(&err, y, &y_new, self.atol, self.rtol);
-        (y_new, k[6], en)
+        let sq = |a: &[f64; N], b: &[f64; N]| a.iter().zip(b).map(|(a, b)| (a - b).powi(2)).sum();
+        let (num, den): (f64, f64) = (sq(&k[6], &k[5]), sq(&y_new, &y_stage6));
+        let h_lambda = if den > 0.0 { h * (num / den).sqrt() } else { 0.0 };
+        (y_new, k[6], en, h_lambda)
     }
 
     /// Advances by one *accepted* step of size at most `h`, starting from
@@ -167,9 +183,13 @@ impl Dopri5 {
         if !(h.is_finite() && h > 0.0) {
             return Err(SolveError::BadInput(format!("non-positive step {h}")));
         }
+        if t + h == t {
+            // Below the resolution of `t`: the step would not advance.
+            return Err(SolveError::StepSizeUnderflow { t, h });
+        }
         let mut h_try = h;
         for _ in 0..64 {
-            let (y_new, f_last, en) = self.try_step(ode, t, y, f, h_try);
+            let (y_new, f_last, en, h_lambda) = self.try_step(ode, t, y, f, h_try);
             if !all_finite(&y_new) || !en.is_finite() {
                 self.rejections += 1;
                 h_try *= 0.25;
@@ -186,6 +206,17 @@ impl Dopri5 {
                 let factor = factor.clamp(self.min_factor, self.max_factor);
                 self.prev_err = e;
                 self.last_en = en;
+                // `h |lambda|` past 3.25 sits at the edge of the stability
+                // region; six steps clear of it reset the count.
+                if h_lambda > 3.25 {
+                    self.nonstiff_steps = 0;
+                    self.stiff_steps = self.stiff_steps.saturating_add(1);
+                } else {
+                    self.nonstiff_steps += 1;
+                    if self.nonstiff_steps == 6 {
+                        self.stiff_steps = 0;
+                    }
+                }
                 // FSAL: k7 was evaluated at (t + h, y_new) and B5 row ==
                 // A[6], so f_last IS rhs(t_new, y_new).
                 return Ok(StepOutcome {
@@ -210,6 +241,14 @@ impl Dopri5 {
     pub(crate) fn reset(&mut self) {
         self.prev_err = 1.0;
         self.last_en = f64::NAN;
+        self.stiff_steps = 0;
+        self.nonstiff_steps = 0;
+    }
+
+    /// Whether the last 15 or more accepted steps passed the stiffness
+    /// test: the step is held at the stability limit, not by accuracy.
+    pub(crate) fn seems_stiff(&self) -> bool {
+        self.stiff_steps >= 15
     }
 
     /// Trial steps rejected since the last call; resets the counter.
@@ -298,6 +337,13 @@ mod tests {
         );
         let energy = y[0] * y[0] + y[1] * y[1];
         assert!((energy - 1.0).abs() < 1e-7, "energy drift {energy}");
+    }
+
+    #[test]
+    fn a_step_below_the_resolution_of_t_is_an_underflow() {
+        let ode = |_t: f64, y: &[f64; 1]| [-y[0]];
+        let err = Dopri5::new().step(&ode, 1.0, &[1.0], &[-1.0], 1e-20).unwrap_err();
+        assert!(matches!(err, SolveError::StepSizeUnderflow { .. }), "{err}");
     }
 
     #[test]

@@ -47,7 +47,8 @@ impl Options {
 ///
 /// Propagates DOPRI5 failures ([`SolveError::StepSizeUnderflow`],
 /// [`SolveError::NonFiniteState`]) and returns
-/// [`SolveError::MaxStepsExceeded`] when the budget runs out, or
+/// [`SolveError::MaxStepsExceeded`] when the budget runs out,
+/// [`SolveError::Stiff`] when a stiff problem shows it would, or
 /// [`SolveError::BadInput`] when `t_end < t0` or the inputs are non-finite.
 pub fn integrate<const N: usize>(
     ode: &dyn Ode<N>,
@@ -123,9 +124,16 @@ pub fn integrate_with_events_telemetry<const N: usize>(
     let mut g: Vec<f64> = events.iter().map(|e| e.guard.guard(t, &y)).collect();
     let mut h = stepper.initial_step(t, &y, &f, t_end);
 
-    for _ in 0..opts.max_steps {
+    for steps in 1..=opts.max_steps {
         h = h.min(t_end - t);
         let out = stepper.step(ode, t, &y, &f, h)?;
+        // A stiff problem holds an explicit step at its stability limit.
+        // When the budget left cannot reach `t_end` at that step, stop
+        // now rather than after the whole budget.
+        let budget_reach = out.h_next * (opts.max_steps - steps) as f64;
+        if stepper.seems_stiff() && budget_reach < t_end - out.t_new {
+            return Err(SolveError::Stiff { t: out.t_new, h: out.h_next });
+        }
         if let Some(tel) = tel.as_deref_mut() {
             let rejected = stepper.take_rejections();
             tel.steps_rejected(t, h, rejected);
@@ -359,5 +367,32 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SolveError::MaxStepsExceeded { .. }));
+    }
+
+    #[test]
+    fn a_stiff_problem_stops_early_only_when_the_budget_cannot_finish_it() {
+        // |lambda| = 1e12 needs ~3e11 stability-limited steps for 1 s.
+        let err = integrate(
+            &|_t: f64, y: &[f64; 1]| [-1e12 * y[0]],
+            0.0,
+            [1.0],
+            1.0,
+            &mut Dopri5::new(),
+            &Options::default(),
+        )
+        .unwrap_err();
+        let SolveError::Stiff { t, h } = err else { panic!("{err}") };
+        assert!(t < 1e-9 && h < 1e-11, "stopped at t = {t}, h = {h}");
+        // Stiff too, but ~3e3 steps finish well inside the budget.
+        let sol = integrate(
+            &|_t: f64, y: &[f64; 1]| [-1e4 * y[0]],
+            0.0,
+            [1.0],
+            1.0,
+            &mut Dopri5::new(),
+            &Options::default(),
+        )
+        .unwrap();
+        assert_eq!(sol.last_time(), 1.0);
     }
 }

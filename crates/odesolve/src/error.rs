@@ -29,6 +29,15 @@ pub enum SolveError {
         /// The configured step budget.
         max_steps: usize,
     },
+    /// The problem is stiff: the step has sat at the explicit method's
+    /// stability limit, where the remaining step budget cannot reach the
+    /// end time.
+    Stiff {
+        /// Time at which the integration stopped.
+        t: f64,
+        /// The stability-limited step size there.
+        h: f64,
+    },
     /// Invalid user-provided configuration (non-positive tolerance, zero
     /// step, end time not after start time, ...).
     BadInput(String),
@@ -46,6 +55,11 @@ impl fmt::Display for SolveError {
             SolveError::MaxStepsExceeded { t, max_steps } => {
                 write!(f, "exceeded {max_steps} steps at t = {t}")
             }
+            SolveError::Stiff { t, h } => write!(
+                f,
+                "stiff problem at t = {t}: the step h = {h} is held at the stability limit and \
+                 the step budget cannot reach the end time"
+            ),
             SolveError::BadInput(msg) => write!(f, "invalid input: {msg}"),
         }
     }
@@ -63,6 +77,7 @@ mod tests {
             SolveError::StepSizeUnderflow { t: 1.0, h: 1e-18 },
             SolveError::NonFiniteState { t: 2.0 },
             SolveError::MaxStepsExceeded { t: 0.5, max_steps: 10 },
+            SolveError::Stiff { t: 1e-14, h: 2e-20 },
             SolveError::BadInput("rtol must be positive".into()),
         ];
         for e in errs {

@@ -41,6 +41,11 @@ use std::sync::Mutex;
 /// a quarter of a worker's share.
 const CHUNKS_PER_WORKER: usize = 4;
 
+/// The largest worker count [`parse_threads`] accepts. A fixed bound,
+/// not one derived from the host, so a command line valid on one
+/// machine is valid on every machine.
+pub const MAX_THREADS: usize = 256;
+
 /// Process-wide worker-count override set by [`set_threads`]
 /// (0 = no override).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -52,20 +57,20 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Parses a `DCE_BCN_THREADS`-style value: a positive integer, or
-/// `None` for anything else (empty, zero, garbage).
+/// Parses a `DCE_BCN_THREADS`-style value: an integer in
+/// `1..=`[`MAX_THREADS`], or `None` for anything else (empty, zero,
+/// too large, garbage).
 #[must_use]
 pub fn parse_threads(s: &str) -> Option<usize> {
-    match s.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => None,
-    }
+    s.trim().parse::<usize>().ok().filter(|n| (1..=MAX_THREADS).contains(n))
 }
 
 /// The worker count `par_*` calls will use right now: the
-/// [`set_threads`] override if set, else `DCE_BCN_THREADS` if it parses
-/// to a positive integer, else [`std::thread::available_parallelism`]
-/// (1 when even that is unavailable).
+/// [`set_threads`] override if set, else `DCE_BCN_THREADS` if
+/// [`parse_threads`] accepts it, else
+/// [`std::thread::available_parallelism`] (1 when even that is
+/// unavailable). An out-of-range `DCE_BCN_THREADS` falls back to
+/// auto-detection like any other unparsable value.
 #[must_use]
 pub fn configured_threads() -> usize {
     match THREAD_OVERRIDE.load(Ordering::Relaxed) {
@@ -313,6 +318,9 @@ mod tests {
         assert_eq!(parse_threads("0"), None);
         assert_eq!(parse_threads("-3"), None);
         assert_eq!(parse_threads("four"), None);
+        assert_eq!(parse_threads(&MAX_THREADS.to_string()), Some(MAX_THREADS));
+        assert_eq!(parse_threads(&(MAX_THREADS + 1).to_string()), None);
+        assert_eq!(parse_threads("100000"), None);
         assert_eq!(parse_threads(""), None);
     }
 

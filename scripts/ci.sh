@@ -172,10 +172,16 @@ echo "== usage-error smokes (exit 2, no panic) =="
 # The guard envelope is fixed, so any --hybrid-guard key but
 # always-packet is a usage error; so are a non-finite frame size and a
 # negative start jitter, which must never reach the engine (a panic
-# exits 101).
+# exits 101). A flag the command does not read (--frame-bits on a fluid
+# scenario), a grid whose cell count overflows, and a worker count above
+# the fixed --threads bound are usage errors too, raised before any
+# work (or thread) starts.
 for args in "simulate --engine hybrid --hybrid-guard max-ff=5e-4" \
   "packet --t-end 0.001 --frame-bits nan" \
-  "batch --seeds 2 --t-end 0.001 --start-jitter -1"; do
+  "batch --seeds 2 --t-end 0.001 --start-jitter -1" \
+  "trace thm1 --t-end 0.001 --frame-bits nan" \
+  "atlas --grid 4294967296" \
+  "analyze --threads 100000"; do
   code=0
   ./target/release/dcebcn $args >/dev/null 2>&1 || code=$?
   if [ "$code" != "2" ]; then

@@ -224,12 +224,42 @@ mod tests {
 
     #[test]
     fn invalid_frame_sizes_exit_with_the_usage_code() {
-        for command in ["packet", "batch --seeds 2", "trace packet", "report packet"] {
+        // The fluid scenarios never read --frame-bits, so there any value
+        // is a usage error too.
+        for command in [
+            "packet",
+            "batch --seeds 2",
+            "trace packet",
+            "report packet",
+            "trace thm1",
+            "trace limit-cycle",
+            "report thm1",
+        ] {
             for bad in ["nan", "inf", "0", "-1"] {
                 let e = run_err(&format!("{command} --t-end 0.001 --frame-bits {bad}"));
                 assert_eq!(e.exit_code(), 2, "{command} --frame-bits {bad}: {e}");
                 assert!(e.to_string().contains("--frame-bits"), "{e}");
             }
+        }
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_exit_with_the_usage_code() {
+        // `--from` names a file that does not exist: the flag check comes
+        // before the command opens anything.
+        let missing = std::env::temp_dir().join("dce_bcn_unread_flag_check/missing.jsonl");
+        for (line, flag, command) in [
+            ("report victim --n 7 --gi 9".to_string(), "--gi", "report victim"),
+            ("report victim --n 7".to_string(), "--n", "report victim"),
+            (format!("report --from {} --t-end 5", missing.display()), "--t-end", "report --from"),
+            ("buffer --t-end 1".to_string(), "--t-end", "buffer"),
+            ("trace thm1 --t-end 0.001 --frame-bits nan".to_string(), "--frame-bits", "trace thm1"),
+            ("trace limit-cycle --frame-bits 5".to_string(), "--frame-bits", "trace limit-cycle"),
+            ("report thm1 --frame-bits 5".to_string(), "--frame-bits", "report thm1"),
+        ] {
+            let e = run_err(&line);
+            assert_eq!(e.exit_code(), 2, "{line}: {e}");
+            assert_eq!(e.to_string(), format!("usage error: {flag} does not apply to `{command}`"));
         }
     }
 
