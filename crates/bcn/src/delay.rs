@@ -13,11 +13,17 @@
 //!
 //! where `tau` lumps the backward (BCN message) and forward (rate to
 //! queue) propagation delays. Integration is by the method of steps:
-//! fixed-step RK4 over one delay interval at a time, with the delayed
-//! state read from a linearly interpolated history buffer.
+//! fixed-step RK4 with the delayed input read from the state
+//! `round(tau/dt)` steps back (history before `t = 0` is frozen at the
+//! start), so the effective delay is `round(tau/dt) dt`, exactly `tau`
+//! only when `tau/dt` is a whole number. A ring of the last
+//! `round(tau/dt) + 1` values of `s` holds that history, and the run
+//! folds its extrema and tail amplitude as it steps, so its memory does
+//! not grow with the horizon.
 
 use crate::model::Linearity;
 use crate::params::BcnParams;
+use crate::simulate::step_count;
 
 /// The delayed BCN fluid system.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,26 +36,13 @@ pub struct DelayedBcn {
 /// Result of a delayed-model run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DelayRun {
-    /// Sample times.
-    pub times: Vec<f64>,
-    /// States `(x, y)` in deviation coordinates.
-    pub states: Vec<[f64; 2]>,
     /// Supremum of `x` over the run (excluding `t = 0`).
     pub max_x: f64,
     /// Infimum of `x` over the run (excluding `t = 0`).
     pub min_x: f64,
-    /// Whether the final amplitude is below the initial amplitude
-    /// (a pragmatic convergence indicator).
+    /// Whether the largest amplitude over the last tenth of the run is
+    /// below the initial amplitude (a pragmatic convergence indicator).
     pub contracting: bool,
-}
-
-impl DelayRun {
-    /// Exact strong-stability check of this trace against the buffer
-    /// walls of `params`.
-    #[must_use]
-    pub fn strongly_stable(&self, params: &BcnParams) -> bool {
-        self.max_x < params.buffer - params.q0 && self.min_x > -params.q0
-    }
 }
 
 impl DelayedBcn {
@@ -72,29 +65,17 @@ impl DelayedBcn {
         self
     }
 
-    /// The configured delay.
-    #[must_use]
-    pub fn tau(&self) -> f64 {
-        self.tau
-    }
-
-    /// The parameter set.
-    #[must_use]
-    pub fn params(&self) -> &BcnParams {
-        &self.params
-    }
-
     /// Integrates from `p0` for `t_end` seconds with step `dt`
     /// (history before `t = 0` is frozen at `p0`).
     ///
     /// # Panics
     ///
-    /// Panics if `dt` or `t_end` is non-positive, or if `dt > tau / 4`
-    /// with a nonzero delay (the history interpolation needs several
-    /// samples per delay interval).
+    /// Panics if `dt` or `t_end` is non-positive, if `t_end` is not
+    /// finite, or if `dt > tau / 4` with a nonzero delay (the delay line
+    /// needs several steps per delay interval).
     #[must_use]
     pub fn run(&self, p0: [f64; 2], t_end: f64, dt: f64) -> DelayRun {
-        assert!(dt > 0.0 && t_end > 0.0, "dt and t_end must be positive");
+        let n_steps = step_count(t_end, dt);
         if self.tau > 0.0 {
             assert!(
                 dt <= self.tau / 4.0,
@@ -104,13 +85,9 @@ impl DelayedBcn {
         }
         let p = &self.params;
         let k = p.k();
-        let n_steps = (t_end / dt).ceil() as usize;
-        let lag = if self.tau > 0.0 { (self.tau / dt).round() as usize } else { 0 };
-
-        let mut states: Vec<[f64; 2]> = Vec::with_capacity(n_steps + 1);
-        states.push(p0);
-        let mut max_x = f64::NEG_INFINITY;
-        let mut min_x = f64::INFINITY;
+        // No step reads further back than the start, so a lag past the
+        // horizon reads `p0` throughout either way.
+        let lag = if self.tau > 0.0 { ((self.tau / dt).round() as usize).min(n_steps) } else { 0 };
 
         // Aggregate-rate form of the region law, driven by a delayed s.
         let deriv = |z: [f64; 2], s_delayed: f64| -> [f64; 2] {
@@ -125,15 +102,22 @@ impl DelayedBcn {
             };
             [z[1], dy]
         };
-        let delayed_s = |states: &[[f64; 2]], step: usize| -> f64 {
-            let idx = step.saturating_sub(lag);
-            let z = states[idx];
-            z[0] + k * z[1]
-        };
+        let s = |z: [f64; 2]| z[0] + k * z[1];
+        let amp = |z: [f64; 2]| z[0].abs().max(k * z[1].abs());
 
+        // `ring[i % (lag + 1)]` holds `s` of state `i` once step `i` has
+        // written it; until then every slot holds `s(p0)`.
+        let mut ring = vec![s(p0); lag + 1];
+        // The last tenth of the states `0..=n_steps`: it starts at
+        // `(n_steps + 1) 9 / 10`, which is at least 1.
+        let tail_start = n_steps - n_steps / 10;
+        let mut z = p0;
+        let mut max_x = f64::NEG_INFINITY;
+        let mut min_x = f64::INFINITY;
+        let mut tail_amp = 0.0_f64;
         for step in 0..n_steps {
-            let z = states[step];
-            let s_d = delayed_s(&states, step);
+            ring[step % (lag + 1)] = s(z);
+            let s_d = ring[(step + 1) % (lag + 1)];
             // RK4 with the delayed input held constant across the step
             // (consistent first-order treatment of the delay term; the
             // state part remains fourth-order).
@@ -141,22 +125,19 @@ impl DelayedBcn {
             let k2 = deriv([z[0] + 0.5 * dt * k1[0], z[1] + 0.5 * dt * k1[1]], s_d);
             let k3 = deriv([z[0] + 0.5 * dt * k2[0], z[1] + 0.5 * dt * k2[1]], s_d);
             let k4 = deriv([z[0] + dt * k3[0], z[1] + dt * k3[1]], s_d);
-            let z_new = [
+            z = [
                 z[0] + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
                 z[1] + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
             ];
-            states.push(z_new);
-            max_x = max_x.max(z_new[0]);
-            min_x = min_x.min(z_new[0]);
+            max_x = max_x.max(z[0]);
+            min_x = min_x.min(z[0]);
+            if step + 1 >= tail_start {
+                tail_amp = tail_amp.max(amp(z));
+            }
         }
 
-        let times: Vec<f64> = (0..states.len()).map(|i| i as f64 * dt).collect();
-        let amp = |z: &[f64; 2]| z[0].abs().max(k * z[1].abs());
-        let initial_amp = amp(&p0).max(1e-30);
-        // Compare the last tenth of the run against the start.
-        let tail_start = states.len() * 9 / 10;
-        let tail_amp = states[tail_start..].iter().map(amp).fold(0.0_f64, f64::max);
-        DelayRun { times, states, max_x, min_x, contracting: tail_amp < initial_amp }
+        let initial_amp = amp(p0).max(1e-30);
+        DelayRun { max_x, min_x, contracting: tail_amp < initial_amp }
     }
 }
 

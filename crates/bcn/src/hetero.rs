@@ -22,7 +22,9 @@
 //! additive-increase side to the multiplicative-decrease side (faster
 //! flows are told to slow down more often).
 
+use crate::model::Linearity;
 use crate::params::BcnParams;
+use crate::simulate::{canonical_dt, step_count, Recurrence};
 
 /// How per-flow feedback intensity scales with the flow's rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -33,6 +35,18 @@ pub enum FeedbackModel {
     /// Feedback intensity proportional to the flow's share of the
     /// aggregate (`N r_i / R`): the sampled-packet protocol reality.
     RateProportional,
+}
+
+impl FeedbackModel {
+    /// The feedback weight of a flow at rate `r` among `n` flows whose
+    /// rates sum to `aggregate`.
+    fn weight(self, r: f64, n: f64, aggregate: f64) -> f64 {
+        match self {
+            Self::Uniform => 1.0,
+            Self::RateProportional if aggregate > 0.0 => r * n / aggregate,
+            Self::RateProportional => 1.0,
+        }
+    }
 }
 
 /// The heterogeneous fluid system.
@@ -60,16 +74,6 @@ pub struct HeteroRun {
 }
 
 impl HeteroRun {
-    /// Aggregate rate at sample `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn aggregate_rate(&self, i: usize) -> f64 {
-        self.rates[i].iter().sum()
-    }
-
     /// Final Jain fairness index.
     #[must_use]
     pub fn final_fairness(&self) -> f64 {
@@ -84,22 +88,18 @@ impl HeteroBcn {
         Self { params, feedback }
     }
 
-    /// The parameter set.
-    #[must_use]
-    pub fn params(&self) -> &BcnParams {
-        &self.params
-    }
-
     /// Integrates from queue `q_init` and per-flow rates `rates_init`
-    /// for `t_end` seconds with fixed step `dt` (forward integration
-    /// with queue saturation, mirroring
-    /// [`crate::simulate::SaturatingFluid`]), recording every
-    /// `record_every`-th step.
+    /// for `t_end` seconds with fixed step `dt`, recording every
+    /// `record_every`-th step. Each step is the saturating step of
+    /// [`crate::simulate::SaturatingFluid`] over the `N` rates, each with
+    /// increase gain `Gi Ru` and its [`FeedbackModel`] weight; with one
+    /// flow the run is the planar run bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `rates_init` length differs from `params.n_flows`, if
-    /// any rate is negative, or if `dt`/`t_end` are non-positive.
+    /// any rate is negative, if `dt`/`t_end` are non-positive, if
+    /// `t_end` is not finite, or if `record_every` is 0.
     #[must_use]
     pub fn run(
         &self,
@@ -112,15 +112,12 @@ impl HeteroBcn {
         let p = &self.params;
         assert_eq!(rates_init.len(), p.n_flows as usize, "need one initial rate per flow");
         assert!(rates_init.iter().all(|r| *r >= 0.0), "rates must be non-negative");
-        assert!(dt > 0.0 && t_end > 0.0, "dt and t_end must be positive");
+        let n_steps = step_count(t_end, dt);
         assert!(record_every > 0, "record_every must be at least 1");
 
-        let n = p.n_flows as usize;
-        let cap = p.capacity;
-        let k = p.k();
-        let gi_ru = p.gi * p.ru;
-        let gd = p.gd;
-        let n_steps = (t_end / dt).ceil() as usize;
+        let fluid = Recurrence::new(p, Linearity::FullNonlinear);
+        let n = f64::from(p.n_flows);
+        let gain = p.gi * p.ru;
 
         let mut q = q_init.clamp(0.0, p.buffer);
         let mut rates = rates_init.to_vec();
@@ -141,34 +138,13 @@ impl HeteroBcn {
 
         for step in 1..=n_steps {
             let aggregate: f64 = rates.iter().sum();
-            let drift = aggregate - cap;
-            let q_dot = if (q <= 0.0 && drift < 0.0) || (q >= p.buffer && drift > 0.0) {
-                0.0
-            } else {
-                drift
-            };
-            let sigma = (p.q0 - q) - k * q_dot;
-            if q >= p.buffer && drift > 0.0 {
-                dropped += drift * dt;
+            let wall = fluid.wall(q, aggregate, dt);
+            dropped += wall.dropped;
+            for r in &mut rates {
+                let weight = self.feedback.weight(*r, n, aggregate);
+                *r = fluid.rate(wall.sigma, *r, gain, weight, dt);
             }
-
-            for (i, r) in rates.iter_mut().enumerate() {
-                let weight = match self.feedback {
-                    FeedbackModel::Uniform => 1.0,
-                    FeedbackModel::RateProportional => {
-                        if aggregate > 0.0 {
-                            *r * n as f64 / aggregate
-                        } else {
-                            1.0
-                        }
-                    }
-                };
-                let dr =
-                    if sigma > 0.0 { weight * gi_ru * sigma } else { weight * gd * sigma * *r };
-                *r = (*r + dr * dt).max(0.0);
-                let _ = i;
-            }
-            q = (q + q_dot * dt).clamp(0.0, p.buffer);
+            q = wall.q;
             max_q = max_q.max(q);
             if step % record_every == 0 || step == n_steps {
                 record(step as f64 * dt, q, &rates);
@@ -186,12 +162,10 @@ impl HeteroBcn {
     }
 
     /// Runs from the canonical start (empty queue) with the given
-    /// initial rates and an automatically chosen step.
+    /// initial rates and the canonical saturating step.
     #[must_use]
     pub fn run_canonical(&self, rates_init: &[f64], t_end: f64) -> HeteroRun {
-        let p = &self.params;
-        let beta_fast = (p.a().max(p.b() * p.capacity)).sqrt();
-        let dt = (0.002 / beta_fast).min(t_end / 1000.0);
+        let dt = canonical_dt(&self.params, t_end);
         let record_every = ((t_end / dt / 2000.0).ceil() as usize).max(1);
         self.run(0.0, rates_init, t_end, dt, record_every)
     }

@@ -10,8 +10,7 @@
 //!   while the buffer is full, and the congestion measure uses the
 //!   saturated queue derivative. This is what the dashed segments of the
 //!   paper's Fig. 3 (curves l3/l4 pinned at the walls) correspond to, and
-//!   it provides the drop/underflow ground truth for the criterion
-//!   experiments.
+//!   it provides the drop ground truth for the criterion experiments.
 
 use odesolve::hybrid::{integrate_hybrid_telemetry, HybridSolution};
 use odesolve::{Dopri5, Options, SolveError};
@@ -186,13 +185,8 @@ pub struct SaturatingRun {
     pub rate: Vec<f64>,
     /// Total bits dropped at the full buffer.
     pub dropped_bits: f64,
-    /// Total bits of service lost to an empty queue with the aggregate
-    /// rate below capacity (link underutilisation).
-    pub idle_bits: f64,
     /// Largest queue observed (bits).
     pub max_queue: f64,
-    /// Smallest queue observed after the first buffer departure (bits).
-    pub min_queue_after_start: f64,
 }
 
 impl SaturatingRun {
@@ -203,9 +197,9 @@ impl SaturatingRun {
     }
 }
 
-/// The physical fluid model: queue clamped to `[0, B]` with drop and
-/// idle-time accounting (forward-Euler with saturation; the clamped
-/// dynamics are non-smooth, so a small fixed step is the robust choice).
+/// The physical fluid model: queue clamped to `[0, B]` with drop
+/// accounting (forward-Euler with saturation; the clamped dynamics are
+/// non-smooth, so a small fixed step is the robust choice).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SaturatingFluid {
     params: BcnParams,
@@ -255,10 +249,7 @@ impl SaturatingFluid {
         let mut q = q_init.clamp(0.0, r.buffer);
         let mut rate = rate_init.max(0.0);
         let mut dropped = 0.0;
-        let mut idle = 0.0;
         let mut max_q = q;
-        let mut min_q_after = f64::INFINITY;
-        let mut started = q > 0.0;
 
         let mut times = Vec::with_capacity(n_steps / record_every + 2);
         let mut queue = Vec::with_capacity(times.capacity());
@@ -268,20 +259,13 @@ impl SaturatingFluid {
         rates.push(rate);
 
         for step in 1..=n_steps {
-            let s = r.step(q, rate, dt);
-            // Both increments are +0.0 off the walls, which leaves the
-            // non-negative sums bitwise unchanged.
-            dropped += s.dropped;
-            idle += s.idle;
-            q = s.q;
-            rate = s.rate;
-            if q > 0.0 {
-                started = true;
-            }
+            let (wall, next_rate) = r.step(q, rate, dt);
+            // The drop volume is +0.0 off the wall, which leaves the
+            // non-negative sum bitwise unchanged.
+            dropped += wall.dropped;
+            q = wall.q;
+            rate = next_rate;
             max_q = max_q.max(q);
-            if started {
-                min_q_after = min_q_after.min(q);
-            }
             if step % record_every == 0 || step == n_steps {
                 times.push(step as f64 * dt);
                 queue.push(q);
@@ -289,15 +273,7 @@ impl SaturatingFluid {
             }
         }
 
-        SaturatingRun {
-            times,
-            queue,
-            rate: rates,
-            dropped_bits: dropped,
-            idle_bits: idle,
-            max_queue: max_q,
-            min_queue_after_start: if min_q_after.is_finite() { min_q_after } else { q },
-        }
+        SaturatingRun { times, queue, rate: rates, dropped_bits: dropped, max_queue: max_q }
     }
 
     /// Runs from the canonical start (empty queue, aggregate rate at
@@ -311,20 +287,20 @@ impl SaturatingFluid {
     }
 }
 
-/// The Euler step [`SaturatingFluid::run_canonical`] takes over a
+/// The Euler step the canonical saturating and per-flow runs take over a
 /// `t_end` horizon.
-fn canonical_dt(p: &BcnParams, t_end: f64) -> f64 {
+pub(crate) fn canonical_dt(p: &BcnParams, t_end: f64) -> f64 {
     let beta_fast = (p.a().max(p.b() * p.capacity)).sqrt();
     (0.002 / beta_fast).min(t_end / 1000.0)
 }
 
-/// The number of Euler steps of size `dt` that cover `t_end`.
+/// The number of fixed steps of size `dt` that cover `t_end`.
 ///
 /// # Panics
 ///
 /// Panics if `dt` or `t_end` are non-positive or `t_end` is not finite
 /// (an infinite horizon would saturate the count and never return).
-fn step_count(t_end: f64, dt: f64) -> usize {
+pub(crate) fn step_count(t_end: f64, dt: f64) -> usize {
     assert!(
         dt > 0.0 && t_end > 0.0 && t_end.is_finite(),
         "time step and horizon must be positive and finite"
@@ -332,10 +308,13 @@ fn step_count(t_end: f64, dt: f64) -> usize {
     (t_end / dt).ceil() as usize
 }
 
-/// The coefficients of the saturating model's forward-Euler recurrence,
-/// read out of [`BcnParams`] once per run rather than once per step.
+/// The saturating fluid step over a queue and the rates feeding it, with
+/// its coefficients read out of [`BcnParams`] once per run rather than
+/// once per step. The planar model steps it with one rate (the aggregate
+/// `R = N r`, increase gain `a`); [`crate::hetero::HeteroBcn`] steps it
+/// over the `N` per-flow rates.
 #[derive(Debug, Clone, Copy, Default)]
-struct Recurrence {
+pub(crate) struct Recurrence {
     buffer: f64,
     cap: f64,
     q0: f64,
@@ -345,18 +324,19 @@ struct Recurrence {
     linearity: Linearity,
 }
 
-/// One Euler step: the next state and the step's drop and idle volumes
-/// (`+0.0` unless the queue sits on the matching wall).
+/// The queue half of one Euler step.
 #[derive(Debug, Clone, Copy)]
-struct Step {
-    q: f64,
-    rate: f64,
-    dropped: f64,
-    idle: f64,
+pub(crate) struct Wall {
+    /// The next queue, clamped to `[0, B]`.
+    pub(crate) q: f64,
+    /// The congestion measure from the saturated queue drift.
+    pub(crate) sigma: f64,
+    /// Bits dropped at the full buffer this step (`+0.0` elsewhere).
+    pub(crate) dropped: f64,
 }
 
 impl Recurrence {
-    fn new(p: &BcnParams, linearity: Linearity) -> Self {
+    pub(crate) fn new(p: &BcnParams, linearity: Linearity) -> Self {
         Self {
             buffer: p.buffer,
             cap: p.capacity,
@@ -368,35 +348,50 @@ impl Recurrence {
         }
     }
 
-    /// The recurrence itself — the one definition both
-    /// [`SaturatingFluid::run`] and [`drop_verdicts_lockstep`] step.
+    /// The queue under total arrival rate `aggregate`: the walls, the
+    /// congestion measure and the drop volume.
     #[inline]
-    fn step(&self, q: f64, rate: f64, dt: f64) -> Step {
+    pub(crate) fn wall(&self, q: f64, aggregate: f64, dt: f64) -> Wall {
         // Unclamped queue drift and its saturated (physical) version.
-        let drift = rate - self.cap;
+        let drift = aggregate - self.cap;
         let full = q >= self.buffer && drift > 0.0;
         let empty = q <= 0.0 && drift < 0.0;
         let q_dot = if full || empty { 0.0 } else { drift };
-        // Congestion measure from the *observed* queue dynamics.
-        let sigma = (self.q0 - q) - self.k * q_dot;
-        // Rate law (Eq. 7), scaled to the aggregate rate R = N r:
-        // dR/dt = a sigma (increase) or b sigma R (decrease).
-        let rate_dot = if sigma > 0.0 {
-            self.a * sigma
+        Wall {
+            q: (q + q_dot * dt).clamp(0.0, self.buffer),
+            // Congestion measure from the *observed* queue dynamics.
+            sigma: (self.q0 - q) - self.k * q_dot,
+            dropped: if full { drift * dt } else { 0.0 },
+        }
+    }
+
+    /// One rate `r` under the rate law (Eq. 7) with increase gain `gain`
+    /// and feedback weight `weight`: `dr/dt = weight gain sigma`
+    /// (increase) or `weight b sigma r` (decrease, `r` read as `C` when
+    /// linearised).
+    #[inline]
+    pub(crate) fn rate(&self, sigma: f64, r: f64, gain: f64, weight: f64, dt: f64) -> f64 {
+        let r_dot = if sigma > 0.0 {
+            weight * gain * sigma
         } else {
-            self.b
+            weight
+                * self.b
                 * sigma
                 * match self.linearity {
-                    Linearity::FullNonlinear => rate,
+                    Linearity::FullNonlinear => r,
                     Linearity::Linearized => self.cap,
                 }
         };
-        Step {
-            q: (q + q_dot * dt).clamp(0.0, self.buffer),
-            rate: (rate + rate_dot * dt).max(0.0),
-            dropped: if full { drift * dt } else { 0.0 },
-            idle: if empty { -drift * dt } else { 0.0 },
-        }
+        (r + r_dot * dt).max(0.0)
+    }
+
+    /// The planar step — the one both [`SaturatingFluid::run`] and
+    /// [`drop_verdicts_lockstep`] take: the aggregate rate `R = N r`
+    /// with increase gain `a` and unit weight.
+    #[inline]
+    fn step(&self, q: f64, rate: f64, dt: f64) -> (Wall, f64) {
+        let wall = self.wall(q, rate, dt);
+        (wall, self.rate(wall.sigma, rate, self.a, 1.0, dt))
     }
 }
 
@@ -474,10 +469,10 @@ pub(crate) fn drop_verdicts_lockstep(cells: &[(SaturatingFluid, f64)]) -> Vec<bo
         };
         for _ in 0..block {
             for lane in &mut lanes {
-                let s = lane.r.step(lane.q, lane.rate, lane.dt);
-                lane.q = s.q;
-                lane.rate = s.rate;
-                lane.dropped |= s.dropped > 0.0;
+                let (wall, rate) = lane.r.step(lane.q, lane.rate, lane.dt);
+                lane.q = wall.q;
+                lane.rate = rate;
+                lane.dropped |= wall.dropped > 0.0;
             }
         }
         for lane in lanes.iter_mut().filter(|l| l.left > 0) {
@@ -493,6 +488,8 @@ pub(crate) fn drop_verdicts_lockstep(cells: &[(SaturatingFluid, f64)]) -> Vec<bo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delay::DelayedBcn;
+    use crate::hetero::{FeedbackModel, HeteroBcn};
     use crate::stability;
 
     fn params() -> BcnParams {
@@ -672,6 +669,23 @@ mod tests {
         // An infinite horizon used to saturate the step count and loop
         // without end.
         let _ = SaturatingFluid::new(params()).run_canonical(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive and finite")]
+    fn hetero_rejects_infinite_horizon() {
+        let p = params();
+        let n = p.n_flows as usize;
+        let sys = HeteroBcn::new(p.clone(), FeedbackModel::Uniform);
+        let _ = sys.run_canonical(&vec![p.fair_share(); n], f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive and finite")]
+    fn delayed_rejects_infinite_horizon() {
+        // This used to overflow the state count.
+        let p = params();
+        let _ = DelayedBcn::new(p.clone(), 1e-3).run(p.initial_point(), f64::INFINITY, 1e-4);
     }
 
     #[test]
