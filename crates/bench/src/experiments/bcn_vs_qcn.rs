@@ -15,7 +15,7 @@ use dcesim::time::Time;
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 /// Runs the experiment; artifacts land under `out`.
@@ -113,15 +113,6 @@ fn tail_mean(ts: &[f64], qs: &[f64], t0: f64) -> f64 {
     } else {
         vals.iter().sum::<f64>() / vals.len() as f64
     }
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use bcn::stability::{criterion, exact_verdict, fluid_drop_verdicts, theorem1_hol
 use bcn::{linear_baseline, BcnParams};
 use plotkit::{Csv, Table};
 
-use crate::common::{banner, out_dir};
+use crate::common::banner;
 use crate::ExpResult;
 
 /// One grid cell's verdicts.
@@ -211,15 +211,6 @@ fn summary_table(cells: &[Cell]) -> Table {
         total.to_string(),
     ]);
     table
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

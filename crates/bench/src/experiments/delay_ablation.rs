@@ -19,7 +19,7 @@ use bcn::BcnParams;
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 /// Runs the experiment; artifacts land under `out`.
@@ -80,15 +80,6 @@ pub fn run(out: &Path) -> ExpResult {
         .with_hline(params.buffer - params.q0, "#d62728");
     save_plot(&plot, out, "exp_delay_ablation.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use dcesim::time::Duration;
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 /// Runs the experiment; artifacts land under `out`.
@@ -89,15 +89,6 @@ pub fn run(out: &Path) -> ExpResult {
     plot = plot.with_series(Series::scatter("tail RMS", &xs, &ys, COLOR_CYCLE[0]));
     save_plot(&plot, out, "exp_fb_quantization.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 use telemetry::Scalar;
 
-use crate::common::{banner, grid_digest, out_dir, quick, save_plot, GridCheckpoint};
+use crate::common::{banner, grid_digest, quick, save_plot, GridCheckpoint};
 use crate::ExpResult;
 
 /// One grid point of the degradation sweep.
@@ -304,15 +304,6 @@ pub fn run_with_checkpoint(out: &Path, ckpt_dir: Option<&Path>) -> ExpResult {
     std::fs::write(&json_path, json)?;
     println!("wrote {}", json_path.display());
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use dcesim::sim::{fluid_validation_params, SimConfig, Simulation};
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 /// Runs the experiment; artifacts land under `out`.
@@ -120,15 +120,6 @@ pub fn run(out: &Path) -> ExpResult {
         .with_hline(params.q0, "#999999");
     save_plot(&plot, out, "exp_fluid_vs_packet.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use bcn::BcnParams;
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 /// Runs the experiment; artifacts land under `out`.
@@ -63,15 +63,6 @@ pub fn run(out: &Path) -> ExpResult {
     println!("wrote {}", out.join("exp_hetero_fairness.csv").display());
     save_plot(&plot, out, "exp_hetero_fairness.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

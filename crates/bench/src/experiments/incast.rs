@@ -18,7 +18,7 @@ use dcesim::workload;
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 const FRAME: f64 = 8_000.0;
@@ -98,15 +98,6 @@ pub fn run(out: &Path) -> ExpResult {
         .with_series(Series::line("BCN", &fan_ins, &drops_bcn, COLOR_CYCLE[1]));
     save_plot(&plot, out, "exp_incast.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use dcesim::time::Duration;
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 const TRUNK: f64 = 1.0e9;
@@ -150,15 +150,6 @@ pub fn run(out: &Path) -> ExpResult {
     println!("wrote {}", out.join("exp_pause_hol.csv").display());
     save_plot(&plot, out, "exp_pause_hol.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

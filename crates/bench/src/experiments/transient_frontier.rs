@@ -9,7 +9,7 @@ use bcn::BcnParams;
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 /// Runs the experiment; artifacts land under `out`.
@@ -78,15 +78,6 @@ pub fn run(out: &Path) -> ExpResult {
     print!("{table}");
     println!("larger overshoot budgets buy faster ramping (larger Gi) — the dual of Theorem 1's buffer cost.");
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use bcn::{BcnParams, Region};
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 /// Estimated 95%-settling time: rounds needed for the amplitude to decay
@@ -124,15 +124,6 @@ fn record(table: &mut Table, csv: &mut Csv, sweep: &str, value: f64, m: &Point) 
     ]);
     let sweep_id = if sweep == "w" { 0.0 } else { 1.0 };
     csv.row(&[sweep_id, value, rho, settle, max1, m.req]);
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

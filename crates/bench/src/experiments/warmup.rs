@@ -12,7 +12,7 @@ use bcn::BcnParams;
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 /// Runs the experiment; artifacts land under `out`.
@@ -88,15 +88,6 @@ pub fn run(out: &Path) -> ExpResult {
     .with_series(Series::line("required buffer", &q0s, &reqn, COLOR_CYCLE[1]));
     save_plot(&plot, out, "exp_warmup_tradeoff.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

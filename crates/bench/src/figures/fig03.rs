@@ -22,7 +22,7 @@ use bcn::{BcnFluid, BcnParams, CaseId};
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Series, Table};
 
-use crate::common::{banner, out_dir, phase_plot, save_plot, trace};
+use crate::common::{banner, phase_plot, save_plot, trace};
 use crate::ExpResult;
 
 /// Runs the generator; artifacts land under `out`.
@@ -80,15 +80,6 @@ pub fn run(out: &Path) -> ExpResult {
     let plot = phase_plot("Fig. 3: phase-trajectory taxonomy", &base, series);
     save_plot(&plot, out, "fig03_taxonomy.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use bcn::{BcnFluid, BcnParams};
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 /// Runs the generator; artifacts land under `out`.
@@ -77,15 +77,6 @@ pub fn run(out: &Path) -> ExpResult {
     println!("wrote {}", out.join("fig04_spiral.csv").display());
     save_plot(&plot, out, "fig04_spiral.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use bcn::{BcnFluid, BcnParams};
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 /// Runs the generator; artifacts land under `out`.
@@ -91,15 +91,6 @@ pub fn run(out: &Path) -> ExpResult {
     println!("wrote {}", out.join("fig05_node.csv").display());
     save_plot(&plot, out, "fig05_node.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use bcn::{BcnFluid, BcnParams, CaseId};
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, phase_plot, save_plot, trace};
+use crate::common::{banner, phase_plot, save_plot, trace};
 use crate::ExpResult;
 
 /// Runs the generator; artifacts land under `out`.
@@ -98,15 +98,6 @@ pub fn run(out: &Path) -> ExpResult {
         .with_hline(0.0, "#999999");
     save_plot(&plot_c, out, "fig06c_rate.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

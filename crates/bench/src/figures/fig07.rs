@@ -20,7 +20,7 @@ use bcn::{BcnFluid, BcnParams};
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, phase_plot, save_plot, trace};
+use crate::common::{banner, phase_plot, save_plot, trace};
 use crate::ExpResult;
 
 /// Runs the generator; artifacts land under `out`.
@@ -95,15 +95,6 @@ pub fn run(out: &Path) -> ExpResult {
     }
     print!("{amp_table}");
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@ use std::path::Path;
 
 use bcn::CaseId;
 
-use crate::common::out_dir;
 use crate::figures::case_fig::run_case;
 use crate::ExpResult;
 
@@ -16,15 +15,6 @@ use crate::ExpResult;
 /// Propagates I/O failures while writing artifacts.
 pub fn run(out: &Path) -> ExpResult {
     run_case(out, CaseId::Case3, "fig09_case", "Fig. 9: Case 3 (spiral increase, node decrease)")
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

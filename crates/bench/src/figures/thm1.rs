@@ -19,7 +19,7 @@ use bcn::BcnParams;
 use plotkit::svg::COLOR_CYCLE;
 use plotkit::{Csv, Series, SvgPlot, Table};
 
-use crate::common::{banner, out_dir, save_plot};
+use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
 /// Runs the generator; artifacts land under `out`.
@@ -98,15 +98,6 @@ pub fn run(out: &Path) -> ExpResult {
             .with_series(Series::line("required", &xs, &ys, COLOR_CYCLE[2]));
     save_plot(&plot_q, out, "thm1_required_vs_q0.svg")?;
     Ok(())
-}
-
-/// Runs with the default output directory.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn main() -> ExpResult {
-    run(&out_dir())
 }
 
 #[cfg(test)]

@@ -19,10 +19,10 @@
 //! | [`experiments::delay_ablation`] | propagation-delay assumption ablation |
 //! | [`experiments::bcn_vs_qcn`] | BCN vs QCN at packet level |
 //!
-//! Each module exposes `run(out_dir) -> Result<(), Box<dyn Error>>`; the
-//! matching binaries (`cargo run -p bench --bin fig06_case1`) call it with
-//! the default `results/` directory, and `--bin run_all` regenerates
-//! everything.
+//! Each module exposes `run(out_dir) -> Result<(), Box<dyn Error>>`.
+//! `cargo run -p bench --bin run_all [name ...]` calls the named ones
+//! (`fig06`, `delay_ablation`, ...; every one when no name is given)
+//! with the default `results/` directory.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]

@@ -62,10 +62,10 @@ echo "== fault-injection smoke (Theorem 1 degradation gap + campaign resume) =="
 fd_results=$(mktemp -d)
 fd_ckpt=$(mktemp -d)
 DCE_BCN_QUICK=1 DCE_BCN_RESULTS="$fd_results" DCE_BCN_CHECKPOINT_DIR="$fd_ckpt" \
-  cargo run --release -p bench --bin exp_feedback_degradation
+  cargo run --release -p bench --bin run_all feedback_degradation
 fd_resume=$(mktemp -d)
 fd_out=$(DCE_BCN_QUICK=1 DCE_BCN_RESULTS="$fd_resume" DCE_BCN_CHECKPOINT_DIR="$fd_ckpt" \
-  cargo run --release -p bench --bin exp_feedback_degradation)
+  cargo run --release -p bench --bin run_all feedback_degradation)
 echo "$fd_out" | grep -q "checkpoint: restored 4 of 4 grid points"
 cmp "$fd_results/exp_feedback_degradation.csv" "$fd_resume/exp_feedback_degradation.csv"
 cmp "$fd_results/feedback_degradation.json" "$fd_resume/feedback_degradation.json"
