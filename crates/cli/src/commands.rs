@@ -10,7 +10,7 @@ use bcn::stability::{
     StabilityVerdict,
 };
 use bcn::transient;
-use bcn::{linear_baseline, BcnFluid, BcnParams};
+use bcn::{linear_baseline, BcnFluid};
 use dcesim::batch::{
     run_batch, run_batch_checkpointed, seeded_config, BatchConfig, BatchReport, NetBatchConfig,
     SeedBatch, PANIC_AFTER_STEPS,
@@ -346,6 +346,10 @@ fn simulate_hybrid(
     Ok(out)
 }
 
+/// The most grid cells [`atlas`] builds and verdicts at once (a block is
+/// still at least one whole row).
+const ATLAS_BLOCK_CELLS: usize = 4096;
+
 /// `dcebcn atlas`: the (Gi, Gd) criterion atlas as CSV + summary.
 ///
 /// # Errors
@@ -365,42 +369,49 @@ pub(crate) fn atlas(args: &[String]) -> Result<String, CliError> {
     };
     let out_path = flags.get("out").map(str::to_string);
     flags.finish("atlas")?;
-    let mut csv = Csv::new(&["gi", "gd", "criterion", "theorem1", "exact"]);
+    let mut csv =
+        out_path.as_ref().map(|_| Csv::new(&["gi", "gd", "criterion", "theorem1", "exact"]));
     let mut granted = 0usize;
     let mut exact_ok = 0usize;
-    // The grid parameterisations, in row-major output order; the exact
+    // The grid runs in row-major output order, whole rows at a time, so
+    // memory follows the block, not the grid. Within a block the exact
     // switched-trajectory verdict (the expensive cell) fans out across
-    // the configured worker count, the cheap closed-form criteria stay
+    // the configured worker count; the cheap closed-form criteria stay
     // inline.
-    let points: Vec<BcnParams> = (0..total)
-        .map(|idx| {
-            let (i, j) = (idx / grid, idx % grid);
+    let rows_per_block = (ATLAS_BLOCK_CELLS / grid).max(1);
+    let mut points = Vec::with_capacity(rows_per_block.min(grid) * grid);
+    for first_row in (0..grid).step_by(rows_per_block) {
+        points.clear();
+        for i in first_row..grid.min(first_row + rows_per_block) {
             let gi = base.gi * 0.05 * 400.0_f64.powf(i as f64 / (grid - 1) as f64);
-            let gd = (base.gd * 0.05 * 400.0_f64.powf(j as f64 / (grid - 1) as f64)).min(1.0);
-            base.clone().with_gi(gi).with_gd(gd)
-        })
-        .collect();
-    let verdicts = exact_verdicts(&points, 40);
-    for (p, v) in points.iter().zip(&verdicts) {
-        let c = criterion(p).is_guaranteed();
-        let t = theorem1_holds(p);
-        let e = v.strongly_stable;
-        granted += usize::from(c);
-        exact_ok += usize::from(e);
-        csv.row(&[
-            p.gi,
-            p.gd,
-            f64::from(u8::from(c)),
-            f64::from(u8::from(t)),
-            f64::from(u8::from(e)),
-        ]);
+            points.extend((0..grid).map(|j| {
+                let gd = (base.gd * 0.05 * 400.0_f64.powf(j as f64 / (grid - 1) as f64)).min(1.0);
+                base.clone().with_gi(gi).with_gd(gd)
+            }));
+        }
+        for (p, v) in points.iter().zip(exact_verdicts(&points, 40)) {
+            let c = criterion(p).is_guaranteed();
+            let e = v.strongly_stable;
+            granted += usize::from(c);
+            exact_ok += usize::from(e);
+            if let Some(csv) = &mut csv {
+                let t = theorem1_holds(p);
+                csv.row(&[
+                    p.gi,
+                    p.gd,
+                    f64::from(u8::from(c)),
+                    f64::from(u8::from(t)),
+                    f64::from(u8::from(e)),
+                ]);
+            }
+        }
     }
     let mut out = String::new();
     let _ = writeln!(
         out,
         "atlas {grid}x{grid}: {exact_ok}/{total} strongly stable, criterion certifies {granted}"
     );
-    if let Some(path) = &out_path {
+    if let (Some(path), Some(csv)) = (&out_path, &csv) {
         csv.save(path)?;
         let _ = writeln!(out, "wrote {path}");
     }
@@ -1521,6 +1532,32 @@ mod tests {
     }
 
     #[test]
+    fn atlas_output_and_csv_are_pinned_at_any_width() {
+        let path = std::env::temp_dir().join(format!("dcebcn_atlas_{}.csv", std::process::id()));
+        for threads in [1, 2] {
+            let _ = std::fs::remove_file(&path);
+            let out = crate::run(&argv(&format!(
+                "atlas --grid 9 --threads {threads} --out {}",
+                path.display()
+            )))
+            .unwrap();
+            parkit::set_threads(0);
+            assert!(
+                out.starts_with("atlas 9x9: 10/81 strongly stable, criterion certifies 10\n"),
+                "{out}"
+            );
+            let body = std::fs::read(&path).unwrap();
+            // FNV-1a of the CSV bytes (a header and 81 rows) as the
+            // whole grid evaluated in one batch wrote them.
+            let hash = body.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+            assert_eq!((body.len(), hash), (3019, 0x143c_7d1e_b741_783a), "--threads {threads}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn atlas_grid_whose_cell_count_overflows_is_a_usage_error() {
         let err = atlas(&argv("--grid 4294967296")).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
@@ -1801,7 +1838,7 @@ mod tests {
     /// explicit parameterisations (so batching has groups to merge).
     fn query_stream() -> (String, Vec<bcn::query::StabilityQuery>) {
         use bcn::query::{query_to_jsonl, StabilityQuery};
-        let base = BcnParams::paper_defaults();
+        let base = bcn::BcnParams::paper_defaults();
         let queries = vec![
             StabilityQuery::new(base.clone()),
             StabilityQuery::new(base.clone().with_gi(2.0)),
