@@ -42,9 +42,8 @@ impl FeedbackModel {
     /// rates sum to `aggregate`.
     fn weight(self, r: f64, n: f64, aggregate: f64) -> f64 {
         match self {
-            Self::Uniform => 1.0,
             Self::RateProportional if aggregate > 0.0 => r * n / aggregate,
-            Self::RateProportional => 1.0,
+            _ => 1.0,
         }
     }
 }
