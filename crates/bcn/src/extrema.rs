@@ -86,6 +86,47 @@
 //! and a `sin_cos`), and on a contracting spiral it already lies inside
 //! the running extrema for about half of all legs, so callers test
 //! `[−A − m, A + m]` first and compute `x̂` only where it does not.
+//!
+//! ## Legs entered on the switching line
+//!
+//! Every leg of a trace after the first starts exactly on the switching
+//! line, at `z0 = (fl(−k y0), y0)`, and within one region `y0` always has
+//! the same sign `σ` ([`departing_region`](crate::rounds::departing_region)).
+//! Such a start is the unit start `u = (−kσ, σ)` (exact) scaled by
+//! `s = |y0|`, with one rounding in `x0`. [`LineEnclosure`] computes `A₁`,
+//! `m₁ = 1e-9 (1 + |α|/β) A₁` and `x̂₁` once for `u` and encloses each such
+//! leg in `[−sA₁ − m, sA₁ + m]` and `[s x̂₁ − m, s x̂₁ + m]`, with
+//! `m = s m₁ (1 + δ) + f64::MIN_POSITIVE` and `δ = 1e-6`. The flow is
+//! linear and the zero of `h` depends only on the start's direction, so
+//! in exact arithmetic the leg from `s u` is the unit leg scaled by `s`,
+//! with extremum `s x*(u)` and amplitude `s A(u)`. What separates the
+//! scaled values from the bisection's `x` from `z0`:
+//!
+//! * rounding `x0` (a normal number) moves it by at most `ε|x0|/2 ≤ εA/2`.
+//!   Since `∂x(t)/∂x0 = e^{αt} (cos βt − (α/β) sin βt)`, that moves the
+//!   extremum and `A` by at most `(1 + |α|/β) εA/2`, and the zero of `h`
+//!   by at most `ε (1 + |α|/β)` rad;
+//! * `x̂₁` and `A₁` carry the per-leg errors derived above, at most
+//!   ~`7e-15 (1 + |α|/β) A₁`, and each product with `s` rounds once;
+//! * the bisection from `z0` lands within the per-leg bound of its own
+//!   extremum, because its own `θ̂` lies within `ε (1 + |α|/β)` of the
+//!   unit's and so stays trusted.
+//!
+//! So the scaled bounds and the direct ones differ by a few ulps relative
+//! to `(1 + |α|/β) A`, ~10⁵× below the margin. Where a premise fails, the
+//! scaling is refused and the leg takes [`extremum_enclosed`]: the first
+//! leg (its caller's rule), a start not exactly on the line, `y0` of the
+//! other sign, zero, subnormal or not finite, `x0` zero or subnormal (its
+//! rounding is no longer relative), `s` past a per-region bound beyond
+//! which an intermediate of the leg's own evaluation could overflow, a
+//! node or critical flow, a unit `θ̂` within `4 ENDPOINT_MARGIN` of 0 or
+//! π, and `|α|/β` past ~4e9, where the shift of `θ̂` could exceed
+//! `ENDPOINT_MARGIN`. A tier-1 test checks containment on ~276k scaled
+//! legs over ~69k flows with `|α|/β` up to 1e8 and `|y0|` from 1e-300 to
+//! 1e300, where the miss stays below ~4.7e-16 `(1 + |α|/β) A`. A scaled
+//! test costs a few products and comparisons, against the per-leg
+//! path's focus rebuild, `hypot` and, on about half the legs, `atan2`,
+//! `exp` and `sin_cos`. The skipped set changes; no verdict bit does.
 
 use crate::closed_form::{RegionFlow, Spectrum};
 
@@ -197,20 +238,158 @@ pub fn extremum_enclosed(
     z0: [f64; 2],
     mut inside: impl FnMut((f64, f64)) -> bool,
 ) -> bool {
-    let Spectrum::Focus { alpha, beta } = flow.spectrum() else { return false };
-    let (focus, c) = focus_and_c(alpha, beta, z0);
-    // `A` bounds the rebuilt flow that `spiral_extremum` evaluates.
-    let Spectrum::Focus { alpha: a, beta: b } = focus.spectrum() else { return false };
-    let [x0, y0] = z0;
-    let amp = x0.hypot((y0 - a * x0) / b);
-    let m = 1e-9 * (1.0 + a.abs() / b) * amp + f64::MIN_POSITIVE;
+    let Some(e) = Enclosure::new(flow, z0) else { return false };
+    let (amp, m) = (e.amp, e.margin());
     // `y0 = 0` puts the atan2 at 0 or π, which `sign_change_estimate`
     // rejects: that extremum is half a rotation on, not at `θ̂`.
     inside((-amp - m, amp + m))
-        || sign_change_estimate(y0, c).is_some_and(|theta| {
-            let x = focus.at(theta / beta, z0)[0];
+        || e.zero(z0[1]).is_some_and(|theta| {
+            let x = e.x_at(theta, z0);
             inside((x - m, x + m))
         })
+}
+
+/// The ingredients of the module header's enclosure of
+/// [`spiral_extremum`]'s `x` from one start on a focus flow: the
+/// amplitude `A` and what the margin and the closed-form `x̂` need. The
+/// per-leg [`extremum_enclosed`] and the per-region [`LineEnclosure`]
+/// both build it.
+struct Enclosure {
+    /// The rebuilt focus flow `spiral_extremum` evaluates.
+    focus: RegionFlow,
+    beta: f64,
+    /// `c` of `h(θ) = y0 cos θ + c sin θ`.
+    c: f64,
+    amp: f64,
+    /// `1e-9 (1 + |α|/β)`: the margin per unit of `A`.
+    width: f64,
+}
+
+impl Enclosure {
+    /// `None` for node and critical flows and for a focus whose rebuild
+    /// is not one.
+    fn new(flow: &RegionFlow, z0: [f64; 2]) -> Option<Self> {
+        let Spectrum::Focus { alpha, beta } = flow.spectrum() else { return None };
+        let (focus, c) = focus_and_c(alpha, beta, z0);
+        // `A` bounds the rebuilt flow that `spiral_extremum` evaluates.
+        let Spectrum::Focus { alpha: a, beta: b } = focus.spectrum() else { return None };
+        let [x0, y0] = z0;
+        let amp = x0.hypot((y0 - a * x0) / b);
+        Some(Self { focus, beta, c, amp, width: 1e-9 * (1.0 + a.abs() / b) })
+    }
+
+    /// The margin `m = 1e-9 (1 + |α|/β) A + f64::MIN_POSITIVE`.
+    fn margin(&self) -> f64 {
+        self.width * self.amp + f64::MIN_POSITIVE
+    }
+
+    /// The closed-form zero `θ̂` of `h` for the start's `y0`, where
+    /// [`spiral_extremum`] trusts it.
+    fn zero(&self, y0: f64) -> Option<f64> {
+        sign_change_estimate(y0, self.c)
+    }
+
+    /// `x̂ = x(θ̂)` from `z0`.
+    fn x_at(&self, theta: f64, z0: [f64; 2]) -> f64 {
+        self.focus.at(theta / self.beta, z0)[0]
+    }
+}
+
+/// How far the unit start's `θ̂` must lie from 0 and π for
+/// [`LineEnclosure`] to scale it: a few `ENDPOINT_MARGIN`, so that every
+/// on-line start's own `θ̂`, a few ulps of direction away, stays inside
+/// the range where [`spiral_extremum`]'s accuracy argument holds.
+const LINE_MARGIN: f64 = 4.0 * ENDPOINT_MARGIN;
+
+/// Relative slack on the scaled margin, which covers the few-ulp
+/// difference between the scaled `A` and the one computed from the start
+/// itself.
+const LINE_SLACK: f64 = 1e-6;
+
+/// The extremum enclosure of every leg of one focus flow that starts
+/// exactly on the switching line `x + k y = 0` with `y` of one sign `σ`,
+/// from constants computed once for the unit start `(−k σ, σ)`.
+///
+/// A start on the line is `(fl(−k y0), y0)`, the unit start scaled by
+/// `s = |y0|` with one rounding in `x`. The flow is linear, so the leg
+/// is the unit leg scaled by `s`, and its enclosure is the unit's scaled:
+/// `[−sA₁ − m, sA₁ + m]` and `[s x̂₁ − m, s x̂₁ + m]` with
+/// `m = s m₁ (1 + δ) + f64::MIN_POSITIVE`. See the module header's
+/// Enclosure section for why these hold the bisection's `x`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LineEnclosure {
+    /// `−k`, as the landing `x = −k y` uses it.
+    neg_k: f64,
+    sigma: f64,
+    amp: f64,
+    /// `m₁ (1 + δ)` without the `MIN_POSITIVE` floor.
+    margin: f64,
+    x_hat: f64,
+    /// The largest `s` whose leg evaluation cannot overflow.
+    max_scale: f64,
+}
+
+impl LineEnclosure {
+    /// The constants for on-line legs of `flow` with `y` of the sign of
+    /// `z0[1]`. `None` where no leg gets a scaled enclosure: a node or
+    /// critical flow, a focus whose rebuild is not one, `y0 = 0`, a unit
+    /// `θ̂` within `LINE_MARGIN` of 0 or π, or a spiral so contracting
+    /// (`|α|/β` past ~4e9) that rounding `x0` can move `θ̂` by more than
+    /// `ENDPOINT_MARGIN`.
+    pub(crate) fn new(flow: &RegionFlow, k: f64, z0: [f64; 2]) -> Option<Self> {
+        let Spectrum::Focus { alpha, beta } = flow.spectrum() else { return None };
+        let sigma = if z0[1] > 0.0 {
+            1.0
+        } else if z0[1] < 0.0 {
+            -1.0
+        } else {
+            return None;
+        };
+        let neg_k = -k;
+        let unit = [neg_k * sigma, sigma];
+        let e = Enclosure::new(flow, unit)?;
+        if (1.0 + alpha.abs() / beta) * f64::EPSILON >= ENDPOINT_MARGIN {
+            return None;
+        }
+        let theta = e
+            .zero(sigma)
+            .filter(|t| (LINE_MARGIN..=std::f64::consts::PI - LINE_MARGIN).contains(t))?;
+        // Every product and sum evaluating a leg from `z0` (`c`, `h` and
+        // the matrix exponential's terms) is at most `g max(|x0|, |y0|)`.
+        let n = alpha * alpha + beta * beta;
+        let g = (1.0 + n + 3.0 * alpha.abs()) * (1.0 + 1.0 / beta);
+        Some(Self {
+            neg_k,
+            sigma,
+            amp: e.amp,
+            margin: e.width * e.amp * (1.0 + LINE_SLACK),
+            x_hat: e.x_at(theta, unit),
+            max_scale: f64::MAX / (8.0 * g * k.max(1.0)),
+        })
+    }
+
+    /// [`extremum_enclosed`] for the on-line leg from `z0`, from the
+    /// scaled constants, or `None` where the scaling does not apply: `z0`
+    /// not exactly `(fl(−k y0), y0)`, `y0` of the other sign, zero,
+    /// subnormal, not finite or past the overflow bound, or `x0`
+    /// subnormal or zero. The caller then asks [`extremum_enclosed`].
+    pub(crate) fn enclosed(
+        &self,
+        z0: [f64; 2],
+        mut inside: impl FnMut((f64, f64)) -> bool,
+    ) -> Option<bool> {
+        let [x0, y0] = z0;
+        let s = self.sigma * y0;
+        let scalable = (f64::MIN_POSITIVE..=self.max_scale).contains(&s)
+            && x0 == self.neg_k * y0
+            && x0.abs() >= f64::MIN_POSITIVE;
+        if !scalable {
+            return None;
+        }
+        let (amp, x) = (s * self.amp, s * self.x_hat);
+        let m = s * self.margin + f64::MIN_POSITIVE;
+        Some(inside((-amp - m, amp + m)) || inside((x - m, x + m)))
+    }
 }
 
 /// Closed-form zero of `h(θ) = y0 cos θ + c sin θ` in `(0, π)` for
@@ -567,6 +746,105 @@ mod tests {
         // The derived bound is ~4.4e-15; the margin is 1e-9.
         println!("{checked} focus legs, {finite} finite enclosures, worst miss {worst:e} A");
         assert!(worst < 1e-13, "worst relative miss {worst:e}");
+    }
+
+    #[test]
+    fn scaled_line_enclosure_contains_the_spiral_extremum() {
+        use std::f64::consts::PI;
+        let mut rng = 0x11e_e4c1_05ed_u64;
+        let (mut flows, mut scaled, mut checked, mut worst) = (0u64, 0u64, 0u64, 0.0_f64);
+        let mut widest_ratio = 0.0_f64;
+        for case in 0..100_000_u64 {
+            // beta over 9 decades, |alpha|/beta over 14 up to 1e8, alpha
+            // = 0 at times. The line slope k is the flow's own m/n (a BCN
+            // region's), free over 12 decades, or the one that puts the
+            // unit start's zero of h at a uniform angle in (0, pi), or
+            // within 2 LINE_MARGIN of 0 or pi.
+            let beta = 10f64.powf(-3.0 + 9.0 * unit(&mut rng));
+            let ratio = if case % 16 == 0 { 0.0 } else { 10f64.powf(-6.0 + 14.0 * unit(&mut rng)) };
+            let alpha = -beta * ratio;
+            let (m, n) = (-2.0 * alpha, alpha * alpha + beta * beta);
+            let flow = RegionFlow::from_mn(m, n);
+            let free = 10f64.powf(-6.0 + 12.0 * unit(&mut rng));
+            // The unit start's c is sigma (n k + alpha) / beta.
+            let theta = match case % 12 {
+                1 => 2.0 * LINE_MARGIN * unit(&mut rng),
+                4 => PI - 2.0 * LINE_MARGIN * unit(&mut rng),
+                _ => PI * unit(&mut rng),
+            };
+            let aimed = (-beta / theta.tan() - alpha) / n;
+            let k = match case % 3 {
+                0 if alpha != 0.0 => m / n,
+                1 if aimed > 0.0 => aimed,
+                _ => free,
+            };
+            let sigma = if splitmix64(&mut rng) & 1 == 0 { 1.0 } else { -1.0 };
+            let on_line = |y0: f64| [-k * y0, y0];
+            // The constants come from one start and serve every other
+            // start on the same side of the line, as in a trace.
+            let first = sigma * 10f64.powf(-300.0 + 600.0 * unit(&mut rng));
+            let Some(line) = LineEnclosure::new(&flow, k, on_line(first)) else { continue };
+            flows += 1;
+            for _ in 0..4 {
+                let z0 = on_line(sigma * 10f64.powf(-300.0 + 600.0 * unit(&mut rng)));
+                let Some(e) = region_extremum(&flow, z0) else { continue };
+                // Refusing every interval makes both bounds offered.
+                let mut offered = Vec::new();
+                let Some(enclosed) = line.enclosed(z0, |b| {
+                    offered.push(b);
+                    false
+                }) else {
+                    continue;
+                };
+                assert!(!enclosed);
+                scaled += 1;
+                widest_ratio = widest_ratio.max(ratio);
+                for &(lo, hi) in &offered {
+                    assert!(
+                        !(e.x < lo || e.x > hi),
+                        "case {case}: alpha {alpha:e}, beta {beta:e}, k {k:e}, z0 {z0:?}: \
+                         x {:e} outside [{lo:e}, {hi:e}]",
+                        e.x
+                    );
+                }
+                let (lo, hi) = offered[1];
+                let amp = z0[0].hypot((z0[1] - alpha * z0[0]) / beta);
+                if lo.is_finite() && hi.is_finite() && amp.is_normal() {
+                    checked += 1;
+                    let miss = (e.x - 0.5 * (lo + hi)).abs() / ((1.0 + ratio) * amp);
+                    worst = worst.max(miss);
+                }
+            }
+        }
+        println!(
+            "{flows} flows, {scaled} scaled legs up to |alpha|/beta {widest_ratio:e}, \
+             {checked} finite, worst miss {worst:e} A"
+        );
+        assert!(flows >= 60_000, "only {flows} flows got line constants");
+        assert!(scaled >= 240_000, "only {scaled} legs scaled");
+        assert!(widest_ratio > 5e7, "scaled legs reach |alpha|/beta {widest_ratio:e} only");
+        assert!(checked >= scaled / 2, "only {checked} of {scaled} enclosures finite");
+        assert!(worst < 1e-13, "worst relative miss {worst:e}");
+    }
+
+    #[test]
+    fn line_enclosure_refuses_starts_it_cannot_scale() {
+        let flow = RegionFlow::from_kn(0.2, 10.0);
+        let k = 0.2;
+        let line = LineEnclosure::new(&flow, k, [-k * 3.0, 3.0]).expect("a focus");
+        let enclosed = |z0| line.enclosed(z0, |_| true);
+        assert_eq!(enclosed([-k * 5.0, 5.0]), Some(true));
+        // Off the line by an ulp, the other side, zero, subnormal and
+        // non-finite `y0`, and past the overflow bound.
+        assert_eq!(enclosed([(-k * 5.0f64).next_up(), 5.0]), None);
+        assert_eq!(enclosed([k * 5.0, -5.0]), None);
+        for y0 in [0.0, f64::from_bits(1), 1e-310, f64::INFINITY, f64::NAN, 1e308] {
+            assert_eq!(enclosed([-k * y0, y0]), None, "y0 {y0:e}");
+        }
+        // No constants for node and critical flows, or for `y0 = 0`.
+        assert!(LineEnclosure::new(&RegionFlow::from_kn(1.5, 2.0), 1.5, [-1.5, 1.0]).is_none());
+        assert!(LineEnclosure::new(&RegionFlow::from_kn(1.0, 4.0), 1.0, [-1.0, 1.0]).is_none());
+        assert!(LineEnclosure::new(&flow, k, [0.0, 0.0]).is_none());
     }
 
     const ALPHA: f64 = -1.0;

@@ -21,6 +21,7 @@ use crate::extrema::{region_extremum, Extremum};
 use crate::model::Region;
 use crate::params::BcnParams;
 use crate::propagate::Propagator;
+use phaseplane::Mat2;
 use telemetry::{ExtremumKind, Telemetry};
 
 /// One maximal sojourn in a control region.
@@ -155,6 +156,18 @@ pub(crate) fn walk_legs<'a>(
     prop: &'a Propagator,
     start: [f64; 2],
     max_legs: usize,
+    visit: impl FnMut(&'a RegionFlow, Leg),
+) {
+    walk_legs_with(&mut HalfTurns::default(), params, prop, start, max_legs, visit);
+}
+
+/// [`walk_legs`] evaluating every leg end through `ends`.
+fn walk_legs_with<'a>(
+    ends: &mut HalfTurns,
+    params: &BcnParams,
+    prop: &'a Propagator,
+    start: [f64; 2],
+    max_legs: usize,
     mut visit: impl FnMut(&'a RegionFlow, Leg),
 ) {
     let k = params.k();
@@ -169,7 +182,7 @@ pub(crate) fn walk_legs<'a>(
         let flow = prop.flow(region);
         let duration = prop.crossing_time(region, p, leg_horizon(flow));
         let end = duration.map(|t| {
-            let mut z = flow.at(t, p);
+            let mut z = ends.at(region, flow, t, p);
             // Land exactly on the line to keep the next leg's region
             // decision clean.
             z[0] = -k * z[1];
@@ -180,6 +193,37 @@ pub(crate) fn walk_legs<'a>(
             Some(z) => p = z,
             None => break,
         }
+    }
+}
+
+/// Each region's `e^{Jt}` at the last leg duration asked of it. A focus
+/// leg entered on the switching line lasts exactly `pi / beta`, the same
+/// bits on every such leg ([`crossing_time`](crate::propagate::crossing_time)),
+/// so after a region's first one every further leg end is one product
+/// with the stored matrix: the bits `flow.at(t, z)` returns, since that
+/// is `flow.exp(t).mul_vec(z)`, without its `exp`, `sin_cos` and matrix
+/// build.
+#[derive(Debug, Default)]
+struct HalfTurns {
+    last: [Option<(f64, Mat2)>; 2],
+    /// Matrices built so far.
+    builds: usize,
+}
+
+impl HalfTurns {
+    /// `flow.at(t, z)` for `flow` the flow of `region`.
+    fn at(&mut self, region: Region, flow: &RegionFlow, t: f64, z: [f64; 2]) -> [f64; 2] {
+        let slot = &mut self.last[region.mode_index()];
+        let m = match *slot {
+            Some((t_last, m)) if t_last.to_bits() == t.to_bits() => m,
+            _ => {
+                self.builds += 1;
+                let m = flow.exp(t);
+                *slot = Some((t, m));
+                m
+            }
+        };
+        m.mul_vec(z)
     }
 }
 
@@ -445,6 +489,28 @@ mod tests {
         assert_eq!(legs[1].region, Region::Decrease);
         let e = legs[1].extremum.expect("overshoot extremum");
         assert!(e.x > 0.0);
+    }
+
+    #[test]
+    fn on_line_legs_reuse_one_half_turn_matrix_per_region() {
+        // Every leg after the first starts on the line, so only the first
+        // leg and each region's first half turn build a matrix.
+        let params = p();
+        let prop = Propagator::for_params(&params);
+        let mut ends = HalfTurns::default();
+        let mut legs = Vec::new();
+        walk_legs_with(&mut ends, &params, &prop, params.initial_point(), 48, |flow, leg| {
+            legs.push((*flow, leg));
+        });
+        assert_eq!(legs.len(), 48);
+        assert_eq!(ends.builds, 3, "a matrix per leg instead of per region");
+        // Every end has the bits of evaluating its own leg.
+        let k = params.k();
+        for (flow, leg) in &legs {
+            let mut z = flow.at(leg.duration.expect("focus legs cross"), leg.start);
+            z[0] = -k * z[1];
+            assert_eq!(leg.end.map(|e| e.map(f64::to_bits)), Some(z.map(f64::to_bits)));
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::cases::RegionShape;
 use crate::cases::{classify_params, region_shape, CaseId};
 use crate::closed_form::{RegionFlow, Spectrum};
-use crate::extrema::extremum_enclosed;
+use crate::extrema::{extremum_enclosed, LineEnclosure};
 use crate::model::Region;
 use crate::params::BcnParams;
 use crate::propagate::Propagator;
@@ -309,7 +309,10 @@ pub fn exact_verdict(params: &BcnParams, max_legs: usize) -> ExactVerdict {
 /// `legs.len() == verdict.legs`. A leg's `extremum` is `None` when the
 /// verdict did not need it: a spiral leg whose extremum enclosure lies
 /// strictly inside the running `(min_x, max_x)` cannot move either, so
-/// its bisection is skipped. Use
+/// its bisection is skipped. A leg entered on the switching line, which
+/// is every leg after the first, takes that enclosure scaled from its
+/// region's unit leg, computed once per trace (see the
+/// [`extrema`](crate::extrema) module's Enclosure section). Use
 /// [`trace_legs_into`](crate::rounds::trace_legs_into) for every extremum.
 ///
 /// `prop` must be the propagator of `params` (see
@@ -323,14 +326,22 @@ pub fn exact_verdict_scratch(
     legs: &mut Vec<Leg>,
 ) -> ExactVerdict {
     legs.clear();
+    let k = params.k();
     let mut max_x = f64::NEG_INFINITY;
     let mut min_x = f64::INFINITY;
+    // Per region, the scaled enclosure of its legs entered on the line,
+    // built at the first such leg.
+    let mut on_line: [Option<Option<LineEnclosure>>; 2] = [None, None];
     walk_legs(params, prop, params.initial_point(), max_legs, |flow, mut leg| {
-        if !legs.is_empty() {
+        // The first leg has no running extrema to lie inside.
+        let skip = !legs.is_empty() && {
             max_x = max_x.max(leg.start[0]);
             min_x = min_x.min(leg.start[0]);
-        }
-        let skip = skippable(flow, leg.start, min_x, max_x);
+            let unit = *on_line[leg.region.mode_index()]
+                .get_or_insert_with(|| LineEnclosure::new(flow, k, leg.start));
+            unit.and_then(|u| u.enclosed(leg.start, |e| strictly_inside(e, min_x, max_x)))
+                .unwrap_or_else(|| skippable(flow, leg.start, min_x, max_x))
+        };
         leg.extremum = if skip { None } else { interior_extremum(flow, &leg) };
         if let Some(e) = leg.extremum {
             max_x = max_x.max(e.x);
@@ -528,6 +539,25 @@ mod tests {
             let max_legs = 1 + (splitmix64(seed ^ 9) % 16) as usize;
             assert_matches_full_trace(&random_params(seed), max_legs, &format!("seed {seed:#x}"));
         }
+    }
+
+    #[test]
+    fn scaled_enclosures_leave_long_traces_bitwise_unchanged() {
+        // Random sets whose traces run 40 legs or more: every leg after
+        // the first starts on the line and is tested on its region's
+        // scaled constants.
+        let mut long = 0;
+        for s in 0..5_000 {
+            let p = random_params(splitmix64(0x5ca1_ed0e ^ s));
+            let mut legs = Vec::new();
+            let got = exact_verdict_scratch(&p, &Propagator::for_params(&p), 64, &mut legs);
+            if got.legs >= 40 {
+                long += 1;
+                assert_matches_full_trace(&p, 64, &format!("long trace {s}"));
+            }
+        }
+        println!("{long} traces of 40 legs or more");
+        assert!(long >= 4_000, "only {long} traces reach 40 legs");
     }
 
     #[test]
