@@ -298,14 +298,22 @@ pub(crate) fn canonical_dt(p: &BcnParams, t_end: f64) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `dt` or `t_end` are non-positive or `t_end` is not finite
-/// (an infinite horizon would saturate the count and never return).
+/// Panics if `dt` or `t_end` are non-positive, `t_end` is not finite or
+/// the count does not fit a `usize` (a cast would saturate it, and the
+/// run would never return).
 pub(crate) fn step_count(t_end: f64, dt: f64) -> usize {
     assert!(
         dt > 0.0 && t_end > 0.0 && t_end.is_finite(),
         "time step and horizon must be positive and finite"
     );
-    (t_end / dt).ceil() as usize
+    let steps = (t_end / dt).ceil();
+    // `usize::MAX as f64` rounds up to the first count that does not fit.
+    assert!(
+        steps < usize::MAX as f64,
+        "time step and horizon must be positive and finite, with a step count that fits a usize \
+         (t_end / dt = {steps:e})"
+    );
+    steps as usize
 }
 
 /// The saturating fluid step over a queue and the rates feeding it, with
@@ -673,6 +681,22 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "must be positive and finite")]
+    fn rejects_a_step_count_past_usize() {
+        // 1e300 steps used to saturate to usize::MAX and loop without end.
+        let _ = SaturatingFluid::new(params()).run(0.0, 1.0, 1.0, 1e-300, 1);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn step_counts_fit_below_two_to_the_64() {
+        assert_eq!(step_count(2f64.powi(63), 1.0), 1 << 63);
+        assert_eq!(step_count(1.0, 2f64.powi(-63)), 1 << 63);
+        let past = std::panic::catch_unwind(|| step_count(2f64.powi(64), 1.0));
+        assert!(past.is_err(), "2^64 steps do not fit");
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive and finite")]
     fn hetero_rejects_infinite_horizon() {
         let p = params();
         let n = p.n_flows as usize;
@@ -686,6 +710,23 @@ mod tests {
         // This used to overflow the state count.
         let p = params();
         let _ = DelayedBcn::new(p.clone(), 1e-3).run(p.initial_point(), f64::INFINITY, 1e-4);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive and finite")]
+    fn hetero_rejects_a_step_count_past_usize() {
+        let p = params();
+        let n = p.n_flows as usize;
+        let sys = HeteroBcn::new(p.clone(), FeedbackModel::Uniform);
+        let _ = sys.run(0.0, &vec![p.fair_share(); n], 1.0, 1e-300, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive and finite")]
+    fn delayed_rejects_a_step_count_past_usize() {
+        // This used to overflow the ring length `lag + 1`.
+        let p = params();
+        let _ = DelayedBcn::new(p.clone(), 1e-3).run(p.initial_point(), 1.0, 1e-300);
     }
 
     #[test]
