@@ -24,6 +24,7 @@ use dcesim::net::{NetReport, NetSim};
 use dcesim::sim::{SimConfig, SimReport, Simulation};
 use dcesim::time::{Duration, Time};
 use dcesim::topo::{compile, TopoSpec, Traffic};
+use plotkit::csv::CsvWriter;
 use plotkit::{Csv, Table};
 use telemetry::{Telemetry, TelemetryLevel};
 
@@ -369,12 +370,13 @@ pub(crate) fn atlas(args: &[String]) -> Result<String, CliError> {
     };
     let out_path = flags.get("out").map(str::to_string);
     flags.finish("atlas")?;
-    let mut csv =
-        out_path.as_ref().map(|_| Csv::new(&["gi", "gd", "criterion", "theorem1", "exact"]));
+    let columns = ["gi", "gd", "criterion", "theorem1", "exact"];
+    let mut csv = out_path.as_ref().map(|path| CsvWriter::create(path, &columns)).transpose()?;
     let mut granted = 0usize;
     let mut exact_ok = 0usize;
-    // The grid runs in row-major output order, whole rows at a time, so
-    // memory follows the block, not the grid. Within a block the exact
+    // The grid runs in row-major output order, whole rows at a time, and
+    // each block's CSV rows are written as it finishes, so memory follows
+    // the block, not the grid. Within a block the exact
     // switched-trajectory verdict (the expensive cell) fans out across
     // the configured worker count; the cheap closed-form criteria stay
     // inline.
@@ -402,7 +404,7 @@ pub(crate) fn atlas(args: &[String]) -> Result<String, CliError> {
                     f64::from(u8::from(c)),
                     f64::from(u8::from(t)),
                     f64::from(u8::from(e)),
-                ]);
+                ])?;
             }
         }
     }
@@ -411,8 +413,8 @@ pub(crate) fn atlas(args: &[String]) -> Result<String, CliError> {
         out,
         "atlas {grid}x{grid}: {exact_ok}/{total} strongly stable, criterion certifies {granted}"
     );
-    if let (Some(path), Some(csv)) = (&out_path, &csv) {
-        csv.save(path)?;
+    if let (Some(path), Some(csv)) = (&out_path, csv) {
+        csv.finish()?;
         let _ = writeln!(out, "wrote {path}");
     }
     Ok(out)
