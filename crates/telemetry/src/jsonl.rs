@@ -111,8 +111,49 @@ pub(crate) fn parse_num(token: &str) -> Option<f64> {
         "NaN" => Some(f64::NAN),
         "inf" => Some(f64::INFINITY),
         "-inf" => Some(f64::NEG_INFINITY),
-        _ => token.parse().ok(),
+        _ => parse_plain(token).or_else(|| token.parse().ok()),
     }
+}
+
+/// The powers of ten a double holds exactly: `10^0` to `10^22`.
+const EXACT_POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// A plain `-?d+(.d+)?` token of at most 15 significant digits and at
+/// most 22 fraction digits, by one IEEE division: its digits form an
+/// integer below `2^53` and the power of ten is exact, so the correctly
+/// rounded quotient is the correctly rounded value core's parse returns.
+/// `None` for every other token.
+fn parse_plain(token: &str) -> Option<f64> {
+    let (negative, digits) = match token.as_bytes() {
+        [b'-', rest @ ..] => (true, rest),
+        all => (false, all),
+    };
+    let (int, frac) = match digits.iter().position(|&b| b == b'.') {
+        Some(dot) if dot + 1 < digits.len() => (&digits[..dot], &digits[dot + 1..]),
+        Some(_) => return None,
+        None => (digits, &[][..]),
+    };
+    if int.is_empty() || frac.len() >= EXACT_POW10.len() {
+        return None;
+    }
+    let (mut mantissa, mut significant) = (0u64, 0);
+    for &b in int.iter().chain(frac) {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        mantissa = mantissa * 10 + u64::from(digit);
+        // Leading zeros are not significant.
+        significant += usize::from(mantissa != 0);
+        if significant > 15 {
+            return None;
+        }
+    }
+    let v = mantissa as f64 / EXACT_POW10[frac.len()];
+    Some(if negative { -v } else { v })
 }
 
 /// Serializes one event to a single JSONL line (no trailing newline).
@@ -1022,6 +1063,84 @@ mod tests {
         ] {
             assert!(check_schema_header(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn plain_number_fast_path_matches_core_parse_bitwise() {
+        let mut fast = 0;
+        let mut check = |token: &str| {
+            let core = token.parse::<f64>().ok().map(f64::to_bits);
+            assert_eq!(parse_num(token).map(f64::to_bits), core, "{token:?}");
+            if let Some(v) = parse_plain(token) {
+                assert_eq!(Some(v.to_bits()), core, "fast path on {token:?}");
+                fast += 1;
+            }
+        };
+        // Boundaries: 15 and 16 significant digits, signed zeros, leading
+        // and trailing zeros, 22 and 23 fraction digits, 10^22 and 10^23,
+        // and tokens only core's parse takes or nothing takes.
+        for token in [
+            "999999999999999",
+            "9999999999999999",
+            "123456789012345",
+            "1234567890123456",
+            "0.123456789012345",
+            "0.1234567890123456",
+            "12345678.9012345",
+            "12345678.90123456",
+            "9007199254740993",
+            "0",
+            "-0",
+            "0.0",
+            "-0.0",
+            "-0.000",
+            "007",
+            "-0007.2500",
+            "0.0000000000000000000001",
+            "0.00000000000000000000001",
+            "0.1234567890000000000000",
+            "10000000000000000000000",
+            "100000000000000000000000",
+            "1e22",
+            "1e23",
+            "1.",
+            ".5",
+            "-.5",
+            "+1",
+            "-",
+            "",
+            "--1",
+            "1.2.3",
+            "1_0",
+            "١",
+        ] {
+            check(token);
+        }
+        let mut draw = Draw(0x9a55_e5ca_1e0f_u64);
+        let mut token = String::new();
+        for _ in 0..1_000_000 {
+            token.clear();
+            if draw.below(2) == 0 {
+                token.push('-');
+            }
+            // Mostly within the fast path's reach, sometimes past it.
+            let (int_max, frac_max) = if draw.below(4) == 0 { (24, 26) } else { (9, 14) };
+            let zeros = draw.below(3);
+            for i in 0..1 + draw.below(int_max) {
+                let digit = if i < zeros { 0 } else { draw.below(10) };
+                token.push(char::from(b'0' + digit as u8));
+            }
+            if draw.below(3) != 0 {
+                token.push('.');
+                for _ in 0..1 + draw.below(frac_max) {
+                    // Runs of zeros as well as uniform digits.
+                    let digit = if draw.below(4) == 0 { 0 } else { draw.below(10) };
+                    token.push(char::from(b'0' + digit as u8));
+                }
+            }
+            check(&token);
+        }
+        assert!(fast >= 500_000, "only {fast} tokens took the fast path");
     }
 
     #[test]
