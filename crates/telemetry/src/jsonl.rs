@@ -121,39 +121,49 @@ const EXACT_POW10: [f64; 23] = [
     1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 ];
 
-/// A plain `-?d+(.d+)?` token of at most 15 significant digits and at
-/// most 22 fraction digits, by one IEEE division: its digits form an
-/// integer below `2^53` and the power of ten is exact, so the correctly
-/// rounded quotient is the correctly rounded value core's parse returns.
-/// `None` for every other token.
+/// A plain `-?d+(.d+)?` token of at most 15 significant digits, 22
+/// fraction digits and 19 digits in all, by one IEEE division: its
+/// digits form an integer below `10^15 < 2^53` and the power of ten is
+/// exact, so the correctly rounded quotient is the correctly rounded
+/// value core's parse returns. `None` for every other token.
 fn parse_plain(token: &str) -> Option<f64> {
     let (negative, digits) = match token.as_bytes() {
         [b'-', rest @ ..] => (true, rest),
         all => (false, all),
     };
-    let (int, frac) = match digits.iter().position(|&b| b == b'.') {
-        Some(dot) if dot + 1 < digits.len() => (&digits[..dot], &digits[dot + 1..]),
-        Some(_) => return None,
-        None => (digits, &[][..]),
-    };
-    if int.is_empty() || frac.len() >= EXACT_POW10.len() {
+    // With at most 19 digits the integer cannot overflow a u64.
+    if digits.len() > 19 {
         return None;
     }
-    let (mut mantissa, mut significant) = (0u64, 0);
-    for &b in int.iter().chain(frac) {
+    let mut mantissa = 0u64;
+    let int = fold_digits(digits, &mut mantissa);
+    let frac = match &digits[int..] {
+        [] => 0,
+        [b'.', rest @ ..] if !rest.is_empty() && fold_digits(rest, &mut mantissa) == rest.len() => {
+            rest.len()
+        }
+        _ => return None,
+    };
+    if int == 0 || mantissa >= 1_000_000_000_000_000 || frac >= EXACT_POW10.len() {
+        return None;
+    }
+    let v = mantissa as f64 / EXACT_POW10[frac];
+    Some(if negative { -v } else { v })
+}
+
+/// Folds the leading ASCII digits of `bytes` into `mantissa` and returns
+/// how many there were.
+fn fold_digits(bytes: &[u8], mantissa: &mut u64) -> usize {
+    let mut n = 0;
+    for &b in bytes {
         let digit = b.wrapping_sub(b'0');
         if digit > 9 {
-            return None;
+            break;
         }
-        mantissa = mantissa * 10 + u64::from(digit);
-        // Leading zeros are not significant.
-        significant += usize::from(mantissa != 0);
-        if significant > 15 {
-            return None;
-        }
+        *mantissa = *mantissa * 10 + u64::from(digit);
+        n += 1;
     }
-    let v = mantissa as f64 / EXACT_POW10[frac.len()];
-    Some(if negative { -v } else { v })
+    n
 }
 
 /// Serializes one event to a single JSONL line (no trailing newline).
@@ -1076,9 +1086,10 @@ mod tests {
                 fast += 1;
             }
         };
-        // Boundaries: 15 and 16 significant digits, signed zeros, leading
-        // and trailing zeros, 22 and 23 fraction digits, 10^22 and 10^23,
-        // and tokens only core's parse takes or nothing takes.
+        // Boundaries: 15 and 16 significant digits, 19 and 20 digits in
+        // all, signed zeros, leading and trailing zeros, 22 and 23
+        // fraction digits, 10^22 and 10^23, and tokens only core's parse
+        // takes or nothing takes.
         for token in [
             "999999999999999",
             "9999999999999999",
@@ -1089,6 +1100,10 @@ mod tests {
             "12345678.9012345",
             "12345678.90123456",
             "9007199254740993",
+            "9999999999999999999",
+            "99999999999999999999",
+            "999999999999999.9999",
+            "0.000000000000000001",
             "0",
             "-0",
             "0.0",
