@@ -93,7 +93,7 @@
 //! line, at `z0 = (fl(−k y0), y0)`, and within one region `y0` always has
 //! the same sign `σ` ([`departing_region`](crate::rounds::departing_region)).
 //! Such a start is the unit start `u = (−kσ, σ)` (exact) scaled by
-//! `s = |y0|`, with one rounding in `x0`. [`LineEnclosure`] computes `A₁`,
+//! `s = |y0|`, with one rounding in `x0`. `LineEnclosure` computes `A₁`,
 //! `m₁ = 1e-9 (1 + |α|/β) A₁` and `x̂₁` once for `u` and encloses each such
 //! leg in `[−sA₁ − m, sA₁ + m]` and `[s x̂₁ − m, s x̂₁ + m]`, with
 //! `m = s m₁ (1 + δ) + f64::MIN_POSITIVE` and `δ = 1e-6`. The flow is
@@ -114,9 +114,9 @@
 //!
 //! So the scaled bounds and the direct ones differ by a few ulps relative
 //! to `(1 + |α|/β) A`, ~10⁵× below the margin. Where a premise fails, the
-//! scaling is refused and the leg takes [`extremum_enclosed`]: the first
-//! leg (its caller's rule), a start not exactly on the line, `y0` of the
-//! other sign, zero, subnormal or not finite, `x0` zero or subnormal (its
+//! scaling is refused and the leg takes [`extremum_enclosed`]: a start
+//! not exactly on the line, `y0` of the other sign, zero, subnormal or
+//! not finite, `x0` zero or subnormal (its
 //! rounding is no longer relative), `s` past a per-region bound beyond
 //! which an intermediate of the leg's own evaluation could overflow, a
 //! node or critical flow, a unit `θ̂` within `4 ENDPOINT_MARGIN` of 0 or

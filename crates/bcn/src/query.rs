@@ -24,8 +24,8 @@
 //!   shards (one lock each) × 64 sets × 4 ways = 4096 answers, a
 //!   second-chance bit per slot, a CLOCK hand per set, and each key stored
 //!   once, in its slot. It holds answers, not propagators, because a
-//!   trace costs ~13 µs at 48 legs and a propagator build ~80 ns, about
-//!   what a memo hit costs. [`cache_stats`] sums its traffic.
+//!   trace costs ~4 µs at 48 legs, ~50× a propagator build (~80 ns,
+//!   about what a memo hit costs). [`cache_stats`] sums its traffic.
 //! * [`query_to_jsonl`]/[`answer_from_jsonl`] and friends — a flat JSONL
 //!   codec on `telemetry`'s record reader and number formatter
 //!   (schema-v2 header, `{v:?}` floats with `NaN`/`inf`/`-inf` tokens) whose
@@ -376,7 +376,7 @@ impl<'a> QueryBatch<'a> {
     }
 
     /// Traces query `i` with a freshly built propagator: a build costs
-    /// ~80 ns against the ~13 µs trace it serves.
+    /// ~80 ns against the ~4 µs trace it serves.
     fn answer_one(&self, ws: &mut QueryWorkspace, i: usize) -> StabilityAnswer {
         let q = &self.queries[i];
         let v = exact_verdict_scratch(

@@ -333,8 +333,10 @@ pub fn exact_verdict_scratch(
     // built at the first such leg.
     let mut on_line: [Option<Option<LineEnclosure>>; 2] = [None, None];
     walk_legs(params, prop, params.initial_point(), max_legs, |flow, mut leg| {
-        // The first leg has no running extrema to lie inside.
-        let skip = !legs.is_empty() && {
+        let skip = if legs.is_empty() {
+            // The first leg has no running extrema to lie inside.
+            false
+        } else {
             max_x = max_x.max(leg.start[0]);
             min_x = min_x.min(leg.start[0]);
             let unit = *on_line[leg.region.mode_index()]
