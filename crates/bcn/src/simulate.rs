@@ -11,6 +11,95 @@
 //!   saturated queue derivative. This is what the dashed segments of the
 //!   paper's Fig. 3 (curves l3/l4 pinned at the walls) correspond to, and
 //!   it provides the drop ground truth for the criterion experiments.
+//!
+//! # Settling certificate
+//!
+//! `drop_verdicts_lockstep` retires a lane before its horizon ends,
+//! with verdict `false`, once its state provably cannot reach the buffer
+//! wall, the empty wall or the rate floor for the rest of any horizon.
+//! The argument runs in deviation coordinates `x = q − q0`, `y = R − C`,
+//! with `σ = −x − k y`, `g = a` where `σ > 0` and `g = bC` where `σ ≤ 0`
+//! (the linearised law; a lane with the nonlinear one gets no
+//! certificate).
+//!
+//! *Invariant.* Off the walls, `Recurrence::step` is `z' = M_g z` with
+//! `M_g = [[1, dt], [−g dt, 1 − g k dt]]`. Take
+//! `Q_g(x, y) = g x² + g k x y + y² = g (x + k y/2)² + s_g² y²`, with
+//! `s_g² = 1 − g k²/4`. It equals `ω(z, M_g z)/(−dt)` for
+//! `ω(u, v) = u₁v₂ − u₂v₁`, and `ω(Mu, Mv) = det M · ω(u, v)`, so
+//! `Q_g(M_g z) = δ_g Q_g(z)` exactly, with
+//! `δ_g = det M_g = 1 − g dt (k − dt)`. Where `g k² < 4`, `Q_g` is
+//! positive definite, with `|y| ≤ √Q_g/s_g` and `|x| ≤ √Q_g/(√g s_g)`.
+//! On the line `σ = 0` both forms equal `y²`. Let `V = Q_g(z)`, with
+//! `g` the region of `z`.
+//!
+//! *Switch step.* From `z` in region `g` to `z' = M_g z` in region `h`,
+//! `Q_h(z') = δ_g Q_g(z) − (h − g) x' σ'`. Since
+//! `σ' = (1 − g k dt) σ − dt y` and `σ`, `σ'` lie on opposite sides,
+//! `|σ| ≤ c_g |y|` with `c_g = dt/(1 − g k dt)` and `|σ'| ≤ dt |y|`;
+//! also `|x'| = |σ + (k − dt) y| ≤ (k + c_g) |y|`. So `V' ≤ J_g V`, with
+//! `J_g = δ_g + |h − g| c_g (k + c_g)/s_g²`.
+//!
+//! *Visit length.* In the coordinates where `Q_h = u² + v²`, `M_h` is
+//! `√δ_h` times a rotation by `θ_h`, with
+//! `tan θ_h = dt √h s_h/(1 − h k dt/2)`. A region is a half-plane: an arc
+//! of π. Pulled back one step, the entry state `z'` has
+//! `σ(M_h⁻¹ z') = δ_g σ(z)/δ_h`, on the side it came from, so `z'` lies
+//! within `θ_h` of the arc's entry end, and the visit holds at least
+//! `N_h − 1` states, `N_h = ⌊π/θ_h⌋`. A visit to `g` with the switch out
+//! of it multiplies `V` by at most `ρ_g = δ_g^(N_g − 2) J_g`. Where
+//! `ρ_a, ρ_b < 1`, no later `V` exceeds `max(1, J_a, J_b)` times the
+//! present one: the present visit only shrinks it, its switch multiplies
+//! it by at most `J`, and each later visit with its switch shrinks it.
+//!
+//! *Extents.* Let `W = √V` stay below `W_max` from now on. In region `b`,
+//! `x ≤ W_max/(√(bC) s_b)`; in region `a`, `σ > 0` gives
+//! `x < −k y ≤ k W_max/s_a`. Mirrored, `x ≥ −W_max/(√a s_a)` in `a` and
+//! `x ≥ −k W_max/s_b` in `b`, and `|y| ≤ W_max/min(s_a, s_b)`. The lane
+//! retires when these lie strictly inside `(−q0, B − q0)` and `|y| < C`.
+//! Then no later step reaches a wall, the queue clamp or the rate floor,
+//! so every step stays the linear one above, and the run never drops.
+//!
+//! *Rounding.* The lane steps the floating-point recurrence, not `M_g`.
+//! With `u = 2⁻⁵³`, `M = max(B, q0)` and `|y| < C`, one computed step
+//! differs from `M_g z` by at most `E_x = u (B + 3 C dt)` in `x` and
+//! `E_y = 2uC + g_max dt (4u (M + kC) + ε_σ)` in `y`, where
+//! `ε_σ = 3u (M + 2kC)` bounds the computed σ's error. So the kernel's
+//! region can differ from the sign of the exact `σ` only within `ε_σ`
+//! of the line. Take `V = Q_g(z)` for the region the kernel steps `z`
+//! in. In `√Q`-norm a step's error is at most `√g_max E_x + E_y`; a
+//! switch from or to a state the kernel places on the wrong side adds at
+//! most `|a − bC| ε_σ (4k/s + ε_σ/W)` more, which is below
+//! `|a − bC| ε_σ 4k/s + √|a − bC| ε_σ` where `W ≥ W_c`. `E_W` is twice
+//! the sum of these terms and of `√g_max ε_σ` and `4 g_max dt ε_σ`, which
+//! the two conditions below need. Take `τ = min θ_g/(4 N_g + 16)` and
+//! `W_c = E_W/τ`. While `W ≥ W_c`:
+//!
+//! * a step adds at most `τ W`: steps within a visit multiply `W` by at
+//!   most `√δ_g + τ`, and switch steps by at most `√J_g + τ`;
+//! * a step's error turns the state by at most `2τ`, a state within
+//!   `ε_σ` of the line lies within `2τ` of it (`√g_max ε_σ ≤ τ W`), and
+//!   no two consecutive states do (`σ` moves by about `dt W ≥ 8 ε_σ`
+//!   per step there). The entry then lies within `2θ_h + 6τ` of the
+//!   arc's end, and since `(2 N_h + 4) τ < θ_h` the visit holds at least
+//!   `N_h − 2` states, one fewer than in exact arithmetic.
+//!
+//! So the certificate requires `(√δ_g + τ)^(N_g − 3) (√J_g + τ) < 1` for
+//! both regions. Below `W_c` a step still multiplies `W` by at most
+//! `√J_g` and adds at most `E_W`, so the trajectory re-enters `W ≥ W_c`
+//! below `(√J_g + τ) W_c`. With `K = max(1, √J_a + τ, √J_b + τ)`, every
+//! later `W` is then below `K max(W_now, K W_c)`. The slack does not
+//! grow with the remaining steps: the contraction absorbs each step's
+//! error. The check also inflates `W` by `64u/s²` (evaluating `V`, the
+//! extents and the constants, each a few roundings; `V` is at least
+//! `s²/4` times the sum of its terms' sizes), deducts `ε_σ` from the
+//! wall distances, and demands the visit condition with a relative
+//! margin of `(4 N_g + 16) u` for the power. The constants are built
+//! once per cell in `Lane::start`; a lane with `dt ≥ k`, a node
+//! region (`g k² ≥ 4`), `g k dt > 1/2` or a visit condition that fails
+//! steps to the end of its horizon as before. On the perfbench atlas the
+//! extents of the floor `K² W_c` reach at most ~0.3% of the room to
+//! either wall and of `C`.
 
 use odesolve::hybrid::{integrate_hybrid_telemetry, HybridSolution};
 use odesolve::{Dopri5, Options, SolveError};
@@ -408,10 +497,158 @@ impl Recurrence {
 /// independent chains lets the core overlap their latencies.
 const LANES: usize = 4;
 
-/// Steps the lanes take between checks for a drop or a finished horizon.
-/// A lane may run up to this many steps past its first drop; the verdict
-/// is already settled then, so the cost is bounded and the answer exact.
+/// Steps the lanes take between checks for a drop, a settled state or a
+/// finished horizon. A lane may run up to this many steps past its first
+/// drop; the verdict is already settled then, so the cost is bounded and
+/// the answer exact.
 const BLOCK: usize = 256;
+
+/// The unit roundoff `u = 2⁻⁵³` of the certificate's rounding argument.
+const UNIT: f64 = f64::EPSILON / 2.0;
+
+/// The certificate's constants for one region of the linearised step
+/// (module docs, "Settling certificate"): gain `g`, leaving towards the
+/// region of gain `h`.
+#[derive(Debug, Clone, Copy)]
+struct RegionBound {
+    g: f64,
+    /// `s_g = √(1 − g k²/4)`.
+    s: f64,
+    /// `δ_g = det M_g`: the exact factor of `Q_g` per step in the region.
+    delta: f64,
+    /// `J_g`: the bound on `V'/V` over a step that leaves the region.
+    jump: f64,
+    /// `θ_g`: the turn of one step in the normal coordinates of `M_g`.
+    theta: f64,
+    /// `N_g = ⌊π/θ_g⌋`, rounded down through the evaluation error.
+    turns: f64,
+}
+
+impl RegionBound {
+    /// `None` where the argument does not apply: `dt ≥ k`, a node
+    /// region (`g k² ≥ 4`), `g k dt > 1/2`, fewer than 4 steps per half
+    /// turn, or a value that is not finite.
+    fn new(g: f64, h: f64, k: f64, dt: f64) -> Option<Self> {
+        let (gk, gkdt) = (g * k, g * k * dt);
+        if !(dt > 0.0 && dt < k && g > 0.0 && gk * k < 4.0 && gkdt <= 0.5 && h.is_finite()) {
+            return None;
+        }
+        let s = (1.0 - gk * k / 4.0).sqrt();
+        let c = dt / (1.0 - gkdt);
+        let theta = (dt * g.sqrt() * s).atan2(1.0 - gkdt / 2.0);
+        let turns = (std::f64::consts::PI / theta * (1.0 - 16.0 * UNIT)).floor();
+        let bound = Self {
+            g,
+            s,
+            delta: 1.0 - g * dt * (k - dt),
+            jump: 1.0 - g * dt * (k - dt) + (h - g).abs() * c * (k + c) / (s * s),
+            theta,
+            turns,
+        };
+        (turns >= 4.0 && bound.jump.is_finite()).then_some(bound)
+    }
+
+    /// The largest relative error per step, `τ_g = θ_g/(4 N_g + 16)`,
+    /// at which visits keep `N_g − 2` states.
+    fn tau(&self) -> f64 {
+        self.theta / (4.0 * self.turns + 16.0)
+    }
+
+    /// Whether a visit and the switch out of it shrink `W = √V` at
+    /// relative error `tau` per step, with margin for the power's own
+    /// rounding.
+    fn contracts(&self, tau: f64) -> bool {
+        let inside = self.delta.sqrt() + tau;
+        let visit = inside.powf(self.turns - 3.0) * (self.jump.sqrt() + tau);
+        inside < 1.0 && visit * (1.0 + (4.0 * self.turns + 16.0) * UNIT) < 1.0
+    }
+}
+
+/// One lane's settling certificate (module docs), built once per cell:
+/// a bound `grow · max(√V, floor)` on every later `√V`, and what that
+/// bound must stay below to keep the run off the walls.
+#[derive(Debug, Clone, Copy)]
+struct Certificate {
+    /// `(g, g k)` of the increase (`σ > 0`) and decrease regions.
+    increase: (f64, f64),
+    decrease: (f64, f64),
+    /// `K`, inflated by the evaluation slack.
+    grow: f64,
+    /// `K W_c`: the bound's floor, where rounding can steer the state.
+    floor: f64,
+    /// Extents per unit of the bound: above `q0`, below it, and of `|y|`.
+    up: f64,
+    down: f64,
+    swing: f64,
+    /// Room to the buffer wall, the empty wall and the rate floor.
+    up_room: f64,
+    down_room: f64,
+    swing_room: f64,
+}
+
+impl Certificate {
+    /// The certificate of a lane stepping `r` at `dt`, or `None` where the
+    /// argument does not apply.
+    fn new(r: &Recurrence, dt: f64) -> Option<Self> {
+        if r.linearity != Linearity::Linearized {
+            return None;
+        }
+        let (k, gb) = (r.k, r.b * r.cap);
+        let inc = RegionBound::new(r.a, gb, k, dt)?;
+        let dec = RegionBound::new(gb, r.a, k, dt)?;
+        let tau = inc.tau().min(dec.tau());
+        if !(inc.contracts(tau) && dec.contracts(tau)) {
+            return None;
+        }
+        let g_max = inc.g.max(dec.g);
+        let s_min = inc.s.min(dec.s);
+        let gap = (inc.g - dec.g).abs();
+        let m = r.buffer.max(r.q0);
+        let e_sigma = 3.0 * UNIT * (m + 2.0 * k * r.cap);
+        let e_x = UNIT * (r.buffer + 3.0 * r.cap * dt);
+        let e_y = 2.0 * UNIT * r.cap + g_max * dt * (4.0 * UNIT * (m + k * r.cap) + e_sigma);
+        let e_w = 2.0
+            * (g_max.sqrt() * (e_x + e_sigma)
+                + e_y
+                + gap * e_sigma * 4.0 * k / s_min
+                + gap.sqrt() * e_sigma
+                + 4.0 * g_max * dt * e_sigma);
+        let k_tau = (inc.jump.sqrt() + tau).max(dec.jump.sqrt() + tau).max(1.0);
+        let room = 1.0 - 4.0 * UNIT;
+        let cert = Self {
+            increase: (inc.g, inc.g * k),
+            decrease: (dec.g, dec.g * k),
+            grow: k_tau * (1.0 + 64.0 * UNIT / (s_min * s_min)),
+            floor: k_tau * e_w / tau,
+            up: (1.0 / (dec.g.sqrt() * dec.s)).max(k / inc.s),
+            down: (1.0 / (inc.g.sqrt() * inc.s)).max(k / dec.s),
+            swing: 1.0 / s_min,
+            up_room: (r.buffer - r.q0 - e_sigma) * room,
+            down_room: (r.q0 - e_sigma) * room,
+            swing_room: r.cap * room,
+        };
+        cert.floor.is_finite().then_some(cert)
+    }
+
+    /// `W = √V` at `(q, rate)`, in the region the next step takes from
+    /// the σ it computes.
+    fn root_v(&self, r: &Recurrence, q: f64, rate: f64) -> f64 {
+        let (g, gk) = if r.wall(q, rate, 0.0).sigma > 0.0 { self.increase } else { self.decrease };
+        let (x, y) = (q - r.q0, rate - r.cap);
+        (g * x * x + gk * x * y + y * y).sqrt()
+    }
+
+    /// Whether no later step from `(q, rate)` can reach a wall, the
+    /// queue clamp or the rate floor. Kept out of line: it runs once per
+    /// block, and the step loop stays as compact as before.
+    #[inline(never)]
+    fn settled(&self, r: &Recurrence, q: f64, rate: f64) -> bool {
+        let w = self.grow * self.root_v(r, q, rate).max(self.floor);
+        w * self.up < self.up_room
+            && w * self.down < self.down_room
+            && w * self.swing < self.swing_room
+    }
+}
 
 /// One kernel lane: a cell's state while it is being stepped. The
 /// all-zero default is an idle lane; stepping it keeps every value zero.
@@ -425,6 +662,7 @@ struct Lane {
     left: usize,
     dropped: bool,
     cell: usize,
+    cert: Option<Certificate>,
 }
 
 impl Lane {
@@ -441,7 +679,16 @@ impl Lane {
             dt,
             dropped: false,
             cell,
+            cert: Certificate::new(&r, dt),
         }
+    }
+
+    /// Whether the lane's verdict is settled: it dropped, its horizon
+    /// ended, or its certificate shows it never will drop.
+    fn done(&self) -> bool {
+        self.dropped
+            || self.left == 0
+            || self.cert.is_some_and(|c| c.settled(&self.r, self.q, self.rate))
     }
 }
 
@@ -449,19 +696,28 @@ impl Lane {
 /// `i`, without building the trajectories.
 ///
 /// Dropped bits only accumulate, so a cell's verdict is settled at its
-/// first step with a positive drop volume; the kernel retires the cell
-/// there, or at the end of its horizon, and refills the lane with the
-/// next cell. Each lane runs exactly the step sequence of
-/// [`SaturatingFluid::run`], so the verdicts equal `has_drops()` bit for
-/// bit.
+/// first step with a positive drop volume. A linearised cell's verdict
+/// is also settled, as `false`, once its settling certificate (module
+/// docs) shows that no later step can reach a wall. The kernel checks
+/// both every [`BLOCK`] steps, retires the cell there, or at the end of
+/// its horizon, and refills the lane with the next cell. Each lane runs
+/// exactly the step sequence of [`SaturatingFluid::run`], and a retired
+/// lane's remaining steps provably never drop, so the verdicts equal
+/// `has_drops()` bit for bit.
 ///
 /// # Panics
 ///
 /// Panics like [`SaturatingFluid::run_canonical`] on a non-positive or
 /// non-finite horizon.
 pub(crate) fn drop_verdicts_lockstep(cells: &[(SaturatingFluid, f64)]) -> Vec<bool> {
+    lockstep(cells).0
+}
+
+/// [`drop_verdicts_lockstep`], also returning the lane-steps it took.
+fn lockstep(cells: &[(SaturatingFluid, f64)]) -> (Vec<bool>, usize) {
     let mut out = vec![false; cells.len()];
     let mut next = 0;
+    let mut steps = 0;
     let mut lanes = [Lane::default(); LANES];
     loop {
         for lane in &mut lanes {
@@ -471,10 +727,11 @@ pub(crate) fn drop_verdicts_lockstep(cells: &[(SaturatingFluid, f64)]) -> Vec<bo
                 next += 1;
             }
         }
-        let Some(block) = lanes.iter().filter(|l| l.left > 0).map(|l| l.left.min(BLOCK)).min()
-        else {
-            return out;
+        let live = lanes.iter().filter(|l| l.left > 0);
+        let Some(block) = live.clone().map(|l| l.left.min(BLOCK)).min() else {
+            return (out, steps);
         };
+        steps += block * live.count();
         for _ in 0..block {
             for lane in &mut lanes {
                 let (wall, rate) = lane.r.step(lane.q, lane.rate, lane.dt);
@@ -485,7 +742,7 @@ pub(crate) fn drop_verdicts_lockstep(cells: &[(SaturatingFluid, f64)]) -> Vec<bo
         }
         for lane in lanes.iter_mut().filter(|l| l.left > 0) {
             lane.left -= block;
-            if lane.dropped || lane.left == 0 {
+            if lane.done() {
                 out[lane.cell] = lane.dropped;
                 *lane = Lane::default();
             }
@@ -495,6 +752,8 @@ pub(crate) fn drop_verdicts_lockstep(cells: &[(SaturatingFluid, f64)]) -> Vec<bo
 
 #[cfg(test)]
 mod tests {
+    use std::f64::consts::PI;
+
     use super::*;
     use crate::delay::DelayedBcn;
     use crate::hetero::{FeedbackModel, HeteroBcn};
@@ -809,5 +1068,279 @@ mod tests {
             let cells = [(model.clone(), horizon(n))];
             assert_eq!(stability::fluid_drop_verdicts(&cells), [want], "horizon of {n} steps");
         }
+    }
+
+    fn splitmix64(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The `k`-th uniform draw from `lo..hi` of the case seeded `seed`.
+    fn uniform(seed: u64, k: u64, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * ((splitmix64(seed ^ splitmix64(k)) >> 11) as f64 / (1u64 << 53) as f64)
+    }
+
+    /// A log-uniform draw from `lo..hi`.
+    fn log_uniform(seed: u64, k: u64, lo: f64, hi: f64) -> f64 {
+        uniform(seed, k, lo.ln(), hi.ln()).exp()
+    }
+
+    /// `Q_g(x, y) = g x² + g k x y + y²`.
+    fn q_form(g: f64, k: f64, [x, y]: [f64; 2]) -> f64 {
+        g * x * x + g * k * x * y + y * y
+    }
+
+    /// One step of the exact-form switched map in deviation coordinates:
+    /// `M_g z` with `g` picked by the sign of `σ = −x − k y`.
+    fn switched_step(a: f64, gb: f64, k: f64, dt: f64, [x, y]: [f64; 2]) -> (f64, [f64; 2]) {
+        let sigma = -x - k * y;
+        let g = if sigma > 0.0 { a } else { gb };
+        (g, [x + dt * y, y + g * dt * sigma])
+    }
+
+    #[test]
+    fn q_form_shrinks_by_exactly_delta_per_step() {
+        for s in 0..2_000 {
+            let seed = splitmix64(0x0de1_7a00 ^ s);
+            let g = log_uniform(seed, 1, 1e-2, 1e8);
+            let k = uniform(seed, 2, 0.01, 1.73) / g.sqrt();
+            let dt = uniform(seed, 3, 0.01, 0.99) * k;
+            let z = [uniform(seed, 4, -1e3, 1e3), uniform(seed, 5, -1e3, 1e3) * g.sqrt()];
+            let b = RegionBound::new(g, g, k, dt);
+            let delta = 1.0 - g * dt * (k - dt);
+            let next = [z[0] + dt * z[1], z[1] + g * dt * (-z[0] - k * z[1])];
+            let ratio = q_form(g, k, next) / q_form(g, k, z);
+            assert!(
+                (ratio - delta).abs() <= 1e-12 * delta,
+                "seed {seed:#x}: Q ratio {ratio} vs delta {delta} (g {g}, k {k}, dt {dt})"
+            );
+            if let Some(b) = b {
+                assert_eq!(b.delta, delta, "seed {seed:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn switched_orbits_respect_the_jump_and_visit_bounds() {
+        // Along each orbit of the exact-form map whose regions pass the
+        // certificate's visit condition (`δ^(N−3) J < 1` at no rounding
+        // slack), no value exceeds `max(1, J_a, J_b)` times any
+        // earlier one, and every visit but the first and the cut last one
+        // holds at least `N_g − 1` states and ends, after its switch, below
+        // the value it started at. The family must contain a
+        // switch where V rises; there the jump term is what keeps the
+        // first bound true.
+        let (mut orbits, mut rises) = (0, 0);
+        for s in 0..400 {
+            let seed = splitmix64(0x5e77_1ed0 ^ s);
+            let a = log_uniform(seed, 1, 1.0, 1e6);
+            let gb = a * log_uniform(seed, 2, 0.01, 100.0);
+            let k = log_uniform(seed, 3, 0.05, 1.5) / a.max(gb).sqrt();
+            let dt = uniform(seed, 4, 0.2, 0.95) * k;
+            let (Some(inc), Some(dec)) =
+                (RegionBound::new(a, gb, k, dt), RegionBound::new(gb, a, k, dt))
+            else {
+                continue;
+            };
+            if !(inc.contracts(0.0) && dec.contracts(0.0)) {
+                continue;
+            }
+            orbits += 1;
+            let bound = inc.jump.max(dec.jump).max(1.0);
+            let mut z = [uniform(seed, 5, -1.0, 1.0), uniform(seed, 6, -1.0, 1.0) * a.sqrt()];
+            // (gain, V) of each state, and the start index of each visit.
+            let mut states = Vec::new();
+            let mut visits = vec![0];
+            while visits.len() < 24 {
+                let (g, next) = switched_step(a, gb, k, dt, z);
+                if states.last().is_some_and(|&(h, _)| h != g) {
+                    visits.push(states.len());
+                }
+                states.push((g, q_form(g, k, z)));
+                z = next;
+            }
+            let mut later = 0.0_f64;
+            for (n, &(g, v)) in states.iter().enumerate().rev() {
+                assert!(later <= bound * v * (1.0 + 1e-12), "seed {seed:#x}: state {n} of {g}");
+                later = later.max(v);
+            }
+            for w in visits.windows(3) {
+                let (len, g) = (w[2] - w[1], states[w[1]].0);
+                let turns = if g == a { inc.turns } else { dec.turns };
+                assert!(len as f64 >= turns - 1.0, "seed {seed:#x}: visit of {len} in {g}");
+                // A whole visit with the switch out of it shrinks V.
+                let (v0, v1) = (states[w[1]].1, states[w[2]].1);
+                assert!(v1 < v0, "seed {seed:#x}: V {v0} to {v1} over a visit of {len} in {g}");
+            }
+            rises += visits[1..].iter().filter(|&&n| states[n].1 > states[n - 1].1).count();
+        }
+        assert!(orbits >= 200 && rises >= 100, "{orbits} orbits, {rises} rising switches");
+    }
+
+    #[test]
+    fn q_form_decays_at_g_k_along_exact_legs() {
+        // dQ_g/dt = −g k Q_g, so along the exact trace every leg ends with
+        // `Q` at `e^{−g k t}` times its start: per half turn of a spiral,
+        // the squared amplitude factor `e^{2απ/β}` of the paper's
+        // `e^{απ/β}`.
+        let mut legs = Vec::new();
+        let mut worst = 0.0_f64;
+        for i in 0..2048 {
+            let p = BcnParams::test_defaults()
+                .with_capacity(1.0e6 + i as f64)
+                .with_gi(1.0 + (i % 7) as f64 * 0.25);
+            let prop = crate::propagate::Propagator::for_params(&p);
+            crate::rounds::trace_legs_into(&p, &prop, p.initial_point(), 48, &mut legs, None);
+            let k = p.k();
+            for leg in legs.iter().skip(1) {
+                let g = match leg.region {
+                    crate::model::Region::Increase => p.a(),
+                    crate::model::Region::Decrease => p.b() * p.capacity,
+                };
+                let (Some(end), Some(t)) = (leg.end, leg.duration) else { continue };
+                let (q0, q1) = (q_form(g, k, leg.start), q_form(g, k, end));
+                let miss = (q1 - (-g * k * t).exp() * q0).abs() / q0;
+                worst = worst.max(miss);
+                assert!(miss < 1e-12, "family {i}: Q {q1} vs {q0} e^(-gkt), t = {t}");
+            }
+        }
+        assert!(worst > 0.0, "no on-line leg checked");
+    }
+
+    /// A random cell for the kernel oracle: gains, switching line and
+    /// buffer drawn around both sides of every certificate condition,
+    /// one in five with the nonlinear law.
+    fn random_cell(seed: u64) -> (SaturatingFluid, f64) {
+        let capacity = log_uniform(seed, 1, 1e5, 1e8);
+        let n_flows = 1 + (splitmix64(seed) % 59) as u32;
+        let (ru, pm) = (log_uniform(seed, 2, 1e2, 1e6), uniform(seed, 3, 0.005, 1.0));
+        let beta_a = log_uniform(seed, 4, 10.0, 1e4);
+        let beta_b = beta_a * log_uniform(seed, 5, 1.0 / 3.0, 3.0);
+        // √g_max k from 1e-3 (dt ≥ k) to 3 (a node region).
+        let k = log_uniform(seed, 6, 1e-3, 3.0) / beta_a.max(beta_b);
+        let q0 = log_uniform(seed, 7, 1e3, 1e7);
+        let buffer = q0 * (1.0 + log_uniform(seed, 8, 0.05, 20.0));
+        let p = BcnParams {
+            n_flows,
+            capacity,
+            q0,
+            buffer,
+            gi: beta_a * beta_a / (ru * f64::from(n_flows)),
+            gd: beta_b * beta_b / capacity,
+            ru,
+            w: k * pm * capacity,
+            pm,
+            qsc: 0.9 * buffer,
+        };
+        let horizon = uniform(seed, 9, 0.2, 2.5) * 2.0 * PI / beta_a.min(beta_b);
+        let linearity = if splitmix64(seed ^ 10).is_multiple_of(5) {
+            Linearity::FullNonlinear
+        } else {
+            Linearity::Linearized
+        };
+        (SaturatingFluid { params: p, linearity }, horizon)
+    }
+
+    /// The kernel against the full runs on `count` random cells seeded
+    /// from `base`, checking that every kind of cell occurs and that the
+    /// certificate retires cells that do not drop before their horizons.
+    fn check_random_cells(base: u64, count: u64) {
+        let cells: Vec<_> = (0..count).map(|s| random_cell(splitmix64(base ^ s))).collect();
+        let n = cells.len();
+        let certified = cells
+            .iter()
+            .filter(|(m, h)| {
+                let r = Recurrence::new(&m.params, m.linearity);
+                Certificate::new(&r, canonical_dt(&m.params, *h)).is_some()
+            })
+            .count();
+        let nonlinear = cells.iter().filter(|(m, _)| m.linearity == Linearity::FullNonlinear);
+        assert!(certified > n / 10 && certified < n - n / 5, "{certified} of {n} certified");
+        assert!(nonlinear.count() > n / 10, "too few nonlinear cells");
+        // Split by the full runs' verdicts; each side through the kernel.
+        let (loud, quiet): (Vec<_>, Vec<_>) =
+            cells.into_iter().partition(|(m, h)| m.run_canonical(*h).has_drops());
+        assert!(loud.len() > n / 10 && quiet.len() > n / 10, "{} of {n} drop", loud.len());
+        assert_eq!(lockstep(&loud).0, vec![true; loud.len()]);
+        let (verdicts, steps) = lockstep(&quiet);
+        assert_eq!(verdicts, vec![false; quiet.len()]);
+        let full: usize =
+            quiet.iter().map(|(m, h)| step_count(*h, canonical_dt(&m.params, *h))).sum();
+        assert!(10 * steps < 9 * full, "{steps} lane-steps of {full} on the quiet cells");
+    }
+
+    #[test]
+    fn certified_kernel_matches_full_runs_on_random_cells() {
+        check_random_cells(0x00ce_7f1e, 4_000);
+    }
+
+    /// The release-mode sweep `scripts/ci.sh` runs.
+    #[test]
+    #[ignore = "100k cells: run in release, as scripts/ci.sh does"]
+    fn certified_kernel_matches_full_runs_on_100k_random_cells() {
+        check_random_cells(0x0100_ce7f, 100_000);
+    }
+
+    #[test]
+    fn certificate_bounds_contain_every_later_state() {
+        // From every state the certificate passes, along the rest of the
+        // floating-point run: `√V` stays below the bound it derives, and
+        // `x` and `|y|` below the extents it takes from that bound.
+        let mut checked = 0;
+        for s in 0..600 {
+            let (model, horizon) = random_cell(splitmix64(0xb0_0d5e ^ s));
+            let dt = canonical_dt(&model.params, horizon);
+            let r = Recurrence::new(&model.params, model.linearity);
+            let Some(cert) = Certificate::new(&r, dt) else { continue };
+            let mut states = vec![(0.0, model.params.capacity)];
+            for _ in 0..step_count(horizon, dt) {
+                let &(q, rate) = states.last().unwrap();
+                let (wall, rate) = r.step(q, rate, dt);
+                states.push((wall.q, rate));
+            }
+            // Suffix maxima of √V, x, −x and |y| over the later states.
+            let mut later = [f64::NEG_INFINITY; 4];
+            for &(q, rate) in states.iter().rev() {
+                let (x, y, root_v) = (q - r.q0, rate - r.cap, cert.root_v(&r, q, rate));
+                if cert.settled(&r, q, rate) {
+                    checked += 1;
+                    let w = cert.grow * root_v.max(cert.floor);
+                    let bounds = [w, w * cert.up, w * cert.down, w * cert.swing];
+                    for (i, (seen, bound)) in later.iter().zip(bounds).enumerate() {
+                        assert!(*seen <= bound, "cell {s}: later {i} {seen} past {bound}");
+                    }
+                }
+                for (seen, value) in later.iter_mut().zip([root_v, x, -x, y.abs()]) {
+                    *seen = seen.max(value);
+                }
+            }
+        }
+        assert!(checked > 500_000, "{checked} certified states");
+    }
+
+    #[test]
+    fn certificate_more_than_halves_the_atlas_lane_steps() {
+        // The perfbench atlas (seed 1): 16x16 gains log-spaced over
+        // [0.05, 20] times the defaults, gd capped at 1, buffer 1.5375e5,
+        // each cell over 8π/β_slow capped at 5 s.
+        let base = BcnParams::test_defaults().with_buffer(1.5375e5);
+        let axis = |g: f64, i: usize| g * 0.05 * 400f64.powf(i as f64 / 15.0);
+        let cells: Vec<_> = (0..256)
+            .map(|idx| {
+                let p = base
+                    .clone()
+                    .with_gi(axis(base.gi, idx / 16))
+                    .with_gd(axis(base.gd, idx % 16).min(1.0));
+                let horizon = (8.0 * PI / p.a().min(p.b() * p.capacity).sqrt()).min(5.0);
+                (SaturatingFluid::linearized(p), horizon)
+            })
+            .collect();
+        let (verdicts, steps) = lockstep(&cells);
+        assert_eq!(verdicts, oracle(&cells));
+        // The kernel took 7,023,636 lane-steps here before it retired
+        // lanes on the certificate.
+        assert!(2 * steps < 7_023_636, "{steps} lane-steps");
     }
 }

@@ -77,8 +77,10 @@ pub fn atlas_params(base: &BcnParams, n: usize) -> Vec<BcnParams> {
 /// Computes the atlas on an `n x n` log-spaced gain grid.
 ///
 /// The saturating-fluid drop check runs first, as one batch through
-/// [`bcn::stability::fluid_drop_verdicts`], which stops each cell at its
-/// first dropped bit and steps cells in lockstep. The remaining verdicts
+/// [`bcn::stability::fluid_drop_verdicts`], which steps cells in
+/// lockstep and stops each at its first dropped bit or, for the
+/// linearised cells here, once a Lyapunov certificate shows it can no
+/// longer reach a wall. The remaining verdicts
 /// (case, baseline, Theorem 1, case criterion and the exact verdict on
 /// the semi-analytic propagator) then fill the cells in parallel across
 /// the configured `parkit` worker count. Every cell is a pure function

@@ -95,6 +95,16 @@ impl SimConfig {
     /// gains are scaled by `frame_bits * N / (pm * C)` so that one
     /// feedback message per `1/pm` frames integrates to
     /// `dr/dt = Gi Ru sigma` at the fair share.
+    ///
+    /// The calibration holds while one message changes a rate by a small
+    /// fraction: the largest per-message relative decrease,
+    /// [`calibration_eps`](Self::calibration_eps)
+    /// `= Gd (B − q0) gain_scale`, must be well below 1. Past it the
+    /// reaction point's floor at `r_min` stands in for the fluid law: one
+    /// sampled frame far above `q0` sends its source to the floor, where
+    /// it is rarely sampled again. `fluid_validation_params` with
+    /// 8000-bit frames gives ≈ 0.085; the paper's worked example
+    /// (`BcnParams::paper_defaults`) gives ≈ 78 at its 5-Mbit buffer.
     #[must_use]
     pub fn from_fluid(
         params: &BcnParams,
@@ -138,6 +148,21 @@ impl SimConfig {
             pause_hold: Duration::from_secs((20.0 * frame_bits / params.capacity).min(f64::MAX)),
             faults: FaultConfig::none(),
             scheduler: Scheduler::default(),
+        }
+    }
+
+    /// The largest relative rate decrease one BCN message can ask for,
+    /// `ε = Gd (B − q0) gain_scale`: the feedback at a full buffer times
+    /// the decrease gain, as [`from_fluid`](Self::from_fluid) scales it.
+    /// `None` for a control other than BCN. The fluid calibration holds
+    /// for `ε` well below 1.
+    #[must_use]
+    pub fn calibration_eps(&self) -> Option<f64> {
+        match &self.control {
+            Control::Bcn { cp, rp } => {
+                Some(rp.gd * (self.buffer_bits - cp.q0_bits) * rp.gain_scale)
+            }
+            Control::Qcn { .. } | Control::None => None,
         }
     }
 
@@ -920,6 +945,28 @@ mod tests {
 
     fn base_cfg() -> SimConfig {
         SimConfig::fluid_validation_default()
+    }
+
+    #[test]
+    fn calibration_eps_pins_the_per_message_decrease() {
+        let eps = |p: &BcnParams| {
+            SimConfig::from_fluid(p, 8_000.0, Duration::from_secs(2e-6), 0.1)
+                .calibration_eps()
+                .unwrap()
+        };
+        // Gd (B - q0) frame_bits N / (pm C) for each set.
+        let validation = eps(&fluid_validation_params());
+        assert!((validation - 1400.0 / 16_384.0).abs() < 1e-12, "{validation}");
+        let paper = BcnParams::paper_defaults();
+        let at_5_mbit = eps(&paper);
+        assert!((at_5_mbit - 78.125).abs() < 1e-9, "{at_5_mbit}");
+        let required = bcn::stability::theorem1_required_buffer(&paper);
+        assert!((required - 13.81e6).abs() < 0.01e6, "Theorem-1 buffer {required}");
+        let at_theorem1 = eps(&paper.clone().with_buffer(required));
+        assert!((at_theorem1 - 353.5).abs() < 0.5, "{at_theorem1}");
+        let mut qcn = base_cfg();
+        qcn.control = Control::None;
+        assert_eq!(qcn.calibration_eps(), None);
     }
 
     #[test]

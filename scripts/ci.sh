@@ -24,6 +24,11 @@ DCE_BCN_THREADS=1 cargo test --workspace -q
 echo "== cargo test (parallel: DCE_BCN_THREADS=4) =="
 DCE_BCN_THREADS=4 cargo test --workspace -q
 
+echo "== drop-kernel certificate oracle (100k random cells, release) =="
+# The tier-1 suite checks the lockstep kernel's settling certificate
+# against full runs on 4k seeded cells; this is the same check on 100k.
+cargo test --release -p bcn --lib -- --ignored certified_kernel_matches_full_runs_on_100k_random_cells
+
 echo "== sweep scaling smoke (equivalence check) =="
 # Reduced grid; write to a scratch directory so the committed
 # full-grid BENCH_sweeps.json is not overwritten by smoke numbers.
