@@ -25,7 +25,7 @@ use crate::extrema::{extremum_enclosed, LineEnclosure};
 use crate::model::Region;
 use crate::params::BcnParams;
 use crate::propagate::Propagator;
-use crate::rounds::{first_round, interior_extremum, trace_legs, walk_legs, FirstRound, Leg};
+use crate::rounds::{first_round, interior_extremum, trace_legs, walk_legs, Leg};
 use crate::simulate::{drop_verdicts_lockstep, SaturatingFluid};
 
 /// Why the criterion declares a system strongly stable.
@@ -105,19 +105,12 @@ pub fn overshoot_bound(params: &BcnParams) -> f64 {
     (params.a() / (params.b() * params.capacity)).sqrt() * params.q0
 }
 
-/// Case-1 first-round extrema per Proposition 2, computed exactly from
-/// the region flows. Returns `None` outside Case 1.
-#[must_use]
-pub fn proposition2_bounds(params: &BcnParams) -> Option<FirstRound> {
-    first_round(params)
-}
-
 /// The paper's explicit transcription of Eqs. 36–37 (`max_1{x}`,
 /// `min_1{x}`) through the printed coefficient chain
 /// `A_i^1, phi_i^1, T_i^1, x_d^1(0), A_d^1, phi_d^1, x_i^2(0)`.
 ///
 /// Returns `None` outside Case 1. Kept alongside the robust
-/// [`proposition2_bounds`] for paper fidelity; the test suite checks both
+/// [`first_round`] for paper fidelity; the test suite checks both
 /// agree.
 #[must_use]
 pub fn proposition2_bounds_paper(params: &BcnParams) -> Option<(f64, f64)> {
@@ -159,8 +152,7 @@ pub fn proposition2_bounds_paper(params: &BcnParams) -> Option<(f64, f64)> {
 
 /// Case-2 overshoot maximum per Proposition 3 (Eq. 38), computed exactly
 /// from the region flows. Returns `None` outside Case 2.
-#[must_use]
-pub fn proposition3_max(params: &BcnParams) -> Option<f64> {
+fn proposition3_max(params: &BcnParams) -> Option<f64> {
     if classify_params(params).case != CaseId::Case2 {
         return None;
     }
@@ -207,7 +199,7 @@ pub fn criterion(params: &BcnParams) -> StabilityVerdict {
     let wall_hi = params.buffer - params.q0;
     let wall_lo = -params.q0;
     match analysis.case {
-        CaseId::Case1 => match proposition2_bounds(params) {
+        CaseId::Case1 => match first_round(params) {
             Some(fr) => {
                 if fr.max1_x < wall_hi && fr.min1_x > wall_lo {
                     StabilityVerdict::StronglyStable(Justification::Proposition2 {
@@ -638,7 +630,7 @@ mod tests {
     fn theorem1_bounds_the_exact_first_round() {
         // Theorem 1's overshoot bound must dominate the exact extrema.
         for p in [BcnParams::test_defaults(), BcnParams::paper_defaults()] {
-            let fr = proposition2_bounds(&p).expect("case 1");
+            let fr = first_round(&p).expect("case 1");
             let bound = overshoot_bound(&p);
             assert!(fr.max1_x < bound, "max1 {} vs bound {bound}", fr.max1_x);
             assert!(fr.min1_x > -p.q0, "min1 {}", fr.min1_x);
@@ -648,7 +640,7 @@ mod tests {
     #[test]
     fn proposition2_paper_chain_matches_exact() {
         for p in [BcnParams::test_defaults(), BcnParams::paper_defaults()] {
-            let fr = proposition2_bounds(&p).unwrap();
+            let fr = first_round(&p).unwrap();
             let (max1_paper, min1_paper) = proposition2_bounds_paper(&p).unwrap();
             assert!(
                 (fr.max1_x - max1_paper).abs() < 1e-6 * fr.max1_x.abs(),
@@ -721,7 +713,7 @@ mod tests {
     fn tight_buffer_fails_the_criterion() {
         // Shrink the buffer to just above q0: Case 1 must refuse.
         let p = BcnParams::test_defaults();
-        let fr = proposition2_bounds(&p).unwrap();
+        let fr = first_round(&p).unwrap();
         let tight = p.clone().with_buffer(p.q0 + 0.5 * fr.max1_x);
         let v = criterion(&tight);
         assert!(!v.is_guaranteed(), "verdict {v:?}");
@@ -762,7 +754,7 @@ mod tests {
     fn exact_verdict_detects_overflow() {
         // A buffer barely above q0 cannot absorb the Case-1 overshoot.
         let p = BcnParams::test_defaults();
-        let fr = proposition2_bounds(&p).unwrap();
+        let fr = first_round(&p).unwrap();
         let tight = p.clone().with_buffer(p.q0 + 0.5 * fr.max1_x);
         let ev = exact_verdict(&tight, 30);
         assert!(!ev.strongly_stable);
@@ -774,7 +766,7 @@ mod tests {
         // For Case 1 the criterion's numbers ARE the exact first-round
         // extrema, hence must match the traced extrema.
         let p = BcnParams::test_defaults();
-        let fr = proposition2_bounds(&p).unwrap();
+        let fr = first_round(&p).unwrap();
         let ev = exact_verdict(&p, 40);
         assert!((ev.max_x - fr.max1_x).abs() < 1e-6 * fr.max1_x.abs());
         assert!((ev.min_x - fr.min1_x).abs() < 1e-6 * fr.min1_x.abs());

@@ -5,7 +5,8 @@
 //! worker threads, the serial analytic-vs-numeric speedup, and an untimed
 //! agreement pass: queue extrema to 1e-6 relative and an identical
 //! trajectory-derived strong-stability verdict on every cell. Results
-//! land in `BENCH_fluid.json` under the usual results directory.
+//! land in `BENCH_fluid.json` under the usual results directory, in the
+//! [`bench::harness`] schema.
 //!
 //! The run *fails* (nonzero exit) on an agreement or verdict regression
 //! at any grid, and additionally on a serial per-cell speedup below 5x
@@ -15,27 +16,20 @@
 //! $ cargo run --release -p bench --bin fluid_engine
 //! ```
 //!
-//! `DCE_BCN_QUICK` shrinks the grid to 5x5 and skips the speedup gate
-//! (CI smoke mode — the agreement checks still run in full).
-
-use std::hint::black_box;
-use std::time::Instant;
+//! `DCE_BCN_QUICK` shrinks the grid to 5x5 at one rep and does not
+//! enforce the speedup gate (CI smoke mode — the agreement checks still
+//! run in full).
 
 use bcn::simulate::{fluid_trajectory, Engine, FluidOptions};
 use bcn::stability::exact_verdict;
 use bcn::{BcnFluid, BcnParams};
-use bench::common::{out_dir, quick};
 use bench::experiments::criterion_sweep::{atlas_params, fluid_horizon};
+use bench::harness::{self, sized, Bench, Bound, Row, Timing, THREAD_COUNTS};
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Queue-extrema agreement bound (relative).
 const MAX_REL_DELTA: f64 = 1e-6;
 /// Serial per-cell speedup gate at the full grid.
 const MIN_SPEEDUP: f64 = 5.0;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
-}
 
 /// Timed-run options: accepted-step recording for both engines so the
 /// comparison measures propagation, not sample interpolation.
@@ -49,23 +43,18 @@ fn timing_opts(p: &BcnParams, engine: Engine) -> FluidOptions {
     }
 }
 
-/// Best-of-`reps` wall time of one full-grid pass at a pinned width.
-fn time_engine(params: &[BcnParams], engine: Engine, threads: usize, reps: usize) -> f64 {
-    parkit::set_threads(threads);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let ends = parkit::par_map(params, |p| {
-            let sys = BcnFluid::linearized(p.clone());
-            let run = fluid_trajectory(&sys, p.initial_point(), &timing_opts(p, engine))
-                .expect("engine timing run failed");
-            run.solution.last_state()[0]
-        });
-        black_box(ends);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    parkit::set_threads(0);
-    best
+/// Wall time of one full-grid pass at a pinned width.
+fn time_engine(params: &[BcnParams], engine: Engine, threads: usize, reps: usize) -> Timing {
+    harness::at_width(threads, || {
+        harness::time(reps, || {
+            parkit::par_map(params, |p| {
+                let sys = BcnFluid::linearized(p.clone());
+                let run = fluid_trajectory(&sys, p.initial_point(), &timing_opts(p, engine))
+                    .expect("engine timing run failed");
+                run.solution.last_state()[0]
+            })
+        })
+    })
 }
 
 /// Per-cell agreement report from the untimed cross-check pass.
@@ -129,109 +118,57 @@ fn check_cell(p: &BcnParams) -> CellAgreement {
     }
 }
 
-#[allow(clippy::too_many_lines)]
+#[allow(clippy::cast_precision_loss)]
 fn main() {
-    let grid = env_usize("DCE_BCN_FLUID_GRID", if quick() { 5 } else { 13 });
-    let reps = env_usize("DCE_BCN_FLUID_REPS", if quick() { 1 } else { 3 });
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let (grid, reps) = (sized(5, 13), sized(1, 3));
     let base = BcnParams::test_defaults().with_buffer(1.5e5);
     let params = atlas_params(&base, grid);
     let cells = params.len() as f64;
-
-    println!("fluid engine benchmark: {grid}x{grid} atlas, best of {reps}, {cores} core(s)");
+    let mut bench = Bench::new("fluid", reps);
+    println!("fluid engine benchmark: {grid}x{grid} atlas, {reps} rep(s)");
 
     // Warm up allocator and code pages.
     let _ = time_engine(&params[..params.len().min(8)], Engine::Analytic, 1, 1);
 
-    let mut rows: Vec<(Engine, &str, Vec<f64>)> =
-        vec![(Engine::Analytic, "analytic", Vec::new()), (Engine::Dopri5, "dopri5", Vec::new())];
-    for (engine, name, times) in &mut rows {
-        for &threads in &THREAD_COUNTS {
-            let secs = time_engine(&params, *engine, threads, reps);
-            println!(
-                "  {name:>8} threads = {threads}: {secs:.3} s ({:.0} ns/cell)",
-                secs * 1e9 / cells
+    let mut serial = [f64::NAN; 2];
+    for (i, (engine, name)) in
+        [(Engine::Analytic, "analytic"), (Engine::Dopri5, "dopri5")].into_iter().enumerate()
+    {
+        for threads in THREAD_COUNTS {
+            let secs = time_engine(&params, engine, threads, reps);
+            if threads == 1 {
+                serial[i] = secs.min;
+            }
+            bench.row(
+                Row::new(name)
+                    .with("threads", threads)
+                    .with("secs", secs)
+                    .with("per_cell_ns", secs.min * 1e9 / cells)
+                    .with("speedup", serial[i] / secs.min),
             );
-            times.push(secs);
         }
     }
-    let analytic_serial = rows[0].2[0];
-    let numeric_serial = rows[1].2[0];
-    let speedup = numeric_serial / analytic_serial;
-    println!(
-        "serial per-cell: analytic {:.0} ns vs dopri5 {:.0} ns — {speedup:.1}x",
-        analytic_serial * 1e9 / cells,
-        numeric_serial * 1e9 / cells
-    );
+    let speedup = serial[1] / serial[0];
 
     // Untimed agreement pass (fine record grid, tight numeric tolerance).
-    parkit::set_threads(0);
     let agreements = parkit::par_map(&params, check_cell);
     let worst_max = agreements.iter().map(|a| a.rel_delta_max).fold(0.0, f64::max);
     let worst_min = agreements.iter().map(|a| a.rel_delta_min).fold(0.0, f64::max);
     let verdict_mismatches = agreements.iter().filter(|a| !a.verdicts_match).count();
     let exact_stable = params.iter().filter(|p| exact_verdict(p, 40).strongly_stable).count();
-    println!(
-        "agreement: max-extremum delta {worst_max:.3e}, min-extremum delta {worst_min:.3e}, \
-         verdict mismatches {verdict_mismatches}/{} ({exact_stable} cells exactly stable)",
-        params.len()
+    bench.row(
+        Row::new("agreement")
+            .with("cells", params.len())
+            .with("exactly_stable_cells", exact_stable),
     );
-
-    let engines_json: Vec<String> = rows
-        .iter()
-        .map(|(_, name, times)| {
-            let runs: Vec<String> = THREAD_COUNTS
-                .iter()
-                .zip(times)
-                .map(|(th, t)| {
-                    format!(
-                        "{{\"threads\": {th}, \"secs\": {t:.6}, \"per_cell_ns\": {:.1}, \
-                         \"speedup\": {:.4}}}",
-                        t * 1e9 / cells,
-                        times[0] / t
-                    )
-                })
-                .collect();
-            format!("\"{name}\": [{}]", runs.join(", "))
-        })
-        .collect();
-    let note = "Engine speedup is measured serially (threads = 1); on single-core hardware \
-                (see \\\"cores\\\") the per-engine thread rows are flat by hardware, not by \
-                engine. Agreement deltas compare the analytic engine's exact extrema against \
-                parabola-refined DOPRI5 samples at tol 1e-12.";
-    let json = format!(
-        "{{\n  \"grid\": {grid},\n  \"reps\": {reps},\n  \"cores\": {cores},\n  \
-         \"engines\": {{{}}},\n  \"serial_per_cell_speedup\": {speedup:.2},\n  \
-         \"agreement\": {{\"max_extremum_rel_delta\": {worst_max:.3e}, \
-         \"min_extremum_rel_delta\": {worst_min:.3e}, \
-         \"verdict_mismatches\": {verdict_mismatches}, \"cells\": {}, \
-         \"exactly_stable_cells\": {exact_stable}}},\n  \
-         \"note\": \"{note}\"\n}}\n",
-        engines_json.join(", "),
-        params.len(),
+    bench.gate("max_extremum_rel_delta", worst_max, Bound::AtMost(MAX_REL_DELTA));
+    bench.gate("min_extremum_rel_delta", worst_min, Bound::AtMost(MAX_REL_DELTA));
+    bench.gate_zero("verdict_mismatches", verdict_mismatches);
+    bench.speed_gate("serial_per_cell_speedup", speedup, MIN_SPEEDUP);
+    bench.finish(
+        "Engine speedup is measured serially (threads = 1); on single-core hardware (see \
+         machine.cores) the per-engine thread rows are flat by hardware, not by engine. \
+         Agreement deltas compare the analytic engine's exact extrema against \
+         parabola-refined DOPRI5 samples at tol 1e-12.",
     );
-    let out = out_dir();
-    let path = out.join("BENCH_fluid.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("FAIL: could not write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", path.display());
-
-    let mut failed = false;
-    if worst_max > MAX_REL_DELTA || worst_min > MAX_REL_DELTA {
-        eprintln!("FAIL: extremum agreement exceeded {MAX_REL_DELTA:.0e}");
-        failed = true;
-    }
-    if verdict_mismatches > 0 {
-        eprintln!("FAIL: {verdict_mismatches} cell(s) flipped stability verdict across engines");
-        failed = true;
-    }
-    if !quick() && grid >= 13 && speedup < MIN_SPEEDUP {
-        eprintln!("FAIL: serial per-cell speedup {speedup:.2}x below the {MIN_SPEEDUP}x gate");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
 }

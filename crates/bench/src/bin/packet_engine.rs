@@ -20,40 +20,37 @@
 //!    events/sec on both scenarios is measured and reported alongside,
 //!    informational, not gated: at the dumbbells' ~11–34 pending events
 //!    the wheel's cascades cost about what the heap's ~3-level sifts do,
-//!    so the end-to-end ratio sits near 1 either way.
+//!    so the end-to-end ratio sits near 1 either way. The deep fabric
+//!    incast, where the ratio flips, is timed and gated by `topo_engine`.
 //!
 //! Results land in `BENCH_packet.json` under the usual results
-//! directory. Run release builds only:
+//! directory, in the [`bench::harness`] schema. Run release builds only:
 //!
 //! ```console
 //! $ cargo run --release -p bench --bin packet_engine
 //! ```
 //!
-//! `DCE_BCN_QUICK` shortens the horizons and skips the replay speedup
-//! gate (CI smoke mode — every equivalence and allocation check still
-//! runs in full).
+//! `DCE_BCN_QUICK` shortens the horizons and does not enforce the replay
+//! speedup gate (CI smoke mode — every equivalence and allocation check
+//! still runs in full).
 
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use bench::common::{out_dir, quick, splitmix_next};
-use dcesim::batch::{run_batch, BatchConfig};
+use bench::common::splitmix_next;
+use bench::harness::{self, fault_plan, incast16, limit_cycle, sized, Bench, Bound, Row, FRAME};
+use dcesim::batch::BatchConfig;
 use dcesim::faults::FaultConfig;
 use dcesim::metrics::{SimMetrics, TimeSeries};
 use dcesim::net::{victim_topology, NetSim, PauseConfig};
 use dcesim::sched::{EventQueue, Scheduler};
-use dcesim::sim::{fluid_validation_params, SimConfig, SimWorkspace, Simulation};
+use dcesim::sim::{SimConfig, SimWorkspace, Simulation};
 use dcesim::time::{Duration, Time};
-use dcesim::topo::{compile, TopoSpec, Traffic};
-use dcesim::workload;
 use telemetry::{Telemetry, TelemetryLevel};
 
 /// Replay throughput gate: wheel ops/sec over heap ops/sec at the deep
 /// backlog profile.
 const MIN_REPLAY_SPEEDUP: f64 = 2.0;
-/// Frame size used throughout (bits).
-const FRAME: f64 = 8_000.0;
 /// Fixed slack of the report-bytes gate over the report's one-grid
 /// size: the grid's shared header and a few record ticks of
 /// reservation headroom.
@@ -61,36 +58,8 @@ const REPORT_SLACK_BYTES: u64 = 4096;
 
 bench::counting_allocator!();
 
-// --- scenarios ------------------------------------------------------------
-
-/// The Fig. 7 limit-cycle parameterisation on the packet engine.
-fn limit_cycle(t_end: f64) -> SimConfig {
-    SimConfig::from_fluid(&fluid_validation_params(), FRAME, Duration::from_secs(2e-6), t_end)
-}
-
-/// 16 servers answering a parallel read into the same bottleneck at 4x
-/// overload — the drop/PAUSE-heavy counterpoint to the limit cycle.
-fn incast16(t_end: f64) -> SimConfig {
-    let params = fluid_validation_params();
-    let mut cfg = limit_cycle(t_end);
-    cfg.flows = workload::incast(16, params.capacity / 4.0, 300.0 * FRAME);
-    cfg
-}
-
-/// A deterministic mixed fault plan for the faulted equivalence runs.
-fn fault_plan() -> FaultConfig {
-    let mut f = FaultConfig::none();
-    f.seed = 7;
-    f.feedback_loss = 0.05;
-    f.feedback_corrupt = 0.02;
-    f.data_loss = 0.005;
-    f
-}
-
 fn run_with(cfg: &SimConfig, scheduler: Scheduler) -> (SimMetrics, Vec<f64>) {
-    let mut c = cfg.clone();
-    c.scheduler = scheduler;
-    let report = Simulation::new(c).run();
+    let report = Simulation::new(SimConfig { scheduler, ..cfg.clone() }).run();
     (report.metrics, report.final_rates)
 }
 
@@ -108,42 +77,30 @@ fn count_events(cfg: &SimConfig) -> u64 {
     popped
 }
 
-/// Best-of-`reps` wall time of one untelemetered run.
-fn time_run(cfg: &SimConfig, scheduler: Scheduler, reps: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut c = cfg.clone();
-        c.scheduler = scheduler;
-        let t0 = Instant::now();
-        black_box(Simulation::new(c).run());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 // --- equivalence gates ----------------------------------------------------
 
-/// Scheduler bit-identity on the single-bottleneck engine.
-fn check_sim_equivalence(failures: &mut Vec<String>, t_end: f64) {
+/// Scheduler bit-identity on the single-bottleneck engine; returns the
+/// number of differing pairs.
+fn sim_mismatches(t_end: f64) -> usize {
+    let mut bad = 0;
     for (name, cfg) in [("limit-cycle", limit_cycle(t_end)), ("incast-16", incast16(t_end))] {
         for faults in [FaultConfig::none(), fault_plan()] {
-            let mut c = cfg.clone();
             let faulty = faults.enabled();
-            c.faults = faults;
-            let wheel = run_with(&c, Scheduler::Wheel);
-            let heap = run_with(&c, Scheduler::Heap);
-            if wheel != heap {
-                failures.push(format!(
-                    "sim scenario {name} (faults: {faulty}): wheel and heap reports differ"
-                ));
+            let c = SimConfig { faults, ..cfg.clone() };
+            if run_with(&c, Scheduler::Wheel) != run_with(&c, Scheduler::Heap) {
+                eprintln!("sim scenario {name} (faults: {faulty}): wheel and heap reports differ");
+                bad += 1;
             }
         }
     }
+    bad
 }
 
-/// Scheduler bit-identity on the multi-switch engine.
-fn check_net_equivalence(failures: &mut Vec<String>, t_end: f64) {
+/// Scheduler bit-identity on the multi-switch engine; returns the
+/// number of differing pairs.
+fn net_mismatches(t_end: f64) -> usize {
     let trunk = 1e9;
+    let mut bad = 0;
     for faults in [FaultConfig::none(), fault_plan()] {
         let faulty = faults.enabled();
         let report_for = |scheduler: Scheduler| {
@@ -159,29 +116,23 @@ fn check_net_equivalence(failures: &mut Vec<String>, t_end: f64) {
             NetSim::new(cfg).run()
         };
         if report_for(Scheduler::Wheel) != report_for(Scheduler::Heap) {
-            failures
-                .push(format!("net victim topology (faults: {faulty}): scheduler reports differ"));
+            eprintln!("net victim topology (faults: {faulty}): scheduler reports differ");
+            bad += 1;
         }
     }
+    bad
 }
 
-/// Scheduler and worker-count bit-identity on batched runs.
-fn check_batch_equivalence(failures: &mut Vec<String>, t_end: f64) {
+/// Scheduler and worker-count bit-identity on batched runs; returns the
+/// number of batches that diverged from (wheel, 1 worker).
+fn batch_mismatches(t_end: f64) -> usize {
     let run = |scheduler: Scheduler, threads: usize, faults: FaultConfig| {
-        parkit::set_threads(threads);
-        let mut base = limit_cycle(t_end);
-        base.scheduler = scheduler;
-        base.faults = faults;
+        let base = SimConfig { scheduler, faults, ..limit_cycle(t_end) };
         let mut cfg = BatchConfig::quick(base, 6);
         cfg.level = TelemetryLevel::Off;
-        let report = run_batch(&cfg);
-        let out: Vec<(u64, SimMetrics, Vec<f64>)> = report
-            .completed()
-            .map(|(seed, r)| (seed, r.metrics.clone(), r.final_rates.clone()))
-            .collect();
-        parkit::set_threads(0);
-        out
+        harness::batch_outcomes(&cfg, threads)
     };
+    let mut bad = 0;
     for faults in [FaultConfig::none(), fault_plan()] {
         let faulty = faults.enabled();
         let baseline = run(Scheduler::Wheel, 1, faults.clone());
@@ -189,54 +140,42 @@ fn check_batch_equivalence(failures: &mut Vec<String>, t_end: f64) {
             [(Scheduler::Wheel, 4), (Scheduler::Heap, 1), (Scheduler::Heap, 4)]
         {
             if run(scheduler, threads, faults.clone()) != baseline {
-                failures.push(format!(
+                eprintln!(
                     "batch ({}, {threads} workers, faults: {faulty}) diverged from \
                      (wheel, 1 worker)",
                     scheduler.name()
-                ));
+                );
+                bad += 1;
             }
         }
     }
+    bad
 }
 
-/// Steady-state allocation count of a warm wheel run: run once to grow
-/// every buffer, rebuild from the recycled workspace, step past warm-up,
-/// then count allocations to completion.
+/// Steady-state allocation count of a warm run: run once to grow every
+/// buffer, rebuild from the recycled workspace, step past warm-up, then
+/// count allocations to completion.
 fn steady_state_allocations(scheduler: Scheduler, t_end: f64) -> u64 {
-    let cfg = {
-        let mut c = limit_cycle(t_end);
-        c.scheduler = scheduler;
-        c
-    };
+    let cfg = SimConfig { scheduler, ..limit_cycle(t_end) };
     let mut ws = SimWorkspace::new();
     let warm = Simulation::new_in(cfg.clone(), &mut ws);
     black_box(warm.run_into(&mut ws));
     let mut sim = Simulation::new_in(cfg, &mut ws);
-    for _ in 0..1_000 {
-        if !sim.step() {
-            break;
-        }
-    }
-    let before = allocations();
-    while sim.step() {}
-    let after = allocations();
+    let allocs = harness::steady_state_allocations(allocations, 1_000, || sim.step());
     black_box(sim.finish());
-    after - before
+    allocs
 }
 
-/// Bytes a finished limit-cycle report keeps allocated, read from this
-/// binary's live-byte counter around one run after a warm-up run, and
-/// the one-grid size it is gated against: one record grid, one value
-/// vector per series, the delay samples, the per-source vectors and
+/// Bytes a finished limit-cycle report keeps allocated, and the
+/// one-grid size it is gated against: one record grid, one value vector
+/// per series, the delay samples, the per-source vectors and
 /// [`REPORT_SLACK_BYTES`]. A report holding a grid per series exceeds
 /// it by one grid per extra series.
 fn report_bytes(t_end: f64) -> (u64, u64) {
     let cfg = limit_cycle(t_end);
-    black_box(Simulation::new(cfg.clone()).run());
     // The run frees the config it consumes: clone it inside the window.
-    let before = live_bytes();
-    let report = Simulation::new(cfg.clone()).run();
-    let retained = live_bytes().wrapping_sub(before);
+    let (report, retained) =
+        harness::retained_bytes(live_bytes, || Simulation::new(cfg.clone()).run());
     let m = &report.metrics;
     let n = m.per_source_rate.len();
     let f64s = m.queue.len() * (1 + 2 + n)
@@ -244,7 +183,6 @@ fn report_bytes(t_end: f64) -> (u64, u64) {
         + m.per_source_bits.len()
         + report.final_rates.len();
     let one_grid = f64s * size_of::<f64>() + n * size_of::<TimeSeries>();
-    black_box(report);
     (retained, one_grid as u64 + REPORT_SLACK_BYTES)
 }
 
@@ -309,181 +247,82 @@ fn replay(ops: &[Op], scheduler: Scheduler) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-fn best_replay(ops: &[Op], scheduler: Scheduler, reps: usize) -> f64 {
-    (0..reps).map(|_| replay(ops, scheduler)).fold(f64::INFINITY, f64::min)
-}
-
 // --- main -----------------------------------------------------------------
 
-#[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
+#[allow(clippy::cast_precision_loss)]
 fn main() {
-    let (t_end, net_t_end, batch_t_end, reps, replay_ops) =
-        if quick() { (0.05, 0.05, 0.01, 1, 200_000) } else { (0.4, 0.25, 0.02, 3, 2_000_000) };
-    println!("packet engine benchmark: t_end {t_end} s, best of {reps}");
-
-    let mut failures: Vec<String> = Vec::new();
+    let (t_end, net_t_end, batch_t_end) = sized((0.05, 0.05, 0.01), (0.4, 0.25, 0.02));
+    let (reps, replay_ops) = (sized(1, 3), sized(200_000, 2_000_000));
+    let mut bench = Bench::new("packet", reps);
+    println!("packet engine benchmark: t_end {t_end} s, {reps} rep(s)");
 
     // 1. Bit-identity across schedulers, engines, workers, fault plans.
-    check_sim_equivalence(&mut failures, t_end);
-    check_net_equivalence(&mut failures, net_t_end);
-    check_batch_equivalence(&mut failures, batch_t_end);
-    println!(
-        "equivalence: {}",
-        if failures.is_empty() { "all reports bit-identical" } else { "FAILURES (see below)" }
-    );
+    bench.gate_zero("sim_equivalence_failures", sim_mismatches(t_end));
+    bench.gate_zero("net_equivalence_failures", net_mismatches(net_t_end));
+    bench.gate_zero("batch_equivalence_failures", batch_mismatches(batch_t_end));
 
     // 2. End-to-end throughput per scenario (informational).
-    let mut scenario_json = Vec::new();
     for (name, cfg) in [("limit_cycle", limit_cycle(t_end)), ("incast_16", incast16(t_end))] {
         let events = count_events(&cfg);
-        let wheel_s = time_run(&cfg, Scheduler::Wheel, reps);
-        let heap_s = time_run(&cfg, Scheduler::Heap, reps);
-        let (wheel_eps, heap_eps) = (events as f64 / wheel_s, events as f64 / heap_s);
-        println!(
-            "  {name}: {events} events — wheel {:.2} M ev/s, heap {:.2} M ev/s ({:.2}x)",
-            wheel_eps / 1e6,
-            heap_eps / 1e6,
-            wheel_eps / heap_eps
+        let [wheel, heap] = [Scheduler::Wheel, Scheduler::Heap].map(|s| {
+            let c = SimConfig { scheduler: s, ..cfg.clone() };
+            harness::time(reps, || Simulation::new(c.clone()).run())
+        });
+        let (wheel_eps, heap_eps) = (events as f64 / wheel.min, events as f64 / heap.min);
+        bench.row(
+            Row::new(name)
+                .with("events", events)
+                .with("wheel_s", wheel)
+                .with("heap_s", heap)
+                .with("wheel_events_per_sec", wheel_eps)
+                .with("heap_events_per_sec", heap_eps)
+                .with("end_to_end_speedup", wheel_eps / heap_eps),
         );
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "{{\"scenario\": \"{name}\", \"events\": {events}, \
-             \"wheel_events_per_sec\": {wheel_eps:.0}, \"heap_events_per_sec\": {heap_eps:.0}, \
-             \"end_to_end_speedup\": {:.3}}}",
-            wheel_eps / heap_eps
-        );
-        scenario_json.push(row);
     }
-
-    // 2b. The deep fabric scenario: a generator-compiled 512-sender
-    // incast, the workload that flips the end-to-end ratio. Reported
-    // here alongside the shallow dumbbell rows; the 1.2x gate on it
-    // lives in BENCH_topo.json (topo_engine).
-    let fabric_row = {
-        let (spec, senders, horizon) = if quick() {
-            (TopoSpec::fat_tree(4), 12, 0.02)
-        } else {
-            (TopoSpec::fat_tree(16), 512, 0.06)
-        };
-        let traffic = Traffic::Incast { senders, dst: usize::MAX, load: 4.0 };
-        let cfg = compile(&spec, &traffic, horizon).expect("fabric compiles");
-        let time_net = |scheduler: Scheduler| {
-            let mut events = 0;
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let mut c = cfg.clone();
-                c.scheduler = scheduler;
-                let mut sim = NetSim::new(c);
-                let t0 = Instant::now();
-                while sim.step() {}
-                best = best.min(t0.elapsed().as_secs_f64());
-                events = sim.events_popped();
-                black_box(sim.finish());
-            }
-            (events, best)
-        };
-        let (events, wheel_s) = time_net(Scheduler::Wheel);
-        let (_, heap_s) = time_net(Scheduler::Heap);
-        let (wheel_eps, heap_eps) = (events as f64 / wheel_s, events as f64 / heap_s);
-        println!(
-            "  fabric_incast_{senders}: {events} events — wheel {:.2} M ev/s, heap {:.2} M ev/s \
-             ({:.2}x; gated in BENCH_topo.json)",
-            wheel_eps / 1e6,
-            heap_eps / 1e6,
-            wheel_eps / heap_eps
-        );
-        format!(
-            "{{\"scenario\": \"fabric_incast_{senders}\", \"events\": {events}, \
-             \"wheel_events_per_sec\": {wheel_eps:.0}, \"heap_events_per_sec\": {heap_eps:.0}, \
-             \"end_to_end_speedup\": {:.3}}}",
-            wheel_eps / heap_eps
-        )
-    };
-    scenario_json.push(fabric_row);
 
     // 3. Queue-op replay throughput (the gated microbench): shallow =
     // the engine's own backlog depth, deep = a fan-in switch backlog
     // where the heap's O(log n) bites.
-    let shallow = synth_ops(replay_ops, 48, 41);
-    let deep = synth_ops(replay_ops, 4_096, 42);
-    let _ = best_replay(&shallow[..shallow.len().min(50_000)], Scheduler::Wheel, 1); // warm-up
-    let shallow_wheel = best_replay(&shallow, Scheduler::Wheel, reps);
-    let shallow_heap = best_replay(&shallow, Scheduler::Heap, reps);
-    let deep_wheel = best_replay(&deep, Scheduler::Wheel, reps);
-    let deep_heap = best_replay(&deep, Scheduler::Heap, reps);
-    let shallow_speedup = shallow_heap / shallow_wheel;
-    let deep_speedup = deep_heap / deep_wheel;
-    println!(
-        "replay (~48 pending):    wheel {:.1} M op/s vs heap {:.1} M op/s — {shallow_speedup:.2}x",
-        shallow.len() as f64 / shallow_wheel / 1e6,
-        shallow.len() as f64 / shallow_heap / 1e6,
-    );
-    println!(
-        "replay (~4096 pending):  wheel {:.1} M op/s vs heap {:.1} M op/s — {deep_speedup:.2}x",
-        deep.len() as f64 / deep_wheel / 1e6,
-        deep.len() as f64 / deep_heap / 1e6,
-    );
-
-    // 4. Steady-state allocations on a warm workspace.
-    let wheel_allocs = steady_state_allocations(Scheduler::Wheel, t_end);
-    let heap_allocs = steady_state_allocations(Scheduler::Heap, t_end);
-    println!("steady-state allocations: wheel {wheel_allocs}, heap {heap_allocs}");
-    if wheel_allocs != 0 {
-        failures.push(format!("wheel steady state performed {wheel_allocs} allocation(s)"));
+    let _ = replay(&synth_ops(50_000, 48, 41), Scheduler::Wheel); // warm-up
+    let mut deep_speedup = f64::NAN;
+    for (name, depth, seed) in [("replay_shallow", 48, 41), ("replay_deep", 4_096, 42)] {
+        let ops = synth_ops(replay_ops, depth, seed);
+        let wheel = harness::sample(reps, || replay(&ops, Scheduler::Wheel));
+        let heap = harness::sample(reps, || replay(&ops, Scheduler::Heap));
+        let speedup = heap.min / wheel.min;
+        bench.row(
+            Row::new(name)
+                .with("ops", ops.len())
+                .with("pending", depth)
+                .with("wheel_s", wheel)
+                .with("heap_s", heap)
+                .with("speedup", speedup),
+        );
+        deep_speedup = speedup;
     }
+    bench.speed_gate("deep_replay_speedup", deep_speedup, MIN_REPLAY_SPEEDUP);
+
+    // 4. Steady-state allocations on a warm workspace (the heap's are
+    // recorded, not gated).
+    let heap_allocs = steady_state_allocations(Scheduler::Heap, t_end);
+    bench.row(Row::new("heap_steady_state").with("allocations", heap_allocs));
+    bench.gate_zero(
+        "wheel_steady_state_allocations",
+        steady_state_allocations(Scheduler::Wheel, t_end),
+    );
 
     // 5. Bytes a finished report retains against its one-grid size.
-    let (report_retained, report_budget) = report_bytes(t_end);
-    println!(
-        "limit_cycle report retains {report_retained} bytes (one-grid budget {report_budget})"
-    );
-    if report_retained > report_budget {
-        failures.push(format!(
-            "limit_cycle report retains {report_retained} bytes, over its one-grid budget \
-             {report_budget}"
-        ));
-    }
-    if !quick() && deep_speedup < MIN_REPLAY_SPEEDUP {
-        failures.push(format!(
-            "deep-backlog replay speedup {deep_speedup:.2}x below the {MIN_REPLAY_SPEEDUP}x gate"
-        ));
-    }
+    let (retained, budget) = report_bytes(t_end);
+    bench.gate("limit_cycle_report_bytes", retained, Bound::AtMost(budget as f64));
 
-    let note = "Speedup is gated on the queue-op replay at a deep (~4096-event) backlog, \
-                where the heap pays its O(log n); the dumbbell end-to-end rows run the full \
-                engine at a shallow backlog (~11-34 pending), where the wheel's cascades cost \
-                about what the heap's ~3-level sifts do (limit_cycle ~0.90-0.96x, incast_16 \
-                ~1.04-1.09x), so their ratio is reported but not gated. The \
-                fabric_incast row runs the generator-compiled 512-sender incast where the \
-                fan-in keeps the backlog deep end-to-end — that ratio is gated at 1.2x in \
-                BENCH_topo.json. Steady-state allocations are counted by this binary's \
-                wrapping allocator after a warm-up run recycles every buffer through \
-                SimWorkspace.";
-    let json = format!(
-        "{{\n  \"quick\": {},\n  \"reps\": {reps},\n  \"scenarios\": [{}],\n  \
-         \"replay\": {{\"ops\": {}, \"shallow_speedup\": {shallow_speedup:.3}, \
-         \"deep_speedup\": {deep_speedup:.3}, \"gate\": {MIN_REPLAY_SPEEDUP}}},\n  \
-         \"steady_state_allocations\": {{\"wheel\": {wheel_allocs}, \"heap\": {heap_allocs}}},\n  \
-         \"report_bytes\": {{\"retained\": {report_retained}, \"budget\": {report_budget}}},\n  \
-         \"equivalence_failures\": {},\n  \"note\": \"{note}\"\n}}\n",
-        quick(),
-        scenario_json.join(", "),
-        shallow.len(),
-        failures.len(),
+    bench.finish(
+        "Speedup is gated on the queue-op replay at a deep (~4096-event) backlog, where the \
+         heap pays its O(log n); the dumbbell end-to-end rows run the full engine at a \
+         shallow backlog (~11-34 pending), where the wheel's cascades cost about what the \
+         heap's ~3-level sifts do (limit_cycle ~0.90-0.96x, incast_16 ~1.04-1.09x), so their \
+         ratio is reported but not gated. The deep-backlog fabric incasts, where the ratio \
+         flips, are timed and gated at 1.2x in BENCH_topo.json. Steady-state allocations \
+         are counted by this binary's wrapping allocator after a warm-up run recycles every \
+         buffer through SimWorkspace. Ratios and rates use each timing's min.",
     );
-    let out = out_dir();
-    let path = out.join("BENCH_packet.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("FAIL: could not write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", path.display());
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
 }

@@ -2,8 +2,9 @@
 //!
 //! A no-dependency timing check: it integrates the paper's worked
 //! example repeatedly with (a) no telemetry argument, (b) an `Off` sink,
-//! (c) a `Summary` sink, and (d) a `Full` sink, and reports median wall
-//! times.
+//! (c) a `Summary` sink, and (d) a `Full` sink, and reports min, median
+//! and max wall times in `BENCH_telemetry.json` under the usual results
+//! directory, in the [`bench::harness`] schema.
 //!
 //! All four configurations are pinned to the Dopri5 engine: the default
 //! dispatch hands uninstrumented linearized runs to the closed-form
@@ -30,13 +31,14 @@
 //! $ cargo run --release -p bench --bin telemetry_overhead
 //! ```
 //!
-//! Set `DCE_BCN_QUICK=1` for the CI smoke variant (shorter horizon,
-//! fewer repetitions; same gates).
+//! Set `DCE_BCN_QUICK` for the CI smoke variant (shorter horizon, fewer
+//! rounds; the same gates, enforced).
 
 use std::time::Instant;
 
 use bcn::simulate::{fluid_trajectory_telemetry, Engine, FluidOptions};
 use bcn::{BcnFluid, BcnParams};
+use bench::harness::{sized, Bench, Bound, Row, Timing};
 use telemetry::{Telemetry, TelemetryLevel};
 
 /// One timed integration with the requested sink (constructed outside
@@ -49,19 +51,6 @@ fn one_run_secs(sys: &BcnFluid, p0: [f64; 2], t_end: f64, level: Option<Telemetr
     let dt = t0.elapsed().as_secs_f64();
     assert!(!run.solution.is_empty(), "integration produced no samples");
     dt
-}
-
-fn best(samples: &[f64]) -> f64 {
-    // The minimum is the robust estimator for "how fast can this code
-    // go" — every slower sample is the same code plus scheduler or
-    // clock noise.
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Median of a slice (destructive on order).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 /// One A/B/B/A round for a gated pair: runs `a, b, b, a` back to back
@@ -88,8 +77,8 @@ fn abba_round(
 }
 
 fn main() {
-    let quick = std::env::var("DCE_BCN_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
-    let (t_end, reps) = if quick { (0.05, 15) } else { (0.1, 25) };
+    let (t_end, rounds) = sized((0.05, 15), (0.1, 25));
+    let mut bench = Bench::new("telemetry", rounds);
 
     let p = BcnParams::paper_defaults();
     let sys = BcnFluid::linearized(p.clone());
@@ -103,9 +92,9 @@ fn main() {
     // Each gate compares exactly two configurations, so measure them as
     // paired A/B/B/A rounds and take the median per-round ratio.
     let mut samples: [Vec<f64>; 4] = Default::default();
-    let mut off_ratios = Vec::with_capacity(reps);
-    let mut trace_ratios = Vec::with_capacity(reps);
-    for _ in 0..reps {
+    let mut off_ratios = Vec::with_capacity(rounds);
+    let mut trace_ratios = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
         let (r, base_s, off_s) = abba_round(&sys, p0, t_end, None, Some(TelemetryLevel::Off));
         off_ratios.push(r);
         samples[0].extend(base_s);
@@ -116,34 +105,22 @@ fn main() {
         samples[2].extend(summary_s);
         samples[3].extend(full_s);
     }
-    let [base, off, summary, full] = [&samples[0], &samples[1], &samples[2], &samples[3]];
-    let [base_t, off_t, summary_t, full_t] = [best(base), best(off), best(summary), best(full)];
-
-    let off_pct = (median(&mut off_ratios) - 1.0) * 100.0;
-    let trace_pct = (median(&mut trace_ratios) - 1.0) * 100.0;
-    let pct = |t: f64| (t / base_t - 1.0) * 100.0;
-    let mode = if quick { " [quick]" } else { "" };
-    println!("telemetry overhead on fluid_trajectory ({t_end} s horizon, median of {reps} A/B/B/A rounds){mode}:");
-    println!("  none (baseline):  {:.3} ms", base_t * 1e3);
-    println!("  level off:        {:.3} ms  ({:+.2}%)", off_t * 1e3, pct(off_t));
-    println!("  level summary:    {:.3} ms  ({:+.2}%)", summary_t * 1e3, pct(summary_t));
-    println!("  level full:       {:.3} ms  ({:+.2}%)", full_t * 1e3, pct(full_t));
-    println!("  off vs none:       {off_pct:+.2}% (median A/B/B/A ratio)");
-    println!("  full over summary: {trace_pct:+.2}% (median A/B/B/A ratio, trace-level budget)");
-
-    let mut failed = false;
-    if off_pct > 2.0 {
-        telemetry::log_line!("FAIL: off-level overhead {off_pct:.2}% exceeds the 2% budget");
-        failed = true;
+    println!(
+        "telemetry overhead on fluid_trajectory ({t_end} s horizon, {rounds} A/B/B/A rounds):"
+    );
+    for (name, secs) in ["none", "off", "summary", "full"].iter().zip(&mut samples) {
+        bench.row(Row::new(*name).with("t_end", t_end).with("secs", Timing::of(secs)));
     }
-    if trace_pct > 10.0 {
-        telemetry::log_line!(
-            "FAIL: trace-level overhead {trace_pct:.2}% over summary exceeds the 10% budget"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("off within the 2% budget; trace level within 10% of summary");
+    let off = Timing::of(&mut off_ratios);
+    let trace = Timing::of(&mut trace_ratios);
+    bench.row(Row::new("off_over_none").with("ratio", off));
+    bench.row(Row::new("full_over_summary").with("ratio", trace));
+    bench.gate("off_overhead_pct", (off.median - 1.0) * 100.0, Bound::AtMost(2.0));
+    bench.gate("trace_overhead_pct", (trace.median - 1.0) * 100.0, Bound::AtMost(10.0));
+    bench.finish(
+        "All four configurations run the Dopri5 engine on the paper's worked example. The \
+         gates read the median per-round ratio of paired A/B/B/A rounds: off over no \
+         telemetry argument (at most +2%) and full over summary (at most +10%, the \
+         trace-level budget). The per-level secs rows summarise every run of that level.",
+    );
 }

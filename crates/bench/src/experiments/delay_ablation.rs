@@ -22,6 +22,9 @@ use plotkit::{Csv, Series, SvgPlot, Table};
 use crate::common::{banner, save_plot};
 use crate::ExpResult;
 
+/// Feedback delays swept, as fractions of the increase-region period.
+const FRACS: [f64; 8] = [0.0, 0.002, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5];
+
 /// Runs the experiment; artifacts land under `out`.
 ///
 /// # Errors
@@ -37,7 +40,6 @@ pub fn run(out: &Path) -> ExpResult {
         fr.max1_x
     );
 
-    let fracs = [0.0, 0.002, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5];
     let mut table = Table::new(&[
         "tau / period",
         "tau (s)",
@@ -48,10 +50,9 @@ pub fn run(out: &Path) -> ExpResult {
     let mut csv = Csv::new(&["tau", "max_x", "contracting"]);
     let mut taus = Vec::new();
     let mut maxes = Vec::new();
-    for frac in fracs {
+    for frac in FRACS {
         let tau = frac * period;
-        let dt_base = 0.002 / params.a().sqrt();
-        let dt = if tau > 0.0 { dt_base.min(tau / 8.0) } else { dt_base };
+        let dt = delay_step(tau, 0.002 / params.a().sqrt());
         let run =
             DelayedBcn::new(params.clone(), tau).linearized().run(params.initial_point(), 3.0, dt);
         // Once the loop diverges the raw supremum is astronomically
@@ -82,6 +83,17 @@ pub fn run(out: &Path) -> ExpResult {
     Ok(())
 }
 
+/// The integration step for delay `tau`: the largest step no longer
+/// than `dt_base` or `tau / 8` that divides `tau` into whole steps, so
+/// the `round(tau / dt)`-step delay line applies exactly `tau`.
+fn delay_step(tau: f64, dt_base: f64) -> f64 {
+    if tau > 0.0 {
+        tau / (tau / dt_base.min(tau / 8.0)).ceil()
+    } else {
+        dt_base
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,5 +105,22 @@ mod tests {
         run(&dir).unwrap();
         assert!(dir.join("exp_delay_ablation.csv").exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_row_applies_the_delay_it_reports() {
+        let params = BcnParams::test_defaults();
+        let period = std::f64::consts::TAU / params.a().sqrt();
+        let dt_base = 0.002 / params.a().sqrt();
+        for frac in FRACS {
+            let tau = frac * period;
+            let dt = delay_step(tau, dt_base);
+            assert!(dt <= dt_base && (tau == 0.0 || dt <= tau / 8.0), "frac {frac}: dt {dt}");
+            let applied = (tau / dt).round() * dt;
+            assert!(
+                (applied - tau).abs() <= 4.0 * f64::EPSILON * tau,
+                "frac {frac}: {applied} vs {tau}"
+            );
+        }
     }
 }

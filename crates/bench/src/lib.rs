@@ -30,6 +30,7 @@
 pub mod common;
 pub mod experiments;
 pub mod figures;
+pub mod harness;
 
 /// Installs a counting global allocator in a bench binary and defines
 /// `fn allocations() -> u64`, the number of allocation events (alloc +

@@ -388,8 +388,7 @@ const WALL_CHECK_EVERY: u64 = 4096;
 
 /// The replay-comparable cause string for a watchdog demotion; shared
 /// by postmortem dumps and [`replay`] so the comparison is verbatim.
-#[must_use]
-pub fn timeout_cause(events: u64) -> String {
+fn timeout_cause(events: u64) -> String {
     format!("watchdog: event budget exhausted after {events} events")
 }
 

@@ -6,6 +6,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs one engine bench binary in quick mode into a scratch directory
+# (so the committed full-mode BENCH files are not overwritten), then
+# checks that the file it wrote carries the shared harness schema.
+# Usage: bench_smoke <binary> <BENCH file stem>
+bench_smoke() {
+  local dir
+  dir=$(mktemp -d)
+  DCE_BCN_QUICK=1 DCE_BCN_RESULTS="$dir" cargo run --release -p bench --bin "$1"
+  grep -q '"machine"' "$dir/BENCH_$2.json"
+  grep -q '"gates"' "$dir/BENCH_$2.json"
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -30,16 +42,13 @@ echo "== drop-kernel certificate oracle (100k random cells, release) =="
 cargo test --release -p bcn --lib -- --ignored certified_kernel_matches_full_runs_on_100k_random_cells
 
 echo "== sweep scaling smoke (equivalence check) =="
-# Reduced grid; write to a scratch directory so the committed
-# full-grid BENCH_sweeps.json is not overwritten by smoke numbers.
-DCE_BCN_SWEEP_GRID=8 DCE_BCN_SWEEP_REPS=1 DCE_BCN_RESULTS=$(mktemp -d) \
-  cargo run --release -p bench --bin sweep_scaling
+# Quick mode: 8x8 grid at one rep; the CSV equivalence gate still runs.
+bench_smoke sweep_scaling sweeps
 
 echo "== fluid engine smoke (analytic vs DOPRI5 agreement) =="
 # Quick mode: 5x5 grid, agreement + verdict gates only (the 5x speedup
 # gate applies to the full 13x13 run that produces BENCH_fluid.json).
-DCE_BCN_QUICK=1 DCE_BCN_RESULTS=$(mktemp -d) \
-  cargo run --release -p bench --bin fluid_engine
+bench_smoke fluid_engine fluid
 
 echo "== artifact gate (run_all regenerates every committed artifact byte-identically) =="
 # Every figure and experiment generator is deterministic, so any change
@@ -76,36 +85,34 @@ cmp "$fd_results/exp_feedback_degradation.csv" "$fd_resume/exp_feedback_degradat
 cmp "$fd_results/feedback_degradation.json" "$fd_resume/feedback_degradation.json"
 
 echo "== packet engine smoke (wheel/heap equivalence + zero allocs) =="
-# Quick mode: short horizons, replay-speedup gate skipped; every
-# bit-identity check (schedulers x worker counts x fault plans) and the
-# steady-state allocation gate still run in full.
-DCE_BCN_QUICK=1 DCE_BCN_RESULTS=$(mktemp -d) \
-  cargo run --release -p bench --bin packet_engine
+# Quick mode: short horizons, the replay-speedup gate recorded but not
+# enforced; every bit-identity check (schedulers x worker counts x fault
+# plans) and the steady-state allocation gate still run in full.
+bench_smoke packet_engine packet
 
 echo "== topo engine smoke (fabric equivalence + zero allocs) =="
 # Quick mode: fat-tree k=4 scale, the end-to-end and route-lookup
-# speedup gates skipped; every bit-identity check (schedulers x worker
-# counts x fault plans) and the steady-state allocation gate still run.
-DCE_BCN_QUICK=1 DCE_BCN_RESULTS=$(mktemp -d) \
-  cargo run --release -p bench --bin topo_engine
+# speedup gates recorded but not enforced; every bit-identity check
+# (schedulers x worker counts x fault plans) and the steady-state
+# allocation gate still run.
+bench_smoke topo_engine topo
 
 echo "== hybrid engine smoke (bounded divergence + always-packet identity) =="
-# Quick mode: short horizons, the 3x end-to-end speedup gate skipped;
+# Quick mode: short horizons, the 3x end-to-end speedup gate not enforced;
 # the divergence bound, always-packet bit-identity (single runs and
 # batches x worker counts) and zero-allocation gates still run.
-DCE_BCN_QUICK=1 DCE_BCN_RESULTS=$(mktemp -d) \
-  cargo run --release -p bench --bin hybrid_engine
+bench_smoke hybrid_engine hybrid
 
 echo "== query engine smoke (batched vs naive answer equality) =="
-# Quick mode: smoke-sized workloads, the 3x hot-speedup gate skipped;
+# Quick mode: smoke-sized workloads, the 3x hot-speedup gate not enforced;
 # the bitwise answer-equality and zero-allocation gates still run.
-DCE_BCN_QUICK=1 DCE_BCN_RESULTS=$(mktemp -d) \
-  cargo run --release -p bench --bin query_engine
+bench_smoke query_engine query
 
 echo "== telemetry overhead gate (quick mode) =="
 # Off-level hooks within 2% of uninstrumented; trace level within the
-# documented 10% budget over summary (DESIGN.md section 8.5).
-DCE_BCN_QUICK=1 cargo run --release -p bench --bin telemetry_overhead
+# documented 10% budget over summary (DESIGN.md section 8.5); both
+# gates are enforced in quick mode too.
+bench_smoke telemetry_overhead telemetry
 
 echo "== report pipeline smoke (limit-cycle scenario) =="
 report_dir=$(mktemp -d)
