@@ -47,9 +47,10 @@
 //!
 //! # Enclosure
 //!
-//! [`extremum_enclosed`] brackets [`spiral_extremum`]'s `x` without the
-//! bisection, so a caller that only needs to know whether an extremum can
-//! move a running maximum or minimum, or leave a band, can skip it. Its
+//! [`RegionConsts::extremum_enclosed`](crate::propagate::RegionConsts::extremum_enclosed)
+//! brackets [`spiral_extremum`]'s `x` without the bisection, so a caller
+//! that only needs to know whether an extremum can move a running
+//! maximum or minimum, or leave a band, can skip it. Its
 //! callers are the exact verdict (`stability`), which asks whether a
 //! leg's extremum can move `max_x`/`min_x`, and the hybrid engine's
 //! epoch guard (`dcesim::hybrid`), which asks whether the queue extremum
@@ -87,46 +88,52 @@
 //! the running extrema for about half of all legs, so callers test
 //! `[−A − m, A + m]` first and compute `x̂` only where it does not.
 //!
-//! ## Legs entered on the switching line
+//! ## The contraction bound
 //!
 //! Every leg of a trace after the first starts exactly on the switching
-//! line, at `z0 = (fl(−k y0), y0)`, and within one region `y0` always has
-//! the same sign `σ` ([`departing_region`](crate::rounds::departing_region)).
-//! Such a start is the unit start `u = (−kσ, σ)` (exact) scaled by
-//! `s = |y0|`, with one rounding in `x0`. `LineEnclosure` computes `A₁`,
-//! `m₁ = 1e-9 (1 + |α|/β) A₁` and `x̂₁` once for `u` and encloses each such
-//! leg in `[−sA₁ − m, sA₁ + m]` and `[s x̂₁ − m, s x̂₁ + m]`, with
-//! `m = s m₁ (1 + δ) + f64::MIN_POSITIVE` and `δ = 1e-6`. The flow is
-//! linear and the zero of `h` depends only on the start's direction, so
-//! in exact arithmetic the leg from `s u` is the unit leg scaled by `s`,
-//! with extremum `s x*(u)` and amplitude `s A(u)`. What separates the
-//! scaled values from the bisection's `x` from `z0`:
+//! line at `z0 = (fl(−k y0), y0)`, and such a start departs into the
+//! decrease region for `y0 > 0`, the increase region for `y0 < 0`
+//! ([`departing_region`](crate::rounds::departing_region)). So a region's
+//! on-line starts are its unit start `u = (−kσ, σ)` scaled by `s = |y0|`,
+//! with one rounding in `x0`. The flow is linear, so the leg from `s u`
+//! has extremum `s x*(u)`. That extremum is the largest (or smallest) of
+//! the `x(t)`, each linear in the start with
+//! `|∂x(t)/∂x0| = e^{αt} |cos βt − (α/β) sin βt| ≤ 1 + |α|/β`, so rounding
+//! `x0` (normal, by at most `εA/2`) moves it by at most
+//! `(1 + |α|/β) εA/2`. The bisection lands within the per-leg bound of
+//! its own start's extremum wherever `θ̂` lies (the computed sign of `h`
+//! is wrong only within ~1e-15 rad of its zero), and `x̂₁`, `A₁` of `u`
+//! carry the per-leg errors. So the extremum from an on-line start of
+//! scale `s` lies in the unit enclosure scaled, `[s x̂₁ − m(s), s x̂₁ + m(s)]`
+//! with `m(s) = s · 1e-9 (1 + |α|/β) A₁ + f64::MIN_POSITIVE`, the misses
+//! a few ulps of `(1 + |α|/β) s A₁`. That needs `y0` and `x0` normal and
+//! the leg's evaluation finite: `s` within the region's `[floor,
+//! max_scale]` ([`RegionConsts`](crate::propagate::RegionConsts)). A
+//! tier-1 test checks it on ~270k scaled legs with `|α|/β` up to 1e8 and
+//! `s` from 1e-300 to 1e300. Rounding is monotone, so for every `s` in
+//! `[floor, S]` it lies in `[min(S x̂₁, 0) − m(S), max(S x̂₁, 0) + m(S)]`.
 //!
-//! * rounding `x0` (a normal number) moves it by at most `ε|x0|/2 ≤ εA/2`.
-//!   Since `∂x(t)/∂x0 = e^{αt} (cos βt − (α/β) sin βt)`, that moves the
-//!   extremum and `A` by at most `(1 + |α|/β) εA/2`, and the zero of `h`
-//!   by at most `ε (1 + |α|/β)` rad;
-//! * `x̂₁` and `A₁` carry the per-leg errors derived above, at most
-//!   ~`7e-15 (1 + |α|/β) A₁`, and each product with `s` rounds once;
-//! * the bisection from `z0` lands within the per-leg bound of its own
-//!   extremum, because its own `θ̂` lies within `ε (1 + |α|/β)` of the
-//!   unit's and so stays trusted.
-//!
-//! So the scaled bounds and the direct ones differ by a few ulps relative
-//! to `(1 + |α|/β) A`, ~10⁵× below the margin. Where a premise fails, the
-//! scaling is refused and the leg takes [`extremum_enclosed`]: a start
-//! not exactly on the line, `y0` of the other sign, zero, subnormal or
-//! not finite, `x0` zero or subnormal (its
-//! rounding is no longer relative), `s` past a per-region bound beyond
-//! which an intermediate of the leg's own evaluation could overflow, a
-//! node or critical flow, a unit `θ̂` within `4 ENDPOINT_MARGIN` of 0 or
-//! π, and `|α|/β` past ~4e9, where the shift of `θ̂` could exceed
-//! `ENDPOINT_MARGIN`. A tier-1 test checks containment on ~276k scaled
-//! legs over ~69k flows with `|α|/β` up to 1e8 and `|y0|` from 1e-300 to
-//! 1e300, where the miss stays below ~4.7e-16 `(1 + |α|/β) A`. A scaled
-//! test costs a few products and comparisons, against the per-leg
-//! path's focus rebuild, `hypot` and, on about half the legs, `atan2`,
-//! `exp` and `sin_cos`. The skipped set changes; no verdict bit does.
+//! The exact verdict (`stability`) tests that interval for a cap `S_r` on
+//! each region's scale. Once both lie strictly inside its running
+//! `(min_x, max_x)`, no leg of scale in `[floor, S_r]` can move either
+//! bit, and its extremum is not computed. The caps come from the half
+//! turn: a leg entered on the line lasts exactly `π/β` (for `s ≥ floor`,
+//! [`crossing_time`](crate::propagate::crossing_time) returns those bits,
+//! `c` being nonzero), and `e^{Jπ/β} = λ_g I` with `λ_g = −e^{απ/β}`, so
+//! `y` maps to `λ_g y`, changes sign and the regions alternate. In
+//! floating point the stored matrix `M` gives `|y'| ≤ γ |y|` with
+//! `γ = |M₂₁| k + |M₂₂|` up to ~6ε (and `2^-1074`, ≤ `2^-54 s` above the
+//! floor), and a round scales by `ρ = γ_i γ_d`, the paper's `λ_a λ_d`.
+//! From a leg of scale `s` in region `r` the caps are `S_r = s` and
+//! `S_q = γ_r s (1 + δ)`, `δ = 1e-13`. When `ρ + δ < 1`, every later scale
+//! stays below its region's cap; in practice the caps hold from the
+//! first leg after each region's first on-line leg, and each later leg
+//! costs one half-turn product. The verdict still compares each leg's
+//! scale with its region's range, so a skipped extremum rests on the
+//! enclosure and that comparison; the contraction only says why it keeps
+//! passing. Where a premise fails (`ρ` within `δ` of 1, as where
+//! `m = k n` rounds to 0; a node or critical region; an untrusted unit
+//! `θ̂`), the verdict tests each leg on its own enclosure.
 
 use crate::closed_form::{RegionFlow, Spectrum};
 
@@ -164,231 +171,136 @@ const ENDPOINT_MARGIN: f64 = 1e-6;
 /// evaluating `h` at every midpoint would take, so the result is the same
 /// to the bit. When `θ̂` is within `ENDPOINT_MARGIN` of 0 or π, or `y0`
 /// and `c` are not finite normal-range numbers, every step evaluates `h`.
+///
+/// Each call rebuilds the focus flow from `(alpha, beta)`; a
+/// [`RegionConsts`](crate::propagate::RegionConsts) keeps it built.
 #[must_use]
 pub fn spiral_extremum(alpha: f64, beta: f64, z0: [f64; 2]) -> Option<Extremum> {
-    let [x0, y0] = z0;
-    if x0 == 0.0 && y0 == 0.0 {
-        return None;
-    }
-    let (flow, c) = focus_and_c(alpha, beta, z0);
-    let t_star = if y0 == 0.0 {
-        if c == 0.0 {
-            return None; // y identically zero can only happen at the origin
-        }
-        std::f64::consts::PI / beta
-    } else {
-        // h(theta) = y0 cos(theta) + c sin(theta) has exactly one zero in
-        // (0, pi]: h(0) = y0 and h(pi) = -y0 straddle it.
-        let h = |theta: f64| y0 * theta.cos() + c * theta.sin();
-        let zero = sign_change_estimate(y0, c);
-        let mut lo = 0.0_f64;
-        let mut hi = std::f64::consts::PI;
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            if mid <= lo || mid >= hi {
-                break;
-            }
-            let before_zero = match zero {
-                Some(z) if mid < z - SIGN_GUARD => true,
-                Some(z) if mid > z + SIGN_GUARD => false,
-                _ => {
-                    let hm = h(mid);
-                    if hm == 0.0 {
-                        lo = mid;
-                        hi = mid;
-                        break;
-                    }
-                    hm.signum() == y0.signum()
-                }
-            };
-            if before_zero {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi) / beta
-    };
-    let x = flow.at(t_star, z0)[0];
-    Some(Extremum { t: t_star, x })
+    Focus::new(alpha, beta).extremum(z0)
 }
 
-/// The focus flow [`spiral_extremum`] evaluates and the coefficient `c`
-/// of `y(t) = e^{alpha t} [y0 cos(beta t) + c sin(beta t)]` from `z0`:
-/// `c = (y'(0) - alpha y0)/beta` with `y'(0)` from the ODE.
-fn focus_and_c(alpha: f64, beta: f64, z0: [f64; 2]) -> (RegionFlow, f64) {
-    let flow = flow_for_focus(alpha, beta);
-    let ydot0 = flow.jacobian().mul_vec(z0)[1];
-    (flow, (ydot0 - alpha * z0[1]) / beta)
-}
-
-/// Whether `inside` accepts an interval that contains
-/// `region_extremum(flow, z0)`'s `x` whenever that is `Some`, asking
-/// about the amplitude bound `[−A − m, A + m]` (one `hypot`) first and
-/// the tight `[x̂ − m, x̂ + m]` (an `atan2` and a flow evaluation more)
-/// only if `inside` refuses it. See the module header's Enclosure
-/// section for the bounds; both are far cheaper than the bisection.
-///
-/// `false` for node and critical flows, whose extrema are closed-form
-/// and as cheap as any enclosure, and for a focus whose rebuild is not
-/// one. A bound may be infinite or NaN for states whose `A` or `x̂` does
-/// not fit a double; such an interval passes no strict comparison.
-pub fn extremum_enclosed(
-    flow: &RegionFlow,
-    z0: [f64; 2],
-    mut inside: impl FnMut((f64, f64)) -> bool,
-) -> bool {
-    let Some(e) = Enclosure::new(flow, z0) else { return false };
-    let (amp, m) = (e.amp, e.margin());
-    // `y0 = 0` puts the atan2 at 0 or π, which `sign_change_estimate`
-    // rejects: that extremum is half a rotation on, not at `θ̂`.
-    inside((-amp - m, amp + m))
-        || e.zero(z0[1]).is_some_and(|theta| {
-            let x = e.x_at(theta, z0);
-            inside((x - m, x + m))
-        })
-}
-
-/// The ingredients of the module header's enclosure of
-/// [`spiral_extremum`]'s `x` from one start on a focus flow: the
-/// amplitude `A` and what the margin and the closed-form `x̂` need. The
-/// per-leg [`extremum_enclosed`] and the per-region [`LineEnclosure`]
-/// both build it.
-struct Enclosure {
-    /// The rebuilt focus flow `spiral_extremum` evaluates.
-    focus: RegionFlow,
+/// The focus flow [`spiral_extremum`] evaluates for the spectrum
+/// `alpha ± i beta`, rebuilt once from it, with the constants of the
+/// module header's enclosure.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Focus {
+    alpha: f64,
     beta: f64,
-    /// `c` of `h(θ) = y0 cos θ + c sin θ`.
-    c: f64,
-    amp: f64,
-    /// `1e-9 (1 + |α|/β)`: the margin per unit of `A`.
-    width: f64,
+    flow: RegionFlow,
+    /// The rebuilt flow's own `(alpha, beta)` and the margin per unit of
+    /// `A`, `1e-9 (1 + |alpha|/beta)`; `None` (no enclosure) if not a focus.
+    bound: Option<(f64, f64, f64)>,
 }
 
-impl Enclosure {
-    /// `None` for node and critical flows and for a focus whose rebuild
-    /// is not one.
-    fn new(flow: &RegionFlow, z0: [f64; 2]) -> Option<Self> {
-        let Spectrum::Focus { alpha, beta } = flow.spectrum() else { return None };
-        let (focus, c) = focus_and_c(alpha, beta, z0);
-        // `A` bounds the rebuilt flow that `spiral_extremum` evaluates.
-        let Spectrum::Focus { alpha: a, beta: b } = focus.spectrum() else { return None };
-        let [x0, y0] = z0;
-        let amp = x0.hypot((y0 - a * x0) / b);
-        Some(Self { focus, beta, c, amp, width: 1e-9 * (1.0 + a.abs() / b) })
-    }
-
-    /// The margin `m = 1e-9 (1 + |α|/β) A + f64::MIN_POSITIVE`.
-    fn margin(&self) -> f64 {
-        self.width * self.amp + f64::MIN_POSITIVE
-    }
-
-    /// The closed-form zero `θ̂` of `h` for the start's `y0`, where
-    /// [`spiral_extremum`] trusts it.
-    fn zero(&self, y0: f64) -> Option<f64> {
-        sign_change_estimate(y0, self.c)
-    }
-
-    /// `x̂ = x(θ̂)` from `z0`.
-    fn x_at(&self, theta: f64, z0: [f64; 2]) -> f64 {
-        self.focus.at(theta / self.beta, z0)[0]
-    }
-}
-
-/// How far the unit start's `θ̂` must lie from 0 and π for
-/// [`LineEnclosure`] to scale it: a few `ENDPOINT_MARGIN`, so that every
-/// on-line start's own `θ̂`, a few ulps of direction away, stays inside
-/// the range where [`spiral_extremum`]'s accuracy argument holds.
-const LINE_MARGIN: f64 = 4.0 * ENDPOINT_MARGIN;
-
-/// Relative slack on the scaled margin, which covers the few-ulp
-/// difference between the scaled `A` and the one computed from the start
-/// itself.
-const LINE_SLACK: f64 = 1e-6;
-
-/// The extremum enclosure of every leg of one focus flow that starts
-/// exactly on the switching line `x + k y = 0` with `y` of one sign `σ`,
-/// from constants computed once for the unit start `(−k σ, σ)`.
-///
-/// A start on the line is `(fl(−k y0), y0)`, the unit start scaled by
-/// `s = |y0|` with one rounding in `x`. The flow is linear, so the leg
-/// is the unit leg scaled by `s`, and its enclosure is the unit's scaled:
-/// `[−sA₁ − m, sA₁ + m]` and `[s x̂₁ − m, s x̂₁ + m]` with
-/// `m = s m₁ (1 + δ) + f64::MIN_POSITIVE`. See the module header's
-/// Enclosure section for why these hold the bisection's `x`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LineEnclosure {
-    /// `−k`, as the landing `x = −k y` uses it.
-    neg_k: f64,
-    sigma: f64,
-    amp: f64,
-    /// `m₁ (1 + δ)` without the `MIN_POSITIVE` floor.
-    margin: f64,
-    x_hat: f64,
-    /// The largest `s` whose leg evaluation cannot overflow.
-    max_scale: f64,
-}
-
-impl LineEnclosure {
-    /// The constants for on-line legs of `flow` with `y` of the sign of
-    /// `z0[1]`. `None` where no leg gets a scaled enclosure: a node or
-    /// critical flow, a focus whose rebuild is not one, `y0 = 0`, a unit
-    /// `θ̂` within `LINE_MARGIN` of 0 or π, or a spiral so contracting
-    /// (`|α|/β` past ~4e9) that rounding `x0` can move `θ̂` by more than
-    /// `ENDPOINT_MARGIN`.
-    pub(crate) fn new(flow: &RegionFlow, k: f64, z0: [f64; 2]) -> Option<Self> {
-        let Spectrum::Focus { alpha, beta } = flow.spectrum() else { return None };
-        let sigma = if z0[1] > 0.0 {
-            1.0
-        } else if z0[1] < 0.0 {
-            -1.0
-        } else {
-            return None;
+impl Focus {
+    pub(crate) fn new(alpha: f64, beta: f64) -> Self {
+        // lambda^2 + m lambda + n with m = -2 alpha, n = alpha^2 + beta^2.
+        let flow = RegionFlow::from_mn(-2.0 * alpha, alpha * alpha + beta * beta);
+        let bound = match flow.spectrum() {
+            Spectrum::Focus { alpha: a, beta: b } => Some((a, b, 1e-9 * (1.0 + a.abs() / b))),
+            _ => None,
         };
-        let neg_k = -k;
-        let unit = [neg_k * sigma, sigma];
-        let e = Enclosure::new(flow, unit)?;
-        if (1.0 + alpha.abs() / beta) * f64::EPSILON >= ENDPOINT_MARGIN {
+        Self { alpha, beta, flow, bound }
+    }
+
+    /// `c = (y'(0) - alpha y0)/beta` of `h` from `z0`, `y'(0)` from the ODE.
+    fn c(&self, z0: [f64; 2]) -> f64 {
+        (self.flow.jacobian().mul_vec(z0)[1] - self.alpha * z0[1]) / self.beta
+    }
+
+    /// [`spiral_extremum`] from `z0`.
+    pub(crate) fn extremum(&self, z0: [f64; 2]) -> Option<Extremum> {
+        let [x0, y0] = z0;
+        if x0 == 0.0 && y0 == 0.0 {
             return None;
         }
-        let theta = e
-            .zero(sigma)
-            .filter(|t| (LINE_MARGIN..=std::f64::consts::PI - LINE_MARGIN).contains(t))?;
-        // Every product and sum evaluating a leg from `z0` (`c`, `h` and
-        // the matrix exponential's terms) is at most `g max(|x0|, |y0|)`.
-        let n = alpha * alpha + beta * beta;
-        let g = (1.0 + n + 3.0 * alpha.abs()) * (1.0 + 1.0 / beta);
-        Some(Self {
-            neg_k,
-            sigma,
-            amp: e.amp,
-            margin: e.width * e.amp * (1.0 + LINE_SLACK),
-            x_hat: e.x_at(theta, unit),
-            max_scale: f64::MAX / (8.0 * g * k.max(1.0)),
-        })
+        let c = self.c(z0);
+        let t_star = if y0 == 0.0 {
+            if c == 0.0 {
+                return None; // y identically zero can only happen at the origin
+            }
+            std::f64::consts::PI / self.beta
+        } else {
+            // h(theta) = y0 cos(theta) + c sin(theta) has exactly one zero in
+            // (0, pi]: h(0) = y0 and h(pi) = -y0 straddle it.
+            let h = |theta: f64| y0 * theta.cos() + c * theta.sin();
+            let zero = sign_change_estimate(y0, c);
+            let mut lo = 0.0_f64;
+            let mut hi = std::f64::consts::PI;
+            for _ in 0..80 {
+                let mid = 0.5 * (lo + hi);
+                if mid <= lo || mid >= hi {
+                    break;
+                }
+                let before_zero = match zero {
+                    Some(z) if mid < z - SIGN_GUARD => true,
+                    Some(z) if mid > z + SIGN_GUARD => false,
+                    _ => {
+                        let hm = h(mid);
+                        if hm == 0.0 {
+                            lo = mid;
+                            hi = mid;
+                            break;
+                        }
+                        hm.signum() == y0.signum()
+                    }
+                };
+                if before_zero {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi) / self.beta
+        };
+        let x = self.flow.at(t_star, z0)[0];
+        Some(Extremum { t: t_star, x })
     }
 
-    /// [`extremum_enclosed`] for the on-line leg from `z0`, from the
-    /// scaled constants, or `None` where the scaling does not apply: `z0`
-    /// not exactly `(fl(−k y0), y0)`, `y0` of the other sign, zero,
-    /// subnormal, not finite or past the overflow bound, or `x0`
-    /// subnormal or zero. The caller then asks [`extremum_enclosed`].
+    /// The amplitude `A` of the start `z0` and its margin
+    /// `m = 1e-9 (1 + |alpha|/beta) A`, without the `MIN_POSITIVE` floor.
+    fn amplitude(&self, z0: [f64; 2]) -> Option<(f64, f64)> {
+        // `A` bounds the rebuilt flow that `extremum` evaluates.
+        let (a, b, width) = self.bound?;
+        let amp = z0[0].hypot((z0[1] - a * z0[0]) / b);
+        Some((amp, width * amp))
+    }
+
+    /// `x̂ = x(θ̂)` from `z0` at the closed-form zero `θ̂` of `h`, where
+    /// [`spiral_extremum`] trusts it.
+    fn x_hat(&self, z0: [f64; 2]) -> Option<f64> {
+        sign_change_estimate(z0[1], self.c(z0)).map(|theta| self.flow.at(theta / self.beta, z0)[0])
+    }
+
+    /// Whether `inside` accepts an interval that contains
+    /// [`Focus::extremum`]'s `x` from `z0` whenever that is `Some`,
+    /// asking about the amplitude bound `[−A − m, A + m]` (one `hypot`)
+    /// first and the tight `[x̂ − m, x̂ + m]` (an `atan2` and a flow
+    /// evaluation more) only if `inside` refuses it. See the module
+    /// header's Enclosure section. `false` where the rebuild is not a
+    /// focus. A bound may be infinite or NaN for states whose `A` or `x̂`
+    /// does not fit a double; such an interval passes no strict
+    /// comparison.
     pub(crate) fn enclosed(
         &self,
         z0: [f64; 2],
         mut inside: impl FnMut((f64, f64)) -> bool,
-    ) -> Option<bool> {
-        let [x0, y0] = z0;
-        let s = self.sigma * y0;
-        let scalable = (f64::MIN_POSITIVE..=self.max_scale).contains(&s)
-            && x0 == self.neg_k * y0
-            && x0.abs() >= f64::MIN_POSITIVE;
-        if !scalable {
-            return None;
-        }
-        let (amp, x) = (s * self.amp, s * self.x_hat);
-        let m = s * self.margin + f64::MIN_POSITIVE;
-        Some(inside((-amp - m, amp + m)) || inside((x - m, x + m)))
+    ) -> bool {
+        let Some((amp, m)) = self.amplitude(z0) else { return false };
+        let m = m + f64::MIN_POSITIVE;
+        // `y0 = 0` puts the atan2 at 0 or π, which `sign_change_estimate`
+        // rejects: that extremum is half a rotation on, not at `θ̂`.
+        inside((-amp - m, amp + m)) || self.x_hat(z0).is_some_and(|x| inside((x - m, x + m)))
+    }
+
+    /// The unit enclosure of the module header's contraction bound:
+    /// `(x̂₁, m₁)` for the unit start `(−k σ, σ)`, so that the extremum
+    /// from an on-line start `(fl(−k y0), y0)` with `y0 = σ s` lies in
+    /// `[s x̂₁ − s m₁ − MIN_POSITIVE, s x̂₁ + s m₁ + MIN_POSITIVE]`. `None`
+    /// where the rebuild is not a focus or the unit `θ̂` is not trusted.
+    pub(crate) fn unit_enclosure(&self, k: f64, sigma: f64) -> Option<(f64, f64)> {
+        let unit = [-k * sigma, sigma];
+        Some((self.x_hat(unit)?, self.amplitude(unit)?.1))
     }
 }
 
@@ -523,14 +435,14 @@ pub fn region_extremum(flow: &RegionFlow, z0: [f64; 2]) -> Option<Extremum> {
     }
 }
 
-fn flow_for_focus(alpha: f64, beta: f64) -> RegionFlow {
-    // lambda^2 + m lambda + n with m = -2 alpha, n = alpha^2 + beta^2.
-    RegionFlow::from_mn(-2.0 * alpha, alpha * alpha + beta * beta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::propagate::RegionConsts;
+
+    fn flow_for_focus(alpha: f64, beta: f64) -> RegionFlow {
+        RegionFlow::from_mn(-2.0 * alpha, alpha * alpha + beta * beta)
+    }
 
     /// The spiral bisection evaluating `h` at every midpoint: the oracle
     /// that `spiral_extremum` must match bitwise.
@@ -675,7 +587,7 @@ mod tests {
             let Some(e) = region_extremum(flow, z0) else { return };
             // Refusing every interval makes both stages offer theirs.
             let mut offered = Vec::new();
-            assert!(!extremum_enclosed(flow, z0, |b| {
+            assert!(!Focus::new(alpha, beta).enclosed(z0, |b| {
                 offered.push(b);
                 false
             }));
@@ -696,7 +608,7 @@ mod tests {
             if lo.is_finite() && hi.is_finite() && e.x.is_finite() {
                 finite += 1;
                 let amp = z0[0].hypot((z0[1] - alpha * z0[0]) / beta);
-                let estimated = sign_change_estimate(z0[1], focus_and_c(alpha, beta, z0).1);
+                let estimated = sign_change_estimate(z0[1], Focus::new(alpha, beta).c(z0));
                 if amp.is_normal() && estimated.is_some() {
                     let mid = 0.5 * (lo + hi);
                     worst = worst.max((e.x - mid).abs() / ((1.0 + alpha.abs() / beta) * amp));
@@ -759,7 +671,7 @@ mod tests {
             // = 0 at times. The line slope k is the flow's own m/n (a BCN
             // region's), free over 12 decades, or the one that puts the
             // unit start's zero of h at a uniform angle in (0, pi), or
-            // within 2 LINE_MARGIN of 0 or pi.
+            // 1e-16..1e-5 from 0 or pi.
             let beta = 10f64.powf(-3.0 + 9.0 * unit(&mut rng));
             let ratio = if case % 16 == 0 { 0.0 } else { 10f64.powf(-6.0 + 14.0 * unit(&mut rng)) };
             let alpha = -beta * ratio;
@@ -767,9 +679,10 @@ mod tests {
             let flow = RegionFlow::from_mn(m, n);
             let free = 10f64.powf(-6.0 + 12.0 * unit(&mut rng));
             // The unit start's c is sigma (n k + alpha) / beta.
+            let offset = 10f64.powf(-16.0 + 11.0 * unit(&mut rng));
             let theta = match case % 12 {
-                1 => 2.0 * LINE_MARGIN * unit(&mut rng),
-                4 => PI - 2.0 * LINE_MARGIN * unit(&mut rng),
+                1 => offset,
+                4 => PI - offset,
                 _ => PI * unit(&mut rng),
             };
             let aimed = (-beta / theta.tan() - alpha) / n;
@@ -780,26 +693,27 @@ mod tests {
             };
             let sigma = if splitmix64(&mut rng) & 1 == 0 { 1.0 } else { -1.0 };
             let on_line = |y0: f64| [-k * y0, y0];
-            // The constants come from one start and serve every other
-            // start on the same side of the line, as in a trace.
-            let first = sigma * 10f64.powf(-300.0 + 600.0 * unit(&mut rng));
-            let Some(line) = LineEnclosure::new(&flow, k, on_line(first)) else { continue };
+            // One unit enclosure serves every start on the same side of
+            // the line, as in a trace.
+            let consts = RegionConsts::new(flow, k);
+            let (Some(line), Some(focus)) = (consts.line, consts.focus) else { continue };
+            let Some((x_hat, margin)) = focus.unit_enclosure(k, sigma) else { continue };
             flows += 1;
             for _ in 0..4 {
-                let z0 = on_line(sigma * 10f64.powf(-300.0 + 600.0 * unit(&mut rng)));
+                let s = 10f64.powf(-300.0 + 600.0 * unit(&mut rng));
+                let z0 = on_line(sigma * s);
                 let Some(e) = region_extremum(&flow, z0) else { continue };
-                // Refusing every interval makes both bounds offered.
-                let mut offered = Vec::new();
-                let Some(enclosed) = line.enclosed(z0, |b| {
-                    offered.push(b);
-                    false
-                }) else {
+                if !(line.floor..=line.max_scale).contains(&s) {
                     continue;
-                };
-                assert!(!enclosed);
+                }
                 scaled += 1;
                 widest_ratio = widest_ratio.max(ratio);
-                for &(lo, hi) in &offered {
+                // The scaled enclosure, and the hull the verdict tests for
+                // every scale up to a cap at or above `s`.
+                let (sx, m) = (s * x_hat, s * margin + f64::MIN_POSITIVE);
+                let cap = s * (1.0 + 4.0 * unit(&mut rng));
+                let (cx, cm) = (cap * x_hat, cap * margin + f64::MIN_POSITIVE);
+                for (lo, hi) in [(sx - m, sx + m), (cx.min(0.0) - cm, cx.max(0.0) + cm)] {
                     assert!(
                         !(e.x < lo || e.x > hi),
                         "case {case}: alpha {alpha:e}, beta {beta:e}, k {k:e}, z0 {z0:?}: \
@@ -807,12 +721,10 @@ mod tests {
                         e.x
                     );
                 }
-                let (lo, hi) = offered[1];
                 let amp = z0[0].hypot((z0[1] - alpha * z0[0]) / beta);
-                if lo.is_finite() && hi.is_finite() && amp.is_normal() {
+                if sx.is_finite() && m.is_finite() && amp.is_normal() {
                     checked += 1;
-                    let miss = (e.x - 0.5 * (lo + hi)).abs() / ((1.0 + ratio) * amp);
-                    worst = worst.max(miss);
+                    worst = worst.max((e.x - sx).abs() / ((1.0 + ratio) * amp));
                 }
             }
         }
@@ -820,7 +732,7 @@ mod tests {
             "{flows} flows, {scaled} scaled legs up to |alpha|/beta {widest_ratio:e}, \
              {checked} finite, worst miss {worst:e} A"
         );
-        assert!(flows >= 60_000, "only {flows} flows got line constants");
+        assert!(flows >= 60_000, "only {flows} flows got a unit enclosure");
         assert!(scaled >= 240_000, "only {scaled} legs scaled");
         assert!(widest_ratio > 5e7, "scaled legs reach |alpha|/beta {widest_ratio:e} only");
         assert!(checked >= scaled / 2, "only {checked} of {scaled} enclosures finite");
@@ -829,22 +741,26 @@ mod tests {
 
     #[test]
     fn line_enclosure_refuses_starts_it_cannot_scale() {
-        let flow = RegionFlow::from_kn(0.2, 10.0);
         let k = 0.2;
-        let line = LineEnclosure::new(&flow, k, [-k * 3.0, 3.0]).expect("a focus");
-        let enclosed = |z0| line.enclosed(z0, |_| true);
-        assert_eq!(enclosed([-k * 5.0, 5.0]), Some(true));
-        // Off the line by an ulp, the other side, zero, subnormal and
-        // non-finite `y0`, and past the overflow bound.
-        assert_eq!(enclosed([(-k * 5.0f64).next_up(), 5.0]), None);
-        assert_eq!(enclosed([k * 5.0, -5.0]), None);
-        for y0 in [0.0, f64::from_bits(1), 1e-310, f64::INFINITY, f64::NAN, 1e308] {
-            assert_eq!(enclosed([-k * y0, y0]), None, "y0 {y0:e}");
+        let consts = RegionConsts::new(RegionFlow::from_kn(k, 10.0), k);
+        let line = consts.line.expect("a focus");
+        let on_line = |z0| consts.half_turn_end(k, z0).is_some();
+        assert!(on_line([-k * 5.0, 5.0]) && on_line([k * 5.0, -5.0]));
+        // Off the line by an ulp, and zero, subnormal, sub-floor and
+        // non-finite `y0`: these legs take the crossing solve and their
+        // own enclosure.
+        assert!(!on_line([(-k * 5.0f64).next_up(), 5.0]));
+        for y0 in [0.0, f64::from_bits(1), 1e-310, 0.5 * line.floor, f64::INFINITY, f64::NAN] {
+            assert!(!on_line([-k * y0, y0]), "y0 {y0:e}");
         }
-        // No constants for node and critical flows, or for `y0 = 0`.
-        assert!(LineEnclosure::new(&RegionFlow::from_kn(1.5, 2.0), 1.5, [-1.5, 1.0]).is_none());
-        assert!(LineEnclosure::new(&RegionFlow::from_kn(1.0, 4.0), 1.0, [-1.0, 1.0]).is_none());
-        assert!(LineEnclosure::new(&flow, k, [0.0, 0.0]).is_none());
+        assert!(on_line([-k * line.floor, line.floor]));
+        assert!(line.max_scale > 1e300 && line.max_scale < f64::MAX);
+        // No half turn, focus or unit enclosure for node and critical
+        // flows.
+        for (k, n) in [(1.5, 2.0), (1.0, 4.0)] {
+            let c = RegionConsts::new(RegionFlow::from_kn(k, n), k);
+            assert!(c.line.is_none() && c.focus.is_none() && c.half_turn().is_none());
+        }
     }
 
     const ALPHA: f64 = -1.0;

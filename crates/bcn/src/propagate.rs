@@ -6,12 +6,12 @@
 //! formulas (Eqs. 12–34). This module turns that structure into the fast
 //! path used by every sweep:
 //!
-//! * [`Propagator`] — both regions' [`RegionFlow`] spectral
-//!   decompositions for one parameter set, built from the derived
-//!   constants `(k, a, bC)`. A build costs ~80 ns, about what a lookup
-//!   in a shared memo would, so every caller builds its own; the
-//!   process-wide memo sits one level up, on whole stability answers
-//!   ([`crate::query`], counters re-exported here as [`cache_stats`]).
+//! * [`Propagator`] — both regions' [`RegionConsts`] (flow, rebuilt
+//!   focus, half turn) for one parameter set, from `(k, a, bC)`. A build
+//!   costs ~270 ns on a 2-vCPU Xeon VM, little against a ~3 µs trace, so
+//!   every caller builds its own; the process-wide memo sits one level
+//!   up, on whole stability answers ([`crate::query`], counters
+//!   re-exported here as [`cache_stats`]).
 //! * [`crossing_time`] — the switching-line crossing time of a leg from
 //!   the *closed form* of the scalar `s(t) = x(t) + k y(t)`: an explicit
 //!   zero formula per spectrum polished by safeguarded Newton iteration
@@ -30,9 +30,10 @@ use std::f64::consts::{FRAC_PI_2, PI};
 
 use odesolve::hybrid::{HybridSolution, ModeInterval};
 use odesolve::Solution;
+use phaseplane::Mat2;
 
 use crate::closed_form::{RegionFlow, Spectrum};
-use crate::extrema::region_extremum;
+use crate::extrema::{region_extremum, Extremum, Focus};
 use crate::model::{BcnFluid, Region};
 use crate::params::BcnParams;
 use crate::rounds::departing_region;
@@ -40,16 +41,114 @@ use crate::simulate::FluidOptions;
 
 /// The process-wide memo's counters, kept at this path for code written
 /// against it. The memo holds stability answers ([`crate::query`]);
-/// propagators are built fresh, since a build costs what a hit did.
+/// propagators are built fresh, a build being small against a trace.
 pub use crate::query::{cache_stats, CacheStats};
 
-/// Both regions' exact flows for one parameter set, plus the switching
+/// Both regions' constant sets for one parameter set, plus the switching
 /// slope `k`, ready for closed-form leg propagation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Propagator {
     k: f64,
-    increase: RegionFlow,
-    decrease: RegionFlow,
+    increase: RegionConsts,
+    decrease: RegionConsts,
+}
+
+/// One control region's constants, built once with the [`Propagator`]:
+/// the exact flow, the focus flow that
+/// [`spiral_extremum`](crate::extrema::spiral_extremum) evaluates, and
+/// for a focus the half turn of the legs entered on the switching line
+/// (the `extrema` module header's contraction bound).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RegionConsts {
+    flow: RegionFlow,
+    pub(crate) focus: Option<Focus>,
+    pub(crate) line: Option<HalfTurn>,
+}
+
+/// The half turn of a focus leg entered on the switching line: its
+/// duration `π/β` (the bits [`crossing_time`] returns) and matrix
+/// `M = e^{Jπ/β}`, the factor `λ_g` it scales `y` by, the bound
+/// `γ = |M₂₁| k + |M₂₂|` on `|y'| / |y|`, and the range of `|y|` it
+/// serves: from `floor` up, `y` and `x = −k y` are normal and the
+/// crossing's `c` cannot underflow; up to `max_scale`, the leg's
+/// evaluation cannot overflow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct HalfTurn {
+    pub(crate) duration: f64,
+    pub(crate) matrix: Mat2,
+    pub(crate) lambda: f64,
+    pub(crate) gamma: f64,
+    pub(crate) floor: f64,
+    pub(crate) max_scale: f64,
+}
+
+impl RegionConsts {
+    /// The constants of `flow` with the switching slope `k`.
+    #[must_use]
+    pub fn new(flow: RegionFlow, k: f64) -> Self {
+        let Spectrum::Focus { alpha, beta } = flow.spectrum() else {
+            return Self { flow, focus: None, line: None };
+        };
+        let duration = PI / beta;
+        let matrix = flow.exp(duration);
+        // Every product and sum evaluating a leg from `z0` (`c`, `h` and
+        // the matrix exponential's terms) is at most `g max(|x0|, |y0|)`.
+        let n = alpha * alpha + beta * beta;
+        let g = (1.0 + n + 3.0 * alpha.abs()) * (1.0 + 1.0 / beta);
+        let line = HalfTurn {
+            duration,
+            matrix,
+            lambda: matrix.d - k * matrix.c,
+            gamma: matrix.c.abs() * k + matrix.d.abs(),
+            floor: f64::MIN_POSITIVE * (4.0 + k + beta + 4.0 / k),
+            max_scale: f64::MAX / (8.0 * g * k.max(1.0)),
+        };
+        Self { flow, focus: Some(Focus::new(alpha, beta)), line: Some(line) }
+    }
+
+    /// The region's exact flow.
+    #[must_use]
+    pub fn flow(&self) -> &RegionFlow {
+        &self.flow
+    }
+
+    /// [`region_extremum`] from `z0`, on the focus flow built once.
+    #[must_use]
+    pub fn extremum(&self, z0: [f64; 2]) -> Option<Extremum> {
+        match &self.focus {
+            Some(focus) => focus.extremum(z0),
+            None => region_extremum(&self.flow, z0),
+        }
+    }
+
+    /// Whether `inside` accepts an interval holding [`Self::extremum`]'s
+    /// `x` from `z0` (the `extrema` module header's Enclosure section):
+    /// the amplitude bound first, then the tight one. `false` for node and
+    /// critical flows, whose extrema are closed-form.
+    pub fn extremum_enclosed(&self, z0: [f64; 2], inside: impl FnMut((f64, f64)) -> bool) -> bool {
+        self.focus.is_some_and(|focus| focus.enclosed(z0, inside))
+    }
+
+    /// `π/β`, the duration of a focus leg entered on the switching line.
+    #[must_use]
+    pub fn half_turn(&self) -> Option<f64> {
+        self.line.map(|l| l.duration)
+    }
+
+    /// `λ_g`, the factor (`−e^{απ/β}` up to rounding) by which a focus
+    /// leg entered on the line scales `y`; `λ_i λ_d` is the round ratio.
+    #[must_use]
+    pub fn line_factor(&self) -> Option<f64> {
+        self.line.map(|l| l.lambda)
+    }
+
+    /// The end, before landing, of the leg from `z0` when it starts
+    /// exactly on the switching line with `|y| >= floor`: the bits
+    /// `flow.at(t, z0)` gives at the `π/β` [`crossing_time`] returns.
+    pub(crate) fn half_turn_end(&self, k: f64, z0: [f64; 2]) -> Option<[f64; 2]> {
+        let line = self.line.as_ref()?;
+        (z0[0] + k * z0[1] == 0.0 && z0[1].abs() >= line.floor).then(|| line.matrix.mul_vec(z0))
+    }
 }
 
 impl Propagator {
@@ -63,14 +162,15 @@ impl Propagator {
     /// `BcnParams` always satisfy this).
     #[must_use]
     pub fn new(k: f64, a: f64, b_c: f64) -> Self {
-        Self { k, increase: RegionFlow::from_kn(k, a), decrease: RegionFlow::from_kn(k, b_c) }
+        let region = |n| RegionConsts::new(RegionFlow::from_kn(k, n), k);
+        Self { k, increase: region(a), decrease: region(b_c) }
     }
 
     /// The propagator for a parameter set, built from its derived
-    /// constants `(k, a, bC)`. A build is two 2×2 spectral
-    /// decompositions (~80 ns), so callers build one where they need it;
-    /// the process-wide memo caches the stability answers that cost
-    /// microseconds ([`crate::query`]).
+    /// constants `(k, a, bC)`. A build costs ~270 ns, little against the
+    /// microseconds of a trace, so callers build one where they need it;
+    /// the process-wide memo caches the stability answers
+    /// ([`crate::query`]).
     #[must_use]
     pub fn for_params(params: &BcnParams) -> Self {
         Self::new(params.k(), params.a(), params.b() * params.capacity)
@@ -85,24 +185,16 @@ impl Propagator {
     /// The exact flow of one control region.
     #[must_use]
     pub fn flow(&self, region: Region) -> &RegionFlow {
+        &self.region(region).flow
+    }
+
+    /// The constant set of one control region.
+    #[must_use]
+    pub fn region(&self, region: Region) -> &RegionConsts {
         match region {
             Region::Increase => &self.increase,
             Region::Decrease => &self.decrease,
         }
-    }
-
-    /// The state reached after time `t` in `region`, starting from `z0`.
-    #[must_use]
-    pub fn propagate(&self, region: Region, t: f64, z0: [f64; 2]) -> [f64; 2] {
-        self.flow(region).at(t, z0)
-    }
-
-    /// First strictly positive time the flow from `z0` in `region`
-    /// reaches the switching line `x + k y = 0`, from the closed form.
-    /// See [`crossing_time`].
-    #[must_use]
-    pub fn crossing_time(&self, region: Region, z0: [f64; 2], t_max: f64) -> Option<f64> {
-        crossing_time(self.flow(region), self.k, z0, t_max)
     }
 
     /// Signed switching-line coordinate `s = x + k y` of a state: zero
@@ -156,7 +248,7 @@ impl Propagator {
             if remaining <= 0.0 {
                 return EpochStep { z, region, switches, t };
             }
-            match self.crossing_time(region, z, remaining) {
+            match crossing_time(self.flow(region), self.k, z, remaining) {
                 Some(tc) => {
                     let mut z_end = self.flow(region).at(tc, z);
                     z_end[0] = -self.k * z_end[1];
@@ -378,7 +470,7 @@ pub fn analytic_trajectory(sys: &BcnFluid, p0: [f64; 2], opts: &FluidOptions) ->
             break;
         }
         let flow = prop.flow(region);
-        let cross = prop.crossing_time(region, z, remaining);
+        let cross = crossing_time(flow, prop.k(), z, remaining);
         let leg_dur = cross.unwrap_or(remaining);
 
         // Interior samples: the record grid plus the leg's queue extremum,
@@ -393,7 +485,7 @@ pub fn analytic_trajectory(sys: &BcnFluid, p0: [f64; 2], opts: &FluidOptions) ->
                 }
             }
         }
-        if let Some(e) = region_extremum(flow, z) {
+        if let Some(e) = prop.region(region).extremum(z) {
             if e.t > 0.0 && e.t < leg_dur {
                 interior.push(e.t);
             }
@@ -499,7 +591,8 @@ mod tests {
         };
         let y0 = -0.01 * params.capacity;
         let z0 = [-prop.k() * y0, y0]; // exactly on the line, y < 0
-        let t = prop.crossing_time(Region::Increase, z0, 10.0).expect("returns to line");
+        let t = crossing_time(prop.flow(Region::Increase), prop.k(), z0, 10.0)
+            .expect("returns to line");
         assert_eq!(t, PI / beta, "on-line focus leg must be exactly pi/beta");
         assert!((t - steady_leg_duration(&params, Region::Increase).unwrap()).abs() < 1e-15);
     }
@@ -513,7 +606,7 @@ mod tests {
         assert!(matches!(prop.flow(Region::Decrease).spectrum(), Spectrum::Node { .. }));
         let y0 = -0.01 * params.capacity;
         let z0 = [-prop.k() * y0, y0];
-        assert_eq!(prop.crossing_time(Region::Decrease, z0, 1e6), None);
+        assert_eq!(crossing_time(prop.flow(Region::Decrease), prop.k(), z0, 1e6), None);
     }
 
     #[test]
@@ -537,7 +630,7 @@ mod tests {
         let prop = Propagator::for_params(&params);
         let y0 = -0.01 * params.capacity;
         let z0 = [-prop.k() * y0, y0];
-        assert_eq!(prop.crossing_time(Region::Decrease, z0, 1e6), None);
+        assert_eq!(crossing_time(prop.flow(Region::Decrease), prop.k(), z0, 1e6), None);
     }
 
     #[test]
@@ -599,13 +692,14 @@ mod tests {
         let prop = Propagator::for_params(&params);
         // Deep in the increase region, short horizon: no switch fits.
         let z0 = [-0.3 * params.q0, -0.02 * params.capacity];
-        let tc = prop.crossing_time(Region::Increase, z0, 1e9).expect("eventually crosses");
+        let tc = crossing_time(prop.flow(Region::Increase), prop.k(), z0, 1e9)
+            .expect("eventually crosses");
         let dt = 0.5 * tc;
         let step = prop.advance(Region::Increase, z0, dt, 64);
         assert_eq!(step.switches, 0);
         assert_eq!(step.t, dt);
         assert_eq!(step.region, Region::Increase);
-        assert_eq!(step.z, prop.propagate(Region::Increase, dt, z0));
+        assert_eq!(step.z, prop.flow(Region::Increase).at(dt, z0));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   shards (one lock each) × 64 sets × 4 ways = 4096 answers, a
 //!   second-chance bit per slot, a CLOCK hand per set, and each key stored
 //!   once, in its slot. It holds answers, not propagators, because a
-//!   trace costs ~4 µs at 48 legs, ~50× a propagator build (~80 ns,
-//!   about what a memo hit costs). [`cache_stats`] sums its traffic.
+//!   trace costs ~3 µs at 48 legs, ~10× a propagator build (~270 ns,
+//!   a few memo hits). [`cache_stats`] sums its traffic.
 //! * [`query_to_jsonl`]/[`answer_from_jsonl`] and friends — a flat JSONL
 //!   codec on `telemetry`'s record reader and number formatter
 //!   (schema-v2 header, `{v:?}` floats with `NaN`/`inf`/`-inf` tokens) whose
@@ -57,6 +57,10 @@ use crate::stability::{exact_verdict_scratch, theorem1_required_buffer};
 /// or visibly diverge (spiral cases contract geometrically; node cases
 /// finish in two legs).
 pub const DEFAULT_MAX_LEGS: usize = 64;
+
+/// The largest `max_legs` a query line may ask: far past the 39,020 legs
+/// the paper's worked example traces to the `1e-12` stop.
+pub const MAX_LEGS_LIMIT: usize = 1 << 20;
 
 /// One stability question: a full parameter set plus the leg budget for
 /// the exact trace.
@@ -376,7 +380,7 @@ impl<'a> QueryBatch<'a> {
     }
 
     /// Traces query `i` with a freshly built propagator: a build costs
-    /// ~80 ns against the ~4 µs trace it serves.
+    /// ~270 ns against the ~3 µs trace it serves.
     fn answer_one(&self, ws: &mut QueryWorkspace, i: usize) -> StabilityAnswer {
         let q = &self.queries[i];
         let v = exact_verdict_scratch(
@@ -492,7 +496,8 @@ fn required<'a>(slot: Option<Scalar<'a>>, key: &str) -> Result<Scalar<'a>, Jsonl
 /// # Errors
 ///
 /// Fails on malformed JSON, a wrong `type`, an unknown field, non-scalar
-/// values, or parameters that fail [`BcnParams::validate`].
+/// values, parameters that fail [`BcnParams::validate`], or a `max_legs`
+/// above [`MAX_LEGS_LIMIT`].
 pub fn query_from_jsonl(line: &str) -> Result<StabilityQuery, JsonlError> {
     let r = Record::parse(line)?;
     r.expect_type("query")?;
@@ -534,9 +539,13 @@ pub fn query_from_jsonl(line: &str) -> Result<StabilityQuery, JsonlError> {
         }
     }
     p.validate().map_err(|e| JsonlError(format!("invalid query parameters: {e}")))?;
-    let max_legs = match max_legs {
-        Some(v) => usize::try_from(v.as_u64("max_legs")?)
-            .map_err(|_| JsonlError("field `max_legs` out of range".into()))?,
+    let max_legs = match max_legs.map(|v| v.as_u64("max_legs")).transpose()? {
+        Some(n) if n <= MAX_LEGS_LIMIT as u64 => n as usize,
+        Some(n) => {
+            return Err(JsonlError(format!(
+                "field `max_legs` out of range: {n} > {MAX_LEGS_LIMIT}"
+            )))
+        }
         None => DEFAULT_MAX_LEGS,
     };
     Ok(StabilityQuery { params: p, max_legs })
@@ -873,6 +882,19 @@ mod tests {
     }
 
     #[test]
+    fn max_legs_past_the_limit_is_refused_at_once() {
+        let line = |n: u64| format!(r#"{{"type":"query","w":1e-9,"max_legs":{n}}}"#);
+        let start = std::time::Instant::now();
+        let err = query_from_jsonl(&line(100_000_000)).expect_err("1e8 legs");
+        assert_eq!(err.0, "field `max_legs` out of range: 100000000 > 1048576");
+        assert!(start.elapsed().as_secs_f64() < 1.0, "decoding took {:?}", start.elapsed());
+        assert!(query_from_jsonl(&line(1 << 53)).is_err());
+        let q = query_from_jsonl(&line(1 << 20)).expect("the limit itself");
+        assert_eq!(q.max_legs, MAX_LEGS_LIMIT);
+        assert!(query_from_jsonl(&line((1 << 20) + 1)).is_err());
+    }
+
+    #[test]
     fn sparse_query_lines_inherit_paper_defaults() {
         let q = query_from_jsonl(r#"{"type":"query","gi":2.0}"#).expect("decode");
         let mut expect = BcnParams::paper_defaults();
@@ -986,8 +1008,15 @@ mod tests {
             }
             p.validate().map_err(|e| JsonlError(format!("invalid query parameters: {e}")))?;
             let max_legs = match r.get("max_legs") {
-                Some(v) => usize::try_from(v.as_u64("max_legs")?)
-                    .map_err(|_| JsonlError("field `max_legs` out of range".into()))?,
+                Some(v) => match v.as_u64("max_legs")? {
+                    n if n <= 1 << 20 => n as usize,
+                    n => {
+                        return Err(JsonlError(format!(
+                            "field `max_legs` out of range: {n} > {}",
+                            1 << 20
+                        )))
+                    }
+                },
                 None => DEFAULT_MAX_LEGS,
             };
             Ok(StabilityQuery { params: p, max_legs })

@@ -17,11 +17,10 @@
 
 use crate::cases::{classify_params, CaseId};
 use crate::closed_form::{RegionFlow, Spectrum};
-use crate::extrema::{region_extremum, Extremum};
+use crate::extrema::Extremum;
 use crate::model::Region;
 use crate::params::BcnParams;
-use crate::propagate::Propagator;
-use phaseplane::Mat2;
+use crate::propagate::{crossing_time, Propagator, RegionConsts};
 use telemetry::{ExtremumKind, Telemetry};
 
 /// One maximal sojourn in a control region.
@@ -40,17 +39,6 @@ pub struct Leg {
     /// Legs from [`exact_verdict_scratch`](crate::stability::exact_verdict_scratch)
     /// leave it `None` where the verdict did not need it.
     pub extremum: Option<Extremum>,
-}
-
-/// The region flows of the linearised system, from the propagator of
-/// `params`.
-fn flows(params: &BcnParams) -> (RegionFlow, RegionFlow) {
-    let prop = Propagator::for_params(params);
-    (*prop.flow(Region::Increase), *prop.flow(Region::Decrease))
-}
-
-fn flow_of(params: &BcnParams, region: Region) -> RegionFlow {
-    *Propagator::for_params(params).flow(region)
 }
 
 /// The region a trajectory occupies when *leaving* state `p`: off the
@@ -78,32 +66,19 @@ pub fn departing_region(params: &BcnParams, p: [f64; 2]) -> Region {
 /// state has contracted to within `1e-12` of the equilibrium.
 #[must_use]
 pub fn trace_legs(params: &BcnParams, start: [f64; 2], max_legs: usize) -> Vec<Leg> {
-    trace_legs_telemetry(params, start, max_legs, None)
-}
-
-/// Like [`trace_legs`], recording a region-switch event at every leg
-/// boundary and a queue-extremum event for every interior extremum into
-/// `tel` when provided. Event times are absolute (cumulative over legs);
-/// queue values are physical bits (`q0 + x`).
-#[must_use]
-pub fn trace_legs_telemetry(
-    params: &BcnParams,
-    start: [f64; 2],
-    max_legs: usize,
-    tel: Option<&mut Telemetry>,
-) -> Vec<Leg> {
-    let prop = Propagator::for_params(params);
     let mut legs = Vec::new();
-    trace_legs_into(params, &prop, start, max_legs, &mut legs, tel);
+    trace_legs_into(params, &Propagator::for_params(params), start, max_legs, &mut legs, None);
     legs
 }
 
-/// The allocation-free tracing core of [`trace_legs`] and
-/// [`trace_legs_telemetry`]: walks up to `max_legs` legs from `start`
-/// using a caller-resolved `prop`, appending into a caller-owned buffer
-/// with every leg's interior extremum filled in. `legs` is cleared
-/// first; once it has grown to the workload's deepest trace, re-use
-/// allocates nothing.
+/// The allocation-free tracing core of [`trace_legs`]: walks up to
+/// `max_legs` legs from `start` using a caller-resolved `prop`, appending
+/// into a caller-owned buffer with every leg's interior extremum filled
+/// in. `legs` is cleared first; once it has grown to the workload's
+/// deepest trace, re-use allocates nothing. With `tel`, it records a
+/// region-switch event at every leg boundary and a queue-extremum event
+/// for every interior extremum; event times are absolute (cumulative over
+/// legs), queue values physical bits (`q0 + x`).
 ///
 /// `prop` must be the propagator of `params` (see
 /// [`Propagator::for_params`]).
@@ -117,15 +92,19 @@ pub fn trace_legs_into(
 ) {
     legs.clear();
     let mut t_abs = 0.0;
-    let mut prev_region: Option<Region> = None;
-    walk_legs(params, prop, start, max_legs, |flow, mut leg| {
-        if let (Some(tel), Some(prev)) = (tel.as_deref_mut(), prev_region) {
-            if prev != leg.region {
-                tel.region_switch(t_abs, prev.mode_index() as u32, leg.region.mode_index() as u32);
+    let mut p = start;
+    while legs.len() < max_legs && !settled(params, p) {
+        let mut leg = next_leg(params, prop, p);
+        if let (Some(tel), Some(prev)) = (tel.as_deref_mut(), legs.last()) {
+            if prev.region != leg.region {
+                tel.region_switch(
+                    t_abs,
+                    prev.region.mode_index() as u32,
+                    leg.region.mode_index() as u32,
+                );
             }
         }
-        prev_region = Some(leg.region);
-        leg.extremum = interior_extremum(flow, &leg);
+        leg.extremum = interior_extremum(prop.region(leg.region), &leg);
         if let (Some(tel), Some(e)) = (tel.as_deref_mut(), leg.extremum) {
             // Queue maxima happen while the rate decays (decrease region),
             // minima while it recovers (increase region).
@@ -137,94 +116,45 @@ pub fn trace_legs_into(
         }
         t_abs += leg.duration.unwrap_or(0.0);
         legs.push(leg);
-    });
-}
-
-/// The queue extremum of a leg on `flow` reached strictly inside it, if
-/// any.
-pub(crate) fn interior_extremum(flow: &RegionFlow, leg: &Leg) -> Option<Extremum> {
-    region_extremum(flow, leg.start).filter(|e| e.t > 0.0 && leg.duration.is_none_or(|d| e.t <= d))
-}
-
-/// The one leg walk of the linearised system: hands `visit` up to
-/// `max_legs` legs from `start` with their region flows, each leaving in
-/// its departing region and ending exactly on the switching line, with
-/// `extremum` left `None`. Stops early when a leg does not return to the
-/// line or the state has contracted to within `1e-12` of the equilibrium.
-pub(crate) fn walk_legs<'a>(
-    params: &BcnParams,
-    prop: &'a Propagator,
-    start: [f64; 2],
-    max_legs: usize,
-    visit: impl FnMut(&'a RegionFlow, Leg),
-) {
-    walk_legs_with(&mut HalfTurns::default(), params, prop, start, max_legs, visit);
-}
-
-/// [`walk_legs`] evaluating every leg end through `ends`.
-fn walk_legs_with<'a>(
-    ends: &mut HalfTurns,
-    params: &BcnParams,
-    prop: &'a Propagator,
-    start: [f64; 2],
-    max_legs: usize,
-    mut visit: impl FnMut(&'a RegionFlow, Leg),
-) {
-    let k = params.k();
-    let mut p = start;
-    for _ in 0..max_legs {
-        // Stop once the state has contracted to numerical noise relative
-        // to the problem's own scales (q0 for x, C for y).
-        if p[0].abs() / params.q0 + p[1].abs() / params.capacity < 1e-12 {
-            break;
-        }
-        let region = departing_region(params, p);
-        let flow = prop.flow(region);
-        let duration = prop.crossing_time(region, p, leg_horizon(flow));
-        let end = duration.map(|t| {
-            let mut z = ends.at(region, flow, t, p);
-            // Land exactly on the line to keep the next leg's region
-            // decision clean.
-            z[0] = -k * z[1];
-            z
-        });
-        visit(flow, Leg { region, start: p, end, duration, extremum: None });
-        match end {
+        match leg.end {
             Some(z) => p = z,
             None => break,
         }
     }
 }
 
-/// Each region's `e^{Jt}` at the last leg duration asked of it. A focus
-/// leg entered on the switching line lasts exactly `pi / beta`, the same
-/// bits on every such leg ([`crossing_time`](crate::propagate::crossing_time)),
-/// so after a region's first one every further leg end is one product
-/// with the stored matrix: the bits `flow.at(t, z)` returns, since that
-/// is `flow.exp(t).mul_vec(z)`, without its `exp`, `sin_cos` and matrix
-/// build.
-#[derive(Debug, Default)]
-struct HalfTurns {
-    last: [Option<(f64, Mat2)>; 2],
-    /// Matrices built so far.
-    builds: usize,
+/// The queue extremum of a leg reached strictly inside it, if any.
+pub(crate) fn interior_extremum(consts: &RegionConsts, leg: &Leg) -> Option<Extremum> {
+    consts.extremum(leg.start).filter(|e| e.t > 0.0 && leg.duration.is_none_or(|d| e.t <= d))
 }
 
-impl HalfTurns {
-    /// `flow.at(t, z)` for `flow` the flow of `region`.
-    fn at(&mut self, region: Region, flow: &RegionFlow, t: f64, z: [f64; 2]) -> [f64; 2] {
-        let slot = &mut self.last[region.mode_index()];
-        let m = match *slot {
-            Some((t_last, m)) if t_last.to_bits() == t.to_bits() => m,
-            _ => {
-                self.builds += 1;
-                let m = flow.exp(t);
-                *slot = Some((t, m));
-                m
-            }
-        };
-        m.mul_vec(z)
-    }
+/// Whether a trace stops at `p`: the state has contracted to numerical
+/// noise relative to the problem's own scales (`q0` for `x`, `C` for
+/// `y`).
+pub(crate) fn settled(params: &BcnParams, p: [f64; 2]) -> bool {
+    p[0].abs() / params.q0 + p[1].abs() / params.capacity < 1e-12
+}
+
+/// The leg from `p`: it leaves in its departing region and ends exactly
+/// on the switching line, or has no end; `extremum` is left `None`. A leg
+/// entered on the line in a focus region takes the region's stored half
+/// turn ([`RegionConsts::half_turn`]) with no crossing solve.
+pub(crate) fn next_leg(params: &BcnParams, prop: &Propagator, p: [f64; 2]) -> Leg {
+    let k = prop.k();
+    let region = departing_region(params, p);
+    let consts = prop.region(region);
+    let (duration, end) = match consts.half_turn_end(k, p) {
+        Some(z) => (consts.half_turn(), Some(z)),
+        None => {
+            let flow = consts.flow();
+            let duration = crossing_time(flow, k, p, leg_horizon(flow));
+            (duration, duration.map(|t| flow.at(t, p)))
+        }
+    };
+    // Land exactly on the line to keep the next leg's region decision
+    // clean.
+    let end = end.map(|z| [-k * z[1], z[1]]);
+    Leg { region, start: p, end, duration, extremum: None }
 }
 
 fn leg_horizon(flow: &RegionFlow) -> f64 {
@@ -316,9 +246,9 @@ pub fn round_ratio_analytic(params: &BcnParams) -> Option<f64> {
     if classify_params(params).case != CaseId::Case1 {
         return None;
     }
-    let (fi, fd) = flows(params);
+    let prop = Propagator::for_params(params);
     let (Spectrum::Focus { alpha: ai, beta: bi }, Spectrum::Focus { alpha: ad, beta: bd }) =
-        (fi.spectrum(), fd.spectrum())
+        (prop.flow(Region::Increase).spectrum(), prop.flow(Region::Decrease).spectrum())
     else {
         return None;
     };
@@ -332,16 +262,22 @@ pub fn round_ratio_analytic(params: &BcnParams) -> Option<f64> {
 /// Returns `None` if the region is not spiral-shaped.
 #[must_use]
 pub fn steady_leg_duration(params: &BcnParams, region: Region) -> Option<f64> {
-    match flow_of(params, region).spectrum() {
-        Spectrum::Focus { beta, .. } => Some(std::f64::consts::PI / beta),
-        _ => None,
-    }
+    Propagator::for_params(params).region(region).half_turn()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cases::exemplar;
+
+    /// Uniform in `[0, 1)` from a splitmix64 stream.
+    fn unit(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
 
     fn p() -> BcnParams {
         BcnParams::test_defaults()
@@ -416,6 +352,11 @@ mod tests {
         let ana = round_ratio_analytic(&params).expect("case 1");
         assert!(num > 0.0 && num < 1.0, "rho = {num}");
         assert!((num - ana).abs() < 1e-6 * ana, "numeric {num} vs analytic {ana}");
+        // The constant set's half-turn factors compose to the same ratio.
+        let prop = Propagator::for_params(&params);
+        let lambda = |r| prop.region(r).line_factor().expect("a focus");
+        let set = lambda(Region::Increase) * lambda(Region::Decrease);
+        assert!((set - num).abs() < 1e-9 * num, "set {set} vs numeric {num}");
     }
 
     #[test]
@@ -493,24 +434,53 @@ mod tests {
 
     #[test]
     fn on_line_legs_reuse_one_half_turn_matrix_per_region() {
-        // Every leg after the first starts on the line, so only the first
-        // leg and each region's first half turn build a matrix.
+        // Every leg after the first starts on the line and ends with the
+        // region's stored half turn: the bits of evaluating its own leg.
         let params = p();
         let prop = Propagator::for_params(&params);
-        let mut ends = HalfTurns::default();
-        let mut legs = Vec::new();
-        walk_legs_with(&mut ends, &params, &prop, params.initial_point(), 48, |flow, leg| {
-            legs.push((*flow, leg));
-        });
+        let legs = trace_legs(&params, params.initial_point(), 48);
         assert_eq!(legs.len(), 48);
-        assert_eq!(ends.builds, 3, "a matrix per leg instead of per region");
-        // Every end has the bits of evaluating its own leg.
         let k = params.k();
-        for (flow, leg) in &legs {
-            let mut z = flow.at(leg.duration.expect("focus legs cross"), leg.start);
-            z[0] = -k * z[1];
-            assert_eq!(leg.end.map(|e| e.map(f64::to_bits)), Some(z.map(f64::to_bits)));
+        for (i, leg) in legs.iter().enumerate() {
+            let consts = prop.region(leg.region);
+            let t = leg.duration.expect("focus legs cross");
+            assert_eq!(t.to_bits() == consts.half_turn().unwrap().to_bits(), i > 0, "leg {i}");
+            let z = consts.flow().at(t, leg.start);
+            assert_eq!(
+                leg.end.map(|e| e.map(f64::to_bits)),
+                Some([-k * z[1], z[1]].map(f64::to_bits))
+            );
         }
+    }
+
+    #[test]
+    fn on_line_legs_cross_at_the_stored_half_turn() {
+        // The verdict counts legs by the half-turn product alone, which
+        // assumes every leg entered on the line returns after exactly the
+        // stored pi/beta: check the crossing solve on every such leg of
+        // random traces, tiny-w ones included.
+        let mut rng = 0x0d1e_71e5_u64;
+        let mut on_line = 0u64;
+        for i in 0..400 {
+            let mut params = p()
+                .with_gi(10f64.powf(-2.0 + 3.0 * unit(&mut rng)))
+                .with_gd(10f64.powf(-4.0 + 3.0 * unit(&mut rng)))
+                .with_capacity(10f64.powf(5.0 + 4.0 * unit(&mut rng)));
+            params.w = 10f64.powf(if i % 4 == 0 { -30.0 } else { -3.0 } + 4.0 * unit(&mut rng));
+            let prop = Propagator::for_params(&params);
+            let k = prop.k();
+            for leg in trace_legs(&params, params.initial_point(), 256).iter().skip(1) {
+                let consts = prop.region(leg.region);
+                let Some(half_turn) = consts.half_turn() else { continue };
+                let flow = consts.flow();
+                let crossing = crossing_time(flow, k, leg.start, leg_horizon(flow));
+                assert_eq!(crossing.map(f64::to_bits), Some(half_turn.to_bits()), "{params:?}");
+                assert_eq!(leg.duration.map(f64::to_bits), Some(half_turn.to_bits()));
+                on_line += 1;
+            }
+        }
+        println!("{on_line} on-line legs");
+        assert!(on_line >= 40_000, "only {on_line} on-line legs");
     }
 
     #[test]

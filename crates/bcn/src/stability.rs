@@ -20,12 +20,11 @@
 
 use crate::cases::RegionShape;
 use crate::cases::{classify_params, region_shape, CaseId};
-use crate::closed_form::{RegionFlow, Spectrum};
-use crate::extrema::{extremum_enclosed, LineEnclosure};
+use crate::closed_form::Spectrum;
 use crate::model::Region;
 use crate::params::BcnParams;
-use crate::propagate::Propagator;
-use crate::rounds::{first_round, interior_extremum, trace_legs, walk_legs, Leg};
+use crate::propagate::{HalfTurn, Propagator};
+use crate::rounds::{first_round, interior_extremum, next_leg, settled, trace_legs, Leg};
 use crate::simulate::{drop_verdicts_lockstep, SaturatingFluid};
 
 /// Why the criterion declares a system strongly stable.
@@ -273,7 +272,10 @@ pub fn criterion(params: &BcnParams) -> StabilityVerdict {
 /// initial transient at the boundary).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactVerdict {
-    /// Whether `0 < q < B` holds for all `t > 0` along the trace.
+    /// Whether `0 < q < B` holds for all `t > 0`: along the legs counted,
+    /// and, once the contraction bound of [`exact_verdict_scratch`]
+    /// holds, along every later leg, none of which reaches `max_x` or
+    /// `min_x`.
     pub strongly_stable: bool,
     /// Largest `x` observed.
     pub max_x: f64,
@@ -292,20 +294,26 @@ pub fn exact_verdict(params: &BcnParams, max_legs: usize) -> ExactVerdict {
     exact_verdict_scratch(params, &prop, max_legs, &mut legs)
 }
 
+/// Legs of a trace that [`exact_verdict_scratch`] keeps in its buffer.
+const KEPT_LEGS: usize = 3;
+
 /// The allocation-free core of [`exact_verdict`]: the caller supplies
-/// the resolved propagator and a reusable leg buffer, so a worker
-/// answering many queries allocates nothing once the buffer has grown
-/// to the workload's deepest trace.
+/// the resolved propagator and a reusable leg buffer.
 ///
-/// `legs` is cleared and receives every walked leg, so
-/// `legs.len() == verdict.legs`. A leg's `extremum` is `None` when the
-/// verdict did not need it: a spiral leg whose extremum enclosure lies
-/// strictly inside the running `(min_x, max_x)` cannot move either, so
-/// its bisection is skipped. A leg entered on the switching line, which
-/// is every leg after the first, takes that enclosure scaled from its
-/// region's unit leg, computed once per trace (see the
-/// [`extrema`](crate::extrema) module's Enclosure section). Use
-/// [`trace_legs_into`](crate::rounds::trace_legs_into) for every extremum.
+/// The verdict folds `max_x`/`min_x` over the legs' ends and extrema,
+/// computing an extremum only where it could move either bit: always on
+/// the first leg, and on a later leg unless its enclosure lies strictly
+/// inside the running `(min_x, max_x)` or its scale is within the caps of
+/// the contraction bound (the [`extrema`](crate::extrema) module header).
+/// Once the caps hold, in practice after the first leg and each region's
+/// first leg on the switching line, every later leg is one half-turn
+/// product that counts it up to the `1e-12` stop or `max_legs`.
+///
+/// `legs` is cleared and receives the first `min(verdict.legs, 3)` legs,
+/// so it never grows with `max_legs`; a leg's `extremum` is `None` where
+/// the verdict did not need it. Use
+/// [`trace_legs_into`](crate::rounds::trace_legs_into) for every leg and
+/// extremum.
 ///
 /// `prop` must be the propagator of `params` (see
 /// [`Propagator::for_params`]); a propagator is a pure function of the
@@ -318,35 +326,45 @@ pub fn exact_verdict_scratch(
     legs: &mut Vec<Leg>,
 ) -> ExactVerdict {
     legs.clear();
-    let k = params.k();
     let mut max_x = f64::NEG_INFINITY;
     let mut min_x = f64::INFINITY;
-    // Per region, the scaled enclosure of its legs entered on the line,
-    // built at the first such leg.
-    let mut on_line: [Option<Option<LineEnclosure>>; 2] = [None, None];
-    walk_legs(params, prop, params.initial_point(), max_legs, |flow, mut leg| {
-        let skip = if legs.is_empty() {
-            // The first leg has no running extrema to lie inside.
-            false
-        } else {
-            max_x = max_x.max(leg.start[0]);
-            min_x = min_x.min(leg.start[0]);
-            let unit = *on_line[leg.region.mode_index()]
-                .get_or_insert_with(|| LineEnclosure::new(flow, k, leg.start));
-            unit.and_then(|u| u.enclosed(leg.start, |e| strictly_inside(e, min_x, max_x)))
-                .unwrap_or_else(|| skippable(flow, leg.start, min_x, max_x))
-        };
-        leg.extremum = if skip { None } else { interior_extremum(flow, &leg) };
-        if let Some(e) = leg.extremum {
-            max_x = max_x.max(e.x);
-            min_x = min_x.min(e.x);
+    let bound = Contraction::new(prop);
+    // Per region, the `[floor, cap]` scales of on-line legs whose
+    // extrema cannot move `max_x` or `min_x`.
+    let mut caps = [(f64::INFINITY, f64::NEG_INFINITY); 2];
+    let mut n = 0;
+    let mut p = params.initial_point();
+    while n < max_legs && !settled(params, p) {
+        let mut leg = next_leg(params, prop, p);
+        let consts = prop.region(leg.region);
+        let r = leg.region.mode_index();
+        let s = p[1].abs();
+        let capped = |caps: &[(f64, f64); 2]| caps[r].0 <= s && s <= caps[r].1;
+        // Every leg after the first starts on the line.
+        if n > 0 && !capped(&caps) {
+            if let Some(c) = bound.as_ref().and_then(|b| b.caps(r, s, min_x, max_x)) {
+                caps = c;
+            }
         }
-        if let Some(end) = leg.end {
-            max_x = max_x.max(end[0]);
-            min_x = min_x.min(end[0]);
+        // The first leg has no running extrema to lie inside.
+        let skip = n > 0
+            && (capped(&caps) || consts.extremum_enclosed(p, |e| strictly_inside(e, min_x, max_x)));
+        if !skip {
+            leg.extremum = interior_extremum(consts, &leg);
         }
-        legs.push(leg);
-    });
+        for x in leg.extremum.map(|e| e.x).into_iter().chain(leg.end.map(|z| z[0])) {
+            max_x = max_x.max(x);
+            min_x = min_x.min(x);
+        }
+        if legs.len() < KEPT_LEGS {
+            legs.push(leg);
+        }
+        n += 1;
+        match leg.end {
+            Some(z) => p = z,
+            None => break,
+        }
+    }
     if !max_x.is_finite() || !min_x.is_finite() {
         // Trajectory never produced a comparison point beyond the start:
         // it slid directly to the equilibrium.
@@ -354,13 +372,56 @@ pub fn exact_verdict_scratch(
         min_x = 0.0;
     }
     let strongly_stable = max_x < params.buffer - params.q0 && min_x > -params.q0;
-    ExactVerdict { strongly_stable, max_x, min_x, legs: legs.len() }
+    ExactVerdict { strongly_stable, max_x, min_x, legs: n }
 }
 
-/// Whether the spiral leg from `start` has an extremum enclosure strictly
-/// inside `(min_x, max_x)`, asking the amplitude bound first.
-fn skippable(flow: &RegionFlow, start: [f64; 2], min_x: f64, max_x: f64) -> bool {
-    extremum_enclosed(flow, start, |e| strictly_inside(e, min_x, max_x))
+/// `δ`, the slack on the contraction bound's per-leg factor `γ`.
+const CONTRACTION_SLACK: f64 = 1e-13;
+
+/// A region's unit enclosure `(x̂₁, m₁)` and half turn.
+#[derive(Debug, Clone, Copy)]
+struct UnitLeg {
+    x_hat: f64,
+    margin: f64,
+    line: HalfTurn,
+}
+
+/// The constants of the `extrema` module header's contraction bound for
+/// both regions, indexed by [`Region::mode_index`].
+#[derive(Debug, Clone, Copy)]
+struct Contraction([UnitLeg; 2]);
+
+impl Contraction {
+    /// `None` for a region that is not a focus, an untrusted or infinite
+    /// unit enclosure, or `ρ + δ ≥ 1`.
+    fn new(prop: &Propagator) -> Option<Self> {
+        let unit = |region: Region, sigma: f64| {
+            let consts = prop.region(region);
+            let (x_hat, margin) = consts.focus?.unit_enclosure(prop.k(), sigma)?;
+            let line = consts.line?;
+            (x_hat.is_finite() && margin.is_finite()).then_some(UnitLeg { x_hat, margin, line })
+        };
+        let units = [unit(Region::Increase, -1.0)?, unit(Region::Decrease, 1.0)?];
+        (units[0].line.gamma * units[1].line.gamma + CONTRACTION_SLACK < 1.0).then_some(Self(units))
+    }
+
+    /// For the on-line leg about to start at scale `s` in region `r`, the
+    /// caps `S_r = s` and `S_q = γ_r s (1 + δ)` with their regions'
+    /// floors, or `None` unless the enclosure of every scale up to each
+    /// cap lies strictly inside `(min_x, max_x)`.
+    fn caps(&self, r: usize, s: f64, min_x: f64, max_x: f64) -> Option<[(f64, f64); 2]> {
+        let mut caps = [(0.0, s); 2];
+        caps[1 - r].1 = self.0[r].line.gamma * s * (1.0 + CONTRACTION_SLACK);
+        for (cap, u) in caps.iter_mut().zip(&self.0) {
+            let (sx, m) = (cap.1 * u.x_hat, cap.1 * u.margin + f64::MIN_POSITIVE);
+            let inside = strictly_inside((sx.min(0.0) - m, sx.max(0.0) + m), min_x, max_x);
+            if !(inside && cap.1 <= u.line.max_scale) {
+                return None;
+            }
+            cap.0 = u.line.floor;
+        }
+        Some(caps)
+    }
 }
 
 /// Whether an extremum enclosed by `(lo, hi)` lies strictly inside
@@ -422,6 +483,9 @@ pub fn fluid_drop_verdicts(cells: &[(SaturatingFluid, f64)]) -> Vec<bool> {
 mod tests {
     use super::*;
     use crate::cases::exemplar;
+    use crate::closed_form::RegionFlow;
+    use crate::propagate::RegionConsts;
+    use crate::query::MAX_LEGS_LIMIT;
     use crate::rounds::trace_legs_into;
     use crate::units::MBIT;
 
@@ -498,7 +562,131 @@ mod tests {
             verdict_bits(&exact_verdict_full_trace(p, max_legs)),
             "{what}, {max_legs} legs: {p:?}"
         );
-        assert_eq!(legs.len(), got.legs, "{what}");
+        assert_eq!(legs.len(), got.legs.min(KEPT_LEGS), "{what}");
+    }
+
+    /// Cell `i` of the bounded verdict's oracle, seeded `seed`: random
+    /// sets of every case (nodes among them), round ratios within ~1e-12
+    /// to ~1e-2 of 1 around both default sets, `m = k n` rounding to 0
+    /// with `k` normal or subnormal, and exactly critical regions.
+    fn oracle_cell(seed: u64, i: u64) -> BcnParams {
+        let s = splitmix64(seed ^ splitmix64(i));
+        let draw = |k: u64, lo: f64, hi: f64| uniform(s, k, lo, hi);
+        let mut p = match i % 8 {
+            0..=3 => return random_params(s),
+            4 => BcnParams::test_defaults().with_w(10f64.powf(draw(10, -18.0, -8.0))),
+            5 => BcnParams::paper_defaults().with_w(10f64.powf(draw(10, -12.0, -7.0))),
+            6 => {
+                // `n` and `k` so small that `k n` rounds to 0.
+                let mut p = random_params(s);
+                p.ru = 10f64.powf(draw(10, -30.0, -20.0));
+                p.gd = 10f64.powf(draw(11, -30.0, -20.0)) / p.capacity;
+                p.w = 10f64.powf(draw(12, -320.0, -300.0));
+                p
+            }
+            _ => {
+                // `(k n)^2 = 4 n` exactly in the increase region (`k = 1`,
+                // `a = 4`), and at times in the decrease region too.
+                let mut p = random_params(s);
+                (p.n_flows, p.ru, p.gi, p.pm) = (1, 4.0, 1.0, 1.0);
+                p.w = p.capacity;
+                p.gd = if i % 16 == 7 { 4.0 / p.capacity } else { draw(10, 1e-4, 0.9) };
+                p
+            }
+        };
+        p.buffer = p.q0 * draw(13, 1.05, 20.0);
+        p.qsc = 0.9 * p.buffer;
+        p
+    }
+
+    /// The bounded verdict against the fold over a full trace, every
+    /// extremum bisected, on `cells` oracle cells at `max_legs`.
+    fn check_oracle(seed: u64, cells: u64, max_legs: usize) {
+        let mut long = 0;
+        for i in 0..cells {
+            let p = oracle_cell(seed, i);
+            let got = exact_verdict(&p, max_legs);
+            long += usize::from(got.legs > 64);
+            let full = exact_verdict_full_trace(&p, max_legs);
+            assert_eq!(
+                verdict_bits(&got),
+                verdict_bits(&full),
+                "cell {i} of seed {seed:#x}: {p:?}"
+            );
+        }
+        println!("{cells} cells at {max_legs} legs, {long} traced past 64 legs");
+        assert!(max_legs <= 64 || long >= cells as usize / 4, "only {long} long traces");
+    }
+
+    #[test]
+    fn bounded_verdict_matches_the_full_walk() {
+        check_oracle(0x0b0d_ed01, 2_048, 4096);
+        check_oracle(0x0b0d_ed02, 20_480, 64);
+    }
+
+    /// The release-only twin of [`bounded_verdict_matches_the_full_walk`]
+    /// (`scripts/ci.sh` runs it): 20k cells at 4096 legs.
+    #[test]
+    #[ignore = "release-only oracle, run by scripts/ci.sh"]
+    fn bounded_verdict_matches_the_full_walk_on_20k_cells() {
+        check_oracle(0x0b0d_ed03, 20_480, 4096);
+    }
+
+    #[test]
+    fn the_leg_buffer_stays_small_at_the_largest_leg_budget() {
+        // The worked example traces 39,020 legs to the 1e-12 stop; with
+        // w = 1e-9 (rho = 1 - 7.7e-13) it counts all 2^20. Either way the
+        // buffer keeps three legs.
+        let paper = BcnParams::paper_defaults();
+        for (p, want) in [(paper.clone(), 39_020), (paper.with_w(1e-9), MAX_LEGS_LIMIT)] {
+            let mut legs = Vec::new();
+            let prop = Propagator::for_params(&p);
+            let got = exact_verdict_scratch(&p, &prop, MAX_LEGS_LIMIT, &mut legs);
+            assert_eq!(got.legs, want);
+            assert_eq!(legs.len(), KEPT_LEGS);
+            assert!(legs.capacity() <= 8, "buffer capacity {}", legs.capacity());
+            if want < MAX_LEGS_LIMIT {
+                assert_eq!(verdict_bits(&got), verdict_bits(&exact_verdict_full_trace(&p, want)));
+            }
+        }
+    }
+
+    #[test]
+    fn the_contraction_bound_holds_after_the_first_round() {
+        for p in [BcnParams::test_defaults(), BcnParams::paper_defaults()] {
+            let prop = Propagator::for_params(&p);
+            let bound = Contraction::new(&prop).expect("both regions spiral and contract");
+            // The running extrema after the first leg and each region's
+            // first on-line leg admit caps at the fourth leg's start.
+            let legs = trace_legs(&p, p.initial_point(), 4);
+            let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+            for leg in &legs[..3] {
+                for x in leg.extremum.map(|e| e.x).into_iter().chain(leg.end.map(|z| z[0])) {
+                    (min_x, max_x) = (min_x.min(x), max_x.max(x));
+                }
+            }
+            let (r, s) = (legs[3].region.mode_index(), legs[3].start[1].abs());
+            assert!(bound.caps(r, s, min_x, max_x).is_some(), "{p:?}");
+            let rho = bound.0[0].line.gamma * bound.0[1].line.gamma;
+            let ratio = crate::rounds::round_ratio(&p).expect("case 1");
+            assert!((rho - ratio).abs() < 1e-9 * ratio, "rho {rho} vs round ratio {ratio}");
+        }
+        // At w = 1e-9 (rho = 1 - 7.7e-13) a round shrinks the scale less
+        // than the enclosure margin, so the caps wait for later rounds.
+        let p = BcnParams::paper_defaults().with_w(1e-9);
+        let bound = Contraction::new(&Propagator::for_params(&p)).expect("rho + slack < 1");
+        let legs = trace_legs(&p, p.initial_point(), 4);
+        let (min_x, max_x) = (legs[2].extremum.unwrap().x, legs[1].extremum.unwrap().x);
+        let (r, s) = (legs[3].region.mode_index(), legs[3].start[1].abs());
+        assert!(bound.caps(r, s, min_x, max_x).is_none());
+        // No bound for node regions, or where m = k n ~ 1e-295 rounds
+        // rho to 1.
+        for p in [
+            exemplar(&BcnParams::test_defaults(), CaseId::Case3),
+            BcnParams::test_defaults().with_w(1e-300),
+        ] {
+            assert!(Contraction::new(&Propagator::for_params(&p)).is_none(), "{p:?}");
+        }
     }
 
     #[test]
@@ -574,16 +762,17 @@ mod tests {
     #[test]
     fn the_amplitude_bound_is_checked_strictly_before_the_tight_enclosure() {
         // A focus flow, and every interval it offers when all are refused.
-        let flow = RegionFlow::from_kn(0.2, 10.0);
+        let region = RegionConsts::new(RegionFlow::from_kn(0.2, 10.0), 0.2);
         let offered = |z0| {
             let mut all = Vec::new();
-            let _ = extremum_enclosed(&flow, z0, |b| {
+            let _ = region.extremum_enclosed(z0, |b| {
                 all.push(b);
                 false
             });
             all
         };
-        let skip = |z0, min_x, max_x| skippable(&flow, z0, min_x, max_x);
+        let skip =
+            |z0, min_x, max_x| region.extremum_enclosed(z0, |e| strictly_inside(e, min_x, max_x));
         // At rest (y0 = 0) the tight enclosure is untrusted, so only the
         // amplitude bound can skip, and only when strictly inside.
         let at_rest = [-1.0, 0.0];

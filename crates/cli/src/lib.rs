@@ -215,8 +215,9 @@ pub fn usage() -> String {
      \x20                         bounds memory on unbounded streams)\n\
      \x20           each input line: {\"type\":\"query\",\"gi\":2.0,...} — any of the\n\
      \x20           common parameter flags as fields (missing fields = paper\n\
-     \x20           defaults) plus optional max_legs; answers stream out in\n\
-     \x20           input order as {\"type\":\"answer\",...} lines\n\
+     \x20           defaults) plus optional max_legs (default 64, at most\n\
+     \x20           1048576 = 2^20); answers stream out in input order as\n\
+     \x20           {\"type\":\"answer\",...} lines\n\
      \x20           [--strict]  (fail fast on the first malformed line; the\n\
      \x20                        default skips it, emits an {\"type\":\"error\",...}\n\
      \x20                        record in place of the answer, and continues)\n\

@@ -48,9 +48,7 @@
 //! controller never runs and the wrapper is bit-identical to the pure
 //! packet engine.
 
-use bcn::closed_form::RegionFlow;
-use bcn::extrema::{extremum_enclosed, region_extremum};
-use bcn::propagate::Propagator;
+use bcn::propagate::{Propagator, RegionConsts};
 use bcn::BcnParams;
 
 use crate::error::ConfigError;
@@ -428,7 +426,7 @@ impl HybridSim {
             // extremum. So every break below is the one the exact test
             // alone would take.
             if c.switches == 0
-                && !step_extremum_inside(self.prop.flow(region), z, delta, p.q0, q_lo, q_hi)
+                && !step_extremum_inside(self.prop.region(region), z, delta, p.q0, q_lo, q_hi)
             {
                 end = WalkEnd::ExtremumMargin;
                 break;
@@ -471,24 +469,24 @@ impl HybridSim {
 }
 
 /// Whether the queue stays inside `(q_lo, q_hi)` at the extremum of
-/// `x` a single-leg step of `delta` seconds from `z` along `flow` passes
+/// `x` a single-leg step of `delta` seconds from `z` in `region` passes
 /// through (paper Eqs. 18–20, 28, 34; `q = q0 + x`). A step whose leg
 /// has no extremum, or reaches it only at or after `delta`, is bounded
 /// by its endpoints, which the caller checks. Asks the enclosure of
-/// [`extremum_enclosed`] first and locates the extremum only where that
-/// cannot settle the answer.
+/// [`RegionConsts::extremum_enclosed`] first and locates the extremum
+/// only where that cannot settle the answer.
 fn step_extremum_inside(
-    flow: &RegionFlow,
+    region: &RegionConsts,
     z: [f64; 2],
     delta: f64,
     q0: f64,
     q_lo: f64,
     q_hi: f64,
 ) -> bool {
-    if extremum_enclosed(flow, z, |(lo, hi)| q0 + lo > q_lo && q0 + hi < q_hi) {
+    if region.extremum_enclosed(z, |(lo, hi)| q0 + lo > q_lo && q0 + hi < q_hi) {
         return true;
     }
-    match region_extremum(flow, z) {
+    match region.extremum(z) {
         Some(e) if e.t < delta => {
             let q_ext = q0 + e.x;
             q_ext > q_lo && q_ext < q_hi
@@ -529,7 +527,14 @@ mod tests {
     use super::*;
     use crate::sim::fluid_validation_params;
     use crate::time::Time;
-    use bcn::closed_form::Spectrum;
+    use bcn::closed_form::{RegionFlow, Spectrum};
+    use bcn::extrema::region_extremum;
+
+    /// The constant set of a test flow; the step guard reads no
+    /// switching-line constant, so the slope is arbitrary.
+    fn consts(flow: &RegionFlow) -> RegionConsts {
+        RegionConsts::new(*flow, 1.0)
+    }
 
     fn quiescent_setup() -> (BcnParams, SimConfig) {
         let params = fluid_validation_params();
@@ -740,9 +745,10 @@ mod tests {
                     _ => {}
                 }
             }
+            let region = consts(&flow);
             enclosed +=
-                u64::from(extremum_enclosed(&flow, z, |(lo, hi)| q0 + lo > q_lo && q0 + hi < q_hi));
-            let got = step_extremum_inside(&flow, z, delta, q0, q_lo, q_hi);
+                u64::from(region.extremum_enclosed(z, |(lo, hi)| q0 + lo > q_lo && q0 + hi < q_hi));
+            let got = step_extremum_inside(&region, z, delta, q0, q_lo, q_hi);
             let want = step_extremum_inside_exact(&flow, z, delta, q0, q_lo, q_hi);
             assert_eq!(
                 got,
@@ -776,9 +782,9 @@ mod tests {
         assert!(e.t < delta && q0 + e.x > q_hi, "{e:?}");
         let end = q0 + flow.at(delta, z)[0];
         assert!(end > q_lo && end < q_hi, "endpoint {end}");
-        assert!(!step_extremum_inside(&flow, z, delta, q0, q_lo, q_hi));
+        assert!(!step_extremum_inside(&consts(&flow), z, delta, q0, q_lo, q_hi));
         // Past the extremum's time the endpoints bound the step.
-        assert!(step_extremum_inside(&flow, z, 0.5 * e.t, q0, q_lo, q_hi));
+        assert!(step_extremum_inside(&consts(&flow), z, 0.5 * e.t, q0, q_lo, q_hi));
     }
 
     #[test]

@@ -41,6 +41,12 @@ echo "== drop-kernel certificate oracle (100k random cells, release) =="
 # against full runs on 4k seeded cells; this is the same check on 100k.
 cargo test --release -p bcn --lib -- --ignored certified_kernel_matches_full_runs_on_100k_random_cells
 
+echo "== exact-verdict contraction oracle (20k random cells at 4096 legs, release) =="
+# The tier-1 suite checks the verdict's contraction bound against the
+# fold over a full trace on 2k cells at 4096 legs and 20k at 64; this is
+# the same check on 20k cells at 4096.
+cargo test --release -p bcn --lib -- --ignored bounded_verdict_matches_the_full_walk_on_20k_cells
+
 echo "== sweep scaling smoke (equivalence check) =="
 # Quick mode: 8x8 grid at one rep; the CSV equivalence gate still runs.
 bench_smoke sweep_scaling sweeps
